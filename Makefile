@@ -8,9 +8,10 @@ all: check
 
 # The default gate: build, vet, the determinism/correctness analyzers,
 # full tests, the race detector over the concurrency-heavy packages
-# (cache cluster, proxy/resilience, chaos), coverage with the trace
-# floor, then the end-to-end overload drill, the memctl policy-ablation
-# grid and the golden-trace determinism smoke.
+# (scheduler, network, cache cluster, proxy/resilience, platform,
+# overload, chaos), coverage with the trace floor, then the end-to-end
+# overload drill, the memctl policy-ablation grid and the golden-trace
+# determinism smoke.
 check: build vet lint test test-race test-cover smoke-overload smoke-policies smoke-trace
 
 build:
@@ -29,8 +30,12 @@ test-cover:
 race:
 	$(GO) test -race ./...
 
+# The scheduler runs on one P and on several: with one, a hand-off is a
+# goroutine switch; with several, the woken process runs beside the one
+# still on its way to parking.
 test-race:
-	$(GO) test -race ./internal/sim/... ./internal/kvstore/... ./internal/store/... ./internal/core/... ./internal/chaos/... ./internal/trace/...
+	$(GO) test -race -cpu 1,4 ./internal/sim/...
+	$(GO) test -race ./internal/simnet/... ./internal/kvstore/... ./internal/store/... ./internal/core/... ./internal/faas/... ./internal/overload/... ./internal/chaos/... ./internal/trace/...
 
 vet:
 	$(GO) vet ./...

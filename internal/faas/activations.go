@@ -2,6 +2,8 @@ package faas
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -28,10 +30,13 @@ type Activation struct {
 	SandboxMemMB             int64
 }
 
-// activationLog is a bounded ring of activations.
+// activationLog is a bounded ring of activations. Records are
+// numbered from 1 in arrival order; number n lives in slot
+// (n-1) mod cap until number n+cap overwrites it, and its ID is derived
+// from n when it is read, not stored or formatted on the invoke path.
 type activationLog struct {
 	mu   sync.Mutex
-	next uint64
+	next uint64 // number of the newest record; 0 when empty
 	ring []Activation
 	cap  int
 }
@@ -45,19 +50,26 @@ func newActivationLog(capacity int) *activationLog {
 	return &activationLog{cap: capacity}
 }
 
-// record appends an activation, evicting the oldest past capacity.
-func (l *activationLog) record(a Activation) string {
+func activationID(n uint64) string { return fmt.Sprintf("act-%08d", n) }
+
+// record files an activation, overwriting the oldest past capacity.
+func (l *activationLog) record(a Activation) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.next++
-	a.ID = fmt.Sprintf("act-%08d", l.next)
-	if len(l.ring) >= l.cap {
-		copy(l.ring, l.ring[1:])
-		l.ring[len(l.ring)-1] = a
-	} else {
+	if len(l.ring) < l.cap {
 		l.ring = append(l.ring, a)
+	} else {
+		l.ring[l.next%uint64(l.cap)] = a
 	}
-	return a.ID
+	l.next++
+}
+
+// atLocked returns record number n, which must be retained; l.mu must
+// be held.
+func (l *activationLog) atLocked(n uint64) Activation {
+	a := l.ring[(n-1)%uint64(l.cap)]
+	a.ID = activationID(n)
+	return a
 }
 
 // list returns up to n most recent activations, newest first.
@@ -68,26 +80,32 @@ func (l *activationLog) list(n int) []Activation {
 		n = len(l.ring)
 	}
 	out := make([]Activation, 0, n)
-	for i := len(l.ring) - 1; i >= len(l.ring)-n; i-- {
-		out = append(out, l.ring[i])
+	for i := 0; i < n; i++ {
+		out = append(out, l.atLocked(l.next-uint64(i)))
 	}
 	return out
 }
 
-// get finds an activation by id.
+// get finds a retained activation by id.
 func (l *activationLog) get(id string) (Activation, bool) {
+	digits, ok := strings.CutPrefix(id, "act-")
+	if !ok {
+		return Activation{}, false
+	}
+	n, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil || activationID(n) != id {
+		return Activation{}, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(l.ring) - 1; i >= 0; i-- {
-		if l.ring[i].ID == id {
-			return l.ring[i], true
-		}
+	if n == 0 || n > l.next || l.next-n >= uint64(len(l.ring)) {
+		return Activation{}, false
 	}
-	return Activation{}, false
+	return l.atLocked(n), true
 }
 
 // recordActivation files the result of a completed invocation.
-func (p *Platform) recordActivation(req *Request, res *Result) string {
+func (p *Platform) recordActivation(req *Request, res *Result) {
 	a := Activation{
 		Function: req.Function.ID(),
 		Start:    time.Duration(res.Start),
@@ -104,7 +122,7 @@ func (p *Platform) recordActivation(req *Request, res *Result) string {
 	if res.Err != nil {
 		a.Error = res.Err.Error()
 	}
-	return p.activations.record(a)
+	p.activations.record(a)
 }
 
 // Activations returns up to n most recent activation records, newest

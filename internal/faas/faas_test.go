@@ -601,19 +601,51 @@ func TestActivationRecords(t *testing.T) {
 }
 
 func TestActivationLogBounded(t *testing.T) {
-	l := newActivationLog(4)
-	for i := 0; i < 10; i++ {
-		l.record(Activation{Function: "f"})
+	const capacity = 4
+	l := newActivationLog(capacity)
+	// 0 records, a partly filled ring, exactly full, then several laps.
+	for _, total := range []int{0, 3, 4, 5, 10, 4*capacity + 1} {
+		for n := int(l.next); n < total; n++ {
+			l.record(Activation{Function: "f", Node: n + 1})
+		}
+		retained := min(total, capacity)
+		acts := l.list(0)
+		if len(acts) != retained {
+			t.Fatalf("total=%d: retained=%d, want %d", total, len(acts), retained)
+		}
+		// Newest first, contiguous, each under the id of its number.
+		for i, a := range acts {
+			n := total - i
+			if a.Node != n || a.ID != activationID(uint64(n)) {
+				t.Errorf("total=%d: list[%d] = node %d id %s, want record %d", total, i, a.Node, a.ID, n)
+			}
+		}
+		if got := l.list(2); len(got) != min(2, retained) {
+			t.Errorf("total=%d: list(2)=%d", total, len(got))
+		}
+		if total == 0 {
+			continue
+		}
+		oldest := total - retained + 1
+		if a, ok := l.get(activationID(uint64(oldest))); !ok || a.Node != oldest {
+			t.Errorf("total=%d: oldest retained %d: ok=%v node=%d", total, oldest, ok, a.Node)
+		}
+		if a, ok := l.get(activationID(uint64(total))); !ok || a.Node != total {
+			t.Errorf("total=%d: newest %d: ok=%v node=%d", total, total, ok, a.Node)
+		}
+		// oldest-1 is the first evicted record, or number 0, which never
+		// existed.
+		if _, ok := l.get(activationID(uint64(oldest - 1))); ok {
+			t.Errorf("total=%d: record %d found past eviction", total, oldest-1)
+		}
+		if _, ok := l.get(activationID(uint64(total + 1))); ok {
+			t.Errorf("total=%d: record %d found before it was filed", total, total+1)
+		}
 	}
-	acts := l.list(0)
-	if len(acts) != 4 {
-		t.Fatalf("retained=%d, want 4", len(acts))
-	}
-	if acts[0].ID != "act-00000010" {
-		t.Errorf("newest=%s", acts[0].ID)
-	}
-	if got := l.list(2); len(got) != 2 {
-		t.Errorf("list(2)=%d", len(got))
+	for _, id := range []string{"", "act-", "act-1", "act-+0000017", "run-00000017", "act-000000017"} {
+		if _, ok := l.get(id); ok {
+			t.Errorf("malformed id %q found a record", id)
+		}
 	}
 }
 

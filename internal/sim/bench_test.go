@@ -36,7 +36,8 @@ func BenchmarkAfterCallback(b *testing.B) {
 }
 
 // BenchmarkBatchWakeup measures equal-timestamp fan-out: many
-// processes sleeping to the same instant, popped as one batch.
+// processes sleeping to the same instant, each handing off to the next
+// (one goroutine switch per event, never a self-wake).
 func BenchmarkBatchWakeup(b *testing.B) {
 	env := NewEnv(1)
 	const fan = 64

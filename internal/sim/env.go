@@ -11,14 +11,20 @@
 // the timing relationships between components.
 //
 // The event loop is the hot path of every experiment, so it is built
-// to avoid per-event allocation and lock traffic: timers and their
-// wake channels are pooled and recycled, the event queue is a 4-ary
-// heap popped in per-timestamp batches, After callbacks run on a
-// bounded pool of reusable worker goroutines, and Now/Stopped are
-// lock-free atomic reads. Dispatch itself stays strictly serialized
-// in (timestamp, seq) order — one event runs to its next blocking
-// point before the next is released — which is what makes runs a pure
-// function of their seed.
+// to avoid per-event allocation, lock traffic and goroutine switches.
+// There is no scheduler goroutine: the process whose Sleep, wait or
+// exit leaves nothing runnable pops the earliest timer of the 4-ary
+// heap under the environment lock and wakes its owner itself — one
+// goroutine hand-off per event, none when the timer is its own. Timers,
+// waiters and their wake channels are pooled and recycled, Go and After
+// run their functions on recycled worker goroutines, a wait with a
+// deadline (Future.WaitTimeout) is one heap entry and no helper event,
+// and Now/Stopped are lock-free atomic reads. Dispatch itself stays
+// strictly serialized in (timestamp, seq) order — one event runs to
+// its next blocking point before the next is released — which is what
+// makes runs a pure function of their seed. The caller's time outside
+// Run counts as a running set-up process, so nothing is dispatched and
+// the clock does not move until Run is entered.
 //
 // Usage:
 //
@@ -40,38 +46,47 @@ import (
 // arithmetic stays trivial.
 type Time = time.Duration
 
-// timer is a pending wake-up in the event queue. Timers are pooled:
-// Sleep and After draw them from timerPool and they are recycled as
-// soon as their single wake has been delivered, so the steady-state
-// event loop allocates nothing.
+// timer is one parked process or pending callback: a heap entry
+// (Sleep, After, a WaitTimeout deadline), a waiter of a Future,
+// WaitGroup, Semaphore or Queue, or both at once. Timers are pooled and
+// recycled as soon as their single wake has been delivered, so the
+// steady-state event loop allocates nothing.
 type timer struct {
 	at  Time
 	seq int64 // FIFO tie-break for equal timestamps
 	ch  chan struct{}
 	fn  func() // optional callback (runs as its own process)
+
+	// A WaitTimeout waiter is reachable from the heap and from its
+	// future at once; woken (guarded by Env.mu) records that one of them
+	// delivered the wake, so the other drops its reference instead.
+	deadline bool // heap entry is a wait deadline, not a Sleep
+	woken    bool
 }
 
-// timerPool recycles timers across Sleeps, Afters and environments.
-// The wake channel is buffered with capacity one and carries exactly
-// one send per timer life, so it drains itself and can be reused.
+// timerPool recycles timers across processes and environments. The
+// wake channel is buffered with capacity one and carries at most one
+// send per timer life, so it is empty again when the timer is reused.
 var timerPool = sync.Pool{New: func() interface{} {
 	return &timer{ch: make(chan struct{}, 1)}
 }}
 
-// worker is one reusable goroutine of the After-callback pool.
-type worker struct {
-	ch chan func()
+// recycle returns t to the pool. The caller holds the last reference.
+func (t *timer) recycle() {
+	t.fn, t.deadline, t.woken = nil, false, false
+	timerPool.Put(t)
 }
 
-// maxWorkers bounds the callback pool. Callbacks that turn into
-// long-lived processes can occupy a worker indefinitely; once the
-// pool is exhausted further callbacks spill to one-shot goroutines,
-// so the bound is a recycling optimization, never a deadlock risk.
-const maxWorkers = 64
+// maxIdleWorkers bounds the parked goroutines of the worker pool. A
+// worker hosts one Go or After function at a time and parks when it
+// returns; beyond the bound it exits instead, so long-lived processes
+// never exhaust the pool and a burst does not pin its goroutines.
+const maxIdleWorkers = 64
 
-// PanicError annotates a panic raised inside an After/Every callback
-// with the virtual timestamp at which it fired, so a failure deep in
-// a macro experiment is attributable to a point in simulated time.
+// PanicError annotates a panic raised inside a Go process or an
+// After/Every callback with the virtual timestamp at which it was
+// running, so a failure deep in a macro experiment is attributable to a
+// point in simulated time.
 // The original panic value is preserved in Value.
 type PanicError struct {
 	At    Time
@@ -88,23 +103,23 @@ func (p *PanicError) Error() string {
 // a census of runnable processes. An Env is safe for concurrent use by
 // the processes it spawned.
 type Env struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled when running drops to zero
-	now     Time       // guarded by mu; mirrored in nowA for lock-free reads
-	running int        // processes currently runnable or executing
-	heap    []*timer   // 4-ary min-heap ordered by (at, seq)
-	batch   []*timer   // scratch: timers popped together for one timestamp
-	seq     int64
-	stopped bool // guarded by mu; mirrored in stoppedA
-	limit   Time // horizon; 0 means none
+	mu       sync.Mutex
+	cond     *sync.Cond // wakes Run when finished is set
+	now      Time       // guarded by mu; mirrored in nowA for lock-free reads
+	running  int        // processes runnable or executing, the caller outside Run included
+	heap     []*timer   // 4-ary min-heap ordered by (at, seq)
+	seq      int64
+	stopped  bool // guarded by mu; mirrored in stoppedA
+	finished bool // nothing runnable and nothing pending: Run may return
+	limit    Time // horizon; 0 means none
 
 	nowA     atomic.Int64
 	stoppedA atomic.Bool
 	events   atomic.Int64 // timers dispatched
 
-	// After-callback worker pool (all fields guarded by mu).
-	idle     []*worker
-	nworkers int
+	// Worker pool (guarded by mu): parked goroutines, each waiting on
+	// its own channel for the next function to host.
+	idle     []chan func()
 	draining bool
 
 	rng   *rand.Rand
@@ -115,7 +130,10 @@ type Env struct {
 // feeds the environment RNG used by workloads so that experiments are
 // reproducible.
 func NewEnv(seed int64) *Env {
-	e := &Env{rng: rand.New(rand.NewSource(seed))}
+	// running starts at one: until Run is entered the caller is a
+	// running set-up process, so processes it spawns can block without
+	// the clock moving under the ones it has yet to spawn.
+	e := &Env{rng: rand.New(rand.NewSource(seed)), running: 1}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
@@ -168,40 +186,56 @@ func (e *Env) markStoppedLocked() {
 func (e *Env) Go(fn func()) {
 	e.mu.Lock()
 	e.running++
+	e.startLocked(fn)
 	e.mu.Unlock()
-	go func() {
-		defer e.exit()
-		fn()
-	}()
 }
 
-// exit retires the calling process.
-func (e *Env) exit() {
+// park retires the calling process from the census until resume(w),
+// then recycles w.
+func (e *Env) park(w *timer) { e.parkDeadline(w, -1) }
+
+// parkDeadline is park with a deadline d from now: w also enters the
+// heap, and whichever of resume(w) and the heap entry comes first wakes
+// the process. The other finds w.woken and drops its reference — no
+// event, no clock movement. A negative d, or a stopped environment,
+// arms no deadline.
+func (e *Env) parkDeadline(w *timer, d time.Duration) {
 	e.mu.Lock()
-	e.running--
-	if e.running == 0 {
-		e.cond.Broadcast()
+	armed := d >= 0 && !e.stopped && !w.woken
+	if armed {
+		w.deadline = true
+		e.pushLocked(e.now+d, w)
 	}
-	e.mu.Unlock()
-}
-
-// block marks the calling process as no longer runnable. The caller
-// must subsequently wait on a channel that a resumer closes *after*
-// calling unblock.
-func (e *Env) block() {
-	e.mu.Lock()
 	e.running--
-	if e.running == 0 {
-		e.cond.Broadcast()
+	self := e.running == 0 && e.dispatchLocked(w)
+	e.mu.Unlock()
+	if !self {
+		<-w.ch
 	}
+	// An armed w is still referenced by the loser: a dead heap entry is
+	// recycled when it is popped, a timed-out waiter is left to its
+	// future.
+	if !armed {
+		w.recycle()
+	}
+}
+
+// resume marks the process parked on w runnable again and wakes it.
+func (e *Env) resume(w *timer) {
+	e.mu.Lock()
+	e.resumeLocked(w)
 	e.mu.Unlock()
 }
 
-// unblock marks one process runnable again, before it is woken.
-func (e *Env) unblock() {
-	e.mu.Lock()
+// resumeLocked is resume with e.mu held. The send never blocks: the
+// channel is buffered and carries one wake per timer life.
+func (e *Env) resumeLocked(w *timer) {
+	if w.woken {
+		return // its deadline fired first
+	}
+	w.woken = true
 	e.running++
-	e.mu.Unlock()
+	w.ch <- struct{}{}
 }
 
 // less orders timers by (timestamp, FIFO seq).
@@ -212,11 +246,14 @@ func less(a, b *timer) bool {
 	return a.seq < b.seq
 }
 
-// pushLocked inserts t into the 4-ary heap; e.mu must be held. A 4-ary
-// layout halves the tree depth of the binary heap and keeps children
-// on one cache line, and the inlined sift avoids container/heap's
-// interface boxing on every operation.
-func (e *Env) pushLocked(t *timer) {
+// pushLocked schedules t at the given instant, behind everything
+// already scheduled there; e.mu must be held. A 4-ary layout halves the
+// tree depth of the binary heap and keeps children on one cache line,
+// and the inlined sift avoids container/heap's interface boxing on
+// every operation.
+func (e *Env) pushLocked(at Time, t *timer) {
+	t.at, t.seq = at, e.seq
+	e.seq++
 	h := append(e.heap, t)
 	i := len(h) - 1
 	for i > 0 {
@@ -276,16 +313,14 @@ func (e *Env) Sleep(d time.Duration) {
 		return
 	}
 	t := timerPool.Get().(*timer)
-	t.at, t.seq, t.fn = e.now+d, e.seq, nil
-	e.seq++
-	e.pushLocked(t)
+	e.pushLocked(e.now+d, t)
 	e.running--
-	if e.running == 0 {
-		e.cond.Broadcast()
-	}
+	self := e.running == 0 && e.dispatchLocked(t)
 	e.mu.Unlock()
-	<-t.ch
-	timerPool.Put(t)
+	if !self {
+		<-t.ch
+	}
+	t.recycle()
 }
 
 // After schedules fn to run as a new process at now+d. Callbacks
@@ -302,9 +337,8 @@ func (e *Env) After(d time.Duration, fn func()) {
 		return
 	}
 	t := timerPool.Get().(*timer)
-	t.at, t.seq, t.fn = e.now+d, e.seq, fn
-	e.seq++
-	e.pushLocked(t)
+	t.fn = fn
+	e.pushLocked(e.now+d, t)
 	e.mu.Unlock()
 }
 
@@ -348,142 +382,151 @@ func (e *Env) Stop() {
 // called. It returns the final virtual time. Run must be called from a
 // plain goroutine, not from a simulation process.
 //
-// Dispatch order is deterministic: timers fire in (timestamp, seq)
-// order and each fired event runs until it blocks or exits before the
-// next one is released. All timers sharing the next timestamp are
-// popped from the heap in one critical section (the common case in
-// fan-out/fan-in patterns), then woken from that batch without
-// touching the heap again.
+// Run itself dispatches nothing beyond the first event: entering it
+// retires the caller's set-up process, and from then on whichever
+// process leaves the census empty releases the next event
+// (dispatchLocked). Run sleeps until one of them finds nothing left.
 //
-// After Stop or the horizon, Run drains: remaining Sleep timers are
-// woken at the frozen clock (their processes terminate instead of
-// leaking), remaining callbacks are dropped, and the worker pool is
-// shut down before Run returns.
+// After Stop or the horizon the simulation drains: remaining Sleep
+// timers are woken at the frozen clock (their processes terminate
+// instead of leaking), remaining callbacks and wait deadlines are
+// dropped, and the worker pool is shut down before Run returns.
 func (e *Env) Run() Time {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for {
-		for e.running > 0 {
-			e.cond.Wait()
-		}
-		if len(e.heap) == 0 {
-			e.markStoppedLocked()
-			e.drainWorkersLocked()
-			return e.now
-		}
+	e.running--
+	if e.running == 0 {
+		e.dispatchLocked(nil)
+	}
+	for !e.finished {
+		e.cond.Wait()
+	}
+	e.finished = false
+	e.running++ // the caller is a set-up process again
+	e.drainWorkersLocked()
+	return e.now
+}
+
+// dispatchLocked releases the next event; e.mu must be held and the
+// census empty (e.running == 0). Timers fire in (timestamp, seq) order
+// and, because only an empty census dispatches, each event runs until
+// every process it woke has blocked or exited before the next one is
+// released. self is the caller's own heap entry, if it has one: when
+// that is the next event the caller is runnable again without a
+// goroutine switch, and dispatchLocked reports true instead of sending
+// the wake.
+func (e *Env) dispatchLocked(self *timer) bool {
+	for len(e.heap) > 0 {
 		t := e.popLocked()
+		if t.woken {
+			// A deadline whose wait was already resolved: not an event.
+			t.recycle()
+			continue
+		}
 		if !e.stopped {
 			if e.limit > 0 && t.at > e.limit {
-				// Horizon reached: freeze the clock and fall through
-				// to the drain path below.
+				// Horizon reached: freeze the clock and drain.
 				e.setNowLocked(e.limit)
 				e.markStoppedLocked()
 			} else if t.at > e.now {
 				e.setNowLocked(t.at)
 			}
 		}
-		// Pop every timer sharing this timestamp in the same critical
-		// section; they dispatch from the batch without another heap
-		// operation each.
-		e.batch = append(e.batch[:0], t)
-		for len(e.heap) > 0 && e.heap[0].at == t.at {
-			e.batch = append(e.batch, e.popLocked())
-		}
-		for i, bt := range e.batch {
-			e.batch[i] = nil
-			if bt.fn != nil {
-				if e.stopped {
-					// Draining: callbacks scheduled before the stop
-					// never fire after it.
-					bt.fn = nil
-					timerPool.Put(bt)
-					continue
-				}
-				fn := bt.fn
-				bt.fn = nil
-				timerPool.Put(bt)
-				e.events.Add(1)
-				e.running++
-				e.startCallbackLocked(fn)
-			} else {
-				e.events.Add(1)
-				e.running++
-				bt.ch <- struct{}{} // buffered; the sleeper recycles bt
+		if e.stopped && (t.fn != nil || t.deadline) {
+			// Draining: callbacks and deadlines scheduled before the
+			// stop never fire after it. A deadline's waiter stays parked
+			// on t for its future, so only callbacks are recycled.
+			if t.fn != nil {
+				t.recycle()
 			}
-			for e.running > 0 {
-				e.cond.Wait()
-			}
+			continue
 		}
+		e.events.Add(1)
+		e.running++
+		if t.fn != nil {
+			fn := t.fn
+			t.recycle()
+			e.startLocked(fn)
+			return false
+		}
+		t.woken = t.deadline // a later Set must skip a timed-out waiter
+		if t == self {
+			return true
+		}
+		t.ch <- struct{}{} // buffered; the owner recycles t
+		return false
 	}
+	e.markStoppedLocked()
+	e.finished = true
+	e.cond.Signal()
+	return false
 }
 
-// startCallbackLocked hands fn to an idle pool worker, growing the
-// pool up to maxWorkers, and spilling to a one-shot goroutine beyond
-// that; e.mu must be held. Worker identity is invisible to fn, so the
-// choice cannot affect determinism.
-func (e *Env) startCallbackLocked(fn func()) {
+// startLocked hands fn to a parked worker, or to a new one when none
+// is parked; e.mu must be held and fn already counted in e.running.
+// Worker identity is invisible to fn, so the choice cannot affect
+// determinism.
+func (e *Env) startLocked(fn func()) {
 	if n := len(e.idle); n > 0 {
-		w := e.idle[n-1]
+		ch := e.idle[n-1]
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
-		w.ch <- fn // buffered(1); the worker is idle, never blocks
+		ch <- fn // buffered(1) and the worker is parked: never blocks
 		return
 	}
-	if e.nworkers < maxWorkers {
-		e.nworkers++
-		w := &worker{ch: make(chan func(), 1)}
-		w.ch <- fn
-		go e.workerLoop(w)
-		return
-	}
-	go e.execTask(fn)
+	ch := make(chan func(), 1)
+	ch <- fn
+	go e.workerLoop(ch)
 }
 
-// workerLoop runs queued callbacks until the pool drains. The loop
-// body only continues after a normal callback return: a panic unwinds
-// through execTask (annotated) and a runtime.Goexit (e.g. t.Fatal in
-// a test callback) terminates the goroutine, in both cases after
-// execTask's defer has retired the process from the census.
-func (e *Env) workerLoop(w *worker) {
-	for fn := range w.ch {
-		e.execTask(fn)
-		e.mu.Lock()
-		if e.draining {
-			e.mu.Unlock()
+// workerLoop hosts functions until execTask reports the worker was not
+// parked again, or the pool drains (ch closed).
+func (e *Env) workerLoop(ch chan func()) {
+	for fn := range ch {
+		if !e.execTask(fn, ch) {
 			return
 		}
-		e.idle = append(e.idle, w)
-		e.mu.Unlock()
 	}
 }
 
-// execTask runs one callback as a simulation process and retires it
-// from the running census however it terminates — return, panic, or
-// runtime.Goexit. Panics are re-raised wrapped in PanicError so the
-// crash names the virtual time at which the callback fired.
-func (e *Env) execTask(fn func()) {
+// execTask runs fn as a simulation process on the worker owning ch and
+// retires it from the census however it terminates — return, panic, or
+// runtime.Goexit (e.g. t.Fatal in a test callback). Only a normal
+// return parks the worker for reuse, in the same critical section that
+// retires the process, so a callback chain can be handed its own worker
+// back. Panics are re-raised wrapped in PanicError so the crash names
+// the virtual time at which the process was running.
+func (e *Env) execTask(fn func(), ch chan func()) (parked bool) {
+	returned := false
 	defer func() {
 		r := recover()
 		e.mu.Lock()
+		at := e.now
+		if returned && !e.draining && len(e.idle) < maxIdleWorkers {
+			e.idle = append(e.idle, ch)
+			parked = true
+		}
 		e.running--
 		if e.running == 0 {
-			e.cond.Broadcast()
+			e.dispatchLocked(nil)
 		}
 		e.mu.Unlock()
 		if r != nil {
-			panic(&PanicError{At: Time(e.nowA.Load()), Value: r})
+			panic(&PanicError{At: at, Value: r})
 		}
 	}()
 	fn()
+	returned = true
+	return
 }
 
-// drainWorkersLocked shuts the callback pool down; e.mu must be held.
-// Idle workers are released immediately; a worker still hosting a
+// drainWorkersLocked shuts the worker pool down; e.mu must be held.
+// Parked workers are released immediately; a worker still hosting a
 // blocked process exits when (if ever) that process finishes.
 func (e *Env) drainWorkersLocked() {
 	e.draining = true
-	for i, w := range e.idle {
-		close(w.ch)
+	for i, ch := range e.idle {
+		close(ch)
 		e.idle[i] = nil
 	}
 	e.idle = e.idle[:0]

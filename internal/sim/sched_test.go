@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"os"
 	"os/exec"
 	"runtime"
@@ -95,7 +96,7 @@ func TestSchedulerStress(t *testing.T) {
 	var maxAt time.Duration
 	for i := 0; i < procs; i++ {
 		// i%977 and i%13 force thousands of processes onto shared
-		// timestamps (equal-timestamp storms for the batch pop path).
+		// timestamps (equal-timestamp storms for the FIFO tie-break).
 		d1 := time.Duration(i%977) * time.Millisecond
 		d2 := time.Duration(i%13) * time.Millisecond
 		if d1+d2 > maxAt {
@@ -185,5 +186,139 @@ func TestEventsCounter(t *testing.T) {
 	env.Run()
 	if got := env.Events(); got != n+1 {
 		t.Errorf("Events() = %d, want %d", got, n+1)
+	}
+}
+
+// TestNothingDispatchesBeforeRun: until Run is entered the caller is a
+// running set-up process, so a spawned process that blocks leaves the
+// clock and the event counter alone, and a process spawned after it
+// still starts at time zero.
+func TestNothingDispatchesBeforeRun(t *testing.T) {
+	env := NewEnv(1)
+	var firstWoke, lateStart atomic.Int64
+	firstWoke.Store(-1)
+	lateStart.Store(-1)
+	env.Go(func() {
+		env.Sleep(time.Second)
+		firstWoke.Store(int64(env.Now()))
+	})
+	// Wait on the host clock until the sleeper is parked: its timer is
+	// pending and only the set-up process is left in the census.
+	parked := "sim.Env{now=0s running=1 timers=1}"
+	for i := 0; env.String() != parked; i++ {
+		if i > 5000 {
+			t.Fatalf("sleeper never parked: %v", env)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // room for a wrong dispatch to show
+	if env.Now() != 0 || env.Events() != 0 || firstWoke.Load() != -1 {
+		t.Fatalf("dispatched before Run: now=%v events=%d woke=%d", env.Now(), env.Events(), firstWoke.Load())
+	}
+	env.Go(func() { lateStart.Store(int64(env.Now())) })
+	if end := env.Run(); end != time.Second {
+		t.Errorf("final clock %v, want 1s", end)
+	}
+	if got := time.Duration(firstWoke.Load()); got != time.Second {
+		t.Errorf("sleeper woke at %v, want 1s", got)
+	}
+	if got := time.Duration(lateStart.Load()); got != 0 {
+		t.Errorf("process spawned before Run started at %v, want 0", got)
+	}
+	if env.Events() != 1 {
+		t.Errorf("Events() = %d, want 1", env.Events())
+	}
+}
+
+// TestSelfWake: a lone sleeper is its own next event — Sleep returns
+// with the clock advanced and the event counted, with no other
+// goroutine to hand it off.
+func TestSelfWake(t *testing.T) {
+	env := NewEnv(1)
+	env.Go(func() {
+		for i := 1; i <= 3; i++ {
+			env.Sleep(5 * time.Millisecond)
+			if env.Now() != time.Duration(i)*5*time.Millisecond || env.Events() != int64(i) {
+				t.Errorf("after sleep %d: now=%v events=%d", i, env.Now(), env.Events())
+			}
+		}
+	})
+	if end := env.Run(); end != 15*time.Millisecond {
+		t.Errorf("final clock %v, want 15ms", end)
+	}
+}
+
+// soupWake is one dispatched timer of the process soup: when it fired
+// and the global order in which it was scheduled.
+type soupWake struct {
+	at    time.Duration
+	sched int
+}
+
+// runTimerSoup drives procs timer-only processes through a seeded mix
+// of Sleep and After on colliding timestamps and returns every wake in
+// dispatch order. The log and the schedule counter are deliberately
+// unsynchronized: one event at a time is the guarantee under test.
+func runTimerSoup(t *testing.T, procs int) []soupWake {
+	env := NewEnv(3)
+	var log []soupWake
+	scheduled := 0
+	// arm notes a timer about to be scheduled d from now and returns
+	// the function that logs its wake.
+	arm := func(d time.Duration) func() {
+		at, sched := env.Now()+d, scheduled
+		scheduled++
+		return func() {
+			if env.Now() != at {
+				t.Errorf("timer %d fired at %v, want %v", sched, env.Now(), at)
+			}
+			log = append(log, soupWake{at, sched})
+		}
+	}
+	for p := 0; p < procs; p++ {
+		rng := rand.New(rand.NewSource(int64(p)))
+		d := time.Duration(rng.Intn(20)) * time.Millisecond
+		fired := arm(d)
+		env.After(d, func() {
+			fired()
+			for step := 0; step < 8; step++ {
+				d := time.Duration(rng.Intn(20)) * time.Millisecond
+				fired := arm(d)
+				if rng.Intn(4) == 0 {
+					env.After(d, fired)
+				} else {
+					env.Sleep(d)
+					fired()
+				}
+			}
+		})
+	}
+	env.Run()
+	if len(log) != scheduled || env.Events() != int64(scheduled) {
+		t.Fatalf("%d timers scheduled, %d fired, Events() = %d", scheduled, len(log), env.Events())
+	}
+	return log
+}
+
+// TestTimerSoupOrder: with nothing but timers in play, dispatch order
+// is exactly (timestamp, schedule order), and two runs agree.
+func TestTimerSoupOrder(t *testing.T) {
+	const procs = 1000
+	first := runTimerSoup(t, procs)
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if a.at > b.at || (a.at == b.at && a.sched >= b.sched) {
+			t.Fatalf("wake %d (at %v, sched %d) dispatched before wake %d (at %v, sched %d)",
+				i-1, a.at, a.sched, i, b.at, b.sched)
+		}
+	}
+	second := runTimerSoup(t, procs)
+	if len(second) != len(first) {
+		t.Fatalf("second run fired %d timers, first %d", len(second), len(first))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("runs diverge at wake %d: %+v vs %+v", i, first[i], second[i])
+		}
 	}
 }

@@ -8,18 +8,14 @@ import (
 // Future is a write-once value that simulation processes can wait on.
 // The zero value is not usable; create one with NewFuture.
 type Future[T any] struct {
-	env     *Env
-	mu      sync.Mutex
-	set     bool
-	val     T
-	waiters []*fwaiter
-}
-
-// fwaiter is one blocked process; fired guards against the double wake
-// a WaitTimeout race (Set vs. timer) would otherwise produce.
-type fwaiter struct {
-	ch    chan struct{}
-	fired bool
+	env *Env
+	mu  sync.Mutex
+	set bool
+	val T
+	// Parked processes. The first is held inline: a future is mostly an
+	// RPC reply with one waiter, which then costs no slice.
+	first *timer
+	more  []*timer
 }
 
 // NewFuture returns an unset future bound to env.
@@ -27,17 +23,15 @@ func NewFuture[T any](env *Env) *Future[T] {
 	return &Future[T]{env: env}
 }
 
-// wake resumes one waiter exactly once.
-func (f *Future[T]) wake(w *fwaiter) {
-	f.mu.Lock()
-	if w.fired {
-		f.mu.Unlock()
-		return
+// addWaiterLocked registers a pooled waiter; f.mu must be held.
+func (f *Future[T]) addWaiterLocked() *timer {
+	w := timerPool.Get().(*timer)
+	if f.first == nil {
+		f.first = w
+	} else {
+		f.more = append(f.more, w)
 	}
-	w.fired = true
-	f.mu.Unlock()
-	f.env.unblock()
-	close(w.ch)
+	return w
 }
 
 // Set resolves the future and wakes all waiters. Setting twice panics:
@@ -50,12 +44,19 @@ func (f *Future[T]) Set(v T) {
 	}
 	f.set = true
 	f.val = v
-	ws := f.waiters
-	f.waiters = nil
+	first, more := f.first, f.more
+	f.first, f.more = nil, nil
 	f.mu.Unlock()
-	for _, w := range ws {
-		f.wake(w)
+	if first == nil {
+		return
 	}
+	e := f.env
+	e.mu.Lock()
+	e.resumeLocked(first)
+	for _, w := range more {
+		e.resumeLocked(w)
+	}
+	e.mu.Unlock()
 }
 
 // Done reports whether the future has been resolved.
@@ -68,28 +69,17 @@ func (f *Future[T]) Done() bool {
 // Wait blocks the calling process until the future resolves and
 // returns its value.
 func (f *Future[T]) Wait() T {
-	f.mu.Lock()
-	if f.set {
-		v := f.val
-		f.mu.Unlock()
-		return v
-	}
-	w := &fwaiter{ch: make(chan struct{})}
-	f.waiters = append(f.waiters, w)
-	f.mu.Unlock()
-	f.env.block()
-	<-w.ch
-	f.mu.Lock()
-	v := f.val
-	f.mu.Unlock()
+	v, _ := f.WaitTimeout(-1)
 	return v
 }
 
 // WaitTimeout blocks the calling process until the future resolves or
-// d of virtual time elapses. ok reports whether the value was obtained;
-// on timeout the future stays valid and a later Set still resolves it
-// for other waiters (the operation keeps running in the background, as
-// a timed-out RPC does).
+// d of virtual time elapses (a negative d never elapses). ok reports
+// whether the value was obtained; on timeout the future stays valid and
+// a later Set still resolves it for other waiters (the operation keeps
+// running in the background, as a timed-out RPC does). The deadline is
+// a heap entry on the waiter itself, not a helper process: when Set
+// comes first it is discarded without becoming an event.
 func (f *Future[T]) WaitTimeout(d time.Duration) (v T, ok bool) {
 	f.mu.Lock()
 	if f.set {
@@ -97,14 +87,9 @@ func (f *Future[T]) WaitTimeout(d time.Duration) (v T, ok bool) {
 		f.mu.Unlock()
 		return v, true
 	}
-	w := &fwaiter{ch: make(chan struct{})}
-	f.waiters = append(f.waiters, w)
+	w := f.addWaiterLocked()
 	f.mu.Unlock()
-	if d >= 0 {
-		f.env.After(d, func() { f.wake(w) })
-	}
-	f.env.block()
-	<-w.ch
+	f.env.parkDeadline(w, d)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.val, f.set
@@ -115,7 +100,7 @@ type WaitGroup struct {
 	env     *Env
 	mu      sync.Mutex
 	n       int
-	waiters []chan struct{}
+	waiters []*timer
 }
 
 // NewWaitGroup returns an empty wait group bound to env.
@@ -129,15 +114,14 @@ func (w *WaitGroup) Add(delta int) {
 		w.mu.Unlock()
 		panic("sim: negative WaitGroup counter")
 	}
-	var ws []chan struct{}
+	var ws []*timer
 	if w.n == 0 {
 		ws = w.waiters
 		w.waiters = nil
 	}
 	w.mu.Unlock()
-	for _, ch := range ws {
-		w.env.unblock()
-		close(ch)
+	for _, p := range ws {
+		w.env.resume(p)
 	}
 }
 
@@ -151,11 +135,10 @@ func (w *WaitGroup) Wait() {
 		w.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	w.waiters = append(w.waiters, ch)
+	p := timerPool.Get().(*timer)
+	w.waiters = append(w.waiters, p)
 	w.mu.Unlock()
-	w.env.block()
-	<-ch
+	w.env.park(p)
 }
 
 // Semaphore is a counted resource usable from simulation processes.
@@ -168,8 +151,8 @@ type Semaphore struct {
 }
 
 type semWaiter struct {
-	n  int
-	ch chan struct{}
+	n int
+	w *timer
 }
 
 // NewSemaphore returns a semaphore with the given number of permits.
@@ -186,11 +169,10 @@ func (s *Semaphore) Acquire(n int) {
 		s.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	s.queue = append(s.queue, semWaiter{n: n, ch: ch})
+	w := timerPool.Get().(*timer)
+	s.queue = append(s.queue, semWaiter{n: n, w: w})
 	s.mu.Unlock()
-	s.env.block()
-	<-ch
+	s.env.park(w)
 }
 
 // TryAcquire takes n permits if immediately available.
@@ -208,17 +190,16 @@ func (s *Semaphore) TryAcquire(n int) bool {
 func (s *Semaphore) Release(n int) {
 	s.mu.Lock()
 	s.avail += n
-	var woken []chan struct{}
+	var woken []*timer
 	for len(s.queue) > 0 && s.avail >= s.queue[0].n {
 		w := s.queue[0]
 		s.queue = s.queue[1:]
 		s.avail -= w.n
-		woken = append(woken, w.ch)
+		woken = append(woken, w.w)
 	}
 	s.mu.Unlock()
-	for _, ch := range woken {
-		s.env.unblock()
-		close(ch)
+	for _, w := range woken {
+		s.env.resume(w)
 	}
 }
 
@@ -235,7 +216,7 @@ type Queue[T any] struct {
 	env     *Env
 	mu      sync.Mutex
 	items   []T
-	waiters []chan struct{}
+	waiters []*timer
 	closed  bool
 }
 
@@ -250,15 +231,14 @@ func (q *Queue[T]) Send(v T) {
 		panic("sim: send on closed Queue")
 	}
 	q.items = append(q.items, v)
-	var ch chan struct{}
+	var w *timer
 	if len(q.waiters) > 0 {
-		ch = q.waiters[0]
+		w = q.waiters[0]
 		q.waiters = q.waiters[1:]
 	}
 	q.mu.Unlock()
-	if ch != nil {
-		q.env.unblock()
-		close(ch)
+	if w != nil {
+		q.env.resume(w)
 	}
 }
 
@@ -270,9 +250,8 @@ func (q *Queue[T]) Close() {
 	ws := q.waiters
 	q.waiters = nil
 	q.mu.Unlock()
-	for _, ch := range ws {
-		q.env.unblock()
-		close(ch)
+	for _, w := range ws {
+		q.env.resume(w)
 	}
 }
 
@@ -291,11 +270,10 @@ func (q *Queue[T]) Recv() (v T, ok bool) {
 			q.mu.Unlock()
 			return v, false
 		}
-		ch := make(chan struct{})
-		q.waiters = append(q.waiters, ch)
+		w := timerPool.Get().(*timer)
+		q.waiters = append(q.waiters, w)
 		q.mu.Unlock()
-		q.env.block()
-		<-ch
+		q.env.park(w)
 	}
 }
 
