@@ -17,8 +17,11 @@ check: build vet lint test test-race test-cover smoke-overload smoke-policies sm
 build:
 	$(GO) build ./...
 
+# The second line names the mltree fuzz targets, which run here over
+# their seed corpus only: the training kernel against its reference.
 test:
 	$(GO) test ./...
+	$(GO) test -run Fuzz ./internal/mltree
 
 # Statement coverage: repo-wide report (informational) with a hard
 # floor on internal/trace — the golden-trace harness is the point of
@@ -71,10 +74,11 @@ bench-sim:
 	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|ReadMulti|Transfer' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree
-# inference, forest voting, and the end-to-end memoized Advise lookup
+# inference, forest voting, and the end-to-end memoized Advise lookup;
+# and J48 training on the shapes the ModelTrainer refits
 # (CI smoke: -benchtime=10x; drop it for real numbers).
 bench-ml:
-	$(GO) test -run '^$$' -bench 'Classify|Advise' -benchmem -benchtime 10x ./internal/mltree ./internal/core
+	$(GO) test -run '^$$' -bench 'Fit|Classify|Advise' -benchmem -benchtime 10x ./internal/mltree ./internal/core
 
 # Regenerate the committed perf snapshot (quick sweep + micro benches).
 bench-baseline:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"ofc/internal/experiments"
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
+	"ofc/internal/mltree"
 	"ofc/internal/sim"
 )
 
@@ -213,6 +215,23 @@ func microBenchmarks() []BenchEntry {
 		}
 	})
 
+	// Model training, which the simulator runs inside the completion
+	// hook: the two dataset shapes the ModelTrainer refits.
+	for _, fit := range []struct {
+		name string
+		d    *mltree.Dataset
+	}{
+		{"J48FitMem", fitDataset(300, 128, 1)},
+		{"J48FitBenefit", fitDataset(2000, 2, 2)},
+	} {
+		add(fit.name, nil, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mltree.NewJ48().Fit(fit.d)
+			}
+		})
+	}
+
 	add("GetHit", nil, func(b *testing.B) {
 		b.ReportAllocs()
 		sys := benchSystem(1)
@@ -274,6 +293,39 @@ func benchSystem(seed int64) *core.System {
 	opts.NodeCapacity = 4 << 30
 	opts.DisableCacheAgents = true
 	return core.NewSystem(opts)
+}
+
+// fitDataset synthesizes a training set shaped like the ModelTrainer's:
+// five numeric features that take at most 24 values each (macro24 has
+// 24 videos per tenant), a third of the rows at the underprediction
+// weight, and a class that follows the features closely enough that
+// the tree grows past a stump.
+func fitDataset(rows, classes int, seed int64) *mltree.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	var attrs []mltree.Attribute
+	for _, name := range []string{"size", "width", "height", "channels", "arg"} {
+		attrs = append(attrs, mltree.Attribute{Name: name, Kind: mltree.Numeric})
+	}
+	names := make([]string, classes)
+	for c := range names {
+		names[c] = fmt.Sprint("c", c)
+	}
+	d := mltree.NewDataset(attrs, names)
+	vals := make([]float64, len(attrs))
+	for i := 0; i < rows; i++ {
+		score := 0.0
+		for a := range vals {
+			vals[a] = float64(rng.Intn(24)) * 12.5
+			score += vals[a] / (12.5 * 24)
+		}
+		class := int(score/float64(len(vals))*float64(classes)+rng.Float64()*1.5) % classes
+		weight := 1.0
+		if rng.Intn(3) == 0 {
+			weight = 2
+		}
+		d.AddWeighted(vals, class, weight)
+	}
+	return d
 }
 
 // benchSamples synthesizes a training set for the predictor benchmarks

@@ -71,14 +71,14 @@ func (p *Predictor) ImportModel(fn *faas.Function, data []byte) error {
 		if err != nil {
 			return err
 		}
-		st.memModel = tree
+		st.memModel, st.memFitRows = tree, -1
 	}
 	if len(b.Benefit) > 0 {
 		tree, err := mltree.UnmarshalTree(b.Benefit)
 		if err != nil {
 			return err
 		}
-		st.benefitModel = tree
+		st.benefitModel, st.benefitFitRows = tree, -1
 	}
 	st.mature = b.Mature
 	st.maturedAt = b.MaturedAt

@@ -41,16 +41,26 @@ type modelState struct {
 	schema *FeatureSchema
 
 	mu sync.Mutex
-	// Training data.
-	memData     *mltree.Dataset
-	benefitData *mltree.Dataset
-	// Trained models (nil until first train).
-	memModel     mltree.Classifier
-	benefitModel mltree.Classifier
-	// Serving state, rebuilt on every retrain: the compiled (flat,
-	// zero-allocation) forms of the models, the advice memo keyed by
-	// the exact feature-vector bits, and the retrain generation that
-	// scopes the memo's validity.
+	// Training data, append-only, and the learner that refits each set:
+	// kept across refits because a J48 starts its column sorts from
+	// its previous fit's order.
+	memData        *mltree.Dataset
+	benefitData    *mltree.Dataset
+	memLearner     *mltree.J48
+	benefitLearner *mltree.J48
+	// Trained models (nil until first train) and the dataset length
+	// each was fitted from: the datasets only grow, so a model whose
+	// length still matches has seen every row and a refit would
+	// reproduce it. -1 marks an imported model, fitted from no local
+	// data.
+	memModel       mltree.Classifier
+	benefitModel   mltree.Classifier
+	memFitRows     int
+	benefitFitRows int
+	// Serving state: the compiled (flat, zero-allocation) forms of the
+	// models, each rebuilt when its model is refit; the advice memo
+	// keyed by the exact feature-vector bits, flushed on every retrain;
+	// and the retrain generation that scopes the memo's validity.
 	gen             int
 	memCompiled     *mltree.CompiledTree
 	benefitCompiled *mltree.CompiledTree
@@ -145,10 +155,12 @@ func (p *Predictor) state(fn *faas.Function) *modelState {
 	if !ok {
 		schema := NewFeatureSchema(fn)
 		st = &modelState{
-			fn:          fn,
-			schema:      schema,
-			memData:     mltree.NewDataset(schema.Attributes(), p.cfg.Intervals.ClassNames()),
-			benefitData: mltree.NewDataset(schema.Attributes(), []string{"no", "yes"}),
+			fn:             fn,
+			schema:         schema,
+			memData:        mltree.NewDataset(schema.Attributes(), p.cfg.Intervals.ClassNames()),
+			benefitData:    mltree.NewDataset(schema.Attributes(), []string{"no", "yes"}),
+			memLearner:     mltree.NewJ48(),
+			benefitLearner: mltree.NewJ48(),
 		}
 		p.models[fn.ID()] = st
 	}
@@ -392,26 +404,35 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 	}
 }
 
-// trainLocked retrains both models from the current datasets. Any
-// refit bumps the serving generation: the compiled forms are rebuilt
-// and the advice memo is flushed, so stale advice can never outlive
-// the model that produced it.
+// trainLocked brings both models up to date with the current datasets.
+// A model is refit, and its compiled form rebuilt, only when its
+// dataset holds rows it has not seen; J48 is deterministic, so fitting
+// the same rows again would yield the same tree. Every retrain bumps
+// the serving generation and flushes the advice memo, whether or not a
+// tree moved, so stale advice can never outlive the model that
+// produced it.
 func (t *ModelTrainer) trainLocked(st *modelState) {
 	changed := false
-	if st.memData.Len() >= 10 {
-		st.memModel = mltree.NewJ48().Fit(st.memData)
+	if n := st.memData.Len(); n >= 10 {
+		if n != st.memFitRows {
+			st.memModel = st.memLearner.Fit(st.memData)
+			st.memCompiled = compileTree(st.memModel)
+			st.memFitRows = n
+		}
 		st.sinceTrain = 0
 		changed = true
 	}
-	if st.benefitData.Len() >= 10 {
-		st.benefitModel = mltree.NewJ48().Fit(st.benefitData)
+	if n := st.benefitData.Len(); n >= 10 {
+		if n != st.benefitFitRows {
+			st.benefitModel = st.benefitLearner.Fit(st.benefitData)
+			st.benefitCompiled = compileTree(st.benefitModel)
+			st.benefitFitRows = n
+		}
 		st.benefitSince = 0
 		changed = true
 	}
 	if changed {
 		st.gen++
-		st.memCompiled = compileTree(st.memModel)
-		st.benefitCompiled = compileTree(st.benefitModel)
 		if len(st.advCache) > 0 {
 			st.advCache = nil
 			t.p.memo.Invalidation()

@@ -14,13 +14,25 @@ func benchProbes(d *Dataset) [][]float64 {
 	return probes
 }
 
-// BenchmarkJ48Fit measures training on a 600-instance dataset.
+// BenchmarkJ48Fit measures training: the 600-row nominal dataset, and
+// the two shapes the ModelTrainer refits (tie-heavy numeric columns) —
+// the capped memory set over 128 interval classes and the two-class
+// benefit set, which grows with the run.
 func BenchmarkJ48Fit(b *testing.B) {
-	d := nominalDataset(600, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewJ48().Fit(d)
+	for _, bc := range []struct {
+		name string
+		d    *Dataset
+	}{
+		{"Nominal600x3x3", nominalDataset(600, 1)},
+		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2)},
+		{"Benefit2000x5x2", tieDataset(2, 2000, 2, 24, "numeric", 2)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewJ48().Fit(bc.d)
+			}
+		})
 	}
 }
 

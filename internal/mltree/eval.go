@@ -168,7 +168,7 @@ func CrossValidate(learner Learner, d *Dataset, k int, seed int64) *Confusion {
 		}
 	}
 	for f := 0; f < k; f++ {
-		var train []Instance
+		train := make([]Instance, 0, len(d.Instances)-len(folds[f]))
 		for i := range d.Instances {
 			if inFold[i] != f {
 				train = append(train, d.Instances[i])

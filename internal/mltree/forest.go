@@ -35,13 +35,11 @@ func (r *RandomTree) Fit(d *Dataset) Classifier {
 		minLeaf = 1
 	}
 	rng := rand.New(rand.NewSource(r.Seed))
-	b := &treeBuilder{d: d, minLeaf: minLeaf, rng: rng}
-	b.attrSampler = func() []int {
+	b := treeBuilder{minLeaf: minLeaf, attrSampler: func() []int {
 		perm := rng.Perm(len(d.Attrs))
 		return perm[:k]
-	}
-	root := b.build(d.Instances, 0)
-	return &Tree{root: root, attrs: d.Attrs, n: d.Len()}
+	}}
+	return &Tree{root: b.fit(d, nil), attrs: d.Attrs, n: d.Len()}
 }
 
 // RandomForest bags RandomTrees and classifies by majority vote of the

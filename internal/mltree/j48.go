@@ -3,7 +3,6 @@ package mltree
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 )
 
@@ -21,9 +20,10 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.attr < 0 }
 
-// classifyNode walks the tree for vals; missing or out-of-range values
-// stop at the current node's majority.
-func (n *node) distribution(vals []float64, attrs []Attribute) []float64 {
+// leafFor walks the tree for vals and returns the node the walk stops
+// at: a leaf, or an internal node when its split value is missing or
+// names a nominal branch the training data never filled.
+func (n *node) leafFor(vals []float64, attrs []Attribute) *node {
 	cur := n
 	for !cur.isLeaf() {
 		v := vals[cur.attr]
@@ -44,6 +44,13 @@ func (n *node) distribution(vals []float64, attrs []Attribute) []float64 {
 			cur = cur.children[idx]
 		}
 	}
+	return cur
+}
+
+// distribution returns the normalized class histogram of the node the
+// walk for vals stops at (one-hot majority when it carries no weight).
+func (n *node) distribution(vals []float64, attrs []Attribute) []float64 {
+	cur := n.leafFor(vals, attrs)
 	total := 0.0
 	for _, c := range cur.counts {
 		total += c
@@ -59,28 +66,10 @@ func (n *node) distribution(vals []float64, attrs []Attribute) []float64 {
 	return dist
 }
 
+// classify returns the majority class of the node the walk for vals
+// stops at.
 func (n *node) classify(vals []float64, attrs []Attribute) int {
-	cur := n
-	for !cur.isLeaf() {
-		v := vals[cur.attr]
-		if IsMissing(v) {
-			break
-		}
-		if attrs[cur.attr].Kind == Numeric {
-			if v <= cur.threshold {
-				cur = cur.children[0]
-			} else {
-				cur = cur.children[1]
-			}
-		} else {
-			idx := int(v)
-			if idx < 0 || idx >= len(cur.children) || cur.children[idx] == nil {
-				break
-			}
-			cur = cur.children[idx]
-		}
-	}
-	return cur.majority
+	return n.leafFor(vals, attrs).majority
 }
 
 func (n *node) size() int {
@@ -109,137 +98,6 @@ func (n *node) depth() int {
 	return d + 1
 }
 
-// splitCandidate is the outcome of evaluating one attribute at a node.
-type splitCandidate struct {
-	attr      int
-	threshold float64
-	gain      float64
-	gainRatio float64
-	valid     bool
-}
-
-// evaluateSplit computes the best split on one attribute, C4.5 style:
-// information gain ratio, binary threshold splits for numeric
-// attributes, multiway splits for nominal ones. Missing values are
-// excluded from the gain computation.
-func evaluateSplit(d *Dataset, insts []Instance, attr int, baseEntropy float64, minLeaf float64) splitCandidate {
-	cand := splitCandidate{attr: attr}
-	numClasses := len(d.Classes)
-	if d.Attrs[attr].Kind == Nominal {
-		k := d.Attrs[attr].NumValues()
-		counts := make([][]float64, k)
-		for i := range counts {
-			counts[i] = make([]float64, numClasses)
-		}
-		var total float64
-		for i := range insts {
-			v := insts[i].Vals[attr]
-			if IsMissing(v) {
-				continue
-			}
-			counts[int(v)][insts[i].Class] += insts[i].Weight
-			total += insts[i].Weight
-		}
-		if total == 0 {
-			return cand
-		}
-		nonEmpty := 0
-		var cond, splitInfo float64
-		for _, c := range counts {
-			var w float64
-			for _, x := range c {
-				w += x
-			}
-			if w > 0 {
-				nonEmpty++
-				p := w / total
-				cond += p * entropy(c)
-				splitInfo -= p * math.Log2(p)
-			}
-		}
-		if nonEmpty < 2 || splitInfo <= 0 {
-			return cand
-		}
-		cand.gain = baseEntropy - cond
-		cand.gainRatio = cand.gain / splitInfo
-		cand.valid = cand.gain > 1e-10
-		return cand
-	}
-
-	// Numeric attribute: sort and scan thresholds between distinct
-	// consecutive values.
-	sorted := make([]Instance, len(insts))
-	copy(sorted, insts)
-	SortByAttr(sorted, attr)
-	// Trim trailing missing values.
-	n := len(sorted)
-	for n > 0 && IsMissing(sorted[n-1].Vals[attr]) {
-		n--
-	}
-	if n < 2 {
-		return cand
-	}
-	sorted = sorted[:n]
-	var total float64
-	right := make([]float64, numClasses)
-	for i := range sorted {
-		right[sorted[i].Class] += sorted[i].Weight
-		total += sorted[i].Weight
-	}
-	left := make([]float64, numClasses)
-	var leftW float64
-	bestGain, bestThr := -1.0, 0.0
-	candidates := 0
-	for i := 0; i < len(sorted)-1; i++ {
-		w := sorted[i].Weight
-		left[sorted[i].Class] += w
-		right[sorted[i].Class] -= w
-		leftW += w
-		if sorted[i].Vals[attr] == sorted[i+1].Vals[attr] {
-			continue
-		}
-		rightW := total - leftW
-		if leftW < minLeaf || rightW < minLeaf {
-			continue
-		}
-		candidates++
-		cond := leftW/total*entropy(left) + rightW/total*entropy(right)
-		gain := baseEntropy - cond
-		if gain > bestGain {
-			bestGain = gain
-			bestThr = (sorted[i].Vals[attr] + sorted[i+1].Vals[attr]) / 2
-		}
-	}
-	// C4.5's MDL correction for numeric attributes: charge the cost of
-	// transmitting the chosen threshold against the gain.
-	if candidates > 0 {
-		bestGain -= math.Log2(float64(candidates)) / total
-	}
-	if bestGain <= 1e-10 {
-		return cand
-	}
-	// Recompute split info for the chosen threshold.
-	var lw float64
-	for i := range sorted {
-		if sorted[i].Vals[attr] <= bestThr {
-			lw += sorted[i].Weight
-		}
-	}
-	pl := lw / total
-	splitInfo := 0.0
-	if pl > 0 && pl < 1 {
-		splitInfo = -pl*math.Log2(pl) - (1-pl)*math.Log2(1-pl)
-	}
-	if splitInfo <= 0 {
-		return cand
-	}
-	cand.threshold = bestThr
-	cand.gain = bestGain
-	cand.gainRatio = bestGain / splitInfo
-	cand.valid = true
-	return cand
-}
-
 // J48 is a C4.5-style decision-tree learner: gain-ratio splits, a
 // minimum leaf weight, and optional pessimistic error pruning with the
 // standard confidence factor.
@@ -251,6 +109,13 @@ type J48 struct {
 	Confidence float64
 	// MaxDepth caps tree depth; zero means unlimited.
 	MaxDepth int
+
+	// order is the column sort order of the last Fit, where the next
+	// one starts its sorts: a learner kept across refits of a dataset
+	// that only grows (the ModelTrainer's) sorts nearly sorted input.
+	// It affects cost alone, never the tree. Because Fit writes it, a
+	// J48 must not run two Fits at once.
+	order [][]int32
 }
 
 // NewJ48 returns a learner with the C4.5 defaults.
@@ -272,120 +137,12 @@ func (j *J48) Fit(d *Dataset) Classifier {
 	if minLeaf <= 0 {
 		minLeaf = 2
 	}
-	b := &treeBuilder{d: d, minLeaf: minLeaf, maxDepth: j.MaxDepth}
-	root := b.build(d.Instances, 0)
+	b := treeBuilder{minLeaf: minLeaf, maxDepth: j.MaxDepth}
+	root := b.fit(d, &j.order)
 	if j.Confidence > 0 {
 		prune(root, j.Confidence, d.Attrs)
 	}
 	return &Tree{root: root, attrs: d.Attrs, n: d.Len()}
-}
-
-// treeBuilder carries the recursion state for J48 and RandomTree.
-type treeBuilder struct {
-	d        *Dataset
-	minLeaf  float64
-	maxDepth int
-	// attrSampler, when non-nil, returns the candidate attribute set
-	// for a node (RandomTree's per-node random subspace).
-	attrSampler func() []int
-	rng         *rand.Rand
-}
-
-func (b *treeBuilder) build(insts []Instance, depth int) *node {
-	counts := classCounts(insts, len(b.d.Classes))
-	nd := &node{attr: -1, counts: counts, majority: majorityClass(counts)}
-	var total, nonZero float64
-	classesPresent := 0
-	for _, c := range counts {
-		total += c
-		if c > 0 {
-			classesPresent++
-			nonZero = c
-		}
-	}
-	_ = nonZero
-	if classesPresent <= 1 || total < 2*b.minLeaf || (b.maxDepth > 0 && depth >= b.maxDepth) {
-		return nd
-	}
-	baseEntropy := entropy(counts)
-
-	var candidates []int
-	if b.attrSampler != nil {
-		candidates = b.attrSampler()
-	} else {
-		candidates = make([]int, len(b.d.Attrs))
-		for i := range candidates {
-			candidates[i] = i
-		}
-	}
-
-	var best splitCandidate
-	var gains []splitCandidate
-	for _, a := range candidates {
-		c := evaluateSplit(b.d, insts, a, baseEntropy, b.minLeaf)
-		if c.valid {
-			gains = append(gains, c)
-		}
-	}
-	if len(gains) == 0 {
-		return nd
-	}
-	// C4.5 heuristic: restrict to splits with at least average gain,
-	// then pick the best gain ratio.
-	var avg float64
-	for _, g := range gains {
-		avg += g.gain
-	}
-	avg /= float64(len(gains))
-	bestRatio := -1.0
-	for _, g := range gains {
-		if g.gain >= avg-1e-12 && g.gainRatio > bestRatio {
-			bestRatio = g.gainRatio
-			best = g
-		}
-	}
-	if !best.valid {
-		return nd
-	}
-
-	nd.attr = best.attr
-	nd.threshold = best.threshold
-	if b.d.Attrs[best.attr].Kind == Numeric {
-		var left, right []Instance
-		for i := range insts {
-			v := insts[i].Vals[best.attr]
-			if IsMissing(v) {
-				continue // dropped from children; parent majority covers them
-			}
-			if v <= best.threshold {
-				left = append(left, insts[i])
-			} else {
-				right = append(right, insts[i])
-			}
-		}
-		if len(left) == 0 || len(right) == 0 {
-			nd.attr = -1
-			return nd
-		}
-		nd.children = []*node{b.build(left, depth+1), b.build(right, depth+1)}
-	} else {
-		k := b.d.Attrs[best.attr].NumValues()
-		parts := make([][]Instance, k)
-		for i := range insts {
-			v := insts[i].Vals[best.attr]
-			if IsMissing(v) {
-				continue
-			}
-			parts[int(v)] = append(parts[int(v)], insts[i])
-		}
-		nd.children = make([]*node, k)
-		for i, p := range parts {
-			if len(p) > 0 {
-				nd.children[i] = b.build(p, depth+1)
-			}
-		}
-	}
-	return nd
 }
 
 // errorEstimate is the C4.5 pessimistic upper bound on the error rate
