@@ -67,11 +67,13 @@ bench:
 bench-store:
 	$(GO) test -bench 'BenchmarkCoordinator|BenchmarkReadMulti' -benchmem -cpu 8 -run '^$$' ./internal/kvstore/
 
-# Scheduler/data-plane micro-benchmarks (CI smoke: -benchtime 1x keeps
-# it to one iteration per benchmark; drop BENCHTIME for real numbers).
+# Scheduler/data-plane micro-benchmarks and the platform's warm
+# invocation (CI smoke: -benchtime 1x keeps it to one iteration per
+# benchmark; drop BENCHTIME for real numbers).
 BENCHTIME ?= 1x
 bench-sim:
 	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|ReadMulti|Transfer' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/
+	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree
 # inference, forest voting, and the end-to-end memoized Advise lookup;

@@ -58,21 +58,27 @@ func (r *Router) dataNode(keys []string) int {
 	if r.pv == nil || len(keys) == 0 || r.localityOff() {
 		return -1
 	}
-	weight := make(map[int]int64)
+	// Bytes per node, indexed by node id; clusters of up to 16 nodes are
+	// weighed on the stack.
+	var small [16]int64
+	weight := small[:]
 	for _, loc := range r.pv.Locate(keys) {
 		if !loc.OK {
 			continue
+		}
+		if over := int(loc.Node) + 1 - len(weight); over > 0 {
+			weight = append(weight, make([]int64, over)...)
 		}
 		sz := loc.Size
 		if sz < 1 {
 			// Zero-sized placements still vote: presence is locality.
 			sz = 1
 		}
-		weight[int(loc.Node)] += sz
+		weight[loc.Node] += sz
 	}
 	best, bestW := -1, int64(0)
 	for node, w := range weight {
-		if w > bestW || (w == bestW && best >= 0 && node < best) {
+		if w > bestW {
 			best, bestW = node, w
 		}
 	}

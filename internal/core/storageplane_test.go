@@ -123,3 +123,48 @@ func TestRouterByteMajorityLocality(t *testing.T) {
 		}
 	})
 }
+
+// fixedPlacement is a PlacementView over a fixed table.
+type fixedPlacement map[string]store.Location
+
+func (f fixedPlacement) MasterOf(key string) (simnet.NodeID, bool) {
+	return f[key].Node, f[key].OK
+}
+
+func (f fixedPlacement) Locate(keys []string) []store.Location {
+	out := make([]store.Location, len(keys))
+	for i, k := range keys {
+		out[i] = f[k]
+	}
+	return out
+}
+
+// TestRouterDataNodeTieBreak: equal byte weights go to the lowest node
+// id, uncached keys and empty placements are handled, and node ids past
+// the on-stack table still count.
+func TestRouterDataNodeTieBreak(t *testing.T) {
+	r := NewRouter(fixedPlacement{
+		"a": {Node: 5, Size: 4 << 10, OK: true},
+		"b": {Node: 3, Size: 4 << 10, OK: true},
+		"c": {Node: 40, Size: 1 << 10, OK: true},
+		"d": {Node: 40, Size: 8 << 10, OK: true},
+		"z": {Node: 2, Size: 0, OK: true},
+	})
+	for _, tc := range []struct {
+		keys []string
+		want int
+	}{
+		{[]string{"a", "b"}, 3},
+		{[]string{"b", "a"}, 3},
+		{[]string{"a", "b", "c"}, 3},
+		{[]string{"a", "c", "d", "b"}, 40},
+		{[]string{"missing", "a"}, 5},
+		{[]string{"missing"}, -1},
+		{[]string{"z"}, 2},
+		{nil, -1},
+	} {
+		if got := r.dataNode(tc.keys); got != tc.want {
+			t.Errorf("dataNode(%v)=%d, want %d", tc.keys, got, tc.want)
+		}
+	}
+}

@@ -82,10 +82,19 @@ type Function struct {
 	ArgNames []string
 	// Body is the function code.
 	Body func(ctx *Ctx) error
+
+	// id is the registry key, built once by Register: the invoke path
+	// asks for it several times per invocation.
+	id string
 }
 
 // ID returns the registry key (tenant/name).
-func (f *Function) ID() string { return f.Tenant + "/" + f.Name }
+func (f *Function) ID() string {
+	if f.id != "" {
+		return f.id
+	}
+	return f.Tenant + "/" + f.Name
+}
 
 // Request is one invocation request.
 type Request struct {
@@ -151,7 +160,8 @@ type Advisor interface {
 }
 
 // Router picks the invoker for a request. warmIdle lists invokers with
-// an idle warm sandbox for the function; all lists every invoker.
+// an idle warm sandbox for the function; all lists every live invoker.
+// Both lists belong to the platform and are reused once Route returns.
 type Router interface {
 	Route(req *Request, all []*Invoker, warmIdle []*Invoker) *Invoker
 }
@@ -404,9 +414,10 @@ func (p *Platform) Register(f *Function) {
 	if f.MemoryBooked <= 0 {
 		f.MemoryBooked = p.cfg.MaxSandboxMem
 	}
+	f.id = f.Tenant + "/" + f.Name
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.functions[f.ID()] = f
+	p.functions[f.id] = f
 }
 
 // Lookup finds a registered function.

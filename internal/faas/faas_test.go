@@ -3,6 +3,9 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -22,21 +25,42 @@ type testbed struct {
 	store *objstore.Store
 }
 
-func newTestbed(seed int64, capacity int64) *testbed {
+func newTestbed(seed int64, capacity int64) *testbed { return newTestbedN(seed, capacity, 3) }
+
+// newTestbedN is newTestbed with a chosen number of workers.
+func newTestbedN(seed int64, capacity int64, workers int) *testbed {
 	env := sim.NewEnv(seed)
 	net := simnet.New(env, simnet.DefaultConfig())
 	net.AddNode("ctrl")    // 0
 	net.AddNode("storage") // 1
-	for i := 0; i < 3; i++ {
+	for i := 0; i < workers; i++ {
 		net.AddNode("worker")
 	}
 	store := objstore.New(net, 1, objstore.SwiftProfile())
 	p := New(net, 0, DefaultConfig())
 	storage := NewRSDSStorage(store)
-	for i := 2; i < 5; i++ {
-		p.AddInvoker(simnet.NodeID(i), capacity, storage)
+	for i := 0; i < workers; i++ {
+		p.AddInvoker(simnet.NodeID(2+i), capacity, storage)
 	}
 	return &testbed{env: env, net: net, p: p, store: store}
+}
+
+// booksBalanced recounts inv's sandbox index the slow way and compares
+// the result with the running count and BookedWaste.
+func booksBalanced(inv *Invoker) bool {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	var n int
+	var waste int64
+	for _, list := range inv.sandboxes {
+		for _, sb := range list {
+			n++
+			if d := sb.fn.MemoryBooked - sb.mem; d > 0 {
+				waste += d
+			}
+		}
+	}
+	return n == inv.live && waste == inv.waste
 }
 
 // emptyFn is a no-op function.
@@ -44,6 +68,15 @@ func emptyFn(booked int64) *Function {
 	return &Function{
 		Name: "empty", Tenant: "t", MemoryBooked: booked, InputType: "none",
 		Body: func(ctx *Ctx) error { return nil },
+	}
+}
+
+// timedFn computes for as long as its "run" argument says (nanoseconds)
+// with a 32 MB peak.
+func timedFn(booked int64) *Function {
+	return &Function{
+		Name: "timed", Tenant: "t", MemoryBooked: booked, InputType: "none",
+		Body: func(ctx *Ctx) error { return ctx.Transform(time.Duration(ctx.Arg("run")), 32<<20) },
 	}
 }
 
@@ -690,8 +723,9 @@ func TestRegisteredSequence(t *testing.T) {
 
 // Property: under any random mix of concurrent invocations, the
 // invoker's books stay balanced — reserved equals the sum of live
-// sandbox limits, never exceeds capacity, and the cache grant never
-// overlaps reservations.
+// sandbox limits, never exceeds capacity, the cache grant never
+// overlaps reservations, and the running sandbox count and BookedWaste
+// equal a recount of the index.
 func TestPropertyInvokerAccounting(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		n := int(n8%24) + 4
@@ -710,6 +744,11 @@ func TestPropertyInvokerAccounting(t *testing.T) {
 		for _, fn := range fns {
 			tb.p.Register(fn)
 		}
+		// Advice that changes from call to call, so warm starts resize.
+		var advised atomic.Int64
+		tb.p.Advisor = advisorFunc(func(req *Request) Advice {
+			return Advice{Mem: 64 << 20 << (advised.Add(1) % 3), Use: true}
+		})
 		ok := true
 		check := func() {
 			for _, inv := range tb.p.Invokers() {
@@ -719,7 +758,7 @@ func TestPropertyInvokerAccounting(t *testing.T) {
 				if inv.CacheGrant() < 0 || inv.CacheGrant()+inv.Reserved() > inv.Capacity() {
 					ok = false
 				}
-				if inv.BookedWaste() < 0 {
+				if !booksBalanced(inv) {
 					ok = false
 				}
 			}
@@ -972,3 +1011,450 @@ func TestOOMRetryAllowedByPolicyCountsOnce(t *testing.T) {
 type retryFunc func(req *Request, cause error) bool
 
 func (f retryFunc) AllowRetry(req *Request, cause error) bool { return f(req, cause) }
+
+// TestKeepAliveOneTimerPerSandbox: a sandbox keeps one keep-alive timer
+// however often it is parked. After 1 000 warm invocations the only
+// events left are that timer finding the sandbox used since (it moves
+// itself to lastUsed + KeepAlive) and the expiry — not one stale
+// callback per invocation.
+func TestKeepAliveOneTimerPerSandbox(t *testing.T) {
+	tb := newTestbed(1, 8<<30)
+	fn := emptyFn(256 << 20)
+	tb.p.Register(fn)
+	var atReply int64
+	var lastReply sim.Time
+	tb.env.Go(func() {
+		for i := 0; i <= 1000; i++ {
+			tb.p.Invoke(&Request{Function: fn})
+		}
+		atReply, lastReply = tb.env.Events(), tb.env.Now()
+	})
+	end := tb.env.Run()
+	if tail := tb.env.Events() - atReply; tail > 2 {
+		t.Errorf("%d events after the last reply, want 2 (re-arm + expiry)", tail)
+	}
+	if want := lastReply + tb.p.cfg.KeepAlive; end != want {
+		t.Errorf("run ended at %v, want the expiry at %v", end, want)
+	}
+	for _, inv := range tb.p.Invokers() {
+		if created, expired := inv.Lifecycle(); created != expired || inv.Reserved() != 0 {
+			t.Errorf("node %d: created=%d expired=%d reserved=%d", inv.Node(), created, expired, inv.Reserved())
+		}
+	}
+}
+
+// TestKeepAliveExactExpiry: however the lazily re-armed timer and the
+// uses interleave, the sandbox lives until exactly lastUsed + KeepAlive.
+func TestKeepAliveExactExpiry(t *testing.T) {
+	ka := DefaultConfig().KeepAlive
+	type use struct{ idle, run time.Duration } // idle time before the call, body length
+	cases := []struct {
+		name string
+		uses []use
+	}{
+		{"parked once", []use{{0, 0}}},
+		{"re-parked inside one period", []use{{0, 0}, {100 * time.Second, 0}, {100 * time.Second, time.Second}, {250 * time.Second, 0}}},
+		{"timer fires on an idle sandbox used since, twice", []use{{0, 0}, {ka - time.Second, 0}, {ka - time.Second, 0}}},
+		{"timer fires while busy", []use{{0, 0}, {ka - time.Second, 2 * time.Second}}},
+		{"busy at the timer, then re-parked twice", []use{{0, 0}, {ka - time.Second, 2 * time.Second}, {time.Minute, 0}, {time.Minute, 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(1, 8<<30)
+			fn := timedFn(256 << 20)
+			tb.p.Register(fn)
+			tb.env.Go(func() {
+				var res *Result
+				for i, u := range tc.uses {
+					tb.env.Sleep(u.idle)
+					res = tb.p.Invoke(&Request{Function: fn, Args: map[string]float64{"run": float64(u.run)}})
+					if res.Err != nil || res.ColdStart != (i == 0) {
+						t.Errorf("use %d: err=%v cold=%v", i, res.Err, res.ColdStart)
+						return
+					}
+				}
+				// The last park happened at res.End, which is now.
+				inv := tb.p.InvokerOn(res.Node)
+				tb.env.Sleep(ka - time.Nanosecond)
+				if _, expired := inv.Lifecycle(); expired != 0 || inv.Reserved() != 256<<20 || inv.SandboxCount() != 1 {
+					t.Errorf("1ns before lastUsed+KeepAlive: expired=%d reserved=%d sandboxes=%d, want alive",
+						expired, inv.Reserved(), inv.SandboxCount())
+				}
+				tb.env.Sleep(2 * time.Nanosecond)
+				if _, expired := inv.Lifecycle(); expired != 1 || inv.Reserved() != 0 || inv.SandboxCount() != 0 {
+					t.Errorf("1ns after lastUsed+KeepAlive: expired=%d reserved=%d sandboxes=%d, want gone",
+						expired, inv.Reserved(), inv.SandboxCount())
+				}
+			})
+			tb.env.Run()
+		})
+	}
+}
+
+// TestNodeCrashWithKeepAliveTimersPending: sandboxes killed by a node
+// failure are retired once — not again when their keep-alive timers
+// fire, nor when an invocation that outlived the outage returns — and
+// the revived node starts from empty books.
+func TestNodeCrashWithKeepAliveTimersPending(t *testing.T) {
+	tb := newTestbedN(1, 8<<30, 1)
+	inv := tb.p.Invokers()[0]
+	fn := timedFn(256 << 20)
+	tb.p.Register(fn)
+	// rescued outgrows its sandbox while the node is down: the Monitor
+	// resizes a sandbox that is already dead.
+	rescued := &Function{Name: "rescued", Tenant: "t", MemoryBooked: 256 << 20,
+		Body: func(ctx *Ctx) error {
+			if err := ctx.Transform(2500*time.Millisecond, 32<<20); err != nil {
+				return err
+			}
+			return ctx.Transform(5*time.Second, 200<<20)
+		}}
+	tb.p.Register(rescued)
+	tb.p.MonitorEnabled = true
+	tb.p.Advisor = advisorFunc(func(*Request) Advice { return Advice{Mem: 96 << 20, Use: true} })
+	ka := tb.p.cfg.KeepAlive
+	empty := func(when string, created int64) {
+		t.Helper()
+		c, e := inv.Lifecycle()
+		if c != created || e != created || inv.Reserved() != 0 || inv.SandboxCount() != 0 || inv.BookedWaste() != 0 {
+			t.Errorf("%s: created=%d expired=%d (want both %d) reserved=%d sandboxes=%d waste=%d",
+				when, c, e, created, inv.Reserved(), inv.SandboxCount(), inv.BookedWaste())
+		}
+	}
+	tb.env.Go(func() {
+		// Two sandboxes busy across the outage, two idle with timers
+		// pending.
+		busy := tb.p.InvokeAsync(&Request{Function: fn, Args: map[string]float64{"run": float64(10 * time.Second)}})
+		busy2 := tb.p.InvokeAsync(&Request{Function: rescued})
+		tb.p.InvokeParallel([]*Request{{Function: fn}, {Function: fn}})
+		tb.env.Sleep(2 * time.Second)
+		if inv.SandboxCount() != 4 || inv.BookedWaste() != 4*(160<<20) {
+			t.Errorf("before the crash: sandboxes=%d waste=%d", inv.SandboxCount(), inv.BookedWaste())
+		}
+		inv.SetDown(true)
+		empty("down", 4)
+		tb.env.Sleep(2 * time.Second)
+		inv.SetDown(false)
+		// The busy invocations return to a revived node; their sandboxes
+		// stay dead.
+		busy.Wait()
+		if res := busy2.Wait(); !res.Rescued {
+			t.Errorf("rescue did not run: %+v", res)
+		}
+		empty("after the outlived invocations", 4)
+		// The dead sandboxes' timers fire and find nothing to do.
+		tb.env.Sleep(ka + time.Minute)
+		empty("after the stale timers", 4)
+
+		res := tb.p.Invoke(&Request{Function: fn})
+		if res.Err != nil || !res.ColdStart {
+			t.Errorf("after the restart: err=%v cold=%v, want a cold start", res.Err, res.ColdStart)
+		}
+		if inv.Reserved() != 96<<20 || inv.SandboxCount() != 1 || inv.BookedWaste() != 160<<20 {
+			t.Errorf("new sandbox: reserved=%d sandboxes=%d waste=%d", inv.Reserved(), inv.SandboxCount(), inv.BookedWaste())
+		}
+		tb.env.Sleep(ka + time.Nanosecond)
+		empty("after the new sandbox expired", 5)
+	})
+	tb.env.Run()
+}
+
+// TestSandboxBooksMatchReferenceModel drives one invoker with a seeded
+// random schedule — two functions, parallel calls, advice that resizes
+// warm sandboxes, OOM kills, node crashes under running invocations and
+// under cold starts, idle gaps on both sides of the keep-alive — and
+// after every step compares the invoker's books with a reference model:
+// the sandboxes that should be alive, each with its limit and the
+// instant it was last parked. A modelled sandbox dies at exactly
+// lastUsed + KeepAlive; some steps stop 1 ns before the next such
+// instant and look again 2 ns later.
+func TestSandboxBooksMatchReferenceModel(t *testing.T) {
+	const mb = 1 << 20
+	tb := newTestbedN(1, 64<<30, 1)
+	inv := tb.p.Invokers()[0]
+	ka := tb.p.cfg.KeepAlive
+
+	type use struct {
+		req *Request
+		sb  *Sandbox
+	}
+	var mu sync.Mutex
+	var uses []use // every body run of the current step, in start order
+	body := func(ctx *Ctx) error {
+		mu.Lock()
+		uses = append(uses, use{ctx.req, ctx.sb})
+		mu.Unlock()
+		return ctx.Transform(time.Duration(ctx.Arg("run")), int64(ctx.Arg("peak")))
+	}
+	fns := []*Function{
+		{Name: "f", Tenant: "t", MemoryBooked: 512 * mb, Body: body},
+		{Name: "g", Tenant: "t", MemoryBooked: 256 * mb, Body: body},
+	}
+	for _, fn := range fns {
+		tb.p.Register(fn)
+	}
+	tb.p.Advisor = advisorFunc(func(req *Request) Advice { return Advice{Mem: int64(req.Args["mem"]), Use: true} })
+
+	// The reference model.
+	type ref struct {
+		fn       *Function
+		mem      int64
+		lastUsed sim.Time
+	}
+	model := map[*Sandbox]*ref{}
+	nextExpiry := func() (at sim.Time, ok bool) {
+		for _, m := range model {
+			if !ok || m.lastUsed+ka < at {
+				at, ok = m.lastUsed+ka, true
+			}
+		}
+		return at, ok
+	}
+	var expiries, resizes, maxPerFn int
+	check := func(step int) {
+		t.Helper()
+		now := tb.env.Now()
+		for sb, m := range model {
+			if m.lastUsed+ka == now {
+				t.Fatalf("step %d: the schedule stopped on an expiry instant", step)
+			}
+			if m.lastUsed+ka < now {
+				delete(model, sb)
+				expiries++
+			}
+		}
+		var waste, mem int64
+		perFn := map[*Function]int{}
+		for _, m := range model {
+			waste += max(0, m.fn.MemoryBooked-m.mem)
+			mem += m.mem
+			perFn[m.fn]++
+			maxPerFn = max(maxPerFn, perFn[m.fn])
+		}
+		if inv.SandboxCount() != len(model) || inv.BookedWaste() != waste || inv.Reserved() != mem {
+			t.Errorf("step %d at %v: sandboxes=%d waste=%d reserved=%d, model says %d, %d, %d",
+				step, now, inv.SandboxCount(), inv.BookedWaste(), inv.Reserved(), len(model), waste, mem)
+		}
+		inv.mu.Lock()
+		defer inv.mu.Unlock()
+		for fn, list := range inv.sandboxes {
+			for _, sb := range list {
+				m := model[sb]
+				if m == nil || m.fn != fn || sb.fn != fn || sb.state != sandboxIdle || sb.mem != m.mem || sb.lastUsed != m.lastUsed {
+					t.Errorf("step %d at %v: indexed sandbox %+v, model says %+v", step, now, *sb, m)
+				}
+			}
+			if len(list) != perFn[fn] {
+				t.Errorf("step %d at %v: %d sandboxes indexed for %s, model says %d", step, now, len(list), fn.Name, perFn[fn])
+			}
+		}
+	}
+
+	tb.env.Go(func() {
+		rng := rand.New(rand.NewSource(18))
+		request := func(run time.Duration, oom bool) *Request {
+			fn := fns[rng.Intn(len(fns))]
+			mem, peak := int64(64*(1+rng.Intn(8)))*mb, int64(32*mb)
+			if oom {
+				// Killed in anything smaller than the booked size, which
+				// is what the retry asks for.
+				mem, peak = 64*mb, fn.MemoryBooked
+			}
+			return &Request{Function: fn, Args: map[string]float64{
+				"mem": float64(mem), "peak": float64(peak), "run": float64(run)}}
+		}
+		for step := 0; step < 400 && !t.Failed(); step++ {
+			switch k := rng.Intn(10); {
+			case k == 0: // node crash under a running body (2 s in) or a cold start (0.2 s in)
+				req := request(5*time.Second, false)
+				f := tb.p.InvokeAsync(req)
+				tb.env.Sleep([]time.Duration{200 * time.Millisecond, 2 * time.Second}[rng.Intn(2)])
+				inv.SetDown(true)
+				clear(model)
+				tb.env.Sleep(time.Second)
+				inv.SetDown(false)
+				f.Wait()
+				uses = uses[:0]
+			case k <= 2 && len(model) > 0: // look on both sides of the next expiry
+				at, _ := nextExpiry()
+				tb.env.Sleep(at - time.Nanosecond - tb.env.Now())
+				check(step)
+				tb.env.Sleep(2 * time.Nanosecond)
+			case k <= 4: // idle gap, up to past the keep-alive
+				tb.env.Sleep(time.Duration(rng.Int63n(int64(ka + ka/4))))
+			default: // 1-3 parallel invocations, one in five with an OOM kill
+				reqs := make([]*Request, 1+rng.Intn(3))
+				for i := range reqs {
+					reqs[i] = request(time.Duration(rng.Intn(300))*time.Millisecond, rng.Intn(5) == 0)
+				}
+				parked := map[*Request]sim.Time{} // Invoke returns at the instant it parks
+				for i, res := range tb.p.InvokeParallel(reqs) {
+					parked[reqs[i]] = res.End
+				}
+				retry := map[*Request]bool{}
+				for _, u := range uses {
+					fn := u.req.Function
+					m := model[u.sb]
+					if m == nil { // cold start; a retry asks for the booked size
+						m = &ref{fn: fn, mem: fn.MemoryBooked}
+						model[u.sb] = m
+					}
+					if !retry[u.req] { // advised: created at, or resized to, the clamped advice
+						advice := min(int64(u.req.Args["mem"]), fn.MemoryBooked)
+						if m.mem != advice && m.lastUsed != 0 {
+							resizes++
+						}
+						m.mem = advice
+					}
+					retry[u.req] = true
+					if int64(u.req.Args["peak"]) > m.mem {
+						delete(model, u.sb) // OOM kill
+					}
+					m.lastUsed = parked[u.req]
+				}
+				uses = uses[:0]
+				tb.env.Sleep(time.Duration(rng.Intn(2000)) * time.Millisecond)
+			}
+			check(step)
+		}
+		if st := tb.p.Stats(); st.OOMKills == 0 || expiries == 0 || resizes == 0 || maxPerFn < 2 {
+			t.Errorf("schedule too tame: oomKills=%d expiries=%d resizes=%d maxPerFn=%d", st.OOMKills, expiries, resizes, maxPerFn)
+		}
+	})
+	tb.env.Run()
+}
+
+// TestIdleSandboxSelection: §6.5's order — smallest memory gap, then
+// most recently used — and a full tie goes to the earliest-created
+// sandbox every time.
+func TestIdleSandboxSelection(t *testing.T) {
+	tb := newTestbedN(1, 8<<30, 1)
+	inv := tb.p.Invokers()[0]
+	fn := emptyFn(512 << 20)
+	tb.p.Register(fn)
+	tb.env.Go(func() {
+		create := func(mem int64) *Sandbox {
+			sb, _, err := inv.createSandbox(fn, mem)
+			if err != nil {
+				t.Error(err)
+			}
+			return sb
+		}
+		first, second, third := create(128<<20), create(128<<20), create(256<<20)
+		inv.parkSandbox(second)
+		inv.parkSandbox(first)
+		inv.parkSandbox(third)
+		for i := 0; i < 100; i++ {
+			if got := inv.idleSandbox(fn, 128<<20); got != first {
+				t.Fatalf("full tie, try %d: the later-created sandbox was chosen", i)
+			}
+		}
+		if got := inv.idleSandbox(fn, 200<<20); got != third {
+			t.Error("smallest memory gap did not win")
+		}
+		// Equal gaps of 64 MB either side: first and second still tie on
+		// lastUsed with third, so creation order decides again.
+		if got := inv.idleSandbox(fn, 192<<20); got != first {
+			t.Error("equal gaps and equal lastUsed: want the earliest-created")
+		}
+		tb.env.Sleep(time.Second)
+		if !inv.claim(second) {
+			t.Error("claim failed")
+		}
+		inv.parkSandbox(second)
+		if got := inv.idleSandbox(fn, 128<<20); got != second {
+			t.Error("equal gaps: the most recently used did not win")
+		}
+		if mem, ok := inv.IdleSandboxMem(fn, 512<<20); !ok || mem != 256<<20 {
+			t.Errorf("IdleSandboxMem=%d,%v", mem, ok)
+		}
+	})
+	tb.env.Run()
+}
+
+// TestResizeRacesBookReaders: one process resizes its (busy) sandbox
+// while another reads the node's books. Meaningful under -race only:
+// sb.mem used to be written outside the invoker's lock.
+func TestResizeRacesBookReaders(t *testing.T) {
+	tb := newTestbedN(1, 8<<30, 1)
+	inv := tb.p.Invokers()[0]
+	fn := emptyFn(512 << 20)
+	tb.p.Register(fn)
+	ready := sim.NewFuture[*Sandbox](tb.env)
+	tb.env.Go(func() {
+		sb, _, err := inv.createSandbox(fn, 128<<20)
+		if err != nil {
+			t.Error(err)
+		}
+		ready.Set(sb)
+		for i := 0; i < 200; i++ {
+			if _, err := inv.resize(sb, int64(128+i%2*64)<<20); err != nil {
+				t.Error(err)
+			}
+		}
+		inv.parkSandbox(sb)
+	})
+	tb.env.Go(func() {
+		ready.Wait()
+		for i := 0; i < 200; i++ {
+			if w := inv.BookedWaste(); w != 384<<20 && w != 320<<20 {
+				t.Errorf("BookedWaste=%d mid-resize", w)
+			}
+			inv.IdleSandboxMem(fn, 128<<20)
+		}
+	})
+	tb.env.Run()
+}
+
+// TestWarmInvocationAllocCeiling pins the allocations of a warm
+// invocation through the bare platform: the Result and the Ctx. The
+// request is the caller's.
+func TestWarmInvocationAllocCeiling(t *testing.T) {
+	tb := newTestbed(1, 8<<30)
+	fn := emptyFn(256 << 20)
+	tb.p.Register(fn)
+	req := &Request{Function: fn}
+	var allocs float64
+	tb.env.Go(func() {
+		tb.p.Invoke(req) // cold start, pools filled
+		allocs = testing.AllocsPerRun(200, func() { tb.p.Invoke(req) })
+	})
+	tb.env.Run()
+	if allocs > 2 {
+		if lossyPools() {
+			t.Skipf("%.1f allocs with sync.Pool dropping items (race detector): pooled timers count as allocations", allocs)
+		}
+		t.Errorf("warm invocation: %.1f allocs, want at most 2", allocs)
+	}
+}
+
+// lossyPools reports whether sync.Pool is discarding what it is handed,
+// which it does at random under the race detector.
+func lossyPools() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFunctionID: Register builds the id once (no allocation per call
+// afterwards); an unregistered function still answers.
+func TestFunctionID(t *testing.T) {
+	tb := newTestbed(1, 8<<30)
+	fn := &Function{Name: "resize", Tenant: "tenant-with-a-long-name"}
+	if fn.ID() != "tenant-with-a-long-name/resize" {
+		t.Errorf("unregistered id=%q", fn.ID())
+	}
+	tb.p.Register(fn)
+	if got, ok := tb.p.Lookup("tenant-with-a-long-name/resize"); !ok || got != fn || fn.ID() != "tenant-with-a-long-name/resize" {
+		t.Errorf("registered id=%q lookup=%v", fn.ID(), ok)
+	}
+	var id string
+	if n := testing.AllocsPerRun(100, func() { id = fn.ID() }); n != 0 {
+		t.Errorf("ID() of a registered function allocates %.0f times (%s)", n, id)
+	}
+}

@@ -3,6 +3,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -248,29 +249,9 @@ func (p *Platform) execute(req *Request, wanted int64, res *Result, attempt int)
 func (p *Platform) acquire(req *Request, wanted int64) (*Invoker, *Sandbox, bool, time.Duration, error) {
 	const maxTries = 200
 	for try := 0; ; try++ {
-		invokers := p.Invokers()
-		live := invokers[:0]
-		for _, inv := range invokers {
-			if !inv.Down() {
-				live = append(live, inv)
-			}
-		}
-		invokers = live
-		if len(invokers) == 0 {
+		target, anyLive := p.route(req, wanted)
+		if !anyLive {
 			return nil, nil, false, 0, ErrNoCapacity
-		}
-		var warmIdle []*Invoker
-		for _, inv := range invokers {
-			if inv.HasIdleSandbox(req.Function) {
-				warmIdle = append(warmIdle, inv)
-			}
-		}
-		var target *Invoker
-		if p.Router != nil {
-			target = p.Router.Route(req, invokers, warmIdle)
-		}
-		if target == nil {
-			target = p.defaultRoute(req, invokers, warmIdle, wanted)
 		}
 		if target == nil {
 			if try >= maxTries {
@@ -319,6 +300,44 @@ func (p *Platform) acquire(req *Request, wanted int64) (*Invoker, *Sandbox, bool
 		}
 		p.env.Sleep(10 * time.Millisecond)
 	}
+}
+
+// routeScratch holds the two invoker lists of one routing decision.
+// They are dead once a target is chosen, so route borrows a pair per
+// call instead of building both from nil.
+type routeScratch struct{ live, warmIdle []*Invoker }
+
+var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+
+// route picks the invoker for one placement try among the live workers:
+// the Router's choice, else the default policy's, else nil (nobody has
+// room right now). anyLive is false when every worker is down.
+func (p *Platform) route(req *Request, wanted int64) (target *Invoker, anyLive bool) {
+	p.mu.Lock()
+	workers := p.invokers // append-only: elements below len never change
+	p.mu.Unlock()
+	sc := routeScratchPool.Get().(*routeScratch)
+	live, warmIdle := sc.live[:0], sc.warmIdle[:0]
+	for _, inv := range workers {
+		if inv.Down() {
+			continue
+		}
+		live = append(live, inv)
+		if inv.HasIdleSandbox(req.Function) {
+			warmIdle = append(warmIdle, inv)
+		}
+	}
+	if len(live) > 0 {
+		if p.Router != nil {
+			target = p.Router.Route(req, live, warmIdle)
+		}
+		if target == nil {
+			target = p.defaultRoute(req, live, warmIdle, wanted)
+		}
+	}
+	sc.live, sc.warmIdle = live, warmIdle
+	routeScratchPool.Put(sc)
+	return target, len(live) > 0
 }
 
 // defaultRoute is vanilla OWK: a warm idle sandbox anywhere (home

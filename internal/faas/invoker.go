@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -21,11 +22,24 @@ const (
 // time, kept alive between invocations.
 type Sandbox struct {
 	fn       *Function
-	mem      int64 // current cgroup memory limit
+	mem      int64 // current cgroup memory limit; written under Invoker.mu only
 	state    sandboxState
 	lastUsed sim.Time
-	created  sim.Time
-	epoch    int64 // bumps on every use; stale keep-alive timers check it
+
+	// Keep-alive: at most one timer per sandbox sits in the event heap.
+	// armed says it is there; expire is its callback, allocated once with
+	// the sandbox (see keepAliveFired).
+	armed  bool
+	expire func()
+}
+
+// bookedWaste is the part of fn's booked memory that a sandbox limited
+// to mem bytes does not hold.
+func bookedWaste(fn *Function, mem int64) int64 {
+	if d := fn.MemoryBooked - mem; d > 0 {
+		return d
+	}
+	return 0
 }
 
 // Invoker is the per-node worker component: it reports node status to
@@ -40,9 +54,14 @@ type Invoker struct {
 	// bodies.
 	storage Storage
 
-	mu         sync.Mutex
-	down       bool // node fail-stopped; no placements until restart
-	sandboxes  map[*Sandbox]struct{}
+	mu   sync.Mutex
+	down bool // node fail-stopped; no placements until restart
+	// The books on live (idle + busy) sandboxes, kept as sandboxes come
+	// and go instead of recounted per query: the sandboxes of each
+	// function in creation order, their number, and their BookedWaste.
+	sandboxes  map[*Function][]*Sandbox
+	live       int
+	waste      int64
 	reserved   int64 // Σ sandbox memory limits
 	cacheGrant int64 // bytes currently granted to the co-located cache
 
@@ -56,7 +75,7 @@ func newInvoker(p *Platform, node simnet.NodeID, capacity int64, storage Storage
 		node:      p.net.Node(node),
 		capacity:  capacity,
 		storage:   storage,
-		sandboxes: make(map[*Sandbox]struct{}),
+		sandboxes: make(map[*Function][]*Sandbox),
 	}
 }
 
@@ -77,11 +96,14 @@ func (inv *Invoker) SetDown(down bool) {
 	inv.mu.Lock()
 	inv.down = down
 	if down {
-		for sb := range inv.sandboxes {
-			sb.state = sandboxDead
-			delete(inv.sandboxes, sb)
-			inv.expired++
+		for _, list := range inv.sandboxes {
+			for _, sb := range list {
+				sb.state = sandboxDead
+			}
 		}
+		clear(inv.sandboxes)
+		inv.expired += int64(inv.live)
+		inv.live, inv.waste = 0, 0
 		inv.reserved = 0
 		inv.cacheGrant = 0
 	}
@@ -144,26 +166,20 @@ func (inv *Invoker) FreeForCache() int64 {
 func (inv *Invoker) BookedWaste() int64 {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	var waste int64
-	for sb := range inv.sandboxes {
-		if d := sb.fn.MemoryBooked - sb.mem; d > 0 {
-			waste += d
-		}
-	}
-	return waste
+	return inv.waste
 }
 
 // idleSandbox returns an idle warm sandbox for fn, or nil. The
 // preferred selection among several idle sandboxes follows §6.5:
 // smallest |current - wanted| memory gap first, most recently used as
-// tie-break.
+// tie-break; a full tie goes to the earliest-created sandbox.
 func (inv *Invoker) idleSandbox(fn *Function, wanted int64) *Sandbox {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	var best *Sandbox
 	var bestGap int64
-	for sb := range inv.sandboxes {
-		if sb.fn != fn || sb.state != sandboxIdle {
+	for _, sb := range inv.sandboxes[fn] {
+		if sb.state != sandboxIdle {
 			continue
 		}
 		gap := sb.mem - wanted
@@ -181,8 +197,8 @@ func (inv *Invoker) idleSandbox(fn *Function, wanted int64) *Sandbox {
 func (inv *Invoker) HasIdleSandbox(fn *Function) bool {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	for sb := range inv.sandboxes {
-		if sb.fn == fn && sb.state == sandboxIdle {
+	for _, sb := range inv.sandboxes[fn] {
+		if sb.state == sandboxIdle {
 			return true
 		}
 	}
@@ -239,26 +255,34 @@ func (inv *Invoker) reserve(bytes int64) (time.Duration, error) {
 	return took, nil
 }
 
-// release returns sandbox memory to the free pool.
-func (inv *Invoker) release(bytes int64) {
-	inv.mu.Lock()
+// releaseLocked returns sandbox memory to the free pool; inv.mu must be
+// held.
+func (inv *Invoker) releaseLocked(bytes int64) {
 	inv.reserved -= bytes
 	if inv.reserved < 0 {
 		inv.reserved = 0
 	}
-	inv.mu.Unlock()
 }
 
-// createSandbox cold-starts a container with the given memory.
+// createSandbox cold-starts a container with the given memory. A
+// container whose node failed while it was starting is dead on arrival:
+// it never enters the books of the (empty) node.
 func (inv *Invoker) createSandbox(fn *Function, mem int64) (*Sandbox, time.Duration, error) {
 	scale, err := inv.reserve(mem)
 	if err != nil {
 		return nil, scale, err
 	}
 	inv.p.env.Sleep(inv.p.cfg.ColdStart)
-	sb := &Sandbox{fn: fn, mem: mem, state: sandboxBusy, created: inv.p.env.Now(), lastUsed: inv.p.env.Now()}
+	sb := &Sandbox{fn: fn, mem: mem, state: sandboxBusy, lastUsed: inv.p.env.Now()}
+	sb.expire = func() { inv.keepAliveFired(sb) }
 	inv.mu.Lock()
-	inv.sandboxes[sb] = struct{}{}
+	if inv.down {
+		sb.state = sandboxDead
+	} else {
+		inv.sandboxes[fn] = append(inv.sandboxes[fn], sb)
+		inv.live++
+		inv.waste += bookedWaste(fn, mem)
+	}
 	inv.created++
 	inv.mu.Unlock()
 	return sb, scale, nil
@@ -267,6 +291,7 @@ func (inv *Invoker) createSandbox(fn *Function, mem int64) (*Sandbox, time.Durat
 // resize updates a sandbox's memory limit. Per §6.4 the cgroup call is
 // executed asynchronously off the invocation critical path; growing
 // may first require the cache to shrink (critical-path cost returned).
+// The caller owns sb (it is busy), so sb.mem cannot change under it.
 func (inv *Invoker) resize(sb *Sandbox, newMem int64) (time.Duration, error) {
 	var scale time.Duration
 	delta := newMem - sb.mem
@@ -276,10 +301,22 @@ func (inv *Invoker) resize(sb *Sandbox, newMem int64) (time.Duration, error) {
 		if err != nil {
 			return scale, err
 		}
-	} else if delta < 0 {
-		inv.release(-delta)
+	}
+	inv.mu.Lock()
+	if sb.state == sandboxDead {
+		// The node failed under the invocation and took the sandbox off
+		// the books: hand back what was just reserved for it.
+		if delta > 0 {
+			inv.releaseLocked(delta)
+		}
+	} else {
+		if delta < 0 {
+			inv.releaseLocked(-delta)
+		}
+		inv.waste += bookedWaste(sb.fn, newMem) - bookedWaste(sb.fn, sb.mem)
 	}
 	sb.mem = newMem
+	inv.mu.Unlock()
 	// The cgroup syscall + docker update run asynchronously.
 	inv.p.env.Go(func() { inv.p.env.Sleep(inv.p.cfg.ResizeLatency) })
 	return scale, nil
@@ -288,33 +325,65 @@ func (inv *Invoker) resize(sb *Sandbox, newMem int64) (time.Duration, error) {
 // destroySandbox retires a container and frees its memory.
 func (inv *Invoker) destroySandbox(sb *Sandbox) {
 	inv.mu.Lock()
+	inv.destroyLocked(sb)
+	inv.mu.Unlock()
+}
+
+// destroyLocked is destroySandbox with inv.mu held. Retiring a dead
+// sandbox again is a no-op.
+func (inv *Invoker) destroyLocked(sb *Sandbox) {
+	if sb.state == sandboxDead {
+		return
+	}
+	sb.state = sandboxDead
+	list := inv.sandboxes[sb.fn]
+	if i := slices.Index(list, sb); i >= 0 {
+		inv.sandboxes[sb.fn] = slices.Delete(list, i, i+1)
+	}
+	inv.live--
+	inv.waste -= bookedWaste(sb.fn, sb.mem)
+	inv.expired++
+	inv.releaseLocked(sb.mem)
+}
+
+// parkSandbox moves a sandbox to idle and makes sure its keep-alive
+// timer is pending. A sandbox that died under its invocation (node
+// failure) stays dead.
+func (inv *Invoker) parkSandbox(sb *Sandbox) {
+	inv.mu.Lock()
 	if sb.state == sandboxDead {
 		inv.mu.Unlock()
 		return
 	}
-	sb.state = sandboxDead
-	delete(inv.sandboxes, sb)
-	inv.expired++
-	inv.mu.Unlock()
-	inv.release(sb.mem)
-}
-
-// parkSandbox moves a sandbox to idle and arms its keep-alive timer.
-func (inv *Invoker) parkSandbox(sb *Sandbox) {
-	inv.mu.Lock()
 	sb.state = sandboxIdle
 	sb.lastUsed = inv.p.env.Now()
-	sb.epoch++
-	epoch := sb.epoch
+	arm := !sb.armed
+	sb.armed = true
 	inv.mu.Unlock()
-	inv.p.env.After(inv.p.cfg.KeepAlive, func() {
-		inv.mu.Lock()
-		stale := sb.epoch != epoch || sb.state != sandboxIdle
-		inv.mu.Unlock()
-		if !stale {
-			inv.destroySandbox(sb)
+	if arm {
+		inv.p.env.After(inv.p.cfg.KeepAlive, sb.expire)
+	}
+}
+
+// keepAliveFired is the keep-alive timer's callback. The timer is
+// re-armed lazily: a park leaves a pending timer where it is, so when
+// it fires the sandbox may have been used since. Busy or dead, there is
+// nothing to do (the next park arms a new timer); idle but used again
+// since the timer was armed, the timer moves to lastUsed + KeepAlive;
+// otherwise the sandbox has been idle for exactly KeepAlive and expires.
+func (inv *Invoker) keepAliveFired(sb *Sandbox) {
+	var left time.Duration
+	inv.mu.Lock()
+	if sb.state == sandboxIdle {
+		if left = sb.lastUsed + inv.p.cfg.KeepAlive - inv.p.env.Now(); left <= 0 {
+			inv.destroyLocked(sb)
 		}
-	})
+	}
+	sb.armed = left > 0
+	inv.mu.Unlock()
+	if left > 0 {
+		inv.p.env.After(left, sb.expire)
+	}
 }
 
 // claim atomically takes an idle sandbox for a new invocation.
@@ -325,7 +394,6 @@ func (inv *Invoker) claim(sb *Sandbox) bool {
 		return false
 	}
 	sb.state = sandboxBusy
-	sb.epoch++
 	return true
 }
 
@@ -333,7 +401,7 @@ func (inv *Invoker) claim(sb *Sandbox) bool {
 func (inv *Invoker) SandboxCount() int {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	return len(inv.sandboxes)
+	return inv.live
 }
 
 // Lifecycle reports cumulative created/expired sandbox counters.
@@ -349,4 +417,8 @@ func (inv *Invoker) Lifecycle() (created, expired int64) {
 func (inv *Invoker) Reserve(bytes int64) (time.Duration, error) { return inv.reserve(bytes) }
 
 // ReleaseMem returns memory taken with Reserve.
-func (inv *Invoker) ReleaseMem(bytes int64) { inv.release(bytes) }
+func (inv *Invoker) ReleaseMem(bytes int64) {
+	inv.mu.Lock()
+	inv.releaseLocked(bytes)
+	inv.mu.Unlock()
+}
