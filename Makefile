@@ -33,9 +33,10 @@ test-cover:
 race:
 	$(GO) test -race ./...
 
-# The scheduler runs on one P and on several: with one, a hand-off is a
-# goroutine switch; with several, the woken process runs beside the one
-# still on its way to parking.
+# The scheduler runs on one P and on several. Its processes are
+# coroutines, one runnable at a time, so the detector has nothing to
+# find inside internal/sim on any number of Ps, and this is where it
+# says so.
 test-race:
 	$(GO) test -race -cpu 1,4 ./internal/sim/...
 	$(GO) test -race ./internal/simnet/... ./internal/kvstore/... ./internal/store/... ./internal/core/... ./internal/faas/... ./internal/overload/... ./internal/chaos/... ./internal/trace/...

@@ -26,7 +26,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -37,32 +36,6 @@ import (
 	"ofc/internal/experiments"
 	"ofc/internal/memctl"
 )
-
-// output collects one experiment's report. Each run gets its own, so
-// experiments can execute concurrently and still print in order.
-type output struct {
-	buf bytes.Buffer
-	csv bool
-}
-
-// emit renders a result table into the run's buffer.
-func (o *output) emit(t *experiments.Table) {
-	if o.csv {
-		o.buf.WriteString(t.CSV())
-		return
-	}
-	fmt.Fprintln(&o.buf, t)
-}
-
-func (o *output) printf(format string, args ...interface{}) {
-	fmt.Fprintf(&o.buf, format, args...)
-}
-
-type experiment struct {
-	id   string
-	desc string
-	run  func(o *output, seed int64, quick bool)
-}
 
 func main() {
 	var (
@@ -82,19 +55,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	exps := registry()
+	exps := experiments.Registry(splitList(evictFlag), splitList(slackFlag))
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-11s %s\n", e.id, e.desc)
+			fmt.Printf("%-11s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
-	var chosen []experiment
+	var chosen []experiments.Experiment
 	if *exp == "all" {
 		chosen = exps
 	} else {
 		for _, e := range exps {
-			if e.id == *exp {
+			if e.ID == *exp {
 				chosen = append(chosen, e)
 			}
 		}
@@ -106,7 +79,7 @@ func main() {
 
 	wallStart := time.Now()
 	type done struct {
-		out  *output
+		out  *experiments.Report
 		took time.Duration
 	}
 	results := make([]chan done, len(chosen))
@@ -121,9 +94,9 @@ func main() {
 		go func() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			o := &output{csv: *format == "csv"}
+			o := &experiments.Report{CSV: *format == "csv"}
 			start := time.Now()
-			e.run(o, *seed, *quick)
+			e.Run(o, *seed, *quick)
 			results[i] <- done{out: o, took: time.Since(start)}
 		}()
 	}
@@ -132,9 +105,9 @@ func main() {
 	wall := make([]ExpEntry, 0, len(chosen))
 	for i, e := range chosen {
 		d := <-results[i]
-		os.Stdout.Write(d.out.buf.Bytes())
-		fmt.Printf("(%s took %v)\n\n", e.id, d.took.Round(time.Millisecond))
-		wall = append(wall, ExpEntry{ID: e.id, WallMs: float64(d.took.Microseconds()) / 1e3})
+		os.Stdout.Write(d.out.Bytes())
+		fmt.Printf("(%s took %v)\n\n", e.ID, d.took.Round(time.Millisecond))
+		wall = append(wall, ExpEntry{ID: e.ID, WallMs: float64(d.took.Microseconds()) / 1e3})
 	}
 
 	if *benchout != "" {
@@ -193,168 +166,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func registry() []experiment {
-	return []experiment{
-		{"summary", "one-screen reproduction scorecard (paper vs measured)", func(o *output, seed int64, quick bool) {
-			o.emit(experiments.Summary(seed))
-		}},
-		{"fig2", "motivation: memory vs input size and sigma scatter", func(o *output, seed int64, quick bool) {
-			n := 500
-			if quick {
-				n = 100
-			}
-			tab := experiments.Figure2(n, seed)
-			// The full scatter is long; print summary bands.
-			o.printf("%s\n", summarizeFig2(tab))
-		}},
-		{"fig3", "motivation: ETL split, S3-like vs Redis-like", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Figure3(seed)
-			o.emit(tab)
-		}},
-		{"table1", "ML accuracy: 4 algorithms × {32,16,8} MB intervals", func(o *output, seed int64, quick bool) {
-			cfg := experiments.DefaultTable1Config()
-			cfg.Seed = seed
-			if quick {
-				cfg.SamplesPerFunction, cfg.Folds, cfg.ForestSize = 150, 4, 8
-			}
-			o.emit(experiments.Table1(cfg))
-		}},
-		{"benefit", "caching-benefit classifier precision/recall/F1", func(o *output, seed int64, quick bool) {
-			n := 400
-			if quick {
-				n = 150
-			}
-			tab, _ := experiments.CacheBenefit(n, seed)
-			o.emit(tab)
-		}},
-		{"fig5", "prediction-error distribution (J48, 16 MB)", func(o *output, seed int64, quick bool) {
-			n := 450
-			if quick {
-				n = 150
-			}
-			tab, _ := experiments.Figure5(n, seed)
-			o.emit(tab)
-		}},
-		{"fig6", "prediction latency (host time)", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Figure6(450, seed)
-			o.emit(tab)
-		}},
-		{"maturation", "model maturation quickness", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Maturation(seed)
-			o.emit(tab)
-		}},
-		{"fig7", "cache benefits: Swift/Redis/OFC{LH,M,RH} sweep", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Figure7(quick, seed)
-			o.emit(tab)
-		}},
-		{"fig7x5", "Figure 7 replicated across 5 seeds (paper's averaging)", func(o *output, seed int64, quick bool) {
-			seeds := []int64{seed, seed + 1, seed + 2, seed + 3, seed + 4}
-			o.emit(experiments.Figure7Replicated(seeds))
-		}},
-		{"fig8", "cache down-scaling impact (Sc0–Sc3)", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Figure8(seed)
-			o.emit(tab)
-		}},
-		{"migration", "optimized migration time vs aggregate size", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.MigrationSeries(seed)
-			o.emit(tab)
-		}},
-		{"fig9", "macro: 8 tenants × 3 profiles (plus fig10 + table2)", func(o *output, seed int64, quick bool) {
-			window := 30 * time.Minute
-			if quick {
-				window = 8 * time.Minute
-			}
-			tab, runs := experiments.Figure9(window, seed)
-			o.emit(tab)
-			o.emit(experiments.Figure10(runs))
-			o.emit(experiments.Table2(runs))
-		}},
-		{"macro24", "macro with 24 tenants (contention)", func(o *output, seed int64, quick bool) {
-			window := 30 * time.Minute
-			if quick {
-				window = 8 * time.Minute
-			}
-			tab, _, _ := experiments.Macro24(window, seed)
-			o.emit(tab)
-		}},
-		{"ablations", "design-choice ablations (write-back, migration, routing, bump)", func(o *output, seed int64, quick bool) {
-			o.emit(experiments.AblationWriteback(seed))
-			o.emit(experiments.AblationMigration(seed))
-			o.emit(experiments.AblationRouting(seed))
-			o.emit(experiments.AblationIntervalBump(seed))
-			o.emit(experiments.AblationKeepAlive(seed))
-			o.emit(experiments.AblationConsistency(seed))
-		}},
-		{"constants", "micro constants (§6.4/§7.2.1) measured end to end", func(o *output, seed int64, quick bool) {
-			o.emit(experiments.Constants(seed))
-		}},
-		{"resilience", "worker fail-stop + RAMCloud-style recovery", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Resilience(seed)
-			o.emit(tab)
-		}},
-		{"chaos", "kill-one-node-per-minute chaos drill (graceful degradation)", func(o *output, seed int64, quick bool) {
-			tab, res := experiments.Chaos(seed, quick)
-			o.emit(tab)
-			for _, line := range res.Applied {
-				o.printf("  event: %s\n", line)
-			}
-		}},
-		{"overload", "5x tenant spike + mid-spike crash: admission, budgets, degradation states", func(o *output, seed int64, quick bool) {
-			tab, res := experiments.Overload(seed, quick)
-			o.emit(tab)
-			o.printf("  healthy: %v\n", res.Healthy())
-		}},
-		{"policies", "memctl ablation: eviction × slack policy grid", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.Policies(seed, quick, splitList(evictFlag), splitList(slackFlag))
-			o.emit(tab)
-		}},
-		{"chunking", "large-object striping extension (§6.1 future work)", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.ChunkingExtension(seed)
-			o.emit(tab)
-		}},
-		{"storeplane", "storage data plane: sharded coordinator + batched multi-object ops", func(o *output, seed int64, quick bool) {
-			tab, _ := experiments.StorePlane(seed)
-			o.emit(tab)
-		}},
-		{"trace", "deterministic end-to-end span drill: per-phase latency breakdown", func(o *output, seed int64, quick bool) {
-			tab, res := experiments.TraceDrill(seed)
-			o.emit(tab)
-			o.printf("  spans: %d  dropped: %d\n", len(res.Spans), res.Drops)
-		}},
-	}
-}
-
-// summarizeFig2 compresses the scatter into per-band min/max rows.
-func summarizeFig2(tab *experiments.Table) string {
-	type band struct{ lo, hi int64 }
-	var sb strings.Builder
-	sb.WriteString("== Figure 2 — wand_blur memory bands ==\n")
-	sb.WriteString("(full scatter: run the Figure2 API; summary below)\n")
-	bands := []struct {
-		name     string
-		from, to float64
-	}{
-		{"size < 1MB", 0, 1 << 20}, {"1–3MB", 1 << 20, 3 << 20}, {"3–6MB", 3 << 20, 6 << 20},
-	}
-	for _, bd := range bands {
-		b := band{lo: 1 << 62, hi: 0}
-		for _, row := range tab.Rows {
-			var size float64
-			var mem int64
-			fmt.Sscan(row[0], &size)
-			fmt.Sscan(row[2], &mem)
-			if size >= bd.from && size < bd.to {
-				if mem < b.lo {
-					b.lo = mem
-				}
-				if mem > b.hi {
-					b.hi = mem
-				}
-			}
-		}
-		fmt.Fprintf(&sb, "%-12s memory %d..%d MB\n", bd.name, b.lo, b.hi)
-	}
-	return sb.String()
 }

@@ -79,6 +79,13 @@ func DefaultDeploy() DeployConfig {
 	return DeployConfig{Workers: 4, NodeCapacity: 16 << 30, Seed: 1, RSDS: objstore.SwiftProfile()}
 }
 
+// deployed, when a test has set it, is shown every deployment before
+// the experiment that asked for it: the determinism test attaches a
+// tracer and keeps the deployment to snapshot its counters afterwards.
+// Experiments deploy from several goroutines (Parallel). Only tests
+// write it.
+var deployed func(*Deployment)
+
 // NewDeployment builds the system under test.
 func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 	su := workload.NewSuite()
@@ -130,6 +137,9 @@ func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 		d.Platform = p
 		d.Store = store
 		d.Ctrl = ctrl
+	}
+	if deployed != nil {
+		deployed(d)
 	}
 	return d
 }

@@ -384,6 +384,13 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 			}
 		}
 	}
+	if master < 0 {
+		// Every server is past its limit (grants shrink under live
+		// data): there is no master to place on, and a placement
+		// without one would be found by every later Locate.
+		c.mu.Unlock()
+		return placement{}, ErrNoSpace
+	}
 	var backups []simnet.NodeID
 	for i := 0; len(backups) < c.cfg.Replication && i < 2*len(live); i++ {
 		id := live[(c.rr+i)%len(live)]
@@ -502,7 +509,9 @@ func (c *Cluster) Usage(node simnet.NodeID) (used, limit int64) {
 	return s.Usage()
 }
 
-// Objects returns a snapshot of the master copies on node.
+// Objects returns a snapshot of the master copies on node, in no
+// particular order (the index is a map, and sorting here would charge
+// every caller): a consumer whose result depends on the order sorts.
 func (c *Cluster) Objects(node simnet.NodeID) []ObjectInfo {
 	s := c.Server(node)
 	if s == nil {

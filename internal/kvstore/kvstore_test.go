@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -329,6 +330,25 @@ func TestSetMemoryLimitAndUsage(t *testing.T) {
 		}
 		if _, _, err := c.Read(2, "k"); err != nil {
 			t.Errorf("object evicted by SetMemoryLimit: %v", err)
+		}
+	})
+}
+
+// TestWriteWithEveryServerOverLimit: when shrunken grants leave every
+// server holding more than its limit, a write of a new key is refused
+// for want of space and leaves no placement behind (it used to record
+// one with no master, which the router then indexed by).
+func TestWriteWithEveryServerOverLimit(t *testing.T) {
+	run(t, func(env *sim.Env, c *Cluster) {
+		for i := simnet.NodeID(0); i < 4; i++ {
+			c.Write(i, fmt.Sprintf("fill-%d", i), Synthetic(3<<20), nil, i)
+			c.SetMemoryLimit(i, 1<<20)
+		}
+		if _, err := c.Write(1, "new", Synthetic(100), nil, 1); !errors.Is(err, ErrNoSpace) {
+			t.Errorf("write with every server over its limit: %v, want ErrNoSpace", err)
+		}
+		if loc := c.Locate([]string{"new"})[0]; loc.OK {
+			t.Errorf("refused write left a placement on node %d", loc.Node)
 		}
 	})
 }

@@ -123,10 +123,10 @@ func (l *objLog) delete(key string) (int64, bool) {
 	return size, true
 }
 
-// each visits every live object.
+// each visits every live object, in no particular order.
 func (l *objLog) each(fn func(key string, obj *object)) {
 	for key, ref := range l.index {
-		fn(key, ref.seg.entries[ref.idx].obj)
+		fn(key, ref.seg.entries[ref.idx].obj) //lint:allow mapiter the one caller, Cluster.Objects, promises no order; memctl's policies impose their own and its conformance suite shuffles the census
 	}
 }
 
@@ -145,20 +145,24 @@ func (l *objLog) utilization() float64 {
 func (l *objLog) clean(target int64) int64 {
 	var movedTotal int64
 	for l.alloc > target {
-		// Pick the closed segment with the lowest utilization.
+		// Pick the closed segment with the lowest utilization, the
+		// oldest on a tie: the victim decides how many bytes move, and
+		// the caller sleeps for them, so it may not be left to the
+		// order a map range happens to take.
 		var victim *segment
+		var victimUtil float64
 		for _, s := range l.segs {
 			if s == l.head {
 				continue
 			}
-			if victim == nil || segUtil(s) < segUtil(victim) {
-				victim = s
+			if u := segUtil(s); victim == nil || u < victimUtil || (u == victimUtil && s.id < victim.id) {
+				victim, victimUtil = s, u
 			}
 		}
 		if victim == nil {
 			break
 		}
-		if segUtil(victim) >= 0.98 && l.alloc-victim.appended < target {
+		if victimUtil >= 0.98 && l.alloc-victim.appended < target {
 			// Only nearly-full-live segments remain: compaction cannot
 			// reclaim meaningfully.
 			break

@@ -170,3 +170,35 @@ func TestWritePathCleansUnderPressure(t *testing.T) {
 		}
 	})
 }
+
+// TestLogCleanTieGoesToOldestSegment: closed segments of equal
+// utilization hold different amounts of live data, so which one the
+// cleaner takes decides the bytes it relocates — and the copy time the
+// master sleeps for. The tie goes to the lowest segment id every time,
+// not to wherever the range over the segment map happens to start.
+func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
+	for run := 0; run < 100; run++ {
+		l := newObjLog(100)
+		// Three closed segments at utilization 1/2: 50 live of 100, 30 of
+		// 60 (the next object did not fit), 50 of 100. Deletes append
+		// zero-size tombstones, so they move no segment boundary.
+		for i, size := range []int64{50, 50, 30, 30, 50, 50, 10} {
+			l.put(fmt.Sprintf("k%d", i), mkObj(size))
+		}
+		for _, k := range []string{"k0", "k2", "k4"} {
+			l.delete(k)
+		}
+		if len(l.segs) != 4 || l.head.id != 3 {
+			t.Fatalf("layout: %d segments, head %d; want 4 and 3", len(l.segs), l.head.id)
+		}
+		for id := 0; id < 3; id++ {
+			if u := segUtil(l.segs[id]); u != 0.5 {
+				t.Fatalf("segment %d utilization %v, want 0.5", id, u)
+			}
+		}
+		moved := l.clean(l.alloc - 1) // one victim is enough
+		if _, left := l.segs[0]; left || moved != 50 {
+			t.Fatalf("run %d: moved %d bytes, segment 0 cleaned=%v; want the oldest segment's 50 bytes", run, moved, !left)
+		}
+	}
+}

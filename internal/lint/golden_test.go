@@ -137,7 +137,7 @@ func TestMetricsNameGolden(t *testing.T) {
 }
 
 func TestMapIterGolden(t *testing.T) {
-	runGolden(t, []*Analyzer{MapIter}, []goldenPkg{{"testdata/mapiter/a", "ofc/internal/mapfake"}}, 1)
+	runGolden(t, []*Analyzer{MapIter}, []goldenPkg{{"testdata/mapiter/a", "ofc/internal/mapfake"}}, 2)
 }
 
 func TestLockOrderGolden(t *testing.T) {

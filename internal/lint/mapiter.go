@@ -15,7 +15,12 @@ import (
 // Order-insensitive bodies (counter sums, keyed writes into another
 // map, deletes) stay legal, as does the canonical collect-then-sort
 // idiom: an append whose destination is passed to sort.* / slices.*
-// later in the same function is recognized as deterministic.
+// later in the same function is recognized as deterministic. Two
+// shapes hide the order instead of showing it, and are flagged as
+// well: handing each entry to a function the caller passed in (the
+// callee, unseen here, is the sink), and keeping a running best — the
+// entry whose score is lowest or highest — with no tie-break, which
+// returns whichever of several equal candidates the range met first.
 var MapIter = &Analyzer{
 	Name: "mapiter",
 	Doc:  "forbid map iterations whose order reaches sim-visible output; collect keys and sort, or keep the body order-insensitive",
@@ -55,7 +60,7 @@ func runMapIter(p *Pass) error {
 				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				checkMapRange(p, fn.Body, rs)
+				checkMapRange(p, fn, rs)
 				return true
 			})
 		}
@@ -65,9 +70,11 @@ func runMapIter(p *Pass) error {
 
 // checkMapRange looks for order-sensitive effects inside one map
 // iteration and reports each sink at its own position.
-func checkMapRange(p *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
+func checkMapRange(p *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			reportUntiedSelection(p, rs, n)
 		case *ast.SendStmt:
 			p.Reportf(n.Pos(), "channel send inside map iteration delivers values in randomized order; collect into a slice, sort, then send")
 		case *ast.AssignStmt:
@@ -90,16 +97,118 @@ func checkMapRange(p *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 				if obj == nil || insideRange(obj.Pos(), rs) {
 					continue // loop-local scratch dies with the iteration
 				}
-				if sortedAfter(p, fnBody, obj, rs.End()) {
+				if sortedAfter(p, fn.Body, obj, rs.End()) {
 					continue // collect-then-sort: order is re-established
 				}
 				p.Reportf(n.Pos(), "appending to %q inside map iteration captures randomized order; sort %q after the loop (or range over sorted keys)", dst.Name, dst.Name)
 			}
 		case *ast.CallExpr:
 			reportCallSink(p, n)
+			if id, ok := n.Fun.(*ast.Ident); ok && isFuncParam(p, fn, id) {
+				p.Reportf(n.Pos(), "calling parameter %q inside map iteration hands the entries to the caller's function in randomized order; range over sorted keys, or allow it with the reason every caller is order-insensitive", id.Name)
+			}
 		}
 		return true
 	})
+}
+
+// isFuncParam reports whether id names a function-typed parameter of
+// fn.
+func isFuncParam(p *Pass, fn *ast.FuncDecl, id *ast.Ident) bool {
+	v, ok := p.Info.Uses[id].(*types.Var)
+	if !ok || fn.Type.Params == nil {
+		return false
+	}
+	if _, isFunc := v.Type().Underlying().(*types.Signature); !isFunc {
+		return false
+	}
+	return v.Pos() >= fn.Type.Params.Pos() && v.Pos() <= fn.Type.Params.End()
+}
+
+// reportUntiedSelection flags the running-best shape: an if whose
+// condition orders two values (<, >, <=, >=) and whose body stores
+// something of this iteration in a variable that outlives the loop.
+// When several entries share the best score the survivor is the one
+// the randomized order reached first (or last, for <= and >=). Two
+// forms are order-insensitive and stay legal: storing the very value
+// that was compared (`if v < min { min = v }` — equal scores are equal
+// values), and a condition that also tests equality, which is how a
+// tie-break on a second, unique key is written.
+func reportUntiedSelection(p *Pass, rs *ast.RangeStmt, ifs *ast.IfStmt) {
+	var ordered []*ast.BinaryExpr
+	tied := false
+	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+		be, ok := n.(*ast.BinaryExpr)
+		if !ok {
+			return true
+		}
+		switch be.Op {
+		case token.LSS, token.GTR, token.LEQ, token.GEQ:
+			ordered = append(ordered, be)
+		case token.EQL:
+			if !isNilIdent(be.X) && !isNilIdent(be.Y) {
+				tied = true
+			}
+		}
+		return true
+	})
+	if len(ordered) == 0 || tied {
+		return
+	}
+	for _, st := range ifs.Body.List {
+		as, ok := st.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+			continue
+		}
+		for i, lhs := range as.Lhs {
+			dst, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			obj := p.Info.Uses[dst]
+			if obj == nil || insideRange(obj.Pos(), rs) || !mentionsLoopLocal(p, rs, as.Rhs[i]) {
+				continue
+			}
+			if comparesStored(ordered, dst.Name, types.ExprString(as.Rhs[i])) {
+				continue
+			}
+			p.Reportf(as.Pos(), "%q keeps the best entry of a map iteration with no tie-break: among equal candidates the randomized order decides; compare a unique key as well (or range over sorted keys)", dst.Name)
+		}
+	}
+}
+
+// isNilIdent reports whether e is the identifier nil.
+func isNilIdent(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
+// mentionsLoopLocal reports whether e reads a variable declared inside
+// the range statement: its key, its value, or something derived from
+// them in the body.
+func mentionsLoopLocal(p *Pass, rs *ast.RangeStmt, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj, isVar := p.Info.Uses[id].(*types.Var); isVar && insideRange(obj.Pos(), rs) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// comparesStored reports whether one of the ordered comparisons is
+// between the stored expression and the variable it is stored in.
+func comparesStored(ordered []*ast.BinaryExpr, dst, stored string) bool {
+	for _, be := range ordered {
+		x, y := types.ExprString(be.X), types.ExprString(be.Y)
+		if (x == stored && y == dst) || (x == dst && y == stored) {
+			return true
+		}
+	}
+	return false
 }
 
 // reportCallSink flags calls that emit or schedule in iteration order:

@@ -9,3 +9,11 @@ func allowed(m map[string]int) []int {
 	}
 	return vals
 }
+
+// The hidden-sink finding is suppressed the same way, with the reason
+// the callers are safe.
+func allowedEach(m map[string]int, fn func(string, int)) {
+	for k, v := range m {
+		fn(k, v) //lint:allow mapiter the only caller sums the values
+	}
+}

@@ -41,3 +41,32 @@ func cleanCollectSortSlice(m map[string]int) []int {
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	return vals
 }
+
+// A running minimum of the compared value itself is order-insensitive
+// (equal scores are equal values), and so is a selection whose
+// condition breaks the tie on a unique key.
+func cleanSelect(m map[int]*seg) (int64, *seg) {
+	min := int64(1) << 62
+	var victim *seg
+	var victimUtil float64
+	for _, s := range m {
+		if s.live < min {
+			min = s.live
+		}
+		if u := util(s); victim == nil || u < victimUtil || (u == victimUtil && s.id < victim.id) {
+			victim, victimUtil = s, u
+		}
+	}
+	return min, victim
+}
+
+// Calling a function defined here is not the hidden-sink shape: its
+// body is in view and is checked like any other.
+func cleanLocalCall(m map[string]*seg) int64 {
+	var total int64
+	add := func(s *seg) { total += s.live }
+	for _, s := range m {
+		add(s)
+	}
+	return total
+}

@@ -106,6 +106,56 @@ func TestConformanceDeterminism(t *testing.T) {
 	}
 }
 
+// TestConformanceCensusOrderIrrelevant: the engine lists a node's
+// objects in map order, so a policy's answer may depend on what is in
+// the census but never on how it is ordered. Access times are coarse
+// enough to collide, which is where an ordering that is not total
+// shows.
+func TestConformanceCensusOrderIrrelevant(t *testing.T) {
+	views := func(need int64) (View, View) {
+		v := genView(42, 80, need)
+		for i := range v.Objects {
+			v.Objects[i].Meta.LastAccess = v.Objects[i].Meta.LastAccess.Truncate(20 * time.Minute)
+		}
+		pinned := map[string]bool{v.Objects[3].Key: true, v.Objects[40].Key: true}
+		v.Pinned = func(k string) bool { return pinned[k] }
+		shuffled := v
+		shuffled.Objects = append([]Object(nil), v.Objects...)
+		rand.New(rand.NewSource(need)).Shuffle(len(shuffled.Objects), func(i, j int) {
+			shuffled.Objects[i], shuffled.Objects[j] = shuffled.Objects[j], shuffled.Objects[i]
+		})
+		return v, shuffled
+	}
+	needs := []int64{0, 1 << 20, 64 << 20}
+	for name, mk := range allPolicies(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, need := range needs {
+				v, shuffled := views(need)
+				a, b := mk(), mk()
+				feed(a, v, 7)
+				feed(b, v, 7)
+				if va, vb := a.Victims(v), b.Victims(shuffled); !reflect.DeepEqual(va, vb) {
+					t.Fatalf("need=%d: victims follow the census order:\n%v\nshuffled:\n%v", need, keys(va), keys(vb))
+				}
+			}
+		})
+	}
+	for _, name := range Planners() {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewPlanner(name, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, need := range needs {
+				v, shuffled := views(need)
+				if pa, pb := p.Plan(v), p.Plan(shuffled); !reflect.DeepEqual(pa, pb) {
+					t.Fatalf("need=%d: plan follows the census order:\n%+v\nshuffled:\n%+v", need, pa, pb)
+				}
+			}
+		})
+	}
+}
+
 func TestConformanceNoPinnedVictims(t *testing.T) {
 	for name, mk := range allPolicies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -180,11 +230,11 @@ func TestThresholdMatchesPaperCriteria(t *testing.T) {
 		}}
 	}
 	v := View{Now: now, Objects: []Object{
-		obj("young-cold", 2*time.Minute, time.Minute, 0),      // inside grace window
-		obj("hot", time.Hour, time.Minute, 9),                 // survives
-		obj("cold", time.Hour, time.Minute, 2),                // n_access < 5
-		obj("idle", time.Hour, 31*time.Minute, 9),             // idle > 30 min
-		obj("warm-idle8", time.Hour, 8*time.Minute, 9),        // survives normal, dies in brownout
+		obj("young-cold", 2*time.Minute, time.Minute, 0), // inside grace window
+		obj("hot", time.Hour, time.Minute, 9),            // survives
+		obj("cold", time.Hour, time.Minute, 2),           // n_access < 5
+		obj("idle", time.Hour, 31*time.Minute, 9),        // idle > 30 min
+		obj("warm-idle8", time.Hour, 8*time.Minute, 9),   // survives normal, dies in brownout
 	}}
 	got := keys(p.Victims(v))
 	want := []string{"cold", "idle"}
@@ -193,7 +243,7 @@ func TestThresholdMatchesPaperCriteria(t *testing.T) {
 	}
 	v.Pressure = PressureBrownout
 	got = keys(p.Victims(v))
-	want = []string{"young-cold", "cold", "idle", "warm-idle8"}
+	want = []string{"cold", "idle", "warm-idle8", "young-cold"} // key order
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("brownout sweep: got %v want %v", got, want)
 	}
@@ -252,7 +302,7 @@ func TestWindowSlack(t *testing.T) {
 }
 
 // TestMigrateFirstPlannerShape pins the §6.4 phase structure: clean
-// finals first (census order), dirty write-backs, then LRU-ordered
+// finals first (key order), dirty write-backs, then LRU-ordered
 // inputs flagged for migration.
 func TestMigrateFirstPlannerShape(t *testing.T) {
 	now := sim.Time(time.Hour)

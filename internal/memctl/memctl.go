@@ -56,13 +56,14 @@ func (p Pressure) String() string {
 }
 
 // View is the immutable situation a policy decides over: the node's
-// object census (in the engine's deterministic log order), usage
+// object census (in no particular order — the engine lists it in map
+// order, so a policy imposes whatever order its answer needs), usage
 // against the current grant, how many bytes must be freed (0 for a
 // discretionary periodic sweep), the pressure level and an optional
 // pin predicate for objects that must never be victims (in-flight
 // reads holding a reference).
 type View struct {
-	Now    sim.Time
+	Now     sim.Time
 	Objects []Object
 	// Used and Limit are the node's cache occupancy and grant.
 	Used, Limit int64
@@ -86,7 +87,7 @@ func (v *View) pinned(key string) bool {
 //
 // Contract (enforced by the conformance suite):
 //   - Victims is deterministic: the same View yields the same victim
-//     list, in the same order.
+//     list, in the same order, however View.Objects is ordered.
 //   - Victims never contains a pinned object.
 //   - With Need > 0, the cumulative size of the victims exceeds Need
 //     by at most one object (selection stops at the first object that

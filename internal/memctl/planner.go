@@ -5,16 +5,17 @@ import "sort"
 // MigrateFirstPlanner is the paper's §6.4 reclamation order:
 //
 //  1. evict clean persisted final outputs (free to drop — the durable
-//     copy already exists) in census order, stopping once the need is
+//     copy already exists) in key order, stopping once the need is
 //     covered;
 //  2. if that falls short, queue asynchronous write-backs for every
-//     dirty object and order the inputs/intermediates least-recently-
-//     accessed first, each to be freed by migration-by-promotion with
-//     eviction as the fallback.
+//     dirty object, in key order, and order the inputs/intermediates
+//     least-recently-accessed first (key order among equals), each to
+//     be freed by migration-by-promotion with eviction as the fallback.
 //
-// The plan's phase boundaries and orderings reproduce the pre-refactor
-// freeBytes pass structure exactly; the executor's stop-when-satisfied
-// walk supplies the early exits.
+// The plan's phase boundaries reproduce the pre-refactor freeBytes
+// pass structure; the executor's stop-when-satisfied walk supplies the
+// early exits. Every ordering is total, so the plan does not depend on
+// the order of the census, which the engine hands out in map order.
 type MigrateFirstPlanner struct{}
 
 // NewMigrateFirstPlanner returns the paper's planner.
@@ -45,8 +46,13 @@ func (m *MigrateFirstPlanner) Plan(v View) Plan {
 			}
 		}
 	}
+	sort.Slice(p.First, func(i, j int) bool { return p.First[i].Key < p.First[j].Key })
+	sort.Strings(p.WriteBacks)
 	sort.Slice(inputs, func(i, j int) bool {
-		return inputs[i].Meta.LastAccess < inputs[j].Meta.LastAccess
+		if inputs[i].Meta.LastAccess != inputs[j].Meta.LastAccess {
+			return inputs[i].Meta.LastAccess < inputs[j].Meta.LastAccess
+		}
+		return inputs[i].Key < inputs[j].Key
 	})
 	for _, o := range inputs {
 		p.Second = append(p.Second, Step{Key: o.Key, Size: o.Meta.Size, Migrate: true})

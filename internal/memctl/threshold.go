@@ -1,6 +1,7 @@
 package memctl
 
 import (
+	"sort"
 	"time"
 
 	"ofc/internal/sim"
@@ -14,8 +15,9 @@ import (
 // contended.
 //
 // The policy is stateless beyond its parameters: every criterion reads
-// engine truth from the census, so Victims over the same View is
-// trivially deterministic (census order in, census order out).
+// engine truth from the census, and victims come out in key order, so
+// Victims is a function of the View's contents, not of the order the
+// engine listed them in.
 type ThresholdEviction struct {
 	minAccess int64
 	maxIdle   time.Duration
@@ -42,20 +44,16 @@ func (t *ThresholdEviction) Touch(string, sim.Time) {}
 func (t *ThresholdEviction) Forget(string) {}
 
 // Victims implements EvictionPolicy. For the discretionary sweep
-// (Need == 0) it walks the census in order and applies the §6.3
-// criteria. With Need > 0 it keeps the same criteria ordering but
-// stops once the need is covered.
+// (Need == 0) it returns every object the §6.3 criteria condemn, in
+// key order. With Need > 0 it takes them in the same order and stops
+// once the need is covered.
 func (t *ThresholdEviction) Victims(v View) []Object {
 	ageFloor, maxIdle := t.ageFloor, t.maxIdle
 	if v.Pressure == PressureBrownout {
 		ageFloor, maxIdle = 0, t.maxIdle/4
 	}
 	var out []Object
-	var freed int64
 	for _, o := range v.Objects {
-		if v.Need > 0 && freed >= v.Need {
-			break
-		}
 		if v.pinned(o.Key) {
 			continue
 		}
@@ -68,7 +66,16 @@ func (t *ThresholdEviction) Victims(v View) []Object {
 			continue
 		}
 		out = append(out, o)
-		freed += o.Meta.Size
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	if v.Need > 0 {
+		var freed int64
+		for i, o := range out {
+			if freed >= v.Need {
+				return out[:i]
+			}
+			freed += o.Meta.Size
+		}
 	}
 	return out
 }

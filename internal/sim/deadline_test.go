@@ -28,8 +28,8 @@ func TestWaitTimeoutSetWins(t *testing.T) {
 	if env.Events() != 1 {
 		t.Errorf("Events() = %d, want 1 (the setter's sleep)", env.Events())
 	}
-	if s := env.String(); s != "sim.Env{now=1ms running=1 timers=0}" {
-		t.Errorf("dead deadline left behind: %s", s)
+	if len(env.heap) != 0 {
+		t.Errorf("dead deadline left behind: %v", env)
 	}
 }
 

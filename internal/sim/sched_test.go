@@ -2,8 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -151,27 +149,31 @@ func TestSchedulerStress(t *testing.T) {
 	}
 }
 
-// TestCallbackPanicAnnotated verifies that a panic inside an After
-// callback is re-raised as a PanicError carrying the virtual timestamp.
-// The panic escapes on a pool-worker goroutine and takes the process
-// down, so the crash is observed from a child invocation of this test
-// binary.
+// TestCallbackPanicAnnotated: a panic inside an After callback leaves
+// Run, on Run's caller, as a PanicError carrying the virtual timestamp
+// and the original value, and the environment is not left believing a
+// process is still running.
 func TestCallbackPanicAnnotated(t *testing.T) {
-	if os.Getenv("SIM_PANIC_CHILD") == "1" {
-		env := NewEnv(1)
-		env.After(5*time.Millisecond, func() { panic("boom") })
+	env := NewEnv(1)
+	env.After(5*time.Millisecond, func() { panic("boom") })
+	func() {
+		defer func() {
+			pe, ok := recover().(*PanicError)
+			if !ok || pe.At != 5*time.Millisecond || pe.Value != "boom" {
+				t.Fatalf("recovered %#v, want *PanicError{At: 5ms, Value: boom}", pe)
+			}
+			if s := pe.Error(); !strings.Contains(s, "virtual time 5ms") || !strings.Contains(s, "boom") {
+				t.Errorf("panic not annotated with virtual timestamp: %s", s)
+			}
+		}()
 		env.Run()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestCallbackPanicAnnotated$")
-	cmd.Env = append(os.Environ(), "SIM_PANIC_CHILD=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("child survived a panicking callback:\n%s", out)
-	}
-	s := string(out)
-	if !strings.Contains(s, "virtual time 5ms") || !strings.Contains(s, "boom") {
-		t.Errorf("panic not annotated with virtual timestamp:\n%s", s)
+		t.Error("Run returned past a panicking callback")
+	}()
+	ran := false
+	env.Go(func() { ran = true })
+	env.Run() // must not claim to be inside a process
+	if !ran {
+		t.Error("environment unusable after a recovered PanicError")
 	}
 }
 
@@ -189,44 +191,35 @@ func TestEventsCounter(t *testing.T) {
 	}
 }
 
-// TestNothingDispatchesBeforeRun: until Run is entered the caller is a
-// running set-up process, so a spawned process that blocks leaves the
-// clock and the event counter alone, and a process spawned after it
-// still starts at time zero.
+// TestNothingDispatchesBeforeRun: Go and After only queue. Until Run
+// is entered no process has started, the clock and the event counter
+// have not moved, and a process spawned after one that will sleep still
+// starts at time zero.
 func TestNothingDispatchesBeforeRun(t *testing.T) {
 	env := NewEnv(1)
-	var firstWoke, lateStart atomic.Int64
-	firstWoke.Store(-1)
-	lateStart.Store(-1)
+	started := 0
+	var firstWoke, lateStart Time = -1, -1
 	env.Go(func() {
+		started++
 		env.Sleep(time.Second)
-		firstWoke.Store(int64(env.Now()))
+		firstWoke = env.Now()
 	})
-	// Wait on the host clock until the sleeper is parked: its timer is
-	// pending and only the set-up process is left in the census.
-	parked := "sim.Env{now=0s running=1 timers=1}"
-	for i := 0; env.String() != parked; i++ {
-		if i > 5000 {
-			t.Fatalf("sleeper never parked: %v", env)
-		}
-		time.Sleep(time.Millisecond)
+	env.After(0, func() { started++ })
+	if started != 0 || env.Now() != 0 || env.Events() != 0 {
+		t.Fatalf("dispatched before Run: started=%d now=%v events=%d", started, env.Now(), env.Events())
 	}
-	time.Sleep(10 * time.Millisecond) // room for a wrong dispatch to show
-	if env.Now() != 0 || env.Events() != 0 || firstWoke.Load() != -1 {
-		t.Fatalf("dispatched before Run: now=%v events=%d woke=%d", env.Now(), env.Events(), firstWoke.Load())
-	}
-	env.Go(func() { lateStart.Store(int64(env.Now())) })
+	env.Go(func() { lateStart = env.Now() })
 	if end := env.Run(); end != time.Second {
 		t.Errorf("final clock %v, want 1s", end)
 	}
-	if got := time.Duration(firstWoke.Load()); got != time.Second {
-		t.Errorf("sleeper woke at %v, want 1s", got)
+	if started != 2 || firstWoke != time.Second {
+		t.Errorf("started=%d, sleeper woke at %v, want 2 and 1s", started, firstWoke)
 	}
-	if got := time.Duration(lateStart.Load()); got != 0 {
-		t.Errorf("process spawned before Run started at %v, want 0", got)
+	if lateStart != 0 {
+		t.Errorf("process spawned before Run started at %v, want 0", lateStart)
 	}
-	if env.Events() != 1 {
-		t.Errorf("Events() = %d, want 1", env.Events())
+	if env.Events() != 2 {
+		t.Errorf("Events() = %d, want 2 (the callback and the sleep)", env.Events())
 	}
 }
 
