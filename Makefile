@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-cover race test-race vet lint lint-fix bench bench-store bench-sim bench-ml bench-baseline benchdiff repro scorecard smoke-overload smoke-policies smoke-trace clean
+.PHONY: all check build test test-cover race test-race vet lint bench bench-sim bench-ml bench-baseline benchdiff repro scorecard smoke-overload smoke-policies smoke-trace smoke-examples clean
 
 all: check
 
@@ -10,9 +10,9 @@ all: check
 # full tests, the race detector over the concurrency-heavy packages
 # (scheduler, network, cache cluster, proxy/resilience, platform,
 # overload, chaos), coverage with the trace floor, then the end-to-end
-# overload drill, the memctl policy-ablation grid and the golden-trace
-# determinism smoke.
-check: build vet lint test test-race test-cover smoke-overload smoke-policies smoke-trace
+# overload drill, the memctl policy-ablation grid, the golden-trace
+# determinism smoke and one short run of every example and driver.
+check: build vet lint test test-race test-cover smoke-overload smoke-policies smoke-trace smoke-examples
 
 build:
 	$(GO) build ./...
@@ -44,29 +44,20 @@ test-race:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis: wall-clock reads, global rand, sentinel
-# identity comparisons, blocking sim calls under mutexes, metric naming,
-# map-iteration order leaking into output, plus the whole-program
-# concurrency gate (lock-order cycles, atomic/plain access mixes,
-# untied goroutines, stale suppressions).
+# Repo-specific static analysis, eight analyzers: wall-clock reads
+# (wallclock), global rand (seededrand), sentinel identity comparisons
+# (senterr), blocking sim calls under mutexes (lockedrpc), map-iteration
+# order leaking into output (mapiter), atomic/plain access mixes
+# (atomicmix), host goroutines in simulation code (rawgo) and stale
+# suppressions (unusedallow).
 # Exits non-zero on any unsuppressed finding.
 lint:
 	$(GO) run ./cmd/ofc-lint ./...
 
-# Apply every suggested fix (errors.Is rewrites, stale-directive
-# deletions), then re-check. The CI lint job asserts this produces no
-# diff on a clean tree, which proves the fixes are idempotent.
-lint-fix:
-	$(GO) run ./cmd/ofc-lint -fix ./...
-
-# One benchmark per table/figure, headline quantities as metrics.
+# Every package's benchmarks once; at the root, one per -exp id at
+# -quick.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -run '^$$' ./...
-
-# Storage data-plane evidence: sharded vs single-lock coordinator under
-# parallel clients, and batched vs per-key multi-reads.
-bench-store:
-	$(GO) test -bench 'BenchmarkCoordinator|BenchmarkReadMulti' -benchmem -cpu 8 -run '^$$' ./internal/kvstore/
 
 # Scheduler/data-plane micro-benchmarks and the platform's warm
 # invocation (CI smoke: -benchtime 1x keeps it to one iteration per
@@ -77,7 +68,7 @@ bench-sim:
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree
-# inference, forest voting, and the end-to-end memoized Advise lookup;
+# inference and the end-to-end memoized Advise lookup;
 # and J48 training on the shapes the ModelTrainer refits
 # (CI smoke: -benchtime=10x; drop it for real numbers).
 bench-ml:
@@ -116,6 +107,16 @@ smoke-policies:
 # Intentional changes regenerate with OFC_REGEN_GOLDEN=1.
 smoke-trace:
 	$(GO) test ./internal/experiments -run 'TestGoldenTrace|TestTraceDrill' -count=1
+
+# The six examples and the three drivers no test runs past `go build`:
+# one short run of each must exit 0.
+smoke-examples:
+	for e in analytics imagepipeline loadtest quickstart tracereplay triggers; do \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
+	$(GO) run ./cmd/ofc-wsk -action wand_blur -size 64k -repeat 2 > /dev/null
+	$(GO) run ./cmd/ofc-sim -mode ofc -tenants 2 -window 2m > /dev/null
+	f=$$(mktemp) && $(GO) run ./cmd/ofc-ml -cmd gen -data $$f > /dev/null; s=$$?; rm -f $$f; exit $$s
 
 clean:
 	$(GO) clean ./...

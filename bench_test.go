@@ -1,328 +1,27 @@
 package ofc
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (DESIGN.md carries the experiment index). Each iteration
-// regenerates the experiment end to end; the benchmark metrics expose
-// the headline numbers so `go test -bench` output doubles as a
-// reproduction report. Absolute host nanoseconds are incidental — the
-// custom metrics (improvement percentages, accuracies, hit ratios) are
-// the reproduced quantities.
+// One benchmark per experiment ofc-bench serves under -exp, at -quick:
+// `make bench` times every table and figure of the paper's evaluation
+// end to end. The reproduced quantities themselves are what
+// `-exp summary` prints (`make scorecard`).
 
 import (
 	"testing"
-	"time"
 
 	"ofc/internal/experiments"
 )
 
-// BenchmarkFigure2_MemoryScatter regenerates the motivation scatter of
-// memory vs input size / sigma.
-func BenchmarkFigure2_MemoryScatter(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tab := experiments.Figure2(500, 1)
-		if len(tab.Rows) != 500 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkFigure3_RSDSLatency regenerates the ETL split against
-// S3-like and Redis-like backends.
-func BenchmarkFigure3_RSDSLatency(b *testing.B) {
-	b.ReportAllocs()
-	var share float64
-	for i := 0; i < b.N; i++ {
-		_, rows := experiments.Figure3(1)
-		for _, r := range rows {
-			if r.Workload == "sharp_resize" && r.Size == 128<<10 && r.Backend == "S3" {
-				share = r.ELShare()
-			}
-		}
-	}
-	b.ReportMetric(share*100, "E&L-share-%")
-}
-
-// BenchmarkTable1_MLAccuracy regenerates the algorithm × interval-size
-// accuracy sweep.
-func BenchmarkTable1_MLAccuracy(b *testing.B) {
-	b.ReportAllocs()
-	cfg := experiments.DefaultTable1Config()
-	for i := 0; i < b.N; i++ {
-		tab := experiments.Table1(cfg)
-		if len(tab.Rows) != 12 {
-			b.Fatal("incomplete table")
-		}
-	}
-}
-
-// BenchmarkTable1_CacheBenefit regenerates the §7.1.1 benefit
-// classifier scores.
-func BenchmarkTable1_CacheBenefit(b *testing.B) {
-	b.ReportAllocs()
-	var f1 float64
-	for i := 0; i < b.N; i++ {
-		_, res := experiments.CacheBenefit(400, 1)
-		f1 = res.F1
-	}
-	b.ReportMetric(f1*100, "F1-%")
-}
-
-// BenchmarkFigure5_ErrorDistribution regenerates the prediction-error
-// histogram.
-func BenchmarkFigure5_ErrorDistribution(b *testing.B) {
-	b.ReportAllocs()
-	var within3, waste float64
-	for i := 0; i < b.N; i++ {
-		_, res := experiments.Figure5(450, 1)
-		within3, waste = res.WithinThree, res.AvgOverWasteMB
-	}
-	b.ReportMetric(within3*100, "over-within-3-intervals-%")
-	b.ReportMetric(waste, "mean-over-waste-MB")
-}
-
-// BenchmarkFigure6_PredictionSpeed measures classifier latency (host
-// time — this figure is a real algorithm measurement).
-func BenchmarkFigure6_PredictionSpeed(b *testing.B) {
-	b.ReportAllocs()
-	var j48, forest time.Duration
-	for i := 0; i < b.N; i++ {
-		_, res := experiments.Figure6(450, 1)
-		j48 = res["J48/16MB"].Median
-		forest = res["RandomForest/16MB"].Median
-	}
-	b.ReportMetric(float64(j48.Nanoseconds())/1e3, "J48-median-µs")
-	b.ReportMetric(float64(forest.Nanoseconds())/1e3, "forest-median-µs")
-}
-
-// BenchmarkMaturation regenerates the §7.1.3 maturation-quickness
-// distribution.
-func BenchmarkMaturation(b *testing.B) {
-	b.ReportAllocs()
-	var median, p95 int
-	for i := 0; i < b.N; i++ {
-		_, res := experiments.Maturation(1)
-		median, p95 = res.Median, res.P95
-	}
-	b.ReportMetric(float64(median), "median-invocations")
-	b.ReportMetric(float64(p95), "p95-invocations")
-}
-
-// BenchmarkFigure7_CacheBenefits regenerates the full Figure 7 sweep
-// (6 single-stage functions + 4 pipelines × input sizes × 5 systems).
-func BenchmarkFigure7_CacheBenefits(b *testing.B) {
-	b.ReportAllocs()
-	var bestSingle, bestPipe float64
-	for i := 0; i < b.N; i++ {
-		_, rows := experiments.Figure7(false, 1)
-		base := map[string]time.Duration{}
-		for _, r := range rows {
-			if r.Scenario == experiments.ScenSwift {
-				base[r.Workload+string(rune(r.Size))] = r.Total()
-			}
-		}
-		for _, r := range rows {
-			if r.Scenario != experiments.ScenLH {
-				continue
-			}
-			imp := 1 - float64(r.Total())/float64(base[r.Workload+string(rune(r.Size))])
-			single := false
-			for _, n := range []string{"wand_blur", "wand_resize", "wand_sepia", "wand_rotate", "wand_denoise", "wand_edge"} {
-				if r.Workload == n {
-					single = true
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry(nil, nil) {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var r experiments.Report
+				e.Run(&r, 1, true)
+				if r.Len() == 0 {
+					b.Fatal("empty report")
 				}
 			}
-			if single && imp > bestSingle {
-				bestSingle = imp
-			}
-			if !single && imp > bestPipe {
-				bestPipe = imp
-			}
-		}
-	}
-	b.ReportMetric(bestSingle*100, "best-single-stage-improvement-%")
-	b.ReportMetric(bestPipe*100, "best-pipeline-improvement-%")
-}
-
-// BenchmarkFigure8_ScalingImpact regenerates the cache down-scaling
-// impact scenarios.
-func BenchmarkFigure8_ScalingImpact(b *testing.B) {
-	b.ReportAllocs()
-	var sc1 time.Duration
-	for i := 0; i < b.N; i++ {
-		_, rows := experiments.Figure8(1)
-		for _, r := range rows {
-			if r.Scenario == "Sc1" {
-				sc1 = r.ScalingTime
-			}
-		}
-	}
-	b.ReportMetric(float64(sc1.Microseconds()), "Sc1-scaling-µs")
-}
-
-// BenchmarkMigrationSeries regenerates the §7.2.1 migration-time
-// series.
-func BenchmarkMigrationSeries(b *testing.B) {
-	b.ReportAllocs()
-	var gb time.Duration
-	for i := 0; i < b.N; i++ {
-		_, series := experiments.MigrationSeries(1)
-		gb = series[1<<30]
-	}
-	b.ReportMetric(float64(gb.Milliseconds()), "1GB-promotion-ms")
-}
-
-// BenchmarkFigure9_Macro regenerates the 8-tenant macro experiment
-// across the three tenant profiles (OWK-Swift vs OFC, 30 minutes).
-func BenchmarkFigure9_Macro(b *testing.B) {
-	b.ReportAllocs()
-	var avgImp float64
-	for i := 0; i < b.N; i++ {
-		_, runs := experiments.Figure9(30*time.Minute, 1)
-		var sum float64
-		n := 0
-		for _, pair := range runs {
-			for ti, sr := range pair[0].Reports {
-				or := pair[1].Reports[ti]
-				if sr.TotalExec > 0 {
-					sum += 1 - float64(or.TotalExec)/float64(sr.TotalExec)
-					n++
-				}
-			}
-		}
-		if n > 0 {
-			avgImp = sum / float64(n)
-		}
-	}
-	b.ReportMetric(avgImp*100, "avg-improvement-%")
-}
-
-// BenchmarkFigure10_CacheSize regenerates the cache-size-over-time
-// series of the macro runs.
-func BenchmarkFigure10_CacheSize(b *testing.B) {
-	b.ReportAllocs()
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultMacroConfig()
-		res := experiments.RunMacro(cfg)
-		for _, p := range res.CacheSeries {
-			if g := float64(p.Grant) / float64(1<<30); g > peak {
-				peak = g
-			}
-		}
-	}
-	b.ReportMetric(peak, "peak-cache-GB")
-}
-
-// BenchmarkTable2_InternalMetrics regenerates the OFC internal-metrics
-// table from a macro run.
-func BenchmarkTable2_InternalMetrics(b *testing.B) {
-	b.ReportAllocs()
-	var hit float64
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultMacroConfig()
-		res := experiments.RunMacro(cfg)
-		hit = res.HitRatio
-	}
-	b.ReportMetric(hit*100, "hit-ratio-%")
-}
-
-// BenchmarkMacro24Tenants regenerates the 24-tenant contention run.
-func BenchmarkMacro24Tenants(b *testing.B) {
-	b.ReportAllocs()
-	var hit float64
-	var failures int64
-	for i := 0; i < b.N; i++ {
-		_, _, ofcRes := experiments.Macro24(30*time.Minute, 1)
-		hit = ofcRes.HitRatio
-		failures = ofcRes.Platform.Failures
-	}
-	b.ReportMetric(hit*100, "hit-ratio-%")
-	b.ReportMetric(float64(failures), "failed-invocations")
-}
-
-// Ablation benches for the DESIGN.md design choices.
-
-// BenchmarkAblationWriteback compares shadow write-back against
-// synchronous RSDS writes.
-func BenchmarkAblationWriteback(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.AblationWriteback(1); len(tab.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// BenchmarkAblationMigration compares promotion against full transfer.
-func BenchmarkAblationMigration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.AblationMigration(1); len(tab.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// BenchmarkAblationRouting compares locality routing against hashing.
-func BenchmarkAblationRouting(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.AblationRouting(1); len(tab.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// BenchmarkAblationIntervalBump compares the conservative bump against
-// raw predictions.
-func BenchmarkAblationIntervalBump(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.AblationIntervalBump(1); len(tab.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// BenchmarkExtensionResilience exercises worker fail-stop recovery.
-func BenchmarkExtensionResilience(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, healthy := experiments.Resilience(1); !healthy {
-			b.Fatal("recovery run unhealthy")
-		}
-	}
-}
-
-// BenchmarkExtensionChunking measures the large-object striping
-// extension against the synchronous baseline.
-func BenchmarkExtensionChunking(b *testing.B) {
-	b.ReportAllocs()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		_, out := experiments.ChunkingExtension(1)
-		saving = 1 - float64(out[true])/float64(out[false])
-	}
-	b.ReportMetric(saving*100, "load-phase-saving-%")
-}
-
-// BenchmarkAblationKeepAlive sweeps the sandbox keep-alive window.
-func BenchmarkAblationKeepAlive(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.AblationKeepAlive(1); len(tab.Rows) != 3 {
-			b.Fatal("incomplete")
-		}
-	}
-}
-
-// BenchmarkAblationConsistency compares strong vs relaxed write paths.
-func BenchmarkAblationConsistency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.AblationConsistency(1); len(tab.Rows) != 2 {
-			b.Fatal("incomplete")
-		}
+		})
 	}
 }

@@ -234,7 +234,7 @@ func microBenchmarks() []BenchEntry {
 
 	add("GetHit", nil, func(b *testing.B) {
 		b.ReportAllocs()
-		sys := benchSystem(1)
+		sys := benchSystem(false)
 		w := sys.WorkerNodes[0]
 		sys.Env.Go(func() {
 			sys.KV.SetMemoryLimit(w, 1<<30)
@@ -255,8 +255,7 @@ func microBenchmarks() []BenchEntry {
 
 	add("GetMissCoalesced", nil, func(b *testing.B) {
 		b.ReportAllocs()
-		sys := benchSystem(1)
-		sys.RC.EnableMissCoalescing()
+		sys := benchSystem(true)
 		w := sys.WorkerNodes[0]
 		const fan = 4
 		sys.Env.Go(func() {
@@ -286,9 +285,10 @@ func microBenchmarks() []BenchEntry {
 
 // benchSystem builds a small quiet system for proxy-path benchmarks:
 // no cache agents, grants driven manually.
-func benchSystem(seed int64) *core.System {
+func benchSystem(coalesceMisses bool) *core.System {
 	opts := core.DefaultOptions()
-	opts.Seed = seed
+	opts.Seed = 1
+	opts.CoalesceMisses = coalesceMisses
 	opts.Workers = 3
 	opts.NodeCapacity = 4 << 30
 	opts.DisableCacheAgents = true

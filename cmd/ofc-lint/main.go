@@ -10,13 +10,11 @@
 //	ofc-lint -run wallclock ./internal/...
 //	ofc-lint -list
 //	ofc-lint -suppressed ./...        # also show //lint:allow'ed findings
-//	ofc-lint -fix ./...               # apply suggested fixes, re-check
-//	ofc-lint -json ./...              # machine-readable findings for CI
 //
 // Exit status: 0 when clean, 1 on unsuppressed findings, 2 on load or
 // usage errors. Findings are suppressed with a trailing or preceding
 // `//lint:allow <analyzer> <reason>` comment; the reason is mandatory
-// and stale directives are themselves flagged (and deleted by -fix).
+// and stale directives are themselves flagged.
 package main
 
 import (
@@ -33,8 +31,6 @@ func main() {
 		run        = flag.String("run", "", "comma-separated analyzer names (default: all)")
 		list       = flag.Bool("list", false, "list analyzers and exit")
 		suppressed = flag.Bool("suppressed", false, "also print suppressed findings")
-		fix        = flag.Bool("fix", false, "apply suggested fixes, then re-run and report what remains")
-		jsonOut    = flag.Bool("json", false, "print findings as a JSON array (CI annotation format)")
 	)
 	flag.Parse()
 
@@ -60,37 +56,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	findings, err := runOnce(cwd, patterns, analyzers)
+	pkgs, err := lint.NewLoader().LoadPatterns(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	if *fix {
-		res, err := lint.ApplyFixes(findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if res.Applied > 0 {
-			for _, f := range res.Files {
-				if rel, err := filepath.Rel(cwd, f); err == nil && !filepath.IsAbs(rel) {
-					f = rel
-				}
-				fmt.Fprintf(os.Stderr, "ofc-lint: fixed %s\n", f)
-			}
-			fmt.Fprintf(os.Stderr, "ofc-lint: applied %d fix(es) in %d file(s)\n", res.Applied, len(res.Files))
-			// The files changed under the analyzers: re-run for the
-			// post-fix truth (and to prove the fixes were idempotent).
-			findings, err = runOnce(cwd, patterns, analyzers)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		}
-		if res.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "ofc-lint: %d fix(es) skipped due to overlap; run -fix again\n", res.Skipped)
-		}
+	findings, err := lint.Run(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	shown := findings[:0]
@@ -106,36 +80,16 @@ func main() {
 
 	bad := 0
 	for _, f := range shown {
-		if !f.Suppressed {
+		tag := ""
+		if f.Suppressed {
+			tag = " (suppressed)"
+		} else {
 			bad++
 		}
-	}
-	if *jsonOut {
-		if err := lint.EncodeJSON(os.Stdout, shown); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range shown {
-			tag := ""
-			if f.Suppressed {
-				tag = " (suppressed)"
-			}
-			fmt.Printf("%s%s\n", f, tag)
-		}
+		fmt.Printf("%s%s\n", f, tag)
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "ofc-lint: %d finding(s)\n", bad)
 		os.Exit(1)
 	}
-}
-
-// runOnce loads the pattern set fresh and runs the analyzers. -fix
-// calls it twice: edits invalidate the first load's positions.
-func runOnce(cwd string, patterns []string, analyzers []*lint.Analyzer) ([]lint.Finding, error) {
-	pkgs, err := lint.NewLoader().LoadPatterns(cwd, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return lint.Run(pkgs, analyzers)
 }

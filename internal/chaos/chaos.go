@@ -160,11 +160,6 @@ func (s *Schedule) ResetLinkAt(t time.Duration, a, b simnet.NodeID) *Schedule {
 	return s.Add(Event{At: t, Kind: ResetLink, Node: a, Peer: b})
 }
 
-// PacketLossAt sets loss probability p on the a<->b link at t.
-func (s *Schedule) PacketLossAt(t time.Duration, a, b simnet.NodeID, p float64) *Schedule {
-	return s.Add(Event{At: t, Kind: PacketLoss, Node: a, Peer: b, LossProb: p})
-}
-
 // DiskSlowAt multiplies node's disk service time by factor at t;
 // factor 1 restores full speed.
 func (s *Schedule) DiskSlowAt(t time.Duration, node simnet.NodeID, factor float64) *Schedule {

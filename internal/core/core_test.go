@@ -492,25 +492,40 @@ func TestRouterPrefersDataLocality(t *testing.T) {
 	}
 }
 
+// churnSystem is a one-worker deployment (so every sandbox lands on
+// invoker 0) with a function whose cold start reserves mem and whose
+// idle sandbox gives it back after keepAlive.
+func churnSystem(seed int64, mem int64, keepAlive time.Duration) (*System, *faas.Function) {
+	opts := DefaultOptions()
+	opts.Seed = seed
+	opts.Workers = 1
+	opts.NodeCapacity = 4 << 30
+	opts.FaaS.KeepAlive = keepAlive
+	sys := NewSystem(opts)
+	fn := &faas.Function{Name: "churn", Tenant: "t", MemoryBooked: mem, InputType: "none",
+		Body: func(ctx *faas.Ctx) error { return nil }}
+	sys.Register(fn)
+	return sys, fn
+}
+
 func TestSlackAdjustsToChurn(t *testing.T) {
-	sys := newSystem(1)
+	const keepAlive = time.Minute
+	sys, fn := churnSystem(1, 700<<20, keepAlive)
 	cfg := DefaultCacheAgentConfig()
 	inv := sys.Platform.Invokers()[0]
 	agent := NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, cfg)
-	sys.Env.Go(func() {
+	sys.Run(func() {
 		if agent.Slack() != cfg.InitialSlack {
 			t.Errorf("initial slack=%d", agent.Slack())
 		}
-		// Simulate churn: reserve/release 700MB between samples.
+		// Churn: a 700MB sandbox comes and goes between samples.
 		inv.SetCacheGrant(0)
 		for i := 0; i < 4; i++ {
-			r, err := inv.Reserve(700 << 20)
-			if err != nil {
-				t.Fatalf("reserve: %v", err)
+			if res := sys.Platform.Invoke(&faas.Request{Function: fn}); res.Err != nil {
+				t.Fatalf("invoke: %v", res.Err)
 			}
-			_ = r
 			agent.sampleChurn()
-			inv.ReleaseMem(700 << 20)
+			sys.Env.Sleep(keepAlive + time.Second)
 			agent.sampleChurn()
 		}
 		agent.adjustSlack()
@@ -518,7 +533,6 @@ func TestSlackAdjustsToChurn(t *testing.T) {
 			t.Errorf("slack=%dMB, want 700MB (max churn)", s>>20)
 		}
 	})
-	sys.Env.Run()
 }
 
 func TestRelaxedConsistencySkipsShadow(t *testing.T) {
@@ -770,25 +784,19 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 	if !want.Use {
 		t.Fatal("model not mature")
 	}
-	sys.Run(func() {
-		if err := sys.PersistModels(fn); err != nil {
-			t.Fatal(err)
-		}
-		// A fresh controller (new Predictor) restores the models and
-		// gives identical advice.
-		fresh := NewPredictor(DefaultPredictorConfig())
-		blob, _, err := sys.RSDS.Get(sys.CtrlNode, "ofc-models/"+fn.ID(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.ImportModel(fn, blob.Data); err != nil {
-			t.Fatal(err)
-		}
-		got := fresh.Advise(req)
-		if got != want {
-			t.Errorf("advice after restore %+v, want %+v", got, want)
-		}
-	})
+	data, err := sys.Pred.ExportModel(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh controller (new Predictor) imports the models and gives
+	// identical advice.
+	fresh := NewPredictor(DefaultPredictorConfig())
+	if err := fresh.ImportModel(fn, data); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Advise(req); got != want {
+		t.Errorf("advice after import %+v, want %+v", got, want)
+	}
 }
 
 func TestModelImportRejectsWrongFunction(t *testing.T) {
@@ -1029,18 +1037,15 @@ func TestSlackAdaptsThroughPeriodicLoops(t *testing.T) {
 	// Drive sandbox churn for several minutes with the agent's own
 	// periodic loops running; the slack pool must grow beyond its
 	// 100 MB initial value to cover the observed churn.
-	sys := newSystem(21)
+	sys, fn := churnSystem(21, 600<<20, 45*time.Second)
 	agent := sys.Agents()[0]
-	inv := sys.Platform.Invokers()[0]
 	sys.Start()
 	sys.Env.Go(func() {
 		for i := 0; i < 10; i++ {
-			if _, err := inv.Reserve(600 << 20); err != nil {
-				t.Fatalf("reserve: %v", err)
+			if res := sys.Platform.Invoke(&faas.Request{Function: fn}); res.Err != nil {
+				t.Fatalf("invoke: %v", res.Err)
 			}
-			sys.Env.Sleep(45 * time.Second)
-			inv.ReleaseMem(600 << 20)
-			sys.Env.Sleep(45 * time.Second)
+			sys.Env.Sleep(90 * time.Second) // the sandbox expires halfway through
 		}
 		if s := agent.Slack(); s <= 100<<20 {
 			t.Errorf("slack=%dMB never adapted to 600MB churn", s>>20)

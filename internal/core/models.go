@@ -10,8 +10,7 @@ import (
 
 // The paper stores every function's trained models in OWK's CouchDB so
 // that fetching a function's metadata also yields its Predictor models
-// (§5.1). This file provides the wire format and the System-level
-// persistence into the RSDS (our control-plane store stand-in).
+// (§5.1). This file provides the wire format.
 
 // ModelBundle is the serialized per-function learning state.
 type ModelBundle struct {
@@ -22,30 +21,21 @@ type ModelBundle struct {
 	Benefit    json.RawMessage `json:"benefit,omitempty"`
 }
 
-// ExportModel serializes fn's trained models. Only J48 trees are
-// exportable (the deployed configuration).
+// ExportModel serializes fn's trained models.
 func (p *Predictor) ExportModel(fn *faas.Function) ([]byte, error) {
 	st := p.state(fn)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	b := ModelBundle{FunctionID: fn.ID(), Mature: st.mature, MaturedAt: st.maturedAt}
 	if st.memModel != nil {
-		tree, ok := st.memModel.(*mltree.Tree)
-		if !ok {
-			return nil, fmt.Errorf("core: memory model of %s is not a serializable tree", fn.ID())
-		}
-		data, err := mltree.MarshalTree(tree)
+		data, err := mltree.MarshalTree(st.memModel)
 		if err != nil {
 			return nil, err
 		}
 		b.Memory = data
 	}
 	if st.benefitModel != nil {
-		tree, ok := st.benefitModel.(*mltree.Tree)
-		if !ok {
-			return nil, fmt.Errorf("core: benefit model of %s is not a serializable tree", fn.ID())
-		}
-		data, err := mltree.MarshalTree(tree)
+		data, err := mltree.MarshalTree(st.benefitModel)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +44,8 @@ func (p *Predictor) ExportModel(fn *faas.Function) ([]byte, error) {
 	return json.Marshal(b)
 }
 
-// ImportModel restores fn's models from ExportModel output.
+// ImportModel restores fn's models from ExportModel output and
+// compiles them, so an imported model serves like a fitted one.
 func (p *Predictor) ImportModel(fn *faas.Function, data []byte) error {
 	var b ModelBundle
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -71,40 +62,16 @@ func (p *Predictor) ImportModel(fn *faas.Function, data []byte) error {
 		if err != nil {
 			return err
 		}
-		st.memModel, st.memFitRows = tree, -1
+		st.memModel, st.memCompiled, st.memFitRows = tree, tree.Compile(), -1
 	}
 	if len(b.Benefit) > 0 {
 		tree, err := mltree.UnmarshalTree(b.Benefit)
 		if err != nil {
 			return err
 		}
-		st.benefitModel, st.benefitFitRows = tree, -1
+		st.benefitModel, st.benefitCompiled, st.benefitFitRows = tree, tree.Compile(), -1
 	}
 	st.mature = b.Mature
 	st.maturedAt = b.MaturedAt
 	return nil
-}
-
-// modelKey is the RSDS key a function's models live under.
-func modelKey(fn *faas.Function) string { return "ofc-models/" + fn.ID() }
-
-// PersistModels writes fn's models next to the function metadata (the
-// CouchDB role). Must run inside the simulation.
-func (s *System) PersistModels(fn *faas.Function) error {
-	data, err := s.Pred.ExportModel(fn)
-	if err != nil {
-		return err
-	}
-	s.RSDS.Put(s.CtrlNode, modelKey(fn), faas.Blob{Size: int64(len(data)), Data: data}, nil, false)
-	return nil
-}
-
-// RestoreModels loads fn's models from the store, e.g. after a
-// controller restart. Must run inside the simulation.
-func (s *System) RestoreModels(fn *faas.Function) error {
-	blob, _, err := s.RSDS.Get(s.CtrlNode, modelKey(fn), false)
-	if err != nil {
-		return fmt.Errorf("core: no stored models for %s: %w", fn.ID(), err)
-	}
-	return s.Pred.ImportModel(fn, blob.Data)
 }

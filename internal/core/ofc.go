@@ -38,7 +38,7 @@ type Options struct {
 	// servers, no agents, no locality routing.
 	CacheOff bool
 	// CoalesceMisses turns on the proxy's singleflight miss path (see
-	// RCLib.EnableMissCoalescing). Off by default: the faithful-paper
+	// RCLib.getCoalesced). Off by default: the faithful-paper
 	// configuration lets every miss pay its own RSDS round trip.
 	CoalesceMisses bool
 }
@@ -130,9 +130,7 @@ func NewSystem(opts Options) *System {
 	sys.Pred = NewPredictor(opts.Predictor)
 	sys.Trainer = NewModelTrainer(sys.Pred, env)
 	sys.RC = NewRCLib(env, backend, rsds)
-	if opts.CoalesceMisses {
-		sys.RC.EnableMissCoalescing()
-	}
+	sys.RC.coalesce = opts.CoalesceMisses
 	sys.Gov = NewGovernor()
 
 	mv, hasMem := store.MemoryViewOf(backend)

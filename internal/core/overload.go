@@ -17,16 +17,6 @@ type OverloadConfig struct {
 	Controller overload.ControllerConfig
 }
 
-// DefaultOverloadConfig returns constants sized for the default
-// testbed deployment.
-func DefaultOverloadConfig() OverloadConfig {
-	return OverloadConfig{
-		Admission:  overload.DefaultAdmissionConfig(),
-		Budget:     overload.DefaultBudgetConfig(),
-		Controller: overload.DefaultControllerConfig(),
-	}
-}
-
 // OverloadControl is the wired overload subsystem of one System: the
 // gate in front of the platform, the budget under every retry path,
 // the controller reading the health signals, and the timeline of

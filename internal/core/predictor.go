@@ -53,8 +53,8 @@ type modelState struct {
 	// length still matches has seen every row and a refit would
 	// reproduce it. -1 marks an imported model, fitted from no local
 	// data.
-	memModel       mltree.Classifier
-	benefitModel   mltree.Classifier
+	memModel       *mltree.Tree
+	benefitModel   *mltree.Tree
 	memFitRows     int
 	benefitFitRows int
 	// Serving state: the compiled (flat, zero-allocation) forms of the
@@ -98,12 +98,6 @@ type PredictorConfig struct {
 	UnderWeight float64
 	// Seed feeds the CV shuffles.
 	Seed int64
-	// DisableMemo turns off advice memoization (the compiled models
-	// still serve). Memoization is semantically transparent — cached
-	// advice is evicted whenever a retrain changes the models — so this
-	// exists for A/B testing and for callers that mutate feature
-	// distributions faster than the memo pays off.
-	DisableMemo bool
 }
 
 // DefaultPredictorConfig returns the paper's parameters.
@@ -223,43 +217,31 @@ func (p *Predictor) advise(req *faas.Request, sp *trace.Span) faas.Advice {
 	vals := st.schema.VectorInto(req, st.vecBuf)
 	st.vecBuf = vals
 
-	memo := !p.cfg.DisableMemo
-	if memo {
-		st.keyBuf = appendVecKey(st.keyBuf[:0], vals)
-		if adv, ok := st.advCache[string(st.keyBuf)]; ok {
-			p.memo.Hit()
-			sp.SetNum("memo", 1)
-			return adv
-		}
-		p.memo.Miss()
-		sp.SetNum("memo", 0)
+	st.keyBuf = appendVecKey(st.keyBuf[:0], vals)
+	if adv, ok := st.advCache[string(st.keyBuf)]; ok {
+		p.memo.Hit()
+		sp.SetNum("memo", 1)
+		return adv
 	}
+	p.memo.Miss()
+	sp.SetNum("memo", 0)
 
 	adv := st.adviseLocked(p.cfg.Intervals, vals)
-	if memo {
-		if st.advCache == nil || len(st.advCache) >= advCacheMax {
-			st.advCache = make(map[string]faas.Advice)
-		}
-		st.advCache[string(st.keyBuf)] = adv
+	if st.advCache == nil || len(st.advCache) >= advCacheMax {
+		st.advCache = make(map[string]faas.Advice)
 	}
+	st.advCache[string(st.keyBuf)] = adv
 	return adv
 }
 
-// adviseLocked computes advice from the compiled models (falling back
-// to the pointer walk only if compilation is unavailable). Callers
-// hold st.mu.
+// adviseLocked computes advice from the compiled models; a memory
+// model always has its compiled form beside it. Callers hold st.mu.
 func (st *modelState) adviseLocked(iv Intervals, vals []float64) faas.Advice {
-	var k int
-	if st.memCompiled != nil {
-		k = st.memCompiled.Classify(vals)
-	} else {
-		k = st.memModel.Classify(vals)
-	}
+	k := st.memCompiled.Classify(vals)
 	mem := iv.UpperBound(k + 1) // conservative next interval
 	should := true
 	benefit := 1.0
-	switch {
-	case st.benefitCompiled != nil:
+	if st.benefitCompiled != nil {
 		should = st.benefitCompiled.Classify(vals) == 1
 		// The benefit score is the model's probability mass on the
 		// "yes" class — the cost term cost-aware eviction policies
@@ -269,11 +251,6 @@ func (st *modelState) adviseLocked(iv Intervals, vals []float64) faas.Advice {
 				st.distBuf = make([]float64, st.benefitCompiled.NumClasses())
 			}
 			benefit = st.benefitCompiled.DistributionInto(vals, st.distBuf)[1]
-		}
-	case st.benefitModel != nil:
-		should = st.benefitModel.Classify(vals) == 1
-		if dist := st.benefitModel.Distribution(vals); len(dist) > 1 {
-			benefit = dist[1]
 		}
 	}
 	return faas.Advice{Mem: mem, ShouldCache: should, Benefit: benefit, Use: true}
@@ -315,18 +292,6 @@ func (p *Predictor) MaturedAt(fn *faas.Function) int {
 // offline datasets).
 func (p *Predictor) Schema(fn *faas.Function) *FeatureSchema {
 	return p.state(fn).schema
-}
-
-// PredictRaw classifies without the conservative bump (experiments and
-// tests).
-func (p *Predictor) PredictRaw(fn *faas.Function, vals []float64) (class int, ok bool) {
-	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.memModel == nil {
-		return 0, false
-	}
-	return st.memModel.Classify(vals), true
 }
 
 // ModelTrainer ingests completed invocations, maintains the training
@@ -415,8 +380,8 @@ func (t *ModelTrainer) trainLocked(st *modelState) {
 	changed := false
 	if n := st.memData.Len(); n >= 10 {
 		if n != st.memFitRows {
-			st.memModel = st.memLearner.Fit(st.memData)
-			st.memCompiled = compileTree(st.memModel)
+			st.memModel = st.memLearner.Fit(st.memData).(*mltree.Tree)
+			st.memCompiled = st.memModel.Compile()
 			st.memFitRows = n
 		}
 		st.sinceTrain = 0
@@ -424,8 +389,8 @@ func (t *ModelTrainer) trainLocked(st *modelState) {
 	}
 	if n := st.benefitData.Len(); n >= 10 {
 		if n != st.benefitFitRows {
-			st.benefitModel = st.benefitLearner.Fit(st.benefitData)
-			st.benefitCompiled = compileTree(st.benefitModel)
+			st.benefitModel = st.benefitLearner.Fit(st.benefitData).(*mltree.Tree)
+			st.benefitCompiled = st.benefitModel.Compile()
 			st.benefitFitRows = n
 		}
 		st.benefitSince = 0
@@ -448,16 +413,6 @@ func (t *ModelTrainer) trainLocked(st *modelState) {
 			tr.End(&sp)
 		}
 	}
-}
-
-// compileTree flattens a trained classifier into its serving form when
-// it supports compilation (J48 and RandomTree do; anything else serves
-// through the Classifier interface).
-func compileTree(m mltree.Classifier) *mltree.CompiledTree {
-	if tr, ok := m.(*mltree.Tree); ok {
-		return tr.Compile()
-	}
-	return nil
 }
 
 // matureCheckLocked evaluates the §5.3 criteria by cross-validation

@@ -7,13 +7,11 @@ import (
 	"ofc/internal/sim"
 )
 
-// memoFixture builds a matured predictor/trainer pair for fn with the
-// given memo setting, pretrained on n synthetic samples.
-func memoFixture(t testing.TB, disable bool, n int, seed int64) (*Predictor, *ModelTrainer, *faas.Function) {
+// memoFixture builds a matured predictor/trainer pair for fn,
+// pretrained on n synthetic samples.
+func memoFixture(t testing.TB, n int, seed int64) (*Predictor, *ModelTrainer, *faas.Function) {
 	t.Helper()
-	cfg := DefaultPredictorConfig()
-	cfg.DisableMemo = disable
-	pred := NewPredictor(cfg)
+	pred := NewPredictor(DefaultPredictorConfig())
 	trainer := NewModelTrainer(pred, sim.NewEnv(1))
 	fn := &faas.Function{Name: "blur", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), n, seed))
@@ -21,6 +19,15 @@ func memoFixture(t testing.TB, disable bool, n int, seed int64) (*Predictor, *Mo
 		t.Fatal("pretrained model not mature")
 	}
 	return pred, trainer, fn
+}
+
+// recompute is Advise without the memo: what adviseLocked derives from
+// the compiled models for req, cached nowhere.
+func recompute(p *Predictor, req *faas.Request) faas.Advice {
+	st := p.state(req.Function)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.adviseLocked(p.cfg.Intervals, st.schema.VectorInto(req, nil))
 }
 
 func memoReq(fn *faas.Function, width float64) *faas.Request {
@@ -32,7 +39,7 @@ func memoReq(fn *faas.Function, width float64) *faas.Request {
 // repeated request hits, a retrain bumps the generation and evicts
 // every cached entry, and the next request misses again.
 func TestAdviceMemoHitAndInvalidation(t *testing.T) {
-	pred, trainer, fn := memoFixture(t, false, 300, 7)
+	pred, trainer, fn := memoFixture(t, 300, 7)
 	req := memoReq(fn, 800)
 
 	first := pred.Advise(req)
@@ -65,30 +72,30 @@ func TestAdviceMemoHitAndInvalidation(t *testing.T) {
 	if _, misses, _ := pred.MemoStats(); misses != 2 {
 		t.Fatal("post-retrain advise did not miss; stale entry survived the flush")
 	}
-	// The recomputed advice must match a memo-free predictor trained
-	// identically — the memo never changes results, only cost.
-	predOff, trainerOff, fnOff := memoFixture(t, true, 300, 7)
-	trainerOff.Pretrain(fnOff, synthSamples(predOff.Schema(fnOff), 100, 99))
-	if want := predOff.Advise(memoReq(fnOff, 800)); third != want {
+	// The recomputed advice must match a predictor trained identically
+	// that never memoized anything before the retrain — the memo never
+	// changes results, only cost.
+	fresh, freshTrainer, freshFn := memoFixture(t, 300, 7)
+	freshTrainer.Pretrain(freshFn, synthSamples(fresh.Schema(freshFn), 100, 99))
+	if want := recompute(fresh, memoReq(freshFn, 800)); third != want {
 		t.Fatalf("memoized advice %+v != memo-free advice %+v", third, want)
 	}
 }
 
-// TestMemoTransparent replays a varied request stream against memo-on
-// and memo-off predictors trained identically: every advice must be
-// identical, bit for bit.
+// TestMemoTransparent replays a varied request stream through the
+// memoized Advise and through adviseLocked directly: every advice must
+// be identical, bit for bit.
 func TestMemoTransparent(t *testing.T) {
-	predOn, _, fnOn := memoFixture(t, false, 300, 11)
-	predOff, _, fnOff := memoFixture(t, true, 300, 11)
+	pred, _, fn := memoFixture(t, 300, 11)
 	widths := []float64{200, 800, 1600, 800, 200, 3200, 800, 1600, 200, 800}
 	for i, w := range widths {
-		on := predOn.Advise(memoReq(fnOn, w))
-		off := predOff.Advise(memoReq(fnOff, w))
+		on := pred.Advise(memoReq(fn, w))
+		off := recompute(pred, memoReq(fn, w))
 		if on != off {
-			t.Fatalf("request %d (width=%v): memo-on %+v != memo-off %+v", i, w, on, off)
+			t.Fatalf("request %d (width=%v): memoized %+v != recomputed %+v", i, w, on, off)
 		}
 	}
-	if hits, _, _ := predOn.MemoStats(); hits == 0 {
+	if hits, _, _ := pred.MemoStats(); hits == 0 {
 		t.Fatal("repeated widths produced no memo hits; the cache is dead")
 	}
 }
@@ -97,7 +104,7 @@ func TestMemoTransparent(t *testing.T) {
 // critical-path advice lookup: once a vector is memoized, repeating it
 // must not allocate.
 func TestAdviseHotZeroAlloc(t *testing.T) {
-	pred, _, fn := memoFixture(t, false, 300, 7)
+	pred, _, fn := memoFixture(t, 300, 7)
 	req := memoReq(fn, 800)
 	pred.Advise(req) // populate the memo
 	if n := testing.AllocsPerRun(200, func() { pred.Advise(req) }); n != 0 {
@@ -109,7 +116,7 @@ func TestAdviseHotZeroAlloc(t *testing.T) {
 // on a memoized vector (the steady state: OFC's workloads repeat
 // feature vectors heavily).
 func BenchmarkAdvise(b *testing.B) {
-	pred, _, fn := memoFixture(b, false, 2000, 7)
+	pred, _, fn := memoFixture(b, 2000, 7)
 	req := memoReq(fn, 800)
 	pred.Advise(req)
 	b.ReportAllocs()
@@ -119,16 +126,15 @@ func BenchmarkAdvise(b *testing.B) {
 	}
 }
 
-// BenchmarkAdviseNoMemo measures the same lookup with memoization off:
-// compiled inference (memory class + benefit verdict + benefit score)
-// on every call.
+// BenchmarkAdviseNoMemo measures what a memo miss computes: compiled
+// inference (memory class + benefit verdict + benefit score) on every
+// call.
 func BenchmarkAdviseNoMemo(b *testing.B) {
-	pred, _, fn := memoFixture(b, true, 2000, 7)
+	pred, _, fn := memoFixture(b, 2000, 7)
 	req := memoReq(fn, 800)
-	pred.Advise(req)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pred.Advise(req)
+		recompute(pred, req)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,11 +57,11 @@ type RCLib struct {
 	pipelines map[string][]string
 
 	// pending maps keys to futures resolved when their latest payload
-	// has been persisted (external-read webhook barrier). Hash-sharded
-	// (the kvstore coordinator pattern): the write-back protocol probes
-	// it on every miss and every persist, and a single map lock would
-	// serialize the whole data plane.
-	pending [rclibShards]pendingShard
+	// has been persisted (external-read webhook barrier). Its own lock,
+	// not mu: the write-back protocol probes it on every miss and every
+	// persist.
+	pendingMu sync.Mutex
+	pending   map[string]*sim.Future[struct{}]
 
 	// gate, when set, is the memory control plane's write-admission
 	// veto: missed inputs are only admitted into the cache when the
@@ -88,17 +87,18 @@ type RCLib struct {
 	// bodies on nil, keeping the warm-hit path's allocation profile.
 	tracer *trace.Tracer
 
-	// coalesce enables miss coalescing (EnableMissCoalescing): N
+	// coalesce enables miss coalescing (Options.CoalesceMisses): N
 	// concurrent misses of one key on one node issue a single RSDS
 	// fetch and at most one admission. Off by default — coalescing
 	// changes simulated fetch timing, and the faithful-paper
 	// configuration (like chunking) is the uncoalesced one.
 	coalesce bool
-	flights  [rclibShards]flightShard
+	flightMu sync.Mutex
+	flights  map[flightKey]*sim.Future[getResult]
 
-	// res holds the resilience constants (the Resilient middleware has
-	// its own copy; the proxy keeps one for PersistRetryDelay).
-	res store.ResilienceConfig
+	// persistRetryDelay is how long a failed write-back waits before
+	// the next persistor attempt.
+	persistRetryDelay time.Duration
 
 	// Data-plane counters. Single atomics, not a mutex block: every
 	// Get/Put increments a couple of them, and the old statsMu made
@@ -127,19 +127,9 @@ type RCLib struct {
 	brownoutBypasses atomic.Int64
 }
 
-// rclibShards is the hash-partition count of the proxy's pending and
-// in-flight maps (the kvstore coordinator default).
-const rclibShards = 16
-
 // gateHolder wraps the AdmissionGate interface so it can live in an
 // atomic.Pointer.
 type gateHolder struct{ g AdmissionGate }
-
-// pendingShard is one hash partition of the pending write-back map.
-type pendingShard struct {
-	mu sync.Mutex
-	m  map[string]*sim.Future[struct{}]
-}
 
 // getResult is what a coalesced miss hands its followers.
 type getResult struct {
@@ -155,35 +145,19 @@ type flightKey struct {
 	key  string
 }
 
-// flightShard is one hash partition of the in-flight miss map.
-type flightShard struct {
-	mu sync.Mutex
-	m  map[flightKey]*sim.Future[getResult]
-}
-
-// shardIdx hashes key onto a shard index.
-func shardIdx(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % rclibShards)
-}
-
 // NewRCLib builds the proxy over a storage engine and the RSDS. Any
 // store.Backend works: *kvstore.Cluster for the paper configuration,
 // store.NewPassthrough(rsds) for cache-off mode.
 func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib {
+	res := store.DefaultResilienceConfig()
 	rc := &RCLib{
-		env:       env,
-		rsds:      rsds,
-		base:      backend,
-		pipelines: make(map[string][]string),
-		res:       store.DefaultResilienceConfig(),
-	}
-	for i := range rc.pending {
-		rc.pending[i].m = make(map[string]*sim.Future[struct{}])
-	}
-	for i := range rc.flights {
-		rc.flights[i].m = make(map[flightKey]*sim.Future[getResult])
+		env:               env,
+		rsds:              rsds,
+		base:              backend,
+		pipelines:         make(map[string][]string),
+		pending:           make(map[string]*sim.Future[struct{}]),
+		flights:           make(map[flightKey]*sim.Future[getResult]),
+		persistRetryDelay: res.PersistRetryDelay,
 	}
 	rc.durable = store.IsDurable(backend)
 	rc.pv, _ = store.PlacementViewOf(backend)
@@ -191,7 +165,7 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib 
 	// Assemble the middleware stack bottom-up.
 	b := backend
 	if !rc.durable {
-		rc.resil = store.NewResilient(env, b, rc.res)
+		rc.resil = store.NewResilient(env, b, res)
 		b = rc.resil
 	}
 	rc.chunked = store.NewChunked(b, store.DefaultChunkSize)
@@ -228,25 +202,6 @@ func (rc *RCLib) StoreStats() store.OpStats { return rc.inst.Stats() }
 // future work; off by default to keep the faithful-paper
 // configuration).
 func (rc *RCLib) EnableChunking() { rc.chunked.Enable() }
-
-// EnableMissCoalescing turns on singleflight miss fetches: concurrent
-// Gets of one missing key on one node share a single RSDS fetch and at
-// most one cache admission. Like chunking it is off by default — the
-// shared fetch changes simulated timing, so the faithful-paper
-// configuration leaves every miss to pay its own RSDS round trip. Call
-// before traffic starts.
-func (rc *RCLib) EnableMissCoalescing() { rc.coalesce = true }
-
-// SetResilience replaces the proxy's resilience constants. Call before
-// traffic starts; existing breaker state is reset.
-func (rc *RCLib) SetResilience(cfg ResilienceConfig) {
-	rc.mu.Lock()
-	rc.res = cfg
-	rc.mu.Unlock()
-	if rc.resil != nil {
-		rc.resil.SetConfig(cfg)
-	}
-}
 
 // BreakerState exposes one server's breaker for tests and debugging.
 func (rc *RCLib) BreakerState(node simnet.NodeID) (failures int, open bool) {
@@ -290,8 +245,7 @@ func (rc *RCLib) admissionGate() AdmissionGate {
 	return nil
 }
 
-// SetTracer attaches the span recorder. Like EnableMissCoalescing,
-// call before traffic starts.
+// SetTracer attaches the span recorder. Call before traffic starts.
 func (rc *RCLib) SetTracer(tr *trace.Tracer) { rc.tracer = tr }
 
 // SetBrownout switches the proxy's degradation mode (see the brownout
@@ -305,13 +259,6 @@ func (rc *RCLib) inBrownout() bool { return rc.brownout.Load() }
 // degradation controller's store-health signal).
 func (rc *RCLib) StoreLatencyP99() time.Duration {
 	return rc.inst.LatencyQuantile(0.99)
-}
-
-// persistRetryDelay reads the current retry delay under the lock.
-func (rc *RCLib) persistRetryDelay() time.Duration {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.res.PersistRetryDelay
 }
 
 // SetRelaxed marks a key prefix (the paper's bucket/object/account
@@ -385,7 +332,7 @@ func (rc *RCLib) persistOnce(ctx *faas.Ctx, sp *trace.Span) error {
 			// payload survives in backup replicas, so the pending
 			// write-back must NOT be resolved — reschedule the persist
 			// for after the store has had time to recover.
-			rc.env.After(rc.persistRetryDelay(), func() {
+			rc.env.After(rc.persistRetryDelay, func() {
 				rc.schedulePersist(node, key, version)
 			})
 			return nil
@@ -418,29 +365,26 @@ func (rc *RCLib) persistOnce(ctx *faas.Ctx, sp *trace.Span) error {
 
 // pendingFuture reads key's pending write-back future, nil if none.
 func (rc *RCLib) pendingFuture(key string) *sim.Future[struct{}] {
-	sh := &rc.pending[shardIdx(key)]
-	sh.mu.Lock()
-	f := sh.m[key]
-	sh.mu.Unlock()
+	rc.pendingMu.Lock()
+	f := rc.pending[key]
+	rc.pendingMu.Unlock()
 	return f
 }
 
 // ensurePending installs a pending future for key if none exists.
 func (rc *RCLib) ensurePending(key string) {
-	sh := &rc.pending[shardIdx(key)]
-	sh.mu.Lock()
-	if _, ok := sh.m[key]; !ok {
-		sh.m[key] = sim.NewFuture[struct{}](rc.env)
+	rc.pendingMu.Lock()
+	if _, ok := rc.pending[key]; !ok {
+		rc.pending[key] = sim.NewFuture[struct{}](rc.env)
 	}
-	sh.mu.Unlock()
+	rc.pendingMu.Unlock()
 }
 
 func (rc *RCLib) resolvePending(key string) {
-	sh := &rc.pending[shardIdx(key)]
-	sh.mu.Lock()
-	f := sh.m[key]
-	delete(sh.m, key)
-	sh.mu.Unlock()
+	rc.pendingMu.Lock()
+	f := rc.pending[key]
+	delete(rc.pending, key)
+	rc.pendingMu.Unlock()
 	if f != nil && !f.Done() {
 		f.Set(struct{}{})
 	}
@@ -537,25 +481,24 @@ func (rc *RCLib) get(caller simnet.NodeID, key string, opts faas.PutOpts, sp *tr
 // not the hit ratio.
 func (rc *RCLib) getCoalesced(caller simnet.NodeID, key string, opts faas.PutOpts, unavailable bool, sp *trace.Span) (faas.Blob, error) {
 	fk := flightKey{node: caller, key: key}
-	sh := &rc.flights[shardIdx(key)]
-	sh.mu.Lock()
-	if f, ok := sh.m[fk]; ok {
-		sh.mu.Unlock()
+	rc.flightMu.Lock()
+	if f, ok := rc.flights[fk]; ok {
+		rc.flightMu.Unlock()
 		rc.missCoalesced.Add(1)
 		sp.SetNum("coalesced", 1)
 		res := f.Wait()
 		return res.blob, res.err
 	}
 	f := sim.NewFuture[getResult](rc.env)
-	sh.m[fk] = f
-	sh.mu.Unlock()
+	rc.flights[fk] = f
+	rc.flightMu.Unlock()
 
 	sp.SetNum("leader", 1)
 	res := rc.fetchMiss(caller, key, opts, unavailable, sp)
 
-	sh.mu.Lock()
-	delete(sh.m, fk)
-	sh.mu.Unlock()
+	rc.flightMu.Lock()
+	delete(rc.flights, fk)
+	rc.flightMu.Unlock()
 	f.Set(res)
 	return res.blob, res.err
 }
@@ -761,7 +704,7 @@ func (rc *RCLib) schedulePersist(node simnet.NodeID, key string, version uint64)
 			// to the dying master for locality). The acked payload still
 			// lives in backup replicas — retry until persistBody gets to
 			// run and decide.
-			rc.env.After(rc.persistRetryDelay(), func() {
+			rc.env.After(rc.persistRetryDelay, func() {
 				rc.schedulePersist(node, key, version)
 			})
 		}
@@ -774,10 +717,9 @@ func (rc *RCLib) Delete(caller simnet.NodeID, key string) error {
 	return rc.rsds.Delete(caller, key, false)
 }
 
-// isEphemeralKey reports whether key belongs to a live pipeline's
-// intermediates (callers hold statsMu; the pipelines map has its own
-// lock discipline via rc.mu, so read without it here is avoided by
-// checking the conventional prefix the pipelines use).
+// isEphemeralKey reports whether key is a pipeline intermediate, by the
+// conventional prefix pipelines write under — it sits on every Get, so
+// it does not take rc.mu to consult the pipelines map.
 func (rc *RCLib) isEphemeralKey(key string) bool {
 	return strings.HasPrefix(key, "pl/")
 }
@@ -860,7 +802,7 @@ type CacheStats struct {
 	AdmitVetoes  int64
 	BypassWrites int64
 	// MissCoalesced counts misses served by another caller's in-flight
-	// fetch (zero unless EnableMissCoalescing).
+	// fetch (zero unless Options.CoalesceMisses).
 	MissCoalesced  int64
 	EphemeralBytes int64
 	// Degradation counters: RSDS fallbacks taken because the cache

@@ -13,10 +13,12 @@ import (
 // proxy stats.
 func concurrentColdGets(t *testing.T, coalesce bool, n int) (rsdsGets int64, stats CacheStats) {
 	t.Helper()
-	sys := newSystem(5)
-	if coalesce {
-		sys.RC.EnableMissCoalescing()
-	}
+	opts := DefaultOptions()
+	opts.Seed = 5
+	opts.Workers = 3
+	opts.NodeCapacity = 4 << 30
+	opts.CoalesceMisses = coalesce
+	sys := NewSystem(opts)
 	w := sys.WorkerNodes[0]
 	errs := make([]error, n)
 	sizes := make([]int64, n)
@@ -67,7 +69,7 @@ func TestMissCoalescing(t *testing.T) {
 }
 
 // TestMissCoalescingOffByDefault pins the faithful-paper default:
-// without EnableMissCoalescing every miss pays its own RSDS fetch.
+// without Options.CoalesceMisses every miss pays its own RSDS fetch.
 func TestMissCoalescingOffByDefault(t *testing.T) {
 	gets, stats := concurrentColdGets(t, false, 4)
 	if gets != 4 {

@@ -32,7 +32,7 @@ func served(p *Predictor, fn *faas.Function) servedPointers {
 // copies), refit the benefit model, and still advance the generation
 // and flush the memo as every retrain does.
 func TestRetrainRefitsOnlyTheGrownDataset(t *testing.T) {
-	pred, trainer, fn := memoFixture(t, false, 300, 7)
+	pred, trainer, fn := memoFixture(t, 300, 7)
 	req := memoReq(fn, 800)
 	pred.Advise(req) // one memo entry for the retrain to flush
 	before := served(pred, fn)
@@ -40,7 +40,7 @@ func TestRetrainRefitsOnlyTheGrownDataset(t *testing.T) {
 
 	fed := 0
 	for _, s := range synthSamples(pred.Schema(fn), 300, 7) {
-		if class, _ := pred.PredictRaw(fn, s.Vals); class != pred.cfg.Intervals.ClassOf(s.PeakMem) {
+		if class := pred.state(fn).memModel.Classify(s.Vals); class != pred.cfg.Intervals.ClassOf(s.PeakMem) {
 			continue
 		}
 		trainer.Observe(fn, &faas.Request{Function: fn}, s)
@@ -74,7 +74,7 @@ func TestRetrainRefitsOnlyTheGrownDataset(t *testing.T) {
 // TestSecondPretrainRefitsBoth: Pretrain adds rows without going through
 // Observe's counters, and both models must pick them up.
 func TestSecondPretrainRefitsBoth(t *testing.T) {
-	pred, trainer, fn := memoFixture(t, false, 300, 7)
+	pred, trainer, fn := memoFixture(t, 300, 7)
 	before := served(pred, fn)
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 100, 99))
 	after := served(pred, fn)
@@ -91,7 +91,7 @@ func TestSecondPretrainRefitsBoth(t *testing.T) {
 // by a fit of the local datasets, even when those have not grown since
 // the local fit the import overwrote.
 func TestImportThenRetrainReplacesImportedModels(t *testing.T) {
-	donor, _, fn := memoFixture(t, false, 300, 9)
+	donor, _, fn := memoFixture(t, 300, 9)
 	bundle, err := donor.ExportModel(fn)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -130,9 +131,11 @@ func deploymentDigest(d *Deployment) string {
 	return b.String()
 }
 
-// hostClockCells matches what Figure 6 measures on the host CPU, and
-// the column rules and padding whose width follows from it.
-var hostClockCells = regexp.MustCompile(`[0-9.]+(µs|ms|s)\b|-{2,}| {2,}`)
+// hostClockCells matches what Figure 6 measures on the host CPU
+// together with the column rules and padding around it, whose width
+// follows from it: a whole run of them is one match, so the masked text
+// does not depend on how wide a measured cell happened to print.
+var hostClockCells = regexp.MustCompile(`([0-9.]+(µs|ms|s)\b|-+| +)+`)
 
 // firstDiff names the first line at which two outputs part.
 func firstDiff(a, b []string) string {
@@ -144,13 +147,21 @@ func firstDiff(a, b []string) string {
 	return fmt.Sprintf("%d lines against %d", len(a), len(b))
 }
 
+// quickSeed3Path pins the text of every experiment at -quick -seed 3,
+// fig6's host cells masked: what "byte-identical to the parent" means
+// for a change that is not supposed to move a number. Regenerate with:
+//
+//	OFC_REGEN_GOLDEN=1 go test ./internal/experiments -run TestEveryExperimentRepeats
+const quickSeed3Path = "testdata/quick_seed3.golden"
+
 // TestEveryExperimentRepeats runs everything ofc-bench serves under
 // -exp, at -quick, once on one P and once on four, and requires the
 // two passes to agree on the full report text, on every counter of
-// every deployment built on the way and on the trace exports. A map
-// range that reaches the schedule differs between any two runs; a
-// dependence on how the host interleaves simulation processes differs
-// between one P and several.
+// every deployment built on the way and on the trace exports, and the
+// report text of each pass to be the committed one. A map range that
+// reaches the schedule differs between any two runs; a dependence on
+// how the host interleaves simulation processes differs between one P
+// and several; a change of behaviour differs from the golden file.
 func TestEveryExperimentRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs the quick sweep twice")
@@ -160,6 +171,7 @@ func TestEveryExperimentRepeats(t *testing.T) {
 	first := map[string][]string{}
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
+		var report strings.Builder
 		for _, e := range Registry(nil, nil) {
 			var r Report
 			e.Run(&r, 3, true)
@@ -167,12 +179,28 @@ func TestEveryExperimentRepeats(t *testing.T) {
 			if e.ID == "fig6" {
 				text = hostClockCells.ReplaceAllString(text, "#")
 			}
+			fmt.Fprintf(&report, "== -exp %s -quick -seed 3 ==\n%s\n", e.ID, text)
 			got := append(strings.Split(text, "\n"), obs.drain()...)
 			if want, seen := first[e.ID]; !seen {
 				first[e.ID] = got
 			} else if !reflect.DeepEqual(want, got) {
 				t.Errorf("-exp %s differs between GOMAXPROCS 1 and %d, %s", e.ID, procs, firstDiff(want, got))
 			}
+		}
+		if os.Getenv("OFC_REGEN_GOLDEN") != "" {
+			if err := os.WriteFile(quickSeed3Path, []byte(report.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("regenerated %s (%d bytes)", quickSeed3Path, report.Len())
+			continue
+		}
+		want, err := os.ReadFile(quickSeed3Path)
+		if err != nil {
+			t.Fatalf("read golden (regenerate with OFC_REGEN_GOLDEN=1): %v", err)
+		}
+		if got := report.String(); got != string(want) {
+			t.Errorf("report text on GOMAXPROCS %d differs from %s, %s; if the change is intentional regenerate with OFC_REGEN_GOLDEN=1",
+				procs, quickSeed3Path, firstDiff(strings.Split(string(want), "\n"), strings.Split(got, "\n")))
 		}
 	}
 }

@@ -203,7 +203,7 @@ func Constants(seed int64) *Table {
 // returned flag is the acceptance verdict.
 func StorePlane(seed int64) (*Table, bool) {
 	t := &Table{
-		Title:   "Extension — storage data plane (sharded coordinator, batched multi-ops)",
+		Title:   "Extension — storage data plane (batched multi-ops)",
 		Headers: []string{"Path", "Keys", "Coord RPCs", "Server RPCs", "Wall"},
 	}
 	cfg := DefaultDeploy()
@@ -252,7 +252,6 @@ func StorePlane(seed int64) (*Table, bool) {
 			healthy = false
 		}
 	})
-	t.Note = fmt.Sprintf("coordinator shards: %d; batched path groups keys per master, ≤1 control RPC per involved server",
-		kvstore.DefaultConfig().CoordShards)
+	t.Note = "batched path groups keys per master, ≤1 control RPC per involved server"
 	return t, healthy
 }

@@ -34,6 +34,7 @@ func Parallel[T any](n, workers int, fn func(int) T) []T {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		//lint:allow rawgo each fn(i) builds and runs its own Env, so no goroutine enters another's simulation; wg.Wait below joins them all
 		go func() {
 			defer wg.Done()
 			for {

@@ -158,7 +158,7 @@ func Registry(evictions, slacks []string) []Experiment {
 			tab, _ := ChunkingExtension(seed)
 			o.Emit(tab)
 		}},
-		{"storeplane", "storage data plane: sharded coordinator + batched multi-object ops", func(o *Report, seed int64, quick bool) {
+		{"storeplane", "storage data plane: batched multi-object ops", func(o *Report, seed int64, quick bool) {
 			tab, _ := StorePlane(seed)
 			o.Emit(tab)
 		}},

@@ -32,9 +32,6 @@ type Ctx struct {
 	oomAt     int64 // memory demand that caused an OOM, for retry diagnostics
 }
 
-// Env returns the simulation environment.
-func (c *Ctx) Env() *sim.Env { return c.p.env }
-
 // Node returns the worker node the invocation runs on.
 func (c *Ctx) Node() simnet.NodeID { return c.inv.node.ID }
 
@@ -46,9 +43,6 @@ func (c *Ctx) Arg(name string) float64 { return c.req.Args[name] }
 
 // InputKeys returns the annotated object-identifier arguments.
 func (c *Ctx) InputKeys() []string { return c.req.InputKeys }
-
-// SandboxMem returns the current sandbox memory limit.
-func (c *Ctx) SandboxMem() int64 { return c.sb.mem }
 
 // Trace returns the execute span the body runs under (zero when
 // tracing is off), so helper functions injected by the platform (the
@@ -173,14 +167,6 @@ func (c *Ctx) Load(key string, blob Blob, kind ObjKind) error {
 		sp.SetNum("err", 1)
 	}
 	c.p.Tracer.End(&sp)
-	return err
-}
-
-// Delete removes an object (rarely used by bodies; charged to Load).
-func (c *Ctx) Delete(key string) error {
-	start := c.p.env.Now()
-	err := c.inv.storage.Delete(c.inv.node.ID, key)
-	c.load += time.Duration(c.p.env.Now() - start)
 	return err
 }
 

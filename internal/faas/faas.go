@@ -128,12 +128,6 @@ func (r *Request) PredictedMem() int64 { return r.predMem }
 // Advised reports whether the Advisor's memory prediction was applied.
 func (r *Request) Advised() bool { return r.advised }
 
-// ShouldCache reports the Advisor's caching-benefit verdict.
-func (r *Request) ShouldCache() bool { return r.shouldCache }
-
-// Benefit reports the Advisor's caching-benefit score (0 if none).
-func (r *Request) Benefit() float64 { return r.benefit }
-
 // TraceRef returns the span the request is currently executing under
 // (zero when tracing is off), so downstream layers can parent their
 // spans to it.
@@ -396,12 +390,6 @@ func New(net *simnet.Network, ctrlNode simnet.NodeID, cfg Config) *Platform {
 		activations: newActivationLog(0),
 	}
 }
-
-// Env returns the simulation environment.
-func (p *Platform) Env() *sim.Env { return p.env }
-
-// Net returns the cluster fabric.
-func (p *Platform) Net() *simnet.Network { return p.net }
 
 // Config returns the platform constants.
 func (p *Platform) Config() Config { return p.cfg }

@@ -151,14 +151,6 @@ func (inv *Invoker) FreeForSandboxes() int64 {
 	return inv.capacity - inv.reserved - inv.cacheGrant
 }
 
-// FreeForCache is the memory the cache could grow into: capacity not
-// reserved by sandboxes, minus its current grant.
-func (inv *Invoker) FreeForCache() int64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.capacity - inv.reserved - inv.cacheGrant
-}
-
 // BookedWaste is the memory tenants booked for the live sandboxes but
 // that the sandboxes do not hold — the quantity OFC is entitled to
 // hoard ("the difference between the booked memory and the predicted
@@ -409,16 +401,4 @@ func (inv *Invoker) Lifecycle() (created, expired int64) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	return inv.created, inv.expired
-}
-
-// Reserve grabs sandbox memory directly, as if a sandbox of that size
-// were created. Exposed for experiments that synthesize memory
-// pressure (e.g., the Figure 8 scaling scenarios) and for tests.
-func (inv *Invoker) Reserve(bytes int64) (time.Duration, error) { return inv.reserve(bytes) }
-
-// ReleaseMem returns memory taken with Reserve.
-func (inv *Invoker) ReleaseMem(bytes int64) {
-	inv.mu.Lock()
-	inv.releaseLocked(bytes)
-	inv.mu.Unlock()
 }

@@ -6,7 +6,6 @@ package imoc
 
 import (
 	"errors"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,26 +33,14 @@ func RedisProfile() Profile {
 	return Profile{Name: "redis", OpBase: 150 * time.Microsecond, Bandwidth: 2e9}
 }
 
-// cacheShards is the hash-partition count of the object map (the
-// kvstore coordinator default).
-const cacheShards = 16
-
-// cacheShard is one hash partition: its own lock, its own size
-// counter, so Get/Set on different shards never serialize and Len
-// reads no shard lock at all.
-type cacheShard struct {
-	mu   sync.Mutex
-	m    map[string]Blob
-	size atomic.Int64 // len(m), maintained under mu, read lock-free
-}
-
 // Cache is the centralized in-memory store.
 type Cache struct {
 	net     *simnet.Network
 	node    simnet.NodeID
 	profile Profile
 
-	shards [cacheShards]cacheShard
+	mu sync.Mutex
+	m  map[string]Blob
 
 	// Op counters are lock-free (the simnet/kvstore stats pattern):
 	// they sit on every data-plane op, where a dedicated stats mutex
@@ -63,22 +50,8 @@ type Cache struct {
 
 // New places the cache service on node.
 func New(net *simnet.Network, node simnet.NodeID, profile Profile) *Cache {
-	c := &Cache{net: net, node: node, profile: profile}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]Blob)
-	}
-	return c
+	return &Cache{net: net, node: node, profile: profile, m: make(map[string]Blob)}
 }
-
-// shardOf returns the shard owning key.
-func (c *Cache) shardOf(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
-}
-
-// Node returns the hosting node.
-func (c *Cache) Node() simnet.NodeID { return c.node }
 
 func (c *Cache) bwTime(size int64) time.Duration {
 	if size <= 0 {
@@ -91,11 +64,9 @@ func (c *Cache) bwTime(size int64) time.Duration {
 func (c *Cache) Set(caller simnet.NodeID, key string, blob Blob) {
 	c.net.Transfer(caller, c.node, blob.Size+64)
 	c.net.Env().Sleep(c.profile.OpBase + c.bwTime(blob.Size))
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	sh.m[key] = blob
-	sh.size.Store(int64(len(sh.m)))
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.m[key] = blob
+	c.mu.Unlock()
 	c.net.Transfer(c.node, caller, 64)
 	c.sets.Add(1)
 }
@@ -104,10 +75,9 @@ func (c *Cache) Set(caller simnet.NodeID, key string, blob Blob) {
 func (c *Cache) Get(caller simnet.NodeID, key string) (Blob, error) {
 	c.net.Transfer(caller, c.node, 64)
 	c.net.Env().Sleep(c.profile.OpBase)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	blob, ok := sh.m[key]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	blob, ok := c.m[key]
+	c.mu.Unlock()
 	if !ok {
 		c.net.Transfer(c.node, caller, 64)
 		return Blob{}, ErrNotFound
@@ -118,27 +88,21 @@ func (c *Cache) Get(caller simnet.NodeID, key string) (Blob, error) {
 	return blob, nil
 }
 
-// Del removes key. It locks only key's shard — a delete never stalls
-// the data plane on the other fifteen.
+// Del removes key.
 func (c *Cache) Del(caller simnet.NodeID, key string) {
 	c.net.Transfer(caller, c.node, 64)
 	c.net.Env().Sleep(c.profile.OpBase)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.size.Store(int64(len(sh.m)))
-	sh.mu.Unlock()
+	c.mu.Lock()
+	delete(c.m, key)
+	c.mu.Unlock()
 	c.net.Transfer(c.node, caller, 64)
 }
 
-// Len reports the number of stored keys by summing the per-shard size
-// counters — no shard lock taken, so a Len poll never blocks Get/Set.
+// Len reports the number of stored keys.
 func (c *Cache) Len() int {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].size.Load()
-	}
-	return int(n)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // Stats reports operation counters.

@@ -73,10 +73,9 @@ func TestLen(t *testing.T) {
 	}
 }
 
-// TestShardedMap exercises the sharded object map across enough keys
-// to land on every shard: Set/Get/Del stay correct under hash
-// partitioning and Len tracks the global count exactly.
-func TestShardedMap(t *testing.T) {
+// TestManyKeys exercises the object map across a few hundred keys:
+// Set/Get/Del stay correct and Len tracks the count exactly.
+func TestManyKeys(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := setup(env)
 	const n = 256
@@ -106,42 +105,6 @@ func TestShardedMap(t *testing.T) {
 		}
 	})
 	env.Run()
-	// Every shard should own at least one of the 128 survivors — a
-	// degenerate hash would funnel them into few shards.
-	used := 0
-	for i := range c.shards {
-		if c.shards[i].size.Load() > 0 {
-			used++
-		}
-	}
-	if used < cacheShards/2 {
-		t.Errorf("only %d/%d shards populated; hash distribution is degenerate", used, cacheShards)
-	}
-}
-
-// TestLenDoesNotBlockDataPlane pins the monitoring contract: Len must
-// complete even while a shard's data-plane lock is held.
-func TestLenDoesNotBlockDataPlane(t *testing.T) {
-	env := sim.NewEnv(1)
-	c := setup(env)
-	env.Go(func() {
-		c.Set(0, "held", kvstore.Synthetic(1))
-		c.Set(0, "other", kvstore.Synthetic(1))
-	})
-	env.Run()
-	sh := c.shardOf("held")
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	done := make(chan int, 1)
-	go func() { done <- c.Len() }() //lint:allow goroleak a blocked Len leaking past the timeout is exactly the failure this test detects
-	select {
-	case n := <-done:
-		if n != 2 {
-			t.Errorf("len=%d under held shard lock, want 2", n)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Len blocked on a held shard lock")
-	}
 }
 
 func key(i int) string { return fmt.Sprintf("obj/%03d", i) }

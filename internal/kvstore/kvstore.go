@@ -19,7 +19,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,11 +92,6 @@ type Config struct {
 	// a silent server dead (RPC timeout plus retries) before starting
 	// recovery; charged at the head of Recover.
 	CrashDetectTimeout time.Duration
-	// CoordShards is the number of hash partitions the coordinator
-	// splits its placement map into. Each shard has its own lock, so
-	// lookups for unrelated keys never contend. 1 reproduces the old
-	// single-lock coordinator (kept for the contention ablation).
-	CoordShards int
 }
 
 // DefaultConfig returns constants calibrated to the paper's testbed.
@@ -113,7 +107,6 @@ func DefaultConfig() Config {
 		PromotionPerMB:     10500 * time.Nanosecond,
 		SegmentSize:        16 << 20,
 		CrashDetectTimeout: 150 * time.Millisecond,
-		CoordShards:        16,
 	}
 }
 
@@ -148,9 +141,6 @@ type Server struct {
 	reads, writes, evictions int64
 }
 
-// Node returns the network node this server runs on.
-func (s *Server) Node() simnet.NodeID { return s.node.ID }
-
 // Usage returns the live master-copy bytes and the current limit.
 func (s *Server) Usage() (used, limit int64) {
 	s.mu.Lock()
@@ -181,14 +171,6 @@ type placement struct {
 	size    int64
 }
 
-// coordShard is one hash partition of the coordinator's placement
-// metadata. Each shard is independently locked so placement lookups
-// for unrelated keys proceed in parallel.
-type coordShard struct {
-	mu     sync.Mutex
-	places map[string]placement
-}
-
 // Cluster is the whole store: a coordinator plus per-node servers.
 type Cluster struct {
 	net      *simnet.Network
@@ -199,7 +181,11 @@ type Cluster struct {
 	servers map[simnet.NodeID]*Server
 	rr      int // round-robin cursor for placement
 
-	shards  []*coordShard
+	// The placement map has its own lock, not mu: placement lookups
+	// are the data plane, server membership is not.
+	placeMu sync.Mutex
+	places  map[string]placement
+
 	nextVer atomic.Uint64
 
 	statsMu      sync.Mutex
@@ -235,73 +221,49 @@ func New(net *simnet.Network, coordNode simnet.NodeID, cfg Config) *Cluster {
 	if cfg.SegmentSize <= 0 {
 		cfg.SegmentSize = 16 << 20
 	}
-	if cfg.CoordShards <= 0 {
-		cfg.CoordShards = 16
-	}
-	shards := make([]*coordShard, cfg.CoordShards)
-	for i := range shards {
-		shards[i] = &coordShard{places: make(map[string]placement)}
-	}
 	return &Cluster{
 		net:      net,
 		cfg:      cfg,
 		coordloc: coordNode,
 		servers:  make(map[simnet.NodeID]*Server),
-		shards:   shards,
+		places:   make(map[string]placement),
 	}
 }
 
-// shardOf returns the coordinator shard owning key.
-func (c *Cluster) shardOf(key string) *coordShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
-}
-
-// placeGet reads key's placement from its shard.
+// placeGet reads key's placement.
 func (c *Cluster) placeGet(key string) (placement, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	p, ok := sh.places[key]
-	sh.mu.Unlock()
+	c.placeMu.Lock()
+	p, ok := c.places[key]
+	c.placeMu.Unlock()
 	return p, ok
 }
 
 // placeDelete drops key's placement.
 func (c *Cluster) placeDelete(key string) (placement, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	p, ok := sh.places[key]
+	c.placeMu.Lock()
+	p, ok := c.places[key]
 	if ok {
-		delete(sh.places, key)
+		delete(c.places, key)
 	}
-	sh.mu.Unlock()
+	c.placeMu.Unlock()
 	return p, ok
 }
 
-// placeUpdate swaps key's placement under the shard lock, if present.
+// placeUpdate swaps key's placement under the lock, if present.
 func (c *Cluster) placeUpdate(key string, fn func(placement) placement) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if p, ok := sh.places[key]; ok {
-		sh.places[key] = fn(p)
+	c.placeMu.Lock()
+	if p, ok := c.places[key]; ok {
+		c.places[key] = fn(p)
 	}
-	sh.mu.Unlock()
+	c.placeMu.Unlock()
 }
 
-// placeCount sums the objects tracked across all shards.
+// placeCount returns the number of objects tracked.
 func (c *Cluster) placeCount() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.places)
-		sh.mu.Unlock()
-	}
-	return n
+	c.placeMu.Lock()
+	defer c.placeMu.Unlock()
+	return len(c.places)
 }
-
-// Config returns the cluster constants.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // AddServer starts a storage server on node with the given master
 // memory budget.
@@ -413,14 +375,12 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 		return placement{}, ErrNotEnoughSrvs
 	}
 	p := placement{master: master, backups: backups, size: size}
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if cur, ok := sh.places[key]; ok {
-		sh.mu.Unlock()
+	c.placeMu.Lock()
+	defer c.placeMu.Unlock()
+	if cur, ok := c.places[key]; ok {
 		return cur, nil
 	}
-	sh.places[key] = p
-	sh.mu.Unlock()
+	c.places[key] = p
 	return p, nil
 }
 
@@ -598,5 +558,5 @@ func (c *Cluster) String() string {
 	c.mu.Lock()
 	servers := len(c.servers)
 	c.mu.Unlock()
-	return fmt.Sprintf("kvstore.Cluster{servers=%d objects=%d shards=%d}", servers, c.placeCount(), len(c.shards))
+	return fmt.Sprintf("kvstore.Cluster{servers=%d objects=%d}", servers, c.placeCount())
 }

@@ -279,15 +279,13 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 	}
 	start := c.env().Now()
 	var victims []string
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for k, p := range sh.places {
-			if p.master == crashed {
-				victims = append(victims, k)
-			}
+	c.placeMu.Lock()
+	for k, p := range c.places {
+		if p.master == crashed {
+			victims = append(victims, k)
 		}
-		sh.mu.Unlock()
 	}
+	c.placeMu.Unlock()
 	sort.Strings(victims)
 	n := 0
 	for _, key := range victims {

@@ -188,12 +188,11 @@ func TestWriteMultiOverwriteAndNoSpace(t *testing.T) {
 	})
 }
 
-// TestShardedCoordinatorRace hammers the sharded coordinator from many
-// parallel sim processes — writes, batched reads, evictions, migrations
-// and scheduler-side lookups over an overlapping keyspace. Run under
-// -race (make test-race) this is the concurrency safety net for the
-// per-shard locking scheme.
-func TestShardedCoordinatorRace(t *testing.T) {
+// TestCoordinatorCoherentUnderInterleaving drives the coordinator from
+// many interleaved sim processes — writes, batched reads, evictions,
+// migrations and scheduler-side lookups over an overlapping keyspace —
+// and checks the placement map against the servers afterwards.
+func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 	env := sim.NewEnv(1)
 	c, _ := testCluster(env)
 	const workers = 8
@@ -232,68 +231,16 @@ func TestShardedCoordinatorRace(t *testing.T) {
 	env.Run()
 	// The cluster must still be coherent: every surviving placement
 	// resolves to a live master copy.
-	for _, sh := range c.shards {
-		for key, p := range sh.places {
-			s := c.Server(p.master)
-			if s == nil {
-				t.Fatalf("%s placed on unknown server %d", key, p.master)
-			}
-			if _, found := s.log.get(key); !found {
-				t.Fatalf("%s placed on %d but master copy missing", key, p.master)
-			}
+	for key, p := range c.places {
+		s := c.Server(p.master)
+		if s == nil {
+			t.Fatalf("%s placed on unknown server %d", key, p.master)
+		}
+		if _, found := s.log.get(key); !found {
+			t.Fatalf("%s placed on %d but master copy missing", key, p.master)
 		}
 	}
 }
-
-// benchCoordinator measures placement-map contention at a given shard
-// count: parallel clients doing scheduler-side lookups with a sprinkle
-// of placement updates, the coordinator's read-mostly workload.
-func benchCoordinator(b *testing.B, shards int) {
-	env := sim.NewEnv(1)
-	net := simnet.New(env, simnet.DefaultConfig())
-	for i := 0; i < 4; i++ {
-		net.AddNode("n")
-	}
-	cfg := DefaultConfig()
-	cfg.CoordShards = shards
-	c := New(net, 0, cfg)
-	for i := 0; i < 4; i++ {
-		c.AddServer(simnet.NodeID(i), 1<<30)
-	}
-	keys := make([]string, 4096)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("obj/%d", i)
-		sh := c.shardOf(keys[i])
-		sh.mu.Lock()
-		sh.places[keys[i]] = placement{master: simnet.NodeID(i % 4), size: 64 << 10}
-		sh.mu.Unlock()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			k := keys[i%len(keys)]
-			if i%8 == 0 {
-				c.placeUpdate(k, func(p placement) placement {
-					p.size++
-					return p
-				})
-			} else {
-				c.MasterOf(k)
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkCoordinatorSingleLock is the pre-refactor baseline: one lock
-// serializing every placement lookup. Compare against Sharded16 with
-// -cpu 8 (make bench-store) to see the contention win.
-func BenchmarkCoordinatorSingleLock(b *testing.B) { benchCoordinator(b, 1) }
-
-// BenchmarkCoordinatorSharded16 is the default sharded configuration.
-func BenchmarkCoordinatorSharded16(b *testing.B) { benchCoordinator(b, 16) }
 
 // BenchmarkReadMultiBatched measures the host cost of fetching 16 keys
 // in one batched call (1 coordinator + ≤4 server round-trips).

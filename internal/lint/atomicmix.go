@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -14,10 +13,10 @@ import (
 // a counter: the atomic side establishes no happens-before for the
 // plain side, the race detector only sees it on the interleaving that
 // actually collides, and the corrupted value is usually a statistic
-// the experiment harness reports as truth. Each package's fact pass
-// exports its atomic access set (field class → sites); the program
-// pass unions the facts and re-walks every package for unsanctioned
-// plain accesses to those classes.
+// the experiment harness reports as truth. The program pass collects
+// the atomic access set (field class → one site) of every package,
+// then re-walks them all for unsanctioned plain accesses to those
+// classes.
 //
 // Sanctioned (not plain) uses: passing &f to a sync/atomic function,
 // calling a method on a typed atomic (atomic.Int64 and friends),
@@ -30,20 +29,22 @@ import (
 var AtomicMix = &Analyzer{
 	Name:       "atomicmix",
 	Doc:        "forbid mixing sync/atomic and plain access to the same field anywhere in the program",
-	Facts:      atomicMixFacts,
-	FactType:   func() Fact { return new(AtomicFact) },
 	RunProgram: runAtomicMixProgram,
 }
 
-// AtomicFact is one package's atomic access set.
-type AtomicFact struct {
-	// Fields maps field class ("pkg.Type.field" or "pkg.var") to the
-	// sites that access it atomically, sorted.
-	Fields map[string][]Site `json:"fields,omitempty"`
-}
-
-func atomicMixFacts(p *Pass) (Fact, error) {
-	fields := map[string][]Site{}
+// atomicSites records in into, for every field class ("pkg.Type.field"
+// or "pkg.var") the package accesses atomically, the first such site.
+func atomicSites(p *Pass, into map[string]token.Position) {
+	note := func(e ast.Expr) {
+		class := fieldClass(p, e)
+		if class == "" {
+			return
+		}
+		pos := p.Fset.Position(e.Pos())
+		if old, ok := into[class]; !ok || positionLess(pos, old) {
+			into[class] = pos
+		}
+	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -58,54 +59,43 @@ func atomicMixFacts(p *Pass) (Fact, error) {
 				// Typed atomic method: s.ops.Add(1) — the receiver is
 				// the atomically-accessed location.
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					if class := fieldClass(p, sel.X); class != "" {
-						fields[class] = append(fields[class], p.Site(sel.X.Pos()))
-					}
+					note(sel.X)
 				}
 				return true
 			}
 			// Function style: atomic.AddInt64(&s.n, 1).
 			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				if class := fieldClass(p, un.X); class != "" {
-					fields[class] = append(fields[class], p.Site(un.X.Pos()))
+				if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
+					note(un.X)
 				}
 			}
 			return true
 		})
 	}
-	if len(fields) == 0 {
-		return nil, nil
+}
+
+// positionLess orders positions by (file, line, col), so the site a
+// message quotes does not depend on the order packages were walked in.
+func positionLess(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
 	}
-	for class := range fields {
-		sites := fields[class]
-		sort.Slice(sites, func(i, j int) bool { return sites[i].less(sites[j]) })
-		// One representative site per class keeps facts small; the
-		// message only needs an example.
-		fields[class] = sites[:1]
+	if a.Line != b.Line {
+		return a.Line < b.Line
 	}
-	return &AtomicFact{Fields: fields}, nil
+	return a.Column < b.Column
 }
 
 func runAtomicMixProgram(pp *ProgramPass) error {
-	// Union the atomic access sets of every package.
-	atomic := map[string]Site{}
-	for _, path := range pp.Facts.Packages(pp.Analyzer.Name) {
-		fact := pp.Fact(path).(*AtomicFact)
-		for class, sites := range fact.Fields {
-			if old, ok := atomic[class]; !ok || sites[0].less(old) {
-				atomic[class] = sites[0]
-			}
-		}
+	atomic := map[string]token.Position{}
+	for _, pkg := range pp.Pkgs {
+		atomicSites(pp.pass(pkg), atomic)
 	}
 	if len(atomic) == 0 {
 		return nil
 	}
 	for _, pkg := range pp.Pkgs {
-		p := &Pass{Analyzer: pp.Analyzer, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+		p := pp.pass(pkg)
 		sanctioned := atomicSanctioned(p)
 		for _, f := range pkg.Files {
 			if p.InTestFile(f.Pos()) {
@@ -135,13 +125,8 @@ func runAtomicMixProgram(pp *ProgramPass) error {
 					return true
 				}
 				if site, ok := atomic[class]; ok && class != "" {
-					pp.Report(Finding{
-						File: p.Fset.Position(n.Pos()).Filename,
-						Line: p.Fset.Position(n.Pos()).Line,
-						Col:  p.Fset.Position(n.Pos()).Column,
-						Message: "plain access to " + shortClass(class) + ", which is accessed atomically at " +
-							site.String() + "; every load/store must go through sync/atomic (or move both sides under one mutex)",
-					})
+					p.Reportf(n.Pos(), "plain access to %s, which is accessed atomically at %s:%d; every load/store must go through sync/atomic (or move both sides under one mutex)",
+						shortClass(class), site.Filename, site.Line)
 					return false
 				}
 				return true
@@ -205,4 +190,90 @@ func isTypedAtomic(p *Pass, e ast.Expr) bool {
 	}
 	name := typeName(tv.Type)
 	return strings.HasPrefix(name, "sync/atomic.")
+}
+
+// fieldClass names the struct field or package-level variable an
+// expression denotes: "pkg.Type.field" or "pkg.var", or "".
+func fieldClass(p *Pass, e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		if s, ok := p.Info.Selections[e]; ok && s.Kind() == types.FieldVal {
+			owner := typeName(s.Recv())
+			path := fieldPath(s.Recv(), s.Index())
+			if owner == "" || path == "" {
+				return ""
+			}
+			return owner + "." + path
+		}
+		if v, ok := p.Info.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return v.Pkg().Path() + "." + v.Name()
+		}
+	case *ast.Ident:
+		if v, ok := p.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return v.Pkg().Path() + "." + v.Name()
+		}
+	case *ast.StarExpr:
+		return fieldClass(p, e.X)
+	case *ast.UnaryExpr:
+		return fieldClass(p, e.X)
+	}
+	return ""
+}
+
+// fieldPath renders a selection index path as dotted field names.
+func fieldPath(recv types.Type, index []int) string {
+	t := recv
+	var names []string
+	for _, idx := range index {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok || idx >= st.NumFields() {
+			return ""
+		}
+		f := st.Field(idx)
+		names = append(names, f.Name())
+		t = f.Type()
+	}
+	return strings.Join(names, ".")
+}
+
+// calleeFunc resolves a call's static callee, handling selectors,
+// plain identifiers, and generic instantiations.
+func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	case *ast.IndexExpr:
+		if sel, ok := fun.X.(*ast.SelectorExpr); ok {
+			id = sel.Sel
+		} else if ident, ok := fun.X.(*ast.Ident); ok {
+			id = ident
+		}
+	case *ast.IndexListExpr:
+		if sel, ok := fun.X.(*ast.SelectorExpr); ok {
+			id = sel.Sel
+		} else if ident, ok := fun.X.(*ast.Ident); ok {
+			id = ident
+		}
+	}
+	if id == nil {
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// shortClass trims the module path prefix for readable messages:
+// "ofc/internal/core.CacheAgent.mu" → "core.CacheAgent.mu".
+func shortClass(class string) string {
+	i := strings.LastIndex(class, "/")
+	if i < 0 {
+		return class
+	}
+	return class[i+1:]
 }

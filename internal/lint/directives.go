@@ -16,8 +16,7 @@ import (
 // `directive` finding, so the gate cannot be silenced silently. A
 // directive naming a nonexistent analyzer is likewise an error — never
 // a silent no-op — and a well-formed directive that suppresses nothing
-// is flagged stale by the unusedallow check (its fix deletes the
-// comment).
+// is flagged stale by the unusedallow check.
 
 // directiveAnalyzer names the pseudo-analyzer used for malformed
 // //lint: comments. It is not suppressible via //lint:allow.
@@ -36,9 +35,6 @@ type directive struct {
 	col      int
 	analyzer string
 	reason   string
-	// start/end are byte offsets of the comment in its file, for the
-	// unusedallow deletion fix.
-	start, end int
 	// used is set when the directive suppresses at least one finding.
 	used bool
 }
@@ -92,8 +88,6 @@ func (s *suppressor) scan(pkg *Package) {
 				d := &directive{
 					file: pos.Filename, line: pos.Line, col: pos.Column,
 					analyzer: name, reason: strings.TrimSpace(reason),
-					start: pos.Offset,
-					end:   pkg.Fset.Position(c.End()).Offset,
 				}
 				s.directives = append(s.directives, d)
 				key := allowKey{pos.Filename, pos.Line, name}

@@ -12,9 +12,9 @@ import (
 // must be wanted, every want must be found, and suppressed findings
 // (the `//lint:allow` cases) are counted explicitly so a silent
 // analyzer can't masquerade as a working suppression. Multi-package
-// golden trees (the cross-package fact cases) list the dependency
-// first: LoadDirAs registers each package as an import override for
-// the ones after it.
+// golden trees (the cross-package case) list the dependency first:
+// LoadDirAs registers each package as an import override for the ones
+// after it.
 
 // goldenLoader is shared so the stdlib and ofc/internal dependencies
 // of the testdata packages are type-checked once per test binary.
@@ -36,14 +36,9 @@ type goldenPkg struct {
 
 func runGolden(t *testing.T, analyzers []*Analyzer, gps []goldenPkg, wantSuppressed int) {
 	t.Helper()
-	runGoldenWith(t, goldenLoader, analyzers, gps, wantSuppressed)
-}
-
-func runGoldenWith(t *testing.T, loader *Loader, analyzers []*Analyzer, gps []goldenPkg, wantSuppressed int) {
-	t.Helper()
 	var pkgs []*Package
 	for _, gp := range gps {
-		pkg, err := loader.LoadDirAs(gp.dir, gp.path)
+		pkg, err := goldenLoader.LoadDirAs(gp.dir, gp.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,42 +127,27 @@ func TestLockedRPCGolden(t *testing.T) {
 	runGolden(t, []*Analyzer{LockedRPC}, []goldenPkg{{"testdata/lockedrpc/a", "ofc/internal/lockfake"}}, 1)
 }
 
-func TestMetricsNameGolden(t *testing.T) {
-	runGolden(t, []*Analyzer{MetricsName}, []goldenPkg{{"testdata/metricsname/a", "ofc/internal/mfake"}}, 1)
-}
-
 func TestMapIterGolden(t *testing.T) {
 	runGolden(t, []*Analyzer{MapIter}, []goldenPkg{{"testdata/mapiter/a", "ofc/internal/mapfake"}}, 2)
 }
 
-func TestLockOrderGolden(t *testing.T) {
-	// Two packages: b imports a, and the cycle exists only in the
-	// union of their facts — neither package alone contains it.
-	runGolden(t, []*Analyzer{LockOrder}, []goldenPkg{
-		{"testdata/lockorder/a", "ofc/lofake/a"},
-		{"testdata/lockorder/b", "ofc/lofake/b"},
-	}, 1)
-}
-
 func TestAtomicMixGolden(t *testing.T) {
 	// a performs only sanctioned atomic accesses; b's plain accesses
-	// are caught against a's exported fact.
+	// are caught against a's atomic ones.
 	runGolden(t, []*Analyzer{AtomicMix}, []goldenPkg{
 		{"testdata/atomicmix/a", "ofc/amfake/a"},
 		{"testdata/atomicmix/b", "ofc/amfake/b"},
 	}, 1)
 }
 
-func TestGoroLeakGolden(t *testing.T) {
-	runGolden(t, []*Analyzer{GoroLeak}, []goldenPkg{{"testdata/goroleak/a", "ofc/glfake"}}, 1)
+func TestRawGoGolden(t *testing.T) {
+	// pos.go is flagged, allow.go suppressed, clean_test.go exempt.
+	runGolden(t, []*Analyzer{RawGo}, []goldenPkg{{"testdata/rawgo/a", "ofc/internal/gofake"}}, 1)
 }
 
-func TestGoroLeakExemptsSim(t *testing.T) {
-	// The same raw-spawn shape under the scheduler's import path is
-	// exempt. A private loader keeps the fake "ofc/internal/sim" out
-	// of the shared loader's import overrides.
-	runGoldenWith(t, NewLoader(), []*Analyzer{GoroLeak},
-		[]goldenPkg{{"testdata/goroleak/sim", "ofc/internal/sim"}}, 0)
+func TestRawGoAllowsCommands(t *testing.T) {
+	// A go statement under a cmd/ path produces no finding.
+	runGolden(t, []*Analyzer{RawGo}, []goldenPkg{{"testdata/rawgo/cmdok", "ofc/cmd/gofake"}}, 0)
 }
 
 func TestUnusedAllowGolden(t *testing.T) {
@@ -224,7 +204,7 @@ func firstWords(s string, n int) string {
 // TestByName covers the driver's -run flag resolution.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 10 {
+	if err != nil || len(all) != 8 {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
 	}
 	two, err := ByName("wallclock, senterr")

@@ -2,31 +2,27 @@
 // repository's determinism and correctness invariants: simulation code
 // may not read the host clock, randomness must be seeded and threaded
 // explicitly, sentinel errors must be matched with errors.Is, blocking
-// simulation operations may not run under a sync mutex, metric
-// names must be lowerCamel and unambiguous, map iteration order
-// may not leak into sim-visible output, lock classes must be acquired
-// in one global order, no field may mix sync/atomic and plain access,
-// and every spawned goroutine must be tied to a lifetime.
+// simulation operations may not run under a sync mutex, map iteration
+// order may not leak into sim-visible output, no field may mix
+// sync/atomic and plain access, and no host goroutine may be started
+// from simulation code.
 //
 // The engine is built only on the standard library (go/parser, go/ast,
 // go/types, driven by `go list -json`), exposes a go/analysis-shaped
-// Analyzer API with serialized per-package Facts for whole-program
-// checks, and honors `//lint:allow <analyzer> <reason>` suppression
-// directives (stale ones are themselves findings). The cmd/ofc-lint
-// driver prints findings as `file:line: [analyzer] message` (or -json
-// for CI annotation), applies SuggestedFixes under -fix, and exits
-// non-zero when any unsuppressed finding remains — it is part of
-// `make check`, so every number the experiment harness reports sits on
-// a machine-checked determinism floor.
+// Analyzer API with a whole-program hook, and honors
+// `//lint:allow <analyzer> <reason>` suppression directives (stale ones
+// are themselves findings). The cmd/ofc-lint driver prints findings as
+// `file:line: [analyzer] message` and exits non-zero when any
+// unsuppressed finding remains — it is part of `make check`, so every
+// number the experiment harness reports sits on a machine-checked
+// determinism floor.
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
@@ -41,17 +37,10 @@ type Analyzer struct {
 	// Doc is the one-paragraph invariant description.
 	Doc string
 	// Run inspects one package and reports findings through the pass.
-	// Optional: whole-program analyzers may only export facts.
+	// Optional: a whole-program analyzer has only RunProgram.
 	Run func(*Pass) error
-	// Facts, optional, computes this package's exported fact. Packages
-	// are analyzed in import order, so the facts of every dependency
-	// are final and readable through Pass.Fact when it runs.
-	Facts func(*Pass) (Fact, error)
-	// FactType returns a pointer to a zero fact value for decoding.
-	// Required when Facts is set.
-	FactType func() Fact
-	// RunProgram, optional, runs once after every package's facts are
-	// exported and reports whole-program findings.
+	// RunProgram, optional, runs once after every package's Run and
+	// reports findings that need the whole program at once.
 	RunProgram func(*ProgramPass) error
 }
 
@@ -63,28 +52,11 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	facts  *FactStore
 	report func(Finding)
 }
 
 // Path returns the package's import path.
 func (p *Pass) Path() string { return p.Pkg.Path() }
-
-// Fact returns this analyzer's fact previously exported for pkg — a
-// dependency of the current package, or the current package itself
-// once exported — or nil.
-func (p *Pass) Fact(pkg string) Fact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.Fact(p.Analyzer.Name, pkg)
-}
-
-// Site resolves pos into a fact site.
-func (p *Pass) Site(pos token.Pos) Site {
-	position := p.Fset.Position(pos)
-	return Site{File: position.Filename, Line: position.Line, Col: position.Column}
-}
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
@@ -98,19 +70,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// ReportFix records a finding at pos carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...interface{}) {
-	position := p.Fset.Position(pos)
-	p.report(Finding{
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
 // InTestFile reports whether pos falls in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
@@ -118,17 +77,14 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 
 // Finding is one diagnostic, suppressed or not.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 	// Suppressed is set when a `//lint:allow` directive covers the
 	// finding.
-	Suppressed bool `json:"suppressed"`
-	// Fix, optional, is a textual edit that resolves the finding;
-	// `ofc-lint -fix` applies it.
-	Fix *Fix `json:"fix,omitempty"`
+	Suppressed bool
 }
 
 // String renders the driver's one-line format.
@@ -136,22 +92,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// EncodeJSON writes findings as a JSON array — the `ofc-lint -json`
-// wire format consumed by CI annotation. A nil slice encodes as [].
-func EncodeJSON(w io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
-}
-
 // All returns the repository's analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Wallclock, SeededRand, SentErr, LockedRPC, MetricsName, MapIter,
-		LockOrder, AtomicMix, GoroLeak, UnusedAllow,
+		Wallclock, SeededRand, SentErr, LockedRPC, MapIter,
+		AtomicMix, RawGo, UnusedAllow,
 	}
 }
 
@@ -177,54 +122,46 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run applies each analyzer to each package in import order (facts of
-// every dependency are final before a package is analyzed), runs
-// whole-program passes over the complete fact store, resolves
-// suppression directives, flags stale ones, and returns all findings
-// (suppressed ones marked) sorted by (file, line, col, analyzer).
-// Malformed directives are themselves findings. The sort plus the
-// topological fact order make the output bit-identical across runs.
+// ProgramPass carries every loaded package through one analyzer's
+// RunProgram hook.
+type ProgramPass struct {
+	Analyzer *Analyzer
+	Pkgs     []*Package
+
+	report func(Finding)
+}
+
+// pass returns a per-package pass over pkg that reports through pp.
+func (pp *ProgramPass) pass(pkg *Package) *Pass {
+	return &Pass{Analyzer: pp.Analyzer, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, report: pp.report}
+}
+
+// Run applies each analyzer to each package, then the whole-program
+// hooks over all of them, resolves suppression directives, flags stale
+// ones, and returns all findings (suppressed ones marked) sorted by
+// (file, line, col, analyzer), which makes the output independent of
+// the order packages were analyzed in. Malformed directives are
+// themselves findings.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	report := func(f Finding) { findings = append(findings, f) }
 	sup := newSuppressor()
-	store := NewFactStore()
-	ordered := topoSort(pkgs)
-	for _, pkg := range ordered {
+	for _, pkg := range pkgs {
 		sup.scan(pkg)
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				facts:    store,
-				report:   report,
-			}
-			if a.Run != nil {
-				if err := a.Run(pass); err != nil {
+	}
+	for _, a := range analyzers {
+		pp := &ProgramPass{Analyzer: a, Pkgs: pkgs, report: report}
+		if a.Run != nil {
+			for _, pkg := range pkgs {
+				if err := a.Run(pp.pass(pkg)); err != nil {
 					return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 				}
 			}
-			if a.Facts != nil {
-				fact, err := a.Facts(pass)
-				if err != nil {
-					return nil, fmt.Errorf("lint: %s facts on %s: %w", a.Name, pkg.Path, err)
-				}
-				if _, err := store.export(a, pkg.Path, fact); err != nil {
-					return nil, err
-				}
+		}
+		if a.RunProgram != nil {
+			if err := a.RunProgram(pp); err != nil {
+				return nil, fmt.Errorf("lint: %s program pass: %w", a.Name, err)
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		pp := &ProgramPass{Analyzer: a, Pkgs: ordered, Facts: store, report: report}
-		if err := a.RunProgram(pp); err != nil {
-			return nil, fmt.Errorf("lint: %s program pass: %w", a.Name, err)
 		}
 	}
 	findings = append(findings, sup.malformed...)
@@ -235,7 +172,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	}
 	findings = append(findings, staleAllows(sup, analyzers)...)
 	sortFindings(findings)
-	return dedupe(findings), nil
+	return findings, nil
 }
 
 // sortFindings orders findings by (file, line, col, analyzer) — the
@@ -277,24 +214,6 @@ func FindingsSorted(findings []Finding) bool {
 	})
 }
 
-// dedupe drops adjacent identical findings — a whole-program pass can
-// witness the same (position, analyzer, message) through two fact
-// paths.
-func dedupe(findings []Finding) []Finding {
-	out := findings[:0]
-	for i, f := range findings {
-		if i > 0 {
-			p := out[len(out)-1]
-			if p.File == f.File && p.Line == f.Line && p.Col == f.Col &&
-				p.Analyzer == f.Analyzer && p.Message == f.Message {
-				continue
-			}
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
 // Unsuppressed filters findings down to the ones that gate the build.
 func Unsuppressed(findings []Finding) []Finding {
 	var out []Finding
@@ -321,19 +240,4 @@ func typeName(t types.Type) string {
 		return obj.Name()
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// funcKey names a function or method the way facts index them:
-// pkgpath.Func or pkgpath.Type.Method.
-func funcKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		if tn := typeName(sig.Recv().Type()); tn != "" {
-			return tn + "." + fn.Name()
-		}
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
 }

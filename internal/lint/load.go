@@ -34,9 +34,9 @@ type Package struct {
 // across the whole run. The source importer resolves module-local
 // import paths through the go command, keeping go.mod dependency-free.
 // Packages loaded explicitly with LoadDirAs are additionally recorded
-// as import overrides, so multi-package testdata trees (a fact-
-// exporting package plus a dependent that imports it under a fake
-// path) type-check without existing on the build list.
+// as import overrides, so multi-package testdata trees (a package
+// plus a dependent that imports it under a fake path) type-check
+// without existing on the build list.
 type Loader struct {
 	Fset *token.FileSet
 	imp  types.Importer

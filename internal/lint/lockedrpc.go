@@ -12,8 +12,8 @@ import (
 // parks inside the scheduler while holding a Go mutex stalls every
 // other process that touches the same lock without the scheduler
 // noticing: with the clock only advancing when all processes block,
-// that is the classic self-deadlock shape the sharded coordinator's
-// per-partition locks invite. The analysis is an intra-procedural
+// that is the classic self-deadlock shape the data plane's locks
+// invite. The analysis is an intra-procedural
 // over-approximation: it tracks a lock/unlock depth counter through
 // straight-line code and branches, treats deferred unlocks as holding
 // to function end, and analyzes function literals independently (their

@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
@@ -65,13 +63,12 @@ func runSentErr(p *Pass) error {
 				if isNil(n.X) || isNil(n.Y) {
 					return true // err == nil / ErrFoo != nil are identity checks by design
 				}
-				name, sentExpr, errExpr := sentinel(n.X), n.X, n.Y
+				name := sentinel(n.X)
 				if name == "" {
-					name, sentExpr, errExpr = sentinel(n.Y), n.Y, n.X
+					name = sentinel(n.Y)
 				}
 				if name != "" {
-					p.ReportFix(n.Pos(), senterrFix(p, f, n, errExpr, sentExpr),
-						"identity comparison with sentinel %s misses wrapped errors; use errors.Is(err, %s)", name, name)
+					p.Reportf(n.Pos(), "identity comparison with sentinel %s misses wrapped errors; use errors.Is(err, %s)", name, name)
 				}
 			case *ast.SwitchStmt:
 				if n.Tag == nil {
@@ -97,65 +94,4 @@ func runSentErr(p *Pass) error {
 		})
 	}
 	return nil
-}
-
-// senterrFix rewrites `err ==/!= ErrX` into `errors.Is(err, ErrX)` /
-// `!errors.Is(err, ErrX)`, inserting the errors import when the file
-// lacks it. Switch-case findings get no fix: turning a case list into
-// an if/else chain is a structural edit a human should shape.
-func senterrFix(p *Pass, f *ast.File, cmp *ast.BinaryExpr, errExpr, sentExpr ast.Expr) *Fix {
-	var buf bytes.Buffer
-	buf.WriteString("errors.Is(")
-	if err := printer.Fprint(&buf, p.Fset, errExpr); err != nil {
-		return nil
-	}
-	buf.WriteString(", ")
-	if err := printer.Fprint(&buf, p.Fset, sentExpr); err != nil {
-		return nil
-	}
-	buf.WriteString(")")
-	repl := buf.String()
-	if cmp.Op == token.NEQ {
-		repl = "!" + repl
-	}
-	file := p.Fset.Position(cmp.Pos()).Filename
-	fix := &Fix{
-		Message: "replace identity comparison with errors.Is",
-		Edits: []TextEdit{{
-			File:    file,
-			Start:   p.Fset.Position(cmp.Pos()).Offset,
-			End:     p.Fset.Position(cmp.End()).Offset,
-			NewText: repl,
-		}},
-	}
-	if edit, ok := importErrorsEdit(p, f); ok {
-		fix.Edits = append(fix.Edits, edit)
-	}
-	return fix
-}
-
-// importErrorsEdit builds the edit adding `"errors"` to the file's
-// import block, or ok=false when it is already imported.
-func importErrorsEdit(p *Pass, f *ast.File) (TextEdit, bool) {
-	for _, imp := range f.Imports {
-		if imp.Path.Value == `"errors"` {
-			return TextEdit{}, false
-		}
-	}
-	file := p.Fset.Position(f.Pos()).Filename
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			off := p.Fset.Position(gd.Lparen).Offset + 1
-			return TextEdit{File: file, Start: off, End: off, NewText: "\n\t\"errors\""}, true
-		}
-		// Single import without parens: prepend a standalone line.
-		off := p.Fset.Position(gd.Pos()).Offset
-		return TextEdit{File: file, Start: off, End: off, NewText: "import \"errors\"\n\n"}, true
-	}
-	off := p.Fset.Position(f.Name.End()).Offset
-	return TextEdit{File: file, Start: off, End: off, NewText: "\n\nimport \"errors\""}, true
 }

@@ -4,7 +4,7 @@ package lint
 // suppressions that covered no finding in this run. A stale allow is
 // worse than dead code — it documents an invariant violation that no
 // longer exists, and it will silently swallow the next real finding
-// that lands on its line. The suggested fix deletes the comment.
+// that lands on its line.
 //
 // Staleness is only judged for directives whose named analyzer
 // actually ran (an `ofc-lint -run wallclock` pass must not flag
@@ -16,7 +16,7 @@ package lint
 // turn, so the hygiene check cannot rot either.
 var UnusedAllow = &Analyzer{
 	Name: "unusedallow",
-	Doc:  "flag //lint:allow directives that suppress no finding; the fix deletes the stale comment",
+	Doc:  "flag //lint:allow directives that suppress no finding",
 }
 
 // staleAllows runs at the end of lint.Run, after every analyzer
@@ -38,14 +38,12 @@ func staleAllows(s *suppressor, analyzers []*Analyzer) []Finding {
 			File: d.file, Line: d.line, Col: d.col,
 			Analyzer: UnusedAllow.Name,
 			Message:  "stale //lint:allow " + d.analyzer + ": no finding on this line to suppress; delete the directive",
-			Fix:      deleteDirectiveFix(d),
 		}
 		// Meta-suppression: //lint:allow unusedallow <reason> on the
 		// directive's line (or above) keeps it. This marks the meta
 		// directive used before the loop below judges it.
 		if s.use(d.file, d.line, UnusedAllow.Name) || s.use(d.file, d.line-1, UnusedAllow.Name) {
 			f.Suppressed = true
-			f.Fix = nil
 		}
 		out = append(out, f)
 	}
@@ -59,20 +57,7 @@ func staleAllows(s *suppressor, analyzers []*Analyzer) []Finding {
 			File: d.file, Line: d.line, Col: d.col,
 			Analyzer: UnusedAllow.Name,
 			Message:  "stale //lint:allow unusedallow: no stale directive here to keep; delete it",
-			Fix:      deleteDirectiveFix(d),
 		})
 	}
 	return out
-}
-
-// deleteDirectiveFix removes the directive comment, and its whole line
-// when the comment stands alone.
-func deleteDirectiveFix(d *directive) *Fix {
-	return &Fix{
-		Message: "delete stale //lint:allow " + d.analyzer,
-		Edits: []TextEdit{{
-			File: d.file, Start: d.start, End: d.end,
-			TrimBlankLine: true,
-		}},
-	}
 }

@@ -148,11 +148,6 @@ type Plan struct {
 	Second     []Step
 }
 
-// Empty reports whether the plan proposes nothing at all.
-func (p Plan) Empty() bool {
-	return len(p.First) == 0 && len(p.WriteBacks) == 0 && len(p.Second) == 0
-}
-
 // ReclaimPlanner orders the migrate-vs-evict decisions for the §6.4
 // fast-reclamation path (Reclaim(need)) and for grant shrinks.
 type ReclaimPlanner interface {

@@ -1,6 +1,7 @@
 // Package metrics provides the small statistics containers the
 // experiment harness reports with: duration histograms with exact
-// percentiles, time series, and labeled counters.
+// percentiles and the lock-free counter blocks of the advice memo,
+// the overload controller and the memory-control policies.
 package metrics
 
 import (
@@ -42,24 +43,31 @@ func (h *Histogram) ensureSorted() {
 	}
 }
 
-// Quantile returns the q-th (0..1) order statistic, 0 when empty. It
-// uses ceiling nearest-rank (the smallest sample with at least a q
-// fraction of the distribution at or below it): rank ⌈q·n⌉. Plain
-// truncation would bias low for small n — e.g. p99 of 50 samples must
-// be the 50th value, not the 49th.
+// Quantile returns the q-th (0..1) order statistic, 0 when empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.samples)
+	h.ensureSorted()
+	return Quantile(h.samples, q)
+}
+
+// Quantile returns the q-th quantile of an ascending-sorted slice by
+// ceiling nearest-rank (the smallest sample with at least a q fraction
+// of the distribution at or below it): rank ⌈q·n⌉. An empty slice
+// yields 0, q <= 0 the first element, q >= 1 the last. Truncation or
+// round-half-up would bias low — p99 of 50 samples must be the 50th
+// value, not the 49th, and of 160 the 159th, not the 158th. Every
+// quantile reported outside benchmark/ comes from here.
+func Quantile(sorted []time.Duration, q float64) time.Duration {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	h.ensureSorted()
 	if q <= 0 {
-		return h.samples[0]
+		return sorted[0]
 	}
 	if q >= 1 {
-		return h.samples[n-1]
+		return sorted[n-1]
 	}
 	idx := int(math.Ceil(q*float64(n))) - 1
 	if idx < 0 {
@@ -68,7 +76,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if idx >= n {
 		idx = n - 1
 	}
-	return h.samples[idx]
+	return sorted[idx]
 }
 
 // Median is Quantile(0.5).
@@ -77,123 +85,10 @@ func (h *Histogram) Median() time.Duration { return h.Quantile(0.5) }
 // P99 is Quantile(0.99).
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// Mean returns the arithmetic mean.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
 // Max returns the largest sample.
 func (h *Histogram) Max() time.Duration { return h.Quantile(1) }
 
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d median=%v p99=%v max=%v", h.Count(), h.Median(), h.P99(), h.Max())
-}
-
-// Point is one (time, value) sample of a Series.
-type Point struct {
-	At    time.Duration
-	Value float64
-}
-
-// Series is an append-only time series (Figure 10's cache-size curve).
-type Series struct {
-	mu     sync.Mutex
-	points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(at time.Duration, v float64) {
-	s.mu.Lock()
-	s.points = append(s.points, Point{At: at, Value: v})
-	s.mu.Unlock()
-}
-
-// Points returns a copy of the samples.
-func (s *Series) Points() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
-// Peak returns the maximum value, 0 when empty.
-func (s *Series) Peak() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var peak float64
-	for _, p := range s.points {
-		if p.Value > peak {
-			peak = p.Value
-		}
-	}
-	return peak
-}
-
-// Last returns the final value, 0 when empty.
-func (s *Series) Last() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.points) == 0 {
-		return 0
-	}
-	return s.points[len(s.points)-1].Value
-}
-
-// Counters is a labeled counter set.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Inc adds delta to name.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get reads a counter.
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot copies all counters, sorted by name.
-func (c *Counters) Snapshot() []struct {
-	Name  string
-	Value int64
-} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]struct {
-		Name  string
-		Value int64
-	}, 0, len(names))
-	for _, n := range names {
-		out = append(out, struct {
-			Name  string
-			Value int64
-		}{n, c.m[n]})
-	}
-	return out
 }

@@ -101,14 +101,3 @@ func (c *TenantCounters) Tenants() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Total sums counter name across all tenants.
-func (c *TenantCounters) Total(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum int64
-	for _, t := range c.m {
-		sum += t[name]
-	}
-	return sum
-}

@@ -103,19 +103,6 @@ func BenchmarkForestClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkForestCompiledClassify is forest voting through compiled
-// members into a reused distribution buffer.
-func BenchmarkForestCompiledClassify(b *testing.B) {
-	d := nominalDataset(600, 1)
-	model := (&RandomForest{Trees: 30, MinLeaf: 1, Seed: 1}).Fit(d).(*Forest).Compile()
-	buf := make([]float64, model.NumClasses())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model.ClassifyInto(d.Instances[i%d.Len()].Vals, buf)
-	}
-}
-
 // BenchmarkHoeffdingObserve measures incremental learning throughput.
 func BenchmarkHoeffdingObserve(b *testing.B) {
 	d := nominalDataset(600, 1)
@@ -141,21 +128,5 @@ func BenchmarkHoeffdingClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Classify(d.Instances[i%d.Len()].Vals)
-	}
-}
-
-// BenchmarkHoeffdingCompiledClassify serves the same stream from a
-// compiled snapshot (the learner keeps observing off this path).
-func BenchmarkHoeffdingCompiledClassify(b *testing.B) {
-	d := nominalDataset(2000, 12)
-	h := NewHoeffdingTree(d.Attrs, d.Classes)
-	for i := range d.Instances {
-		h.Observe(d.Instances[i].Vals, d.Instances[i].Class)
-	}
-	ct := h.Compile()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct.Classify(d.Instances[i%d.Len()].Vals)
 	}
 }

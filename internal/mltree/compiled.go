@@ -1,29 +1,24 @@
 package mltree
 
-import "math"
-
 // Compiled inference (critical-path serving form).
 //
-// The training representations — *Tree's pointer-linked nodes and
-// *HoeffdingTree's stats-laden hNodes — are convenient to grow but
-// hostile to serve from: every step of a Classify walk chases a heap
-// pointer, touches the shared attrs slice for the attribute kind, and
-// Distribution allocates a fresh slice per call. On OFC's invocation
-// critical path (§5.1 budgets ~1 ms for the prediction) that fixed
-// cost is paid on every single request.
+// The training representation — *Tree's pointer-linked nodes — is
+// convenient to grow but hostile to serve from: every step of a
+// Classify walk chases a heap pointer, touches the shared attrs slice
+// for the attribute kind, and Distribution allocates a fresh slice per
+// call. On OFC's invocation critical path (§5.1 budgets ~1 ms for the
+// prediction) that fixed cost is paid on every single request.
 //
 // Compile() flattens a trained tree into contiguous array-backed node
-// tables: index-based children, packed split thresholds, per-node
-// precomputed class distributions, and (for Hoeffding snapshots) the
-// naive-Bayes sufficient statistics laid out in fixed-stride blobs.
-// The compiled walk touches one cache-friendly node record per level
-// and allocates nothing. Results are bit-identical to the pointer
-// walk: the same traversal rules, the same float operations in the
-// same order.
+// tables: index-based children, packed split thresholds and per-node
+// precomputed class distributions. The compiled walk touches one
+// cache-friendly node record per level and allocates nothing. Results
+// are bit-identical to the pointer walk: the same traversal rules, the
+// same float operations in the same order.
 //
 // A CompiledTree is immutable and safe for concurrent use.
 
-// cnode is one flattened tree node, 40 bytes, packed so one walk step
+// cnode is one flattened tree node, 32 bytes, packed so one walk step
 // reads exactly one node record and the feature value:
 //
 //   - attr: -1 marks a leaf; otherwise (attribute<<1)|1 for a numeric
@@ -34,46 +29,23 @@ import "math"
 //   - nominal split: c0 is the offset into the shared children table,
 //     c1 the branch count; -1 entries are absent branches (the walk
 //     stops there, like the pointer walk stops on a nil child).
-//   - distOff points at the node's precomputed class distribution;
-//     nbOff at its naive-Bayes blob (-1 when the node serves the plain
-//     distribution).
+//   - distOff points at the node's precomputed class distribution.
 type cnode struct {
 	attr      int32
 	majority  int32
 	c0, c1    int32
 	distOff   int32
-	nbOff     int32
 	threshold float64
 }
 
-// CompiledTree is the flat serving form of a trained tree (J48,
-// RandomTree, or a HoeffdingTree snapshot). It implements Classifier.
+// CompiledTree is the flat serving form of a trained tree (J48 or
+// RandomTree). It implements Classifier.
 type CompiledTree struct {
 	classes  int
 	numeric  []bool // per-attribute kind, indexed like the walk
 	nodes    []cnode
 	children []int32
 	dist     []float64
-	nb       *compiledNB // nil unless a Hoeffding snapshot uses NB leaves
-}
-
-// compiledNB is the flattened adaptive-naive-Bayes payload of a
-// Hoeffding snapshot. Every NB-serving leaf owns one fixed-stride blob
-// in stats:
-//
-//	[0, classes)          raw class counts
-//	[classes]             total weight
-//	attrOff[a] ...        per-attribute block:
-//	  numeric attr        classes × {n, mean, sd}
-//	  nominal attr        NumValues × classes counts
-//
-// The fixed layout means serving reads are pure offset arithmetic.
-type compiledNB struct {
-	classes int
-	attrOff []int32 // offset of attribute a's block inside a blob
-	nomVals []int32 // NumValues per attribute (0 for numeric)
-	stride  int32   // blob size
-	stats   []float64
 }
 
 // NumClasses returns the class count.
@@ -121,32 +93,7 @@ func (t *CompiledTree) walk(vals []float64) int32 {
 
 // Classify implements Classifier with zero allocations.
 func (t *CompiledTree) Classify(vals []float64) int {
-	stop := &t.nodes[t.walk(vals)]
-	if t.nb != nil && stop.nbOff >= 0 {
-		// NB leaves break count/distribution argmax symmetry; replicate
-		// the Hoeffding Classify-via-Distribution argmax without
-		// allocating by keeping the running winner.
-		var buf [64]float64
-		d := t.distributionInto(stop, vals, t.scratch(buf[:0]))
-		best, bestP := 0, d[0]
-		for c := 1; c < len(d); c++ {
-			if d[c] > bestP {
-				best, bestP = c, d[c]
-			}
-		}
-		return best
-	}
-	return int(stop.majority)
-}
-
-// scratch returns a classes-sized buffer, reusing buf's backing array
-// when it is large enough (the common ≤64-class case stays on the
-// caller's stack).
-func (t *CompiledTree) scratch(buf []float64) []float64 {
-	if cap(buf) >= t.classes {
-		return buf[:t.classes]
-	}
-	return make([]float64, t.classes)
+	return int(t.nodes[t.walk(vals)].majority)
 }
 
 // Distribution implements Classifier (allocates the returned slice;
@@ -158,79 +105,9 @@ func (t *CompiledTree) Distribution(vals []float64) []float64 {
 // DistributionInto writes the class distribution into buf (which must
 // hold NumClasses values) and returns it, allocating nothing.
 func (t *CompiledTree) DistributionInto(vals []float64, buf []float64) []float64 {
-	return t.distributionInto(&t.nodes[t.walk(vals)], vals, buf[:t.classes])
-}
-
-func (t *CompiledTree) distributionInto(stop *cnode, vals []float64, buf []float64) []float64 {
-	if t.nb != nil && stop.nbOff >= 0 {
-		return t.nb.distributionInto(stop.nbOff, vals, t.numeric, buf)
-	}
-	copy(buf, t.dist[stop.distOff:stop.distOff+int32(t.classes)])
-	return buf
-}
-
-// distributionInto computes the adaptive-naive-Bayes distribution of
-// the blob at off, in place in buf — the exact float sequence of
-// HoeffdingTree.naiveBayes, served from the flattened stats.
-func (nb *compiledNB) distributionInto(off int32, vals []float64, numeric []bool, buf []float64) []float64 {
-	stats := nb.stats[off : off+nb.stride]
-	counts := stats[:nb.classes]
-	total := stats[nb.classes]
-	maxLog := math.Inf(-1)
-	for c := 0; c < nb.classes; c++ {
-		if counts[c] == 0 {
-			buf[c] = math.Inf(-1)
-			continue
-		}
-		lp := math.Log(counts[c] / total)
-		for a := range nb.attrOff {
-			v := vals[a]
-			if IsMissing(v) {
-				continue
-			}
-			ab := stats[nb.attrOff[a]:]
-			if !numeric[a] {
-				k := nb.nomVals[a]
-				idx := int32(v)
-				if idx >= 0 && idx < k {
-					lp += math.Log((ab[int(idx)*nb.classes+c] + 1) / (counts[c] + float64(k)))
-				}
-				continue
-			}
-			g := ab[c*3:]
-			n, mean, sd := g[0], g[1], g[2]
-			if n < 2 {
-				continue
-			}
-			if sd <= 0 {
-				sd = math.Abs(mean)*1e-3 + 1e-9
-			}
-			z := (v - mean) / sd
-			lp += -0.5*z*z - math.Log(sd)
-		}
-		buf[c] = lp
-		if lp > maxLog {
-			maxLog = lp
-		}
-	}
-	var sum float64
-	for c := 0; c < nb.classes; c++ {
-		if math.IsInf(buf[c], -1) {
-			buf[c] = 0
-			continue
-		}
-		buf[c] = math.Exp(buf[c] - maxLog)
-		sum += buf[c]
-	}
-	if sum == 0 {
-		for c := 0; c < nb.classes; c++ {
-			buf[c] = counts[c] / total
-		}
-		return buf
-	}
-	for c := range buf {
-		buf[c] /= sum
-	}
+	buf = buf[:t.classes]
+	off := t.nodes[t.walk(vals)].distOff
+	copy(buf, t.dist[off:off+int32(t.classes)])
 	return buf
 }
 
@@ -276,7 +153,7 @@ func (b *ctBuilder) addNode(attr int, threshold float64, counts []float64, major
 	t.dist = append(t.dist, dist...)
 	t.nodes = append(t.nodes, cnode{
 		attr: enc, majority: int32(majority),
-		c0: -1, distOff: distOff, nbOff: -1, threshold: threshold,
+		c0: -1, distOff: distOff, threshold: threshold,
 	})
 	return idx
 }
@@ -327,188 +204,4 @@ func (t *Tree) Compile() *CompiledTree {
 	}
 	flatten(t.root)
 	return b.t
-}
-
-// CompiledForest is the flat serving form of a Forest: every member
-// compiled, voting into a caller-provided buffer.
-type CompiledForest struct {
-	members []*CompiledTree
-	classes int
-}
-
-// Compile flattens every member tree.
-func (f *Forest) Compile() *CompiledForest {
-	cf := &CompiledForest{classes: f.classes}
-	for _, m := range f.members {
-		cf.members = append(cf.members, m.Compile())
-	}
-	return cf
-}
-
-// NumClasses returns the class count.
-func (cf *CompiledForest) NumClasses() int { return cf.classes }
-
-// DistributionInto averages the member distributions into buf (which
-// must hold NumClasses values), allocating nothing: each member's walk
-// lands on a precomputed distribution that is accumulated in place.
-func (cf *CompiledForest) DistributionInto(vals []float64, buf []float64) []float64 {
-	buf = buf[:cf.classes]
-	for c := range buf {
-		buf[c] = 0
-	}
-	for _, m := range cf.members {
-		stop := &m.nodes[m.walk(vals)]
-		d := m.dist[stop.distOff : stop.distOff+int32(m.classes)]
-		for c, p := range d {
-			buf[c] += p
-		}
-	}
-	n := float64(len(cf.members))
-	for c := range buf {
-		buf[c] /= n
-	}
-	return buf
-}
-
-// Distribution implements Classifier (allocates; hot paths use
-// DistributionInto).
-func (cf *CompiledForest) Distribution(vals []float64) []float64 {
-	return cf.DistributionInto(vals, make([]float64, cf.classes))
-}
-
-// ClassifyInto classifies using buf as the voting scratch, allocating
-// nothing.
-func (cf *CompiledForest) ClassifyInto(vals []float64, buf []float64) int {
-	d := cf.DistributionInto(vals, buf)
-	best, bestP := 0, d[0]
-	for c := 1; c < len(d); c++ {
-		if d[c] > bestP {
-			best, bestP = c, d[c]
-		}
-	}
-	return best
-}
-
-// Classify implements Classifier.
-func (cf *CompiledForest) Classify(vals []float64) int {
-	var buf [64]float64
-	if cf.classes <= len(buf) {
-		return cf.ClassifyInto(vals, buf[:cf.classes])
-	}
-	return cf.ClassifyInto(vals, make([]float64, cf.classes))
-}
-
-// Compile snapshots the incremental tree into its flat serving form.
-// The snapshot freezes everything serving needs — node structure, leaf
-// class counts, naive-Bayes sufficient statistics, and each leaf's
-// adaptive MC-vs-NB verdict — so the learner keeps observing while
-// the compiled copy serves flat and allocation-free. Recompile after
-// retraining (see Serving) to pick up new splits.
-func (h *HoeffdingTree) Compile() *CompiledTree {
-	b := newCTBuilder(h.attrs, len(h.classes))
-	var flatten func(n *hNode) int32
-	flatten = func(n *hNode) int32 {
-		attr := n.attr
-		if n.isLeaf() {
-			attr = -1
-		}
-		// Hoeffding distributions fall back to class 0, not the majority,
-		// on an empty node; encoding majority=0 for empty nodes keeps the
-		// compiled one-hot identical.
-		var total float64
-		for _, c := range n.counts {
-			total += c
-		}
-		maj := 0
-		if total > 0 {
-			maj = majorityClass(n.counts)
-		}
-		idx := b.addNode(attr, n.threshold, n.counts, maj)
-		if n.isLeaf() && n.gauss != nil && total >= 10 && n.nbCorrect > n.mcCorrect {
-			b.t.nodes[idx].nbOff = b.addNB(h, n, total)
-		}
-		if !n.isLeaf() {
-			if b.t.numeric[n.attr] {
-				l := flatten(n.children[0])
-				r := flatten(n.children[1])
-				b.setNumericChildren(idx, l, r)
-			} else {
-				off := b.reserveChildren(idx, len(n.children))
-				for i, c := range n.children {
-					if c != nil {
-						b.t.children[off+int32(i)] = flatten(c)
-					}
-				}
-			}
-		}
-		return idx
-	}
-	flatten(h.root)
-	return b.t
-}
-
-// addNB flattens leaf's naive-Bayes sufficient statistics into one
-// fixed-stride blob and returns its offset.
-func (b *ctBuilder) addNB(h *HoeffdingTree, leaf *hNode, total float64) int32 {
-	t := b.t
-	if t.nb == nil {
-		nb := &compiledNB{classes: t.classes}
-		off := int32(t.classes + 1) // counts + total
-		for a := range h.attrs {
-			nb.attrOff = append(nb.attrOff, off)
-			if h.attrs[a].Kind == Nominal {
-				k := int32(h.attrs[a].NumValues())
-				nb.nomVals = append(nb.nomVals, k)
-				off += k * int32(t.classes)
-			} else {
-				nb.nomVals = append(nb.nomVals, 0)
-				off += int32(t.classes) * 3
-			}
-		}
-		nb.stride = off
-		t.nb = nb
-	}
-	nb := t.nb
-	off := int32(len(nb.stats))
-	blob := make([]float64, nb.stride)
-	copy(blob, leaf.counts)
-	blob[t.classes] = total
-	for a := range h.attrs {
-		ab := blob[nb.attrOff[a]:]
-		if h.attrs[a].Kind == Nominal {
-			for v, classCounts := range leaf.nomCounts[a] {
-				for c, w := range classCounts {
-					ab[v*t.classes+c] = w
-				}
-			}
-			continue
-		}
-		for c := 0; c < t.classes; c++ {
-			g := &leaf.gauss[a][c]
-			ab[c*3] = g.n
-			ab[c*3+1] = g.mean
-			ab[c*3+2] = g.std()
-		}
-	}
-	nb.stats = append(nb.stats, blob...)
-	return off
-}
-
-// Generation counts structural retrains (splits) of the incremental
-// tree; Serving uses it to decide when its snapshot is stale.
-func (h *HoeffdingTree) Generation() int { return h.splits }
-
-// Serving returns a compiled snapshot of the tree, recompiling only
-// when a split has changed the structure since the last snapshot. The
-// learner stays incremental — Observe keeps updating the live tree —
-// while callers on the critical path classify against the flat copy.
-// Between splits the snapshot's leaf statistics lag the live leaves by
-// design: that staleness is the price of a zero-allocation serve, and
-// it heals at the next split (or an explicit Compile).
-func (h *HoeffdingTree) Serving() *CompiledTree {
-	if h.snapshot == nil || h.snapshotGen != h.splits {
-		h.snapshot = h.Compile()
-		h.snapshotGen = h.splits
-	}
-	return h.snapshot
 }

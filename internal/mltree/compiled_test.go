@@ -102,110 +102,9 @@ func TestCompiledRandomTreeEquivalent(t *testing.T) {
 	assertSame(t, "RandomTree", tree, tree.Compile(), probeVectors(d, 300, 8))
 }
 
-func TestCompiledForestEquivalent(t *testing.T) {
-	d := nominalDataset(400, 5)
-	f := (&RandomForest{Trees: 15, MinLeaf: 1, Seed: 9}).Fit(d).(*Forest)
-	cf := f.Compile()
-	probes := probeVectors(d, 200, 10)
-	assertSame(t, "Forest", f, cf, probes)
-	// The buffered voting path must agree with the allocating one.
-	buf := make([]float64, cf.NumClasses())
-	for i, vals := range probes {
-		if a, b := f.Classify(vals), cf.ClassifyInto(vals, buf); a != b {
-			t.Fatalf("probe %d: ClassifyInto=%d want %d", i, b, a)
-		}
-	}
-}
-
-// separableNumericDataset has one strongly class-determining numeric
-// attribute, so the Hoeffding bound admits numeric splits quickly.
-func separableNumericDataset(n, classes int, seed int64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	d := NewDataset([]Attribute{
-		{Name: "size", Kind: Numeric},
-		{Name: "noise", Kind: Numeric},
-	}, make([]string, classes))
-	for c := 0; c < classes; c++ {
-		d.Classes[c] = string(rune('a' + c%26))
-	}
-	for i := 0; i < n; i++ {
-		class := rng.Intn(classes)
-		size := float64(class)*10 + rng.Float64()*2
-		d.Add([]float64{size, rng.Float64()}, class)
-	}
-	return d
-}
-
-func TestCompiledHoeffdingEquivalent(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		d    *Dataset
-	}{
-		{"nominal", nominalDataset(2000, 12)},
-		{"numeric", separableNumericDataset(2000, 4, 13)},
-	} {
-		h := NewHoeffdingTree(tc.d.Attrs, tc.d.Classes)
-		for i := range tc.d.Instances {
-			h.Observe(tc.d.Instances[i].Vals, tc.d.Instances[i].Class)
-		}
-		if h.Size() == 1 {
-			t.Fatalf("%s: tree never split; NB and walk paths untested", tc.name)
-		}
-		assertSame(t, "Hoeffding/"+tc.name, h, h.Compile(), probeVectors(tc.d, 300, 14))
-	}
-}
-
-// TestCompiledHoeffdingNBLeaf forces the adaptive-NB serving verdict
-// on a leaf and checks the flattened sufficient statistics reproduce
-// naiveBayes exactly.
-func TestCompiledHoeffdingNBLeaf(t *testing.T) {
-	d := predictorDataset(400, 4, 21)
-	h := NewHoeffdingTree(d.Attrs, d.Classes)
-	// Large grace period keeps the root a leaf; all stats accumulate there.
-	h.GracePeriod = 1 << 30
-	for i := range d.Instances {
-		h.Observe(d.Instances[i].Vals, d.Instances[i].Class)
-	}
-	// Make the prequential NB counter win so Distribution serves NB.
-	h.root.nbCorrect = h.root.mcCorrect + 1
-	ct := h.Compile()
-	if ct.nb == nil {
-		t.Fatal("compiled tree has no NB payload despite NB-winning leaf")
-	}
-	assertSame(t, "Hoeffding/NB", h, ct, probeVectors(d, 300, 22))
-}
-
-// TestHoeffdingServingSnapshot checks Serving reuses its snapshot
-// until a split changes the structure.
-func TestHoeffdingServingSnapshot(t *testing.T) {
-	d := nominalDataset(2000, 31)
-	h := NewHoeffdingTree(d.Attrs, d.Classes)
-	s0 := h.Serving()
-	if h.Serving() != s0 {
-		t.Error("Serving recompiled without a structural change")
-	}
-	gen := h.Generation()
-	for i := range d.Instances {
-		h.Observe(d.Instances[i].Vals, d.Instances[i].Class)
-	}
-	if h.Generation() == gen {
-		t.Fatal("stream never split; snapshot-staleness path untested")
-	}
-	s1 := h.Serving()
-	if s1 == s0 {
-		t.Error("Serving kept a stale snapshot across a split")
-	}
-	if s1.Nodes() != h.Size() {
-		t.Errorf("snapshot has %d nodes, live tree %d", s1.Nodes(), h.Size())
-	}
-	if h.Serving() != s1 {
-		t.Error("Serving recompiled with an up-to-date snapshot")
-	}
-}
-
 // TestCompiledClassifyZeroAlloc is the allocation regression gate for
 // the critical path: compiled Classify and DistributionInto must not
-// allocate, for trees and forests alike.
+// allocate.
 func TestCompiledClassifyZeroAlloc(t *testing.T) {
 	d := predictorDataset(800, 128, 2)
 	tree := NewJ48().Fit(d).(*Tree)
@@ -217,23 +116,5 @@ func TestCompiledClassifyZeroAlloc(t *testing.T) {
 	buf := make([]float64, ct.NumClasses())
 	if n := testing.AllocsPerRun(200, func() { ct.DistributionInto(vals, buf) }); n != 0 {
 		t.Errorf("compiled Tree.DistributionInto allocates %v/op, want 0", n)
-	}
-
-	nd := nominalDataset(400, 5)
-	cf := (&RandomForest{Trees: 15, MinLeaf: 1, Seed: 9}).Fit(nd).(*Forest).Compile()
-	fbuf := make([]float64, cf.NumClasses())
-	fvals := nd.Instances[3].Vals
-	if n := testing.AllocsPerRun(200, func() { cf.ClassifyInto(fvals, fbuf) }); n != 0 {
-		t.Errorf("compiled Forest.ClassifyInto allocates %v/op, want 0", n)
-	}
-
-	h := NewHoeffdingTree(nd.Attrs, nd.Classes)
-	for i := range nd.Instances {
-		h.Observe(nd.Instances[i].Vals, nd.Instances[i].Class)
-	}
-	ch := h.Compile()
-	hbuf := make([]float64, ch.NumClasses())
-	if n := testing.AllocsPerRun(200, func() { ch.DistributionInto(fvals, hbuf) }); n != 0 {
-		t.Errorf("compiled Hoeffding DistributionInto allocates %v/op, want 0", n)
 	}
 }

@@ -87,15 +87,6 @@ func (d *Dataset) AddWeighted(vals []float64, class int, weight float64) {
 // Len returns the number of instances.
 func (d *Dataset) Len() int { return len(d.Instances) }
 
-// TotalWeight sums the instance weights.
-func (d *Dataset) TotalWeight() float64 {
-	var w float64
-	for i := range d.Instances {
-		w += d.Instances[i].Weight
-	}
-	return w
-}
-
 // majorityClass returns the index of the heaviest class, breaking ties
 // toward the lower index for determinism.
 func majorityClass(counts []float64) int {
@@ -125,25 +116,6 @@ func entropy(counts []float64) float64 {
 		}
 	}
 	return e
-}
-
-// Shuffle permutes the instances deterministically from rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.Instances), func(i, j int) {
-		d.Instances[i], d.Instances[j] = d.Instances[j], d.Instances[i]
-	})
-}
-
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := NewDataset(d.Attrs, d.Classes)
-	out.Instances = make([]Instance, len(d.Instances))
-	for i := range d.Instances {
-		vals := make([]float64, len(d.Instances[i].Vals))
-		copy(vals, d.Instances[i].Vals)
-		out.Instances[i] = Instance{Vals: vals, Class: d.Instances[i].Class, Weight: d.Instances[i].Weight}
-	}
-	return out
 }
 
 // Subset returns a dataset view holding the given instances (shared

@@ -23,12 +23,6 @@ type HoeffdingTree struct {
 
 	root *hNode
 	seen int
-
-	// splits counts structural changes; Serving recompiles its flat
-	// snapshot when it lags (see compiled.go).
-	splits      int
-	snapshot    *CompiledTree
-	snapshotGen int
 }
 
 // NewHoeffdingTree returns an empty incremental tree with MOA-like
@@ -314,7 +308,6 @@ func (h *HoeffdingTree) evalLeafSplit(leaf *hNode, attr int, base, total float64
 }
 
 func (h *HoeffdingTree) split(leaf *hNode, s hSplit) {
-	h.splits++
 	numClasses := len(h.classes)
 	leaf.attr = s.attr
 	leaf.threshold = s.threshold

@@ -63,35 +63,3 @@ func UnmarshalTree(data []byte) (*Tree, error) {
 	}
 	return &Tree{root: fromNodeJSON(j.Root), attrs: j.Attrs, n: j.N}, nil
 }
-
-// forestJSON is the serialized form of a Forest.
-type forestJSON struct {
-	Members []treeJSON `json:"members"`
-	Classes int        `json:"classes"`
-}
-
-// MarshalForest serializes a trained Forest to JSON.
-func MarshalForest(f *Forest) ([]byte, error) {
-	out := forestJSON{Classes: f.classes}
-	for _, t := range f.members {
-		out.Members = append(out.Members, treeJSON{Root: toNodeJSON(t.root), Attrs: t.attrs, N: t.n})
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalForest reconstructs a Forest from MarshalForest output.
-func UnmarshalForest(data []byte) (*Forest, error) {
-	var j forestJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("mltree: bad forest encoding: %w", err)
-	}
-	f := &Forest{classes: j.Classes}
-	for i := range j.Members {
-		m := &j.Members[i]
-		if m.Root == nil {
-			return nil, fmt.Errorf("mltree: member %d has no root", i)
-		}
-		f.members = append(f.members, &Tree{root: fromNodeJSON(m.Root), attrs: m.Attrs, n: m.N})
-	}
-	return f, nil
-}

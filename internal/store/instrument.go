@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"ofc/internal/metrics"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
 )
@@ -68,25 +69,15 @@ func (n *Instrumented) Stats() OpStats {
 	return n.s
 }
 
-// LatencyQuantile returns the q-quantile (nearest-rank, 0 < q <= 1) of
-// the recent Read/Write latency window, or 0 with no clock or samples.
+// LatencyQuantile returns the q-quantile (metrics.Quantile) of the
+// recent Read/Write latency window, or 0 with no clock or samples.
 func (n *Instrumented) LatencyQuantile(q float64) time.Duration {
 	n.mu.Lock()
 	samples := make([]time.Duration, len(n.lat))
 	copy(samples, n.lat)
 	n.mu.Unlock()
-	if len(samples) == 0 {
-		return 0
-	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := int(float64(len(samples))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
-	return samples[idx]
+	return metrics.Quantile(samples, q)
 }
 
 // clock returns the attached env, or nil.

@@ -128,26 +128,19 @@ type Resilient struct {
 
 // NewResilient wraps inner with the degradation layer.
 func NewResilient(env *sim.Env, inner Backend, cfg ResilienceConfig) *Resilient {
-	r := &Resilient{inner: inner, env: env}
+	r := &Resilient{
+		inner:    inner,
+		env:      env,
+		cfg:      cfg,
+		rng:      env.NewRand(),
+		breakers: make(map[simnet.NodeID]*breaker),
+	}
 	r.pv, _ = PlacementViewOf(inner)
-	r.reset(cfg)
 	return r
 }
 
 // Unwrap implements Wrapper.
 func (r *Resilient) Unwrap() Backend { return r.inner }
-
-func (r *Resilient) reset(cfg ResilienceConfig) {
-	r.mu.Lock()
-	r.cfg = cfg
-	r.rng = r.env.NewRand()
-	r.breakers = make(map[simnet.NodeID]*breaker)
-	r.mu.Unlock()
-}
-
-// SetConfig replaces the resilience constants and resets breaker
-// state. Call before traffic starts.
-func (r *Resilient) SetConfig(cfg ResilienceConfig) { r.reset(cfg) }
 
 // SetRetryGate installs (or, with nil, removes) the shared retry
 // budget consulted before every re-attempt.
@@ -155,13 +148,6 @@ func (r *Resilient) SetRetryGate(g RetryGate) {
 	r.mu.Lock()
 	r.gate = g
 	r.mu.Unlock()
-}
-
-// Config returns the active constants.
-func (r *Resilient) Config() ResilienceConfig {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg
 }
 
 // Stats snapshots the degradation counters.

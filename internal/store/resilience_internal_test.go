@@ -11,9 +11,7 @@ import (
 // mkResilient builds a bare Resilient for white-box breaker/backoff
 // tests (no inner backend needed; only the breaker machinery runs).
 func mkResilient(env *sim.Env, cfg ResilienceConfig) *Resilient {
-	r := &Resilient{env: env}
-	r.reset(cfg)
-	return r
+	return NewResilient(env, nil, cfg)
 }
 
 // TestBreakerTransitions walks the per-server circuit breaker through

@@ -2,10 +2,10 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
+	"ofc/internal/metrics"
 	"ofc/internal/sim"
 )
 
@@ -52,30 +52,10 @@ func Breakdown(spans []Span) []PhaseStat {
 	return out
 }
 
-// Quantile returns the q-th quantile of an ascending-sorted slice by
-// the ceiling nearest-rank rule (rank ⌈q·n⌉), matching
-// metrics.Histogram.Quantile: an empty slice yields 0, q <= 0 the
-// first element, q >= 1 the last, and a single sample answers every
-// quantile with itself.
+// Quantile is metrics.Quantile on the virtual clock's type: the q-th
+// quantile of an ascending-sorted slice by ceiling nearest-rank.
 func Quantile(sorted []sim.Time, q float64) sim.Time {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
+	return metrics.Quantile(sorted, q)
 }
 
 // FormatBreakdown renders the per-phase table the -exp trace drill
