@@ -2,16 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build test test-cover race test-race vet lint bench bench-sim bench-ml bench-baseline benchdiff repro scorecard smoke-overload smoke-policies smoke-trace smoke-examples clean
+.PHONY: all check build test test-cover test-race vet lint bench bench-sim bench-ml bench-baseline benchdiff repro scorecard smoke-overload smoke-policies smoke-trace smoke-examples clean
 
 all: check
 
 # The default gate: build, vet, the determinism/correctness analyzers,
-# full tests, the race detector over the concurrency-heavy packages
-# (scheduler, network, cache cluster, proxy/resilience, platform,
-# overload, chaos), coverage with the trace floor, then the end-to-end
-# overload drill, the memctl policy-ablation grid, the golden-trace
-# determinism smoke and one short run of every example and driver.
+# full tests, the race detector over every package, coverage with the
+# trace floor, then the end-to-end overload drill, the memctl
+# policy-ablation grid, the golden-trace determinism smoke and one
+# short run of every example and driver.
 check: build vet lint test test-race test-cover smoke-overload smoke-policies smoke-trace smoke-examples
 
 build:
@@ -30,16 +29,15 @@ test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
 
-race:
-	$(GO) test -race ./...
-
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to
 # find inside internal/sim on any number of Ps, and this is where it
-# says so.
+# says so. The second line covers every package: fields fixed when
+# their constructor returns carry no lock, and experiments.Parallel
+# runs independent deployments on several goroutines.
 test-race:
 	$(GO) test -race -cpu 1,4 ./internal/sim/...
-	$(GO) test -race ./internal/simnet/... ./internal/kvstore/... ./internal/store/... ./internal/core/... ./internal/faas/... ./internal/overload/... ./internal/chaos/... ./internal/trace/...
+	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...

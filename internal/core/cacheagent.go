@@ -127,7 +127,8 @@ type CacheAgent struct {
 	pol  memctl.Policies
 
 	// tracer records reclaim/evict.sweep spans as trace-0 roots (nil =
-	// off). Set before Start; read without synchronization.
+	// off). System.EnableTracing sets it before Start; read without
+	// synchronization.
 	tracer *trace.Tracer
 
 	// mu guards the mutable snapshot state AND the policy set: policy
@@ -171,10 +172,6 @@ func normalizeSpec(s memctl.Spec) memctl.Spec {
 	}
 	return s
 }
-
-// SetTracer attaches a span recorder to the agent's reclaim and
-// eviction paths. Call before Start.
-func (a *CacheAgent) SetTracer(tr *trace.Tracer) { a.tracer = tr }
 
 // Node returns the agent's node.
 func (a *CacheAgent) Node() simnet.NodeID { return a.node }
@@ -410,21 +407,10 @@ func (a *CacheAgent) adjustSlack() {
 // ReclaimFailures counter as one of its pressure signals.
 var ErrReclaim = errors.New("core: cache reclaim failed")
 
-// SetBrownout switches the agent's eviction posture (legacy boolean
-// face of SetPressure). Entering brownout triggers an immediate
-// tightened sweep, so cache memory flows back to sandboxes while
-// pressure lasts.
-func (a *CacheAgent) SetBrownout(on bool) {
-	p := memctl.PressureNormal
-	if on {
-		p = memctl.PressureBrownout
-	}
-	a.SetPressure(p)
-}
-
 // SetPressure feeds the overload controller's urgency level into the
 // policy inputs. Rising to brownout triggers an immediate sweep under
-// the tightened criteria.
+// the tightened criteria, so cache memory flows back to sandboxes
+// while pressure lasts.
 func (a *CacheAgent) SetPressure(p memctl.Pressure) {
 	a.mu.Lock()
 	was := a.pressure
@@ -570,8 +556,8 @@ func (a *CacheAgent) evictionSweep() int {
 }
 
 // Governor adapts a set of agents to the faas.MemoryGovernor interface
-// and to the proxy's AdmissionGate (routing per-object admission and
-// touch notifications to the owning node's agent).
+// and is the proxy's write-admission gate (routing per-object admission
+// and touch notifications to the owning node's agent).
 type Governor struct {
 	mu     sync.Mutex
 	agents map[simnet.NodeID]*CacheAgent
@@ -605,9 +591,11 @@ func (g *Governor) Reclaim(node simnet.NodeID, need int64) (time.Duration, error
 	return a.Reclaim(need)
 }
 
-// AdmitObject implements AdmissionGate: the write-admission decision
-// belongs to the node that would master the object. Nodes without an
-// agent admit unconditionally (pre-refactor behavior).
+// AdmitObject decides whether a missed input may be admitted into
+// node's cache; benefit is the predictor's caching-benefit score. The
+// decision belongs to the node that would master the object. Nodes
+// without an agent admit unconditionally. Like TouchObject it is pure
+// bookkeeping: no simulated time passes inside it.
 func (g *Governor) AdmitObject(node simnet.NodeID, key string, size int64, benefit float64) bool {
 	a := g.Agent(node)
 	if a == nil {
@@ -616,7 +604,7 @@ func (g *Governor) AdmitObject(node simnet.NodeID, key string, size int64, benef
 	return a.AdmitObject(key, size, benefit)
 }
 
-// TouchObject implements AdmissionGate.
+// TouchObject reports a cache hit on an object mastered on node.
 func (g *Governor) TouchObject(node simnet.NodeID, key string) {
 	if a := g.Agent(node); a != nil {
 		a.TouchObject(key)

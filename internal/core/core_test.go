@@ -197,12 +197,16 @@ func TestBenefitLabel(t *testing.T) {
 }
 
 // newSystem builds a small OFC stack for integration tests.
-func newSystem(seed int64) *System {
+func newSystem(seed int64) *System { return NewSystem(testOptions(seed)) }
+
+// testOptions is the 3-worker shape newSystem deploys, for tests that
+// set more options before NewSystem.
+func testOptions(seed int64) Options {
 	opts := DefaultOptions()
 	opts.Seed = seed
 	opts.Workers = 3
 	opts.NodeCapacity = 4 << 30
-	return NewSystem(opts)
+	return opts
 }
 
 // imageFn builds a learnable test function: reads the input, computes,
@@ -536,8 +540,12 @@ func TestSlackAdjustsToChurn(t *testing.T) {
 }
 
 func TestRelaxedConsistencySkipsShadow(t *testing.T) {
-	sys := newSystem(1)
-	sys.RC.SetRelaxed("lazy/")
+	relaxed := func(seed int64) *System {
+		opts := testOptions(seed)
+		opts.RelaxedPrefixes = []string{"lazy/"}
+		return NewSystem(opts)
+	}
+	sys := relaxed(1)
 	fn := &faas.Function{Name: "relax", Tenant: "t", MemoryBooked: 1 << 30, InputType: "none",
 		Body: func(ctx *faas.Ctx) error {
 			if err := ctx.Load("lazy/out", faas.Blob{Size: 1 << 20}, faas.KindFinal); err != nil {
@@ -572,8 +580,7 @@ func TestRelaxedConsistencySkipsShadow(t *testing.T) {
 		t.Errorf("load=%v; relaxed write should cost ~1 shadow only", loadTime)
 	}
 	// Persistence still happens when the agent writes it back.
-	sys2 := newSystem(2)
-	sys2.RC.SetRelaxed("lazy/")
+	sys2 := relaxed(2)
 	sys2.Env.Go(func() {
 		node := sys2.WorkerNodes[0]
 		sys2.KV.SetMemoryLimit(node, 1<<30)
@@ -815,9 +822,15 @@ func TestModelImportRejectsWrongFunction(t *testing.T) {
 	}
 }
 
+// newChunkingSystem deploys newSystem's shape with Options.Chunking.
+func newChunkingSystem(seed int64) *System {
+	opts := testOptions(seed)
+	opts.Chunking = true
+	return NewSystem(opts)
+}
+
 func TestChunkingLargeFinalObject(t *testing.T) {
-	sys := newSystem(10)
-	sys.RC.EnableChunking()
+	sys := newChunkingSystem(10)
 	sys.Platform.Advisor = advisorAlways{}
 	const size = 25 << 20 // 25 MB > 10 MB cap → 4 chunks
 	fn := &faas.Function{Name: "huge", Tenant: "t", MemoryBooked: 1 << 30, InputType: "none",
@@ -873,8 +886,7 @@ func TestChunkingLargeFinalObject(t *testing.T) {
 }
 
 func TestChunkingIntermediatesDiscardedWithPipeline(t *testing.T) {
-	sys := newSystem(11)
-	sys.RC.EnableChunking()
+	sys := newChunkingSystem(11)
 	sys.Platform.Advisor = advisorAlways{}
 	const size = 18 << 20
 	w := &faas.Function{Name: "cw", Tenant: "t", MemoryBooked: 1 << 30, InputType: "none",

@@ -14,7 +14,9 @@ import (
 	"ofc/internal/trace"
 )
 
-// Options configures a full OFC deployment.
+// Options is the whole description of an OFC deployment: NewSystem
+// wires every layer from it once, and only the tracer (EnableTracing)
+// and the overload controller's degradation level change afterwards.
 type Options struct {
 	// Workers is the number of FaaS worker nodes (the paper's testbed
 	// uses 4 workers + 1 controller machine + 1 storage machine).
@@ -41,6 +43,19 @@ type Options struct {
 	// RCLib.getCoalesced). Off by default: the faithful-paper
 	// configuration lets every miss pay its own RSDS round trip.
 	CoalesceMisses bool
+	// Chunking puts the large-object striping middleware (§6.1 future
+	// work) into the proxy's stack: cacheable objects above the
+	// engine's per-object ceiling are striped instead of bypassing the
+	// cache. Off in the faithful-paper configuration.
+	Chunking bool
+	// RelaxedPrefixes are key prefixes whose tenants opted out of §6.2
+	// strong consistency: cacheable writes under them get no shadow
+	// object and no eager Persistor, and reach the RSDS when evicted.
+	RelaxedPrefixes []string
+	// Overload, when non-nil, installs end-to-end overload control
+	// (admission gate, shared retry budget, degradation controller);
+	// System.Overload is then non-nil.
+	Overload *OverloadConfig
 }
 
 // DefaultOptions mirrors the paper's testbed shape.
@@ -74,8 +89,8 @@ type System struct {
 	Trainer *ModelTrainer
 	RC      *RCLib
 	Gov     *Governor
-	// Overload is the overload-control subsystem; nil until
-	// EnableOverload is called.
+	// Overload is the overload-control subsystem; nil unless
+	// Options.Overload is set.
 	Overload *OverloadControl
 	// Tracer is the deterministic span recorder; nil until
 	// EnableTracing is called.
@@ -129,9 +144,13 @@ func NewSystem(opts Options) *System {
 	}
 	sys.Pred = NewPredictor(opts.Predictor)
 	sys.Trainer = NewModelTrainer(sys.Pred, env)
-	sys.RC = NewRCLib(env, backend, rsds)
-	sys.RC.coalesce = opts.CoalesceMisses
 	sys.Gov = NewGovernor()
+	res := store.DefaultResilienceConfig()
+	if opts.Overload != nil {
+		sys.Overload = newOverloadControl(sys, *opts.Overload)
+		res.Gate = storeRetryGate{sys.Overload.Budget}
+	}
+	sys.RC = NewRCLib(env, backend, rsds, platform, sys.Gov, res, opts)
 
 	mv, hasMem := store.MemoryViewOf(backend)
 	for _, w := range workers {
@@ -152,11 +171,6 @@ func NewSystem(opts Options) *System {
 	platform.Observer = sys
 	platform.Governor = sys.Gov
 	platform.MonitorEnabled = true
-
-	sys.RC.AttachPlatform(platform)
-	// The governor doubles as the proxy's write-admission gate,
-	// routing per-object Admit/Touch to the owning node's policies.
-	sys.RC.SetAdmissionGate(sys.Gov)
 	return sys
 }
 
@@ -171,13 +185,13 @@ func (s *System) EnableTracing(cfg trace.Config) *trace.Tracer {
 	}
 	tr := trace.New(s.Env, cfg)
 	s.Platform.Tracer = tr
-	s.Pred.SetTracer(tr)
-	s.RC.SetTracer(tr)
+	s.Pred.tracer = tr
+	s.RC.tracer = tr
 	if s.KV != nil {
 		s.KV.SetTracer(tr)
 	}
 	for _, a := range s.agents {
-		a.SetTracer(tr)
+		a.tracer = tr
 	}
 	s.Tracer = tr
 	return tr

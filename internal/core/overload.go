@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ofc/internal/faas"
+	"ofc/internal/memctl"
 	"ofc/internal/metrics"
 	"ofc/internal/overload"
 )
@@ -29,13 +30,14 @@ type OverloadControl struct {
 	Timeline   *metrics.Timeline
 }
 
-// EnableOverload installs end-to-end overload control on the system:
-// an admission queue gating Platform.Invoke, a retry budget shared by
-// faas OOM/reroute retries and the storage resilience layer, and the
-// Normal→Brownout→Shed controller consuming queue depth, OOM-kill
-// rate, reclaim-failure rate and store latency. Call before Run; the
+// newOverloadControl builds end-to-end overload control for s
+// (Options.Overload): an admission queue gating Platform.Invoke, a
+// retry budget shared by faas OOM/reroute retries and the storage
+// resilience layer, and the Normal→Brownout→Shed controller consuming
+// queue depth, OOM-kill rate, reclaim-failure rate and store latency.
+// NewSystem hands the budget to the proxy's resilience layer; the
 // controller's sampling loop is armed by Start.
-func (s *System) EnableOverload(cfg OverloadConfig) *OverloadControl {
+func newOverloadControl(s *System, cfg OverloadConfig) *OverloadControl {
 	adm := overload.NewAdmission(s.Env, cfg.Admission)
 	bud := overload.NewRetryBudget(s.Env, cfg.Budget)
 	oc := &OverloadControl{
@@ -55,21 +57,23 @@ func (s *System) EnableOverload(cfg OverloadConfig) *OverloadControl {
 	})
 	s.Platform.Admission = admissionAdapter{adm}
 	s.Platform.Retry = faasRetryGate{bud}
-	s.RC.SetRetryGate(storeRetryGate{bud})
-	s.Overload = oc
 	return oc
 }
 
 // apply propagates a state change to every degradation hook.
 func (oc *OverloadControl) apply(to overload.State) {
 	brown := to >= overload.Brownout
+	pressure := memctl.PressureNormal
+	if brown {
+		pressure = memctl.PressureBrownout
+	}
 	oc.Admission.SetLevel(to)
 	oc.sys.RC.SetBrownout(brown)
 	if r, ok := oc.sys.Platform.Router.(*Router); ok {
 		r.SetBrownout(brown)
 	}
 	for _, a := range oc.sys.Agents() {
-		a.SetBrownout(brown)
+		a.SetPressure(pressure)
 	}
 }
 

@@ -124,17 +124,15 @@ type Predictor struct {
 	// all functions (lock-free; reporting reads a coherent snapshot).
 	memo metrics.MemoCounters
 
-	// tracer records "predict"/"retrain" spans (nil = off; set before
-	// traffic starts). The Advise fast path stays zero-alloc: with a
-	// nil tracer it branches straight into the untraced body.
+	// tracer records "predict"/"retrain" spans (nil = off; set by
+	// System.EnableTracing before traffic starts). The Advise fast path
+	// stays zero-alloc: with a nil tracer it branches straight into the
+	// untraced body.
 	tracer *trace.Tracer
 
 	mu     sync.Mutex
 	models map[string]*modelState
 }
-
-// SetTracer attaches the span recorder. Call before traffic starts.
-func (p *Predictor) SetTracer(tr *trace.Tracer) { p.tracer = tr }
 
 // NewPredictor returns an empty predictor.
 func NewPredictor(cfg PredictorConfig) *Predictor {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,7 +27,7 @@ import (
 // At construction it assembles its middleware stack over the engine it
 // was given:
 //
-//	Instrumented → Chunked (off by default) → Resilient → engine
+//	Instrumented → Chunked (Options.Chunking only) → Resilient → engine
 //
 // A Durable engine (the cache-off RSDS passthrough) skips the
 // Resilient layer and the whole shadow/persistor protocol: its writes
@@ -40,15 +41,27 @@ type RCLib struct {
 	base    store.Backend
 	be      store.Backend
 	resil   *store.Resilient // nil for durable engines
-	chunked *store.Chunked
 	inst    *store.Instrumented
 	pv      store.PlacementView // nil when the engine has no placement
 	durable bool
 
-	// platform is set after construction (the Persistor is itself a
-	// FaaS function injected into the platform).
+	// The Persistor is itself a FaaS function injected into the
+	// platform.
 	platform  *faas.Platform
 	persistFn *faas.Function
+
+	// gov is the memory control plane's write-admission veto: missed
+	// inputs are only admitted into the cache when the owning node's
+	// eviction policy agrees, and cache hits are reported back so
+	// frequency-keeping policies see accesses.
+	gov *Governor
+	// relaxed holds key prefixes (the paper's bucket/object/account
+	// granularity, Options.RelaxedPrefixes) whose tenants disabled the
+	// §6.2 strong-consistency facilities: cacheable writes under them
+	// skip the synchronous shadow placeholder and the eager Persistor;
+	// dirty data reaches the RSDS only when the cacheAgent evicts it,
+	// persistence meanwhile riding on the cache's replication.
+	relaxed []string
 
 	mu sync.Mutex
 	// pipelines tracks intermediate object keys per pipeline instance
@@ -63,18 +76,6 @@ type RCLib struct {
 	pendingMu sync.Mutex
 	pending   map[string]*sim.Future[struct{}]
 
-	// gate, when set, is the memory control plane's write-admission
-	// veto: missed inputs are only admitted into the cache when the
-	// owning node's eviction policy agrees, and cache hits are
-	// reported back so frequency-keeping policies see accesses. Read
-	// on every Get, so it lives behind an atomic pointer, not rc.mu.
-	gate atomic.Pointer[gateHolder]
-	// relaxed holds key prefixes (buckets/accounts) whose tenants
-	// disabled the §6.2 strong-consistency facilities: no shadow
-	// objects, no eager persistors; writes propagate lazily on
-	// eviction, persistence rides on the cache's replication.
-	// Copy-on-write: SetRelaxed is rare, isRelaxed runs per final Put.
-	relaxed atomic.Pointer[[]string]
 	// brownout is the overload controller's degradation switch: miss
 	// admissions stop and non-intermediate writes take the synchronous
 	// durable RSDS path (per-request Passthrough/CacheOff), so the
@@ -83,8 +84,9 @@ type RCLib struct {
 	brownout atomic.Bool
 
 	// tracer records cache.get/cache.put/rsds.fetch spans (nil = off;
-	// set before traffic starts). Get/Put branch into their untraced
-	// bodies on nil, keeping the warm-hit path's allocation profile.
+	// set by System.EnableTracing before traffic starts). Get/Put
+	// branch into their untraced bodies on nil, keeping the warm-hit
+	// path's allocation profile.
 	tracer *trace.Tracer
 
 	// coalesce enables miss coalescing (Options.CoalesceMisses): N
@@ -127,10 +129,6 @@ type RCLib struct {
 	brownoutBypasses atomic.Int64
 }
 
-// gateHolder wraps the AdmissionGate interface so it can live in an
-// atomic.Pointer.
-type gateHolder struct{ g AdmissionGate }
-
 // getResult is what a coalesced miss hands its followers.
 type getResult struct {
 	blob faas.Blob
@@ -145,15 +143,22 @@ type flightKey struct {
 	key  string
 }
 
-// NewRCLib builds the proxy over a storage engine and the RSDS. Any
-// store.Backend works: *kvstore.Cluster for the paper configuration,
-// store.NewPassthrough(rsds) for cache-off mode.
-func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib {
-	res := store.DefaultResilienceConfig()
+// NewRCLib builds the proxy over a storage engine and the RSDS and
+// registers its Persistor with the platform. Any store.Backend works:
+// *kvstore.Cluster for the paper configuration,
+// store.NewPassthrough(rsds) for cache-off mode. gov holds the
+// admission veto, res tunes the Resilient layer, and opts supplies
+// Chunking, RelaxedPrefixes and CoalesceMisses.
+func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platform *faas.Platform,
+	gov *Governor, res store.ResilienceConfig, opts Options) *RCLib {
 	rc := &RCLib{
 		env:               env,
 		rsds:              rsds,
 		base:              backend,
+		platform:          platform,
+		gov:               gov,
+		relaxed:           slices.Clone(opts.RelaxedPrefixes),
+		coalesce:          opts.CoalesceMisses,
 		pipelines:         make(map[string][]string),
 		pending:           make(map[string]*sim.Future[struct{}]),
 		flights:           make(map[flightKey]*sim.Future[getResult]),
@@ -168,10 +173,20 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib 
 		rc.resil = store.NewResilient(env, b, res)
 		b = rc.resil
 	}
-	rc.chunked = store.NewChunked(b, store.DefaultChunkSize)
-	rc.inst = store.NewInstrumented(rc.chunked)
-	rc.inst.AttachClock(env)
+	if opts.Chunking {
+		b = store.NewChunked(b, store.DefaultChunkSize)
+	}
+	rc.inst = store.NewInstrumented(env, b)
 	rc.be = rc.inst
+
+	rc.persistFn = &faas.Function{
+		Name:         "persistor",
+		Tenant:       "ofc",
+		MemoryBooked: 64 << 20,
+		InputType:    "none",
+		Body:         rc.persistBody,
+	}
+	platform.Register(rc.persistFn)
 
 	// Consistency webhooks for non-FaaS clients (§6.2).
 	rsds.OnRead(func(key string, m objstore.Meta) {
@@ -198,11 +213,6 @@ func (rc *RCLib) Backend() store.Backend { return rc.be }
 // instrumentation middleware.
 func (rc *RCLib) StoreStats() store.OpStats { return rc.inst.Stats() }
 
-// EnableChunking turns the large-object striping extension on (§6.1
-// future work; off by default to keep the faithful-paper
-// configuration).
-func (rc *RCLib) EnableChunking() { rc.chunked.Enable() }
-
 // BreakerState exposes one server's breaker for tests and debugging.
 func (rc *RCLib) BreakerState(node simnet.NodeID) (failures int, open bool) {
 	if rc.resil == nil {
@@ -210,43 +220,6 @@ func (rc *RCLib) BreakerState(node simnet.NodeID) (failures int, open bool) {
 	}
 	return rc.resil.BreakerState(node)
 }
-
-// SetRetryGate installs the shared retry budget on the proxy's
-// resilience middleware (no-op for durable engines, which never retry).
-func (rc *RCLib) SetRetryGate(g store.RetryGate) {
-	if rc.resil != nil {
-		rc.resil.SetRetryGate(g)
-	}
-}
-
-// AdmissionGate is the memory control plane's view of the proxy's
-// write path (implemented by the Governor, routing to the per-node
-// agents' EvictionPolicy). Both calls are pure bookkeeping — no
-// simulated time passes inside them.
-type AdmissionGate interface {
-	// AdmitObject decides whether a missed input may be admitted into
-	// node's cache; benefit is the predictor's caching-benefit score.
-	AdmitObject(node simnet.NodeID, key string, size int64, benefit float64) bool
-	// TouchObject reports a cache hit on an object mastered on node.
-	TouchObject(node simnet.NodeID, key string)
-}
-
-// SetAdmissionGate installs the control plane's admission veto. Call
-// before traffic starts.
-func (rc *RCLib) SetAdmissionGate(g AdmissionGate) {
-	rc.gate.Store(&gateHolder{g: g})
-}
-
-// admissionGate reads the gate (lock-free; it sits on every Get).
-func (rc *RCLib) admissionGate() AdmissionGate {
-	if h := rc.gate.Load(); h != nil {
-		return h.g
-	}
-	return nil
-}
-
-// SetTracer attaches the span recorder. Call before traffic starts.
-func (rc *RCLib) SetTracer(tr *trace.Tracer) { rc.tracer = tr }
 
 // SetBrownout switches the proxy's degradation mode (see the brownout
 // field).
@@ -261,50 +234,14 @@ func (rc *RCLib) StoreLatencyP99() time.Duration {
 	return rc.inst.LatencyQuantile(0.99)
 }
 
-// SetRelaxed marks a key prefix (the paper's bucket/object/account
-// granularity) as relaxed-consistency (§6.2): cacheable writes under
-// it skip the synchronous shadow placeholder and the eager Persistor;
-// dirty data reaches the RSDS only when the cacheAgent evicts it.
-func (rc *RCLib) SetRelaxed(prefix string) {
-	rc.mu.Lock() // serialize concurrent SetRelaxed calls
-	defer rc.mu.Unlock()
-	var cur []string
-	if p := rc.relaxed.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]string, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = prefix
-	rc.relaxed.Store(&next)
-}
-
-// isRelaxed reports whether key falls under a relaxed prefix
-// (lock-free read of the copy-on-write prefix list).
+// isRelaxed reports whether key falls under a relaxed prefix.
 func (rc *RCLib) isRelaxed(key string) bool {
-	p := rc.relaxed.Load()
-	if p == nil {
-		return false
-	}
-	for _, prefix := range *p {
+	for _, prefix := range rc.relaxed {
 		if strings.HasPrefix(key, prefix) {
 			return true
 		}
 	}
 	return false
-}
-
-// AttachPlatform registers the Persistor helper function with the FaaS
-// platform (it must be called once before any cacheable write).
-func (rc *RCLib) AttachPlatform(p *faas.Platform) {
-	rc.platform = p
-	rc.persistFn = &faas.Function{
-		Name:         "persistor",
-		Tenant:       "ofc",
-		MemoryBooked: 64 << 20,
-		InputType:    "none",
-		Body:         rc.persistBody,
-	}
-	p.Register(rc.persistFn)
 }
 
 // persistBody is the Persistor function (§6.2): read the payload from
@@ -409,9 +346,7 @@ func (rc *RCLib) noteGetHit(caller simnet.NodeID, key string, intermediate bool)
 	if master == caller {
 		rc.localHits.Add(1)
 	}
-	if g := rc.admissionGate(); g != nil {
-		g.TouchObject(master, key)
-	}
+	rc.gov.TouchObject(master, key)
 }
 
 // noteGetMiss is the Get-miss counter bookkeeping.
@@ -541,7 +476,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		// admission ceiling is the engine's raw per-object limit:
 		// missed inputs are not striped. The control plane's eviction
 		// policy holds a veto (the paper's policy always admits).
-		if g := rc.admissionGate(); g != nil && !g.AdmitObject(caller, key, blob.Size, opts.Benefit) {
+		if !rc.gov.AdmitObject(caller, key, blob.Size, opts.Benefit) {
 			rc.admitVetoes.Add(1)
 			sp.SetNum("veto", 1)
 			return getResult{blob: blob}
@@ -569,9 +504,9 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 //     land in the cache, and a Persistor function is injected to push
 //     the payload asynchronously (write-back).
 //
-// With the chunking middleware enabled the backend's logical ceiling
-// is effectively unbounded, so oversized cacheable objects take the
-// ordinary cache paths and stripe transparently below. With a durable
+// With the chunking middleware in the stack the backend's logical
+// ceiling is effectively unbounded, so oversized cacheable objects take
+// the ordinary cache paths and stripe transparently below. With a durable
 // engine every write is a synchronous write-through.
 func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas.PutOpts) error {
 	if rc.tracer == nil {

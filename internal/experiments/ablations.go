@@ -309,10 +309,10 @@ func AblationConsistency(seed int64) *Table {
 	for _, relaxed := range []bool{false, true} {
 		cfg := DefaultDeploy()
 		cfg.Seed = seed
-		d := NewDeployment(ModeOFC, cfg)
 		if relaxed {
-			d.Sys.RC.SetRelaxed("rx/")
+			cfg.Tune = func(o *core.Options) { o.RelaxedPrefixes = []string{"rx/"} }
 		}
+		d := NewDeployment(ModeOFC, cfg)
 		fn := &faas.Function{Name: "cw", Tenant: "abl", MemoryBooked: 512 << 20, InputType: "none",
 			Body: func(ctx *faas.Ctx) error {
 				return ctx.Load("rx/out", faas.Blob{Size: size}, faas.KindFinal)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ofc/internal/chaos"
+	"ofc/internal/core"
 	"ofc/internal/faas"
 	"ofc/internal/workload"
 )
@@ -70,14 +71,12 @@ func p99(ds []time.Duration) time.Duration {
 func Chaos(seed int64, quick bool) (*Table, *ChaosResult) {
 	cfg := DefaultDeploy()
 	cfg.Seed = seed
-	d := NewDeployment(ModeOFC, cfg)
-	sys := d.Sys
-
 	// A realistic multi-second detection window: between a kill and the
 	// coordinator declaring the node dead, reads against lost masters
 	// fail over to the RSDS (the degradation under measurement).
-	const detect = 5 * time.Second
-	sys.KV.SetCrashDetectTimeout(detect)
+	cfg.Tune = func(o *core.Options) { o.KV.CrashDetectTimeout = 5 * time.Second }
+	d := NewDeployment(ModeOFC, cfg)
+	sys := d.Sys
 
 	const pace = 250 * time.Millisecond
 	const downtime = 30 * time.Second

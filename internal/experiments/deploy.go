@@ -10,7 +10,6 @@ import (
 	"ofc/internal/core"
 	"ofc/internal/faas"
 	"ofc/internal/imoc"
-	"ofc/internal/memctl"
 	"ofc/internal/objstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
@@ -62,14 +61,10 @@ type DeployConfig struct {
 	NodeCapacity int64
 	Seed         int64
 	RSDS         objstore.Profile
-	// Policy selects the memctl policy combination for the OFC cache
-	// agents (zero value = the paper's defaults). Ignored by the
-	// vanilla modes.
-	Policy memctl.Spec
 	// Tune, when non-nil, adjusts the assembled core options before
-	// the OFC system is built (the policy ablation uses it to shorten
-	// the agent cadences so eviction fires inside a short run).
-	// Ignored by the vanilla modes.
+	// the OFC system is built (the policy ablation uses it to pick the
+	// memctl policies and shorten the agent cadences so eviction fires
+	// inside a short run). Ignored by the vanilla modes.
 	Tune func(*core.Options)
 }
 
@@ -97,7 +92,6 @@ func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 		opts.NodeCapacity = cfg.NodeCapacity
 		opts.Seed = cfg.Seed
 		opts.RSDS = cfg.RSDS
-		opts.Agent.Policy = cfg.Policy
 		if cfg.Tune != nil {
 			cfg.Tune(&opts)
 		}

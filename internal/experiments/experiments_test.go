@@ -316,6 +316,22 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+// TestTablePadsByCharacter: a µs cell and an ASCII cell in one column
+// line up, so the column after them starts at the same character.
+func TestTablePadsByCharacter(t *testing.T) {
+	tab := &Table{Title: "t", Headers: []string{"Latency", "Next"}}
+	tab.Add(12*time.Microsecond, "a")
+	tab.Add("1234567", "b")
+	want := "== t ==\n" +
+		"Latency  Next\n" +
+		"-------  ----\n" +
+		"12.00µs  a   \n" +
+		"1234567  b   \n"
+	if got := tab.String(); got != want {
+		t.Errorf("table:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestAblationKeepAliveShape(t *testing.T) {
 	tab := AblationKeepAlive(1)
 	if len(tab.Rows) != 3 {

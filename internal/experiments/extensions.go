@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ofc/internal/chaos"
+	"ofc/internal/core"
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
 	"ofc/internal/workload"
@@ -106,10 +107,8 @@ func ChunkingExtension(seed int64) (*Table, map[bool]time.Duration) {
 	for _, enabled := range []bool{false, true} {
 		cfg := DefaultDeploy()
 		cfg.Seed = seed
+		cfg.Tune = func(o *core.Options) { o.Chunking = enabled }
 		d := NewDeployment(ModeOFC, cfg)
-		if enabled {
-			d.Sys.RC.EnableChunking()
-		}
 		fn := &faas.Function{Name: "bigout", Tenant: "ext", MemoryBooked: 1 << 30, InputType: "none",
 			Body: func(ctx *faas.Ctx) error {
 				return ctx.Load("ext/out", faas.Blob{Size: size}, faas.KindFinal)

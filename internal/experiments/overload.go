@@ -149,12 +149,15 @@ func overloadConfig() core.OverloadConfig {
 func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 	cfg := DefaultDeploy()
 	cfg.Seed = seed
+	cfg.Tune = func(o *core.Options) {
+		ocfg := overloadConfig()
+		o.Overload = &ocfg
+		o.KV.CrashDetectTimeout = 3 * time.Second
+	}
 	d := NewDeployment(ModeOFC, cfg)
 	sys := d.Sys
 	env := d.Env
-
-	oc := sys.EnableOverload(overloadConfig())
-	sys.KV.SetCrashDetectTimeout(3 * time.Second)
+	oc := sys.Overload
 
 	// Phase plan: baseline → spike (crash + restart inside it) → calm
 	// cooldown long enough for the controller to walk back to Normal.

@@ -44,8 +44,8 @@ func policyCellConfig(seed int64, spec memctl.Spec) DeployConfig {
 	cfg.Workers = 3
 	cfg.NodeCapacity = 1 << 30
 	cfg.Seed = seed
-	cfg.Policy = spec
 	cfg.Tune = func(o *core.Options) {
+		o.Agent.Policy = spec
 		// Compress the paper's cadences (300 s sweeps, 30 min idle) so
 		// discretionary eviction and slack adaptation both fire several
 		// times inside a minutes-long run. All cells share the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result: a title, column headers and
@@ -45,7 +46,8 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns, counting characters,
+// not bytes: a "µs" cell is as wide as an "ms" one.
 func (t *Table) String() string {
 	var sb strings.Builder
 	sb.WriteString("== " + t.Title + " ==\n")
@@ -54,12 +56,12 @@ func (t *Table) String() string {
 	}
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -70,7 +72,7 @@ func (t *Table) String() string {
 			}
 			sb.WriteString(c)
 			if i < len(widths) {
-				for p := len(c); p < widths[i]; p++ {
+				for p := utf8.RuneCountInString(c); p < widths[i]; p++ {
 					sb.WriteByte(' ')
 				}
 			}

@@ -72,8 +72,9 @@ func TestCrashMasterMidPut(t *testing.T) {
 // recorded in Stats.
 func TestRecoverChargesDetectionAndMeasuresReplay(t *testing.T) {
 	env := sim.NewEnv(1)
-	c, _ := testCluster(env)
-	c.SetCrashDetectTimeout(2 * time.Second)
+	cfg := DefaultConfig()
+	cfg.CrashDetectTimeout = 2 * time.Second
+	c, _ := testClusterWith(env, cfg)
 	env.Go(func() {
 		for i := 0; i < 6; i++ {
 			if _, err := c.Write(0, fmt.Sprintf("k%d", i), Synthetic(1<<20), nil, 1); err != nil {

@@ -90,7 +90,8 @@ type Config struct {
 	SegmentSize int64
 	// CrashDetectTimeout is how long the coordinator takes to declare
 	// a silent server dead (RPC timeout plus retries) before starting
-	// recovery; charged at the head of Recover.
+	// recovery; charged at the head of Recover. Chaos experiments widen
+	// it to model realistic detection windows.
 	CrashDetectTimeout time.Duration
 }
 

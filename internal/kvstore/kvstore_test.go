@@ -15,11 +15,15 @@ import (
 // testCluster builds a 4-node cluster: node 0 runs the coordinator,
 // nodes 0..3 each run a storage server with a 1 GB budget.
 func testCluster(env *sim.Env) (*Cluster, *simnet.Network) {
+	return testClusterWith(env, DefaultConfig())
+}
+
+func testClusterWith(env *sim.Env, cfg Config) (*Cluster, *simnet.Network) {
 	net := simnet.New(env, simnet.DefaultConfig())
 	for i := 0; i < 4; i++ {
 		net.AddNode("n")
 	}
-	c := New(net, 0, DefaultConfig())
+	c := New(net, 0, cfg)
 	for i := 0; i < 4; i++ {
 		c.AddServer(simnet.NodeID(i), 1<<30)
 	}

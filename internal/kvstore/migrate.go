@@ -213,15 +213,6 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	return nil
 }
 
-// SetCrashDetectTimeout adjusts how long the coordinator takes to
-// declare a silent server dead (charged at the head of Recover).
-// Chaos experiments widen it to model realistic detection windows.
-func (c *Cluster) SetCrashDetectTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.cfg.CrashDetectTimeout = d
-	c.mu.Unlock()
-}
-
 // Crash fail-stops the server on node. Masters held there become
 // unavailable until RecoverNode promotes their backups.
 func (c *Cluster) Crash(node simnet.NodeID) {

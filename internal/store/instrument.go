@@ -33,10 +33,10 @@ type OpStats struct {
 // object shows up as one Read here and N batch keys below).
 type Instrumented struct {
 	inner Backend
+	env   *sim.Env
 
 	mu  sync.Mutex
 	s   OpStats
-	env *sim.Env // nil until AttachClock; latency tracking off
 	lat []time.Duration
 	nxt int
 }
@@ -46,21 +46,14 @@ type Instrumented struct {
 // RPC latency" signal).
 const latencyWindow = 512
 
-// NewInstrumented wraps inner with operation counters.
-func NewInstrumented(inner Backend) *Instrumented {
-	return &Instrumented{inner: inner}
+// NewInstrumented wraps inner with operation counters and per-op
+// latency tracking against env's virtual clock.
+func NewInstrumented(env *sim.Env, inner Backend) *Instrumented {
+	return &Instrumented{inner: inner, env: env}
 }
 
 // Unwrap implements Wrapper.
 func (n *Instrumented) Unwrap() Backend { return n.inner }
-
-// AttachClock enables per-op latency tracking against env's virtual
-// clock. Without a clock the layer counts ops only.
-func (n *Instrumented) AttachClock(env *sim.Env) {
-	n.mu.Lock()
-	n.env = env
-	n.mu.Unlock()
-}
 
 // Stats snapshots the counters.
 func (n *Instrumented) Stats() OpStats {
@@ -70,7 +63,7 @@ func (n *Instrumented) Stats() OpStats {
 }
 
 // LatencyQuantile returns the q-quantile (metrics.Quantile) of the
-// recent Read/Write latency window, or 0 with no clock or samples.
+// recent Read/Write latency window, or 0 with no samples.
 func (n *Instrumented) LatencyQuantile(q float64) time.Duration {
 	n.mu.Lock()
 	samples := make([]time.Duration, len(n.lat))
@@ -78,13 +71,6 @@ func (n *Instrumented) LatencyQuantile(q float64) time.Duration {
 	n.mu.Unlock()
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	return metrics.Quantile(samples, q)
-}
-
-// clock returns the attached env, or nil.
-func (n *Instrumented) clock() *sim.Env {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.env
 }
 
 // observeLocked records one op latency in the ring.
@@ -98,11 +84,7 @@ func (n *Instrumented) observeLocked(d time.Duration) {
 }
 
 func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
-	env := n.clock()
-	var start sim.Time
-	if env != nil {
-		start = env.Now()
-	}
+	start := n.env.Now()
 	blob, meta, err := n.inner.Read(caller, key)
 	n.mu.Lock()
 	n.s.Reads++
@@ -111,19 +93,13 @@ func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error
 	} else {
 		n.s.BytesRead += blob.Size
 	}
-	if env != nil {
-		n.observeLocked(env.Now() - start)
-	}
+	n.observeLocked(n.env.Now() - start)
 	n.mu.Unlock()
 	return blob, meta, err
 }
 
 func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
-	env := n.clock()
-	var start sim.Time
-	if env != nil {
-		start = env.Now()
-	}
+	start := n.env.Now()
 	ver, err := n.inner.Write(caller, key, blob, tags, preferred)
 	n.mu.Lock()
 	n.s.Writes++
@@ -132,9 +108,7 @@ func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, tags m
 	} else {
 		n.s.BytesWritten += blob.Size
 	}
-	if env != nil {
-		n.observeLocked(env.Now() - start)
-	}
+	n.observeLocked(n.env.Now() - start)
 	n.mu.Unlock()
 	return ver, err
 }

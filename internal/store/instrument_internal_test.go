@@ -3,6 +3,8 @@ package store
 import (
 	"testing"
 	"time"
+
+	"ofc/internal/sim"
 )
 
 // TestLatencyQuantileNearestRank pins the overload controller's
@@ -11,7 +13,7 @@ import (
 // samples where p99 is the 159th.
 func TestLatencyQuantileNearestRank(t *testing.T) {
 	window := func(n int) *Instrumented {
-		in := NewInstrumented(nil)
+		in := NewInstrumented(sim.NewEnv(1), nil)
 		for i := n; i >= 1; i-- { // descending: the query must sort
 			in.observeLocked(time.Duration(i) * time.Millisecond)
 		}

@@ -36,6 +36,10 @@ type ResilienceConfig struct {
 	// when the cache is unavailable; the pending write-back is never
 	// dropped (acked writes survive in backup replicas).
 	PersistRetryDelay time.Duration
+	// Gate, when non-nil, is consulted before every re-attempt (the
+	// overload layer's shared retry budget); nil means MaxRetries
+	// alone bounds them.
+	Gate RetryGate
 }
 
 // DefaultResilienceConfig returns constants sized for the testbed:
@@ -66,8 +70,7 @@ var (
 )
 
 // RetryGate arbitrates storage re-attempts (the overload layer's
-// retry budget, shared with the FaaS platform's OOM retries). A nil
-// gate means unbounded retries per the ResilienceConfig.
+// retry budget, shared with the FaaS platform's OOM retries).
 type RetryGate interface {
 	AllowRetry() bool
 }
@@ -114,12 +117,11 @@ type Resilient struct {
 	inner Backend
 	env   *sim.Env
 	pv    PlacementView // breaker target resolution; may be nil
+	cfg   ResilienceConfig
 
 	mu       sync.Mutex
-	cfg      ResilienceConfig
 	rng      *rand.Rand
 	breakers map[simnet.NodeID]*breaker
-	gate     RetryGate
 	retries  int64
 	timeouts int64
 	trips    int64
@@ -141,14 +143,6 @@ func NewResilient(env *sim.Env, inner Backend, cfg ResilienceConfig) *Resilient 
 
 // Unwrap implements Wrapper.
 func (r *Resilient) Unwrap() Backend { return r.inner }
-
-// SetRetryGate installs (or, with nil, removes) the shared retry
-// budget consulted before every re-attempt.
-func (r *Resilient) SetRetryGate(g RetryGate) {
-	r.mu.Lock()
-	r.gate = g
-	r.mu.Unlock()
-}
 
 // Stats snapshots the degradation counters.
 func (r *Resilient) Stats() ResilienceStats {
@@ -208,23 +202,20 @@ func (r *Resilient) report(node simnet.NodeID, ok bool) {
 // backoff computes the jittered exponential backoff for re-attempt n
 // (n >= 1).
 func (r *Resilient) backoff(n int) time.Duration {
-	r.mu.Lock()
-	cfg := r.cfg
-	r.mu.Unlock()
-	d := cfg.RetryBase
+	d := r.cfg.RetryBase
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= cfg.RetryMax {
-			d = cfg.RetryMax
+		if d >= r.cfg.RetryMax {
+			d = r.cfg.RetryMax
 			break
 		}
 	}
-	if d > cfg.RetryMax {
-		d = cfg.RetryMax
+	if d > r.cfg.RetryMax {
+		d = r.cfg.RetryMax
 	}
-	if cfg.Jitter > 0 {
+	if r.cfg.Jitter > 0 {
 		r.mu.Lock()
-		f := 1 + cfg.Jitter*(2*r.rng.Float64()-1)
+		f := 1 + r.cfg.Jitter*(2*r.rng.Float64()-1)
 		r.mu.Unlock()
 		d = time.Duration(float64(d) * f)
 	}
@@ -249,14 +240,10 @@ func attempt[T any](r *Resilient, target simnet.NodeID, op func() (T, error)) (T
 	if !r.allow(target) {
 		return zero, ErrBreakerOpen
 	}
-	r.mu.Lock()
-	cfg := r.cfg
-	gate := r.gate
-	r.mu.Unlock()
 	var lastErr error
-	for try := 0; try <= cfg.MaxRetries; try++ {
+	for try := 0; try <= r.cfg.MaxRetries; try++ {
 		if try > 0 {
-			if gate != nil && !gate.AllowRetry() {
+			if r.cfg.Gate != nil && !r.cfg.Gate.AllowRetry() {
 				r.mu.Lock()
 				r.denied++
 				r.mu.Unlock()
@@ -276,7 +263,7 @@ func attempt[T any](r *Resilient, target simnet.NodeID, op func() (T, error)) (T
 			v, err := op()
 			f.Set(res{v, err})
 		})
-		out, ok := f.WaitTimeout(cfg.OpTimeout)
+		out, ok := f.WaitTimeout(r.cfg.OpTimeout)
 		if !ok {
 			lastErr = ErrCacheTimeout
 			r.mu.Lock()

@@ -50,8 +50,7 @@ func TestMiddlewareStackConformance(t *testing.T) {
 		inner, caller := mkKV(env)
 		res := store.NewResilient(env, inner, store.DefaultResilienceConfig())
 		ch := store.NewChunked(res, store.DefaultChunkSize)
-		ch.Enable()
-		return store.NewInstrumented(ch), caller
+		return store.NewInstrumented(env, ch), caller
 	}
 	conformance.Run(t, mk, conformance.Traits{CacheTier: true})
 }
@@ -59,7 +58,7 @@ func TestMiddlewareStackConformance(t *testing.T) {
 func TestCapabilityDiscovery(t *testing.T) {
 	env := sim.NewEnv(1)
 	kv, _ := mkKV(env)
-	stack := store.NewInstrumented(store.NewChunked(store.NewResilient(env, kv, store.DefaultResilienceConfig()), 0))
+	stack := store.NewInstrumented(env, store.NewChunked(store.NewResilient(env, kv, store.DefaultResilienceConfig()), 0))
 	if pv, ok := store.PlacementViewOf(stack); !ok || pv == nil {
 		t.Fatal("placement view not found through middleware chain")
 	}
@@ -90,7 +89,6 @@ func TestChunkedStriping(t *testing.T) {
 	kvb, caller := mkKV(env)
 	kv := kvb.(*kvstore.Cluster)
 	ch := store.NewChunked(kvb, store.DefaultChunkSize)
-	ch.Enable()
 	env.Go(func() {
 		const size = 25 << 20 // 4 stripes of 8 MB
 		tags := map[string]string{"kind": "final", "dirty": "1", "version": "7"}
