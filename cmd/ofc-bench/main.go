@@ -6,23 +6,16 @@
 //	ofc-bench -exp all
 //	ofc-bench -exp fig7 -seed 3
 //	ofc-bench -exp table1 -quick
-//	ofc-bench -exp all -jobs 4 -benchout BENCH_sim.json
 //	ofc-bench -list
 //
-// Experiment ids follow DESIGN.md's per-experiment index: summary,
-// fig2, fig3, table1, benefit, fig5, fig6, maturation, fig7, fig7x5,
-// fig8, migration, fig9 (also prints fig10 and table2), macro24,
-// ablations, constants, resilience, chaos, overload, policies,
-// chunking, storeplane. The policies grid additionally honors -evict
-// and -slack to scope the eviction × slack matrix.
+// Experiment ids follow DESIGN.md's per-experiment index; -list prints
+// them. The policies grid additionally honors -evict and -slack to
+// scope the eviction × slack matrix.
 //
 // Independent experiments run concurrently on a GOMAXPROCS-bounded
 // worker pool (-jobs overrides); each experiment buffers its output
 // and results stream in declaration order, so the report reads the
-// same regardless of parallelism. -benchout additionally runs the
-// scheduler/storage micro-benchmarks and writes a machine-readable
-// perf snapshot (see bench.go) for scripts/benchdiff.go to regress
-// against.
+// same regardless of parallelism.
 package main
 
 import (
@@ -39,13 +32,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (or 'all')")
-		seed     = flag.Int64("seed", 1, "random seed")
-		quick    = flag.Bool("quick", false, "smaller sweeps for a fast pass")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		format   = flag.String("format", "table", "output format: table | csv")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "experiments to run concurrently")
-		benchout = flag.String("benchout", "", "write a BENCH_sim.json perf snapshot to this path")
+		exp    = flag.String("exp", "all", "experiment id (or 'all')")
+		seed   = flag.Int64("seed", 1, "random seed")
+		quick  = flag.Bool("quick", false, "smaller sweeps for a fast pass")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		format = flag.String("format", "table", "output format: table | csv")
+		jobs   = flag.Int("jobs", runtime.GOMAXPROCS(0), "experiments to run concurrently")
 	)
 	flag.StringVar(&evictFlag, "evict", "", "policies experiment: comma-separated eviction policies (default: all)")
 	flag.StringVar(&slackFlag, "slack", "", "policies experiment: comma-separated slack estimators (default: all)")
@@ -77,7 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	wallStart := time.Now()
 	type done struct {
 		out  *experiments.Report
 		took time.Duration
@@ -102,28 +93,11 @@ func main() {
 	}
 	// Stream in declaration order: experiment i prints as soon as it
 	// and all its predecessors are finished.
-	wall := make([]ExpEntry, 0, len(chosen))
 	for i, e := range chosen {
 		d := <-results[i]
 		os.Stdout.Write(d.out.Bytes())
 		fmt.Printf("(%s took %v)\n\n", e.ID, d.took.Round(time.Millisecond))
-		wall = append(wall, ExpEntry{ID: e.ID, WallMs: float64(d.took.Microseconds()) / 1e3})
 	}
-
-	if *benchout != "" {
-		if err := writeBenchFile(*benchout, wall, time.Since(wallStart)); err != nil {
-			fmt.Fprintf(os.Stderr, "benchout: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote perf snapshot to %s\n", *benchout)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // evictFlag and slackFlag scope the policies experiment's grid; empty

@@ -6,6 +6,7 @@ import (
 
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
+	"ofc/internal/sim"
 )
 
 // concurrentColdGets fires n simultaneous Gets of one cold key from
@@ -102,5 +103,65 @@ func TestGetHitStatsPathZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { sys.RC.noteGetMiss("img/hot", false) }); n != 0 {
 		t.Errorf("Get-miss stats path allocates %v/op, want 0", n)
+	}
+}
+
+// quietSystem is the test bed of the proxy-path allocation ceilings:
+// newSystem's shape with no cache agents, so grants are set by hand
+// and no agent runs between ops.
+func quietSystem(coalesce bool) *System {
+	opts := testOptions(1)
+	opts.DisableCacheAgents = true
+	opts.CoalesceMisses = coalesce
+	return NewSystem(opts)
+}
+
+// TestGetHitAllocCeiling pins the allocations of a local-hit RC.Get,
+// the proxy's warm read path end to end.
+func TestGetHitAllocCeiling(t *testing.T) {
+	sys := quietSystem(false)
+	w := sys.WorkerNodes[0]
+	var allocs float64
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+		if _, err := sys.Backend.Write(w, "img/hot", kvstore.Synthetic(4<<10), nil, w); err != nil {
+			t.Fatalf("seed write: %v", err)
+		}
+		allocs = testing.AllocsPerRun(10000, func() {
+			if _, err := sys.RC.Get(w, "img/hot", faas.PutOpts{}); err != nil {
+				t.Fatalf("get: %v", err)
+			}
+		})
+	})
+	if allocs > 3 {
+		t.Errorf("local-hit Get: %.0f allocs, want at most 3", allocs)
+	}
+}
+
+// TestCoalescedMissAllocCeiling pins the allocations of a fan of four
+// concurrent misses of one key that share one RSDS fetch. The Gets do
+// not ask to cache, so every fan misses again.
+func TestCoalescedMissAllocCeiling(t *testing.T) {
+	sys := quietSystem(true)
+	w := sys.WorkerNodes[0]
+	var allocs float64
+	sys.Run(func() {
+		sys.RSDS.Put(sys.CtrlNode, "img/cold", kvstore.Synthetic(64<<10), nil, false)
+		allocs = testing.AllocsPerRun(10000, func() {
+			wg := sim.NewWaitGroup(sys.Env)
+			for j := 0; j < 4; j++ {
+				wg.Add(1)
+				sys.Env.Go(func() {
+					defer wg.Done()
+					if _, err := sys.RC.Get(w, "img/cold", faas.PutOpts{}); err != nil {
+						t.Errorf("get: %v", err)
+					}
+				})
+			}
+			wg.Wait()
+		})
+	})
+	if allocs > 30 {
+		t.Errorf("fan of four coalesced misses: %.0f allocs, want at most 30", allocs)
 	}
 }

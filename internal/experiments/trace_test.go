@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ofc/internal/trace"
@@ -63,6 +65,30 @@ func TestTraceDrillDeterministic(t *testing.T) {
 	a, b := export(), export()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two seed-7 drills exported different traces (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestTraceDrillRawSpansRepeat runs the trace drill's deployment on one
+// P and on four and requires the raw Tracer.Snapshot of both, span IDs
+// and parent links as allocated, to be identical: the ID counter is the
+// Tracer's own and one process runs per Env, so the Begin order is the
+// same in every run.
+func TestTraceDrillRawSpansRepeat(t *testing.T) {
+	var d *Deployment
+	deployed = func(dep *Deployment) { d = dep }
+	t.Cleanup(func() { deployed = nil })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	raw := func(procs int) []trace.Span {
+		runtime.GOMAXPROCS(procs)
+		TraceDrill(1)
+		return d.Sys.Tracer.Snapshot()
+	}
+	a, b := raw(1), raw(4)
+	if len(a) == 0 {
+		t.Fatal("drill recorded no spans")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("raw snapshots differ between GOMAXPROCS 1 and 4 (%d vs %d spans)", len(a), len(b))
 	}
 }
 

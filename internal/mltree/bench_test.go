@@ -14,19 +14,29 @@ func benchProbes(d *Dataset) [][]float64 {
 	return probes
 }
 
-// BenchmarkJ48Fit measures training: the 600-row nominal dataset, and
-// the two shapes the ModelTrainer refits (tie-heavy numeric columns) —
-// the capped memory set over 128 interval classes and the two-class
-// benefit set, which grows with the run.
+// fitCase is one dataset BenchmarkJ48Fit trains on; maxAllocs is the
+// ceiling TestJ48FitAllocCeiling holds one Fit on it to.
+type fitCase struct {
+	name      string
+	d         *Dataset
+	maxAllocs float64
+}
+
+// fitCases are the 600-row nominal dataset and the two shapes the
+// ModelTrainer refits (tie-heavy numeric columns): the capped memory
+// set over 128 interval classes and the two-class benefit set, which
+// grows with the run.
+func fitCases() []fitCase {
+	return []fitCase{
+		{"Nominal600x3x3", nominalDataset(600, 1), 63},
+		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2), 661},
+		{"Benefit2000x5x2", tieDataset(2, 2000, 2, 24, "numeric", 2), 526},
+	}
+}
+
+// BenchmarkJ48Fit measures training on each of fitCases.
 func BenchmarkJ48Fit(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		d    *Dataset
-	}{
-		{"Nominal600x3x3", nominalDataset(600, 1)},
-		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2)},
-		{"Benefit2000x5x2", tieDataset(2, 2000, 2, 24, "numeric", 2)},
-	} {
+	for _, bc := range fitCases() {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -34,6 +44,30 @@ func BenchmarkJ48Fit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestJ48FitAllocCeiling pins the allocations of one cold-learner
+// J48.Fit on each of fitCases at the count BenchmarkJ48Fit reports.
+func TestJ48FitAllocCeiling(t *testing.T) {
+	for _, c := range fitCases() {
+		n := testing.AllocsPerRun(10, func() { NewJ48().Fit(c.d) })
+		if n <= c.maxAllocs {
+			continue
+		}
+		if appendMakeAllocates() {
+			t.Skipf("%s: %.0f allocs with append(s, make(...)...) allocating its temporary (race detector): the builder's per-split size slots count as allocations", c.name, n)
+		}
+		t.Errorf("%s: J48.Fit allocates %.0f times, want at most %.0f", c.name, n, c.maxAllocs)
+	}
+}
+
+// appendMakeAllocates reports whether append(s, make([]T, n)...)
+// allocates the temporary slice instead of extending s in place, which
+// the compiler does only when it instruments for the race detector.
+func appendMakeAllocates() bool {
+	s := make([]int, 0, 64)
+	n := len(s) + 8
+	return testing.AllocsPerRun(10, func() { s = append(s[:0], make([]int, n)...) }) > 0
 }
 
 // BenchmarkJ48Classify measures the critical-path prediction (§5.1's

@@ -1,47 +1,47 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
-// BenchmarkSleepEvent measures the scheduler's per-event cost.
-func BenchmarkSleepEvent(b *testing.B) {
+// The scheduler benchmarks below are each a set-up function of n ops
+// that returns an Env ready to Run, so that the allocation ceilings in
+// TestSchedulerAllocCeilings measure exactly what the benchmarks time.
+
+// sleepChain is n back-to-back Sleeps in one process.
+func sleepChain(n int) *Env {
 	env := NewEnv(1)
 	env.Go(func() {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			env.Sleep(time.Microsecond)
 		}
 	})
-	b.ResetTimer()
-	env.Run()
+	return env
 }
 
-// BenchmarkAfterCallback measures callback dispatch through the
-// bounded worker pool (a self-rescheduling chain, like keepalive and
-// eviction timers in the platform).
-func BenchmarkAfterCallback(b *testing.B) {
+// afterChain is n self-rescheduling After callbacks.
+func afterChain(n int) *Env {
 	env := NewEnv(1)
-	n := 0
+	count := 0
 	var tick func()
 	tick = func() {
-		n++
-		if n < b.N {
+		count++
+		if count < n {
 			env.After(time.Microsecond, tick)
 		}
 	}
 	env.After(time.Microsecond, tick)
-	b.ResetTimer()
-	env.Run()
+	return env
 }
 
-// BenchmarkBatchWakeup measures equal-timestamp fan-out: many
-// processes sleeping to the same instant, each handing off to the next
-// (one goroutine switch per event, never a self-wake).
-func BenchmarkBatchWakeup(b *testing.B) {
+// batchWakeup is 64 processes sleeping to the same instants, n/64+1
+// rounds each.
+func batchWakeup(n int) *Env {
 	env := NewEnv(1)
 	const fan = 64
-	rounds := b.N/fan + 1
+	rounds := n/fan + 1
 	for i := 0; i < fan; i++ {
 		env.Go(func() {
 			for r := 0; r < rounds; r++ {
@@ -49,23 +49,73 @@ func BenchmarkBatchWakeup(b *testing.B) {
 			}
 		})
 	}
-	b.ResetTimer()
-	env.Run()
+	return env
 }
 
-// BenchmarkFutureRoundTrip measures a set/wait handoff between two
-// processes.
-func BenchmarkFutureRoundTrip(b *testing.B) {
+// futureRoundTrips is n Future set/wait handoffs, each to a fresh
+// process.
+func futureRoundTrips(n int) *Env {
 	env := NewEnv(1)
 	env.Go(func() {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			f := NewFuture[int](env)
 			env.Go(func() { f.Set(1) })
 			f.Wait()
 		}
 	})
+	return env
+}
+
+// benchRun times Run of the Env setup builds for b.N ops.
+func benchRun(b *testing.B, setup func(n int) *Env) {
+	env := setup(b.N)
 	b.ResetTimer()
 	env.Run()
+}
+
+// BenchmarkSleepEvent measures the scheduler's per-event cost.
+func BenchmarkSleepEvent(b *testing.B) { benchRun(b, sleepChain) }
+
+// BenchmarkAfterCallback measures callback dispatch (a
+// self-rescheduling chain, like keepalive and eviction timers in the
+// platform).
+func BenchmarkAfterCallback(b *testing.B) { benchRun(b, afterChain) }
+
+// BenchmarkBatchWakeup measures equal-timestamp fan-out: many
+// processes sleeping to the same instant, each handing off to the next
+// (one coroutine switch per event, never a self-wake).
+func BenchmarkBatchWakeup(b *testing.B) { benchRun(b, batchWakeup) }
+
+// BenchmarkFutureRoundTrip measures a set/wait handoff between two
+// processes.
+func BenchmarkFutureRoundTrip(b *testing.B) { benchRun(b, futureRoundTrips) }
+
+// TestSchedulerAllocCeilings pins the allocations per op of the four
+// benchmarks above, counted as testing.Benchmark counts them: the heap
+// allocations of Run divided by the number of ops, rounded down. At
+// 10 000 ops the Env's set-up and its heap's growth amortise to 0, so
+// every allocation the per-op path makes shows.
+func TestSchedulerAllocCeilings(t *testing.T) {
+	const n = 10000
+	for _, c := range []struct {
+		name    string
+		setup   func(n int) *Env
+		ceiling uint64
+	}{
+		{"SleepEvent", sleepChain, 0},
+		{"AfterCallback", afterChain, 0},
+		{"BatchWakeup", batchWakeup, 0},
+		{"FutureRoundTrip", futureRoundTrips, 2},
+	} {
+		env := c.setup(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		env.Run()
+		runtime.ReadMemStats(&after)
+		if got := (after.Mallocs - before.Mallocs) / n; got > c.ceiling {
+			t.Errorf("%s: %d allocs/op, want at most %d", c.name, got, c.ceiling)
+		}
+	}
 }
 
 // BenchmarkQueueSendRecv measures producer/consumer throughput.

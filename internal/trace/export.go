@@ -23,18 +23,15 @@ func sortSpans(spans []Span) {
 
 // Canonicalize rewrites raw span IDs into a deterministic ID space.
 //
-// Everything about a fixed-seed trace is a pure function of the seed —
-// virtual timestamps, names, nodes, attributes, parent structure —
-// EXCEPT the raw IDs: they come from a global atomic counter, and two
-// sim processes running between blocking points (a spawner and its
-// env.Go child) can interleave allocations differently from host run
-// to host run. Canonicalize erases that artifact: it rebuilds the span
-// forest, orders siblings by (Start, Name, subtree fingerprint), and
-// renumbers in DFS pre-order, rewriting parent links to match. Two
-// siblings with equal fingerprints have byte-identical subtrees, so
-// any residual tie cannot affect the output bytes. The result is the
-// same for every host interleaving, which is what makes exported
-// traces golden-testable.
+// A fixed-seed trace, raw IDs included, is a pure function of the
+// seed, but the raw IDs also record the order in which spans were
+// opened: a change that only reorders two Begin calls at one virtual
+// instant renumbers everything after them. Canonicalize takes that
+// order out: it rebuilds the span forest, orders siblings by (Start,
+// Name, subtree fingerprint), and renumbers in DFS pre-order, rewriting
+// parent links to match. Two siblings with equal fingerprints have
+// byte-identical subtrees, so any residual tie cannot affect the output
+// bytes. The golden trace and every trace hash are in this form.
 //
 // The returned slice is in DFS pre-order (roots by start time); a
 // parent always precedes — and has a smaller ID than — its children.

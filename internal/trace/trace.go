@@ -15,11 +15,13 @@
 // twice).
 //
 // Determinism contract: virtual timestamps, span names, nodes,
-// attributes and the parent structure are pure functions of the seed.
-// Raw span IDs are NOT — they come from a global atomic counter, and
-// two sim processes running between blocking points can interleave
-// allocations differently across host runs. Exporters therefore
-// canonicalize (see Canonicalize) before emitting bytes.
+// attributes and the parent structure are pure functions of the seed,
+// and so are the raw span IDs: each Tracer numbers its own spans, and
+// one simulation process runs at a time per Env, so Begin calls come
+// in the same order on every run and on any number of Ps. Exporters
+// still canonicalize (see Canonicalize) before emitting bytes, so that
+// an export depends on what was traced and not on the order in which
+// spans that start together were opened.
 package trace
 
 import (
