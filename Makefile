@@ -61,7 +61,7 @@ bench:
 # benchmark; drop BENCHTIME for real numbers).
 BENCHTIME ?= 1x
 bench-sim:
-	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|ReadMulti|Transfer' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/
+	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|Multi|Transfer' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree

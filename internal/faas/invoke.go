@@ -85,7 +85,7 @@ func (p *Platform) Invoke(req *Request) *Result {
 		req.tref = root.Ref()
 		if adv.Use {
 			req.advised = true
-			req.predMem = clamp(adv.Mem, p.cfg.MinSandboxMem, min64(fn.MemoryBooked, p.cfg.MaxSandboxMem))
+			req.predMem = clamp(adv.Mem, p.cfg.MinSandboxMem, min(fn.MemoryBooked, p.cfg.MaxSandboxMem))
 			wanted = req.predMem
 			asp.SetNum("use", 1)
 		} else {
@@ -408,7 +408,6 @@ func (p *Platform) LookupSequence(id string) (*Sequence, bool) {
 // unless chain is provided to derive them. The pipeline id groups the
 // stages for intermediate cleanup.
 func (s *Sequence) Invoke(pipeline string, firstInput []string, features map[string]float64, chain func(stage int, prev *Result) []string) []*Result {
-	reqs := make([]*Request, 0, len(s.Members))
 	keys := firstInput
 	var results []*Result
 	for i, fn := range s.Members {
@@ -424,7 +423,6 @@ func (s *Sequence) Invoke(pipeline string, firstInput []string, features map[str
 		}
 		res := s.p.Invoke(req)
 		results = append(results, res)
-		reqs = append(reqs, req)
 		if res.Err != nil {
 			break
 		}
@@ -432,7 +430,6 @@ func (s *Sequence) Invoke(pipeline string, firstInput []string, features map[str
 			keys = chain(i, res)
 		}
 	}
-	_ = reqs
 	return results
 }
 
@@ -461,7 +458,6 @@ func (p *Platform) InvokeParallel(reqs []*Request) []*Result {
 	out := make([]*Result, len(reqs))
 	wg := sim.NewWaitGroup(p.env)
 	for i, req := range reqs {
-		i, req := i, req
 		wg.Add(1)
 		p.env.Go(func() {
 			defer wg.Done()
@@ -480,13 +476,6 @@ func clamp(v, lo, hi int64) int64 {
 		return hi
 	}
 	return v
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // InvokeAsync fires an invocation without blocking (OpenWhisk's

@@ -1,14 +1,17 @@
 package kvstore
 
-// Batched multi-object operations. ReadMulti and WriteMulti group the
-// requested keys by the master server that owns them and exchange ONE
-// control round-trip with each involved server (plus a single
-// coordinator lookup for the whole batch), instead of one per key.
-// Chunked reads/writes and persistor write-backs go through these
-// paths, which is where the per-key control overhead used to dominate.
+// The read and write protocols, each implemented once, per master:
+// readGroup serves one master's share of a read, and writeGroup lands
+// one master's share of a write and replicates it (replicateShare per
+// backup). Read and Write are one-key batches served inline in the
+// caller's process. ReadMulti and WriteMulti resolve every placement
+// in one coordinator round-trip, group the keys by master, and serve
+// the groups in parallel: one control round-trip and one bulk transfer
+// per involved server instead of one per key. The chunking middleware's
+// stripes go through the batch paths.
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"ofc/internal/sim"
@@ -56,18 +59,45 @@ func groupAppend(groups []idxGroup, node simnet.NodeID, i int) []idxGroup {
 	return append(groups, idxGroup{node: node, idxs: []int{i}})
 }
 
+// serveGroups runs serve on every master's share of a batch, each in
+// its own process, and waits for all of them.
+func (c *Cluster) serveGroups(groups []idxGroup, serve func(g idxGroup)) {
+	env := c.env()
+	wg := sim.NewWaitGroup(env)
+	for _, g := range groups {
+		wg.Add(1)
+		env.Go(func() {
+			defer wg.Done()
+			serve(g)
+		})
+	}
+	wg.Wait()
+}
+
 // ReadMulti fetches a batch of keys, grouping them per master server:
 // one coordinator lookup for the whole batch, then one request and one
 // (bulk) response exchange per involved server. Per-key failures are
 // reported individually in the result slice.
 func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	if c.tracer == nil {
-		return c.doReadMulti(caller, keys)
-	}
 	sp := c.tracer.Begin(0, 0, "kv.readmulti", caller)
 	sp.SetNum("keys", int64(len(keys)))
-	out := c.doReadMulti(caller, keys)
-	errs := int64(0)
+	out := make([]ReadResult, len(keys))
+	if len(keys) > 0 {
+		ps, oks, lerr := c.lookupMulti(caller, keys)
+		var groups []idxGroup
+		for i := range keys {
+			switch {
+			case lerr != nil:
+				out[i].Err = lerr
+			case !oks[i]:
+				out[i].Err = ErrNotFound
+			default:
+				groups = groupAppend(groups, ps[i].master, i)
+			}
+		}
+		c.serveGroups(groups, func(g idxGroup) { c.readGroup(caller, g.node, keys, g.idxs, out) })
+	}
+	var errs int64
 	for i := range out {
 		if out[i].Err != nil {
 			errs++
@@ -80,42 +110,9 @@ func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
 	return out
 }
 
-// doReadMulti is ReadMulti's body (the wrapper owns the span).
-func (c *Cluster) doReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	out := make([]ReadResult, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	ps, oks, lerr := c.lookupMulti(caller, keys)
-	if lerr != nil {
-		for i := range out {
-			out[i].Err = lerr
-		}
-		return out
-	}
-	var groups []idxGroup
-	for i := range keys {
-		if !oks[i] {
-			out[i].Err = ErrNotFound
-			continue
-		}
-		groups = groupAppend(groups, ps[i].master, i)
-	}
-	env := c.env()
-	wg := sim.NewWaitGroup(env)
-	for _, g := range groups {
-		g := g
-		wg.Add(1)
-		env.Go(func() {
-			defer wg.Done()
-			c.readGroup(caller, g.node, keys, g.idxs, out)
-		})
-	}
-	wg.Wait()
-	return out
-}
-
-// readGroup serves one master's share of a ReadMulti batch.
+// readGroup serves one master's share of a read: idxs index keys and
+// out. One request goes to the master and one bulk response carries
+// back every payload it found; when it found none, nothing is shipped.
 func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []int, out []ReadResult) {
 	fail := func(err error) {
 		for _, i := range idxs {
@@ -147,10 +144,11 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 		return
 	}
 	var payload int64
+	found := 0
 	now := env.Now()
 	for _, i := range idxs {
-		o, found := s.log.get(keys[i])
-		if !found {
+		o, ok := s.log.get(keys[i])
+		if !ok {
 			out[i].Err = ErrNotFound
 			continue
 		}
@@ -158,9 +156,13 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 		o.meta.LastAccess = now
 		out[i].Blob, out[i].Meta = o.blob, o.meta
 		payload += o.blob.Size
+		found++
 		s.reads++
 	}
 	s.mu.Unlock()
+	if found == 0 {
+		return
+	}
 	// One bulk response carrying every found payload.
 	if err := c.net.TryTransfer(master, caller, payload+c.cfg.ControlMsgSize); err != nil {
 		fail(err)
@@ -171,16 +173,38 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 // one coordinator lookup/placement round for the whole batch, then one
 // bulk payload transfer and one ack per involved master, with replica
 // payloads likewise grouped per backup server. Per-item failures
-// (ErrNoSpace, ErrTooLarge) are reported individually; placement of a
-// failed brand-new object is rolled back as in Write.
+// (ErrNoSpace, ErrTooLarge) are reported individually.
 func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	if c.tracer == nil {
-		return c.doWriteMulti(caller, items, preferred)
-	}
 	sp := c.tracer.Begin(0, 0, "kv.writemulti", caller)
 	sp.SetNum("keys", int64(len(items)))
-	out := c.doWriteMulti(caller, items, preferred)
-	errs := int64(0)
+	out := make([]WriteResult, len(items))
+	if len(items) > 0 {
+		keys := make([]string, len(items))
+		for i, it := range items {
+			keys[i] = it.Key
+		}
+		ps, oks, lerr := c.lookupMulti(caller, keys)
+		speculative := make([]bool, len(items))
+		var groups []idxGroup
+		for i, it := range items {
+			switch {
+			case lerr != nil:
+				out[i].Err = lerr
+			case it.Blob.Size > c.cfg.MaxObjectSize:
+				out[i].Err = ErrTooLarge
+			case !oks[i]:
+				// A new key: the placement decision rides on the same
+				// coordinator round, as in Write.
+				ps[i], out[i].Err = c.place(it.Key, it.Blob.Size, preferred)
+				speculative[i] = out[i].Err == nil
+			}
+			if out[i].Err == nil {
+				groups = groupAppend(groups, ps[i].master, i)
+			}
+		}
+		c.serveGroups(groups, func(g idxGroup) { c.writeGroup(caller, g.node, items, ps, speculative, g.idxs, out) })
+	}
+	var errs int64
 	for i := range out {
 		if out[i].Err != nil {
 			errs++
@@ -193,81 +217,28 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 	return out
 }
 
-// doWriteMulti is WriteMulti's body (the wrapper owns the span).
-func (c *Cluster) doWriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	out := make([]WriteResult, len(items))
-	if len(items) == 0 {
-		return out
-	}
-	keys := make([]string, len(items))
-	for i, it := range items {
-		keys[i] = it.Key
-	}
-	ps, oks, lerr := c.lookupMulti(caller, keys)
-	if lerr != nil {
-		for i := range out {
-			out[i].Err = lerr
-		}
-		return out
-	}
-	// Resolve placements; place() new keys (the placement decision rides
-	// on the same coordinator round, as in Write).
-	speculative := make([]bool, len(items))
-	for i, it := range items {
-		if it.Blob.Size > c.cfg.MaxObjectSize {
-			out[i].Err = ErrTooLarge
-			continue
-		}
-		if !oks[i] {
-			p, err := c.place(it.Key, it.Blob.Size, preferred)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			ps[i] = p
-			speculative[i] = true
-		}
-	}
-	var groups []idxGroup
-	for i := range items {
-		if out[i].Err != nil {
-			continue
-		}
-		groups = groupAppend(groups, ps[i].master, i)
-	}
-	env := c.env()
-	wg := sim.NewWaitGroup(env)
-	for _, g := range groups {
-		g := g
-		wg.Add(1)
-		env.Go(func() {
-			defer wg.Done()
-			c.writeGroup(caller, g.node, items, ps, speculative, g.idxs, out)
-		})
-	}
-	wg.Wait()
-	return out
-}
-
-// writeGroup lands one master's share of a WriteMulti batch and
-// replicates it, grouping replica payloads per backup server.
+// writeGroup lands one master's share of a write (idxs index items, ps,
+// speculative and out) and replicates what the master accepted, one
+// replicateShare per backup server. Only a write that never reached the
+// master's log (its payload transfer failed, or it did not fit) undoes
+// the placement this operation made (speculative): an object the master
+// logged keeps its placement, or Evict and Delete could not reach its
+// bytes. An accepted item reports the first of its backups to fail, in
+// placement order, else the ack's failure.
 func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps []placement, speculative []bool, idxs []int, out []WriteResult) {
-	undo := func(i int) {
-		if speculative[i] {
-			c.placeDelete(items[i].Key)
-		}
-	}
-	fail := func(err error) {
+	// fail reports err for the whole share; undo also drops the
+	// placements this operation made.
+	fail := func(err error, undo bool) {
 		for _, i := range idxs {
-			if out[i].Err == nil {
-				out[i].Err = err
-				undo(i)
+			out[i].Err = err
+			if undo && speculative[i] {
+				c.placeDelete(items[i].Key)
 			}
 		}
 	}
 	s := c.Server(master)
 	if s == nil {
-		fail(ErrNoSuchServer)
+		fail(ErrNoSuchServer, false)
 		return
 	}
 	env := c.env()
@@ -278,21 +249,20 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	// One bulk payload shipment to the master.
 	c.countServerRPC()
 	if err := c.net.TryTransfer(caller, master, total+c.cfg.ControlMsgSize); err != nil {
-		fail(err)
+		fail(err, true)
 		return
 	}
 	env.Sleep(time.Duration(len(idxs))*c.cfg.ServeOverhead + c.memCopyTime(total))
 
-	// Master-side processing, mirroring Write's space accounting.
-	var acc []acceptedItem
+	// Master-side processing.
+	acc := make([]acceptedItem, 0, len(idxs))
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
-		fail(ErrCrashed)
+		fail(ErrCrashed, false)
 		return
 	}
 	now := env.Now()
-	var cleanedBytes int64
 	for _, i := range idxs {
 		it := items[i]
 		old, existed := s.log.get(it.Key)
@@ -302,37 +272,37 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		}
 		if s.log.live+delta > s.limit {
 			out[i].Err = ErrNoSpace
-			undo(i)
+			if speculative[i] { // undo speculative placement of a brand-new object
+				c.placeDelete(it.Key)
+			}
 			continue
 		}
-		version := c.nextVer.Add(1)
-		var created sim.Time
-		var naccess int64
-		if existed {
-			created = old.meta.Created
-			naccess = old.meta.NAccess
-		} else {
-			created = now
-		}
 		meta := Meta{
-			Version: version, Size: it.Blob.Size, Created: created,
-			NAccess: naccess, LastAccess: now, Tags: cloneTags(it.Tags),
+			Version: c.nextVer.Add(1), Size: it.Blob.Size, Created: now,
+			LastAccess: now, Tags: cloneTags(it.Tags),
+		}
+		if existed {
+			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess
 		}
 		s.log.put(it.Key, &object{blob: it.Blob, meta: meta})
 		s.writes++
-		acc = append(acc, acceptedItem{idx: i, meta: meta})
+		acc = append(acc, acceptedItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
+			backups: ps[i].backups, resized: existed && !speculative[i]})
 	}
-	if s.log.alloc > s.limit {
+	// Log-structured memory: if dead entries push the allocated bytes
+	// past the budget, the cleaner compacts before the write returns
+	// (write-path backpressure, as in RAMCloud). A share the master
+	// rejected whole wrote nothing, so it cleans nothing.
+	var cleanedBytes int64
+	if len(acc) > 0 && s.log.alloc > s.limit {
 		cleanedBytes = s.log.clean(s.limit)
 	}
 	s.mu.Unlock()
 	for _, a := range acc {
-		if !speculative[a.idx] {
-			i := a.idx
-			c.placeUpdate(items[i].Key, func(p placement) placement {
-				p.size = items[i].Blob.Size
-				return p
-			})
+		if a.resized {
+			// Overwrite of an existing object: refresh the coordinator's
+			// size record so byte-weighted locality stays accurate.
+			c.placeUpdate(a.key, func(p placement) placement { p.size = a.blob.Size; return p })
 		}
 	}
 	if cleanedBytes > 0 {
@@ -342,50 +312,24 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		return
 	}
 
-	// Replicate: group replica payloads per backup node so each backup
-	// sees one bulk transfer and one ack for its whole share. Same
-	// linear-scan grouping as the master fan-out: replication factor
-	// times a handful of nodes.
-	type repShare struct {
-		node  simnet.NodeID
-		items []acceptedItem
-		bytes int64
-	}
-	var shares []repShare
+	// Replicate: one share per backup node, in first-seen order, so each
+	// backup sees one bulk transfer and one ack for its whole share.
+	shares := make([]repShare, 0, c.cfg.Replication)
 	for _, a := range acc {
-		for _, b := range ps[a.idx].backups {
-			found := false
-			for s := range shares {
-				if shares[s].node == b {
-					shares[s].items = append(shares[s].items, a)
-					shares[s].bytes += items[a.idx].Blob.Size
-					found = true
-					break
-				}
-			}
-			if !found {
-				shares = append(shares, repShare{node: b, items: []acceptedItem{a}, bytes: items[a.idx].Blob.Size})
+		for _, b := range a.backups {
+			if shareOf(shares, b) < 0 {
+				shares = append(shares, repShare{node: b})
 			}
 		}
 	}
-	repErr := make(map[int]error, len(acc))
-	var repMu sync.Mutex
 	wg := sim.NewWaitGroup(env)
-	for i := range shares {
-		share := shares[i]
+	logged := acc // never reassigned, so the closures copy it instead of moving acc to the heap
+	for k := range shares {
+		sh := &shares[k]
 		wg.Add(1)
 		env.Go(func() {
 			defer wg.Done()
-			err := c.replicateShare(master, share.node, items, share.items, share.bytes)
-			if err != nil {
-				repMu.Lock()
-				for _, a := range share.items {
-					if repErr[a.idx] == nil {
-						repErr[a.idx] = err
-					}
-				}
-				repMu.Unlock()
-			}
+			sh.err = c.replicateShare(master, sh.node, logged)
 		})
 	}
 	wg.Wait()
@@ -393,35 +337,60 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	// Ack to the caller (one control message for the group).
 	ackErr := c.net.TryTransfer(master, caller, c.cfg.ControlMsgSize)
 	for _, a := range acc {
-		switch {
-		case repErr[a.idx] != nil:
-			out[a.idx].Err = repErr[a.idx]
-			undo(a.idx)
-		case ackErr != nil:
-			out[a.idx].Err = ackErr
-			undo(a.idx)
-		default:
+		err := ackErr
+		for _, b := range a.backups {
+			if e := shares[shareOf(shares, b)].err; e != nil {
+				err = e
+				break
+			}
+		}
+		if err != nil {
+			out[a.idx].Err = err
+		} else {
 			out[a.idx].Version = a.meta.Version
 		}
 	}
 }
 
-// acceptedItem pairs a WriteMulti batch index with the metadata its
-// master assigned, for the replication fan-out.
+// acceptedItem is one object a master logged: what its backups buffer,
+// and where its outcome goes (out[idx]). resized marks the overwrite of
+// an object the coordinator already placed.
 type acceptedItem struct {
-	idx  int
-	meta Meta
+	idx     int
+	key     string
+	blob    Blob
+	meta    Meta
+	backups []simnet.NodeID
+	resized bool
 }
 
-// replicateShare buffers one backup node's share of a WriteMulti batch:
-// one bulk transfer in, per-object RAM buffering, asynchronous disk
-// flushes, one ack back.
-func (c *Cluster) replicateShare(master, backup simnet.NodeID, items []WriteItem, share []acceptedItem, bytes int64) error {
+// repShare is one backup node's part of a group's replication, and how
+// it ended.
+type repShare struct {
+	node simnet.NodeID
+	err  error
+}
+
+// shareOf is the index of node's share, or -1.
+func shareOf(shares []repShare, node simnet.NodeID) int {
+	return slices.IndexFunc(shares, func(r repShare) bool { return r.node == node })
+}
+
+// replicateShare buffers backup's share of a group (the accepted items
+// it backs): one bulk transfer in, per-object RAM buffering,
+// asynchronous disk flushes, one ack back.
+func (c *Cluster) replicateShare(master, backup simnet.NodeID, acc []acceptedItem) error {
 	bs := c.Server(backup)
 	if bs == nil {
 		return ErrNoSuchServer
 	}
 	env := c.env()
+	var bytes int64
+	for _, a := range acc {
+		if slices.Contains(a.backups, backup) {
+			bytes += a.blob.Size
+		}
+	}
 	if err := c.net.TryTransfer(master, backup, bytes+c.cfg.ControlMsgSize); err != nil {
 		return err
 	}
@@ -431,20 +400,26 @@ func (c *Cluster) replicateShare(master, backup simnet.NodeID, items []WriteItem
 		bs.mu.Unlock()
 		return ErrCrashed
 	}
-	for _, a := range share {
-		it := items[a.idx]
-		bs.backups[it.Key] = replica{blob: it.Blob, meta: a.meta}
+	for _, a := range acc {
+		if slices.Contains(a.backups, backup) {
+			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
+		}
 	}
 	bs.mu.Unlock()
-	// Asynchronous disk flush, off the commit path (see Write).
-	for _, a := range share {
-		a := a
+	// Asynchronous disk flush, off the commit path. The buffer copy is
+	// retained after the flush (RAMCloud backups keep segments buffered
+	// while RAM allows), which is what makes migration-by-promotion
+	// fast; only a machine restart drops buffers (see Restart).
+	for _, a := range acc {
+		if !slices.Contains(a.backups, backup) {
+			continue
+		}
+		key, size, version := a.key, a.blob.Size, a.meta.Version
 		env.Go(func() {
-			it := items[a.idx]
-			bs.node.DiskWrite(it.Blob.Size)
+			bs.node.DiskWrite(size)
 			bs.mu.Lock()
-			if cur, ok := bs.backups[it.Key]; ok && cur.meta.Version == a.meta.Version {
-				bs.disk[it.Key] = cur
+			if cur, ok := bs.backups[key]; ok && cur.meta.Version == version {
+				bs.disk[key] = cur
 			}
 			bs.mu.Unlock()
 		})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
@@ -197,7 +198,6 @@ func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 	c, _ := testCluster(env)
 	const workers = 8
 	for w := 0; w < workers; w++ {
-		w := w
 		env.Go(func() {
 			node := simnet.NodeID(w % 4)
 			for i := 0; i < 60; i++ {
@@ -239,6 +239,158 @@ func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 		if _, found := s.log.get(key); !found {
 			t.Fatalf("%s placed on %d but master copy missing", key, p.master)
 		}
+	}
+}
+
+// TestSingleKeyIsBatchOfOne runs each case on two identically seeded
+// clusters, once through Write/Read and once through a one-key
+// WriteMulti/ReadMulti, and requires the same outcome: error, version,
+// virtual completion time, cluster counters, every server's log
+// accounting and the key's placement. Each case stages one place where
+// two copies of the protocol once disagreed. A speculative placement on
+// a node with no server cannot be staged: no virtual time passes
+// between place and the master lookup.
+func TestSingleKeyIsBatchOfOne(t *testing.T) {
+	const key = "k"
+	for _, tc := range []struct {
+		name              string
+		segment           int64 // log segment size; 0 = default
+		stage             func(env *sim.Env, c *Cluster, net *simnet.Network)
+		read              bool
+		caller, preferred simnet.NodeID
+		size              int64
+	}{
+		{name: "new key", caller: 1, preferred: 2, size: 64 << 10},
+		{
+			name: "read remote hit", read: true, caller: 1,
+			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
+				c.Write(2, key, Synthetic(64<<10), nil, 2)
+			},
+		},
+		{
+			// The master crashes while the payload is in flight: the
+			// placement this write made stays.
+			name: "master crashed", caller: 1, preferred: 2, size: 1 << 20,
+			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
+				env.Go(func() {
+					for i := 0; i < 10000; i++ {
+						if m, ok := c.MasterOf(key); ok {
+							c.Crash(m)
+							return
+						}
+						env.Sleep(time.Microsecond)
+					}
+				})
+			},
+		},
+		{
+			// The master rejects the write for space: its log cleaner
+			// does not run, although dead bytes put it over budget.
+			name: "rejected for space", segment: 64 << 10, caller: 1, preferred: 1, size: 100 << 10,
+			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
+				c.Write(1, key, Synthetic(48<<10), nil, 1)
+				c.Write(1, key, Synthetic(48<<10), nil, 1)
+				c.SetMemoryLimit(1, 64<<10)
+			},
+		},
+		{
+			// A placed key its master no longer holds: the overwrite does
+			// not refresh the coordinator's size record.
+			name: "overwrite lost at master", caller: 1, preferred: 1, size: 32 << 10,
+			stage: loseAtMaster(key),
+		},
+		{
+			// The same key read: the miss at the master ships nothing back.
+			name: "read lost at master", read: true, caller: 2,
+			stage: loseAtMaster(key),
+		},
+		{
+			// Backups fail in the opposite order to their placement: the
+			// first backup's error is reported, not the first to arrive.
+			name: "backup errors", caller: 0, preferred: 0, size: 1 << 20,
+			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
+				c.Write(0, key, Synthetic(1<<20), nil, 0)
+				p, _ := c.placeGet(key)
+				c.Crash(p.backups[0])          // fails after the payload lands
+				net.Partition(0, p.backups[1]) // fails after the detection delay
+			},
+		},
+		{
+			// Replication fails after the master logged a new object: it
+			// keeps its placement, so Evict and Delete can reach its bytes.
+			name: "replication failed", caller: 0, preferred: 0, size: 16 << 10,
+			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
+				for b := simnet.NodeID(1); b < 4; b++ {
+					net.Partition(0, b)
+				}
+			},
+		},
+	} {
+		type state struct {
+			err     error
+			version uint64
+			done    sim.Time
+			stats   ClusterStats
+			logs    [4][4]int64
+			loc     Location
+		}
+		observe := func(batch bool) state {
+			cfg := DefaultConfig()
+			if tc.segment > 0 {
+				cfg.SegmentSize = tc.segment
+			}
+			env := sim.NewEnv(1)
+			c, net := testClusterWith(env, cfg)
+			var st state
+			env.Go(func() {
+				if tc.stage != nil {
+					tc.stage(env, c, net)
+				}
+				switch {
+				case tc.read && batch:
+					r := c.ReadMulti(tc.caller, []string{key})[0]
+					st.err, st.version = r.Err, r.Meta.Version
+				case tc.read:
+					_, meta, err := c.Read(tc.caller, key)
+					st.err, st.version = err, meta.Version
+				case batch:
+					r := c.WriteMulti(tc.caller, []WriteItem{{Key: key, Blob: Synthetic(tc.size)}}, tc.preferred)[0]
+					st.err, st.version = r.Err, r.Version
+				default:
+					st.version, st.err = c.Write(tc.caller, key, Synthetic(tc.size), nil, tc.preferred)
+				}
+				st.done = env.Now()
+			})
+			env.Run()
+			st.stats = c.Stats()
+			for n := range st.logs {
+				s := c.Server(simnet.NodeID(n))
+				st.logs[n][0], st.logs[n][1], st.logs[n][2], st.logs[n][3] = s.LogStats()
+			}
+			st.loc = c.Locate([]string{key})[0]
+			return st
+		}
+		one, batch := observe(false), observe(true)
+		if !errors.Is(one.err, batch.err) || !errors.Is(batch.err, one.err) {
+			t.Errorf("%s: error %v one key, %v as a batch", tc.name, one.err, batch.err)
+		}
+		one.err, batch.err = nil, nil
+		if one != batch {
+			t.Errorf("%s:\n one key  %+v\n as batch %+v", tc.name, one, batch)
+		}
+	}
+}
+
+// loseAtMaster writes key and then drops it from its master's log
+// behind the coordinator's back, leaving the placement in place.
+func loseAtMaster(key string) func(env *sim.Env, c *Cluster, net *simnet.Network) {
+	return func(env *sim.Env, c *Cluster, net *simnet.Network) {
+		c.Write(1, key, Synthetic(16<<10), nil, 1)
+		m, _ := c.MasterOf(key)
+		s := c.Server(m)
+		s.mu.Lock()
+		s.log.delete(key)
+		s.mu.Unlock()
 	}
 }
 
@@ -286,6 +438,59 @@ func BenchmarkReadMultiPerKey(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, k := range keys {
 				if _, _, err := c.Read(1, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	env.Run()
+}
+
+// writeBatch is 16 64 KB items whose keys are already mastered across
+// the four servers, so every write is a replicated overwrite.
+func writeBatch(b *testing.B, c *Cluster) []WriteItem {
+	items := make([]WriteItem, 16)
+	for i := range items {
+		items[i] = WriteItem{Key: fmt.Sprintf("k%d", i), Blob: Synthetic(64 << 10)}
+		node := simnet.NodeID(i % 4)
+		if _, err := c.Write(node, items[i].Key, items[i].Blob, nil, node); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return items
+}
+
+// BenchmarkWriteMultiBatched measures the host cost of storing 16 keys
+// in one batched call (1 coordinator round-trip, then one bulk transfer
+// per master and one replica share per backup).
+func BenchmarkWriteMultiBatched(b *testing.B) {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	env.Go(func() {
+		items := writeBatch(b, c)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range c.WriteMulti(1, items, 1) {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+		}
+	})
+	env.Run()
+}
+
+// BenchmarkWriteMultiPerKey is the same 16-key store as a per-key loop,
+// each Write a one-item batch through the same server-side step.
+func BenchmarkWriteMultiPerKey(b *testing.B) {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	env.Go(func() {
+		items := writeBatch(b, c)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, it := range items {
+				if _, err := c.Write(1, it.Key, it.Blob, nil, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

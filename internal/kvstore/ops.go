@@ -1,170 +1,36 @@
 package kvstore
 
-import (
-	"ofc/internal/sim"
-	"ofc/internal/simnet"
-)
+import "ofc/internal/simnet"
 
 // Write stores (or overwrites) key with blob. The master copy lands on
 // preferred when that node has a live server with room (OFC routes
 // writes to the invoking worker for locality, §6.5). The write is
 // durable once all backups have buffered it, matching RAMCloud's
-// commit point. Returns the new version.
+// commit point. Returns the new version. Past the coordinator round it
+// is a one-item batch: writeGroup does the server side.
 func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
-	if c.tracer == nil {
-		return c.doWrite(caller, key, blob, tags, preferred)
-	}
 	sp := c.tracer.Begin(0, 0, "kv.write", caller)
 	sp.SetNum("bytes", blob.Size)
-	ver, err := c.doWrite(caller, key, blob, tags, preferred)
-	if err != nil {
+	var out [1]WriteResult
+	if blob.Size > c.cfg.MaxObjectSize {
+		out[0].Err = ErrTooLarge
+	} else if p, ok, err := c.lookup(caller, key); err != nil {
+		out[0].Err = err
+	} else {
+		ps, speculative := [1]placement{p}, [1]bool{!ok}
+		if !ok {
+			ps[0], out[0].Err = c.place(key, blob.Size, preferred)
+		}
+		if out[0].Err == nil {
+			items, idxs := [1]WriteItem{{Key: key, Blob: blob, Tags: tags}}, [1]int{0}
+			c.writeGroup(caller, ps[0].master, items[:], ps[:], speculative[:], idxs[:], out[:])
+		}
+	}
+	if out[0].Err != nil {
 		sp.SetNum("err", 1)
 	}
 	c.tracer.End(&sp)
-	return ver, err
-}
-
-// doWrite is Write's body (the wrapper owns the span).
-func (c *Cluster) doWrite(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
-	if blob.Size > c.cfg.MaxObjectSize {
-		return 0, ErrTooLarge
-	}
-	p, ok, lerr := c.lookup(caller, key)
-	if lerr != nil {
-		return 0, lerr
-	}
-	if !ok {
-		var err error
-		p, err = c.place(key, blob.Size, preferred)
-		if err != nil {
-			return 0, err
-		}
-	}
-	master := c.Server(p.master)
-	if master == nil {
-		return 0, ErrNoSuchServer
-	}
-
-	// Ship the payload to the master.
-	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, p.master, blob.Size+c.cfg.ControlMsgSize); err != nil {
-		if !ok {
-			c.placeDelete(key)
-		}
-		return 0, err
-	}
-
-	env := c.env()
-	var version uint64
-	var werr error
-	// Master-side processing.
-	env.Sleep(c.cfg.ServeOverhead + c.memCopyTime(blob.Size))
-	master.mu.Lock()
-	if master.crashed {
-		master.mu.Unlock()
-		return 0, ErrCrashed
-	}
-	old, existed := master.log.get(key)
-	delta := blob.Size
-	if existed {
-		delta -= old.meta.Size
-	}
-	if master.log.live+delta > master.limit {
-		master.mu.Unlock()
-		if !ok { // undo speculative placement of a brand-new object
-			c.placeDelete(key)
-		}
-		return 0, ErrNoSpace
-	}
-	version = c.nextVer.Add(1)
-	now := env.Now()
-	var created sim.Time
-	var naccess int64
-	if existed {
-		created = old.meta.Created
-		naccess = old.meta.NAccess
-	} else {
-		created = now
-	}
-	meta := Meta{
-		Version: version, Size: blob.Size, Created: created,
-		NAccess: naccess, LastAccess: now, Tags: cloneTags(tags),
-	}
-	master.log.put(key, &object{blob: blob, meta: meta})
-	// Log-structured memory: if dead entries push the allocated bytes
-	// past the budget, the cleaner compacts before the write returns
-	// (write-path backpressure, as in RAMCloud).
-	var cleanedBytes int64
-	if master.log.alloc > master.limit {
-		cleanedBytes = master.log.clean(master.limit)
-	}
-	master.writes++
-	master.mu.Unlock()
-	if ok && existed {
-		// Overwrite of an existing object: refresh the coordinator's
-		// size record so byte-weighted locality stays accurate.
-		c.placeUpdate(key, func(p placement) placement { p.size = blob.Size; return p })
-	}
-	if cleanedBytes > 0 {
-		env.Sleep(c.memCopyTime(cleanedBytes))
-	}
-
-	// Replicate to backups in parallel; ack when all have buffered.
-	wg := sim.NewWaitGroup(env)
-	errs := make([]error, len(p.backups))
-	for i, b := range p.backups {
-		i, b := i, b
-		wg.Add(1)
-		env.Go(func() {
-			defer wg.Done()
-			bs := c.Server(b)
-			if bs == nil {
-				errs[i] = ErrNoSuchServer
-				return
-			}
-			if err := c.net.TryTransfer(p.master, b, blob.Size+c.cfg.ControlMsgSize); err != nil {
-				errs[i] = err
-				return
-			}
-			env.Sleep(c.memCopyTime(blob.Size)) // buffer in backup RAM
-			bs.mu.Lock()
-			if bs.crashed {
-				errs[i] = ErrCrashed
-				bs.mu.Unlock()
-				return
-			}
-			bs.backups[key] = replica{blob: blob, meta: meta}
-			bs.mu.Unlock()
-			// Asynchronous disk flush, off the commit path. The buffer
-			// copy is retained after the flush (RAMCloud backups keep
-			// segments buffered while RAM allows), which is what makes
-			// migration-by-promotion fast; only a machine restart
-			// drops buffers (see Restart).
-			env.Go(func() {
-				bs.node.DiskWrite(blob.Size)
-				bs.mu.Lock()
-				if cur, ok := bs.backups[key]; ok && cur.meta.Version == meta.Version {
-					bs.disk[key] = cur
-				}
-				bs.mu.Unlock()
-			})
-			errs[i] = c.net.TryTransfer(b, p.master, c.cfg.ControlMsgSize)
-		})
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil && werr == nil {
-			werr = e
-		}
-	}
-	// Ack to the caller.
-	if err := c.net.TryTransfer(p.master, caller, c.cfg.ControlMsgSize); err != nil && werr == nil {
-		werr = err
-	}
-	if werr != nil {
-		return 0, werr
-	}
-	return version, nil
+	return out[0].Version, out[0].Err
 }
 
 func cloneTags(tags map[string]string) map[string]string {
@@ -179,65 +45,28 @@ func cloneTags(tags map[string]string) map[string]string {
 }
 
 // Read fetches key's payload from its master, updating the OFC access
-// statistics.
+// statistics. Past the coordinator round it is a one-key batch:
+// readGroup does the server side.
 func (c *Cluster) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
-	if c.tracer == nil {
-		return c.doRead(caller, key)
-	}
 	sp := c.tracer.Begin(0, 0, "kv.read", caller)
-	blob, meta, err := c.doRead(caller, key)
-	if err != nil {
-		sp.SetNum("err", 1)
+	var out [1]ReadResult
+	if p, ok, err := c.lookup(caller, key); err != nil {
+		out[0].Err = err
+	} else if !ok {
+		out[0].Err = ErrNotFound
 	} else {
-		sp.SetNum("bytes", blob.Size)
+		keys, idxs := [1]string{key}, [1]int{0}
+		c.readGroup(caller, p.master, keys[:], idxs[:], out[:])
 	}
+	r := out[0]
+	if r.Err != nil {
+		sp.SetNum("err", 1)
+		c.tracer.End(&sp)
+		return Blob{}, Meta{}, r.Err
+	}
+	sp.SetNum("bytes", r.Blob.Size)
 	c.tracer.End(&sp)
-	return blob, meta, err
-}
-
-// doRead is Read's body (the wrapper owns the span).
-func (c *Cluster) doRead(caller simnet.NodeID, key string) (Blob, Meta, error) {
-	p, ok, lerr := c.lookup(caller, key)
-	if lerr != nil {
-		return Blob{}, Meta{}, lerr
-	}
-	if !ok {
-		return Blob{}, Meta{}, ErrNotFound
-	}
-	s := c.Server(p.master)
-	if s == nil {
-		return Blob{}, Meta{}, ErrNoSuchServer
-	}
-	env := c.env()
-	// Request to master.
-	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, p.master, c.cfg.ControlMsgSize); err != nil {
-		return Blob{}, Meta{}, err
-	}
-	env.Sleep(c.cfg.ServeOverhead)
-	if caller != p.master {
-		env.Sleep(c.cfg.CrossNodeOverhead)
-	}
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
-		return Blob{}, Meta{}, ErrCrashed
-	}
-	o, found := s.log.get(key)
-	if !found {
-		s.mu.Unlock()
-		return Blob{}, Meta{}, ErrNotFound
-	}
-	o.meta.NAccess++
-	o.meta.LastAccess = env.Now()
-	blob, meta := o.blob, o.meta
-	s.reads++
-	s.mu.Unlock()
-	// Payload back to the caller.
-	if err := c.net.TryTransfer(p.master, caller, blob.Size+c.cfg.ControlMsgSize); err != nil {
-		return Blob{}, Meta{}, err
-	}
-	return blob, meta, nil
+	return r.Blob, r.Meta, nil
 }
 
 // Stat returns the metadata of key without moving the payload.

@@ -205,17 +205,6 @@ func (c *Chunked) Evict(key string) error {
 	return c.inner.Evict(key)
 }
 
-// ReadMulti implements BatchBackend (non-striped keys only pass
-// through; the proxy never batch-reads striped logical keys).
-func (c *Chunked) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	return ReadMulti(c.inner, caller, keys)
-}
-
-// WriteMulti implements BatchBackend.
-func (c *Chunked) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	return WriteMulti(c.inner, caller, items, preferred)
-}
-
 func cloneTags(tags map[string]string) map[string]string {
 	if tags == nil {
 		return nil

@@ -21,9 +21,14 @@ type OpStats struct {
 	Evicts, Deletes int64
 	BytesRead       int64
 	BytesWritten    int64
-	BatchReads      int64 // ReadMulti calls
-	BatchReadKeys   int64 // keys carried by those calls
-	BatchWrites     int64 // WriteMulti calls
+	// The batch counters count nothing: the proxy never batches
+	// through the top of its stack (the chunking layer batches on the
+	// layer below it), so Instrumented has no ReadMulti/WriteMulti.
+	// They stay because benchmark/layers.go reads them; a benchmark
+	// change may drop them.
+	BatchReads      int64
+	BatchReadKeys   int64
+	BatchWrites     int64
 	BatchWriteItems int64
 }
 
@@ -138,31 +143,3 @@ func (n *Instrumented) Evict(key string) error {
 }
 
 func (n *Instrumented) MaxObjectSize() int64 { return n.inner.MaxObjectSize() }
-
-func (n *Instrumented) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	out := ReadMulti(n.inner, caller, keys)
-	n.mu.Lock()
-	n.s.BatchReads++
-	n.s.BatchReadKeys += int64(len(keys))
-	for _, r := range out {
-		if r.Err == nil {
-			n.s.BytesRead += r.Blob.Size
-		}
-	}
-	n.mu.Unlock()
-	return out
-}
-
-func (n *Instrumented) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	out := WriteMulti(n.inner, caller, items, preferred)
-	n.mu.Lock()
-	n.s.BatchWrites++
-	n.s.BatchWriteItems += int64(len(items))
-	for i, r := range out {
-		if r.Err == nil {
-			n.s.BytesWritten += items[i].Blob.Size
-		}
-	}
-	n.mu.Unlock()
-	return out
-}

@@ -76,9 +76,15 @@ func NewFaaSLoad(env *sim.Env, platform *faas.Platform, seed int64) *FaaSLoad {
 // argument-generator stream once, at registration: per-invocation
 // draws never touch the injector's (locked) root generator.
 func (fl *FaaSLoad) AddFunctionTenant(name string, spec *Spec, fn *faas.Function, pool *InputPool, mean time.Duration, periodic bool) {
+	fl.add(&tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool), mean: mean, period: periodic})
+}
+
+// functionRun is the run closure of a single-function tenant: one
+// invocation of fn on an input from pool. It derives the tenant's
+// private argument-generator stream from the root generator now.
+func (fl *FaaSLoad) functionRun(spec *Spec, fn *faas.Function, pool *InputPool) func(id string) (time.Duration, *statsDelta) {
 	rng := rand.New(rand.NewSource(fl.rng.Int63()))
-	st := &tenantState{report: TenantReport{Name: name}, mean: mean, period: periodic}
-	st.run = func(id string) (time.Duration, *statsDelta) {
+	return func(id string) (time.Duration, *statsDelta) {
 		in := pool.Pick()
 		args := spec.GenArgs(rng)
 		res := fl.platform.Invoke(NewRequest(fn, spec, in, args))
@@ -98,7 +104,6 @@ func (fl *FaaSLoad) AddFunctionTenant(name string, spec *Spec, fn *faas.Function
 		}
 		return res.Duration(), d
 	}
-	fl.add(st)
 }
 
 // AddPipelineTenant registers a tenant running a pipeline.
@@ -144,7 +149,6 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 	tenants := append([]*tenantState{}, fl.tenants...)
 	fl.mu.Unlock()
 	for ti, st := range tenants {
-		st := st
 		rng := rand.New(rand.NewSource(fl.rng.Int63()))
 		prefix := fmt.Sprintf("t%d", ti)
 		fl.env.Go(func() {
@@ -215,24 +219,9 @@ func (fl *FaaSLoad) Reports() []TenantReport {
 // à la Azure Functions (Shahrad et al.) are replayed. Offsets past the
 // window are dropped by Start's deadline check.
 func (fl *FaaSLoad) AddTraceTenant(name string, spec *Spec, fn *faas.Function, pool *InputPool, offsets []time.Duration) {
-	rng := rand.New(rand.NewSource(fl.rng.Int63()))
-	st := &tenantState{report: TenantReport{Name: name}}
+	st := &tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool)}
 	st.schedule = append([]time.Duration{}, offsets...)
 	sort.Slice(st.schedule, func(i, j int) bool { return st.schedule[i] < st.schedule[j] })
-	st.run = func(id string) (time.Duration, *statsDelta) {
-		in := pool.Pick()
-		args := spec.GenArgs(rng)
-		res := fl.platform.Invoke(NewRequest(fn, spec, in, args))
-		d := &statsDelta{e: res.Extract, t: res.Transform, l: res.Load,
-			bytesIn: res.BytesIn, bytesOut: res.BytesOut}
-		if res.Err != nil {
-			d.fail = 1
-		}
-		if res.ColdStart {
-			d.cold = 1
-		}
-		return res.Duration(), d
-	}
 	fl.add(st)
 }
 

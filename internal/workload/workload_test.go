@@ -398,13 +398,50 @@ func TestTraceTenantFiresAtOffsets(t *testing.T) {
 	}
 }
 
+// lowballAdvisor sizes every sandbox at the platform's floor, below any
+// catalogue function's peak, so every invocation is OOM-killed once and
+// retried at its booked memory.
+type lowballAdvisor struct{}
+
+func (lowballAdvisor) Advise(*faas.Request) faas.Advice { return faas.Advice{Mem: 1, Use: true} }
+
+// TestTraceTenantCountsRetries: a trace tenant's report counts its
+// OOM retries, as a function tenant's does.
+func TestTraceTenantCountsRetries(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Workers = 2
+	sys := core.NewSystem(opts)
+	sys.Platform.Advisor = lowballAdvisor{}
+	su := NewSuite()
+	rng := rand.New(rand.NewSource(32))
+	spec := SpecByName("wand_crop")
+	fn := su.Build(spec, "trace", 0)
+	sys.Register(fn)
+	pool := NewInputPool(rng, "image", "oom", []int64{16 << 10}, 1)
+	fl := NewFaaSLoad(sys.Env, sys.Platform, 33)
+	fl.AddTraceTenant("trace", spec, fn, pool, []time.Duration{10 * time.Second})
+	sys.Env.SetHorizon(time.Minute)
+	sys.Start()
+	sys.Env.Go(func() {
+		pool.Stage(RSDSWriter{Suite: su, Store: sys.RSDS, Node: sys.CtrlNode})
+		fl.Start(30 * time.Second)
+	})
+	sys.Env.Run()
+	rep := fl.Reports()[0]
+	if rep.Invocations != 1 || rep.Failures != 0 {
+		t.Fatalf("invocations=%d failures=%d, want 1 and 0", rep.Invocations, rep.Failures)
+	}
+	if rep.Retried != 1 {
+		t.Errorf("retried=%d, want 1", rep.Retried)
+	}
+}
+
 // Table-driven law sanity for every one of the 19 functions: memory
 // and time grow (weakly) with input size; outputs are bounded; args
 // come from the declared names.
 func TestEverySpecLawSanity(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, spec := range Specs() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			small := GenFeatures(rng, spec.InputType, 8<<10)
 			// Scale the size-derived features while holding content
@@ -458,8 +495,6 @@ func TestEverySpecLawSanity(t *testing.T) {
 // law-generated invocations — the §5.3 premise that makes OFC usable.
 func TestEverySpecMaturesOnline(t *testing.T) {
 	for si, spec := range Specs() {
-		spec := spec
-		si := si
 		t.Run(spec.Name, func(t *testing.T) {
 			env := sim.NewEnv(int64(si))
 			pred := core.NewPredictor(core.DefaultPredictorConfig())
