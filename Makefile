@@ -7,8 +7,8 @@ GO ?= go
 all: check
 
 # The default gate: build, vet, the determinism/correctness analyzers,
-# full tests, the race detector over every package, coverage with the
-# trace floor, then one run of ofc-bench over the policy grid and one
+# full tests, the race detector over every package, coverage with its
+# floors, then one run of ofc-bench over the policy grid and one
 # short run of every example and driver.
 check: build vet lint test test-race test-cover smoke-policies smoke-examples
 
@@ -21,12 +21,17 @@ test:
 	$(GO) test ./...
 	$(GO) test -run Fuzz ./internal/mltree
 
-# Statement coverage: repo-wide report (informational) with a hard
-# floor on internal/trace — the golden-trace harness is the point of
-# that subsystem, so its coverage slipping fails the build.
+# Statement coverage: repo-wide report (informational) with hard
+# floors on internal/trace — the golden-trace harness is the point of
+# that subsystem — and on internal/core and internal/faas, which hold
+# the proxy, the control plane and the invoke path. Each floor is one
+# covercheck pass over the same profile; the last two print only a
+# failure.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/core -floor 75 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/faas -floor 85 > /dev/null
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to

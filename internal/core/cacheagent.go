@@ -264,12 +264,7 @@ func (a *CacheAgent) Grow() {
 	const hysteresis = 1 << 20
 	switch {
 	case target > cur+hysteresis:
-		granted := a.inv.SetCacheGrant(target)
-		a.kv.SetMemoryLimit(a.node, granted)
-		a.mu.Lock()
-		a.metrics.ScaleUps++
-		a.metrics.ScaleUpTime += a.cfg.PoolReconfigTime
-		a.mu.Unlock()
+		a.setGrant(target, true, 0, 0)
 	case target < cur-hysteresis:
 		// Shrink the grant; free cached data first if usage exceeds
 		// the new target.
@@ -278,9 +273,22 @@ func (a *CacheAgent) Grow() {
 		if used > target {
 			migrated, evicted = a.freeBytes(used - target)
 		}
-		granted := a.inv.SetCacheGrant(target)
-		a.kv.SetMemoryLimit(a.node, granted)
-		a.mu.Lock()
+		a.setGrant(target, false, migrated, evicted)
+	}
+}
+
+// setGrant is the one place the cache grant changes: the invoker's
+// books first, then the engine's memory limit. It counts the change as
+// a Table 2 scale-up, or as a scale-down by how data was freed, and
+// starts the RAMCloud pool reconfiguration, which runs off the
+// critical path.
+func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
+	a.kv.SetMemoryLimit(a.node, a.inv.SetCacheGrant(target))
+	a.mu.Lock()
+	if up {
+		a.metrics.ScaleUps++
+		a.metrics.ScaleUpTime += a.cfg.PoolReconfigTime
+	} else {
 		switch {
 		case migrated > 0:
 			a.metrics.ScaleDownMigration++
@@ -290,11 +298,8 @@ func (a *CacheAgent) Grow() {
 			a.metrics.ScaleDownNoEviction++
 		}
 		a.metrics.ScaleDownTime += a.cfg.PoolReconfigTime
-		a.mu.Unlock()
-	default:
-		return
 	}
-	// RAMCloud pool reconfiguration happens off the critical path.
+	a.mu.Unlock()
 	a.env.Go(func() { a.env.Sleep(a.cfg.PoolReconfigTime) })
 }
 
@@ -428,22 +433,15 @@ func (a *CacheAgent) SetPressure(p memctl.Pressure) {
 // the agent executes it and charges the critical-path time. Dirty
 // outputs get their write-back triggered asynchronously. Returns the
 // critical-path time spent.
-func (a *CacheAgent) Reclaim(need int64) (time.Duration, error) {
-	if a.tracer == nil {
-		return a.reclaim(need, nil)
-	}
+func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 	sp := a.tracer.Begin(0, 0, "reclaim", a.node)
 	sp.SetNum("need", need)
-	took, err := a.reclaim(need, &sp)
-	if err != nil {
-		sp.SetNum("err", 1)
-	}
-	a.tracer.End(&sp)
-	return took, err
-}
-
-// reclaim is Reclaim's body (the wrapper owns the span).
-func (a *CacheAgent) reclaim(need int64, sp *trace.Span) (time.Duration, error) {
+	defer func() {
+		if err != nil {
+			sp.SetNum("err", 1)
+		}
+		a.tracer.End(&sp)
+	}()
 	start := a.env.Now()
 	grant := a.inv.CacheGrant()
 	if grant < need {
@@ -486,23 +484,8 @@ func (a *CacheAgent) reclaim(need int64, sp *trace.Span) (time.Duration, error) 
 		sp.SetNum("evicted", int64(evicted))
 	}
 
-	newGrant := a.inv.SetCacheGrant(grant - need)
-	a.kv.SetMemoryLimit(a.node, newGrant)
-
-	took := time.Duration(a.env.Now() - start)
-	a.mu.Lock()
-	switch {
-	case migrated > 0:
-		a.metrics.ScaleDownMigration++
-	case evicted > 0:
-		a.metrics.ScaleDownEviction++
-	default:
-		a.metrics.ScaleDownNoEviction++
-	}
-	a.metrics.ScaleDownTime += a.cfg.PoolReconfigTime
-	a.mu.Unlock()
-	// Asynchronous pool reconfiguration, as for growth.
-	a.env.Go(func() { a.env.Sleep(a.cfg.PoolReconfigTime) })
+	took = time.Duration(a.env.Now() - start)
+	a.setGrant(grant-need, false, migrated, evicted)
 	return took, nil
 }
 
@@ -512,21 +495,7 @@ func (a *CacheAgent) reclaim(need int64, sp *trace.Span) (time.Duration, error) 
 // watermark), the agent executes — dirty victims are written back
 // before eviction, clean ones evicted directly.
 func (a *CacheAgent) periodicEviction() {
-	if a.tracer == nil {
-		a.evictionSweep()
-		return
-	}
 	sp := a.tracer.Begin(0, 0, "evict.sweep", a.node)
-	victims := a.evictionSweep()
-	if victims > 0 {
-		sp.SetNum("victims", int64(victims))
-	}
-	a.tracer.End(&sp)
-}
-
-// evictionSweep is periodicEviction's body (the wrapper owns the
-// span); it returns the number of victims the policy selected.
-func (a *CacheAgent) evictionSweep() int {
 	v := a.view(0)
 	a.mu.Lock()
 	victims := a.pol.Eviction.Victims(v)
@@ -552,7 +521,10 @@ func (a *CacheAgent) evictionSweep() int {
 			a.mu.Unlock()
 		}
 	}
-	return len(victims)
+	if len(victims) > 0 {
+		sp.SetNum("victims", int64(len(victims)))
+	}
+	a.tracer.End(&sp)
 }
 
 // Governor adapts a set of agents to the faas.MemoryGovernor interface

@@ -39,10 +39,6 @@ type Options struct {
 	// storage backend rather than scattered if-branches. No cache
 	// servers, no agents, no locality routing.
 	CacheOff bool
-	// CoalesceMisses turns on the proxy's singleflight miss path (see
-	// RCLib.getCoalesced). Off by default: the faithful-paper
-	// configuration lets every miss pay its own RSDS round trip.
-	CoalesceMisses bool
 	// Chunking puts the large-object striping middleware (§6.1 future
 	// work) into the proxy's stack: cacheable objects above the
 	// engine's per-object ceiling are striped instead of bypassing the

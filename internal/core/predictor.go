@@ -125,9 +125,7 @@ type Predictor struct {
 	memo metrics.MemoCounters
 
 	// tracer records "predict"/"retrain" spans (nil = off; set by
-	// System.EnableTracing before traffic starts). The Advise fast path
-	// stays zero-alloc: with a nil tracer it branches straight into the
-	// untraced body.
+	// System.EnableTracing before traffic starts).
 	tracer *trace.Tracer
 
 	mu     sync.Mutex
@@ -186,25 +184,17 @@ func appendVecKey(dst []byte, vals []float64) []byte {
 // flushed whenever a retrain bumps the model generation, making it
 // semantically invisible. A hit costs a vector build, a key append and
 // one map probe — no tree walk, no allocation.
-func (p *Predictor) Advise(req *faas.Request) faas.Advice {
-	if p.tracer == nil {
-		return p.advise(req, nil)
-	}
+func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 	ref := req.TraceRef()
 	sp := p.tracer.Begin(ref.Trace, ref.Span, "predict", 0)
-	adv := p.advise(req, &sp)
-	if adv.Use {
-		sp.SetNum("use", 1)
-	} else {
-		sp.SetNum("use", 0)
-	}
-	p.tracer.End(&sp)
-	return adv
-}
-
-// advise is Advise's body; sp (nil when tracing is off) collects the
-// memo-hit/maturity attributes.
-func (p *Predictor) advise(req *faas.Request, sp *trace.Span) faas.Advice {
+	defer func() {
+		if adv.Use {
+			sp.SetNum("use", 1)
+		} else {
+			sp.SetNum("use", 0)
+		}
+		p.tracer.End(&sp)
+	}()
 	st := p.state(req.Function)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -216,15 +206,15 @@ func (p *Predictor) advise(req *faas.Request, sp *trace.Span) faas.Advice {
 	st.vecBuf = vals
 
 	st.keyBuf = appendVecKey(st.keyBuf[:0], vals)
-	if adv, ok := st.advCache[string(st.keyBuf)]; ok {
+	if cached, ok := st.advCache[string(st.keyBuf)]; ok {
 		p.memo.Hit()
 		sp.SetNum("memo", 1)
-		return adv
+		return cached
 	}
 	p.memo.Miss()
 	sp.SetNum("memo", 0)
 
-	adv := st.adviseLocked(p.cfg.Intervals, vals)
+	adv = st.adviseLocked(p.cfg.Intervals, vals)
 	if st.advCache == nil || len(st.advCache) >= advCacheMax {
 		st.advCache = make(map[string]faas.Advice)
 	}
@@ -404,12 +394,10 @@ func (t *ModelTrainer) trainLocked(st *modelState) {
 		// invocation. Zero-duration — training is off the virtual
 		// clock — but the event and its generation are part of the
 		// latency story (each one flushes the advice memo).
-		if tr := t.p.tracer; tr != nil {
-			sp := tr.Begin(0, 0, "retrain", 0)
-			sp.SetStr("fn", st.fn.ID())
-			sp.SetNum("gen", int64(st.gen))
-			tr.End(&sp)
-		}
+		sp := t.p.tracer.Begin(0, 0, "retrain", 0)
+		sp.SetStr("fn", st.fn.ID())
+		sp.SetNum("gen", int64(st.gen))
+		t.p.tracer.End(&sp)
 	}
 }
 

@@ -84,19 +84,8 @@ type RCLib struct {
 	brownout atomic.Bool
 
 	// tracer records cache.get/cache.put/rsds.fetch spans (nil = off;
-	// set by System.EnableTracing before traffic starts). Get/Put
-	// branch into their untraced bodies on nil, keeping the warm-hit
-	// path's allocation profile.
+	// set by System.EnableTracing before traffic starts).
 	tracer *trace.Tracer
-
-	// coalesce enables miss coalescing (Options.CoalesceMisses): N
-	// concurrent misses of one key on one node issue a single RSDS
-	// fetch and at most one admission. Off by default — coalescing
-	// changes simulated fetch timing, and the faithful-paper
-	// configuration (like chunking) is the uncoalesced one.
-	coalesce bool
-	flightMu sync.Mutex
-	flights  map[flightKey]*sim.Future[getResult]
 
 	// persistRetryDelay is how long a failed write-back waits before
 	// the next persistor attempt.
@@ -111,14 +100,13 @@ type RCLib struct {
 	// Ephemeral (pipeline-intermediate) accesses tracked separately:
 	// intra-pipeline hits are structural and would mask the input
 	// hit ratio the paper's Table 2 reports.
-	ephemHits     atomic.Int64
-	ephemMisses   atomic.Int64
-	admissions    atomic.Int64
-	admitVetoes   atomic.Int64
-	writeBacks    atomic.Int64
-	bypassWrites  atomic.Int64
-	ephemeral     atomic.Int64 // bytes of intermediate+final outputs produced
-	missCoalesced atomic.Int64 // followers served by another caller's in-flight fetch
+	ephemHits    atomic.Int64
+	ephemMisses  atomic.Int64
+	admissions   atomic.Int64
+	admitVetoes  atomic.Int64
+	writeBacks   atomic.Int64
+	bypassWrites atomic.Int64
+	ephemeral    atomic.Int64 // bytes of intermediate+final outputs produced
 	// degradation counters (retries/timeouts/trips live in the
 	// Resilient middleware)
 	fallbackReads  atomic.Int64
@@ -129,26 +117,12 @@ type RCLib struct {
 	brownoutBypasses atomic.Int64
 }
 
-// getResult is what a coalesced miss hands its followers.
-type getResult struct {
-	blob faas.Blob
-	err  error
-}
-
-// flightKey identifies one in-flight miss fetch: coalescing is per
-// (node, key) — each node still fetches its own copy, preserving the
-// locality the router works for.
-type flightKey struct {
-	node simnet.NodeID
-	key  string
-}
-
 // NewRCLib builds the proxy over a storage engine and the RSDS and
 // registers its Persistor with the platform. Any store.Backend works:
 // *kvstore.Cluster for the paper configuration,
 // store.NewPassthrough(rsds) for cache-off mode. gov holds the
 // admission veto, res tunes the Resilient layer, and opts supplies
-// Chunking, RelaxedPrefixes and CoalesceMisses.
+// Chunking and RelaxedPrefixes.
 func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platform *faas.Platform,
 	gov *Governor, res store.ResilienceConfig, opts Options) *RCLib {
 	rc := &RCLib{
@@ -158,10 +132,8 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platfor
 		platform:          platform,
 		gov:               gov,
 		relaxed:           slices.Clone(opts.RelaxedPrefixes),
-		coalesce:          opts.CoalesceMisses,
 		pipelines:         make(map[string][]string),
 		pending:           make(map[string]*sim.Future[struct{}]),
-		flights:           make(map[flightKey]*sim.Future[getResult]),
 		persistRetryDelay: res.PersistRetryDelay,
 	}
 	rc.durable = store.IsDurable(backend)
@@ -251,13 +223,7 @@ func (rc *RCLib) isRelaxed(key string) bool {
 func (rc *RCLib) persistBody(ctx *faas.Ctx) error {
 	ref := ctx.Trace()
 	sp := rc.tracer.Begin(ref.Trace, ref.Span, "persist", ctx.Node())
-	err := rc.persistOnce(ctx, &sp)
-	rc.tracer.End(&sp)
-	return err
-}
-
-// persistOnce is persistBody's body (the wrapper owns the span).
-func (rc *RCLib) persistOnce(ctx *faas.Ctx, sp *trace.Span) error {
+	defer rc.tracer.End(&sp)
 	key := ctx.InputKeys()[0]
 	version := uint64(ctx.Arg("version"))
 	node := ctx.Node()
@@ -364,30 +330,19 @@ func (rc *RCLib) noteGetMiss(key string, unavailable bool) {
 // admission of cache-worthy inputs. With a durable engine every read
 // is an RSDS read and counts as a miss — cache-off mode reports an
 // honest zero hit ratio.
-func (rc *RCLib) Get(caller simnet.NodeID, key string, opts faas.PutOpts) (faas.Blob, error) {
-	if rc.tracer == nil {
-		return rc.get(caller, key, opts, nil)
-	}
+func (rc *RCLib) Get(caller simnet.NodeID, key string, opts faas.PutOpts) (blob faas.Blob, err error) {
 	sp := rc.tracer.Begin(opts.Trace.Trace, opts.Trace.Span, "cache.get", caller)
-	blob, err := rc.get(caller, key, opts, &sp)
-	if err != nil {
-		sp.SetNum("err", 1)
-	}
-	rc.tracer.End(&sp)
-	return blob, err
-}
-
-// get is Get's body; sp (nil when tracing is off) collects the probe
-// outcome: hit/miss, coalescing role, brownout/veto skips, fallback.
-func (rc *RCLib) get(caller simnet.NodeID, key string, opts faas.PutOpts, sp *trace.Span) (faas.Blob, error) {
+	defer func() {
+		if err != nil {
+			sp.SetNum("err", 1)
+		}
+		rc.tracer.End(&sp)
+	}()
 	if rc.durable {
-		blob, _, err := rc.be.Read(caller, key)
+		blob, _, err = rc.be.Read(caller, key)
 		rc.noteGetMiss(key, false)
 		sp.SetStr("path", "durable")
-		if err != nil {
-			return faas.Blob{}, err
-		}
-		return blob, nil
+		return blob, err
 	}
 	blob, meta, err := rc.be.Read(caller, key)
 	if err == nil {
@@ -401,47 +356,14 @@ func (rc *RCLib) get(caller simnet.NodeID, key string, opts faas.PutOpts, sp *tr
 	if unavailable {
 		sp.SetNum("fallback", 1)
 	}
-	if rc.coalesce {
-		return rc.getCoalesced(caller, key, opts, unavailable, sp)
-	}
-	res := rc.fetchMiss(caller, key, opts, unavailable, sp)
-	return res.blob, res.err
-}
-
-// getCoalesced is the singleflight miss path: the first miss of a
-// (node, key) becomes the leader and performs the fetch + admission;
-// concurrent misses of the same pair wait on the leader's future and
-// share its result, issuing no RSDS traffic of their own. Every caller
-// still counts its own miss — coalescing changes the fetch fan-out,
-// not the hit ratio.
-func (rc *RCLib) getCoalesced(caller simnet.NodeID, key string, opts faas.PutOpts, unavailable bool, sp *trace.Span) (faas.Blob, error) {
-	fk := flightKey{node: caller, key: key}
-	rc.flightMu.Lock()
-	if f, ok := rc.flights[fk]; ok {
-		rc.flightMu.Unlock()
-		rc.missCoalesced.Add(1)
-		sp.SetNum("coalesced", 1)
-		res := f.Wait()
-		return res.blob, res.err
-	}
-	f := sim.NewFuture[getResult](rc.env)
-	rc.flights[fk] = f
-	rc.flightMu.Unlock()
-
-	sp.SetNum("leader", 1)
-	res := rc.fetchMiss(caller, key, opts, unavailable, sp)
-
-	rc.flightMu.Lock()
-	delete(rc.flights, fk)
-	rc.flightMu.Unlock()
-	f.Set(res)
-	return res.blob, res.err
+	return rc.fetchMiss(caller, key, opts, unavailable, &sp)
 }
 
 // fetchMiss fetches key from the RSDS (waiting out a shadow
 // placeholder if one is pending) and admits cache-worthy inputs off
-// the critical path.
-func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, unavailable bool, sp *trace.Span) getResult {
+// the critical path. Concurrent misses of one key each pay their own
+// fetch.
+func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, unavailable bool, sp *trace.Span) (faas.Blob, error) {
 	ref := sp.Ref()
 	fsp := rc.tracer.Begin(ref.Trace, ref.Span, "rsds.fetch", caller)
 	blob, m, rerr := rc.rsds.Get(caller, key, false)
@@ -459,7 +381,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 	if rerr != nil {
 		fsp.SetNum("err", 1)
 		rc.tracer.End(&fsp)
-		return getResult{err: rerr}
+		return faas.Blob{}, rerr
 	}
 	rc.tracer.End(&fsp)
 	if opts.ShouldCache && rc.inBrownout() {
@@ -467,7 +389,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		// only what it already holds.
 		rc.brownoutSkips.Add(1)
 		sp.SetNum("brownoutSkip", 1)
-		return getResult{blob: blob}
+		return blob, nil
 	}
 	if opts.ShouldCache && !unavailable && blob.Size <= rc.base.MaxObjectSize() {
 		// Admit off the critical path; a failed admission (no space)
@@ -479,7 +401,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		if !rc.gov.AdmitObject(caller, key, blob.Size, opts.Benefit) {
 			rc.admitVetoes.Add(1)
 			sp.SetNum("veto", 1)
-			return getResult{blob: blob}
+			return blob, nil
 		}
 		rc.env.Go(func() {
 			// Off-critical-path admission: a control-plane root span
@@ -494,7 +416,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 			rc.tracer.End(&asp)
 		})
 	}
-	return getResult{blob: blob}
+	return blob, nil
 }
 
 // Put implements faas.Storage (§6.2, §6.3):
@@ -508,22 +430,14 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 // ceiling is effectively unbounded, so oversized cacheable objects take
 // the ordinary cache paths and stripe transparently below. With a durable
 // engine every write is a synchronous write-through.
-func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas.PutOpts) error {
-	if rc.tracer == nil {
-		return rc.put(caller, key, blob, opts, nil)
-	}
+func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas.PutOpts) (err error) {
 	sp := rc.tracer.Begin(opts.Trace.Trace, opts.Trace.Span, "cache.put", caller)
-	err := rc.put(caller, key, blob, opts, &sp)
-	if err != nil {
-		sp.SetNum("err", 1)
-	}
-	rc.tracer.End(&sp)
-	return err
-}
-
-// put is Put's body; sp (nil when tracing is off) records which of the
-// §6.2/§6.3 write paths the object took.
-func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas.PutOpts, sp *trace.Span) error {
+	defer func() {
+		if err != nil {
+			sp.SetNum("err", 1)
+		}
+		rc.tracer.End(&sp)
+	}()
 	if opts.Kind != faas.KindInput {
 		rc.ephemeral.Add(blob.Size)
 	}
@@ -531,7 +445,7 @@ func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 		// Durable engine: the ack IS persistence. No shadow, no
 		// persistor, no dirty state.
 		sp.SetStr("path", "durable")
-		_, err := rc.be.Write(caller, key, blob, nil, caller)
+		_, err = rc.be.Write(caller, key, blob, nil, caller)
 		rc.bypassWrites.Add(1)
 		return err
 	}
@@ -543,8 +457,7 @@ func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 	// RSDS would cost more than it frees.
 	if opts.Kind != faas.KindIntermediate && rc.inBrownout() {
 		sp.SetStr("path", "brownout")
-		rc.rsds.Put(caller, key, blob, nil, false)
-		rc.bypassWrites.Add(1)
+		rc.bypass(caller, key, blob)
 		rc.brownoutBypasses.Add(1)
 		return nil
 	}
@@ -554,19 +467,15 @@ func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 	if opts.Kind != faas.KindIntermediate &&
 		(!opts.ShouldCache || blob.Size > maxObj) {
 		sp.SetStr("path", "bypass")
-		rc.rsds.Put(caller, key, blob, nil, false)
-		rc.bypassWrites.Add(1)
-		return nil
+		return rc.bypass(caller, key, blob)
 	}
 	if opts.Kind == faas.KindIntermediate {
 		sp.SetStr("path", "intermediate")
 		if blob.Size > maxObj {
 			sp.SetNum("bypass", 1)
-			rc.rsds.Put(caller, key, blob, nil, false)
-			rc.bypassWrites.Add(1)
-			return nil
+			return rc.bypass(caller, key, blob)
 		}
-		_, err := rc.be.Write(caller, key, blob, map[string]string{
+		_, err = rc.be.Write(caller, key, blob, map[string]string{
 			"kind": "intermediate", "pipeline": opts.Pipeline, "dirty": "0",
 		}, caller)
 		if err != nil {
@@ -588,7 +497,7 @@ func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 		// §6.2 relaxed mode: cache-resident, lazily written back. The
 		// version tag 0 makes WriteBackNow use a plain Put.
 		sp.SetStr("path", "relaxed")
-		_, err := rc.be.Write(caller, key, blob, map[string]string{
+		_, err = rc.be.Write(caller, key, blob, map[string]string{
 			"kind": "final", "dirty": "1", "version": "0",
 		}, caller)
 		if err != nil {
@@ -601,7 +510,7 @@ func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 	// Final output: shadow + cache + async persist.
 	sp.SetStr("path", "writeback")
 	version := rc.rsds.PutShadow(caller, key, blob.Size)
-	_, err := rc.be.Write(caller, key, blob, map[string]string{
+	_, err = rc.be.Write(caller, key, blob, map[string]string{
 		"kind": "final", "dirty": "1", "version": strconv.FormatUint(version, 10),
 	}, caller)
 	if err != nil {
@@ -613,6 +522,14 @@ func (rc *RCLib) put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 		return rc.rsds.PersistPayload(caller, key, blob, version)
 	}
 	rc.schedulePersist(caller, key, version)
+	return nil
+}
+
+// bypass is the tail of every write the cache does not take: a
+// synchronous RSDS write, durable on ack, which Put reports as nil.
+func (rc *RCLib) bypass(caller simnet.NodeID, key string, blob faas.Blob) error {
+	rc.rsds.Put(caller, key, blob, nil, false)
+	rc.bypassWrites.Add(1)
 	return nil
 }
 
@@ -676,20 +593,16 @@ func (rc *RCLib) PipelineDone(pipeline string) {
 // WriteBackNow synchronously persists one dirty cached object (used by
 // the CacheAgent when reclaiming space). Returns false when the object
 // is not dirty or vanished.
-func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) bool {
+func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) (ok bool) {
 	sp := rc.tracer.Begin(0, 0, "cache.writeback", node)
-	ok := rc.writeBackNow(node, key)
-	if ok {
-		sp.SetNum("ok", 1)
-	} else {
-		sp.SetNum("ok", 0)
-	}
-	rc.tracer.End(&sp)
-	return ok
-}
-
-// writeBackNow is WriteBackNow's body (the wrapper owns the span).
-func (rc *RCLib) writeBackNow(node simnet.NodeID, key string) bool {
+	defer func() {
+		if ok {
+			sp.SetNum("ok", 1)
+		} else {
+			sp.SetNum("ok", 0)
+		}
+		rc.tracer.End(&sp)
+	}()
 	blob, meta, err := rc.be.Read(node, key)
 	if err != nil || meta.Tags["dirty"] != "1" {
 		return false
@@ -736,8 +649,9 @@ type CacheStats struct {
 	// policy refused (always zero under the paper's policy).
 	AdmitVetoes  int64
 	BypassWrites int64
-	// MissCoalesced counts misses served by another caller's in-flight
-	// fetch (zero unless Options.CoalesceMisses).
+	// MissCoalesced counts nothing: every miss pays its own RSDS
+	// fetch. It stays because benchmark/layers.go reads it; a benchmark
+	// change may drop it.
 	MissCoalesced  int64
 	EphemeralBytes int64
 	// Degradation counters: RSDS fallbacks taken because the cache
@@ -770,10 +684,10 @@ func (rc *RCLib) Stats() CacheStats {
 		Hits: rc.hits.Load(), LocalHits: rc.localHits.Load(), Misses: rc.misses.Load(),
 		EphemHits: rc.ephemHits.Load(), EphemMisses: rc.ephemMisses.Load(),
 		Admissions: rc.admissions.Load(), WriteBacks: rc.writeBacks.Load(),
-		AdmitVetoes:   rc.admitVetoes.Load(),
-		BypassWrites:  rc.bypassWrites.Load(),
-		MissCoalesced: rc.missCoalesced.Load(), EphemeralBytes: rc.ephemeral.Load(),
-		FallbackReads: rc.fallbackReads.Load(), FallbackWrites: rc.fallbackWrites.Load(),
+		AdmitVetoes:    rc.admitVetoes.Load(),
+		BypassWrites:   rc.bypassWrites.Load(),
+		EphemeralBytes: rc.ephemeral.Load(),
+		FallbackReads:  rc.fallbackReads.Load(), FallbackWrites: rc.fallbackWrites.Load(),
 		CacheRetries: rs.Retries, CacheTimeouts: rs.Timeouts,
 		BreakerTrips: rs.BreakerTrips, RetryDenied: rs.BudgetDenied,
 		BrownoutSkips: rc.brownoutSkips.Load(), BrownoutBypasses: rc.brownoutBypasses.Load(),

@@ -12,14 +12,9 @@ import (
 // concurrentColdGets fires n simultaneous Gets of one cold key from
 // one worker and returns the RSDS fetch count they caused plus the
 // proxy stats.
-func concurrentColdGets(t *testing.T, coalesce bool, n int) (rsdsGets int64, stats CacheStats) {
+func concurrentColdGets(t *testing.T, n int) (rsdsGets int64, stats CacheStats) {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.Seed = 5
-	opts.Workers = 3
-	opts.NodeCapacity = 4 << 30
-	opts.CoalesceMisses = coalesce
-	sys := NewSystem(opts)
+	sys := NewSystem(testOptions(5))
 	w := sys.WorkerNodes[0]
 	errs := make([]error, n)
 	sizes := make([]int64, n)
@@ -49,35 +44,16 @@ func concurrentColdGets(t *testing.T, coalesce bool, n int) (rsdsGets int64, sta
 	return after - before, sys.RC.Stats()
 }
 
-// TestMissCoalescing checks the singleflight contract: N concurrent
-// misses of one key on one node issue exactly one RSDS fetch, every
-// caller still counts its own miss, and the followers are visible in
-// MissCoalesced.
-func TestMissCoalescing(t *testing.T) {
-	gets, stats := concurrentColdGets(t, true, 4)
-	if gets != 1 {
-		t.Errorf("coalesced: %d RSDS fetches for 4 concurrent misses, want 1", gets)
+// TestConcurrentMissesEachFetch pins the paper's miss path: N
+// concurrent misses of one key on one node each pay their own RSDS
+// fetch and each count a miss.
+func TestConcurrentMissesEachFetch(t *testing.T) {
+	gets, stats := concurrentColdGets(t, 4)
+	if gets != 4 {
+		t.Errorf("%d RSDS fetches for 4 concurrent misses, want 4", gets)
 	}
 	if stats.Misses != 4 {
-		t.Errorf("coalesced: Misses=%d, want 4 (each caller counts its own)", stats.Misses)
-	}
-	if stats.MissCoalesced != 3 {
-		t.Errorf("coalesced: MissCoalesced=%d, want 3", stats.MissCoalesced)
-	}
-	if stats.Admissions > 1 {
-		t.Errorf("coalesced: Admissions=%d, want at most 1", stats.Admissions)
-	}
-}
-
-// TestMissCoalescingOffByDefault pins the faithful-paper default:
-// without Options.CoalesceMisses every miss pays its own RSDS fetch.
-func TestMissCoalescingOffByDefault(t *testing.T) {
-	gets, stats := concurrentColdGets(t, false, 4)
-	if gets != 4 {
-		t.Errorf("uncoalesced: %d RSDS fetches for 4 concurrent misses, want 4", gets)
-	}
-	if stats.MissCoalesced != 0 {
-		t.Errorf("uncoalesced: MissCoalesced=%d, want 0", stats.MissCoalesced)
+		t.Errorf("Misses=%d, want 4", stats.Misses)
 	}
 }
 
@@ -109,17 +85,16 @@ func TestGetHitStatsPathZeroAlloc(t *testing.T) {
 // quietSystem is the test bed of the proxy-path allocation ceilings:
 // newSystem's shape with no cache agents, so grants are set by hand
 // and no agent runs between ops.
-func quietSystem(coalesce bool) *System {
+func quietSystem() *System {
 	opts := testOptions(1)
 	opts.DisableCacheAgents = true
-	opts.CoalesceMisses = coalesce
 	return NewSystem(opts)
 }
 
 // TestGetHitAllocCeiling pins the allocations of a local-hit RC.Get,
 // the proxy's warm read path end to end.
 func TestGetHitAllocCeiling(t *testing.T) {
-	sys := quietSystem(false)
+	sys := quietSystem()
 	w := sys.WorkerNodes[0]
 	var allocs float64
 	sys.Run(func() {
@@ -138,11 +113,11 @@ func TestGetHitAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestCoalescedMissAllocCeiling pins the allocations of a fan of four
-// concurrent misses of one key that share one RSDS fetch. The Gets do
-// not ask to cache, so every fan misses again.
-func TestCoalescedMissAllocCeiling(t *testing.T) {
-	sys := quietSystem(true)
+// TestMissFanAllocCeiling pins the allocations of a fan of four
+// concurrent misses of one key, each with its own RSDS fetch. The Gets
+// do not ask to cache, so every fan misses again.
+func TestMissFanAllocCeiling(t *testing.T) {
+	sys := quietSystem()
 	w := sys.WorkerNodes[0]
 	var allocs float64
 	sys.Run(func() {
@@ -161,7 +136,38 @@ func TestCoalescedMissAllocCeiling(t *testing.T) {
 			wg.Wait()
 		})
 	})
-	if allocs > 30 {
-		t.Errorf("fan of four coalesced misses: %.0f allocs, want at most 30", allocs)
+	if allocs > 35 {
+		t.Errorf("fan of four misses: %.0f allocs, want at most 35", allocs)
+	}
+}
+
+// TestPutAllocCeiling pins the allocations of an RC.Put of a pipeline
+// intermediate into the caller's own cache server, the proxy's local
+// write path end to end.
+func TestPutAllocCeiling(t *testing.T) {
+	sys := quietSystem()
+	w := sys.WorkerNodes[0]
+	blob := kvstore.Synthetic(4 << 10)
+	opts := faas.PutOpts{Kind: faas.KindIntermediate}
+	var allocs float64
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+		if err := sys.RC.Put(w, "pl/p/mid", blob, opts); err != nil {
+			t.Fatalf("seed put: %v", err)
+		}
+		if m, _ := sys.KV.MasterOf("pl/p/mid"); m != w {
+			t.Fatalf("intermediate mastered on %d, want the caller %d", m, w)
+		}
+		allocs = testing.AllocsPerRun(10000, func() {
+			if err := sys.RC.Put(w, "pl/p/mid", blob, opts); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+		})
+	})
+	if st := sys.RC.Stats(); st.BypassWrites != 0 || st.FallbackWrites != 0 {
+		t.Fatalf("puts left the cache path: %+v", st)
+	}
+	if allocs > 17 {
+		t.Errorf("local intermediate Put: %.0f allocs, want at most 17", allocs)
 	}
 }

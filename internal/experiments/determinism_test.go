@@ -62,13 +62,13 @@ type observer struct {
 }
 
 // observeDeployments installs the NewDeployment hook for the rest of
-// the test. OFC deployments get a small tracer: the first 1 024 spans
-// in canonical order are a fingerprint of the event order, and the drop
-// count covers the rest.
-func observeDeployments(t *testing.T) *observer {
+// the test. With traced set, OFC deployments get a small tracer: the
+// first 1 024 spans in canonical order are a fingerprint of the event
+// order, and the drop count covers the rest.
+func observeDeployments(t *testing.T, traced bool) *observer {
 	o := &observer{}
 	deployed = func(d *Deployment) {
-		if d.Sys != nil {
+		if traced && d.Sys != nil {
 			d.Sys.EnableTracing(trace.Config{Shards: 1, ShardCap: 1024})
 		}
 		o.mu.Lock()
@@ -166,7 +166,7 @@ func TestEveryExperimentRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs the quick sweep twice")
 	}
-	obs := observeDeployments(t)
+	obs := observeDeployments(t, true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	first := map[string][]string{}
 	for _, procs := range []int{1, 4} {
@@ -274,7 +274,7 @@ func TestReclaimHeavyRepeats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs the scenario five times")
 	}
-	observeDeployments(t)
+	observeDeployments(t, true)
 	first := reclaimHeavy(t, 5)
 	for run := 2; run <= 5; run++ {
 		if got := reclaimHeavy(t, 5); !reflect.DeepEqual(first, got) {

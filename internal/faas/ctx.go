@@ -49,19 +49,17 @@ func (c *Ctx) InputKeys() []string { return c.req.InputKeys }
 // Persistor) can parent their spans to it.
 func (c *Ctx) Trace() trace.Ref { return c.tref }
 
-// putOpts assembles the storage intent for this invocation.
-func (c *Ctx) putOpts(kind ObjKind) PutOpts {
+// putOpts assembles the storage intent for this invocation; the
+// storage op's spans nest under tref, the phase span that issues it.
+func (c *Ctx) putOpts(kind ObjKind, tref trace.Ref) PutOpts {
 	return PutOpts{Kind: kind, Pipeline: c.req.Pipeline, ShouldCache: c.req.shouldCache,
-		Benefit: c.req.benefit, Trace: c.tref}
+		Benefit: c.req.benefit, Trace: tref}
 }
 
 // Extract reads one input object, charging the Extract phase.
 func (c *Ctx) Extract(key string) (Blob, error) {
 	sp := c.p.Tracer.Begin(c.tref.Trace, c.tref.Span, "extract", c.inv.node.ID)
-	opts := c.putOpts(KindInput)
-	if sp.ID != 0 {
-		opts.Trace = sp.Ref()
-	}
+	opts := c.putOpts(KindInput, sp.Ref())
 	start := c.p.env.Now()
 	blob, err := c.inv.storage.Get(c.inv.node.ID, key, opts)
 	c.extract += time.Duration(c.p.env.Now() - start)
@@ -80,20 +78,16 @@ func (c *Ctx) Extract(key string) (Blob, error) {
 // §5.3 semantics apply: long-running invocations are rescued by the
 // Monitor raising the cgroup cap; short ones are OOM-killed (the
 // platform retries them at the tenant-booked memory).
-func (c *Ctx) Transform(d time.Duration, peak int64) error {
+func (c *Ctx) Transform(d time.Duration, peak int64) (err error) {
 	sp := c.p.Tracer.Begin(c.tref.Trace, c.tref.Span, "transform", c.inv.node.ID)
-	err := c.transformInner(d, peak)
-	if err != nil {
-		sp.SetNum("oom", 1)
-	}
-	c.p.Tracer.End(&sp)
-	return err
-}
-
-// transformInner is Transform's body (the wrapper owns the span).
-func (c *Ctx) transformInner(d time.Duration, peak int64) error {
 	start := c.p.env.Now()
-	defer func() { c.transform += time.Duration(c.p.env.Now() - start) }()
+	defer func() {
+		c.transform += time.Duration(c.p.env.Now() - start)
+		if err != nil {
+			sp.SetNum("oom", 1)
+		}
+		c.p.Tracer.End(&sp)
+	}()
 	if peak > c.peakMem {
 		c.peakMem = peak
 	}
@@ -153,10 +147,7 @@ func (c *Ctx) Load(key string, blob Blob, kind ObjKind) error {
 		kind = KindFinal
 	}
 	sp := c.p.Tracer.Begin(c.tref.Trace, c.tref.Span, "load", c.inv.node.ID)
-	opts := c.putOpts(kind)
-	if sp.ID != 0 {
-		opts.Trace = sp.Ref()
-	}
+	opts := c.putOpts(kind, sp.Ref())
 	start := c.p.env.Now()
 	err := c.inv.storage.Put(c.inv.node.ID, key, blob, opts)
 	c.load += time.Duration(c.p.env.Now() - start)

@@ -77,9 +77,7 @@ func (p *Platform) Invoke(req *Request) *Result {
 	wanted := fn.MemoryBooked
 	if p.Advisor != nil {
 		asp := tr.Begin(root.Trace, root.ID, "advice", p.ctrl)
-		if asp.ID != 0 {
-			req.tref = asp.Ref()
-		}
+		req.tref = asp.Ref()
 		p.env.Sleep(p.cfg.AdviceOverhead)
 		adv := p.Advisor.Advise(req)
 		req.tref = root.Ref()

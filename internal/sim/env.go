@@ -120,10 +120,9 @@ type Env struct {
 
 	cur *proc // the one process that is running; nil outside Run
 
-	// Runnable queue, in the order the Go runtime gave goroutines on one
-	// P, which every committed number was produced under (DESIGN.md
-	// §11): the most recently readied runs first, and the one it
-	// displaces joins the tail of a FIFO.
+	// Runnable queue, in the order the simulator's contract fixes
+	// (DESIGN.md §11, TestRunnableOrder): the most recently readied runs
+	// first, and the one it displaces joins the tail of a FIFO.
 	next *timer
 	runq []*timer
 	head int // runq[:head] has been picked
