@@ -64,10 +64,10 @@ type RCLib struct {
 	relaxed []string
 
 	mu sync.Mutex
-	// pipelines tracks intermediate object keys per pipeline instance
+	// pipelines tracks each pipeline instance's intermediates
 	// (control-plane state: only touched at intermediate Put and
 	// pipeline completion).
-	pipelines map[string][]string
+	pipelines map[string]*pipelineState
 
 	// pending maps keys to futures resolved when their latest payload
 	// has been persisted (external-read webhook barrier). Its own lock,
@@ -132,7 +132,7 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platfor
 		platform:          platform,
 		gov:               gov,
 		relaxed:           slices.Clone(opts.RelaxedPrefixes),
-		pipelines:         make(map[string][]string),
+		pipelines:         make(map[string]*pipelineState),
 		pending:           make(map[string]*sim.Future[struct{}]),
 		persistRetryDelay: res.PersistRetryDelay,
 	}
@@ -407,7 +407,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 			// Off-critical-path admission: a control-plane root span
 			// (the issuing invocation may already have completed).
 			asp := rc.tracer.Begin(0, 0, "cache.admit", caller)
-			_, werr := rc.be.Write(caller, key, blob, map[string]string{"kind": "input", "dirty": "0"}, caller)
+			_, werr := rc.be.Write(caller, key, blob, admittedTags, caller)
 			if werr == nil {
 				rc.admissions.Add(1)
 			} else {
@@ -475,9 +475,7 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 			sp.SetNum("bypass", 1)
 			return rc.bypass(caller, key, blob)
 		}
-		_, err = rc.be.Write(caller, key, blob, map[string]string{
-			"kind": "intermediate", "pipeline": opts.Pipeline, "dirty": "0",
-		}, caller)
+		_, err = rc.be.Write(caller, key, blob, rc.intermediateTags(opts.Pipeline), caller)
 		if err != nil {
 			// Cache full or unreachable: fall back to the RSDS
 			// (transparently slower).
@@ -488,7 +486,8 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 		}
 		if opts.Pipeline != "" {
 			rc.mu.Lock()
-			rc.pipelines[opts.Pipeline] = append(rc.pipelines[opts.Pipeline], key)
+			pl := rc.pipelineLocked(opts.Pipeline)
+			pl.keys = append(pl.keys, key)
 			rc.mu.Unlock()
 		}
 		return nil
@@ -497,9 +496,7 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 		// §6.2 relaxed mode: cache-resident, lazily written back. The
 		// version tag 0 makes WriteBackNow use a plain Put.
 		sp.SetStr("path", "relaxed")
-		_, err = rc.be.Write(caller, key, blob, map[string]string{
-			"kind": "final", "dirty": "1", "version": "0",
-		}, caller)
+		_, err = rc.be.Write(caller, key, blob, relaxedTags, caller)
 		if err != nil {
 			rc.countWriteFallback(err)
 			sp.SetNum("fallback", 1)
@@ -576,13 +573,51 @@ func (rc *RCLib) isEphemeralKey(key string) bool {
 	return strings.HasPrefix(key, "pl/")
 }
 
+// The tag maps the proxy writes with. A tag map is immutable once
+// written (kvstore.Meta), so every write of one kind shares one map:
+// admissions and relaxed finals these two, each pipeline's
+// intermediates its pipelineState's. Only a write-back final, whose
+// version tag is its own, gets a fresh map.
+var (
+	admittedTags = map[string]string{"kind": "input", "dirty": "0"}
+	relaxedTags  = map[string]string{"kind": "final", "dirty": "1", "version": "0"}
+)
+
+// pipelineState is one pipeline instance's intermediates: the keys to
+// drop when it completes, and the tag map they are all written with.
+type pipelineState struct {
+	tags map[string]string
+	keys []string
+}
+
+// pipelineLocked returns pipeline's state, made on first use; rc.mu must
+// be held.
+func (rc *RCLib) pipelineLocked(pipeline string) *pipelineState {
+	pl := rc.pipelines[pipeline]
+	if pl == nil {
+		pl = &pipelineState{tags: map[string]string{"kind": "intermediate", "pipeline": pipeline, "dirty": "0"}}
+		rc.pipelines[pipeline] = pl
+	}
+	return pl
+}
+
+// intermediateTags is the tag map of pipeline's intermediates.
+func (rc *RCLib) intermediateTags(pipeline string) map[string]string {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.pipelineLocked(pipeline).tags
+}
+
 // PipelineDone implements faas.PipelineAware: intermediate objects of
 // the pipeline are removed from the cache (not persisted) once the
 // pipeline completes (§6.3). Evicting a striped object drops every
 // stripe inside the chunking middleware.
 func (rc *RCLib) PipelineDone(pipeline string) {
 	rc.mu.Lock()
-	keys := rc.pipelines[pipeline]
+	var keys []string
+	if pl := rc.pipelines[pipeline]; pl != nil {
+		keys = pl.keys
+	}
 	delete(rc.pipelines, pipeline)
 	rc.mu.Unlock()
 	for _, key := range keys {

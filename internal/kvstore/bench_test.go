@@ -72,7 +72,7 @@ func TestClusterOpAllocCeilings(t *testing.T) {
 		ceiling uint64
 	}{
 		{"Read", clusterReads, 10000, 0},
-		{"Write", clusterWrites, 50000, 11},
+		{"Write", clusterWrites, 50000, 10},
 	} {
 		env := c.setup(t, c.n)
 		var before, after runtime.MemStats

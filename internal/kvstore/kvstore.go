@@ -19,7 +19,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +51,11 @@ type Meta struct {
 	NAccess    int64    // read count since creation (OFC extension)
 	LastAccess sim.Time // virtual time of last read (OFC extension)
 	Created    sim.Time
-	Tags       map[string]string // OFC object tags (kind, pipeline id, dirty, ...)
+	// Tags are the OFC object tags (kind, pipeline id, dirty, ...). A tag
+	// map is immutable once written: the store keeps the writer's map,
+	// SetTag installs a modified copy, and nobody writes to a map handed
+	// to a Write or read out of a Meta. So a Meta is a snapshot.
+	Tags map[string]string
 }
 
 // Errors returned by cluster operations.
@@ -311,7 +315,7 @@ func (c *Cluster) liveServersLocked() []simnet.NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

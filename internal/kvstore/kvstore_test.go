@@ -386,6 +386,53 @@ func TestSetTag(t *testing.T) {
 	})
 }
 
+// TestMetaIsSnapshotAcrossSetTag: a Meta from Read, Stat or Objects is a
+// snapshot, and a tag map is immutable once written. A SetTag must
+// neither change the tags of a Meta a caller already holds (the
+// eviction sweep and the memory census read dirty from such snapshots)
+// nor reach another key written with the same map.
+func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
+	run(t, func(env *sim.Env, c *Cluster) {
+		shared := map[string]string{"kind": "final", "dirty": "1"}
+		for _, k := range []string{"a", "b"} {
+			if _, err := c.Write(1, k, Synthetic(100), shared, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, read, err := c.Read(1, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stat, err := c.Stat(1, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var census Meta
+		for _, o := range c.Objects(1) {
+			if o.Key == "a" {
+				census = o.Meta
+			}
+		}
+		if err := c.SetTag(1, "a", "dirty", "0"); err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range map[string]Meta{"Read": read, "Stat": stat, "Objects": census} {
+			if m.Tags["dirty"] != "1" {
+				t.Errorf("%s before SetTag now says dirty=%q, want the snapshot's 1", name, m.Tags["dirty"])
+			}
+		}
+		if shared["dirty"] != "1" {
+			t.Errorf("SetTag wrote into the writer's map: dirty=%q", shared["dirty"])
+		}
+		if m, _ := c.Stat(1, "a"); m.Tags["dirty"] != "0" {
+			t.Errorf("a after SetTag: dirty=%q, want 0", m.Tags["dirty"])
+		}
+		if m, _ := c.Stat(1, "b"); m.Tags["dirty"] != "1" {
+			t.Errorf("b shares a's written map and changed with it: dirty=%q, want 1", m.Tags["dirty"])
+		}
+	})
+}
+
 func TestWriteLatencyScalesWithSize(t *testing.T) {
 	env := sim.NewEnv(1)
 	c, _ := testCluster(env)

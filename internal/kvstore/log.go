@@ -53,9 +53,14 @@ func newObjLog(segCap int64) *objLog {
 	return l
 }
 
-// roll opens a fresh head segment.
+// roll opens a fresh head segment, with room for as many entries as the
+// previous head took, so that filling it does not regrow the slice from
+// zero.
 func (l *objLog) roll() {
 	s := &segment{id: l.nextID}
+	if l.head != nil {
+		s.entries = make([]logEntry, 0, len(l.head.entries))
+	}
 	l.nextID++
 	l.segs[s.id] = s
 	l.head = s

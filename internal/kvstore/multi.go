@@ -25,7 +25,8 @@ type ReadResult struct {
 	Err  error
 }
 
-// WriteItem is one object of a WriteMulti batch.
+// WriteItem is one object of a WriteMulti batch. Its Tags are kept as
+// given, as Write keeps its tags.
 type WriteItem struct {
 	Key  string
 	Blob Blob
@@ -279,7 +280,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		}
 		meta := Meta{
 			Version: c.nextVer.Add(1), Size: it.Blob.Size, Created: now,
-			LastAccess: now, Tags: cloneTags(it.Tags),
+			LastAccess: now, Tags: it.Tags,
 		}
 		if existed {
 			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess

@@ -1,13 +1,19 @@
 package kvstore
 
-import "ofc/internal/simnet"
+import (
+	"maps"
+
+	"ofc/internal/simnet"
+)
 
 // Write stores (or overwrites) key with blob. The master copy lands on
 // preferred when that node has a live server with room (OFC routes
 // writes to the invoking worker for locality, §6.5). The write is
 // durable once all backups have buffered it, matching RAMCloud's
 // commit point. Returns the new version. Past the coordinator round it
-// is a one-item batch: writeGroup does the server side.
+// is a one-item batch: writeGroup does the server side. The store keeps
+// tags as given, not a copy (see Meta.Tags), so one map may serve any
+// number of writes.
 func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
 	sp := c.tracer.Begin(0, 0, "kv.write", caller)
 	sp.SetNum("bytes", blob.Size)
@@ -31,17 +37,6 @@ func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 	}
 	c.tracer.End(&sp)
 	return out[0].Version, out[0].Err
-}
-
-func cloneTags(tags map[string]string) map[string]string {
-	if tags == nil {
-		return nil
-	}
-	out := make(map[string]string, len(tags))
-	for k, v := range tags {
-		out[k] = v
-	}
-	return out
 }
 
 // Read fetches key's payload from its master, updating the OFC access
@@ -101,7 +96,9 @@ func (c *Cluster) Stat(caller simnet.NodeID, key string) (Meta, error) {
 	return meta, nil
 }
 
-// SetTag updates one metadata tag on the master copy.
+// SetTag updates one metadata tag on the master copy and its
+// same-version replicas, each of which gets a modified copy of its tags
+// (see Meta.Tags).
 func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	p, ok, lerr := c.lookup(caller, key)
 	if lerr != nil {
@@ -124,10 +121,7 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		s.mu.Unlock()
 		return ErrNotFound
 	}
-	if o.meta.Tags == nil {
-		o.meta.Tags = make(map[string]string)
-	}
-	o.meta.Tags[tag] = value
+	o.meta.Tags = withTag(o.meta.Tags, tag, value)
 	ver := o.meta.Version
 	s.mu.Unlock()
 	// Propagate the tag to backup replicas of the same version so a
@@ -142,12 +136,7 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		bs.mu.Lock()
 		for _, m := range []map[string]replica{bs.backups, bs.disk} {
 			if rep, ok := m[key]; ok && rep.meta.Version == ver {
-				if rep.meta.Tags == nil {
-					rep.meta.Tags = make(map[string]string)
-				} else {
-					rep.meta.Tags = cloneTags(rep.meta.Tags)
-				}
-				rep.meta.Tags[tag] = value
+				rep.meta.Tags = withTag(rep.meta.Tags, tag, value)
 				m[key] = rep
 			}
 		}
@@ -157,6 +146,16 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		return err
 	}
 	return nil
+}
+
+// withTag returns a copy of tags with tag set to value.
+func withTag(tags map[string]string, tag, value string) map[string]string {
+	out := maps.Clone(tags)
+	if out == nil {
+		out = make(map[string]string, 1)
+	}
+	out[tag] = value
+	return out
 }
 
 // Delete removes key from the store (master and backups).

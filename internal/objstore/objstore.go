@@ -18,6 +18,7 @@ package objstore
 
 import (
 	"errors"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -385,9 +386,11 @@ func (s *Store) SetFeatures(key string, features map[string]float64) error {
 	return nil
 }
 
-// SetUserMeta rewrites one user-metadata entry of key in place — a
-// metadata-only POST: no payload moves and no version is created. The
-// cache-off passthrough backend uses it to store object tags.
+// SetUserMeta rewrites one user-metadata entry of key — a metadata-only
+// POST: no payload moves and no version is created. The cache-off
+// passthrough backend uses it to store object tags, so it follows the
+// cache's tag rule: the map Put was given is never written to, the
+// object gets a modified copy, and a Meta read earlier is a snapshot.
 func (s *Store) SetUserMeta(key, name, value string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -395,10 +398,12 @@ func (s *Store) SetUserMeta(key, name, value string) error {
 	if e == nil {
 		return ErrNotFound
 	}
-	if e.meta.UserMeta == nil {
-		e.meta.UserMeta = make(map[string]string)
+	um := maps.Clone(e.meta.UserMeta)
+	if um == nil {
+		um = make(map[string]string, 1)
 	}
-	e.meta.UserMeta[name] = value
+	um[name] = value
+	e.meta.UserMeta = um
 	return nil
 }
 

@@ -277,6 +277,54 @@ func TestSemaphoreFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestSemaphoreFIFOAcrossCompaction: two waves of waiters asking for
+// one to three permits. The second arrives once the first has been
+// granted past the middle of the queue, so Acquire compacts the
+// head-indexed queue while waiters are still in it; grants must still
+// follow arrival order. One Release can grant several waiters, which
+// then resume in the runnable queue's order, so the test compares grant
+// instants: no waiter is granted before one that arrived ahead of it.
+func TestSemaphoreFIFOAcrossCompaction(t *testing.T) {
+	env := NewEnv(1)
+	const permits, waiters = 3, 256
+	sem := NewSemaphore(env, permits)
+	var arrived []int
+	grantedAt := make([]Time, waiters)
+	compactions := 0
+	for i := 0; i < waiters; i++ {
+		at := time.Duration(i)
+		if i >= waiters/2 {
+			at += 600 * time.Microsecond
+		}
+		n := 1 + i%permits
+		env.After(at, func() {
+			if sem.head > len(sem.queue)/2 {
+				compactions++ // the queue is not empty, so this Acquire queues
+			}
+			arrived = append(arrived, i)
+			sem.Acquire(n)
+			grantedAt[i] = env.Now()
+			env.Sleep(10 * time.Microsecond)
+			sem.Release(n)
+		})
+	}
+	env.Run()
+	if compactions == 0 {
+		t.Fatal("no Acquire found the queue's head past its middle; the test no longer crosses a compaction")
+	}
+	if len(arrived) != waiters {
+		t.Fatalf("%d waiters arrived, want %d", len(arrived), waiters)
+	}
+	for k := 1; k < waiters; k++ {
+		if prev, cur := arrived[k-1], arrived[k]; grantedAt[cur] < grantedAt[prev] {
+			t.Fatalf("waiter %d granted at %v, before waiter %d that arrived ahead of it (%v)", cur, grantedAt[cur], prev, grantedAt[prev])
+		}
+	}
+	if sem.Available() != permits {
+		t.Fatalf("%d permits left, want %d", sem.Available(), permits)
+	}
+}
+
 func TestTryAcquire(t *testing.T) {
 	env := NewEnv(1)
 	sem := NewSemaphore(env, 1)

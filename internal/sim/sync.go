@@ -40,6 +40,21 @@ func (f *Future[T]) Set(v T) {
 // Done reports whether the future has been resolved.
 func (f *Future[T]) Done() bool { return f.set }
 
+// Reset returns a resolved future to the unset state, so that its owner
+// can hand it to the next operation instead of allocating another. Only
+// the owner may call it, and only once nothing else can still Set or
+// wait on it: after a WaitTimeout that obtained the value, never after
+// one that timed out, whose abandoned operation still holds the future
+// and will Set it. Resetting a future that still has a parked waiter
+// panics.
+func (f *Future[T]) Reset() {
+	if f.first != nil {
+		panic("sim: Reset of a Future with waiters")
+	}
+	var zero T
+	f.set, f.val = false, zero
+}
+
 // Wait blocks the calling process until the future resolves and
 // returns its value.
 func (f *Future[T]) Wait() T {
@@ -107,10 +122,15 @@ func (w *WaitGroup) Wait() {
 
 // Semaphore is a counted resource usable from simulation processes.
 // Acquire order is FIFO, which keeps resource contention deterministic.
+// The waiter queue is head-indexed, as Env.runq is: a grant advances
+// head instead of reslicing, so the backing array is reused rather than
+// reallocated by the next append, and Acquire compacts it once head has
+// passed half of it.
 type Semaphore struct {
 	env   *Env
 	avail int
 	queue []semWaiter
+	head  int // queue[:head] has been granted
 }
 
 type semWaiter struct {
@@ -130,13 +150,18 @@ func (s *Semaphore) Acquire(n int) {
 		return
 	}
 	w := s.env.waiter()
+	if s.head > len(s.queue)/2 {
+		k := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[k:])
+		s.queue, s.head = s.queue[:k], 0
+	}
 	s.queue = append(s.queue, semWaiter{n: n, w: w})
 	s.env.park(w)
 }
 
 // TryAcquire takes n permits if immediately available.
 func (s *Semaphore) TryAcquire(n int) bool {
-	if len(s.queue) == 0 && s.avail >= n {
+	if s.head == len(s.queue) && s.avail >= n {
 		s.avail -= n
 		return true
 	}
@@ -146,11 +171,15 @@ func (s *Semaphore) TryAcquire(n int) bool {
 // Release returns n permits and wakes queued acquirers in FIFO order.
 func (s *Semaphore) Release(n int) {
 	s.avail += n
-	for len(s.queue) > 0 && s.avail >= s.queue[0].n {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.head < len(s.queue) && s.avail >= s.queue[s.head].n {
+		w := s.queue[s.head]
+		s.queue[s.head] = semWaiter{}
+		s.head++
 		s.avail -= w.n
 		s.env.wake(w.w)
+	}
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
 	}
 }
 

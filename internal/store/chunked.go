@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"ofc/internal/simnet"
@@ -82,6 +83,7 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 	}
 	n := int((blob.Size + c.chunkSize - 1) / c.chunkSize)
 	items := make([]WriteItem, 0, n)
+	stripeTags := map[string]string{"kind": "chunk", "of": key, "dirty": "0"}
 	remaining := blob.Size
 	for i := 0; i < n; i++ {
 		sz := remaining
@@ -92,7 +94,7 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 		items = append(items, WriteItem{
 			Key:  chunkKey(key, i),
 			Blob: Blob{Size: sz},
-			Tags: map[string]string{"kind": "chunk", "of": key, "dirty": "0"},
+			Tags: stripeTags,
 		})
 	}
 	res := WriteMulti(c.inner, caller, items, preferred)
@@ -112,7 +114,7 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 		}
 	}
 	c.mu.Lock()
-	c.manifests[key] = chunkManifest{n: n, size: blob.Size, version: version, tags: cloneTags(tags)}
+	c.manifests[key] = chunkManifest{n: n, size: blob.Size, version: version, tags: tags}
 	c.mu.Unlock()
 	return version, nil
 }
@@ -140,12 +142,12 @@ func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 }
 
 // synthMeta builds the logical metadata of a striped object from its
-// manifest (fresh tag map: callers may hold it across a SetTag).
+// manifest.
 func (c *Chunked) synthMeta(key string) Meta {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.manifests[key]
-	return Meta{Size: m.size, Version: m.version, Tags: cloneTags(m.tags)}
+	return Meta{Size: m.size, Version: m.version, Tags: m.tags}
 }
 
 // Stat implements Backend.
@@ -157,11 +159,12 @@ func (c *Chunked) Stat(caller simnet.NodeID, key string) (Meta, error) {
 }
 
 // SetTag implements Backend: for striped objects the logical tags live
-// in the manifest (the proxy's dirty-flag clears land here).
+// in the manifest (the proxy's dirty-flag clears land here), which gets
+// a modified copy, as a kvstore master does.
 func (c *Chunked) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	c.mu.Lock()
 	if m, ok := c.manifests[key]; ok {
-		tags := cloneTags(m.tags)
+		tags := maps.Clone(m.tags)
 		if tags == nil {
 			tags = make(map[string]string)
 		}
@@ -203,15 +206,4 @@ func (c *Chunked) Evict(key string) error {
 		return nil
 	}
 	return c.inner.Evict(key)
-}
-
-func cloneTags(tags map[string]string) map[string]string {
-	if tags == nil {
-		return nil
-	}
-	out := make(map[string]string, len(tags))
-	for k, v := range tags {
-		out[k] = v
-	}
-	return out
 }

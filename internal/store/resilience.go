@@ -119,6 +119,10 @@ type Resilient struct {
 	pv    PlacementView // breaker target resolution; may be nil
 	cfg   ResilienceConfig
 
+	// free holds answered call records for reuse (see call). Only
+	// processes of env touch it, one at a time, so it needs no lock.
+	free []*call
+
 	mu       sync.Mutex
 	rng      *rand.Rand
 	breakers map[simnet.NodeID]*breaker
@@ -233,12 +237,77 @@ func (r *Resilient) target(key string, fallback simnet.NodeID) simnet.NodeID {
 	return fallback
 }
 
-// attempt runs op with the per-attempt deadline, retry loop and
-// breaker bookkeeping shared by Read and Write.
-func attempt[T any](r *Resilient, target simnet.NodeID, op func() (T, error)) (T, error) {
-	var zero T
+// opArgs are the arguments of one Read or Write through the layer.
+type opArgs struct {
+	write     bool
+	caller    simnet.NodeID
+	key       string
+	blob      Blob
+	tags      map[string]string
+	preferred simnet.NodeID
+}
+
+// opResult is what the inner backend answered.
+type opResult struct {
+	blob    Blob
+	meta    Meta
+	version uint64
+	err     error
+}
+
+// call is one attempt: the op's arguments, the future its answer lands
+// on, and run, the process body that makes the op, bound once when the
+// record is made. Records are recycled through Resilient.free under one
+// rule: a record goes back only once its answer has been taken. A
+// timed-out attempt's record stays with its op, which still runs and
+// will Set the future, and is garbage once that op returns.
+type call struct {
+	inner Backend
+	args  opArgs
+	reply *sim.Future[opResult]
+	run   func()
+}
+
+// body makes the op against the inner backend and answers it.
+func (c *call) body() {
+	var out opResult
+	a := &c.args
+	if a.write {
+		out.version, out.err = c.inner.Write(a.caller, a.key, a.blob, a.tags, a.preferred)
+	} else {
+		out.blob, out.meta, out.err = c.inner.Read(a.caller, a.key)
+	}
+	c.reply.Set(out) // the last touch: once answered, the record may be reused
+}
+
+// newCall takes a record from the free list, or makes one, for args.
+func (r *Resilient) newCall(args opArgs) *call {
+	var c *call
+	if n := len(r.free); n > 0 {
+		c = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		c = &call{inner: r.inner, reply: sim.NewFuture[opResult](r.env)}
+		c.run = c.body
+	}
+	c.args = args
+	return c
+}
+
+// recycle returns an answered record to the free list.
+func (r *Resilient) recycle(c *call) {
+	c.args = opArgs{}
+	c.reply.Reset()
+	r.free = append(r.free, c)
+}
+
+// attempt runs the op args describes with the per-attempt deadline,
+// retry loop and breaker bookkeeping shared by Read and Write. Each
+// attempt is its own process, so that a timed-out op runs on, as a
+// timed-out RPC does, while the caller retries.
+func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 	if !r.allow(target) {
-		return zero, ErrBreakerOpen
+		return opResult{err: ErrBreakerOpen}
 	}
 	var lastErr error
 	for try := 0; try <= r.cfg.MaxRetries; try++ {
@@ -247,23 +316,16 @@ func attempt[T any](r *Resilient, target simnet.NodeID, op func() (T, error)) (T
 				r.mu.Lock()
 				r.denied++
 				r.mu.Unlock()
-				return zero, fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)
+				return opResult{err: fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)}
 			}
 			r.env.Sleep(r.backoff(try))
 			r.mu.Lock()
 			r.retries++
 			r.mu.Unlock()
 		}
-		type res struct {
-			v   T
-			err error
-		}
-		f := sim.NewFuture[res](r.env)
-		r.env.Go(func() {
-			v, err := op()
-			f.Set(res{v, err})
-		})
-		out, ok := f.WaitTimeout(r.cfg.OpTimeout)
+		c := r.newCall(args)
+		r.env.Go(c.run)
+		out, ok := c.reply.WaitTimeout(r.cfg.OpTimeout)
 		if !ok {
 			lastErr = ErrCacheTimeout
 			r.mu.Lock()
@@ -272,39 +334,31 @@ func attempt[T any](r *Resilient, target simnet.NodeID, op func() (T, error)) (T
 			r.report(target, false)
 			continue
 		}
+		r.recycle(c)
 		if IsUnavailable(out.err) {
 			lastErr = out.err
 			r.report(target, false)
 			continue
 		}
 		r.report(target, true)
-		return out.v, out.err
+		return out
 	}
-	return zero, lastErr
-}
-
-type readRes struct {
-	blob Blob
-	meta Meta
+	return opResult{err: lastErr}
 }
 
 // Read implements Backend with timeout/retry/breaker. Definitive
 // answers (hit, NotFound) return immediately; only unavailability is
 // retried.
 func (r *Resilient) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
-	out, err := attempt(r, r.target(key, caller), func() (readRes, error) {
-		blob, meta, err := r.inner.Read(caller, key)
-		return readRes{blob, meta}, err
-	})
-	return out.blob, out.meta, err
+	out := r.attempt(r.target(key, caller), opArgs{caller: caller, key: key})
+	return out.blob, out.meta, out.err
 }
 
 // Write implements Backend, mirroring Read. ErrNoSpace and ErrTooLarge
 // are definitive (capacity, not availability) and return immediately.
 func (r *Resilient) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
-	return attempt(r, r.target(key, preferred), func() (uint64, error) {
-		return r.inner.Write(caller, key, blob, tags, preferred)
-	})
+	out := r.attempt(r.target(key, preferred), opArgs{write: true, caller: caller, key: key, blob: blob, tags: tags, preferred: preferred})
+	return out.version, out.err
 }
 
 // The remaining ops pass through: they are either local bookkeeping

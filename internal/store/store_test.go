@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"ofc/internal/kvstore"
 	"ofc/internal/objstore"
@@ -126,6 +127,62 @@ func TestChunkedStriping(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// scriptedReads is a Backend whose i-th Read (from 1) answers after
+// delays[i-1] with a blob of size i, so that every answer names the
+// call that produced it. It implements nothing else.
+type scriptedReads struct {
+	store.Backend
+	env    *sim.Env
+	delays []time.Duration
+	calls  int
+}
+
+func (s *scriptedReads) Read(simnet.NodeID, string) (store.Blob, store.Meta, error) {
+	s.calls++
+	n := s.calls
+	s.env.Sleep(s.delays[n-1])
+	return store.Blob{Size: int64(n)}, store.Meta{}, nil
+}
+
+// TestResilientRecyclesOnlyAnsweredCalls: the first Read's attempt
+// parks past OpTimeout and answers late, while the retry has already
+// answered and a later Read is waiting on its own attempt. A call
+// record goes back for reuse only once answered, so the late answer
+// reaches nobody: the retry and the later Read each get their own.
+func TestResilientRecyclesOnlyAnsweredCalls(t *testing.T) {
+	env := sim.NewEnv(1)
+	cfg := store.DefaultResilienceConfig()
+	cfg.Jitter = 0
+	// Call 1 answers at 250 ms, after its 100 ms deadline; call 2, the
+	// retry, at 106 ms; call 3, the later Read, at 290 ms.
+	inner := &scriptedReads{env: env, delays: []time.Duration{250 * time.Millisecond, time.Millisecond, 90 * time.Millisecond}}
+	r := store.NewResilient(env, inner, cfg)
+	var first, later int64
+	env.Go(func() {
+		blob, _, err := r.Read(0, "k")
+		if err != nil {
+			t.Errorf("first read: %v", err)
+		}
+		first = blob.Size
+		env.Sleep(200*time.Millisecond - env.Now())
+		blob, _, err = r.Read(0, "k")
+		if err != nil {
+			t.Errorf("later read: %v", err)
+		}
+		later = blob.Size
+	})
+	env.Run()
+	if first != 2 {
+		t.Errorf("first Read got call %d's answer, want its retry's (2)", first)
+	}
+	if later != 3 {
+		t.Errorf("later Read got call %d's answer, want its own (3)", later)
+	}
+	if st := r.Stats(); st.Timeouts != 1 || st.Retries != 1 {
+		t.Errorf("stats %+v, want 1 timeout and 1 retry", st)
+	}
 }
 
 // TestResilientBreaker checks the moved degradation layer standalone:
