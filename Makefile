@@ -23,15 +23,20 @@ test:
 
 # Statement coverage: repo-wide report (informational) with hard
 # floors on internal/trace — the golden-trace harness is the point of
-# that subsystem — and on internal/core and internal/faas, which hold
-# the proxy, the control plane and the invoke path. Each floor is one
-# covercheck pass over the same profile; the last two print only a
-# failure.
+# that subsystem — on internal/core and internal/faas, which hold the
+# proxy, the control plane and the invoke path, and on the storage
+# engine (internal/kvstore), its middleware (internal/store) and the
+# memory-control policies (internal/memctl). Each floor is one
+# covercheck pass over the same profile; all but the first print only
+# a failure.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/core -floor 75 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/faas -floor 85 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/kvstore -floor 90 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/store -floor 91 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/memctl -floor 83 > /dev/null
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to

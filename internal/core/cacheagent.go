@@ -8,7 +8,6 @@ import (
 
 	"ofc/internal/faas"
 	"ofc/internal/memctl"
-	"ofc/internal/metrics"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
 	"ofc/internal/store"
@@ -45,8 +44,9 @@ type CacheAgentConfig struct {
 	// ≈289 µs) and of an eviction-based shrink (Sc3: ≈373 µs).
 	ShrinkBaseNoEvict time.Duration
 	ShrinkBaseEvict   time.Duration
-	// Policy selects the memctl policy combination; zero-value fields
-	// mean the paper's defaults (threshold/window/migratefirst).
+	// Policy selects the memctl eviction × slack combination; zero-value
+	// fields mean the paper's defaults (threshold eviction, window
+	// slack).
 	Policy memctl.Spec
 }
 
@@ -84,7 +84,8 @@ func (c CacheAgentConfig) memctlParams() memctl.Params {
 	}
 }
 
-// AgentMetrics are the per-agent counters behind Table 2.
+// AgentMetrics are the per-agent counters: Table 2's scaling events
+// and the policy grid's object counts.
 type AgentMetrics struct {
 	ScaleUps            int64
 	ScaleUpTime         time.Duration
@@ -94,16 +95,11 @@ type AgentMetrics struct {
 	ScaleDownTime       time.Duration
 	PeriodicEvictions   int64
 	ReclaimFailures     int64
-}
-
-// AgentSnapshot is one consistent observation of the agent: the slack
-// pool and the counters captured under a single critical section, so a
-// reader can never see a slack value from one instant paired with
-// counters from another.
-type AgentSnapshot struct {
-	Slack   int64
-	Metrics AgentMetrics
-	Policy  metrics.PolicyCounters
+	// Evictions counts objects freed by eviction (periodic sweeps and
+	// reclamation), Migrations those freed by migration-by-promotion,
+	// WriteBacks the dirty victims whose write-back a sweep or a
+	// reclamation triggered.
+	Evictions, Migrations, WriteBacks int64
 }
 
 // CacheAgent actuates the memory control plane on one worker node
@@ -131,9 +127,9 @@ type CacheAgent struct {
 	// synchronization.
 	tracer *trace.Tracer
 
-	// mu guards the mutable snapshot state AND the policy set: policy
+	// mu guards the mutable state AND the policy set: policy
 	// implementations are plain bookkeeping with no internal locking,
-	// so every Touch/Admit/Victims/Plan/Observe/Target call happens
+	// so every Admitted/Forget/Victims/Observe/Target call happens
 	// under mu. Decisions are computed under the lock, executed (RPCs,
 	// evictions, sleeps) outside it.
 	mu           sync.Mutex
@@ -141,7 +137,6 @@ type CacheAgent struct {
 	lastReserved int64
 	pressure     memctl.Pressure
 	metrics      AgentMetrics
-	polCounters  metrics.PolicyCounters
 }
 
 // NewCacheAgent builds the agent for one node over the engine's
@@ -153,48 +148,25 @@ func NewCacheAgent(env *sim.Env, inv *faas.Invoker, kv store.MemoryView, rc *RCL
 		env: env, node: inv.Node(), inv: inv, kv: kv, rc: rc, cfg: cfg,
 		pol:   memctl.MustBuild(cfg.Policy, cfg.memctlParams()),
 		slack: cfg.InitialSlack, lastReserved: inv.Reserved(),
-		polCounters: metrics.PolicyCounters{Policy: normalizeSpec(cfg.Policy).String()},
 	}
-}
-
-// normalizeSpec fills empty spec fields with the default names so the
-// policy label always reads "eviction/slack/planner".
-func normalizeSpec(s memctl.Spec) memctl.Spec {
-	d := memctl.DefaultSpec()
-	if s.Eviction == "" {
-		s.Eviction = d.Eviction
-	}
-	if s.Slack == "" {
-		s.Slack = d.Slack
-	}
-	if s.Planner == "" {
-		s.Planner = d.Planner
-	}
-	return s
 }
 
 // Node returns the agent's node.
 func (a *CacheAgent) Node() simnet.NodeID { return a.node }
 
-// Snapshot returns one consistent view of slack + counters (see
-// AgentSnapshot). Slack and Metrics are conveniences over it.
-func (a *CacheAgent) Snapshot() AgentSnapshot {
+// Slack returns the current slack pool size.
+func (a *CacheAgent) Slack() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return AgentSnapshot{Slack: a.slack, Metrics: a.metrics, Policy: a.polCounters}
+	return a.slack
 }
 
-// Slack returns the current slack pool size.
-func (a *CacheAgent) Slack() int64 { return a.Snapshot().Slack }
-
 // Metrics returns a snapshot of the agent counters.
-func (a *CacheAgent) Metrics() AgentMetrics { return a.Snapshot().Metrics }
-
-// PolicyCounters returns the per-policy counters.
-func (a *CacheAgent) PolicyCounters() metrics.PolicyCounters { return a.Snapshot().Policy }
-
-// PolicySpec returns the normalized policy combination the agent runs.
-func (a *CacheAgent) PolicySpec() memctl.Spec { return normalizeSpec(a.cfg.Policy) }
+func (a *CacheAgent) Metrics() AgentMetrics {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.metrics
+}
 
 // Start arms the periodic loops: growth, slack maintenance, periodic
 // eviction. It also performs the initial grant.
@@ -218,28 +190,12 @@ func (a *CacheAgent) Start() {
 	})
 }
 
-// AdmitObject is the proxy's write-admission gate: before a missed
-// input is admitted into this node's cache, the eviction policy gets a
-// veto (with the predictor's caching-benefit score as evidence).
-func (a *CacheAgent) AdmitObject(key string, size int64, benefit float64) bool {
+// Admitted tells the eviction policy that the proxy is admitting a
+// missed input into this node's cache, with the predictor's
+// caching-benefit score.
+func (a *CacheAgent) Admitted(key string, benefit float64) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	ok := a.pol.Eviction.Admit(key, size, benefit)
-	if ok {
-		a.polCounters.Admitted++
-	} else {
-		a.polCounters.Rejected++
-	}
-	return ok
-}
-
-// TouchObject reports a cache hit on an object mastered on this node,
-// so frequency/recency-keeping policies see accesses as they happen.
-func (a *CacheAgent) TouchObject(key string) {
-	now := a.env.Now()
-	a.mu.Lock()
-	a.pol.Eviction.Touch(key, now)
-	a.polCounters.Touches++
+	a.pol.Eviction.Admitted(key, benefit)
 	a.mu.Unlock()
 }
 
@@ -303,9 +259,9 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 	a.env.Go(func() { a.env.Sleep(a.cfg.PoolReconfigTime) })
 }
 
-// view captures the policy inputs for this node: census, occupancy,
-// need and pressure. Must be called without holding mu.
-func (a *CacheAgent) view(need int64) memctl.View {
+// view captures the eviction policy's inputs for this node: census,
+// occupancy and pressure. Must be called without holding mu.
+func (a *CacheAgent) view() memctl.View {
 	used, limit := a.kv.Usage(a.node)
 	a.mu.Lock()
 	pressure := a.pressure
@@ -315,21 +271,17 @@ func (a *CacheAgent) view(need int64) memctl.View {
 		Objects:  a.kv.Objects(a.node),
 		Used:     used,
 		Limit:    limit,
-		Need:     need,
 		Pressure: pressure,
 	}
 }
 
 // freeBytes frees at least toFree bytes of cached data by executing
-// the planner's recipe: walk the first phase until the need is met,
-// then (if short) trigger the asynchronous write-backs and walk the
-// second phase, honoring each step's migrate-vs-evict intent with
-// eviction as the migration fallback.
+// memctl.PlanReclaim's recipe: evict along the first phase until the
+// need is met, then (if short) trigger the asynchronous write-backs and
+// walk the second phase, migrating each object with eviction as the
+// fallback.
 func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
-	v := a.view(toFree)
-	a.mu.Lock()
-	plan := a.pol.Planner.Plan(v)
-	a.mu.Unlock()
+	plan := memctl.PlanReclaim(a.kv.Objects(a.node))
 
 	var freed []string
 	wrotebacks := 0
@@ -338,9 +290,9 @@ func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 		for _, k := range freed {
 			a.pol.Eviction.Forget(k)
 		}
-		a.polCounters.Evictions += int64(evicted)
-		a.polCounters.Migrations += int64(migrated)
-		a.polCounters.WriteBacks += int64(wrotebacks)
+		a.metrics.Evictions += int64(evicted)
+		a.metrics.Migrations += int64(migrated)
+		a.metrics.WriteBacks += int64(wrotebacks)
 		a.mu.Unlock()
 	}()
 
@@ -366,7 +318,7 @@ func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 		if toFree <= 0 {
 			break
 		}
-		if s.Migrate && a.kv.MigrateToBackup(s.Key) == nil {
+		if a.kv.MigrateToBackup(s.Key) == nil {
 			toFree -= s.Size
 			migrated++
 			freed = append(freed, s.Key)
@@ -428,11 +380,11 @@ func (a *CacheAgent) SetPressure(p memctl.Pressure) {
 
 // Reclaim implements the §6.4 fast-reclamation path, invoked by the
 // platform (as MemoryGovernor) when a sandbox needs memory the cache
-// holds. The planner orders the work (free grant first, then persisted
-// outputs, then LRU inputs via migration-by-promotion, then eviction);
-// the agent executes it and charges the critical-path time. Dirty
-// outputs get their write-back triggered asynchronously. Returns the
-// critical-path time spent.
+// holds. memctl.PlanReclaim orders the work (free grant first, then
+// persisted outputs, then LRU inputs via migration-by-promotion, then
+// eviction); the agent executes it and charges the critical-path time.
+// Dirty outputs get their write-back triggered asynchronously. Returns
+// the critical-path time spent.
 func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 	sp := a.tracer.Begin(0, 0, "reclaim", a.node)
 	sp.SetNum("need", need)
@@ -490,13 +442,13 @@ func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 }
 
 // periodicEviction runs the discretionary sweep: the eviction policy
-// selects the victims (Need == 0; the paper's threshold policy applies
-// §6.3's n_access/idle criteria, demand-driven policies trim to their
+// selects the victims (the paper's threshold policy applies §6.3's
+// n_access/idle criteria, demand-driven policies trim to their
 // watermark), the agent executes — dirty victims are written back
 // before eviction, clean ones evicted directly.
 func (a *CacheAgent) periodicEviction() {
 	sp := a.tracer.Begin(0, 0, "evict.sweep", a.node)
-	v := a.view(0)
+	v := a.view()
 	a.mu.Lock()
 	victims := a.pol.Eviction.Victims(v)
 	a.mu.Unlock()
@@ -509,14 +461,14 @@ func (a *CacheAgent) periodicEviction() {
 				}
 			})
 			a.mu.Lock()
-			a.polCounters.WriteBacks++
+			a.metrics.WriteBacks++
 			a.mu.Unlock()
 			continue
 		}
 		if a.kv.Evict(key) == nil {
 			a.mu.Lock()
 			a.metrics.PeriodicEvictions++
-			a.polCounters.Evictions++
+			a.metrics.Evictions++
 			a.pol.Eviction.Forget(key)
 			a.mu.Unlock()
 		}
@@ -528,8 +480,8 @@ func (a *CacheAgent) periodicEviction() {
 }
 
 // Governor adapts a set of agents to the faas.MemoryGovernor interface
-// and is the proxy's write-admission gate (routing per-object admission
-// and touch notifications to the owning node's agent).
+// and routes the proxy's admission notices to the admitting node's
+// agent.
 type Governor struct {
 	mu     sync.Mutex
 	agents map[simnet.NodeID]*CacheAgent
@@ -563,22 +515,12 @@ func (g *Governor) Reclaim(node simnet.NodeID, need int64) (time.Duration, error
 	return a.Reclaim(need)
 }
 
-// AdmitObject decides whether a missed input may be admitted into
-// node's cache; benefit is the predictor's caching-benefit score. The
-// decision belongs to the node that would master the object. Nodes
-// without an agent admit unconditionally. Like TouchObject it is pure
-// bookkeeping: no simulated time passes inside it.
-func (g *Governor) AdmitObject(node simnet.NodeID, key string, size int64, benefit float64) bool {
-	a := g.Agent(node)
-	if a == nil {
-		return true
-	}
-	return a.AdmitObject(key, size, benefit)
-}
-
-// TouchObject reports a cache hit on an object mastered on node.
-func (g *Governor) TouchObject(node simnet.NodeID, key string) {
+// Admitted tells node's agent, if it has one, that a missed input is
+// being admitted into node's cache; benefit is the predictor's
+// caching-benefit score. It is pure bookkeeping: no simulated time
+// passes inside it.
+func (g *Governor) Admitted(node simnet.NodeID, key string, benefit float64) {
 	if a := g.Agent(node); a != nil {
-		a.TouchObject(key)
+		a.Admitted(key, benefit)
 	}
 }

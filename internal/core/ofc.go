@@ -6,7 +6,6 @@ import (
 
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
-	"ofc/internal/metrics"
 	"ofc/internal/objstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
@@ -310,17 +309,7 @@ func (s *System) CacheGrantBytes() int64 {
 	return total
 }
 
-// AggregatePolicyCounters sums the per-node control-plane counters
-// (all agents in one system run the same policy combination).
-func (s *System) AggregatePolicyCounters() metrics.PolicyCounters {
-	var out metrics.PolicyCounters
-	for _, a := range s.agents {
-		out.Add(a.PolicyCounters())
-	}
-	return out
-}
-
-// AggregateAgentMetrics sums the per-node agent counters (Table 2).
+// AggregateAgentMetrics sums the per-node agent counters.
 func (s *System) AggregateAgentMetrics() AgentMetrics {
 	var m AgentMetrics
 	for _, a := range s.agents {
@@ -333,6 +322,9 @@ func (s *System) AggregateAgentMetrics() AgentMetrics {
 		m.ScaleDownTime += am.ScaleDownTime
 		m.PeriodicEvictions += am.PeriodicEvictions
 		m.ReclaimFailures += am.ReclaimFailures
+		m.Evictions += am.Evictions
+		m.Migrations += am.Migrations
+		m.WriteBacks += am.WriteBacks
 	}
 	return m
 }

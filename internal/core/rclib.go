@@ -103,7 +103,6 @@ type RCLib struct {
 	ephemHits    atomic.Int64
 	ephemMisses  atomic.Int64
 	admissions   atomic.Int64
-	admitVetoes  atomic.Int64
 	writeBacks   atomic.Int64
 	bypassWrites atomic.Int64
 	ephemeral    atomic.Int64 // bytes of intermediate+final outputs produced
@@ -120,8 +119,8 @@ type RCLib struct {
 // NewRCLib builds the proxy over a storage engine and the RSDS and
 // registers its Persistor with the platform. Any store.Backend works:
 // *kvstore.Cluster for the paper configuration,
-// store.NewPassthrough(rsds) for cache-off mode. gov holds the
-// admission veto, res tunes the Resilient layer, and opts supplies
+// store.NewPassthrough(rsds) for cache-off mode. gov hears each
+// admission, res tunes the Resilient layer, and opts supplies
 // Chunking and RelaxedPrefixes.
 func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platform *faas.Platform,
 	gov *Governor, res store.ResilienceConfig, opts Options) *RCLib {
@@ -293,10 +292,10 @@ func (rc *RCLib) resolvePending(key string) {
 	}
 }
 
-// noteGetHit is the Get-hit bookkeeping: counter increments, locality
-// attribution and the control plane's access callback. Pure atomics
-// plus a placement lookup — no locks, no allocations (the critical
-// path pays it on every warm read).
+// noteGetHit is the Get-hit bookkeeping: counter increments and
+// locality attribution. Pure atomics plus a placement lookup — no
+// locks, no allocations (the critical path pays it on every warm
+// read).
 func (rc *RCLib) noteGetHit(caller simnet.NodeID, key string, intermediate bool) {
 	rc.hits.Add(1)
 	if intermediate {
@@ -305,14 +304,9 @@ func (rc *RCLib) noteGetHit(caller simnet.NodeID, key string, intermediate bool)
 	if rc.pv == nil {
 		return
 	}
-	master, ok := rc.pv.MasterOf(key)
-	if !ok {
-		return
-	}
-	if master == caller {
+	if master, ok := rc.pv.MasterOf(key); ok && master == caller {
 		rc.localHits.Add(1)
 	}
-	rc.gov.TouchObject(master, key)
 }
 
 // noteGetMiss is the Get-miss counter bookkeeping.
@@ -397,12 +391,8 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		// unavailable — the breaker decides when to come back. The
 		// admission ceiling is the engine's raw per-object limit:
 		// missed inputs are not striped. The control plane's eviction
-		// policy holds a veto (the paper's policy always admits).
-		if !rc.gov.AdmitObject(caller, key, blob.Size, opts.Benefit) {
-			rc.admitVetoes.Add(1)
-			sp.SetNum("veto", 1)
-			return blob, nil
-		}
+		// policy hears of the admission (GDSF keeps the benefit score).
+		rc.gov.Admitted(caller, key, opts.Benefit)
 		rc.env.Go(func() {
 			// Off-critical-path admission: a control-plane root span
 			// (the issuing invocation may already have completed).
@@ -680,8 +670,9 @@ type CacheStats struct {
 	Hits, LocalHits, Misses int64
 	EphemHits, EphemMisses  int64
 	Admissions, WriteBacks  int64
-	// AdmitVetoes counts miss-admissions the control plane's eviction
-	// policy refused (always zero under the paper's policy).
+	// AdmitVetoes counts nothing: no eviction policy refuses an
+	// admission. It stays because benchmark/layers.go reads it; a
+	// benchmark change may drop it.
 	AdmitVetoes  int64
 	BypassWrites int64
 	// MissCoalesced counts nothing: every miss pays its own RSDS
@@ -719,7 +710,6 @@ func (rc *RCLib) Stats() CacheStats {
 		Hits: rc.hits.Load(), LocalHits: rc.localHits.Load(), Misses: rc.misses.Load(),
 		EphemHits: rc.ephemHits.Load(), EphemMisses: rc.ephemMisses.Load(),
 		Admissions: rc.admissions.Load(), WriteBacks: rc.writeBacks.Load(),
-		AdmitVetoes:    rc.admitVetoes.Load(),
 		BypassWrites:   rc.bypassWrites.Load(),
 		EphemeralBytes: rc.ephemeral.Load(),
 		FallbackReads:  rc.fallbackReads.Load(), FallbackWrites: rc.fallbackWrites.Load(),

@@ -3,12 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"ofc/internal/chaos"
 	"ofc/internal/core"
 	"ofc/internal/faas"
+	"ofc/internal/metrics"
 	"ofc/internal/workload"
 )
 
@@ -23,8 +24,15 @@ type ChaosResult struct {
 
 	Kills, Restarts int
 
-	HealthyHit, FaultyHit float64
-	HealthyP99, FaultyP99 time.Duration
+	// HealthyHits/Misses and FaultyHits/Misses are the proxy's Get hits
+	// and misses during invocations that started outside and inside a
+	// fault window; HealthyHit and FaultyHit are their ratios.
+	// ProxyHits is the proxy's hit count over the whole drive loop.
+	HealthyHits, HealthyMisses int64
+	FaultyHits, FaultyMisses   int64
+	ProxyHits                  int64
+	HealthyHit, FaultyHit      float64
+	HealthyP99, FaultyP99      time.Duration
 
 	FallbackReads, FallbackWrites             int64
 	CacheRetries, CacheTimeouts, BreakerTrips int64
@@ -47,19 +55,11 @@ func (r *ChaosResult) Healthy() bool {
 		r.FallbackReads+r.FallbackWrites > 0 && r.Recoveries > 0
 }
 
-// p99 returns the 99th-percentile of ds (nearest-rank).
+// p99 returns metrics.Quantile(0.99) of a sorted copy of ds.
 func p99(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(ds))
-	copy(s, ds)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (len(s)*99 + 99) / 100
-	if idx > len(s) {
-		idx = len(s)
-	}
-	return s[idx-1]
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return metrics.Quantile(s, 0.99)
 }
 
 // Chaos runs a Figure-7-style read/transform/write workload under a
@@ -126,10 +126,10 @@ func Chaos(seed int64, quick bool) (*Table, *ChaosResult) {
 	res := &ChaosResult{}
 	var outputs []string
 	var healthyEL, faultyEL []time.Duration
-	var healthyHits, healthyMisses, faultyHits, faultyMisses int64
 
 	d.Run(func() {
 		pool.Stage(d.Writer)
+		first := sys.RC.Stats()
 		for i := 0; time.Duration(d.Env.Now()) < runFor; i++ {
 			in := pool.Inputs[i%len(pool.Inputs)]
 			outKey = fmt.Sprintf("chaos/out/%d", i)
@@ -144,19 +144,21 @@ func Chaos(seed int64, quick bool) (*Table, *ChaosResult) {
 			} else {
 				outputs = append(outputs, outKey)
 			}
-			dh := (after.Hits + after.LocalHits) - (before.Hits + before.LocalHits)
+			// LocalHits is a subset of Hits, so Hits alone counts every hit.
+			dh := after.Hits - before.Hits
 			dm := after.Misses - before.Misses
 			if downAt(start) {
 				faultyEL = append(faultyEL, r.Extract+r.Load)
-				faultyHits += dh
-				faultyMisses += dm
+				res.FaultyHits += dh
+				res.FaultyMisses += dm
 			} else {
 				healthyEL = append(healthyEL, r.Extract+r.Load)
-				healthyHits += dh
-				healthyMisses += dm
+				res.HealthyHits += dh
+				res.HealthyMisses += dm
 			}
 			d.Env.Sleep(pace)
 		}
+		res.ProxyHits = sys.RC.Stats().Hits - first.Hits
 		// Let the last victim's recovery and the persistors settle
 		// before the Run drain stops the clock.
 		d.Env.Sleep(3 * time.Second)
@@ -168,8 +170,8 @@ func Chaos(seed int64, quick bool) (*Table, *ChaosResult) {
 		}
 		return float64(h) / float64(h+m)
 	}
-	res.HealthyHit = ratio(healthyHits, healthyMisses)
-	res.FaultyHit = ratio(faultyHits, faultyMisses)
+	res.HealthyHit = ratio(res.HealthyHits, res.HealthyMisses)
+	res.FaultyHit = ratio(res.FaultyHits, res.FaultyMisses)
 	res.HealthyP99 = p99(healthyEL)
 	res.FaultyP99 = p99(faultyEL)
 

@@ -22,6 +22,11 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	if res.FaultyHit >= res.HealthyHit {
 		t.Errorf("hit ratio did not dip under faults: healthy=%v faulty=%v", res.HealthyHit, res.FaultyHit)
 	}
+	// Each proxy hit is counted once, in the window its invocation
+	// started in (a local hit is one of the proxy's hits, not a second).
+	if got := res.HealthyHits + res.FaultyHits; got != res.ProxyHits {
+		t.Errorf("healthy+faulty hits = %d, the proxy counted %d", got, res.ProxyHits)
+	}
 	if res.RecoveryTime <= 0 || res.LastRecovery <= 0 {
 		t.Errorf("recovery not timed: total=%v last=%v", res.RecoveryTime, res.LastRecovery)
 	}

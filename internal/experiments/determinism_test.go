@@ -113,8 +113,8 @@ func deploymentDigest(d *Deployment) string {
 	}
 	if sys := d.Sys; sys != nil {
 		good, bad := sys.PredictionCounts()
-		fmt.Fprintf(&b, " rclib=%+v kv=%+v agents=%+v policies=%+v pred=%d/%d cache=%d grant=%d",
-			sys.RC.Stats(), sys.KV.Stats(), sys.AggregateAgentMetrics(), sys.AggregatePolicyCounters(),
+		fmt.Fprintf(&b, " rclib=%+v kv=%+v agents=%+v pred=%d/%d cache=%d grant=%d",
+			sys.RC.Stats(), sys.KV.Stats(), sys.AggregateAgentMetrics(),
 			good, bad, sys.CacheBytes(), sys.CacheGrantBytes())
 		for _, w := range d.Workers {
 			if srv := sys.KV.Server(w); srv != nil {
@@ -259,8 +259,8 @@ func reclaimHeavy(t *testing.T, seed int64) []string {
 		}
 		wg.Wait()
 	})
-	if pc := d.Sys.AggregatePolicyCounters(); pc.Evictions == 0 || pc.Migrations == 0 {
-		t.Fatalf("the scenario reclaimed nothing: %+v", pc)
+	if am := d.Sys.AggregateAgentMetrics(); am.Evictions == 0 || am.Migrations == 0 {
+		t.Fatalf("the scenario reclaimed nothing: %+v", am)
 	}
 	return []string{
 		fmt.Sprintf("hit ratio %.6f, %d failed, replies at %v", d.Sys.RC.InputHitRatio(), failed, ends),

@@ -140,10 +140,10 @@ func measurePolicyCell(evict, slack string, seed int64, quick bool) PolicyRow {
 	for _, a := range d.Sys.Agents() {
 		row.SlackBytes += a.Slack()
 	}
-	pc := d.Sys.AggregatePolicyCounters()
-	row.Evictions = pc.Evictions
-	row.Migrations = pc.Migrations
-	row.WriteBacks = pc.WriteBacks
+	am := d.Sys.AggregateAgentMetrics()
+	row.Evictions = am.Evictions
+	row.Migrations = am.Migrations
+	row.WriteBacks = am.WriteBacks
 	return row
 }
 

@@ -1,10 +1,6 @@
 package memctl
 
-import (
-	"sort"
-
-	"ofc/internal/sim"
-)
+import "sort"
 
 // GDSFEviction is a Greedy-Dual-Size-Frequency policy (the family
 // FaaSCache adapts for keep-alive) extended with the OFC predictor's
@@ -37,13 +33,10 @@ func NewGDSFEviction(p Params) *GDSFEviction {
 	return &GDSFEviction{highWater: hw, benefit: make(map[string]float64)}
 }
 
-// Name implements EvictionPolicy.
-func (g *GDSFEviction) Name() string { return "gdsf" }
-
-// Admit implements EvictionPolicy: everything predicted cacheable is
-// admitted, but the benefit score is recorded as the object's cost
-// term so the predictor's confidence shapes eviction order.
-func (g *GDSFEviction) Admit(key string, size int64, benefit float64) bool {
+// Admitted implements EvictionPolicy: the benefit score is recorded as
+// the object's cost term so the predictor's confidence shapes eviction
+// order.
+func (g *GDSFEviction) Admitted(key string, benefit float64) {
 	if benefit < 0 {
 		benefit = 0
 	}
@@ -51,11 +44,7 @@ func (g *GDSFEviction) Admit(key string, size int64, benefit float64) bool {
 		benefit = 1
 	}
 	g.benefit[key] = benefit
-	return true
 }
-
-// Touch implements EvictionPolicy (census n_access carries frequency).
-func (g *GDSFEviction) Touch(string, sim.Time) {}
 
 // Forget implements EvictionPolicy.
 func (g *GDSFEviction) Forget(key string) { delete(g.benefit, key) }
@@ -73,30 +62,24 @@ func (g *GDSFEviction) priority(o Object) float64 {
 	return g.clock + (0.5+g.benefit[o.Key])*freq/sizeMB
 }
 
-// Victims implements EvictionPolicy: lowest-H-first until the target
-// is covered, inflating the clock to each victim's priority. Need == 0
-// trims to the high-water mark like LRU.
+// Victims implements EvictionPolicy: lowest-H-first until occupancy is
+// back at the high-water mark, like LRU, inflating the clock to each
+// victim's priority.
 func (g *GDSFEviction) Victims(v View) []Object {
-	need := v.Need
-	if need <= 0 {
-		if v.Limit <= 0 {
-			return nil
-		}
-		water := int64(g.highWater * float64(v.Limit))
-		if v.Used <= water {
-			return nil
-		}
-		need = v.Used - water
+	if v.Limit <= 0 {
+		return nil
 	}
+	water := int64(g.highWater * float64(v.Limit))
+	if v.Used <= water {
+		return nil
+	}
+	need := v.Used - water
 	type scored struct {
 		obj Object
 		h   float64
 	}
 	cand := make([]scored, 0, len(v.Objects))
 	for _, o := range v.Objects {
-		if v.pinned(o.Key) {
-			continue
-		}
 		cand = append(cand, scored{obj: o, h: g.priority(o)})
 	}
 	sort.Slice(cand, func(i, j int) bool {

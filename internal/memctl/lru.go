@@ -1,9 +1,8 @@
 package memctl
 
 import (
+	"slices"
 	"sort"
-
-	"ofc/internal/sim"
 )
 
 // LRUEviction is the classic recency-only baseline: victims are the
@@ -30,41 +29,26 @@ func NewLRUEviction(p Params) *LRUEviction {
 	return &LRUEviction{highWater: hw}
 }
 
-// Name implements EvictionPolicy.
-func (l *LRUEviction) Name() string { return "lru" }
-
-// Admit implements EvictionPolicy: LRU admits everything and lets
+// Admitted implements EvictionPolicy: LRU admits everything and lets
 // recency sort it out.
-func (l *LRUEviction) Admit(string, int64, float64) bool { return true }
-
-// Touch implements EvictionPolicy (census recency suffices).
-func (l *LRUEviction) Touch(string, sim.Time) {}
+func (l *LRUEviction) Admitted(string, float64) {}
 
 // Forget implements EvictionPolicy.
 func (l *LRUEviction) Forget(string) {}
 
-// Victims implements EvictionPolicy: oldest-first until the target is
-// covered. Need > 0 frees exactly the need; Need == 0 trims occupancy
-// back to the high-water mark (and proposes nothing below it).
+// Victims implements EvictionPolicy: oldest-first until occupancy is
+// back at the high-water mark (nothing below it), overshooting by at
+// most the last victim.
 func (l *LRUEviction) Victims(v View) []Object {
-	need := v.Need
-	if need <= 0 {
-		if v.Limit <= 0 {
-			return nil
-		}
-		water := int64(l.highWater * float64(v.Limit))
-		if v.Used <= water {
-			return nil
-		}
-		need = v.Used - water
+	if v.Limit <= 0 {
+		return nil
 	}
-	cand := make([]Object, 0, len(v.Objects))
-	for _, o := range v.Objects {
-		if v.pinned(o.Key) {
-			continue
-		}
-		cand = append(cand, o)
+	water := int64(l.highWater * float64(v.Limit))
+	if v.Used <= water {
+		return nil
 	}
+	need := v.Used - water
+	cand := slices.Clone(v.Objects)
 	sort.Slice(cand, func(i, j int) bool {
 		if cand[i].Meta.LastAccess != cand[j].Meta.LastAccess {
 			return cand[i].Meta.LastAccess < cand[j].Meta.LastAccess

@@ -5,11 +5,11 @@
 // < 5 or idle > 30 min) and ordered reclamation under sandbox pressure
 // (§6.4: persisted outputs first, then LRU inputs by migration-by-
 // promotion, eviction last). This package carves that layer out of the
-// per-node cache agent into three small interfaces so the paper's
-// fixed policy becomes one point in a searchable design space — the
+// per-node cache agent: two small interfaces, eviction and slack, make
+// the paper's fixed policy one point in an eviction × slack grid — the
 // same ablation seam FaaSCache (greedy-dual keep-alive) and Faa$T
 // (per-application caching) use to compare keep-alive/eviction
-// disciplines.
+// disciplines — and one function, PlanReclaim, orders reclamation.
 //
 // The division of labor: policies decide WHO (which objects are
 // victims, how much slack to hold, in what order to free), the cache
@@ -55,56 +55,34 @@ func (p Pressure) String() string {
 	return "normal"
 }
 
-// View is the immutable situation a policy decides over: the node's
-// object census (in no particular order — the engine lists it in map
-// order, so a policy imposes whatever order its answer needs), usage
-// against the current grant, how many bytes must be freed (0 for a
-// discretionary periodic sweep), the pressure level and an optional
-// pin predicate for objects that must never be victims (in-flight
-// reads holding a reference).
+// View is the immutable situation an eviction policy decides over:
+// the node's object census (in no particular order — the engine lists
+// it in map order, so a policy imposes whatever order its answer
+// needs), usage against the current grant and the pressure level.
 type View struct {
 	Now     sim.Time
 	Objects []Object
 	// Used and Limit are the node's cache occupancy and grant.
 	Used, Limit int64
-	// Need is the number of bytes that must be freed; 0 means the
-	// policy sweeps at its own discretion.
-	Need     int64
-	Pressure Pressure
-	// Pinned reports objects that must not be selected as victims.
-	// May be nil (nothing pinned).
-	Pinned func(key string) bool
-}
-
-// pinned is the nil-safe pin check.
-func (v *View) pinned(key string) bool {
-	return v.Pinned != nil && v.Pinned(key)
+	Pressure    Pressure
 }
 
 // EvictionPolicy decides which cached objects stay. Implementations
 // keep only per-key bookkeeping; all engine truth (sizes, access
 // counts, recency) arrives through the View census.
 //
-// Contract (enforced by the conformance suite):
-//   - Victims is deterministic: the same View yields the same victim
-//     list, in the same order, however View.Objects is ordered.
-//   - Victims never contains a pinned object.
-//   - With Need > 0, the cumulative size of the victims exceeds Need
-//     by at most one object (selection stops at the first object that
-//     satisfies the need).
+// Contract (enforced by the conformance suite): Victims is
+// deterministic — the same View yields the same victim list, in the
+// same order, however View.Objects is ordered.
 type EvictionPolicy interface {
-	Name() string
-	// Admit decides whether an object is worth caching at all — the
-	// write-admission gate the proxy consults before admitting a
-	// missed input. benefit is the predictor's caching-benefit score
-	// in [0,1] (0 when unknown).
-	Admit(key string, size int64, benefit float64) bool
-	// Touch observes a cache hit on key (policy-internal frequency /
-	// recency bookkeeping beyond what the engine census carries).
-	Touch(key string, now sim.Time)
+	// Admitted notes that the proxy is admitting a missed input into
+	// the cache. benefit is the predictor's caching-benefit score in
+	// [0,1] (0 when unknown).
+	Admitted(key string, benefit float64)
 	// Forget drops any per-key state after an eviction or delete.
 	Forget(key string)
-	// Victims selects objects to evict, in eviction order.
+	// Victims selects the discretionary sweep's objects to evict, in
+	// eviction order.
 	Victims(v View) []Object
 }
 
@@ -112,7 +90,6 @@ type EvictionPolicy interface {
 // target: the memory the agent keeps free so sandbox placement never
 // waits on a cache shrink (§6.4).
 type SlackEstimator interface {
-	Name() string
 	// Observe records one churn sample: the absolute change of
 	// reserved sandbox memory over the sampling period.
 	Observe(delta int64)
@@ -125,20 +102,18 @@ type SlackEstimator interface {
 type Step struct {
 	Key  string
 	Size int64
-	// Migrate requests migration-by-promotion (the backup copy is
-	// promoted to master on another node, no payload transfer); the
-	// executor falls back to eviction when migration fails. False
-	// means plain eviction.
-	Migrate bool
 }
 
-// Plan is an ordered reclamation recipe for freeing Need bytes. The
-// executor walks First until the need is met; if First falls short it
-// triggers the asynchronous write-backs and then walks Second, again
-// stopping as soon as the need is met. The two-phase shape preserves
-// the paper's order — clean persisted outputs first (free to drop),
-// dirty outputs queued for write-back, then LRU inputs by
-// migration-by-promotion with eviction as last resort.
+// Plan is an ordered reclamation recipe. The executor walks First,
+// evicting, until its need is met; if First falls short it triggers
+// the asynchronous write-backs and then walks Second, again stopping
+// as soon as the need is met. Each Second step is a
+// migration-by-promotion (the backup copy is promoted to master on
+// another node, no payload transfer), with eviction when migration
+// fails. The two-phase shape preserves the paper's order — clean
+// persisted outputs first (free to drop), dirty outputs queued for
+// write-back, then LRU inputs by migration with eviction as last
+// resort.
 type Plan struct {
 	First []Step
 	// WriteBacks lists dirty objects whose write-back the executor
@@ -146,14 +121,6 @@ type Plan struct {
 	// path, and never count toward the synchronous need).
 	WriteBacks []string
 	Second     []Step
-}
-
-// ReclaimPlanner orders the migrate-vs-evict decisions for the §6.4
-// fast-reclamation path (Reclaim(need)) and for grant shrinks.
-type ReclaimPlanner interface {
-	Name() string
-	// Plan builds the recipe for freeing v.Need bytes.
-	Plan(v View) Plan
 }
 
 // Params carries the shared numeric knobs the built-in policies draw
@@ -192,21 +159,12 @@ func DefaultParams() Params {
 	}
 }
 
-// Spec names one point in the policy design space.
+// Spec names one point in the policy design space: an eviction
+// policy and a slack estimator. Empty fields mean the paper's
+// threshold eviction and window slack.
 type Spec struct {
 	Eviction string
 	Slack    string
-	Planner  string
-}
-
-// DefaultSpec is the paper's configuration.
-func DefaultSpec() Spec {
-	return Spec{Eviction: "threshold", Slack: "window", Planner: "migratefirst"}
-}
-
-// String renders the spec as "eviction/slack/planner".
-func (s Spec) String() string {
-	return s.Eviction + "/" + s.Slack + "/" + s.Planner
 }
 
 // Policies is one node's instantiated policy set. Each agent owns its
@@ -215,7 +173,6 @@ func (s Spec) String() string {
 type Policies struct {
 	Eviction EvictionPolicy
 	Slack    SlackEstimator
-	Planner  ReclaimPlanner
 }
 
 // EvictionPolicies lists the registered eviction-policy names, in
@@ -224,9 +181,6 @@ func EvictionPolicies() []string { return []string{"threshold", "lru", "gdsf"} }
 
 // SlackEstimators lists the registered estimator names.
 func SlackEstimators() []string { return []string{"window", "static"} }
-
-// Planners lists the registered reclaim planners.
-func Planners() []string { return []string{"migratefirst", "evictonly"} }
 
 // NewEviction builds one eviction policy by name.
 func NewEviction(name string, p Params) (EvictionPolicy, error) {
@@ -252,17 +206,6 @@ func NewSlack(name string, p Params) (SlackEstimator, error) {
 	return nil, fmt.Errorf("memctl: unknown slack estimator %q", name)
 }
 
-// NewPlanner builds one reclaim planner by name.
-func NewPlanner(name string, p Params) (ReclaimPlanner, error) {
-	switch name {
-	case "", "migratefirst":
-		return NewMigrateFirstPlanner(), nil
-	case "evictonly":
-		return NewEvictOnlyPlanner(), nil
-	}
-	return nil, fmt.Errorf("memctl: unknown reclaim planner %q", name)
-}
-
 // Build instantiates a full policy set from a spec. Empty spec fields
 // fall back to the paper's defaults.
 func Build(s Spec, p Params) (Policies, error) {
@@ -272,9 +215,6 @@ func Build(s Spec, p Params) (Policies, error) {
 		return Policies{}, err
 	}
 	if out.Slack, err = NewSlack(s.Slack, p); err != nil {
-		return Policies{}, err
-	}
-	if out.Planner, err = NewPlanner(s.Planner, p); err != nil {
 		return Policies{}, err
 	}
 	return out, nil

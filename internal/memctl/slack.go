@@ -21,9 +21,6 @@ func NewWindowSlack(p Params) *WindowSlack {
 	return &WindowSlack{window: w, min: p.MinSlack, max: p.MaxSlack}
 }
 
-// Name implements SlackEstimator.
-func (w *WindowSlack) Name() string { return "window" }
-
 // Observe implements SlackEstimator: append the sample, trim to the
 // window length.
 func (w *WindowSlack) Observe(delta int64) {
@@ -72,9 +69,6 @@ func NewStaticSlack(p Params) *StaticSlack {
 	}
 	return &StaticSlack{target: t}
 }
-
-// Name implements SlackEstimator.
-func (s *StaticSlack) Name() string { return "static" }
 
 // Observe implements SlackEstimator (ignored).
 func (s *StaticSlack) Observe(int64) {}

@@ -29,24 +29,16 @@ func NewThresholdEviction(p Params) *ThresholdEviction {
 	return &ThresholdEviction{minAccess: p.MinAccess, maxIdle: p.MaxIdle, ageFloor: p.AgeFloor}
 }
 
-// Name implements EvictionPolicy.
-func (t *ThresholdEviction) Name() string { return "threshold" }
-
-// Admit implements EvictionPolicy: the paper admits every predicted-
-// cacheable object and lets the periodic sweep correct mistakes.
-func (t *ThresholdEviction) Admit(string, int64, float64) bool { return true }
-
-// Touch implements EvictionPolicy; the engine census already tracks
-// n_access and recency, so there is nothing to record.
-func (t *ThresholdEviction) Touch(string, sim.Time) {}
+// Admitted implements EvictionPolicy: the paper admits every
+// predicted-cacheable object and lets the periodic sweep correct
+// mistakes, so there is nothing to record.
+func (t *ThresholdEviction) Admitted(string, float64) {}
 
 // Forget implements EvictionPolicy.
 func (t *ThresholdEviction) Forget(string) {}
 
-// Victims implements EvictionPolicy. For the discretionary sweep
-// (Need == 0) it returns every object the §6.3 criteria condemn, in
-// key order. With Need > 0 it takes them in the same order and stops
-// once the need is covered.
+// Victims implements EvictionPolicy: every object the §6.3 criteria
+// condemn, in key order.
 func (t *ThresholdEviction) Victims(v View) []Object {
 	ageFloor, maxIdle := t.ageFloor, t.maxIdle
 	if v.Pressure == PressureBrownout {
@@ -54,9 +46,6 @@ func (t *ThresholdEviction) Victims(v View) []Object {
 	}
 	var out []Object
 	for _, o := range v.Objects {
-		if v.pinned(o.Key) {
-			continue
-		}
 		age := v.Now - o.Meta.Created
 		if age < sim.Time(ageFloor) {
 			continue
@@ -68,14 +57,5 @@ func (t *ThresholdEviction) Victims(v View) []Object {
 		out = append(out, o)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if v.Need > 0 {
-		var freed int64
-		for i, o := range out {
-			if freed >= v.Need {
-				return out[:i]
-			}
-			freed += o.Meta.Size
-		}
-	}
 	return out
 }

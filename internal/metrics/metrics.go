@@ -1,7 +1,7 @@
 // Package metrics provides the small statistics containers the
 // experiment harness reports with: duration histograms with exact
-// percentiles and the lock-free counter blocks of the advice memo,
-// the overload controller and the memory-control policies.
+// percentiles and the lock-free counter blocks of the advice memo and
+// the overload controller.
 package metrics
 
 import (
