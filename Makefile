@@ -24,11 +24,12 @@ test:
 # Statement coverage: repo-wide report (informational) with hard
 # floors on internal/trace — the golden-trace harness is the point of
 # that subsystem — on internal/core and internal/faas, which hold the
-# proxy, the control plane and the invoke path, and on the storage
-# engine (internal/kvstore), its middleware (internal/store) and the
-# memory-control policies (internal/memctl). Each floor is one
-# covercheck pass over the same profile; all but the first print only
-# a failure.
+# proxy, the control plane and the invoke path, on the storage engine
+# (internal/kvstore), its middleware (internal/store) and the
+# memory-control policies (internal/memctl), and on the scheduler
+# (internal/sim) and the fabric (internal/simnet) every run stands on.
+# Each floor is one covercheck pass over the same profile; all but the
+# first print only a failure.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
@@ -37,6 +38,8 @@ test-cover:
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/kvstore -floor 90 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/store -floor 91 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/memctl -floor 83 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/sim -floor 92 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/simnet -floor 93 > /dev/null
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to
@@ -71,7 +74,7 @@ bench:
 # benchmark; drop BENCHTIME for real numbers).
 BENCHTIME ?= 1x
 bench-sim:
-	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Semaphore|Cluster|Multi|Transfer|Resilient' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
+	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|Multi|Transfer|Resilient' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree

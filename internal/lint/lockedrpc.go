@@ -7,7 +7,7 @@ import (
 )
 
 // LockedRPC forbids blocking simulation operations — simnet
-// Call/Transfer, disk I/O, sim.Env.Sleep, Future/WaitGroup/Queue waits
+// TryCall/Transfer, disk I/O, sim.Env.Sleep, Future/WaitGroup/Queue waits
 // — while a sync.Mutex or sync.RWMutex is held. A sim process that
 // parks inside the scheduler while holding a Go mutex stalls every
 // other process that touches the same lock without the scheduler
@@ -32,11 +32,9 @@ var lockedBlocking = map[string]map[string]bool{
 		"Run":         true, // Env
 		"Wait":        true, // Future, WaitGroup
 		"WaitTimeout": true, // Future
-		"Acquire":     true, // Semaphore
 		"Recv":        true, // Queue
 	},
 	"internal/simnet": {
-		"Call":        true,
 		"TryCall":     true,
 		"Transfer":    true, // Network
 		"TryTransfer": true, // Network
@@ -283,7 +281,7 @@ func (w *lockedWalker) blockingCall(call *ast.CallExpr) (name, pkg string) {
 		id = fun.Sel
 	case *ast.Ident:
 		id = fun
-	case *ast.IndexExpr: // generic instantiation: simnet.Call[T](...)
+	case *ast.IndexExpr: // generic instantiation: simnet.TryCall[T](...)
 		if sel, ok := fun.X.(*ast.SelectorExpr); ok {
 			id = sel.Sel
 		} else if ident, ok := fun.X.(*ast.Ident); ok {

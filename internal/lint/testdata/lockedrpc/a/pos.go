@@ -30,7 +30,8 @@ func (s *srv) badDeferTransfer() {
 func (s *srv) badCall() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return simnet.Call(s.net, 0, 1, 64, 64, func() int { return 1 }) // want "Call blocks in the sim scheduler while a sync mutex is held"
+	v, _ := simnet.TryCall(s.net, 0, 1, 64, 64, func() int { return 1 }) // want "TryCall blocks in the sim scheduler while a sync mutex is held"
+	return v
 }
 
 func (s *srv) badRLockWait(f *sim.Future[int]) int {

@@ -66,26 +66,6 @@ func futureRoundTrips(n int) *Env {
 	return env
 }
 
-// semaphoreContended is four processes taking turns on one permit,
-// n/4+1 acquire/sleep/release rounds each: every acquire but the first
-// queues behind the holder, as on a busy NIC or disk.
-func semaphoreContended(n int) *Env {
-	env := NewEnv(1)
-	const procs = 4
-	rounds := n/procs + 1
-	s := NewSemaphore(env, 1)
-	for i := 0; i < procs; i++ {
-		env.Go(func() {
-			for r := 0; r < rounds; r++ {
-				s.Acquire(1)
-				env.Sleep(time.Microsecond)
-				s.Release(1)
-			}
-		})
-	}
-	return env
-}
-
 // benchRun times Run of the Env setup builds for b.N ops.
 func benchRun(b *testing.B, setup func(n int) *Env) {
 	env := setup(b.N)
@@ -110,10 +90,6 @@ func BenchmarkBatchWakeup(b *testing.B) { benchRun(b, batchWakeup) }
 // processes.
 func BenchmarkFutureRoundTrip(b *testing.B) { benchRun(b, futureRoundTrips) }
 
-// BenchmarkSemaphoreContended measures an acquire/release cycle that
-// queues: the waiter queue of every NIC direction and every disk.
-func BenchmarkSemaphoreContended(b *testing.B) { benchRun(b, semaphoreContended) }
-
 // TestSchedulerAllocCeilings pins the allocations per op of the
 // benchmarks above: the heap allocations of Run divided by the number
 // of ops, not rounded, since an allocation every other op (a queue
@@ -131,7 +107,6 @@ func TestSchedulerAllocCeilings(t *testing.T) {
 		{"AfterCallback", afterChain, 0.05},
 		{"BatchWakeup", batchWakeup, 0.15},
 		{"FutureRoundTrip", futureRoundTrips, 2.05},
-		{"SemaphoreContended", semaphoreContended, 0.05},
 	} {
 		env := c.setup(n)
 		var before, after runtime.MemStats

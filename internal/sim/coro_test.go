@@ -41,16 +41,6 @@ func TestRunnableOrder(t *testing.T) {
 			}
 			env.After(time.Millisecond, func() { f.Set(0); log("S") })
 		}, "S W3 W1 W2"},
-		{"one Release, two acquirers, then a spawn", func(env *Env, log func(string)) {
-			sem := NewSemaphore(env, 0)
-			for _, n := range []string{"A1", "A2"} {
-				env.After(0, func() { sem.Acquire(1); log(n) })
-			}
-			env.After(time.Millisecond, func() {
-				sem.Release(2)
-				env.Go(func() { log("G") })
-			})
-		}, "G A1 A2"},
 		{"runnable before the next timer of the same instant", func(env *Env, log func(string)) {
 			env.After(time.Millisecond, func() {
 				env.Go(func() {
@@ -192,7 +182,6 @@ func TestMisusePanics(t *testing.T) {
 	const outside = "outside a simulation process"
 	mustPanic("Sleep from the set-up goroutine", outside, func() { env.Sleep(time.Millisecond) })
 	mustPanic("Future.Wait from the set-up goroutine", outside, func() { NewFuture[int](env).Wait() })
-	mustPanic("Semaphore.Acquire from the set-up goroutine", outside, func() { NewSemaphore(env, 0).Acquire(1) })
 	mustPanic("Queue.Recv from the set-up goroutine", outside, func() { NewQueue[int](env).Recv() })
 	mustPanic("WaitGroup.Wait from the set-up goroutine", outside, func() {
 		wg := NewWaitGroup(env)
@@ -203,7 +192,6 @@ func TestMisusePanics(t *testing.T) {
 		t.Errorf("a refused call left something behind: %v", env)
 	}
 	// What does not block needs no process.
-	NewSemaphore(env, 1).Acquire(1)
 	NewWaitGroup(env).Wait()
 	f := NewFuture[int](env)
 	f.Set(1)

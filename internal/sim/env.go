@@ -4,11 +4,10 @@
 // Every component of the OFC reproduction (FaaS platform, RAMCloud-like
 // cache, Swift-like object store, network and disks) runs as sim
 // processes: functions that only ever block through the primitives of
-// this package (Sleep, Future.Wait, Semaphore.Acquire, Queue.Recv,
-// WaitGroup.Wait). The clock advances only when every process is
-// blocked, which makes half-hour macro experiments complete in
-// milliseconds of host time while preserving the timing relationships
-// between components.
+// this package (Sleep, Future.Wait, Queue.Recv, WaitGroup.Wait). The
+// clock advances only when every process is blocked, which makes
+// half-hour macro experiments complete in milliseconds of host time
+// while preserving the timing relationships between components.
 //
 // A process is a runtime coroutine (iter.Pull), and exactly one runs at
 // any host instant — by construction, not by locking: nothing in this
@@ -59,11 +58,11 @@ type Time = time.Duration
 
 // timer is one thing that can be picked to run: a parked process (p) —
 // on the heap (Sleep, a WaitTimeout deadline), on the waiter list of a
-// Future, WaitGroup, Semaphore or Queue, or both at once — or a function
-// to host (fn): an After callback on the heap, a Go spawn in the
-// runnable queue. Timers are recycled per environment as soon as their
-// single wake has been delivered, so the steady-state event loop
-// allocates nothing.
+// Future, WaitGroup or Queue, or both at once — or a function to host
+// (fn): an After callback on the heap, a Go spawn in the runnable
+// queue. Timers are recycled per environment as soon as their single
+// wake has been delivered, so the steady-state event loop allocates
+// nothing.
 type timer struct {
 	at  Time
 	seq int64 // FIFO tie-break for equal timestamps
@@ -192,7 +191,7 @@ func (e *Env) takeFn(t *timer) func() {
 // waiter returns the timer the running process is about to park on.
 func (e *Env) waiter() *timer {
 	if e.cur == nil {
-		panic("sim: blocking call (Sleep, Wait, Acquire, Recv) outside a simulation process: nothing runs before Run, and only a function started by Go, After or Every can block")
+		panic("sim: blocking call (Sleep, Wait, Recv) outside a simulation process: nothing runs before Run, and only a function started by Go, After or Every can block")
 	}
 	w := e.newTimer()
 	w.p = e.cur

@@ -220,129 +220,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	env := NewEnv(1)
-	sem := NewSemaphore(env, 2)
-	var inflight, peak atomic.Int64
-	wg := NewWaitGroup(env)
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		env.Go(func() {
-			defer wg.Done()
-			sem.Acquire(1)
-			cur := inflight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			env.Sleep(10 * time.Millisecond)
-			inflight.Add(-1)
-			sem.Release(1)
-		})
-	}
-	env.Go(func() { wg.Wait() })
-	end := env.Run()
-	if peak.Load() > 2 {
-		t.Errorf("peak concurrency %d exceeds semaphore", peak.Load())
-	}
-	if end != 30*time.Millisecond { // 6 tasks, 2 at a time, 10ms each
-		t.Errorf("end=%v, want 30ms", end)
-	}
-}
-
-func TestSemaphoreFIFOOrder(t *testing.T) {
-	env := NewEnv(1)
-	sem := NewSemaphore(env, 1)
-	var order []int
-	env.Go(func() {
-		sem.Acquire(1)
-		env.Sleep(time.Millisecond)
-		sem.Release(1)
-	})
-	for i := 0; i < 4; i++ {
-		i := i
-		env.After(time.Duration(i+1)*time.Microsecond, func() {
-			sem.Acquire(1)
-			order = append(order, i)
-			sem.Release(1)
-		})
-	}
-	env.Run()
-	for i := 0; i < 4; i++ {
-		if order[i] != i {
-			t.Fatalf("order=%v, want FIFO", order)
-		}
-	}
-}
-
-// TestSemaphoreFIFOAcrossCompaction: two waves of waiters asking for
-// one to three permits. The second arrives once the first has been
-// granted past the middle of the queue, so Acquire compacts the
-// head-indexed queue while waiters are still in it; grants must still
-// follow arrival order. One Release can grant several waiters, which
-// then resume in the runnable queue's order, so the test compares grant
-// instants: no waiter is granted before one that arrived ahead of it.
-func TestSemaphoreFIFOAcrossCompaction(t *testing.T) {
-	env := NewEnv(1)
-	const permits, waiters = 3, 256
-	sem := NewSemaphore(env, permits)
-	var arrived []int
-	grantedAt := make([]Time, waiters)
-	compactions := 0
-	for i := 0; i < waiters; i++ {
-		at := time.Duration(i)
-		if i >= waiters/2 {
-			at += 600 * time.Microsecond
-		}
-		n := 1 + i%permits
-		env.After(at, func() {
-			if sem.head > len(sem.queue)/2 {
-				compactions++ // the queue is not empty, so this Acquire queues
-			}
-			arrived = append(arrived, i)
-			sem.Acquire(n)
-			grantedAt[i] = env.Now()
-			env.Sleep(10 * time.Microsecond)
-			sem.Release(n)
-		})
-	}
-	env.Run()
-	if compactions == 0 {
-		t.Fatal("no Acquire found the queue's head past its middle; the test no longer crosses a compaction")
-	}
-	if len(arrived) != waiters {
-		t.Fatalf("%d waiters arrived, want %d", len(arrived), waiters)
-	}
-	for k := 1; k < waiters; k++ {
-		if prev, cur := arrived[k-1], arrived[k]; grantedAt[cur] < grantedAt[prev] {
-			t.Fatalf("waiter %d granted at %v, before waiter %d that arrived ahead of it (%v)", cur, grantedAt[cur], prev, grantedAt[prev])
-		}
-	}
-	if sem.Available() != permits {
-		t.Fatalf("%d permits left, want %d", sem.Available(), permits)
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	env := NewEnv(1)
-	sem := NewSemaphore(env, 1)
-	env.Go(func() {
-		if !sem.TryAcquire(1) {
-			t.Error("first TryAcquire failed")
-		}
-		if sem.TryAcquire(1) {
-			t.Error("second TryAcquire succeeded")
-		}
-		sem.Release(1)
-		if sem.Available() != 1 {
-			t.Errorf("available=%d", sem.Available())
-		}
-	})
-	env.Run()
-}
-
 func TestQueueFIFO(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[int](env)
@@ -468,31 +345,6 @@ func TestPropertySleepDurations(t *testing.T) {
 		return ok && end == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: a semaphore of capacity c with n unit holders of equal
-// duration d finishes at ceil(n/c)*d.
-func TestPropertySemaphoreMakespan(t *testing.T) {
-	f := func(n8, c8 uint8) bool {
-		n := int(n8%20) + 1
-		c := int(c8%5) + 1
-		d := 3 * time.Millisecond
-		env := NewEnv(3)
-		sem := NewSemaphore(env, c)
-		for i := 0; i < n; i++ {
-			env.Go(func() {
-				sem.Acquire(1)
-				env.Sleep(d)
-				sem.Release(1)
-			})
-		}
-		end := env.Run()
-		rounds := (n + c - 1) / c
-		return end == time.Duration(rounds)*d
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

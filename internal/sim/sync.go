@@ -120,72 +120,6 @@ func (w *WaitGroup) Wait() {
 	w.env.park(p)
 }
 
-// Semaphore is a counted resource usable from simulation processes.
-// Acquire order is FIFO, which keeps resource contention deterministic.
-// The waiter queue is head-indexed, as Env.runq is: a grant advances
-// head instead of reslicing, so the backing array is reused rather than
-// reallocated by the next append, and Acquire compacts it once head has
-// passed half of it.
-type Semaphore struct {
-	env   *Env
-	avail int
-	queue []semWaiter
-	head  int // queue[:head] has been granted
-}
-
-type semWaiter struct {
-	n int
-	w *timer
-}
-
-// NewSemaphore returns a semaphore with the given number of permits.
-func NewSemaphore(env *Env, permits int) *Semaphore {
-	return &Semaphore{env: env, avail: permits}
-}
-
-// Acquire blocks the calling process until n permits are available and
-// takes them.
-func (s *Semaphore) Acquire(n int) {
-	if s.TryAcquire(n) {
-		return
-	}
-	w := s.env.waiter()
-	if s.head > len(s.queue)/2 {
-		k := copy(s.queue, s.queue[s.head:])
-		clear(s.queue[k:])
-		s.queue, s.head = s.queue[:k], 0
-	}
-	s.queue = append(s.queue, semWaiter{n: n, w: w})
-	s.env.park(w)
-}
-
-// TryAcquire takes n permits if immediately available.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if s.head == len(s.queue) && s.avail >= n {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
-// Release returns n permits and wakes queued acquirers in FIFO order.
-func (s *Semaphore) Release(n int) {
-	s.avail += n
-	for s.head < len(s.queue) && s.avail >= s.queue[s.head].n {
-		w := s.queue[s.head]
-		s.queue[s.head] = semWaiter{}
-		s.head++
-		s.avail -= w.n
-		s.env.wake(w.w)
-	}
-	if s.head == len(s.queue) {
-		s.queue, s.head = s.queue[:0], 0
-	}
-}
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
 // Queue is an unbounded FIFO channel for simulation processes. Send
 // never blocks; Recv blocks until an item is available.
 type Queue[T any] struct {

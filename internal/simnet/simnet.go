@@ -73,15 +73,15 @@ type Network struct {
 }
 
 // Node is one machine: a transmit NIC, a receive NIC and a disk, each a
-// FIFO resource.
+// FIFO resource held as the instant it next falls idle (see book).
 type Node struct {
 	ID   NodeID
 	Name string
 
 	net  *Network
-	tx   *sim.Semaphore
-	rx   *sim.Semaphore
-	disk *sim.Semaphore
+	tx   sim.Time
+	rx   sim.Time
+	disk sim.Time
 
 	// Traffic counters are atomics: every transfer charges two of them,
 	// so a stats mutex would serialize the whole data plane under -race.
@@ -115,9 +115,6 @@ func (n *Network) AddNode(name string) *Node {
 		ID:   NodeID(len(n.nodes)),
 		Name: name,
 		net:  n,
-		tx:   sim.NewSemaphore(n.env, 1),
-		rx:   sim.NewSemaphore(n.env, 1),
-		disk: sim.NewSemaphore(n.env, 1),
 	}
 	n.nodes = append(n.nodes, node)
 	snap := make([]*Node, len(n.nodes))
@@ -152,6 +149,23 @@ func (n *Network) txTime(size int64) time.Duration {
 	}
 	return time.Duration(float64(size) / n.cfg.Bandwidth * float64(time.Second))
 }
+
+// book reserves the FIFO resource whose next idle instant is *free for
+// d, starting now or when it falls idle, whichever is later, and
+// returns the instant the reservation ends. Callers book at the
+// instant the request reaches the resource — transmit at send, receive
+// at arrival, disk at request — with its service time known then, so a
+// reservation starts exactly when a FIFO server would start it
+// (Lindley's recursion). No process parks on a NIC or a disk: it sleeps
+// to the end of its booking instead.
+func (n *Network) book(free *sim.Time, d time.Duration) sim.Time {
+	start := max(n.env.Now(), *free)
+	*free = start + d
+	return *free
+}
+
+// sleepUntil blocks the calling process until the instant at.
+func (n *Network) sleepUntil(at sim.Time) { n.env.Sleep(at - n.env.Now()) }
 
 // Transfer moves size bytes from one node to another, blocking the
 // calling process for the full transfer duration. Same-node transfers
@@ -190,41 +204,21 @@ func (n *Network) TryTransfer(from, to NodeID, size int64) error {
 	}
 	lat := time.Duration(float64(n.cfg.LinkLatency) * lf.latFactor)
 
-	src.tx.Acquire(1)
-	n.env.Sleep(tx)
-	src.tx.Release(1)
-
-	n.env.Sleep(lat)
+	n.sleepUntil(n.book(&src.tx, tx) + lat)
 
 	// Each lost packet costs a timeout-free retransmission round: the
 	// peer's NACK (or the sender's fast-retransmit) travels back, and
 	// the payload is serialized and propagated again.
 	for i := 0; i < lf.retransmit; i++ {
 		n.env.Sleep(lat) // feedback to sender
-		src.tx.Acquire(1)
-		n.env.Sleep(tx)
-		src.tx.Release(1)
-		n.env.Sleep(lat) // resend propagation
+		n.sleepUntil(n.book(&src.tx, tx) + lat)
 	}
 
-	dst.rx.Acquire(1)
-	n.env.Sleep(tx)
-	dst.rx.Release(1)
+	n.sleepUntil(n.book(&dst.rx, tx))
 
 	src.bytesSent.Add(size)
 	dst.bytesRecv.Add(size)
 	return nil
-}
-
-// Call performs a synchronous RPC: the request payload travels from
-// caller to callee, serve runs (its virtual duration is whatever serve
-// itself spends), and the response travels back. It returns serve's
-// result.
-func Call[T any](n *Network, from, to NodeID, reqSize, respSize int64, serve func() T) T {
-	n.Transfer(from, to, reqSize)
-	v := serve()
-	n.Transfer(to, from, respSize)
-	return v
 }
 
 // TryCall is the fallible RPC path: if either leg of the round trip
@@ -247,11 +241,8 @@ func TryCall[T any](n *Network, from, to NodeID, reqSize, respSize int64, serve 
 // blocking the calling process.
 func (nd *Node) DiskRead(size int64) {
 	cfg := nd.net.cfg
-	slow := nd.net.diskFactor(nd.ID)
-	nd.disk.Acquire(1)
 	base := cfg.DiskReadLatency + time.Duration(float64(size)/cfg.DiskReadBandwidth*float64(time.Second))
-	nd.net.env.Sleep(time.Duration(float64(base) * slow))
-	nd.disk.Release(1)
+	nd.useDisk(base)
 	nd.diskRead.Add(size)
 }
 
@@ -259,12 +250,16 @@ func (nd *Node) DiskRead(size int64) {
 // blocking the calling process.
 func (nd *Node) DiskWrite(size int64) {
 	cfg := nd.net.cfg
-	slow := nd.net.diskFactor(nd.ID)
-	nd.disk.Acquire(1)
 	base := cfg.DiskWriteLatency + time.Duration(float64(size)/cfg.DiskWriteBandwidth*float64(time.Second))
-	nd.net.env.Sleep(time.Duration(float64(base) * slow))
-	nd.disk.Release(1)
+	nd.useDisk(base)
 	nd.diskWrite.Add(size)
+}
+
+// useDisk books the disk for an operation of base duration, stretched
+// by the node's current disk slowdown, and sleeps until it completes.
+func (nd *Node) useDisk(base time.Duration) {
+	n := nd.net
+	n.sleepUntil(n.book(&nd.disk, time.Duration(float64(base)*n.diskFactor(nd.ID))))
 }
 
 // Stats reports cumulative traffic counters for the node.

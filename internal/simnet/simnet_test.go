@@ -85,17 +85,18 @@ func TestCallRoundTrip(t *testing.T) {
 	n, a, b := testNet(env)
 	var took time.Duration
 	var got int
+	var err error
 	env.Go(func() {
 		start := env.Now()
-		got = Call(n, a.ID, b.ID, 100, 100, func() int {
+		got, err = TryCall(n, a.ID, b.ID, 100, 100, func() int {
 			env.Sleep(time.Millisecond) // service time
 			return 42
 		})
 		took = env.Now() - start
 	})
 	env.Run()
-	if got != 42 {
-		t.Fatalf("got %d", got)
+	if got != 42 || err != nil {
+		t.Fatalf("got %d, %v", got, err)
 	}
 	oneWay := 2*n.txTime(100) + n.Config().LinkLatency
 	want := 2*oneWay + time.Millisecond
