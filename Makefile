@@ -26,10 +26,12 @@ test:
 # that subsystem — on internal/core and internal/faas, which hold the
 # proxy, the control plane and the invoke path, on the storage engine
 # (internal/kvstore), its middleware (internal/store) and the
-# memory-control policies (internal/memctl), and on the scheduler
-# (internal/sim) and the fabric (internal/simnet) every run stands on.
-# Each floor is one covercheck pass over the same profile; all but the
-# first print only a failure.
+# memory-control policies (internal/memctl), on the scheduler
+# (internal/sim) and the fabric (internal/simnet) every run stands on,
+# and on the RSDS model (internal/objstore), overload control
+# (internal/overload), fault injection (internal/chaos) and the
+# statistics helpers (internal/metrics). Each floor is one covercheck
+# pass over the same profile; all but the first print only a failure.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
@@ -40,6 +42,10 @@ test-cover:
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/memctl -floor 83 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/sim -floor 92 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/simnet -floor 93 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/objstore -floor 86 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/overload -floor 90 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/chaos -floor 94 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/metrics -floor 40 > /dev/null
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to

@@ -74,10 +74,7 @@ type System struct {
 	Env      *sim.Env
 	Net      *simnet.Network
 	Platform *faas.Platform
-	// Backend is the storage engine the proxy runs on (the cluster, or
-	// the passthrough in CacheOff mode). KV is the concrete cluster for
-	// tests that poke engine internals; nil when CacheOff.
-	Backend store.Backend
+	// KV is the cache cluster; nil when CacheOff.
 	KV      *kvstore.Cluster
 	RSDS    *objstore.Store
 	Pred    *Predictor
@@ -123,17 +120,19 @@ func NewSystem(opts Options) *System {
 	rsds := objstore.New(net, storage, opts.RSDS)
 	platform := faas.New(net, ctrl, opts.FaaS)
 
-	var backend store.Backend
+	// The cluster is handed to each layer that works on it: the proxy,
+	// the cache agents and, as its placement view, the router. In
+	// cache-off mode there is none, and pv stays an untyped nil: a nil
+	// *kvstore.Cluster in it would be a view the router calls.
 	var kv *kvstore.Cluster
-	if opts.CacheOff {
-		backend = store.NewPassthrough(rsds)
-	} else {
+	var pv store.PlacementView
+	if !opts.CacheOff {
 		kv = kvstore.New(net, ctrl, opts.KV)
-		backend = kv
+		pv = kv
 	}
 
 	sys := &System{
-		Env: env, Net: net, Platform: platform, Backend: backend, KV: kv, RSDS: rsds,
+		Env: env, Net: net, Platform: platform, KV: kv, RSDS: rsds,
 		CtrlNode: ctrl, StorageNode: storage, WorkerNodes: workers,
 		seed: opts.Seed,
 	}
@@ -145,23 +144,21 @@ func NewSystem(opts Options) *System {
 		sys.Overload = newOverloadControl(sys, *opts.Overload)
 		res.Gate = storeRetryGate{sys.Overload.Budget}
 	}
-	sys.RC = NewRCLib(env, backend, rsds, platform, sys.Gov, res, opts)
+	sys.RC = NewRCLib(env, kv, rsds, platform, sys.Gov, res, opts)
 
-	mv, hasMem := store.MemoryViewOf(backend)
 	for _, w := range workers {
 		if kv != nil {
 			kv.AddServer(w, 0) // limit follows the cache grant
 		}
 		inv := platform.AddInvoker(w, opts.NodeCapacity, sys.RC)
-		if !opts.DisableCacheAgents && hasMem {
-			agent := NewCacheAgent(env, inv, mv, sys.RC, opts.Agent)
+		if !opts.DisableCacheAgents && kv != nil {
+			agent := NewCacheAgent(env, inv, kv, sys.RC, opts.Agent)
 			sys.Gov.Add(agent)
 			sys.agents = append(sys.agents, agent)
 		}
 	}
 
 	platform.Advisor = sys.Pred
-	pv, _ := store.PlacementViewOf(backend)
 	platform.Router = NewRouter(pv)
 	platform.Observer = sys
 	platform.Governor = sys.Gov

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ofc/internal/faas"
+	"ofc/internal/kvstore"
 	"ofc/internal/objstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
@@ -23,15 +24,16 @@ import (
 // the cache with a synchronous shadow placeholder in the RSDS and an
 // asynchronous Persistor function carrying the payload later.
 //
-// The proxy programs against store.Backend, never a concrete engine.
-// At construction it assembles its middleware stack over the engine it
-// was given:
+// The proxy's data plane programs against store.Backend. At
+// construction it assembles its middleware stack over the cache
+// cluster it was given:
 //
-//	Instrumented → Chunked (Options.Chunking only) → Resilient → engine
+//	Instrumented → Chunked (Options.Chunking only) → Resilient → cluster
 //
-// A Durable engine (the cache-off RSDS passthrough) skips the
-// Resilient layer and the whole shadow/persistor protocol: its writes
-// are durable on ack and its reads are not cache hits.
+// In cache-off mode (Options.CacheOff) the stack is Instrumented over
+// the RSDS passthrough, and the proxy skips the whole shadow/persistor
+// protocol: its writes are durable on ack and its reads are not cache
+// hits.
 type RCLib struct {
 	env  *sim.Env
 	rsds *objstore.Store
@@ -40,10 +42,10 @@ type RCLib struct {
 	// stack every data-plane op goes through.
 	base    store.Backend
 	be      store.Backend
-	resil   *store.Resilient // nil for durable engines
+	resil   *store.Resilient // nil in cache-off mode
 	inst    *store.Instrumented
-	pv      store.PlacementView // nil when the engine has no placement
-	durable bool
+	pv      store.PlacementView // nil in cache-off mode
+	durable bool                // Options.CacheOff
 
 	// The Persistor is itself a FaaS function injected into the
 	// platform.
@@ -116,18 +118,17 @@ type RCLib struct {
 	brownoutBypasses atomic.Int64
 }
 
-// NewRCLib builds the proxy over a storage engine and the RSDS and
-// registers its Persistor with the platform. Any store.Backend works:
-// *kvstore.Cluster for the paper configuration,
-// store.NewPassthrough(rsds) for cache-off mode. gov hears each
-// admission, res tunes the Resilient layer, and opts supplies
-// Chunking and RelaxedPrefixes.
-func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platform *faas.Platform,
+// NewRCLib builds the proxy over the cache cluster and the RSDS and
+// registers its Persistor with the platform. kv is unused, and may be
+// nil, when opts.CacheOff puts the proxy over the RSDS passthrough
+// instead. gov hears each admission, res tunes the Resilient layer, and
+// opts supplies Chunking and RelaxedPrefixes.
+func NewRCLib(env *sim.Env, kv *kvstore.Cluster, rsds *objstore.Store, platform *faas.Platform,
 	gov *Governor, res store.ResilienceConfig, opts Options) *RCLib {
 	rc := &RCLib{
 		env:               env,
 		rsds:              rsds,
-		base:              backend,
+		durable:           opts.CacheOff,
 		platform:          platform,
 		gov:               gov,
 		relaxed:           slices.Clone(opts.RelaxedPrefixes),
@@ -135,17 +136,21 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, platfor
 		pending:           make(map[string]*sim.Future[struct{}]),
 		persistRetryDelay: res.PersistRetryDelay,
 	}
-	rc.durable = store.IsDurable(backend)
-	rc.pv, _ = store.PlacementViewOf(backend)
 
-	// Assemble the middleware stack bottom-up.
-	b := backend
-	if !rc.durable {
-		rc.resil = store.NewResilient(env, b, res)
+	// Assemble the middleware stack bottom-up. Chunked stripes around
+	// the cluster's per-object ceiling, so it has no place over the
+	// passthrough, which has none.
+	var b store.Backend
+	if rc.durable {
+		rc.base = store.NewPassthrough(rsds)
+		b = rc.base
+	} else {
+		rc.base, rc.pv = kv, kv
+		rc.resil = store.NewResilient(env, kv, res)
 		b = rc.resil
-	}
-	if opts.Chunking {
-		b = store.NewChunked(b, store.DefaultChunkSize)
+		if opts.Chunking {
+			b = store.NewChunked(rc.resil, store.DefaultChunkSize)
+		}
 	}
 	rc.inst = store.NewInstrumented(env, b)
 	rc.be = rc.inst
@@ -183,14 +188,6 @@ func (rc *RCLib) Backend() store.Backend { return rc.be }
 // StoreStats reports the raw backend-operation counters from the
 // instrumentation middleware.
 func (rc *RCLib) StoreStats() store.OpStats { return rc.inst.Stats() }
-
-// BreakerState exposes one server's breaker for tests and debugging.
-func (rc *RCLib) BreakerState(node simnet.NodeID) (failures int, open bool) {
-	if rc.resil == nil {
-		return 0, false
-	}
-	return rc.resil.BreakerState(node)
-}
 
 // SetBrownout switches the proxy's degradation mode (see the brownout
 // field).
@@ -548,12 +545,6 @@ func (rc *RCLib) schedulePersist(node simnet.NodeID, key string, version uint64)
 			})
 		}
 	})
-}
-
-// Delete implements faas.Storage.
-func (rc *RCLib) Delete(caller simnet.NodeID, key string) error {
-	rc.be.Evict(key)
-	return rc.rsds.Delete(caller, key, false)
 }
 
 // isEphemeralKey reports whether key is a pipeline intermediate, by the

@@ -67,7 +67,7 @@ func TestGetHitStatsPathZeroAlloc(t *testing.T) {
 	// touch both take their full paths.
 	sys.Run(func() {
 		sys.KV.SetMemoryLimit(w, 1<<30)
-		if _, err := sys.Backend.Write(w, "img/hot", kvstore.Synthetic(4<<10), nil, w); err != nil {
+		if _, err := sys.KV.Write(w, "img/hot", kvstore.Synthetic(4<<10), nil, w); err != nil {
 			t.Fatalf("seed write: %v", err)
 		}
 	})
@@ -99,7 +99,7 @@ func TestGetHitAllocCeiling(t *testing.T) {
 	var allocs float64
 	sys.Run(func() {
 		sys.KV.SetMemoryLimit(w, 1<<30)
-		if _, err := sys.Backend.Write(w, "img/hot", kvstore.Synthetic(4<<10), nil, w); err != nil {
+		if _, err := sys.KV.Write(w, "img/hot", kvstore.Synthetic(4<<10), nil, w); err != nil {
 			t.Fatalf("seed write: %v", err)
 		}
 		allocs = testing.AllocsPerRun(10000, func() {

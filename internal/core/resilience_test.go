@@ -61,7 +61,7 @@ func TestGetFallsBackToRSDS(t *testing.T) {
 		}
 		// One Get exhausts MaxRetries+1 attempts = BreakerThreshold
 		// failures: the master's breaker is now open.
-		if _, open := sys.RC.BreakerState(victim); !open {
+		if _, open := sys.RC.resil.BreakerState(victim); !open {
 			t.Error("breaker not open after retry exhaustion")
 		}
 		if st.BreakerTrips != 1 {

@@ -22,11 +22,8 @@ func TestCacheOffSystem(t *testing.T) {
 	opts.CacheOff = true
 	sys := NewSystem(opts)
 
-	if sys.KV != nil {
-		t.Fatal("cache-off system must not build a cache cluster")
-	}
-	if !store.IsDurable(sys.Backend) {
-		t.Fatal("cache-off backend must be durable")
+	if sys.KV != nil || sys.RC.pv != nil || sys.Platform.Router.(*Router).pv != nil {
+		t.Fatal("cache-off system must build no cache cluster and no placement view")
 	}
 	if len(sys.Agents()) != 0 {
 		t.Fatalf("cache-off system has %d cache agents, want 0", len(sys.Agents()))
@@ -106,8 +103,7 @@ func TestRouterByteMajorityLocality(t *testing.T) {
 				t.Fatalf("stage %s: %v", s.key, err)
 			}
 		}
-		pv, _ := store.PlacementViewOf(sys.Backend)
-		r := NewRouter(pv)
+		r := NewRouter(sys.KV)
 		req := &faas.Request{Function: fn, InputKeys: []string{"in/a", "in/b", "in/c"}}
 		inv := r.Route(req, sys.Platform.Invokers(), nil)
 		if inv == nil {

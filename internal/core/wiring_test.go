@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"ofc/internal/faas"
@@ -11,33 +10,33 @@ import (
 )
 
 // TestOptionsWiring: what NewSystem builds is what Options says — the
-// proxy's middleware chain, whether a 40 MB cacheable final output is
-// striped, whether a write under "lazy/" leaves a shadow in the RSDS,
-// and whether overload control is installed.
+// proxy's middleware stack (Instrumented on top, Resilient over the
+// cluster or nothing over the passthrough, Chunked where a 40 MB
+// cacheable final output is striped), whether a write under "lazy/"
+// leaves a shadow in the RSDS, and whether overload control is
+// installed.
 func TestOptionsWiring(t *testing.T) {
+	const kv, rsds = "*kvstore.Cluster", "*store.Passthrough"
 	cases := []struct {
 		name        string
 		tune        func(*Options)
-		chain       string
+		engine      string
+		wantResil   bool
 		wantStriped bool
 		wantShadow  bool
 		wantOver    bool
 	}{
-		{"default", func(*Options) {},
-			"*store.Instrumented→*store.Resilient→*kvstore.Cluster", false, true, false},
-		{"CacheOff", func(o *Options) { o.CacheOff = true },
-			"*store.Instrumented→*store.Passthrough", false, false, false},
-		{"Chunking", func(o *Options) { o.Chunking = true },
-			"*store.Instrumented→*store.Chunked→*store.Resilient→*kvstore.Cluster", true, true, false},
-		{"RelaxedPrefixes", func(o *Options) { o.RelaxedPrefixes = []string{"lazy/"} },
-			"*store.Instrumented→*store.Resilient→*kvstore.Cluster", false, false, false},
+		{"default", func(*Options) {}, kv, true, false, true, false},
+		{"CacheOff", func(o *Options) { o.CacheOff = true }, rsds, false, false, false, false},
+		{"Chunking", func(o *Options) { o.Chunking = true }, kv, true, true, true, false},
+		{"RelaxedPrefixes", func(o *Options) { o.RelaxedPrefixes = []string{"lazy/"} }, kv, true, false, false, false},
 		{"Overload", func(o *Options) {
 			o.Overload = &OverloadConfig{
 				Admission:  overload.DefaultAdmissionConfig(),
 				Budget:     overload.DefaultBudgetConfig(),
 				Controller: overload.DefaultControllerConfig(),
 			}
-		}, "*store.Instrumented→*store.Resilient→*kvstore.Cluster", false, true, true},
+		}, kv, true, false, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -45,17 +44,18 @@ func TestOptionsWiring(t *testing.T) {
 			c.tune(&opts)
 			sys := NewSystem(opts)
 
-			var layers []string
-			for b := sys.RC.Backend(); b != nil; {
-				layers = append(layers, fmt.Sprintf("%T", b))
-				w, ok := b.(store.Wrapper)
-				if !ok {
-					break
-				}
-				b = w.Unwrap()
+			rc := sys.RC
+			if rc.Backend() != store.Backend(rc.inst) {
+				t.Errorf("top of the stack is %T, want the Instrumented layer", rc.Backend())
 			}
-			if got := strings.Join(layers, "→"); got != c.chain {
-				t.Errorf("middleware chain %s, want %s", got, c.chain)
+			if got := fmt.Sprintf("%T", rc.base); got != c.engine {
+				t.Errorf("engine %s, want %s", got, c.engine)
+			}
+			if got := rc.resil != nil; got != c.wantResil {
+				t.Errorf("Resilient layer present = %v, want %v", got, c.wantResil)
+			}
+			if got := rc.durable; got != (c.engine == rsds) {
+				t.Errorf("proxy durable = %v, want %v", got, !got)
 			}
 			if got := sys.Overload != nil; got != c.wantOver {
 				t.Errorf("sys.Overload set = %v, want %v", got, c.wantOver)

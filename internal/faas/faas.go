@@ -64,7 +64,6 @@ type PutOpts struct {
 type Storage interface {
 	Get(caller simnet.NodeID, key string, opts PutOpts) (Blob, error)
 	Put(caller simnet.NodeID, key string, blob Blob, opts PutOpts) error
-	Delete(caller simnet.NodeID, key string) error
 }
 
 // Function is a registered cloud function.

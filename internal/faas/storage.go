@@ -15,17 +15,11 @@ type backendStorage struct {
 	be store.Backend
 }
 
-// NewBackendStorage adapts any storage engine to the platform's
-// Storage interface.
-func NewBackendStorage(be store.Backend) Storage {
-	return &backendStorage{be: be}
-}
-
 // NewRSDSStorage binds function bodies directly to the RSDS (the
 // OWK-Swift configuration of §7.2) — the direct-passthrough engine
 // with nothing stacked on top.
 func NewRSDSStorage(st *objstore.Store) Storage {
-	return NewBackendStorage(store.NewPassthrough(st))
+	return &backendStorage{be: store.NewPassthrough(st)}
 }
 
 func (s *backendStorage) Get(caller simnet.NodeID, key string, _ PutOpts) (Blob, error) {
@@ -36,10 +30,6 @@ func (s *backendStorage) Get(caller simnet.NodeID, key string, _ PutOpts) (Blob,
 func (s *backendStorage) Put(caller simnet.NodeID, key string, blob Blob, _ PutOpts) error {
 	_, err := s.be.Write(caller, key, blob, nil, caller)
 	return err
-}
-
-func (s *backendStorage) Delete(caller simnet.NodeID, key string) error {
-	return s.be.Delete(caller, key)
 }
 
 // imocStorage is the OWK-Redis baseline: all data lives in a
@@ -60,10 +50,5 @@ func (s *imocStorage) Get(caller simnet.NodeID, key string, _ PutOpts) (Blob, er
 
 func (s *imocStorage) Put(caller simnet.NodeID, key string, blob Blob, _ PutOpts) error {
 	s.cache.Set(caller, key, blob)
-	return nil
-}
-
-func (s *imocStorage) Delete(caller simnet.NodeID, key string) error {
-	s.cache.Del(caller, key)
 	return nil
 }

@@ -176,7 +176,7 @@ func TestSetTagPropagatesToReplicas(t *testing.T) {
 		if n := c.RecoverNode(1); n != 1 {
 			t.Fatalf("recovered %d", n)
 		}
-		m, err := c.Stat(2, "k")
+		_, m, err := c.Read(2, "k")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,8 +112,8 @@ func TestNotFound(t *testing.T) {
 		if _, _, err := c.Read(1, "missing"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("err=%v", err)
 		}
-		if err := c.Delete(1, "missing"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("delete err=%v", err)
+		if err := c.Evict("missing"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("evict err=%v", err)
 		}
 	})
 }
@@ -141,26 +141,6 @@ func TestNoSpace(t *testing.T) {
 		}
 		if _, err := c.Write(1, "b", Synthetic(900<<10), nil, 1); !errors.Is(err, ErrNoSpace) {
 			t.Errorf("err=%v, want ErrNoSpace", err)
-		}
-	})
-}
-
-func TestDeleteFreesMemory(t *testing.T) {
-	run(t, func(env *sim.Env, c *Cluster) {
-		c.Write(1, "k", Synthetic(5<<20), nil, 1)
-		used, _ := c.Server(1).Usage()
-		if used != 5<<20 {
-			t.Fatalf("used=%d", used)
-		}
-		if err := c.Delete(1, "k"); err != nil {
-			t.Fatal(err)
-		}
-		used, _ = c.Server(1).Usage()
-		if used != 0 {
-			t.Errorf("used=%d after delete", used)
-		}
-		if _, _, err := c.Read(1, "k"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("read after delete: %v", err)
 		}
 	})
 }
@@ -379,14 +359,14 @@ func TestSetTag(t *testing.T) {
 		if err := c.SetTag(1, "k", "dirty", "1"); err != nil {
 			t.Fatal(err)
 		}
-		m, err := c.Stat(1, "k")
+		_, m, err := c.Read(1, "k")
 		if err != nil || m.Tags["dirty"] != "1" {
-			t.Errorf("stat=%+v err=%v", m, err)
+			t.Errorf("meta=%+v err=%v", m, err)
 		}
 	})
 }
 
-// TestMetaIsSnapshotAcrossSetTag: a Meta from Read, Stat or Objects is a
+// TestMetaIsSnapshotAcrossSetTag: a Meta from Read or Objects is a
 // snapshot, and a tag map is immutable once written. A SetTag must
 // neither change the tags of a Meta a caller already holds (the
 // eviction sweep and the memory census read dirty from such snapshots)
@@ -403,10 +383,6 @@ func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stat, err := c.Stat(1, "a")
-		if err != nil {
-			t.Fatal(err)
-		}
 		var census Meta
 		for _, o := range c.Objects(1) {
 			if o.Key == "a" {
@@ -416,7 +392,7 @@ func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 		if err := c.SetTag(1, "a", "dirty", "0"); err != nil {
 			t.Fatal(err)
 		}
-		for name, m := range map[string]Meta{"Read": read, "Stat": stat, "Objects": census} {
+		for name, m := range map[string]Meta{"Read": read, "Objects": census} {
 			if m.Tags["dirty"] != "1" {
 				t.Errorf("%s before SetTag now says dirty=%q, want the snapshot's 1", name, m.Tags["dirty"])
 			}
@@ -424,10 +400,10 @@ func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 		if shared["dirty"] != "1" {
 			t.Errorf("SetTag wrote into the writer's map: dirty=%q", shared["dirty"])
 		}
-		if m, _ := c.Stat(1, "a"); m.Tags["dirty"] != "0" {
+		if _, m, _ := c.Read(1, "a"); m.Tags["dirty"] != "0" {
 			t.Errorf("a after SetTag: dirty=%q, want 0", m.Tags["dirty"])
 		}
-		if m, _ := c.Stat(1, "b"); m.Tags["dirty"] != "1" {
+		if _, m, _ := c.Read(1, "b"); m.Tags["dirty"] != "1" {
 			t.Errorf("b shares a's written map and changed with it: dirty=%q, want 1", m.Tags["dirty"])
 		}
 	})

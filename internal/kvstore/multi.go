@@ -223,9 +223,9 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 // replicateShare per backup server. Only a write that never reached the
 // master's log (its payload transfer failed, or it did not fit) undoes
 // the placement this operation made (speculative): an object the master
-// logged keeps its placement, or Evict and Delete could not reach its
-// bytes. An accepted item reports the first of its backups to fail, in
-// placement order, else the ack's failure.
+// logged keeps its placement, or Evict could not reach its bytes. An
+// accepted item reports the first of its backups to fail, in placement
+// order, else the ack's failure.
 func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps []placement, speculative []bool, idxs []int, out []WriteResult) {
 	// fail reports err for the whole share; undo also drops the
 	// placements this operation made.

@@ -64,38 +64,6 @@ func (c *Cluster) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	return r.Blob, r.Meta, nil
 }
 
-// Stat returns the metadata of key without moving the payload.
-func (c *Cluster) Stat(caller simnet.NodeID, key string) (Meta, error) {
-	p, ok, lerr := c.lookup(caller, key)
-	if lerr != nil {
-		return Meta{}, lerr
-	}
-	if !ok {
-		return Meta{}, ErrNotFound
-	}
-	s := c.Server(p.master)
-	if s == nil {
-		return Meta{}, ErrNoSuchServer
-	}
-	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, p.master, c.cfg.ControlMsgSize); err != nil {
-		return Meta{}, err
-	}
-	c.env().Sleep(c.cfg.ServeOverhead)
-	s.mu.Lock()
-	o, found := s.log.get(key)
-	if !found || s.crashed {
-		s.mu.Unlock()
-		return Meta{}, ErrNotFound
-	}
-	meta := o.meta
-	s.mu.Unlock()
-	if err := c.net.TryTransfer(p.master, caller, c.cfg.ControlMsgSize); err != nil {
-		return Meta{}, err
-	}
-	return meta, nil
-}
-
 // SetTag updates one metadata tag on the master copy and its
 // same-version replicas, each of which gets a modified copy of its tags
 // (see Meta.Tags).
@@ -156,27 +124,6 @@ func withTag(tags map[string]string, tag, value string) map[string]string {
 	}
 	out[tag] = value
 	return out
-}
-
-// Delete removes key from the store (master and backups).
-func (c *Cluster) Delete(caller simnet.NodeID, key string) error {
-	p, ok, lerr := c.lookup(caller, key)
-	if lerr != nil {
-		return lerr
-	}
-	if !ok {
-		return ErrNotFound
-	}
-	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, p.master, c.cfg.ControlMsgSize); err != nil {
-		return err
-	}
-	c.dropLocal(p, key)
-	c.placeDelete(key)
-	if err := c.net.TryTransfer(p.master, caller, c.cfg.ControlMsgSize); err != nil {
-		return err
-	}
-	return nil
 }
 
 // dropLocal erases key's copies without network charges (the master

@@ -15,7 +15,7 @@ import (
 // times.
 func resilientReads(tb testing.TB, n int) *sim.Env {
 	env := sim.NewEnv(1)
-	kv, caller := mkKV(env)
+	kv, caller := newKV(env)
 	r := store.NewResilient(env, kv, store.DefaultResilienceConfig())
 	env.Go(func() {
 		if _, err := r.Write(caller, "k", store.Blob{Size: 64 << 10}, nil, caller); err != nil {

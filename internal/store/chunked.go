@@ -32,9 +32,10 @@ type chunkManifest struct {
 // without knowing they are striped.
 //
 // The faithful-paper configuration leaves the layer out of the stack
-// altogether (core.Options.Chunking).
+// altogether (core.Options.Chunking); the proxy stacks it only over the
+// cache engine, whose per-object ceiling is what it stripes around.
 type Chunked struct {
-	inner     Backend
+	inner     BatchBackend
 	chunkSize int64
 
 	mu        sync.Mutex
@@ -42,7 +43,7 @@ type Chunked struct {
 }
 
 // NewChunked wraps inner with the striping layer.
-func NewChunked(inner Backend, chunkSize int64) *Chunked {
+func NewChunked(inner BatchBackend, chunkSize int64) *Chunked {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -52,9 +53,6 @@ func NewChunked(inner Backend, chunkSize int64) *Chunked {
 		manifests: make(map[string]chunkManifest),
 	}
 }
-
-// Unwrap implements Wrapper.
-func (c *Chunked) Unwrap() Backend { return c.inner }
 
 func chunkKey(key string, i int) string { return fmt.Sprintf("%s#%d", key, i) }
 
@@ -70,8 +68,10 @@ func (c *Chunked) manifest(key string) (chunkManifest, bool) {
 func (c *Chunked) MaxObjectSize() int64 { return 1 << 50 }
 
 // Write implements Backend. Oversized payloads are striped through the
-// batch path (one bulk round per involved server); a failed stripe
-// aborts the whole write and evicts the pieces already placed.
+// batch path (one bulk round per involved server). Whatever the key held
+// before goes: the stripes of an older, longer object past the new
+// count, and a plain copy a striped object replaces. A failed stripe
+// aborts the whole write and leaves the key uncached.
 func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
 	if blob.Size <= c.inner.MaxObjectSize() {
 		// Overwriting a previously striped key with a small payload
@@ -97,16 +97,17 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 			Tags: stripeTags,
 		})
 	}
-	res := WriteMulti(c.inner, caller, items, preferred)
+	res := c.inner.WriteMulti(caller, items, preferred)
 	var version uint64
 	for i, r := range res {
 		if r.Err != nil {
-			// Abort: drop the stripes that did land.
+			// Abort: drop the stripes that did land, then the old object.
 			for j := range res {
 				if res[j].Err == nil {
 					c.inner.Evict(items[j].Key)
 				}
 			}
+			c.Evict(key)
 			return 0, res[i].Err
 		}
 		if r.Version > version {
@@ -114,8 +115,13 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 		}
 	}
 	c.mu.Lock()
+	old := c.manifests[key]
 	c.manifests[key] = chunkManifest{n: n, size: blob.Size, version: version, tags: tags}
 	c.mu.Unlock()
+	for i := n; i < old.n; i++ {
+		c.inner.Evict(chunkKey(key, i))
+	}
+	c.inner.Evict(key)
 	return version, nil
 }
 
@@ -132,7 +138,7 @@ func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 		keys[i] = chunkKey(key, i)
 	}
 	var total int64
-	for _, r := range ReadMulti(c.inner, caller, keys) {
+	for _, r := range c.inner.ReadMulti(caller, keys) {
 		if r.Err != nil {
 			return Blob{}, Meta{}, r.Err
 		}
@@ -148,14 +154,6 @@ func (c *Chunked) synthMeta(key string) Meta {
 	defer c.mu.Unlock()
 	m := c.manifests[key]
 	return Meta{Size: m.size, Version: m.version, Tags: m.tags}
-}
-
-// Stat implements Backend.
-func (c *Chunked) Stat(caller simnet.NodeID, key string) (Meta, error) {
-	if _, ok := c.manifest(key); ok {
-		return c.synthMeta(key), nil
-	}
-	return c.inner.Stat(caller, key)
 }
 
 // SetTag implements Backend: for striped objects the logical tags live
@@ -186,15 +184,6 @@ func (c *Chunked) dropStripes(key string, n int) {
 	c.mu.Lock()
 	delete(c.manifests, key)
 	c.mu.Unlock()
-}
-
-// Delete implements Backend.
-func (c *Chunked) Delete(caller simnet.NodeID, key string) error {
-	if m, ok := c.manifest(key); ok {
-		c.dropStripes(key, m.n)
-		return nil
-	}
-	return c.inner.Delete(caller, key)
 }
 
 // Evict implements Backend: evicting a striped object drops every

@@ -15,21 +15,18 @@ import (
 // proxy policy (hit/miss accounting lives in the proxy; this layer
 // sees the physical traffic).
 type OpStats struct {
-	Reads, Writes   int64
-	ReadErrs        int64
-	WriteErrs       int64
-	Evicts, Deletes int64
-	BytesRead       int64
-	BytesWritten    int64
+	Reads, Writes int64
+	ReadErrs      int64
+	WriteErrs     int64
+	BytesRead     int64
+	BytesWritten  int64
 	// The batch counters count nothing: the proxy never batches
 	// through the top of its stack (the chunking layer batches on the
-	// layer below it), so Instrumented has no ReadMulti/WriteMulti.
-	// They stay because benchmark/layers.go reads them; a benchmark
-	// change may drop them.
-	BatchReads      int64
-	BatchReadKeys   int64
-	BatchWrites     int64
-	BatchWriteItems int64
+	// layer below it), so Instrumented has no ReadMulti. They stay
+	// because benchmark/layers.go reads them; a benchmark change may
+	// drop them.
+	BatchReads    int64
+	BatchReadKeys int64
 }
 
 // Instrumented counts every operation crossing the backend boundary.
@@ -56,9 +53,6 @@ const latencyWindow = 512
 func NewInstrumented(env *sim.Env, inner Backend) *Instrumented {
 	return &Instrumented{inner: inner, env: env}
 }
-
-// Unwrap implements Wrapper.
-func (n *Instrumented) Unwrap() Backend { return n.inner }
 
 // Stats snapshots the counters.
 func (n *Instrumented) Stats() OpStats {
@@ -118,28 +112,10 @@ func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, tags m
 	return ver, err
 }
 
-func (n *Instrumented) Stat(caller simnet.NodeID, key string) (Meta, error) {
-	return n.inner.Stat(caller, key)
-}
-
 func (n *Instrumented) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	return n.inner.SetTag(caller, key, tag, value)
 }
 
-func (n *Instrumented) Delete(caller simnet.NodeID, key string) error {
-	err := n.inner.Delete(caller, key)
-	n.mu.Lock()
-	n.s.Deletes++
-	n.mu.Unlock()
-	return err
-}
-
-func (n *Instrumented) Evict(key string) error {
-	err := n.inner.Evict(key)
-	n.mu.Lock()
-	n.s.Evicts++
-	n.mu.Unlock()
-	return err
-}
+func (n *Instrumented) Evict(key string) error { return n.inner.Evict(key) }
 
 func (n *Instrumented) MaxObjectSize() int64 { return n.inner.MaxObjectSize() }

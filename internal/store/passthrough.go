@@ -10,10 +10,9 @@ import (
 
 // Passthrough is the cache-off backend: every operation goes straight
 // to the RSDS. It turns the old "cache disabled" if-branches into a
-// Backend implementation — the proxy stack is identical, only the
-// engine differs. Writes are durable on ack (Durable), so the proxy
-// skips shadows and persistors; Evict is a no-op because nothing is
-// cached.
+// Backend implementation. Writes are durable on ack, so the proxy built
+// over it (core.Options.CacheOff) skips shadows and persistors; Evict
+// is a no-op because nothing is cached.
 type Passthrough struct {
 	rsds *objstore.Store
 }
@@ -22,12 +21,6 @@ type Passthrough struct {
 func NewPassthrough(rsds *objstore.Store) *Passthrough {
 	return &Passthrough{rsds: rsds}
 }
-
-// DurableWrites implements Durable.
-func (p *Passthrough) DurableWrites() bool { return true }
-
-// RSDS exposes the underlying object store.
-func (p *Passthrough) RSDS() *objstore.Store { return p.rsds }
 
 // mapErr translates objstore sentinels to the store vocabulary.
 func mapErr(err error) error {
@@ -43,14 +36,9 @@ func (p *Passthrough) Read(caller simnet.NodeID, key string) (Blob, Meta, error)
 	if err != nil {
 		return Blob{}, Meta{}, mapErr(err)
 	}
-	return blob, p.meta(m), nil
-}
-
-// meta converts the RSDS metadata to the cache-tier shape. The user
-// metadata doubles as the tag map, so tags written through this
-// backend round-trip.
-func (p *Passthrough) meta(m objstore.Meta) Meta {
-	return Meta{Size: m.Size, Version: m.PersistedVersion, Tags: m.UserMeta}
+	// The user metadata doubles as the tag map, so tags written through
+	// this backend round-trip.
+	return blob, Meta{Size: m.Size, Version: m.PersistedVersion, Tags: m.UserMeta}, nil
 }
 
 // Write implements Backend. The preferred node is ignored: the RSDS
@@ -59,24 +47,10 @@ func (p *Passthrough) Write(caller simnet.NodeID, key string, blob Blob, tags ma
 	return p.rsds.Put(caller, key, blob, tags, false), nil
 }
 
-// Stat implements Backend.
-func (p *Passthrough) Stat(caller simnet.NodeID, key string) (Meta, error) {
-	m, err := p.rsds.Head(caller, key)
-	if err != nil {
-		return Meta{}, mapErr(err)
-	}
-	return p.meta(m), nil
-}
-
 // SetTag implements Backend by rewriting the object's user metadata in
 // place (a metadata-only POST; no payload moves, no version bump).
 func (p *Passthrough) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	return mapErr(p.rsds.SetUserMeta(key, tag, value))
-}
-
-// Delete implements Backend.
-func (p *Passthrough) Delete(caller simnet.NodeID, key string) error {
-	return mapErr(p.rsds.Delete(caller, key, false))
 }
 
 // Evict implements Backend: nothing is cached, so there is nothing to

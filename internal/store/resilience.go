@@ -108,15 +108,15 @@ type ResilienceStats struct {
 	BudgetDenied int64
 }
 
-// Resilient wraps a Backend's Read and Write with per-attempt
+// Resilient wraps a BatchBackend's Read and Write with per-attempt
 // timeouts, bounded jittered retry and per-server circuit breakers —
 // the graceful-degradation layer that used to live inside RCLib.
 // Metadata ops and the batch paths pass through untouched (batch ops
 // carry their own fallback semantics in the chunking layer above).
 type Resilient struct {
-	inner Backend
+	inner BatchBackend
 	env   *sim.Env
-	pv    PlacementView // breaker target resolution; may be nil
+	pv    PlacementView // breaker target resolution; nil when inner has no placement
 	cfg   ResilienceConfig
 
 	// free holds answered call records for reuse (see call). Only
@@ -132,8 +132,9 @@ type Resilient struct {
 	denied   int64
 }
 
-// NewResilient wraps inner with the degradation layer.
-func NewResilient(env *sim.Env, inner Backend, cfg ResilienceConfig) *Resilient {
+// NewResilient wraps inner with the degradation layer. Its breakers key
+// on the master of each op's key when inner is a PlacementView.
+func NewResilient(env *sim.Env, inner BatchBackend, cfg ResilienceConfig) *Resilient {
 	r := &Resilient{
 		inner:    inner,
 		env:      env,
@@ -141,12 +142,9 @@ func NewResilient(env *sim.Env, inner Backend, cfg ResilienceConfig) *Resilient 
 		rng:      env.NewRand(),
 		breakers: make(map[simnet.NodeID]*breaker),
 	}
-	r.pv, _ = PlacementViewOf(inner)
+	r.pv, _ = inner.(PlacementView)
 	return r
 }
-
-// Unwrap implements Wrapper.
-func (r *Resilient) Unwrap() Backend { return r.inner }
 
 // Stats snapshots the degradation counters.
 func (r *Resilient) Stats() ResilienceStats {
@@ -362,20 +360,11 @@ func (r *Resilient) Write(caller simnet.NodeID, key string, blob Blob, tags map[
 }
 
 // The remaining ops pass through: they are either local bookkeeping
-// (Evict), tiny control messages whose failure the callers already
-// tolerate (Stat, SetTag, Delete), or batch paths with their own
-// failure semantics.
-
-func (r *Resilient) Stat(caller simnet.NodeID, key string) (Meta, error) {
-	return r.inner.Stat(caller, key)
-}
+// (Evict), a tiny control message whose failure the callers already
+// tolerate (SetTag), or batch paths with their own failure semantics.
 
 func (r *Resilient) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	return r.inner.SetTag(caller, key, tag, value)
-}
-
-func (r *Resilient) Delete(caller simnet.NodeID, key string) error {
-	return r.inner.Delete(caller, key)
 }
 
 func (r *Resilient) Evict(key string) error { return r.inner.Evict(key) }
@@ -384,10 +373,10 @@ func (r *Resilient) MaxObjectSize() int64 { return r.inner.MaxObjectSize() }
 
 // ReadMulti implements BatchBackend via the inner engine's batch path.
 func (r *Resilient) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	return ReadMulti(r.inner, caller, keys)
+	return r.inner.ReadMulti(caller, keys)
 }
 
 // WriteMulti implements BatchBackend via the inner engine's batch path.
 func (r *Resilient) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	return WriteMulti(r.inner, caller, items, preferred)
+	return r.inner.WriteMulti(caller, items, preferred)
 }

@@ -36,15 +36,12 @@ var (
 )
 
 // Backend is the data-plane contract: per-object reads and writes with
-// caller locality, tag metadata, and an explicit cache-tier Evict
-// (Delete removes the object everywhere; Evict only drops a cached
-// copy and is a no-op for durable backends).
+// caller locality, tag metadata, and an explicit cache-tier Evict, which
+// only drops a cached copy and is a no-op for durable backends.
 type Backend interface {
 	Read(caller simnet.NodeID, key string) (Blob, Meta, error)
 	Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error)
-	Stat(caller simnet.NodeID, key string) (Meta, error)
 	SetTag(caller simnet.NodeID, key, tag, value string) error
-	Delete(caller simnet.NodeID, key string) error
 	Evict(key string) error
 	// MaxObjectSize is the per-object ceiling; larger payloads must be
 	// handled above the backend (bypass or chunking middleware).
@@ -52,9 +49,9 @@ type Backend interface {
 }
 
 // BatchBackend is implemented by engines with native multi-object
-// operations (one control round-trip per involved server). Use the
-// package-level ReadMulti/WriteMulti helpers to get a per-key fallback
-// against backends without it.
+// operations (one control round-trip per involved server). The layers
+// that batch (Chunked, and Resilient below it) take one as their inner
+// backend.
 type BatchBackend interface {
 	Backend
 	ReadMulti(caller simnet.NodeID, keys []string) []ReadResult
@@ -78,96 +75,4 @@ type MemoryView interface {
 	Objects(node simnet.NodeID) []ObjectInfo
 	Evict(key string) error
 	MigrateToBackup(key string) error
-}
-
-// Durable marks a backend whose acknowledged writes are already
-// persistent (e.g. the RSDS passthrough). The proxy skips the whole
-// shadow-object / asynchronous-Persistor protocol for such backends,
-// and its reads do not count as cache hits.
-type Durable interface {
-	DurableWrites() bool
-}
-
-// Wrapper is implemented by middleware so capability discovery can
-// walk down to the engine.
-type Wrapper interface {
-	Unwrap() Backend
-}
-
-// unwrapFind walks b's Unwrap chain calling probe on each layer until
-// it returns true.
-func unwrapFind(b Backend, probe func(Backend) bool) bool {
-	for b != nil {
-		if probe(b) {
-			return true
-		}
-		w, ok := b.(Wrapper)
-		if !ok {
-			return false
-		}
-		b = w.Unwrap()
-	}
-	return false
-}
-
-// PlacementViewOf finds the placement capability anywhere in b's
-// middleware chain.
-func PlacementViewOf(b Backend) (PlacementView, bool) {
-	var pv PlacementView
-	found := unwrapFind(b, func(l Backend) bool {
-		v, ok := l.(PlacementView)
-		if ok {
-			pv = v
-		}
-		return ok
-	})
-	return pv, found
-}
-
-// MemoryViewOf finds the memory-control capability anywhere in b's
-// middleware chain.
-func MemoryViewOf(b Backend) (MemoryView, bool) {
-	var mv MemoryView
-	found := unwrapFind(b, func(l Backend) bool {
-		v, ok := l.(MemoryView)
-		if ok {
-			mv = v
-		}
-		return ok
-	})
-	return mv, found
-}
-
-// IsDurable reports whether any layer of b declares durable writes.
-func IsDurable(b Backend) bool {
-	return unwrapFind(b, func(l Backend) bool {
-		d, ok := l.(Durable)
-		return ok && d.DurableWrites()
-	})
-}
-
-// ReadMulti fetches keys through b's native batch path when available,
-// else per key.
-func ReadMulti(b Backend, caller simnet.NodeID, keys []string) []ReadResult {
-	if bb, ok := b.(BatchBackend); ok {
-		return bb.ReadMulti(caller, keys)
-	}
-	out := make([]ReadResult, len(keys))
-	for i, k := range keys {
-		out[i].Blob, out[i].Meta, out[i].Err = b.Read(caller, k)
-	}
-	return out
-}
-
-// WriteMulti stores items through b's native batch path when
-// available, else per item.
-func WriteMulti(b Backend, caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	if bb, ok := b.(BatchBackend); ok {
-		return bb.WriteMulti(caller, items, preferred)
-	}
-	out := make([]WriteResult, len(items))
-	for i, it := range items {
-		out[i].Version, out[i].Err = b.Write(caller, it.Key, it.Blob, it.Tags, preferred)
-	}
-	return out
 }

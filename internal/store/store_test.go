@@ -14,8 +14,8 @@ import (
 	"ofc/internal/store/conformance"
 )
 
-// mkKV builds a 4-node RAMCloud-like cluster backend.
-func mkKV(env *sim.Env) (store.Backend, simnet.NodeID) {
+// newKV builds a 4-node RAMCloud-like cluster.
+func newKV(env *sim.Env) (*kvstore.Cluster, simnet.NodeID) {
 	net := simnet.New(env, simnet.DefaultConfig())
 	for i := 0; i < 4; i++ {
 		net.AddNode("n")
@@ -26,6 +26,9 @@ func mkKV(env *sim.Env) (store.Backend, simnet.NodeID) {
 	}
 	return c, 1
 }
+
+// mkKV is newKV as a conformance.Factory.
+func mkKV(env *sim.Env) (store.Backend, simnet.NodeID) { return newKV(env) }
 
 // mkPassthrough builds the direct-RSDS cache-off backend.
 func mkPassthrough(env *sim.Env) (store.Backend, simnet.NodeID) {
@@ -48,7 +51,7 @@ func TestPassthroughConformance(t *testing.T) {
 // the backend contract — middleware is transparent.
 func TestMiddlewareStackConformance(t *testing.T) {
 	mk := func(env *sim.Env) (store.Backend, simnet.NodeID) {
-		inner, caller := mkKV(env)
+		inner, caller := newKV(env)
 		res := store.NewResilient(env, inner, store.DefaultResilienceConfig())
 		ch := store.NewChunked(res, store.DefaultChunkSize)
 		return store.NewInstrumented(env, ch), caller
@@ -56,40 +59,16 @@ func TestMiddlewareStackConformance(t *testing.T) {
 	conformance.Run(t, mk, conformance.Traits{CacheTier: true})
 }
 
-func TestCapabilityDiscovery(t *testing.T) {
-	env := sim.NewEnv(1)
-	kv, _ := mkKV(env)
-	stack := store.NewInstrumented(env, store.NewChunked(store.NewResilient(env, kv, store.DefaultResilienceConfig()), 0))
-	if pv, ok := store.PlacementViewOf(stack); !ok || pv == nil {
-		t.Fatal("placement view not found through middleware chain")
-	}
-	if mv, ok := store.MemoryViewOf(stack); !ok || mv == nil {
-		t.Fatal("memory view not found through middleware chain")
-	}
-	if store.IsDurable(stack) {
-		t.Fatal("cache cluster must not be durable")
-	}
-
-	pt, _ := mkPassthrough(env)
-	if !store.IsDurable(pt) {
-		t.Fatal("passthrough must be durable")
-	}
-	if _, ok := store.PlacementViewOf(pt); ok {
-		t.Fatal("passthrough must not expose a placement view")
-	}
-	if _, ok := store.MemoryViewOf(pt); ok {
-		t.Fatal("passthrough must not expose a memory view")
-	}
-}
-
 // TestChunkedStriping checks the striping middleware end to end:
 // oversized writes land as "key#i" stripes, reads reassemble, logical
-// tags ride the manifest, and Evict drops every stripe.
+// tags ride the manifest, and Evict drops every stripe. A striped
+// overwrite leaves nothing of the old object in the cache: not the
+// surplus stripes of a longer one, not a plain copy, and not the old
+// object when the overwrite fails.
 func TestChunkedStriping(t *testing.T) {
 	env := sim.NewEnv(1)
-	kvb, caller := mkKV(env)
-	kv := kvb.(*kvstore.Cluster)
-	ch := store.NewChunked(kvb, store.DefaultChunkSize)
+	kv, caller := newKV(env)
+	ch := store.NewChunked(kv, store.DefaultChunkSize)
 	env.Go(func() {
 		const size = 25 << 20 // 4 stripes of 8 MB
 		tags := map[string]string{"kind": "final", "dirty": "1", "version": "7"}
@@ -125,6 +104,47 @@ func TestChunkedStriping(t *testing.T) {
 		if _, _, err := ch.Read(caller, "big/obj"); err == nil {
 			t.Fatal("read after evict must fail")
 		}
+
+		write := func(key string, size int64) error {
+			_, err := ch.Write(caller, key, store.Blob{Size: size}, map[string]string{"size": fmt.Sprint(size)}, caller)
+			return err
+		}
+		// 4 stripes, then 2: a#2 and a#3 must go.
+		if err := errors.Join(write("a", 25<<20), write("a", 12<<20)); err != nil {
+			t.Fatalf("striped overwrite: %v", err)
+		}
+		for i := 2; i < 4; i++ {
+			if _, ok := kv.MasterOf(fmt.Sprintf("a#%d", i)); ok {
+				t.Errorf("stripe a#%d outlived a shorter overwrite", i)
+			}
+		}
+		// A plain object, then a striped one: once the manifest is
+		// evicted, the plain copy must not be served.
+		if err := errors.Join(write("b", 1<<20), write("b", 25<<20), ch.Evict("b")); err != nil {
+			t.Fatalf("plain then striped: %v", err)
+		}
+		if blob, meta, err := ch.Read(caller, "b"); err == nil {
+			t.Errorf("read after evict served a stale %d-byte object tagged %v", blob.Size, meta.Tags)
+		}
+		// A striped write that fails takes the old object with it.
+		if err := write("c", 1<<20); err != nil {
+			t.Fatalf("plain write: %v", err)
+		}
+		for i := simnet.NodeID(0); i < 4; i++ {
+			kv.SetMemoryLimit(i, 4<<20)
+		}
+		if err := write("c", 25<<20); err == nil {
+			t.Fatal("striped write into 4 MB servers succeeded")
+		}
+		if blob, _, err := ch.Read(caller, "c"); err == nil {
+			t.Errorf("failed overwrite left the old %d-byte object readable", blob.Size)
+		}
+		for _, k := range []string{"a", "b", "c"} {
+			ch.Evict(k)
+		}
+		if used := kv.TotalUsed(); used != 0 {
+			t.Errorf("%d bytes stay mastered after every key is evicted", used)
+		}
 	})
 	env.Run()
 }
@@ -133,7 +153,7 @@ func TestChunkedStriping(t *testing.T) {
 // delays[i-1] with a blob of size i, so that every answer names the
 // call that produced it. It implements nothing else.
 type scriptedReads struct {
-	store.Backend
+	store.BatchBackend
 	env    *sim.Env
 	delays []time.Duration
 	calls  int
@@ -189,11 +209,10 @@ func TestResilientRecyclesOnlyAnsweredCalls(t *testing.T) {
 // ops against a crashed cluster trip the breaker and fail fast.
 func TestResilientBreaker(t *testing.T) {
 	env := sim.NewEnv(1)
-	kvb, caller := mkKV(env)
-	kv := kvb.(*kvstore.Cluster)
+	kv, caller := newKV(env)
 	cfg := store.DefaultResilienceConfig()
 	cfg.MaxRetries = 0
-	res := store.NewResilient(env, kvb, cfg)
+	res := store.NewResilient(env, kv, cfg)
 	env.Go(func() {
 		if _, err := res.Write(caller, "k", store.Blob{Size: 1 << 10}, nil, caller); err != nil {
 			t.Fatalf("healthy write: %v", err)
