@@ -28,10 +28,13 @@ test:
 # (internal/kvstore), its middleware (internal/store) and the
 # memory-control policies (internal/memctl), on the scheduler
 # (internal/sim) and the fabric (internal/simnet) every run stands on,
-# and on the RSDS model (internal/objstore), overload control
+# on the RSDS model (internal/objstore), overload control
 # (internal/overload), fault injection (internal/chaos) and the
-# statistics helpers (internal/metrics). Each floor is one covercheck
-# pass over the same profile; all but the first print only a failure.
+# statistics helpers (internal/metrics), and on the in-memory object
+# cache baseline (internal/imoc), the invariant checker
+# (internal/lint), the decision trees (internal/mltree) and the
+# evaluation workloads (internal/workload). Each floor is one covercheck pass over the same
+# profile; all but the first print only a failure.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
@@ -46,6 +49,10 @@ test-cover:
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/overload -floor 90 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/chaos -floor 94 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/metrics -floor 40 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/imoc -floor 97 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/lint -floor 91 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/mltree -floor 92 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/workload -floor 88 > /dev/null
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to

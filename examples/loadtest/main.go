@@ -36,7 +36,7 @@ func main() {
 		fn := su.Build(spec, name, booked)
 		sys.Register(fn)
 		sys.Trainer.Pretrain(fn, workload.TrainingSamples(spec, fn, pool, 300, rng, sys.RSDS.Profile()))
-		fl.AddFunctionTenant(name, spec, fn, pool, 20*time.Second, false)
+		fl.AddFunctionTenant(name, spec, fn, pool, 20*time.Second)
 	}
 
 	const window = 10 * time.Minute

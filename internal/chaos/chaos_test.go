@@ -12,7 +12,7 @@ import (
 func testNet(t *testing.T) (*sim.Env, *simnet.Network, simnet.NodeID, simnet.NodeID) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	a := net.AddNode("a").ID
 	b := net.AddNode("b").ID
 	return env, net, a, b
@@ -141,7 +141,7 @@ func TestInjectorDegradeAndDiskEvents(t *testing.T) {
 func TestInjectorDeterministicReplay(t *testing.T) {
 	runOnce := func() []string {
 		env := sim.NewEnv(1)
-		net := simnet.New(env, simnet.DefaultConfig())
+		net := simnet.New(env)
 		a := net.AddNode("a").ID
 		b := net.AddNode("b").ID
 		sched := NewSchedule().KillRotation(time.Second, time.Second, 500*time.Millisecond, a, b)

@@ -14,36 +14,43 @@ import (
 	"ofc/internal/trace"
 )
 
-// CacheAgentConfig tunes the per-node agent (§6.3, §6.4).
+// The per-node agent's fixed parameters, from the paper (§6.3, §6.4).
+const (
+	// initialSlack is the provisioned slack pool (paper: 100 MB).
+	initialSlack int64 = 100 << 20
+	// churnWindow is the number of samples in the sliding window.
+	churnWindow = 5
+	// minSlack and maxSlack clamp the slack estimators.
+	minSlack int64 = 64 << 20
+	maxSlack int64 = 1 << 30
+	// minAccess is the §6.3 eviction criterion n_access < 5 (with
+	// CacheAgentConfig.MaxIdle).
+	minAccess int64 = 5
+	// growEvery is the background growth cadence (growth also runs
+	// after every completed invocation on the node).
+	growEvery = 5 * time.Second
+	// poolReconfigTime is the asynchronous RAMCloud memory-pool
+	// reconfiguration cost per scaling operation (off the critical
+	// path; Table 2 sums it).
+	poolReconfigTime = 300 * time.Millisecond
+	// shrinkBaseNoEvict and shrinkBaseEvict are the critical-path
+	// costs of a cache shrink without data movement (Figure 8 Sc1:
+	// ≈289 µs) and of an eviction-based shrink (Sc3: ≈373 µs).
+	shrinkBaseNoEvict = 289 * time.Microsecond
+	shrinkBaseEvict   = 373 * time.Microsecond
+)
+
+// CacheAgentConfig tunes the per-node agent (§6.3, §6.4): the policy
+// and the cadences -exp policies varies.
 type CacheAgentConfig struct {
-	// InitialSlack is the provisioned slack pool (paper: 100 MB).
-	InitialSlack int64
 	// SlackAdjustEvery and ChurnSampleEvery drive the sliding-window
 	// slack estimation (paper: 120 s and 60 s).
 	SlackAdjustEvery time.Duration
 	ChurnSampleEvery time.Duration
-	// ChurnWindow is the number of samples in the sliding window.
-	ChurnWindow int
-	MinSlack    int64
-	MaxSlack    int64
 	// EvictionEvery is the periodic eviction cadence (paper: 300 s).
 	EvictionEvery time.Duration
-	// MinAccess and MaxIdle are the §6.3 eviction criteria
-	// (n_access < 5 or idle > 30 min).
-	MinAccess int64
-	MaxIdle   time.Duration
-	// GrowEvery is the background growth cadence (growth also runs
-	// after every completed invocation on the node).
-	GrowEvery time.Duration
-	// PoolReconfigTime is the asynchronous RAMCloud memory-pool
-	// reconfiguration cost per scaling operation (off the critical
-	// path; Table 2 sums it).
-	PoolReconfigTime time.Duration
-	// ShrinkBaseNoEvict and ShrinkBaseEvict are the critical-path
-	// costs of a cache shrink without data movement (Figure 8 Sc1:
-	// ≈289 µs) and of an eviction-based shrink (Sc3: ≈373 µs).
-	ShrinkBaseNoEvict time.Duration
-	ShrinkBaseEvict   time.Duration
+	// MaxIdle is the §6.3 idleness eviction criterion (idle > 30 min).
+	MaxIdle time.Duration
 	// Policy selects the memctl eviction × slack combination; zero-value
 	// fields mean the paper's defaults (threshold eviction, window
 	// slack).
@@ -53,19 +60,10 @@ type CacheAgentConfig struct {
 // DefaultCacheAgentConfig returns the paper's parameters.
 func DefaultCacheAgentConfig() CacheAgentConfig {
 	return CacheAgentConfig{
-		InitialSlack:      100 << 20,
-		SlackAdjustEvery:  120 * time.Second,
-		ChurnSampleEvery:  60 * time.Second,
-		ChurnWindow:       5,
-		MinSlack:          64 << 20,
-		MaxSlack:          1 << 30,
-		EvictionEvery:     300 * time.Second,
-		MinAccess:         5,
-		MaxIdle:           30 * time.Minute,
-		GrowEvery:         5 * time.Second,
-		PoolReconfigTime:  300 * time.Millisecond,
-		ShrinkBaseNoEvict: 289 * time.Microsecond,
-		ShrinkBaseEvict:   373 * time.Microsecond,
+		SlackAdjustEvery: 120 * time.Second,
+		ChurnSampleEvery: 60 * time.Second,
+		EvictionEvery:    300 * time.Second,
+		MaxIdle:          30 * time.Minute,
 	}
 }
 
@@ -73,13 +71,13 @@ func DefaultCacheAgentConfig() CacheAgentConfig {
 // floor is one eviction period, exactly the pre-refactor grace window.
 func (c CacheAgentConfig) memctlParams() memctl.Params {
 	return memctl.Params{
-		MinAccess:   c.MinAccess,
+		MinAccess:   minAccess,
 		MaxIdle:     c.MaxIdle,
 		AgeFloor:    c.EvictionEvery,
-		MinSlack:    c.MinSlack,
-		MaxSlack:    c.MaxSlack,
-		ChurnWindow: c.ChurnWindow,
-		StaticSlack: c.InitialSlack,
+		MinSlack:    minSlack,
+		MaxSlack:    maxSlack,
+		ChurnWindow: churnWindow,
+		StaticSlack: initialSlack,
 		HighWater:   memctl.DefaultParams().HighWater,
 	}
 }
@@ -147,7 +145,7 @@ func NewCacheAgent(env *sim.Env, inv *faas.Invoker, kv store.MemoryView, rc *RCL
 	return &CacheAgent{
 		env: env, node: inv.Node(), inv: inv, kv: kv, rc: rc, cfg: cfg,
 		pol:   memctl.MustBuild(cfg.Policy, cfg.memctlParams()),
-		slack: cfg.InitialSlack, lastReserved: inv.Reserved(),
+		slack: initialSlack, lastReserved: inv.Reserved(),
 	}
 }
 
@@ -172,7 +170,7 @@ func (a *CacheAgent) Metrics() AgentMetrics {
 // eviction. It also performs the initial grant.
 func (a *CacheAgent) Start() {
 	a.Grow()
-	a.env.Every(a.cfg.GrowEvery, func() bool {
+	a.env.Every(growEvery, func() bool {
 		a.Grow()
 		return true
 	})
@@ -243,7 +241,7 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 	a.mu.Lock()
 	if up {
 		a.metrics.ScaleUps++
-		a.metrics.ScaleUpTime += a.cfg.PoolReconfigTime
+		a.metrics.ScaleUpTime += poolReconfigTime
 	} else {
 		switch {
 		case migrated > 0:
@@ -253,10 +251,10 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 		default:
 			a.metrics.ScaleDownNoEviction++
 		}
-		a.metrics.ScaleDownTime += a.cfg.PoolReconfigTime
+		a.metrics.ScaleDownTime += poolReconfigTime
 	}
 	a.mu.Unlock()
-	a.env.Go(func() { a.env.Sleep(a.cfg.PoolReconfigTime) })
+	a.env.Go(func() { a.env.Sleep(poolReconfigTime) })
 }
 
 // view captures the eviction policy's inputs for this node: census,
@@ -424,9 +422,9 @@ func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 	case migrated > 0:
 		// Promotion time was already charged by MigrateToBackup.
 	case evicted > 0:
-		a.env.Sleep(a.cfg.ShrinkBaseEvict)
+		a.env.Sleep(shrinkBaseEvict)
 	default:
-		a.env.Sleep(a.cfg.ShrinkBaseNoEvict)
+		a.env.Sleep(shrinkBaseNoEvict)
 	}
 
 	if migrated > 0 {

@@ -122,7 +122,7 @@ func synthSamples(schema *FeatureSchema, n int, seed int64) []Sample {
 
 func TestOnlineMaturation(t *testing.T) {
 	env := sim.NewEnv(1)
-	pred := NewPredictor(DefaultPredictorConfig())
+	pred := NewPredictor()
 	trainer := NewModelTrainer(pred, env)
 	fn := &faas.Function{Name: "blur", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	schema := pred.Schema(fn)
@@ -162,7 +162,7 @@ func TestOnlineMaturation(t *testing.T) {
 }
 
 func TestImmatureModelGivesNoAdvice(t *testing.T) {
-	pred := NewPredictor(DefaultPredictorConfig())
+	pred := NewPredictor()
 	fn := &faas.Function{Name: "f", Tenant: "t", InputType: "image", MemoryBooked: 1 << 30}
 	adv := pred.Advise(&faas.Request{Function: fn})
 	if adv.Use || adv.ShouldCache {
@@ -172,7 +172,7 @@ func TestImmatureModelGivesNoAdvice(t *testing.T) {
 
 func TestPretrainMaturesImmediately(t *testing.T) {
 	env := sim.NewEnv(1)
-	pred := NewPredictor(DefaultPredictorConfig())
+	pred := NewPredictor()
 	trainer := NewModelTrainer(pred, env)
 	fn := &faas.Function{Name: "g", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 300, 7))
@@ -519,7 +519,7 @@ func TestSlackAdjustsToChurn(t *testing.T) {
 	inv := sys.Platform.Invokers()[0]
 	agent := NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, cfg)
 	sys.Run(func() {
-		if agent.Slack() != cfg.InitialSlack {
+		if agent.Slack() != initialSlack {
 			t.Errorf("initial slack=%d", agent.Slack())
 		}
 		// Churn: a 700MB sandbox comes and goes between samples.
@@ -758,7 +758,7 @@ func TestTrainerPostMaturationDatasetPolicy(t *testing.T) {
 	// §5.3.3: after maturation, only underpredictions and wildly-over
 	// predictions re-enter the training set.
 	env := sim.NewEnv(1)
-	pred := NewPredictor(DefaultPredictorConfig())
+	pred := NewPredictor()
 	trainer := NewModelTrainer(pred, env)
 	fn := &faas.Function{Name: "pol", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 300, 7))
@@ -797,7 +797,7 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 	}
 	// A fresh controller (new Predictor) imports the models and gives
 	// identical advice.
-	fresh := NewPredictor(DefaultPredictorConfig())
+	fresh := NewPredictor()
 	if err := fresh.ImportModel(fn, data); err != nil {
 		t.Fatal(err)
 	}

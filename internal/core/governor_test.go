@@ -97,8 +97,8 @@ func TestAgentPolicySwap(t *testing.T) {
 		}
 		// The static estimator reports the provisioned slack immediately.
 		agent.adjustSlack()
-		if got := agent.Slack(); got != cfg.InitialSlack {
-			t.Errorf("static slack = %d, want %d", got, cfg.InitialSlack)
+		if got := agent.Slack(); got != initialSlack {
+			t.Errorf("static slack = %d, want %d", got, initialSlack)
 		}
 		sys.Env.Stop()
 	})

@@ -24,11 +24,9 @@ type Options struct {
 	// cache.
 	NodeCapacity int64
 	Seed         int64
-	Net          simnet.Config
 	FaaS         faas.Config
 	KV           kvstore.Config
 	RSDS         objstore.Profile
-	Predictor    PredictorConfig
 	Agent        CacheAgentConfig
 	// DisableCacheAgents leaves cache grants at zero (for tests that
 	// drive grants manually).
@@ -59,11 +57,9 @@ func DefaultOptions() Options {
 		Workers:      4,
 		NodeCapacity: 8 << 30,
 		Seed:         1,
-		Net:          simnet.DefaultConfig(),
 		FaaS:         faas.DefaultConfig(),
 		KV:           kvstore.DefaultConfig(),
 		RSDS:         objstore.SwiftProfile(),
-		Predictor:    DefaultPredictorConfig(),
 		Agent:        DefaultCacheAgentConfig(),
 	}
 }
@@ -109,7 +105,7 @@ func NewSystem(opts Options) *System {
 		opts.Workers = 4
 	}
 	env := sim.NewEnv(opts.Seed)
-	net := simnet.New(env, opts.Net)
+	net := simnet.New(env)
 	ctrl := net.AddNode("controller").ID
 	storage := net.AddNode("storage").ID
 	workers := make([]simnet.NodeID, opts.Workers)
@@ -136,7 +132,7 @@ func NewSystem(opts Options) *System {
 		CtrlNode: ctrl, StorageNode: storage, WorkerNodes: workers,
 		seed: opts.Seed,
 	}
-	sys.Pred = NewPredictor(opts.Predictor)
+	sys.Pred = NewPredictor()
 	sys.Trainer = NewModelTrainer(sys.Pred, env)
 	sys.Gov = NewGovernor()
 	res := store.DefaultResilienceConfig()

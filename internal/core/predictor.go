@@ -77,48 +77,33 @@ type modelState struct {
 	lastCheck    int
 }
 
-// PredictorConfig tunes the ML module.
-type PredictorConfig struct {
-	Intervals Intervals
-	// MinInvocations before the first maturation check (paper: 100).
-	MinInvocations int
-	// CheckEvery is the re-check cadence (in invocations) before
+// The ML module's parameters, from the paper.
+const (
+	// minInvocations before the first maturation check (paper: 100).
+	minInvocations = 100
+	// checkEvery is the re-check cadence (in invocations) before
 	// maturation.
-	CheckEvery int
-	// EOTarget and UnderWithinOneTarget are the §5.3 criteria.
-	EOTarget             float64
-	UnderWithinOneTarget float64
-	// CVFolds used for the maturation evaluation.
-	CVFolds int
-	// OverPredictionSlack is how far above truth (in intervals) a
+	checkEvery = 25
+	// eoTarget and underWithinOneTarget are the §5.3 criteria.
+	eoTarget             = 0.90
+	underWithinOneTarget = 0.50
+	// cvFolds used for the maturation evaluation.
+	cvFolds = 5
+	// overPredictionSlack is how far above truth (in intervals) a
 	// prediction must be before it re-enters the training set after
 	// maturation (paper: 6).
-	OverPredictionSlack int
-	// UnderWeight is the extra weight of underprediction samples.
-	UnderWeight float64
-	// Seed feeds the CV shuffles.
-	Seed int64
-}
-
-// DefaultPredictorConfig returns the paper's parameters.
-func DefaultPredictorConfig() PredictorConfig {
-	return PredictorConfig{
-		Intervals:            DefaultIntervals(),
-		MinInvocations:       100,
-		CheckEvery:           25,
-		EOTarget:             0.90,
-		UnderWithinOneTarget: 0.50,
-		CVFolds:              5,
-		OverPredictionSlack:  6,
-		UnderWeight:          2,
-	}
-}
+	overPredictionSlack = 6
+	// underWeight is the extra weight of underprediction samples.
+	underWeight = 2.0
+	// trainEvery is the virtual-time retraining period.
+	trainEvery = 60 * time.Second
+)
 
 // Predictor serves memory and caching-benefit predictions on the
 // invocation critical path (§5.1, §5.2) and owns the per-function
 // model states the ModelTrainer updates.
 type Predictor struct {
-	cfg PredictorConfig
+	intervals Intervals
 
 	// memo aggregates advice-cache hit/miss/invalidation counts across
 	// all functions (lock-free; reporting reads a coherent snapshot).
@@ -133,8 +118,8 @@ type Predictor struct {
 }
 
 // NewPredictor returns an empty predictor.
-func NewPredictor(cfg PredictorConfig) *Predictor {
-	return &Predictor{cfg: cfg, models: make(map[string]*modelState)}
+func NewPredictor() *Predictor {
+	return &Predictor{intervals: DefaultIntervals(), models: make(map[string]*modelState)}
 }
 
 // state returns (creating if needed) the model state for fn.
@@ -147,7 +132,7 @@ func (p *Predictor) state(fn *faas.Function) *modelState {
 		st = &modelState{
 			fn:             fn,
 			schema:         schema,
-			memData:        mltree.NewDataset(schema.Attributes(), p.cfg.Intervals.ClassNames()),
+			memData:        mltree.NewDataset(schema.Attributes(), p.intervals.ClassNames()),
 			benefitData:    mltree.NewDataset(schema.Attributes(), []string{"no", "yes"}),
 			memLearner:     mltree.NewJ48(),
 			benefitLearner: mltree.NewJ48(),
@@ -214,7 +199,7 @@ func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 	p.memo.Miss()
 	sp.SetNum("memo", 0)
 
-	adv = st.adviseLocked(p.cfg.Intervals, vals)
+	adv = st.adviseLocked(p.intervals, vals)
 	if st.advCache == nil || len(st.advCache) >= advCacheMax {
 		st.advCache = make(map[string]faas.Advice)
 	}
@@ -289,24 +274,21 @@ func (p *Predictor) Schema(fn *faas.Function) *FeatureSchema {
 type ModelTrainer struct {
 	p   *Predictor
 	env *sim.Env
-	// TrainEvery is the virtual-time retraining period.
-	TrainEvery time.Duration
 }
 
 // NewModelTrainer wires a trainer to the predictor. Call Start to arm
 // the periodic retraining loop, or rely on per-observation triggers.
 func NewModelTrainer(p *Predictor, env *sim.Env) *ModelTrainer {
-	return &ModelTrainer{p: p, env: env, TrainEvery: 60 * time.Second}
+	return &ModelTrainer{p: p, env: env}
 }
 
 // Observe records one completed invocation for fn.
 func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
-	cfg := t.p.cfg
 	st := t.p.state(fn)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.invocations++
-	trueClass := cfg.Intervals.ClassOf(s.PeakMem)
+	trueClass := t.p.intervals.ClassOf(s.PeakMem)
 
 	addMem := true
 	weight := 1.0
@@ -317,8 +299,8 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 		pred := st.memModel.Classify(s.Vals)
 		switch {
 		case pred < trueClass:
-			weight = cfg.UnderWeight
-		case pred-trueClass > cfg.OverPredictionSlack:
+			weight = underWeight
+		case pred-trueClass > overPredictionSlack:
 			weight = 1
 		default:
 			addMem = false
@@ -339,8 +321,8 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 
 	// Pre-maturation: retrain + re-check at the configured cadence.
 	if !st.mature {
-		if st.invocations >= cfg.MinInvocations && st.invocations-st.lastCheck >= 0 &&
-			(st.invocations == cfg.MinInvocations || st.invocations-st.lastCheck >= cfg.CheckEvery) {
+		if st.invocations >= minInvocations && st.invocations-st.lastCheck >= 0 &&
+			(st.invocations == minInvocations || st.invocations-st.lastCheck >= checkEvery) {
 			st.lastCheck = st.invocations
 			t.trainLocked(st)
 			if t.matureCheckLocked(st) {
@@ -404,12 +386,11 @@ func (t *ModelTrainer) trainLocked(st *modelState) {
 // matureCheckLocked evaluates the §5.3 criteria by cross-validation
 // over the training set.
 func (t *ModelTrainer) matureCheckLocked(st *modelState) bool {
-	cfg := t.p.cfg
-	if st.memData.Len() < cfg.MinInvocations {
+	if st.memData.Len() < minInvocations {
 		return false
 	}
-	conf := mltree.CrossValidate(mltree.NewJ48(), st.memData, cfg.CVFolds, cfg.Seed+int64(st.invocations))
-	return conf.EOAccuracy() >= cfg.EOTarget && conf.UnderWithinOne() >= cfg.UnderWithinOneTarget
+	conf := mltree.CrossValidate(mltree.NewJ48(), st.memData, cvFolds, int64(st.invocations))
+	return conf.EOAccuracy() >= eoTarget && conf.UnderWithinOne() >= underWithinOneTarget
 }
 
 // Pretrain matures fn's models from an offline dataset (the paper's
@@ -421,7 +402,7 @@ func (t *ModelTrainer) Pretrain(fn *faas.Function, samples []Sample) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, s := range samples {
-		st.memData.Add(s.Vals, t.p.cfg.Intervals.ClassOf(s.PeakMem))
+		st.memData.Add(s.Vals, t.p.intervals.ClassOf(s.PeakMem))
 		if s.BenefitKnown {
 			label := 0
 			if s.BenefitLabel() {
@@ -439,7 +420,7 @@ func (t *ModelTrainer) Pretrain(fn *faas.Function, samples []Sample) {
 // Start arms the periodic retraining loop (paper: the ModelTrainer
 // "periodically retrains all memory prediction models").
 func (t *ModelTrainer) Start() {
-	t.env.Every(t.TrainEvery, func() bool {
+	t.env.Every(trainEvery, func() bool {
 		t.p.mu.Lock()
 		// Retrain in sorted function order: each state's training is
 		// independent, but a fixed sequence keeps any future shared

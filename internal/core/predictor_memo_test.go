@@ -11,7 +11,7 @@ import (
 // pretrained on n synthetic samples.
 func memoFixture(t testing.TB, n int, seed int64) (*Predictor, *ModelTrainer, *faas.Function) {
 	t.Helper()
-	pred := NewPredictor(DefaultPredictorConfig())
+	pred := NewPredictor()
 	trainer := NewModelTrainer(pred, sim.NewEnv(1))
 	fn := &faas.Function{Name: "blur", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), n, seed))
@@ -27,7 +27,7 @@ func recompute(p *Predictor, req *faas.Request) faas.Advice {
 	st := p.state(req.Function)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.adviseLocked(p.cfg.Intervals, st.schema.VectorInto(req, nil))
+	return st.adviseLocked(p.intervals, st.schema.VectorInto(req, nil))
 }
 
 func memoReq(fn *faas.Function, width float64) *faas.Request {

@@ -40,7 +40,7 @@ func TestRetrainRefitsOnlyTheGrownDataset(t *testing.T) {
 
 	fed := 0
 	for _, s := range synthSamples(pred.Schema(fn), 300, 7) {
-		if class := pred.state(fn).memModel.Classify(s.Vals); class != pred.cfg.Intervals.ClassOf(s.PeakMem) {
+		if class := pred.state(fn).memModel.Classify(s.Vals); class != pred.intervals.ClassOf(s.PeakMem) {
 			continue
 		}
 		trainer.Observe(fn, &faas.Request{Function: fn}, s)
@@ -97,7 +97,7 @@ func TestImportThenRetrainReplacesImportedModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := func(imported bool) []byte {
-		pred := NewPredictor(DefaultPredictorConfig())
+		pred := NewPredictor()
 		trainer := NewModelTrainer(pred, sim.NewEnv(1))
 		trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 100, 5))
 		if imported {
@@ -121,7 +121,7 @@ func TestImportThenRetrainReplacesImportedModels(t *testing.T) {
 // retrains (the benchmark's predictor.retrains): skipping a refit must
 // not skip the retrain's generation bump.
 func TestRetrainCountOnFixedStream(t *testing.T) {
-	pred := NewPredictor(DefaultPredictorConfig())
+	pred := NewPredictor()
 	trainer := NewModelTrainer(pred, sim.NewEnv(1))
 	fn := &faas.Function{Name: "blur", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	for i, s := range synthSamples(pred.Schema(fn), 600, 42) {

@@ -26,19 +26,20 @@ type triggerRule struct {
 
 // Triggers dispatches object-creation events to functions.
 type Triggers struct {
-	sys *System
-	mu  sync.Mutex
-	// ExtractionCost is the synchronous feature-extraction charge on
-	// the trigger path (§5.1.2).
-	ExtractionCost time.Duration
-	extractor      FeatureExtractor
-	rules          []triggerRule
-	fired          int64
+	sys       *System
+	mu        sync.Mutex
+	extractor FeatureExtractor
+	rules     []triggerRule
+	fired     int64
 }
+
+// extractionCost is the synchronous feature-extraction charge on the
+// trigger path (§5.1.2).
+const extractionCost = 5 * time.Millisecond
 
 // NewTriggers wires the trigger dispatcher to the system's RSDS.
 func NewTriggers(sys *System, extractor FeatureExtractor) *Triggers {
-	t := &Triggers{sys: sys, extractor: extractor, ExtractionCost: 5 * time.Millisecond}
+	t := &Triggers{sys: sys, extractor: extractor}
 	sys.RSDS.OnCreated(func(key string, size int64) {
 		t.dispatch(key, size)
 	})
@@ -77,7 +78,7 @@ func (t *Triggers) dispatch(key string, size int64) {
 			// Synchronous feature extraction on the trigger path
 			// (§5.1.2): the object was not pre-annotated, so the
 			// platform reads its metadata now.
-			t.sys.Env.Sleep(t.ExtractionCost)
+			t.sys.Env.Sleep(extractionCost)
 			var features map[string]float64
 			if t.extractor != nil {
 				features = t.extractor(key, size)

@@ -271,7 +271,7 @@ func AblationKeepAlive(seed int64) *Table {
 		sys.Trainer.Pretrain(fn, workload.TrainingSamples(spec, fn, pool, 300, rng, sys.RSDS.Profile()))
 		fl := workload.NewFaaSLoad(sys.Env, sys.Platform, seed+3)
 		// Arrivals sparser than the shortest keep-alive: 2.5-minute mean.
-		fl.AddFunctionTenant("ka", spec, fn, pool, 150*time.Second, false)
+		fl.AddFunctionTenant("ka", spec, fn, pool, 150*time.Second)
 		var peakGrant int64
 		sys.Env.SetHorizon(32 * time.Minute)
 		sys.Start()

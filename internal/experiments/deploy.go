@@ -106,7 +106,7 @@ func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 		d.Writer = workload.RSDSWriter{Suite: su, Store: sys.RSDS, Node: sys.CtrlNode}
 	default:
 		env := sim.NewEnv(cfg.Seed)
-		net := simnet.New(env, simnet.DefaultConfig())
+		net := simnet.New(env)
 		ctrl := net.AddNode("controller").ID
 		storage := net.AddNode("storage").ID
 		store := objstore.New(net, storage, cfg.RSDS)

@@ -166,10 +166,10 @@ func Constants(seed int64) *Table {
 	t.Add("shadow-object persist", "≈11ms", shadow)
 
 	// cgroup/docker resize (configured constant, charged async).
-	t.Add("cgroup+docker resize", "≈24ms", d2.Platform.Config().ResizeLatency)
+	t.Add("cgroup+docker resize", "≈24ms", faas.ResizeLatency)
 
 	// Predictor+Sizer critical-path overhead (configured).
-	t.Add("Predictor+Sizer overhead", "≈6ms", d2.Platform.Config().AdviceOverhead)
+	t.Add("Predictor+Sizer overhead", "≈6ms", faas.AdviceOverhead)
 
 	// Promotion of one 8 MB object.
 	d3 := NewDeployment(ModeOFC, DefaultDeploy())

@@ -54,7 +54,7 @@ func runFig8Cell(spec *workload.Spec, size int64, scen string, seed int64) Figur
 	pool := workload.NewInputPool(rng, "image", fmt.Sprintf("f8/%s/%d", scen, size), []int64{size}, 1)
 	d.Pretrain(spec, fn, pool, 400)
 	args := spec.GenArgs(rng)
-	row := Figure8Row{Size: size, Scenario: scen, CgroupTime: d.Platform.Config().ResizeLatency}
+	row := Figure8Row{Size: size, Scenario: scen, CgroupTime: faas.ResizeLatency}
 
 	w0 := d.Workers[0]
 	d.Env.Go(func() {

@@ -24,9 +24,10 @@ type MacroConfig struct {
 	// PoolPerSize is the number of distinct inputs per size bucket in
 	// each tenant's dataset (more inputs → more compulsory misses).
 	PoolPerSize int
-	// SampleCacheEvery drives the Figure 10 series (OFC only).
-	SampleCacheEvery time.Duration
 }
+
+// sampleCacheEvery drives the Figure 10 series (OFC only).
+const sampleCacheEvery = 30 * time.Second
 
 // DefaultMacroConfig is the paper's setup: 8 tenants, 30 minutes,
 // exponential arrivals with a 1-minute mean.
@@ -40,9 +41,8 @@ func DefaultMacroConfig() MacroConfig {
 		Seed:               1,
 		// The paper's workers have 512 GB each; 256 GB per worker keeps
 		// even naive 2 GB bookings uncontended the way the testbed was.
-		NodeCapacity:     256 << 30,
-		PoolPerSize:      3,
-		SampleCacheEvery: 30 * time.Second,
+		NodeCapacity: 256 << 30,
+		PoolPerSize:  3,
 	}
 }
 
@@ -113,21 +113,21 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 			if cfg.Mode == ModeOFC {
 				d.Pretrain(spec, fn, pool, 300)
 			}
-			fl.AddFunctionTenant(tenant, spec, fn, pool, cfg.MeanInterval, false)
+			fl.AddFunctionTenant(tenant, spec, fn, pool, cfg.MeanInterval)
 			all = append(all, staged{pool: pool})
 		}
 		mrTenant := fmt.Sprintf("map_reduce-%d", rep)
 		mr := workload.NewMapReduce(d.Suite, mrTenant, cfg.Profile, 2<<30)
 		mrPool := workload.NewInputPool(rng, "text", "macro/"+mrTenant, []int64{10 << 20}, 2)
 		registerPipeline(d, mr, cfg, rng)
-		fl.AddPipelineTenant(mrTenant, mr, mrPool, cfg.MeanInterval, false)
+		fl.AddPipelineTenant(mrTenant, mr, mrPool, cfg.MeanInterval)
 		all = append(all, staged{pool: mrPool, pl: mr})
 
 		thisTenant := fmt.Sprintf("THIS-%d", rep)
 		th := workload.NewTHIS(d.Suite, thisTenant, cfg.Profile, 2<<30)
 		thPool := workload.NewInputPool(rng, "video", "macro/"+thisTenant, []int64{50 << 20}, 2)
 		registerPipeline(d, th, cfg, rng)
-		fl.AddPipelineTenant(thisTenant, th, thPool, cfg.MeanInterval, false)
+		fl.AddPipelineTenant(thisTenant, th, thPool, cfg.MeanInterval)
 		all = append(all, staged{pool: thPool, pl: th})
 	}
 
@@ -136,16 +136,14 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 	d.Env.SetHorizon(cfg.Window + 3*time.Minute)
 	if d.Sys != nil {
 		d.Sys.Start()
-		if cfg.SampleCacheEvery > 0 {
-			d.Env.Every(cfg.SampleCacheEvery, func() bool {
-				res.CacheSeries = append(res.CacheSeries, CachePoint{
-					At:    time.Duration(d.Env.Now()),
-					Grant: d.Sys.CacheGrantBytes(),
-					Bytes: d.Sys.CacheBytes(),
-				})
-				return true
+		d.Env.Every(sampleCacheEvery, func() bool {
+			res.CacheSeries = append(res.CacheSeries, CachePoint{
+				At:    time.Duration(d.Env.Now()),
+				Grant: d.Sys.CacheGrantBytes(),
+				Bytes: d.Sys.CacheBytes(),
 			})
-		}
+			return true
+		})
 	}
 	d.Env.Go(func() {
 		for _, st := range all {

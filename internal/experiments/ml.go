@@ -266,7 +266,7 @@ func Maturation(seed int64) (*Table, MaturationResult) {
 	res := MaturationResult{PerFunction: map[string]int{}}
 	env := sim.NewEnv(seed)
 	for si, spec := range workload.Specs() {
-		pred := core.NewPredictor(core.DefaultPredictorConfig())
+		pred := core.NewPredictor()
 		trainer := core.NewModelTrainer(pred, env)
 		rng := rand.New(rand.NewSource(seed + int64(si)))
 		su := workload.NewSuite()

@@ -98,19 +98,19 @@ func (c *Ctx) Transform(d time.Duration, peak int64) (err error) {
 	// Slight overshoot: the kernel swaps instead of killing (§5.3
 	// "it may experience swapping activity, resulting in degraded
 	// performance"). The transform slows proportionally.
-	if overshoot := float64(peak-c.sb.mem) / float64(c.sb.mem); overshoot <= c.p.cfg.SwapTolerance {
+	if overshoot := float64(peak-c.sb.mem) / float64(c.sb.mem); overshoot <= swapTolerance {
 		c.swapped = true
 		c.p.stats.swaps.Add(1)
-		c.p.env.Sleep(d + time.Duration(float64(d)*overshoot*c.p.cfg.SwapSlowdown))
+		c.p.env.Sleep(d + time.Duration(float64(d)*overshoot*swapSlowdown))
 		return nil
 	}
 	// Memory pressure.
-	if c.p.MonitorEnabled && d >= c.p.cfg.MonitorMinRuntime {
+	if c.p.MonitorEnabled && d >= monitorMinRuntime {
 		// The Monitor's periodic cgroup poll notices the pressure and
 		// asks the Sizer to raise the cap (§5.3): we charge half a
 		// poll period of exposure plus the reservation work; the
 		// cgroup syscall itself is asynchronous.
-		c.p.env.Sleep(c.p.cfg.MonitorPoll / 2)
+		c.p.env.Sleep(monitorPoll / 2)
 		target := peak + peak/10 // 10% headroom
 		if target > c.req.Function.MemoryBooked {
 			target = c.req.Function.MemoryBooked

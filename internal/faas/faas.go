@@ -82,8 +82,9 @@ type Function struct {
 	// Body is the function code.
 	Body func(ctx *Ctx) error
 
-	// id is the registry key, built once by Register: the invoke path
-	// asks for it several times per invocation.
+	// id is the registry key, built once by Register: Invoke refuses a
+	// function without one, and asks for it several times per
+	// invocation.
 	id string
 }
 
@@ -239,56 +240,50 @@ var (
 	ErrRetryBudget = errors.New("faas: retry denied by retry budget")
 )
 
-// Config carries the platform's timing constants, calibrated to the
-// paper's measurements (§6.4, §7.2.1).
-type Config struct {
-	// ControllerOverhead + InvokerOverhead ≈ the 8 ms end-to-end cost
-	// of an empty function through the distributed OWK.
-	ControllerOverhead time.Duration
-	InvokerOverhead    time.Duration
-	// ColdStart is the sandbox creation cost.
-	ColdStart time.Duration
-	// KeepAlive is the idle sandbox lifetime (600 s in OWK).
-	KeepAlive time.Duration
-	// ResizeLatency is the cgroup+docker update cost (≈24 ms), of
-	// which ResizeSyscall is the kernel part (≈0.8 ms).
-	ResizeLatency time.Duration
-	ResizeSyscall time.Duration
-	// MinSandboxMem is OWK's smallest configurable memory (64 MB).
-	MinSandboxMem int64
-	// MaxSandboxMem is OWK's permitted ceiling (2 GB).
-	MaxSandboxMem int64
-	// MonitorPoll is the Monitor's cgroup sampling period; rescue
-	// applies only to invocations at least MonitorMinRuntime long.
-	MonitorPoll       time.Duration
-	MonitorMinRuntime time.Duration
+// The platform's timing constants, calibrated to the paper's
+// measurements (§6.4, §7.2.1).
+const (
+	// invokerOverhead + Config.ControllerOverhead ≈ the 8 ms end-to-end
+	// cost of an empty function through the distributed OWK.
+	invokerOverhead = 3 * time.Millisecond
+	// coldStart is the sandbox creation cost.
+	coldStart = 500 * time.Millisecond
+	// ResizeLatency is the cgroup+docker update cost (≈24 ms, of
+	// which the kernel syscall is ≈0.8 ms).
+	ResizeLatency = 24 * time.Millisecond
+	// minSandboxMem is OWK's smallest configurable memory (64 MB).
+	minSandboxMem int64 = 64 << 20
+	// maxSandboxMem is OWK's permitted ceiling (2 GB).
+	maxSandboxMem int64 = 2 << 30
+	// monitorPoll is the Monitor's cgroup sampling period; rescue
+	// applies only to invocations at least monitorMinRuntime long.
+	monitorPoll       = time.Second
+	monitorMinRuntime = 3 * time.Second
 	// AdviceOverhead is the Predictor+Sizer cost on the critical path
 	// (≈6 ms, §7.2.1), charged only when an Advisor is configured.
-	AdviceOverhead time.Duration
-	// SwapTolerance is the fractional memory overshoot the kernel
-	// absorbs by swapping instead of OOM-killing; SwapSlowdown scales
+	AdviceOverhead = 6 * time.Millisecond
+	// swapTolerance is the fractional memory overshoot the kernel
+	// absorbs by swapping instead of OOM-killing; swapSlowdown scales
 	// the transform-time penalty per unit of overshoot (§5.3's
 	// "swapping activity, resulting in degraded performance").
-	SwapTolerance float64
-	SwapSlowdown  float64
+	swapTolerance = 0.08
+	swapSlowdown  = 8.0
+)
+
+// Config carries the platform timings a run varies.
+type Config struct {
+	// ControllerOverhead + invokerOverhead ≈ the 8 ms end-to-end cost
+	// of an empty function through the distributed OWK.
+	ControllerOverhead time.Duration
+	// KeepAlive is the idle sandbox lifetime (600 s in OWK).
+	KeepAlive time.Duration
 }
 
-// DefaultConfig returns the paper-calibrated constants.
+// DefaultConfig returns the paper-calibrated timings.
 func DefaultConfig() Config {
 	return Config{
 		ControllerOverhead: 5 * time.Millisecond,
-		InvokerOverhead:    3 * time.Millisecond,
-		ColdStart:          500 * time.Millisecond,
 		KeepAlive:          600 * time.Second,
-		ResizeLatency:      24 * time.Millisecond,
-		ResizeSyscall:      800 * time.Microsecond,
-		MinSandboxMem:      64 << 20,
-		MaxSandboxMem:      2 << 30,
-		MonitorPoll:        time.Second,
-		MonitorMinRuntime:  3 * time.Second,
-		AdviceOverhead:     6 * time.Millisecond,
-		SwapTolerance:      0.08,
-		SwapSlowdown:       8,
 	}
 }
 
@@ -300,7 +295,6 @@ type Platform struct {
 	ctrl simnet.NodeID
 
 	mu          sync.Mutex
-	functions   map[string]*Function
 	sequences   map[string]*Sequence
 	invokers    []*Invoker
 	activations *activationLog
@@ -385,7 +379,6 @@ func New(net *simnet.Network, ctrlNode simnet.NodeID, cfg Config) *Platform {
 		net:         net,
 		cfg:         cfg,
 		ctrl:        ctrlNode,
-		functions:   make(map[string]*Function),
 		activations: newActivationLog(0),
 	}
 }
@@ -396,23 +389,13 @@ func (p *Platform) Config() Config { return p.cfg }
 // Stats returns a copy of the platform counters.
 func (p *Platform) Stats() Stats { return p.stats.snapshot() }
 
-// Register adds a function to the registry.
+// Register readies a function for Invoke: it stamps the registry key
+// and defaults the booked memory to the platform ceiling.
 func (p *Platform) Register(f *Function) {
 	if f.MemoryBooked <= 0 {
-		f.MemoryBooked = p.cfg.MaxSandboxMem
+		f.MemoryBooked = maxSandboxMem
 	}
 	f.id = f.Tenant + "/" + f.Name
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.functions[f.id] = f
-}
-
-// Lookup finds a registered function.
-func (p *Platform) Lookup(id string) (*Function, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, ok := p.functions[id]
-	return f, ok
 }
 
 // AddInvoker starts a worker on node with the given memory capacity

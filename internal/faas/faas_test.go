@@ -30,7 +30,7 @@ func newTestbed(seed int64, capacity int64) *testbed { return newTestbedN(seed, 
 // newTestbedN is newTestbed with a chosen number of workers.
 func newTestbedN(seed int64, capacity int64, workers int) *testbed {
 	env := sim.NewEnv(seed)
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	net.AddNode("ctrl")    // 0
 	net.AddNode("storage") // 1
 	for i := 0; i < workers; i++ {
@@ -127,7 +127,7 @@ func TestColdStartCost(t *testing.T) {
 	var cold *Result
 	tb.env.Go(func() { cold = tb.p.Invoke(&Request{Function: fn}) })
 	tb.env.Run()
-	if d := cold.Duration(); d < tb.p.cfg.ColdStart {
+	if d := cold.Duration(); d < coldStart {
 		t.Errorf("cold invocation %v < cold-start cost", d)
 	}
 	st := tb.p.Stats()
@@ -322,6 +322,25 @@ func TestNoCapacityFailsEventually(t *testing.T) {
 	tb.env.Run()
 	if !errors.Is(res.Err, ErrNoCapacity) {
 		t.Errorf("err=%v", res.Err)
+	}
+}
+
+// TestInvokeNeedsRegistration: a function Register never saw is
+// refused at once, whether or not it books memory, and starts no
+// sandbox.
+func TestInvokeNeedsRegistration(t *testing.T) {
+	for _, booked := range []int64{0, 256 << 20} {
+		tb := newTestbed(1, 8<<30)
+		fn := emptyFn(booked)
+		var res *Result
+		tb.env.Go(func() { res = tb.p.Invoke(&Request{Function: fn}) })
+		tb.env.Run()
+		if !errors.Is(res.Err, ErrUnregistered) || res.Duration() != 0 {
+			t.Errorf("booked %d: err=%v after %v, want ErrUnregistered at once", booked, res.Err, res.Duration())
+		}
+		if st := tb.p.Stats(); st.ColdStarts != 0 || st.WarmStarts != 0 {
+			t.Errorf("booked %d: stats=%+v, want no sandbox", booked, st)
+		}
 	}
 }
 
@@ -1450,8 +1469,8 @@ func TestFunctionID(t *testing.T) {
 		t.Errorf("unregistered id=%q", fn.ID())
 	}
 	tb.p.Register(fn)
-	if got, ok := tb.p.Lookup("tenant-with-a-long-name/resize"); !ok || got != fn || fn.ID() != "tenant-with-a-long-name/resize" {
-		t.Errorf("registered id=%q lookup=%v", fn.ID(), ok)
+	if fn.ID() != "tenant-with-a-long-name/resize" {
+		t.Errorf("registered id=%q", fn.ID())
 	}
 	var id string
 	if n := testing.AllocsPerRun(100, func() { id = fn.ID() }); n != 0 {

@@ -32,7 +32,7 @@ func (p *Platform) Invoke(req *Request) *Result {
 	req.tref = root.Ref()
 
 	fn := req.Function
-	if fn == nil {
+	if fn == nil || fn.id == "" {
 		res.Err = ErrUnregistered
 		res.End = p.env.Now()
 		root.SetNum("err", 1)
@@ -78,12 +78,12 @@ func (p *Platform) Invoke(req *Request) *Result {
 	if p.Advisor != nil {
 		asp := tr.Begin(root.Trace, root.ID, "advice", p.ctrl)
 		req.tref = asp.Ref()
-		p.env.Sleep(p.cfg.AdviceOverhead)
+		p.env.Sleep(AdviceOverhead)
 		adv := p.Advisor.Advise(req)
 		req.tref = root.Ref()
 		if adv.Use {
 			req.advised = true
-			req.predMem = clamp(adv.Mem, p.cfg.MinSandboxMem, min(fn.MemoryBooked, p.cfg.MaxSandboxMem))
+			req.predMem = clamp(adv.Mem, minSandboxMem, min(fn.MemoryBooked, maxSandboxMem))
 			wanted = req.predMem
 			asp.SetNum("use", 1)
 		} else {
@@ -268,7 +268,7 @@ func (p *Platform) acquire(req *Request, wanted int64) (*Invoker, *Sandbox, bool
 			}
 			continue
 		}
-		p.env.Sleep(p.cfg.InvokerOverhead)
+		p.env.Sleep(invokerOverhead)
 
 		if sb := target.idleSandbox(req.Function, wanted); sb != nil && target.claim(sb) {
 			var scale time.Duration

@@ -264,7 +264,7 @@ func (inv *Invoker) createSandbox(fn *Function, mem int64) (*Sandbox, time.Durat
 	if err != nil {
 		return nil, scale, err
 	}
-	inv.p.env.Sleep(inv.p.cfg.ColdStart)
+	inv.p.env.Sleep(coldStart)
 	sb := &Sandbox{fn: fn, mem: mem, state: sandboxBusy, lastUsed: inv.p.env.Now()}
 	sb.expire = func() { inv.keepAliveFired(sb) }
 	inv.mu.Lock()
@@ -310,7 +310,7 @@ func (inv *Invoker) resize(sb *Sandbox, newMem int64) (time.Duration, error) {
 	sb.mem = newMem
 	inv.mu.Unlock()
 	// The cgroup syscall + docker update run asynchronously.
-	inv.p.env.Go(func() { inv.p.env.Sleep(inv.p.cfg.ResizeLatency) })
+	inv.p.env.Go(func() { inv.p.env.Sleep(ResizeLatency) })
 	return scale, nil
 }
 

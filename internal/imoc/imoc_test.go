@@ -12,7 +12,7 @@ import (
 )
 
 func setup(env *sim.Env) *Cache {
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	net.AddNode("worker")
 	net.AddNode("redis")
 	return New(net, 1, RedisProfile())

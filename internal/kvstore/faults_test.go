@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -157,6 +158,49 @@ func TestDirtyReplicaMetaSurvivesPromotion(t *testing.T) {
 			if meta.Tags[k] != v {
 				t.Errorf("tag %q=%q, want %q", k, meta.Tags[k], v)
 			}
+		}
+	})
+}
+
+// TestDemotedMasterCopySurvivesRestart: MigrateToBackup demotes the
+// old master to a backup and pays a disk write for its copy. Once that
+// write lands, the copy is on disk, so a reboot of the old master keeps
+// it and recovery can promote it when every other copy is gone.
+func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
+	run(t, func(env *sim.Env, c *Cluster) {
+		ver, err := c.Write(1, "k", Synthetic(1<<20), nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := c.placeGet("k")
+		old := p.master
+		if err := c.MigrateToBackup("k"); err != nil {
+			t.Fatal(err)
+		}
+		env.Sleep(time.Second) // every disk flush has landed
+		p, _ = c.placeGet("k")
+		if p.master == old || !slices.Contains(p.backups, old) {
+			t.Fatalf("placement after migration: %+v, old master %d", p, old)
+		}
+		c.Restart(old)
+		for _, b := range p.backups {
+			if b != old {
+				c.Crash(b)
+			}
+		}
+		c.Crash(p.master)
+		if n, _ := c.Recover(p.master); n != 1 {
+			t.Fatalf("recovered %d objects, want 1", n)
+		}
+		_, meta, err := c.Read(old, "k")
+		if err != nil {
+			t.Fatalf("read after recovery: %v", err)
+		}
+		if meta.Version != ver {
+			t.Errorf("version=%d, want %d", meta.Version, ver)
+		}
+		if m, _ := c.MasterOf("k"); m != old {
+			t.Errorf("master=%d, want the restarted node %d", m, old)
 		}
 	})
 }

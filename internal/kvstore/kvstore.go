@@ -68,30 +68,35 @@ var (
 	ErrNotEnoughSrvs = errors.New("kvstore: not enough live servers for replication")
 )
 
-// Config carries the store's timing and sizing constants.
-type Config struct {
-	// Replication is the number of backup copies per object.
-	Replication int
-	// MaxObjectSize is the per-object ceiling (paper: raised to 10 MB).
-	MaxObjectSize int64
-	// ControlMsgSize approximates the wire size of control RPCs.
-	ControlMsgSize int64
-	// ServeOverhead is the per-request CPU cost at a server.
-	ServeOverhead time.Duration
-	// CrossNodeOverhead is the extra software cost of a read served
+// The store's timing and sizing constants, calibrated to the paper's
+// testbed.
+const (
+	// replication is the number of backup copies per object.
+	replication = 2
+	// maxObjectSize is the per-object ceiling (paper: raised to 10 MB).
+	maxObjectSize int64 = 10 << 20
+	// controlMsgSize approximates the wire size of control RPCs.
+	controlMsgSize int64 = 256
+	// serveOverhead is the per-request CPU cost at a server.
+	serveOverhead = 3 * time.Microsecond
+	// crossNodeOverhead is the extra software cost of a read served
 	// from a remote master (container networking, proxy hop) — the
 	// source of the paper's remote-hit penalty (§7.2.1).
-	CrossNodeOverhead time.Duration
-	// MemBandwidth is the in-memory copy rate (bytes/s) used for
+	crossNodeOverhead = 800 * time.Microsecond
+	// memBandwidth is the in-memory copy rate (bytes/s) used for
 	// buffering replicas and rebuilding promoted objects.
-	MemBandwidth float64
-	// PromotionBase and PromotionPerMB calibrate the optimized
+	memBandwidth = 10e9
+	// promotionBase and promotionPerMB calibrate the optimized
 	// migration (paper §7.2.1: 0.18 ms for 8 MB ... 13.5 ms for 1 GB).
-	PromotionBase  time.Duration
-	PromotionPerMB time.Duration
-	// SegmentSize is the log-structured memory segment capacity
+	promotionBase  = 30 * time.Microsecond
+	promotionPerMB = 10500 * time.Nanosecond
+	// segmentSize is the log-structured memory segment capacity
 	// (RAMCloud's 8 MB, doubled to fit the 10 MB object extension).
-	SegmentSize int64
+	segmentSize int64 = 16 << 20
+)
+
+// Config carries the store timings a run varies.
+type Config struct {
 	// CrashDetectTimeout is how long the coordinator takes to declare
 	// a silent server dead (RPC timeout plus retries) before starting
 	// recovery; charged at the head of Recover. Chaos experiments widen
@@ -99,20 +104,9 @@ type Config struct {
 	CrashDetectTimeout time.Duration
 }
 
-// DefaultConfig returns constants calibrated to the paper's testbed.
+// DefaultConfig returns the timings calibrated to the paper's testbed.
 func DefaultConfig() Config {
-	return Config{
-		Replication:        2,
-		MaxObjectSize:      10 << 20,
-		ControlMsgSize:     256,
-		ServeOverhead:      3 * time.Microsecond,
-		CrossNodeOverhead:  800 * time.Microsecond,
-		MemBandwidth:       10e9,
-		PromotionBase:      30 * time.Microsecond,
-		PromotionPerMB:     10500 * time.Nanosecond,
-		SegmentSize:        16 << 20,
-		CrashDetectTimeout: 150 * time.Millisecond,
-	}
+	return Config{CrashDetectTimeout: 150 * time.Millisecond}
 }
 
 // object is a master copy.
@@ -217,15 +211,6 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) { c.tracer = tr }
 
 // New creates a cluster whose coordinator runs on coordNode.
 func New(net *simnet.Network, coordNode simnet.NodeID, cfg Config) *Cluster {
-	if cfg.Replication < 1 {
-		cfg.Replication = 1
-	}
-	if cfg.MaxObjectSize <= 0 {
-		cfg.MaxObjectSize = 10 << 20
-	}
-	if cfg.SegmentSize <= 0 {
-		cfg.SegmentSize = 16 << 20
-	}
 	return &Cluster{
 		net:      net,
 		cfg:      cfg,
@@ -276,7 +261,7 @@ func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
 	s := &Server{
 		node:    c.net.Node(node),
 		limit:   memLimit,
-		log:     newObjLog(c.cfg.SegmentSize),
+		log:     newObjLog(segmentSize),
 		backups: make(map[string]replica),
 		disk:    make(map[string]replica),
 	}
@@ -301,7 +286,7 @@ func (c *Cluster) memCopyTime(size int64) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	return time.Duration(float64(size) / c.cfg.MemBandwidth * float64(time.Second))
+	return time.Duration(float64(size) / memBandwidth * float64(time.Second))
 }
 
 // liveServersLocked lists non-crashed servers; c.mu must be held.
@@ -326,7 +311,7 @@ func (c *Cluster) liveServersLocked() []simnet.NodeID {
 func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placement, error) {
 	c.mu.Lock()
 	live := c.liveServersLocked()
-	if len(live) < 1+c.cfg.Replication {
+	if len(live) < 1+replication {
 		c.mu.Unlock()
 		return placement{}, ErrNotEnoughSrvs
 	}
@@ -359,7 +344,7 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 		return placement{}, ErrNoSpace
 	}
 	var backups []simnet.NodeID
-	for i := 0; len(backups) < c.cfg.Replication && i < 2*len(live); i++ {
+	for i := 0; len(backups) < replication && i < 2*len(live); i++ {
 		id := live[(c.rr+i)%len(live)]
 		if id == master {
 			continue
@@ -376,7 +361,7 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 	}
 	c.rr++
 	c.mu.Unlock()
-	if len(backups) < c.cfg.Replication {
+	if len(backups) < replication {
 		return placement{}, ErrNotEnoughSrvs
 	}
 	p := placement{master: master, backups: backups, size: size}
@@ -397,7 +382,7 @@ func (c *Cluster) lookup(caller simnet.NodeID, key string) (placement, bool, err
 		ok bool
 	}
 	c.coordRPCs.Add(1)
-	r, err := simnet.TryCall(c.net, caller, c.coordloc, c.cfg.ControlMsgSize, c.cfg.ControlMsgSize, func() res {
+	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
 		p, ok := c.placeGet(key)
 		return res{p, ok}
 	})
@@ -415,7 +400,7 @@ func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string) ([]placement,
 		ok []bool
 	}
 	c.coordRPCs.Add(1)
-	r, err := simnet.TryCall(c.net, caller, c.coordloc, c.cfg.ControlMsgSize, c.cfg.ControlMsgSize, func() res {
+	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
 		ps := make([]placement, len(keys))
 		ok := make([]bool, len(keys))
 		for i, k := range keys {
@@ -462,7 +447,7 @@ func (c *Cluster) Locate(keys []string) []Location {
 }
 
 // MaxObjectSize reports the per-object ceiling of this backend.
-func (c *Cluster) MaxObjectSize() int64 { return c.cfg.MaxObjectSize }
+func (c *Cluster) MaxObjectSize() int64 { return maxObjectSize }
 
 // Usage reports the live master-copy bytes and memory limit of node's
 // server; zeros when the node hosts no server.

@@ -19,7 +19,7 @@ func testCluster(env *sim.Env) (*Cluster, *simnet.Network) {
 }
 
 func testClusterWith(env *sim.Env, cfg Config) (*Cluster, *simnet.Network) {
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	for i := 0; i < 4; i++ {
 		net.AddNode("n")
 	}

@@ -12,7 +12,7 @@ import (
 // 8 MB up to 13.5 ms for 1 GB).
 func (c *Cluster) promotionTime(size int64) time.Duration {
 	mb := float64(size) / float64(1<<20)
-	return c.cfg.PromotionBase + time.Duration(mb*float64(c.cfg.PromotionPerMB))
+	return promotionBase + time.Duration(mb*float64(promotionPerMB))
 }
 
 // MigrateToBackup is OFC's optimized migration (§6.4): elect a new
@@ -110,7 +110,7 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	}
 
 	// Control RPC old->coordinator->dest, then local rebuild at dest.
-	c.net.Transfer(c.coordloc, dest, c.cfg.ControlMsgSize)
+	c.net.Transfer(c.coordloc, dest, controlMsgSize)
 	if !buffered {
 		// The replica was already flushed: reload it from disk first
 		// (the slow path RAMCloud's buffered segments usually avoid).
@@ -136,10 +136,18 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 		}
 		ms.mu.Unlock()
 		if demoteOld {
-			// The old master's copy goes to its disk, off the critical path.
-			mnode := ms.node
-			sz := obj.meta.Size
-			c.env().Go(func() { mnode.DiskWrite(sz) })
+			// The old master's copy goes to its disk, off the critical
+			// path; once written it survives a restart, as a backup's
+			// flushed replica does (replicateShare).
+			sz, version := obj.meta.Size, obj.meta.Version
+			c.env().Go(func() {
+				ms.node.DiskWrite(sz)
+				ms.mu.Lock()
+				if cur, ok := ms.backups[key]; ok && cur.meta.Version == version {
+					ms.disk[key] = cur
+				}
+				ms.mu.Unlock()
+			})
 		}
 	}
 
@@ -188,7 +196,7 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	cp := *o
 	ms.mu.Unlock()
 
-	c.net.Transfer(p.master, dest, cp.meta.Size+c.cfg.ControlMsgSize)
+	c.net.Transfer(p.master, dest, cp.meta.Size+controlMsgSize)
 	c.env().Sleep(c.memCopyTime(cp.meta.Size))
 
 	ds.mu.Lock()
@@ -235,7 +243,7 @@ func (c *Cluster) Restart(node simnet.NodeID) {
 	}
 	s.mu.Lock()
 	s.crashed = false
-	s.log = newObjLog(c.cfg.SegmentSize)
+	s.log = newObjLog(segmentSize)
 	s.backups = make(map[string]replica)
 	s.mu.Unlock()
 }

@@ -128,15 +128,15 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 	env := c.env()
 	// One batched request to the master.
 	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, master, c.cfg.ControlMsgSize); err != nil {
+	if err := c.net.TryTransfer(caller, master, controlMsgSize); err != nil {
 		fail(err)
 		return
 	}
-	env.Sleep(time.Duration(len(idxs)) * c.cfg.ServeOverhead)
+	env.Sleep(time.Duration(len(idxs)) * serveOverhead)
 	if caller != master {
 		// The remote-hit software penalty is paid once per batch, not
 		// once per key — the main latency win of batching.
-		env.Sleep(c.cfg.CrossNodeOverhead)
+		env.Sleep(crossNodeOverhead)
 	}
 	s.mu.Lock()
 	if s.crashed {
@@ -165,7 +165,7 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 		return
 	}
 	// One bulk response carrying every found payload.
-	if err := c.net.TryTransfer(master, caller, payload+c.cfg.ControlMsgSize); err != nil {
+	if err := c.net.TryTransfer(master, caller, payload+controlMsgSize); err != nil {
 		fail(err)
 	}
 }
@@ -191,7 +191,7 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 			switch {
 			case lerr != nil:
 				out[i].Err = lerr
-			case it.Blob.Size > c.cfg.MaxObjectSize:
+			case it.Blob.Size > maxObjectSize:
 				out[i].Err = ErrTooLarge
 			case !oks[i]:
 				// A new key: the placement decision rides on the same
@@ -249,11 +249,11 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	}
 	// One bulk payload shipment to the master.
 	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, master, total+c.cfg.ControlMsgSize); err != nil {
+	if err := c.net.TryTransfer(caller, master, total+controlMsgSize); err != nil {
 		fail(err, true)
 		return
 	}
-	env.Sleep(time.Duration(len(idxs))*c.cfg.ServeOverhead + c.memCopyTime(total))
+	env.Sleep(time.Duration(len(idxs))*serveOverhead + c.memCopyTime(total))
 
 	// Master-side processing.
 	acc := make([]acceptedItem, 0, len(idxs))
@@ -315,7 +315,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 
 	// Replicate: one share per backup node, in first-seen order, so each
 	// backup sees one bulk transfer and one ack for its whole share.
-	shares := make([]repShare, 0, c.cfg.Replication)
+	shares := make([]repShare, 0, replication)
 	for _, a := range acc {
 		for _, b := range a.backups {
 			if shareOf(shares, b) < 0 {
@@ -336,7 +336,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	wg.Wait()
 
 	// Ack to the caller (one control message for the group).
-	ackErr := c.net.TryTransfer(master, caller, c.cfg.ControlMsgSize)
+	ackErr := c.net.TryTransfer(master, caller, controlMsgSize)
 	for _, a := range acc {
 		err := ackErr
 		for _, b := range a.backups {
@@ -392,7 +392,7 @@ func (c *Cluster) replicateShare(master, backup simnet.NodeID, acc []acceptedIte
 			bytes += a.blob.Size
 		}
 	}
-	if err := c.net.TryTransfer(master, backup, bytes+c.cfg.ControlMsgSize); err != nil {
+	if err := c.net.TryTransfer(master, backup, bytes+controlMsgSize); err != nil {
 		return err
 	}
 	env.Sleep(c.memCopyTime(bytes)) // buffer in backup RAM
@@ -425,5 +425,5 @@ func (c *Cluster) replicateShare(master, backup simnet.NodeID, acc []acceptedIte
 			bs.mu.Unlock()
 		})
 	}
-	return c.net.TryTransfer(backup, master, c.cfg.ControlMsgSize)
+	return c.net.TryTransfer(backup, master, controlMsgSize)
 }

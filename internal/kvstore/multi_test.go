@@ -167,7 +167,7 @@ func TestWriteMultiOverwriteAndNoSpace(t *testing.T) {
 		items := []WriteItem{
 			{Key: "obj/a", Blob: Synthetic(32 << 10)}, // overwrite
 			{Key: "obj/b", Blob: Synthetic(8 << 10)},  // new
-			{Key: "obj/huge", Blob: Synthetic(c.cfg.MaxObjectSize + 1)},
+			{Key: "obj/huge", Blob: Synthetic(maxObjectSize + 1)},
 		}
 		res := c.WriteMulti(1, items, 1)
 		if res[0].Err != nil || res[1].Err != nil {
@@ -254,7 +254,6 @@ func TestSingleKeyIsBatchOfOne(t *testing.T) {
 	const key = "k"
 	for _, tc := range []struct {
 		name              string
-		segment           int64 // log segment size; 0 = default
 		stage             func(env *sim.Env, c *Cluster, net *simnet.Network)
 		read              bool
 		caller, preferred simnet.NodeID
@@ -286,7 +285,7 @@ func TestSingleKeyIsBatchOfOne(t *testing.T) {
 		{
 			// The master rejects the write for space: its log cleaner
 			// does not run, although dead bytes put it over budget.
-			name: "rejected for space", segment: 64 << 10, caller: 1, preferred: 1, size: 100 << 10,
+			name: "rejected for space", caller: 1, preferred: 1, size: 100 << 10,
 			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
 				c.Write(1, key, Synthetic(48<<10), nil, 1)
 				c.Write(1, key, Synthetic(48<<10), nil, 1)
@@ -335,12 +334,8 @@ func TestSingleKeyIsBatchOfOne(t *testing.T) {
 			loc     Location
 		}
 		observe := func(batch bool) state {
-			cfg := DefaultConfig()
-			if tc.segment > 0 {
-				cfg.SegmentSize = tc.segment
-			}
 			env := sim.NewEnv(1)
-			c, net := testClusterWith(env, cfg)
+			c, net := testClusterWith(env, DefaultConfig())
 			var st state
 			env.Go(func() {
 				if tc.stage != nil {

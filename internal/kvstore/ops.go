@@ -18,7 +18,7 @@ func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 	sp := c.tracer.Begin(0, 0, "kv.write", caller)
 	sp.SetNum("bytes", blob.Size)
 	var out [1]WriteResult
-	if blob.Size > c.cfg.MaxObjectSize {
+	if blob.Size > maxObjectSize {
 		out[0].Err = ErrTooLarge
 	} else if p, ok, err := c.lookup(caller, key); err != nil {
 		out[0].Err = err
@@ -80,7 +80,7 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		return ErrNoSuchServer
 	}
 	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, p.master, c.cfg.ControlMsgSize); err != nil {
+	if err := c.net.TryTransfer(caller, p.master, controlMsgSize); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -110,7 +110,7 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		}
 		bs.mu.Unlock()
 	}
-	if err := c.net.TryTransfer(p.master, caller, c.cfg.ControlMsgSize); err != nil {
+	if err := c.net.TryTransfer(p.master, caller, controlMsgSize); err != nil {
 		return err
 	}
 	return nil

@@ -41,12 +41,6 @@ type Profile struct {
 	ShadowPut  time.Duration // empty-payload placeholder PUT (OFC's Swift patch)
 	ReadBW     float64       // payload bytes/s on the read path
 	WriteBW    float64       // payload bytes/s on the write path
-	// Eventual switches the store to eventual read consistency (§3
-	// footnote 3: Swift and pre-2020 S3): a Get within
-	// StalenessWindow of the last overwrite may return the previous
-	// version. Strong (the default) is linearizable, like S3 today.
-	Eventual        bool
-	StalenessWindow time.Duration
 }
 
 // SwiftProfile models the paper's on-testbed Swift deployment,
@@ -119,11 +113,6 @@ var (
 type entry struct {
 	blob Blob
 	meta Meta
-	// prev retains the previous version for eventual-consistency reads.
-	prevBlob    Blob
-	prevMeta    Meta
-	overwritten simnetTime
-	hasPrev     bool
 }
 
 // Store is the RSDS service, hosted on one storage node.
@@ -205,10 +194,6 @@ func (s *Store) Put(caller simnet.NodeID, key string, blob Blob, userMeta map[st
 	if e == nil {
 		e = &entry{}
 		s.objects[key] = e
-	} else if s.profile.Eventual {
-		e.prevBlob, e.prevMeta = e.blob, e.meta
-		e.overwritten = s.net.Env().Now()
-		e.hasPrev = true
 	}
 	e.blob = blob
 	e.meta.Size = blob.Size
@@ -265,11 +250,6 @@ func (s *Store) Get(caller simnet.NodeID, key string, external bool) (Blob, Meta
 		return Blob{}, Meta{}, ErrNotFound
 	}
 	blob, meta := e.blob, e.meta
-	if s.profile.Eventual && e.hasPrev &&
-		s.net.Env().Now()-e.overwritten < s.profile.StalenessWindow {
-		// A replica that has not converged yet serves the old version.
-		blob, meta = e.prevBlob, e.prevMeta
-	}
 	s.mu.Unlock()
 	s.net.Env().Sleep(s.profile.ReadBase + s.bwTime(blob.Size, s.profile.ReadBW))
 	s.net.Transfer(s.node, caller, blob.Size+256)

@@ -11,7 +11,7 @@ import (
 )
 
 func setup(env *sim.Env, p Profile) (*Store, *simnet.Network) {
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	net.AddNode("worker")
 	net.AddNode("storage")
 	return New(net, 1, p), net
@@ -253,36 +253,9 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestEventualConsistencyServesStaleThenConverges(t *testing.T) {
-	env := sim.NewEnv(1)
-	p := SwiftProfile()
-	p.Eventual = true
-	p.StalenessWindow = 500 * time.Millisecond
-	s, _ := setup(env, p)
-	env.Go(func() {
-		s.Put(0, "k", kvstore.Synthetic(100), nil, false)
-		s.Put(0, "k", kvstore.Synthetic(200), nil, false)
-		// Immediately after the overwrite: stale read (old size/version).
-		_, m, err := s.Get(0, "k", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Size != 100 {
-			t.Errorf("read within staleness window got size %d, want stale 100", m.Size)
-		}
-		// After the window, reads converge.
-		env.Sleep(p.StalenessWindow)
-		_, m, err = s.Get(0, "k", false)
-		if err != nil || m.Size != 200 {
-			t.Errorf("converged read: size=%d err=%v", m.Size, err)
-		}
-	})
-	env.Run()
-}
-
 func TestStrongConsistencyNeverStale(t *testing.T) {
 	env := sim.NewEnv(1)
-	s, _ := setup(env, SwiftProfile()) // strong by default
+	s, _ := setup(env, SwiftProfile())
 	env.Go(func() {
 		s.Put(0, "k", kvstore.Synthetic(100), nil, false)
 		s.Put(0, "k", kvstore.Synthetic(200), nil, false)
@@ -292,4 +265,61 @@ func TestStrongConsistencyNeverStale(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestCreatedHookFiresOnlyForExternalPut: the storage trigger sees a
+// client's upload, with its size, and never a write the FaaS/cache
+// layer makes itself.
+func TestCreatedHookFiresOnlyForExternalPut(t *testing.T) {
+	env := sim.NewEnv(1)
+	s, _ := setup(env, SwiftProfile())
+	var fired []string
+	s.OnCreated(func(key string, size int64) {
+		fired = append(fired, key)
+		if size != 300 {
+			t.Errorf("created %s with size %d, want 300", key, size)
+		}
+	})
+	env.Go(func() {
+		s.Put(0, "internal", kvstore.Synthetic(300), nil, false)
+		s.Put(0, "upload", kvstore.Synthetic(300), nil, true)
+	})
+	env.Run()
+	if len(fired) != 1 || fired[0] != "upload" {
+		t.Errorf("created hook fired for %v, want [upload]", fired)
+	}
+}
+
+// TestSetUserMetaIsMetadataOnly: SetUserMeta, the cache-off backend's
+// SetTag, rewrites one entry without a new version, leaves the map Put
+// was given and an earlier Meta untouched, and fails on a missing key.
+func TestSetUserMetaIsMetadataOnly(t *testing.T) {
+	env := sim.NewEnv(1)
+	s, _ := setup(env, SwiftProfile())
+	given := map[string]string{"dirty": "1"}
+	env.Go(func() {
+		s.Put(0, "k", kvstore.Synthetic(10), given, false)
+		s.Put(0, "bare", kvstore.Synthetic(10), nil, false)
+	})
+	env.Run()
+	before, _ := s.MetaOf("k")
+	if err := s.SetUserMeta("k", "dirty", "0"); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := s.MetaOf("k")
+	if after.UserMeta["dirty"] != "0" || after.LatestVersion != before.LatestVersion || after.PersistedVersion != before.PersistedVersion {
+		t.Errorf("after SetUserMeta: %+v, was %+v", after, before)
+	}
+	if given["dirty"] != "1" || before.UserMeta["dirty"] != "1" {
+		t.Errorf("SetUserMeta wrote through: given=%v earlier meta=%v", given, before.UserMeta)
+	}
+	if err := s.SetUserMeta("bare", "kind", "input"); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := s.MetaOf("bare"); m.UserMeta["kind"] != "input" {
+		t.Errorf("bare object's user meta %v", m.UserMeta)
+	}
+	if err := s.SetUserMeta("missing", "dirty", "0"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing key: err=%v, want ErrNotFound", err)
+	}
 }

@@ -17,7 +17,7 @@ import (
 // transfer.
 func transfers(n int, faulted bool) *sim.Env {
 	env := sim.NewEnv(1)
-	net := New(env, DefaultConfig())
+	net := New(env)
 	a := net.AddNode("a").ID
 	c := net.AddNode("b").ID
 	if faulted {
@@ -34,7 +34,7 @@ func transfers(n int, faulted bool) *sim.Env {
 // diskWrites is n back-to-back 4 KiB writes to one node's disk.
 func diskWrites(n int) *sim.Env {
 	env := sim.NewEnv(1)
-	nd := New(env, DefaultConfig()).AddNode("a")
+	nd := New(env).AddNode("a")
 	env.Go(func() {
 		for i := 0; i < n; i++ {
 			nd.DiskWrite(4096)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrUnreachable is returned by the fallible transfer path when the
@@ -227,14 +226,4 @@ func (n *Network) lookFaults(from, to NodeID) linkFaults {
 		}
 	}
 	return out
-}
-
-// failureDetectDelay is the time a sender spends discovering that the
-// destination is gone (connection timeout / RPC deadline at the
-// transport).
-func (n *Network) failureDetectDelay() time.Duration {
-	if n.cfg.FailureDetectDelay > 0 {
-		return n.cfg.FailureDetectDelay
-	}
-	return 10 * n.cfg.LinkLatency
 }

@@ -18,8 +18,8 @@ func TestPartitionBlocksTransferUntilHeal(t *testing.T) {
 			t.Errorf("err=%v, want ErrUnreachable", err)
 		}
 		// The sender pays the failure-detection delay, not zero time.
-		if took := env.Now() - start; took != n.failureDetectDelay() {
-			t.Errorf("detection took %v, want %v", took, n.failureDetectDelay())
+		if took := env.Now() - start; took != failureDetectDelay {
+			t.Errorf("detection took %v, want %v", took, failureDetectDelay)
 		}
 		// Symmetric: the reverse direction is cut too.
 		if err := n.TryTransfer(b.ID, a.ID, 1<<10); !errors.Is(err, ErrUnreachable) {
@@ -79,7 +79,7 @@ func TestDegradeLinkStretchesTransfer(t *testing.T) {
 		degraded = env.Now() - start
 		// Exact model: serialization stretched by 1/bw, propagation by lat.
 		tx := n.txTime(size)
-		want := 2*time.Duration(float64(tx)/0.25) + 4*n.Config().LinkLatency
+		want := 2*time.Duration(float64(tx)/0.25) + 4*linkLatency
 		if degraded != want {
 			t.Errorf("degraded=%v, want %v", degraded, want)
 		}

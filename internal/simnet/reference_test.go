@@ -66,7 +66,7 @@ func (r *refNet) transfer(from, to NodeID, size int64) {
 	if lf.bwFactor > 0 && lf.bwFactor < 1 {
 		tx = time.Duration(float64(tx) / lf.bwFactor)
 	}
-	lat := time.Duration(float64(r.cfg.LinkLatency) * lf.latFactor)
+	lat := time.Duration(float64(linkLatency) * lf.latFactor)
 	send := func() {
 		r.tx[from].acquire()
 		env.Sleep(tx)
@@ -103,11 +103,11 @@ type fabricOp struct {
 }
 
 // diskTime is how long o's disk operation holds a healthy disk.
-func (o fabricOp) diskTime(cfg Config) time.Duration {
+func (o fabricOp) diskTime() time.Duration {
 	if o.disk == 1 {
-		return cfg.DiskReadLatency + time.Duration(float64(o.diskSize)/cfg.DiskReadBandwidth*float64(time.Second))
+		return diskReadLatency + time.Duration(float64(o.diskSize)/diskReadBandwidth*float64(time.Second))
 	}
-	return cfg.DiskWriteLatency + time.Duration(float64(o.diskSize)/cfg.DiskWriteBandwidth*float64(time.Second))
+	return diskWriteLatency + time.Duration(float64(o.diskSize)/diskWriteBandwidth*float64(time.Second))
 }
 
 const refNodes = 4
@@ -155,7 +155,7 @@ func faultyLinks(n *Network, seed int64) {
 // completion instant.
 func runSchedule(ops []fabricOp, faulty bool, seed int64, ref bool) []sim.Time {
 	env := sim.NewEnv(1)
-	n := New(env, DefaultConfig())
+	n := New(env)
 	for i := 0; i < refNodes; i++ {
 		n.AddNode("n")
 	}
@@ -177,7 +177,7 @@ func runSchedule(ops []fabricOp, faulty bool, seed int64, ref bool) []sim.Time {
 			switch {
 			case o.disk == 0:
 			case ref:
-				r.useDisk(last, o.diskTime(n.cfg))
+				r.useDisk(last, o.diskTime())
 			case o.disk == 1:
 				n.Node(last).DiskRead(o.diskSize)
 			default:
@@ -250,11 +250,10 @@ type booking struct{ req, start, end sim.Time }
 func checkReservations(t *testing.T, seed int64, sched []fabricOp) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	n := New(env, DefaultConfig())
+	n := New(env)
 	for i := 0; i < refNodes; i++ {
 		n.AddNode("n")
 	}
-	cfg := n.cfg
 	var tx, rx, disk [refNodes][]booking
 	for _, o := range sched {
 		env.After(o.at, func() {
@@ -265,11 +264,11 @@ func checkReservations(t *testing.T, seed int64, sched []fabricOp) {
 				txStart := max(sent, n.Node(from).tx)
 				n.Transfer(from, to, o.size)
 				end := env.Now()
-				if end-sent < 2*d+cfg.LinkLatency {
+				if end-sent < 2*d+linkLatency {
 					t.Errorf("seed %d: transfer %d→%d of %d B took %v, less than 2·tx + latency", seed, from, to, o.size, end-sent)
 				}
 				tx[from] = append(tx[from], booking{sent, txStart, txStart + d})
-				rx[to] = append(rx[to], booking{txStart + d + cfg.LinkLatency, end - d, end})
+				rx[to] = append(rx[to], booking{txStart + d + linkLatency, end - d, end})
 			}
 			last := o.path[len(o.path)-1]
 			req := env.Now()
@@ -282,7 +281,7 @@ func checkReservations(t *testing.T, seed int64, sched []fabricOp) {
 				n.Node(last).DiskWrite(o.diskSize)
 			}
 			end := env.Now()
-			disk[last] = append(disk[last], booking{req, end - o.diskTime(cfg), end})
+			disk[last] = append(disk[last], booking{req, end - o.diskTime(), end})
 		})
 	}
 	env.Run()

@@ -22,47 +22,30 @@ import (
 // NodeID identifies a node in the network.
 type NodeID int
 
-// Config carries the fabric constants. The defaults (DefaultConfig)
-// follow the paper's testbed.
-type Config struct {
-	// LinkLatency is the one-way propagation latency between two
+// The fabric constants model the paper's testbed: 10 GbE and a SATA SSD.
+const (
+	// linkLatency is the one-way propagation latency between two
 	// distinct nodes (switch traversal included).
-	LinkLatency time.Duration
-	// LoopbackLatency is the one-way latency for a node talking to
+	linkLatency = 25 * time.Microsecond
+	// loopbackLatency is the one-way latency for a node talking to
 	// itself (kernel loopback).
-	LoopbackLatency time.Duration
-	// Bandwidth is the NIC line rate in bytes per second.
-	Bandwidth float64
-	// DiskReadLatency and DiskWriteLatency are per-operation costs.
-	DiskReadLatency  time.Duration
-	DiskWriteLatency time.Duration
-	// DiskReadBandwidth and DiskWriteBandwidth are in bytes per second.
-	DiskReadBandwidth  float64
-	DiskWriteBandwidth float64
-	// FailureDetectDelay is the time a sender spends before concluding
-	// a peer is unreachable (transport timeout). Zero means ten link
-	// latencies.
-	FailureDetectDelay time.Duration
-}
-
-// DefaultConfig models the paper's testbed: 10 GbE and a SATA SSD.
-func DefaultConfig() Config {
-	return Config{
-		LinkLatency:        25 * time.Microsecond,
-		LoopbackLatency:    5 * time.Microsecond,
-		Bandwidth:          10e9 / 8, // 10 Gb/s
-		DiskReadLatency:    80 * time.Microsecond,
-		DiskWriteLatency:   50 * time.Microsecond,
-		DiskReadBandwidth:  500e6,
-		DiskWriteBandwidth: 450e6,
-		FailureDetectDelay: 500 * time.Microsecond,
-	}
-}
+	loopbackLatency = 5 * time.Microsecond
+	// bandwidth is the NIC line rate in bytes per second.
+	bandwidth = 10e9 / 8 // 10 Gb/s
+	// diskReadLatency and diskWriteLatency are per-operation costs.
+	diskReadLatency  = 80 * time.Microsecond
+	diskWriteLatency = 50 * time.Microsecond
+	// diskReadBandwidth and diskWriteBandwidth are in bytes per second.
+	diskReadBandwidth  = 500e6
+	diskWriteBandwidth = 450e6
+	// failureDetectDelay is the time a sender spends before concluding
+	// a peer is unreachable (transport timeout).
+	failureDetectDelay = 500 * time.Microsecond
+)
 
 // Network is the cluster fabric: nodes, NICs and disks.
 type Network struct {
 	env   *sim.Env
-	cfg   Config
 	mu    sync.Mutex // guards nodes (writes) — readers use nodesA
 	nodes []*Node
 	// nodesA holds an immutable []*Node snapshot so Node(), on every
@@ -91,21 +74,15 @@ type Node struct {
 	diskWrite atomic.Int64
 }
 
-// New creates an empty network over env with the given constants.
-func New(env *sim.Env, cfg Config) *Network {
-	if cfg.Bandwidth <= 0 {
-		panic("simnet: non-positive bandwidth")
-	}
-	n := &Network{env: env, cfg: cfg, flt: newFaults()}
+// New creates an empty network over env.
+func New(env *sim.Env) *Network {
+	n := &Network{env: env, flt: newFaults()}
 	n.nodesA.Store([]*Node(nil))
 	return n
 }
 
 // Env returns the simulation environment the network runs on.
 func (n *Network) Env() *sim.Env { return n.env }
-
-// Config returns the fabric constants.
-func (n *Network) Config() Config { return n.cfg }
 
 // AddNode registers a machine and returns it.
 func (n *Network) AddNode(name string) *Node {
@@ -147,7 +124,7 @@ func (n *Network) txTime(size int64) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	return time.Duration(float64(size) / n.cfg.Bandwidth * float64(time.Second))
+	return time.Duration(float64(size) / bandwidth * float64(time.Second))
 }
 
 // book reserves the FIFO resource whose next idle instant is *free for
@@ -186,15 +163,15 @@ func (n *Network) Transfer(from, to NodeID, size int64) {
 func (n *Network) TryTransfer(from, to NodeID, size int64) error {
 	if from == to {
 		if n.NodeDown(from) {
-			n.env.Sleep(n.failureDetectDelay())
+			n.env.Sleep(failureDetectDelay)
 			return ErrUnreachable
 		}
-		n.env.Sleep(n.cfg.LoopbackLatency)
+		n.env.Sleep(loopbackLatency)
 		return nil
 	}
 	lf := n.lookFaults(from, to)
 	if !lf.reachable {
-		n.env.Sleep(n.failureDetectDelay())
+		n.env.Sleep(failureDetectDelay)
 		return ErrUnreachable
 	}
 	src, dst := n.Node(from), n.Node(to)
@@ -202,7 +179,7 @@ func (n *Network) TryTransfer(from, to NodeID, size int64) error {
 	if lf.bwFactor > 0 && lf.bwFactor < 1 {
 		tx = time.Duration(float64(tx) / lf.bwFactor)
 	}
-	lat := time.Duration(float64(n.cfg.LinkLatency) * lf.latFactor)
+	lat := time.Duration(float64(linkLatency) * lf.latFactor)
 
 	n.sleepUntil(n.book(&src.tx, tx) + lat)
 
@@ -240,8 +217,7 @@ func TryCall[T any](n *Network, from, to NodeID, reqSize, respSize int64, serve 
 // DiskRead charges a read of size bytes against the node's disk,
 // blocking the calling process.
 func (nd *Node) DiskRead(size int64) {
-	cfg := nd.net.cfg
-	base := cfg.DiskReadLatency + time.Duration(float64(size)/cfg.DiskReadBandwidth*float64(time.Second))
+	base := diskReadLatency + time.Duration(float64(size)/diskReadBandwidth*float64(time.Second))
 	nd.useDisk(base)
 	nd.diskRead.Add(size)
 }
@@ -249,8 +225,7 @@ func (nd *Node) DiskRead(size int64) {
 // DiskWrite charges a write of size bytes against the node's disk,
 // blocking the calling process.
 func (nd *Node) DiskWrite(size int64) {
-	cfg := nd.net.cfg
-	base := cfg.DiskWriteLatency + time.Duration(float64(size)/cfg.DiskWriteBandwidth*float64(time.Second))
+	base := diskWriteLatency + time.Duration(float64(size)/diskWriteBandwidth*float64(time.Second))
 	nd.useDisk(base)
 	nd.diskWrite.Add(size)
 }

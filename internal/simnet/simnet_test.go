@@ -9,7 +9,7 @@ import (
 )
 
 func testNet(env *sim.Env) (*Network, *Node, *Node) {
-	n := New(env, DefaultConfig())
+	n := New(env)
 	a := n.AddNode("a")
 	b := n.AddNode("b")
 	return n, a, b
@@ -28,7 +28,7 @@ func TestTransferTiming(t *testing.T) {
 	// 1 MiB at 1.25 GB/s ≈ 0.839 ms serialization, counted twice
 	// (tx + rx), plus 25 µs propagation.
 	tx := n.txTime(1 << 20)
-	want := 2*tx + n.Config().LinkLatency
+	want := 2*tx + linkLatency
 	if took != want {
 		t.Errorf("transfer took %v, want %v", took, want)
 	}
@@ -44,15 +44,14 @@ func TestLoopbackIsCheap(t *testing.T) {
 		took = env.Now() - start
 	})
 	env.Run()
-	if took != n.Config().LoopbackLatency {
-		t.Errorf("loopback took %v, want %v", took, n.Config().LoopbackLatency)
+	if took != loopbackLatency {
+		t.Errorf("loopback took %v, want %v", took, loopbackLatency)
 	}
 }
 
 func TestNICSerialization(t *testing.T) {
 	env := sim.NewEnv(1)
-	cfg := DefaultConfig()
-	n := New(env, cfg)
+	n := New(env)
 	a := n.AddNode("a")
 	b := n.AddNode("b")
 	c := n.AddNode("c")
@@ -70,7 +69,7 @@ func TestNICSerialization(t *testing.T) {
 	tx := n.txTime(size)
 	// Two transfers share a's transmit NIC: the second cannot finish
 	// at the unserialized time.
-	unserialized := 2*tx + cfg.LinkLatency
+	unserialized := 2*tx + linkLatency
 	later := done[0]
 	if done[1] > later {
 		later = done[1]
@@ -98,7 +97,7 @@ func TestCallRoundTrip(t *testing.T) {
 	if got != 42 || err != nil {
 		t.Fatalf("got %d, %v", got, err)
 	}
-	oneWay := 2*n.txTime(100) + n.Config().LinkLatency
+	oneWay := 2*n.txTime(100) + linkLatency
 	want := 2*oneWay + time.Millisecond
 	if took != want {
 		t.Errorf("call took %v, want %v", took, want)
@@ -107,24 +106,24 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestDiskTiming(t *testing.T) {
 	env := sim.NewEnv(1)
-	cfg := DefaultConfig()
-	n := New(env, cfg)
+	n := New(env)
 	a := n.AddNode("a")
+	readSize, writeSize := int64(50<<20), int64(45<<20)
 	var readTook, writeTook time.Duration
 	env.Go(func() {
 		start := env.Now()
-		a.DiskRead(50 << 20)
+		a.DiskRead(readSize)
 		readTook = env.Now() - start
 		start = env.Now()
-		a.DiskWrite(45 << 20)
+		a.DiskWrite(writeSize)
 		writeTook = env.Now() - start
 	})
 	env.Run()
-	wantRead := cfg.DiskReadLatency + time.Duration(float64(50<<20)/cfg.DiskReadBandwidth*float64(time.Second))
+	wantRead := diskReadLatency + time.Duration(float64(readSize)/diskReadBandwidth*float64(time.Second))
 	if readTook != wantRead {
 		t.Errorf("read took %v, want %v", readTook, wantRead)
 	}
-	wantWrite := cfg.DiskWriteLatency + time.Duration(float64(45<<20)/cfg.DiskWriteBandwidth*float64(time.Second))
+	wantWrite := diskWriteLatency + time.Duration(float64(writeSize)/diskWriteBandwidth*float64(time.Second))
 	if writeTook != wantWrite {
 		t.Errorf("write took %v, want %v", writeTook, wantWrite)
 	}
@@ -132,7 +131,7 @@ func TestDiskTiming(t *testing.T) {
 
 func TestDiskSerialization(t *testing.T) {
 	env := sim.NewEnv(1)
-	n := New(env, DefaultConfig())
+	n := New(env)
 	a := n.AddNode("a")
 	var end time.Duration
 	wg := sim.NewWaitGroup(env)
@@ -148,7 +147,7 @@ func TestDiskSerialization(t *testing.T) {
 		end = env.Now()
 	})
 	env.Run()
-	want := 4 * DefaultConfig().DiskWriteLatency
+	want := 4 * diskWriteLatency
 	if end != want {
 		t.Errorf("4 serialized writes ended at %v, want %v", end, want)
 	}
@@ -202,7 +201,7 @@ func TestPropertyTransferMonotonic(t *testing.T) {
 
 func TestUnknownNodePanics(t *testing.T) {
 	env := sim.NewEnv(1)
-	n := New(env, DefaultConfig())
+	n := New(env)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic for unknown node")

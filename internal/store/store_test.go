@@ -16,7 +16,7 @@ import (
 
 // newKV builds a 4-node RAMCloud-like cluster.
 func newKV(env *sim.Env) (*kvstore.Cluster, simnet.NodeID) {
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	for i := 0; i < 4; i++ {
 		net.AddNode("n")
 	}
@@ -32,7 +32,7 @@ func mkKV(env *sim.Env) (store.Backend, simnet.NodeID) { return newKV(env) }
 
 // mkPassthrough builds the direct-RSDS cache-off backend.
 func mkPassthrough(env *sim.Env) (store.Backend, simnet.NodeID) {
-	net := simnet.New(env, simnet.DefaultConfig())
+	net := simnet.New(env)
 	net.AddNode("client")
 	storage := net.AddNode("storage").ID
 	rsds := objstore.New(net, storage, objstore.SwiftProfile())

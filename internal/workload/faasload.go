@@ -20,8 +20,8 @@ import (
 // FaaSLoad is the load injector of the paper's macro experiments
 // (§7.2.2, Appendix A): it emulates several tenants, each owning one
 // function (or pipeline), prepares their input data, and fires
-// invocations at periodic or exponentially distributed intervals over
-// an observation window.
+// invocations at exponentially distributed intervals (or at the
+// offsets of a replayed trace) over an observation window.
 type FaaSLoad struct {
 	env      *sim.Env
 	platform *faas.Platform
@@ -54,7 +54,6 @@ type tenantState struct {
 	mu     sync.Mutex
 	run    func(id string) (time.Duration, *statsDelta)
 	mean   time.Duration
-	period bool
 	// schedule, when non-empty, replays explicit offsets instead of a
 	// stochastic arrival process.
 	schedule []time.Duration
@@ -75,8 +74,8 @@ func NewFaaSLoad(env *sim.Env, platform *faas.Platform, seed int64) *FaaSLoad {
 // function with inputs from pool. Each tenant derives a private
 // argument-generator stream once, at registration: per-invocation
 // draws never touch the injector's (locked) root generator.
-func (fl *FaaSLoad) AddFunctionTenant(name string, spec *Spec, fn *faas.Function, pool *InputPool, mean time.Duration, periodic bool) {
-	fl.add(&tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool), mean: mean, period: periodic})
+func (fl *FaaSLoad) AddFunctionTenant(name string, spec *Spec, fn *faas.Function, pool *InputPool, mean time.Duration) {
+	fl.add(&tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool), mean: mean})
 }
 
 // functionRun is the run closure of a single-function tenant: one
@@ -107,8 +106,8 @@ func (fl *FaaSLoad) functionRun(spec *Spec, fn *faas.Function, pool *InputPool) 
 }
 
 // AddPipelineTenant registers a tenant running a pipeline.
-func (fl *FaaSLoad) AddPipelineTenant(name string, pl *Pipeline, pool *InputPool, mean time.Duration, periodic bool) {
-	st := &tenantState{report: TenantReport{Name: name}, mean: mean, period: periodic}
+func (fl *FaaSLoad) AddPipelineTenant(name string, pl *Pipeline, pool *InputPool, mean time.Duration) {
+	st := &tenantState{report: TenantReport{Name: name}, mean: mean}
 	st.run = func(id string) (time.Duration, *statsDelta) {
 		in := pool.Pick()
 		res := pl.Run(fl.platform, in, id)
@@ -166,8 +165,6 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 						next = now
 					}
 					wait = next - now
-				case st.period:
-					wait = st.mean
 				default:
 					// Exponential inter-arrival times with the given mean.
 					wait = time.Duration(-math.Log(1-rng.Float64()) * float64(st.mean))
@@ -223,35 +220,6 @@ func (fl *FaaSLoad) AddTraceTenant(name string, spec *Spec, fn *faas.Function, p
 	st.schedule = append([]time.Duration{}, offsets...)
 	sort.Slice(st.schedule, func(i, j int) bool { return st.schedule[i] < st.schedule[j] })
 	fl.add(st)
-}
-
-// GenBurstyTrace synthesizes a production-style arrival trace over a
-// window: a baseline Poisson process plus exponentially-sized bursts
-// of back-to-back invocations (the bursty behaviour Shahrad et al.
-// observe that keep-alive policies struggle with, §2.2.1).
-func GenBurstyTrace(rng *rand.Rand, window time.Duration, meanInterval time.Duration, burstEvery time.Duration, meanBurst int) []time.Duration {
-	var out []time.Duration
-	at := time.Duration(0)
-	nextBurst := time.Duration(float64(burstEvery) * rng.ExpFloat64())
-	for at < window {
-		at += time.Duration(-math.Log(1-rng.Float64()) * float64(meanInterval))
-		if at >= window {
-			break
-		}
-		out = append(out, at)
-		if at >= nextBurst {
-			n := 1 + rng.Intn(2*meanBurst)
-			for i := 0; i < n; i++ {
-				b := at + time.Duration(i+1)*200*time.Millisecond
-				if b < window {
-					out = append(out, b)
-				}
-			}
-			nextBurst = at + time.Duration(float64(burstEvery)*rng.ExpFloat64())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // LoadTraceCSV parses one invocation offset per line, in seconds

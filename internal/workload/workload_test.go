@@ -268,7 +268,7 @@ func TestFaaSLoadInjector(t *testing.T) {
 	sys.Register(fn)
 	pool := NewInputPool(rng, "image", "sep", []int64{16 << 10, 64 << 10}, 4)
 	fl := NewFaaSLoad(sys.Env, sys.Platform, 9)
-	fl.AddFunctionTenant("tenant0", spec, fn, pool, 30*time.Second, false)
+	fl.AddFunctionTenant("tenant0", spec, fn, pool, 30*time.Second)
 
 	sys.Env.SetHorizon(12 * time.Minute)
 	sys.Start()
@@ -497,7 +497,7 @@ func TestEverySpecMaturesOnline(t *testing.T) {
 	for si, spec := range Specs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			env := sim.NewEnv(int64(si))
-			pred := core.NewPredictor(core.DefaultPredictorConfig())
+			pred := core.NewPredictor()
 			trainer := core.NewModelTrainer(pred, env)
 			rng := rand.New(rand.NewSource(int64(si) + 100))
 			su := NewSuite()
@@ -527,7 +527,7 @@ func TestReportPercentiles(t *testing.T) {
 	sys.Register(fn)
 	pool := NewInputPool(rng, "image", "pct", []int64{16 << 10}, 2)
 	fl := NewFaaSLoad(sys.Env, sys.Platform, 51)
-	fl.AddFunctionTenant("p", spec, fn, pool, 10*time.Second, true)
+	fl.AddFunctionTenant("p", spec, fn, pool, 10*time.Second)
 	sys.Env.SetHorizon(3 * time.Minute)
 	sys.Start()
 	sys.Env.Go(func() {
@@ -544,31 +544,5 @@ func TestReportPercentiles(t *testing.T) {
 	}
 	if rep.P99 > rep.TotalExec {
 		t.Errorf("p99=%v above total=%v", rep.P99, rep.TotalExec)
-	}
-}
-
-func TestGenBurstyTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	offsets := GenBurstyTrace(rng, 10*time.Minute, 20*time.Second, 2*time.Minute, 5)
-	if len(offsets) < 20 {
-		t.Fatalf("offsets=%d, too sparse", len(offsets))
-	}
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			t.Fatal("offsets not sorted")
-		}
-		if offsets[i] >= 10*time.Minute {
-			t.Fatal("offset past window")
-		}
-	}
-	// Burstiness: some gaps must be much tighter than the mean.
-	tight := 0
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i]-offsets[i-1] <= 300*time.Millisecond {
-			tight++
-		}
-	}
-	if tight < 5 {
-		t.Errorf("only %d tight gaps; bursts missing", tight)
 	}
 }
