@@ -87,7 +87,7 @@ bench:
 # benchmark; drop BENCHTIME for real numbers).
 BENCHTIME ?= 1x
 bench-sim:
-	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|Multi|Transfer|Resilient' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
+	$(GO) test -bench 'Sleep|After|Then|Batch|Future|Queue|Cluster|Multi|Transfer|Disk|Resilient' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree

@@ -203,6 +203,12 @@ type Cluster struct {
 	// tracer records kv.read/kv.write (and multi) coordinator RPC
 	// spans as trace-0 roots; nil = off. Set before traffic starts.
 	tracer *trace.Tracer
+
+	// Free lists of replication rounds and disk flushes (multi.go).
+	// Only processes of the network's env touch them, one at a time, so
+	// they need no lock.
+	rounds  []*round
+	flushes []*flushRec
 }
 
 // SetTracer attaches a span recorder to the coordinator RPC surface.

@@ -138,16 +138,8 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 		if demoteOld {
 			// The old master's copy goes to its disk, off the critical
 			// path; once written it survives a restart, as a backup's
-			// flushed replica does (replicateShare).
-			sz, version := obj.meta.Size, obj.meta.Version
-			c.env().Go(func() {
-				ms.node.DiskWrite(sz)
-				ms.mu.Lock()
-				if cur, ok := ms.backups[key]; ok && cur.meta.Version == version {
-					ms.disk[key] = cur
-				}
-				ms.mu.Unlock()
-			})
+			// flushed replica does.
+			c.flush(ms, key, obj.meta)
 		}
 	}
 

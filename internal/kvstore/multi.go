@@ -2,13 +2,16 @@ package kvstore
 
 // The read and write protocols, each implemented once, per master:
 // readGroup serves one master's share of a read, and writeGroup lands
-// one master's share of a write and replicates it (replicateShare per
-// backup). Read and Write are one-key batches served inline in the
-// caller's process. ReadMulti and WriteMulti resolve every placement
-// in one coordinator round-trip, group the keys by master, and serve
-// the groups in parallel: one control round-trip and one bulk transfer
-// per involved server instead of one per key. The chunking middleware's
-// stripes go through the batch paths.
+// one master's share of a write and replicates it in one round: per
+// backup, a chain of continuations (payload hop, RAM buffering, install,
+// ack hop, disk flush bookings) with no process, the writer parked once
+// on the round's countdown. Read and Write are one-key batches served
+// inline in the caller's process, and a healthy Write spawns nothing.
+// ReadMulti and WriteMulti resolve every placement in one coordinator
+// round-trip, group the keys by master, and serve the groups in
+// parallel, one process per master: one control round-trip and one
+// bulk transfer per involved server instead of one per key. The
+// chunking middleware's stripes go through the batch paths.
 
 import (
 	"slices"
@@ -219,13 +222,13 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 }
 
 // writeGroup lands one master's share of a write (idxs index items, ps,
-// speculative and out) and replicates what the master accepted, one
-// replicateShare per backup server. Only a write that never reached the
-// master's log (its payload transfer failed, or it did not fit) undoes
-// the placement this operation made (speculative): an object the master
-// logged keeps its placement, or Evict could not reach its bytes. An
-// accepted item reports the first of its backups to fail, in placement
-// order, else the ack's failure.
+// speculative and out) and replicates what the master accepted in one
+// round (see round). Only a write that never reached the master's log
+// (its payload transfer failed, or it did not fit) undoes the placement
+// this operation made (speculative): an object the master logged keeps
+// its placement, or Evict could not reach its bytes. An accepted item
+// reports the first of its backups to fail, in placement order, else
+// the ack's failure.
 func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps []placement, speculative []bool, idxs []int, out []WriteResult) {
 	// fail reports err for the whole share; undo also drops the
 	// placements this operation made.
@@ -256,7 +259,8 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	env.Sleep(time.Duration(len(idxs))*serveOverhead + c.memCopyTime(total))
 
 	// Master-side processing.
-	acc := make([]acceptedItem, 0, len(idxs))
+	r := c.newRound(master)
+	defer c.recycleRound(r)
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
@@ -287,7 +291,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		}
 		s.log.put(it.Key, &object{blob: it.Blob, meta: meta})
 		s.writes++
-		acc = append(acc, acceptedItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
+		r.acc = append(r.acc, acceptedItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
 			backups: ps[i].backups, resized: existed && !speculative[i]})
 	}
 	// Log-structured memory: if dead entries push the allocated bytes
@@ -295,11 +299,11 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	// (write-path backpressure, as in RAMCloud). A share the master
 	// rejected whole wrote nothing, so it cleans nothing.
 	var cleanedBytes int64
-	if len(acc) > 0 && s.log.alloc > s.limit {
+	if len(r.acc) > 0 && s.log.alloc > s.limit {
 		cleanedBytes = s.log.clean(s.limit)
 	}
 	s.mu.Unlock()
-	for _, a := range acc {
+	for _, a := range r.acc {
 		if a.resized {
 			// Overwrite of an existing object: refresh the coordinator's
 			// size record so byte-weighted locality stays accurate.
@@ -309,38 +313,19 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	if cleanedBytes > 0 {
 		env.Sleep(c.memCopyTime(cleanedBytes))
 	}
-	if len(acc) == 0 {
+	if len(r.acc) == 0 {
 		return
 	}
 
-	// Replicate: one share per backup node, in first-seen order, so each
-	// backup sees one bulk transfer and one ack for its whole share.
-	shares := make([]repShare, 0, replication)
-	for _, a := range acc {
-		for _, b := range a.backups {
-			if shareOf(shares, b) < 0 {
-				shares = append(shares, repShare{node: b})
-			}
-		}
-	}
-	wg := sim.NewWaitGroup(env)
-	logged := acc // never reassigned, so the closures copy it instead of moving acc to the heap
-	for k := range shares {
-		sh := &shares[k]
-		wg.Add(1)
-		env.Go(func() {
-			defer wg.Done()
-			sh.err = c.replicateShare(master, sh.node, logged)
-		})
-	}
-	wg.Wait()
+	r.replicate()
 
 	// Ack to the caller (one control message for the group).
 	ackErr := c.net.TryTransfer(master, caller, controlMsgSize)
-	for _, a := range acc {
+	for i := range r.acc {
+		a := &r.acc[i]
 		err := ackErr
 		for _, b := range a.backups {
-			if e := shares[shareOf(shares, b)].err; e != nil {
+			if e := r.shareOf(b).err; e != nil {
 				err = e
 				break
 			}
@@ -365,65 +350,223 @@ type acceptedItem struct {
 	resized bool
 }
 
-// repShare is one backup node's part of a group's replication, and how
-// it ended.
-type repShare struct {
-	node simnet.NodeID
-	err  error
+// round is the replication of one writeGroup: the items the master
+// accepted, one share per backup node they name, in first-seen order,
+// so that each backup sees one bulk transfer and one ack for its whole
+// share, and the countdown the writer parks on. A share is a chain of
+// continuations, not a process: its payload hop (simnet.TransferThen),
+// the RAM-buffer delay (sim.Env.Then), the crash check and install, the
+// ack hop and the disk flush bookings. The writer parks once, on done,
+// which the last share to end sets. Rounds are pooled on the Cluster,
+// each with its share records and future.
+type round struct {
+	c       *Cluster
+	master  simnet.NodeID
+	acc     []acceptedItem
+	shares  []*share
+	pending int // shares not yet ended
+	done    *sim.Future[struct{}]
 }
 
-// shareOf is the index of node's share, or -1.
-func shareOf(shares []repShare, node simnet.NodeID) int {
-	return slices.IndexFunc(shares, func(r repShare) bool { return r.node == node })
+// share is one backup node's part of a round, and how it ended. Its
+// steps are method values bound once, when the record is made.
+type share struct {
+	r     *round
+	node  simnet.NodeID
+	bs    *Server
+	bytes int64
+	err   error
+
+	arrived  func(error) // s.payloadArrived
+	buffered func()      // s.buffer
+	acked    func(error) // s.end
 }
 
-// replicateShare buffers backup's share of a group (the accepted items
-// it backs): one bulk transfer in, per-object RAM buffering,
-// asynchronous disk flushes, one ack back.
-func (c *Cluster) replicateShare(master, backup simnet.NodeID, acc []acceptedItem) error {
-	bs := c.Server(backup)
-	if bs == nil {
-		return ErrNoSuchServer
+// newRound takes a round from the free list, or makes one.
+func (c *Cluster) newRound(master simnet.NodeID) *round {
+	var r *round
+	if n := len(c.rounds); n > 0 {
+		r = c.rounds[n-1]
+		c.rounds = c.rounds[:n-1]
+	} else {
+		r = &round{c: c, done: sim.NewFuture[struct{}](c.env())}
 	}
-	env := c.env()
-	var bytes int64
-	for _, a := range acc {
-		if slices.Contains(a.backups, backup) {
-			bytes += a.blob.Size
+	r.master = master
+	return r
+}
+
+// recycleRound returns a round whose shares have all ended to the free
+// list, dropping its references to the payloads it replicated.
+func (c *Cluster) recycleRound(r *round) {
+	clear(r.acc)
+	r.acc = r.acc[:0]
+	r.shares = r.shares[:0]
+	r.done.Reset()
+	c.rounds = append(c.rounds, r)
+}
+
+// shareOf returns node's share, adding it when the round has none.
+func (r *round) shareOf(node simnet.NodeID) *share {
+	for _, s := range r.shares {
+		if s.node == node {
+			return s
 		}
 	}
-	if err := c.net.TryTransfer(master, backup, bytes+controlMsgSize); err != nil {
-		return err
+	n := len(r.shares)
+	if n < cap(r.shares) && r.shares[:n+1][n] != nil {
+		r.shares = r.shares[:n+1] // a record kept from an earlier round
+	} else {
+		s := &share{r: r}
+		s.arrived, s.buffered, s.acked = s.payloadArrived, s.buffer, s.end
+		r.shares = append(r.shares[:n], s)
 	}
-	env.Sleep(c.memCopyTime(bytes)) // buffer in backup RAM
+	s := r.shares[n]
+	s.node, s.bs, s.bytes, s.err = node, nil, 0, nil
+	return s
+}
+
+// mine reports whether the round's accepted item i is backed by s.
+func (s *share) mine(i int) bool { return slices.Contains(s.r.acc[i].backups, s.node) }
+
+// replicate starts every share's chain now and parks the calling
+// process until the last one has ended.
+//
+// The chains start in the order the runnable queue ran the processes
+// the shares used to be (one Go per share, in first-seen order, then
+// the writer parked): the last readied first, then the rest in order
+// (DESIGN.md §11). So every booking is made, and every timer
+// sequenced, where those processes made them.
+func (r *round) replicate() {
+	for i := range r.acc {
+		for _, b := range r.acc[i].backups {
+			r.shareOf(b)
+		}
+	}
+	r.pending = len(r.shares)
+	if r.pending == 0 {
+		return // every item lost its backups to recoveries
+	}
+	last := len(r.shares) - 1
+	r.shares[last].start()
+	for _, s := range r.shares[:last] {
+		s.start()
+	}
+	r.done.Wait()
+}
+
+// start sends the share's payload, one bulk transfer of every item the
+// backup backs.
+func (s *share) start() {
+	r := s.r
+	s.bs = r.c.Server(s.node)
+	if s.bs == nil {
+		s.end(ErrNoSuchServer)
+		return
+	}
+	for i := range r.acc {
+		if s.mine(i) {
+			s.bytes += r.acc[i].blob.Size
+		}
+	}
+	r.c.net.TransferThen(r.master, s.node, s.bytes+controlMsgSize, s.arrived)
+}
+
+// payloadArrived buffers the payload in the backup's RAM.
+func (s *share) payloadArrived(err error) {
+	if err != nil {
+		s.end(err)
+		return
+	}
+	c := s.r.c
+	c.env().Then(c.memCopyTime(s.bytes), s.buffered)
+}
+
+// buffer installs the replicas unless the backup crashed meanwhile,
+// then sends the ack and books the disk flushes, off the commit path.
+// The buffer copy is retained after the flush (RAMCloud backups keep
+// segments buffered while RAM allows), which is what makes
+// migration-by-promotion fast; only a machine restart drops buffers
+// (see Restart).
+func (s *share) buffer() {
+	r, bs := s.r, s.bs
 	bs.mu.Lock()
 	if bs.crashed {
 		bs.mu.Unlock()
-		return ErrCrashed
+		s.end(ErrCrashed)
+		return
 	}
-	for _, a := range acc {
-		if slices.Contains(a.backups, backup) {
+	for i := range r.acc {
+		if a := &r.acc[i]; s.mine(i) {
 			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
 		}
 	}
 	bs.mu.Unlock()
-	// Asynchronous disk flush, off the commit path. The buffer copy is
-	// retained after the flush (RAMCloud backups keep segments buffered
-	// while RAM allows), which is what makes migration-by-promotion
-	// fast; only a machine restart drops buffers (see Restart).
-	for _, a := range acc {
-		if !slices.Contains(a.backups, backup) {
-			continue
-		}
-		key, size, version := a.key, a.blob.Size, a.meta.Version
-		env.Go(func() {
-			bs.node.DiskWrite(size)
-			bs.mu.Lock()
-			if cur, ok := bs.backups[key]; ok && cur.meta.Version == version {
-				bs.disk[key] = cur
-			}
-			bs.mu.Unlock()
-		})
+	r.c.net.TransferThen(s.node, r.master, controlMsgSize, s.acked)
+	// The flushes are booked in the order the runnable queue ran their
+	// processes (one Go per item, in acc order, then the ack's
+	// transfer): the last first, then the rest in order.
+	last := len(r.acc) - 1
+	for !s.mine(last) {
+		last--
 	}
-	return c.net.TryTransfer(backup, master, controlMsgSize)
+	r.c.flush(bs, r.acc[last].key, r.acc[last].meta)
+	for i := 0; i < last; i++ {
+		if s.mine(i) {
+			r.c.flush(bs, r.acc[i].key, r.acc[i].meta)
+		}
+	}
+}
+
+// end records how the share ended; the last share of a round to end
+// wakes the writer.
+func (s *share) end(err error) {
+	s.err = err
+	r := s.r
+	if r.pending--; r.pending == 0 {
+		r.done.Set(struct{}{})
+	}
+}
+
+// flushRec is one replica's disk write in flight on server s (see
+// flush). Records are pooled on the Cluster; wrote is f.install, bound
+// once.
+type flushRec struct {
+	c       *Cluster
+	s       *Server
+	key     string
+	version uint64
+	wrote   func()
+}
+
+// flush writes the replica of key at meta's version, which s holds in
+// its RAM buffer, to s's disk: the disk is booked now, with no process,
+// and the copy is recorded as on disk when the write completes, only if
+// the buffered replica is still that version (a later write or a
+// restart may have replaced or dropped it). Once recorded it survives a
+// restart. Backups flush every replica they buffer, and a demoted
+// master flushes its copy (promote). s.mu must not be held: once the
+// environment is stopped the write completes inside flush.
+func (c *Cluster) flush(s *Server, key string, meta Meta) {
+	var f *flushRec
+	if n := len(c.flushes); n > 0 {
+		f = c.flushes[n-1]
+		c.flushes = c.flushes[:n-1]
+	} else {
+		f = &flushRec{c: c}
+		f.wrote = f.install
+	}
+	f.s, f.key, f.version = s, key, meta.Version
+	s.node.DiskWriteThen(meta.Size, f.wrote)
+}
+
+// install records the flushed copy and recycles f.
+func (f *flushRec) install() {
+	s := f.s
+	s.mu.Lock()
+	if cur, ok := s.backups[f.key]; ok && cur.meta.Version == f.version {
+		s.disk[f.key] = cur
+	}
+	s.mu.Unlock()
+	f.s, f.key = nil, ""
+	f.c.flushes = append(f.c.flushes, f)
 }

@@ -36,6 +36,20 @@ func afterChain(n int) *Env {
 	return env
 }
 
+// thenChain is n self-rescheduling Then continuations.
+func thenChain(n int) *Env {
+	env := NewEnv(1)
+	count := 0
+	var step func()
+	step = func() {
+		if count++; count < n {
+			env.Then(time.Microsecond, step)
+		}
+	}
+	env.Then(time.Microsecond, step)
+	return env
+}
+
 // batchWakeup is 64 processes sleeping to the same instants, n/64+1
 // rounds each.
 func batchWakeup(n int) *Env {
@@ -81,6 +95,10 @@ func BenchmarkSleepEvent(b *testing.B) { benchRun(b, sleepChain) }
 // platform).
 func BenchmarkAfterCallback(b *testing.B) { benchRun(b, afterChain) }
 
+// BenchmarkThenChain measures continuation dispatch (a chain of
+// bookings, like a replication round in the store).
+func BenchmarkThenChain(b *testing.B) { benchRun(b, thenChain) }
+
 // BenchmarkBatchWakeup measures equal-timestamp fan-out: many
 // processes sleeping to the same instant, each handing off to the next
 // (one coroutine switch per event, never a self-wake).
@@ -105,6 +123,7 @@ func TestSchedulerAllocCeilings(t *testing.T) {
 	}{
 		{"SleepEvent", sleepChain, 0.05},
 		{"AfterCallback", afterChain, 0.05},
+		{"ThenChain", thenChain, 0.05},
 		{"BatchWakeup", batchWakeup, 0.15},
 		{"FutureRoundTrip", futureRoundTrips, 2.05},
 	} {

@@ -27,13 +27,13 @@
 // which is what makes a run a pure function of its seed on any number
 // of Ps.
 //
-// What callers must know: nothing runs before Run (Go and After only
-// queue); a blocking primitive called outside a process, and Run called
-// inside one, panic; a panic in a process surfaces from Run, on Run's
-// caller, as a *PanicError; and a sync.Mutex held across a blocking
-// call deadlocks the host the moment a second process wants it, because
-// the holder cannot run until the waiter yields (ofc-lint's lockedrpc
-// rejects that shape).
+// What callers must know: nothing runs before Run (Go, After and Then
+// only queue); a blocking primitive called outside a process, and Run
+// called inside one, panic; a panic in a process surfaces from Run, on
+// Run's caller, as a *PanicError; and a sync.Mutex held across a
+// blocking call deadlocks the host the moment a second process wants
+// it, because the holder cannot run until the waiter yields (ofc-lint's
+// lockedrpc rejects that shape).
 //
 // Usage:
 //
@@ -74,6 +74,7 @@ type timer struct {
 	// so the other drops its reference instead.
 	deadline bool // heap entry is a wait deadline, not a Sleep
 	woken    bool
+	cont     bool // fn is a Then continuation: a drain runs it, as it wakes a Sleep
 }
 
 // proc is one coroutine. It hosts one function at a time (fn is the
@@ -116,6 +117,7 @@ type Env struct {
 	stopped bool
 	limit   Time  // horizon; 0 means none
 	events  int64 // timers dispatched
+	spawned int64 // Go calls
 
 	cur *proc // the one process that is running; nil outside Run
 
@@ -146,6 +148,10 @@ func (e *Env) Now() Time { return e.now }
 // Events reports the number of timer events dispatched so far — the
 // scheduler's work counter, used by benchmarks to derive events/sec.
 func (e *Env) Events() int64 { return e.events }
+
+// Spawned reports the number of processes Go has started so far (After,
+// Every and Then callbacks are not counted).
+func (e *Env) Spawned() int64 { return e.spawned }
 
 // Rand returns a deterministic pseudo-random float64 in [0,1). Hot
 // loops should carry a private rand.Rand obtained from NewRand instead
@@ -219,6 +225,7 @@ func (e *Env) wake(w *timer) {
 // or from inside another process; the process starts when it is picked,
 // never before Run.
 func (e *Env) Go(fn func()) {
+	e.spawned++
 	t := e.newTimer()
 	t.fn = fn
 	e.ready(t)
@@ -350,10 +357,11 @@ func (e *Env) pick() *timer {
 				e.now = t.at
 			}
 		}
-		if e.stopped && (t.fn != nil || t.deadline) {
+		if e.stopped && ((t.fn != nil && !t.cont) || t.deadline) {
 			// Draining: callbacks and deadlines scheduled before the
-			// stop never fire after it. A deadline's waiter stays parked
-			// on t for its future, so only callbacks are recycled.
+			// stop never fire after it; continuations run, as sleepers
+			// wake. A deadline's waiter stays parked on t for its
+			// future, so only callbacks are recycled.
 			if t.fn != nil {
 				e.recycle(t)
 			}
@@ -400,6 +408,30 @@ func (e *Env) After(d time.Duration, fn func()) {
 	e.push(e.now+d, t)
 }
 
+// Then schedules fn to run at now+d as the continuation of work in
+// flight: a callback, hosted as an After callback is, that a stop does
+// not drop. It is the Sleep of a process written as a chain of
+// callbacks, and it drains as a Sleep does. Once the environment is
+// stopped (Stop or horizon) the clock is frozen and Then runs fn at
+// once, on the caller's stack, as Sleep returns at once; a continuation
+// already pending at the stop runs at the frozen clock in its heap
+// turn, as a sleeper is woken there. So a chain finishes at Stop where
+// the same steps written as Sleeps in one process would, and whoever
+// waits on its end is not stranded. A continuation takes no lock its
+// caller holds, since it may run inside Then, and must not block.
+func (e *Env) Then(d time.Duration, fn func()) {
+	if e.stopped {
+		fn()
+		return
+	}
+	if d < 0 {
+		d = 0
+	}
+	t := e.newTimer()
+	t.fn, t.cont = fn, true
+	e.push(e.now+d, t)
+}
+
 // Every schedules fn at the given period until the simulation ends or
 // fn returns false.
 func (e *Env) Every(period time.Duration, fn func() bool) {
@@ -423,9 +455,10 @@ func (e *Env) Every(period time.Duration, fn func() bool) {
 func (e *Env) Stopped() bool { return e.stopped }
 
 // Stop asks Run to terminate. Pending After callbacks are discarded;
-// pending Sleepers are woken with the clock frozen at the stop time so
-// their processes run to completion instead of leaking (subsequent
-// Sleeps return immediately, see Sleep).
+// pending Sleepers are woken, and pending Then continuations run, with
+// the clock frozen at the stop time so their processes and chains run
+// to completion instead of leaking (subsequent Sleeps return
+// immediately, see Sleep; subsequent Thens run inline, see Then).
 func (e *Env) Stop() { e.stopped = true }
 
 // Run drives the simulation until no process is runnable and no timer
@@ -439,11 +472,12 @@ func (e *Env) Stop() { e.stopped = true }
 // runtime.Goexit in one (t.FailNow in a callback) ends Run's caller.
 //
 // After Stop or the horizon the simulation drains: remaining Sleep
-// timers are woken at the frozen clock (their processes terminate
-// instead of leaking), remaining callbacks and wait deadlines are
-// dropped. Retired coroutines are released before Run returns; a
-// process still parked then keeps its coroutine for ever, and is never
-// stopped, because stopping it would resume its body.
+// timers are woken and Then continuations run at the frozen clock
+// (their processes and chains terminate instead of leaking), remaining
+// After callbacks and wait deadlines are dropped. Retired coroutines
+// are released before Run returns; a process still parked then keeps
+// its coroutine for ever, and is never stopped, because stopping it
+// would resume its body.
 func (e *Env) Run() Time {
 	if e.cur != nil {
 		panic("sim: Run called from inside a simulation process")

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -177,7 +178,9 @@ func TestCallbackPanicAnnotated(t *testing.T) {
 	}
 }
 
-// TestEventsCounter: the dispatch counter must count every fired timer.
+// TestEventsCounter: the dispatch counter must count every fired timer,
+// a Then continuation as a Sleep, and the spawn counter every Go and
+// nothing else.
 func TestEventsCounter(t *testing.T) {
 	env := NewEnv(1)
 	const n = 100
@@ -185,9 +188,91 @@ func TestEventsCounter(t *testing.T) {
 		env.Go(func() { env.Sleep(time.Millisecond) })
 	}
 	env.After(2*time.Millisecond, func() {})
+	env.Then(3*time.Millisecond, func() { env.Then(time.Millisecond, func() {}) })
+	env.Every(time.Second, func() bool { return false })
 	env.Run()
-	if got := env.Events(); got != n+1 {
-		t.Errorf("Events() = %d, want %d", got, n+1)
+	if got := env.Events(); got != n+4 {
+		t.Errorf("Events() = %d, want %d", got, n+4)
+	}
+	if got := env.Spawned(); got != n {
+		t.Errorf("Spawned() = %d, want %d", got, n)
+	}
+}
+
+// TestThenDrainsLikeSleep: a chain of Then continuations drains as the
+// same steps written as Sleeps in one process do. Four chains of
+// staggered steps are in flight when the environment stops, by Stop and
+// by the horizon; each step runs at the instant its sleeping twin
+// resumes (the frozen clock, once stopped), the process parked on the
+// chains' countdown returns, no coroutine is left parked, and the After
+// callback pending beside them is dropped.
+func TestThenDrainsLikeSleep(t *testing.T) {
+	const chains, stopAt = 4, 10 * time.Millisecond
+	steps := []time.Duration{3 * time.Millisecond, 0, 5 * time.Millisecond, 7 * time.Millisecond}
+	step := func(c, i int) time.Duration { return steps[i] + time.Duration(c)*1100*time.Microsecond }
+	// run records the instant each step of each chain ran and the one
+	// at which the waiter returned, the chains written as continuations
+	// (cont) or as sleeping processes.
+	run := func(horizon, cont bool) (at [chains][]Time, joined Time, left int) {
+		joined = -1
+		_, left = goroutinesOver(func(env *Env, _ func()) {
+			if horizon {
+				env.SetHorizon(stopAt)
+			} else {
+				env.After(stopAt, env.Stop)
+			}
+			env.After(time.Hour, func() { t.Error("an After callback ran after the stop") })
+			done := NewFuture[struct{}](env)
+			pending := chains
+			end := func() {
+				if pending--; pending == 0 {
+					done.Set(struct{}{})
+				}
+			}
+			env.Go(func() {
+				for c := 0; c < chains; c++ {
+					if cont {
+						i := 0
+						var next func()
+						next = func() {
+							at[c] = append(at[c], env.Now())
+							if i == len(steps) {
+								end()
+								return
+							}
+							i++
+							env.Then(step(c, i-1), next)
+						}
+						next()
+						continue
+					}
+					env.Go(func() {
+						at[c] = append(at[c], env.Now())
+						for i := range steps {
+							env.Sleep(step(c, i))
+							at[c] = append(at[c], env.Now())
+						}
+						end()
+					})
+				}
+				done.Wait()
+				joined = env.Now()
+			})
+		})
+		return at, joined, left
+	}
+	for _, horizon := range []bool{false, true} {
+		got, joined, left := run(horizon, true)
+		want, _, _ := run(horizon, false)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("horizon %v: continuation steps ran at %v, the sleeping twins at %v", horizon, got, want)
+		}
+		if got[chains-1][len(steps)] != stopAt {
+			t.Errorf("horizon %v: the last step ran at %v, want the frozen clock %v", horizon, got[chains-1][len(steps)], stopAt)
+		}
+		if joined != stopAt || left > 0 {
+			t.Errorf("horizon %v: the waiter returned at %v with %d coroutines left parked, want %v and 0", horizon, joined, left, stopAt)
+		}
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 // an Env ready to Run, so that TestFabricAllocCeilings measures exactly
 // what the benchmarks time.
 
-// transfers is n back-to-back 4 KiB transfers between two nodes of a
-// healthy network, or, with faulted, of a network with fault state
-// injected elsewhere, which forces the locked fault lookup on every
-// transfer.
-func transfers(n int, faulted bool) *sim.Env {
+// pair is a network of two nodes, healthy or, with faulted, with fault
+// state injected elsewhere, which forces the locked fault lookup on
+// every transfer.
+func pair(faulted bool) (*sim.Env, *Network, NodeID, NodeID) {
 	env := sim.NewEnv(1)
 	net := New(env)
 	a := net.AddNode("a").ID
@@ -23,11 +22,33 @@ func transfers(n int, faulted bool) *sim.Env {
 	if faulted {
 		net.SetNodeDown(net.AddNode("c").ID, true)
 	}
+	return env, net, a, c
+}
+
+// transfers is n back-to-back 4 KiB transfers between the two nodes of
+// a pair, made by one process.
+func transfers(n int, faulted bool) *sim.Env {
+	env, net, a, c := pair(faulted)
 	env.Go(func() {
 		for i := 0; i < n; i++ {
 			net.Transfer(a, c, 4096)
 		}
 	})
+	return env
+}
+
+// transfersThen is the same n transfers made by TransferThen, each
+// started from the continuation of the one before, with no process.
+func transfersThen(n int, faulted bool) *sim.Env {
+	env, net, a, c := pair(faulted)
+	var next func(error)
+	next = func(error) {
+		if n > 0 {
+			n--
+			net.TransferThen(a, c, 4096, next)
+		}
+	}
+	env.After(0, func() { next(nil) })
 	return env
 }
 
@@ -40,6 +61,22 @@ func diskWrites(n int) *sim.Env {
 			nd.DiskWrite(4096)
 		}
 	})
+	return env
+}
+
+// diskWritesThen is the same n writes made by DiskWriteThen, each from
+// the continuation of the one before.
+func diskWritesThen(n int) *sim.Env {
+	env := sim.NewEnv(1)
+	nd := New(env).AddNode("a")
+	var next func()
+	next = func() {
+		if n > 0 {
+			n--
+			nd.DiskWriteThen(4096, next)
+		}
+	}
+	env.After(0, next)
 	return env
 }
 
@@ -58,13 +95,25 @@ func BenchmarkTransfer(b *testing.B) { benchRun(b, transfers(b.N, false)) }
 // injected elsewhere in the fabric.
 func BenchmarkTransferFaulted(b *testing.B) { benchRun(b, transfers(b.N, true)) }
 
+// BenchmarkTransferThen measures the continuation form of a healthy
+// transfer: the same bookings, each stage a Then callback.
+func BenchmarkTransferThen(b *testing.B) { benchRun(b, transfersThen(b.N, false)) }
+
+// BenchmarkTransferThenFaulted measures it with fault state injected
+// elsewhere in the fabric.
+func BenchmarkTransferThenFaulted(b *testing.B) { benchRun(b, transfersThen(b.N, true)) }
+
 // BenchmarkDiskWrite measures the per-op disk path.
 func BenchmarkDiskWrite(b *testing.B) { benchRun(b, diskWrites(b.N)) }
+
+// BenchmarkDiskWriteThen measures the continuation form of a disk write.
+func BenchmarkDiskWriteThen(b *testing.B) { benchRun(b, diskWritesThen(b.N)) }
 
 // TestFabricAllocCeilings pins the allocations per op of the
 // benchmarks above, counted as testing.Benchmark counts them: the heap
 // allocations of Run divided by the number of ops, rounded down. A
-// transfer and a disk operation allocate nothing.
+// transfer and a disk operation allocate nothing, in a process or as a
+// chain of continuations.
 func TestFabricAllocCeilings(t *testing.T) {
 	const n = 10000
 	for _, c := range []struct {
@@ -73,7 +122,10 @@ func TestFabricAllocCeilings(t *testing.T) {
 	}{
 		{"Transfer", transfers(n, false)},
 		{"TransferFaulted", transfers(n, true)},
+		{"TransferThen", transfersThen(n, false)},
+		{"TransferThenFaulted", transfersThen(n, true)},
 		{"DiskWrite", diskWrites(n)},
+		{"DiskWriteThen", diskWritesThen(n)},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

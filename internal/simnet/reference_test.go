@@ -150,10 +150,17 @@ func faultyLinks(n *Network, seed int64) {
 	n.SetDiskFactor(3, 2.5)
 }
 
-// runSchedule runs ops on a fresh network, through the reservations or,
-// with ref, through refNet's FIFO locks, and returns each operation's
-// completion instant.
-func runSchedule(ops []fabricOp, faulty bool, seed int64, ref bool) []sim.Time {
+// The three ways runSchedule can carry a schedule.
+const (
+	viaProcess = iota // TryTransfer, DiskRead and DiskWrite in one process per op
+	viaThen           // TransferThen and DiskWriteThen continuations; a disk read spawns a process
+	viaLocks          // refNet's FIFO locks
+)
+
+// runSchedule runs ops on a fresh network, through the reservations in
+// one of their two forms or through refNet's FIFO locks, and returns
+// each operation's completion instant.
+func runSchedule(ops []fabricOp, faulty bool, seed int64, via int) []sim.Time {
 	env := sim.NewEnv(1)
 	n := New(env)
 	for i := 0; i < refNodes; i++ {
@@ -165,9 +172,13 @@ func runSchedule(ops []fabricOp, faulty bool, seed int64, ref bool) []sim.Time {
 	r := newRefNet(n, refNodes)
 	done := make([]sim.Time, len(ops))
 	for i, o := range ops {
+		if via == viaThen {
+			env.After(o.at, func() { thenOp(n, o, func() { done[i] = env.Now() }) })
+			continue
+		}
 		env.After(o.at, func() {
 			for h := 1; h < len(o.path); h++ {
-				if ref {
+				if via == viaLocks {
 					r.transfer(o.path[h-1], o.path[h], o.size)
 				} else if err := n.TryTransfer(o.path[h-1], o.path[h], o.size); err != nil {
 					panic(err)
@@ -176,7 +187,7 @@ func runSchedule(ops []fabricOp, faulty bool, seed int64, ref bool) []sim.Time {
 			last := o.path[len(o.path)-1]
 			switch {
 			case o.disk == 0:
-			case ref:
+			case via == viaLocks:
 				r.useDisk(last, o.diskTime())
 			case o.disk == 1:
 				n.Node(last).DiskRead(o.diskSize)
@@ -190,13 +201,40 @@ func runSchedule(ops []fabricOp, faulty bool, seed int64, ref bool) []sim.Time {
 	return done
 }
 
+// thenOp runs o as a chain of continuations, each hop started from the
+// one before, and calls end when it completes.
+func thenOp(n *Network, o fabricOp, end func()) {
+	last := o.path[len(o.path)-1]
+	h := 0
+	var next func(error)
+	next = func(err error) {
+		if err != nil {
+			panic(err)
+		}
+		if h++; h < len(o.path) {
+			n.TransferThen(o.path[h-1], o.path[h], o.size, next)
+			return
+		}
+		switch o.disk {
+		case 0:
+			end()
+		case 1:
+			n.env.Go(func() { n.Node(last).DiskRead(o.diskSize); end() })
+		default:
+			n.Node(last).DiskWriteThen(o.diskSize, end)
+		}
+	}
+	next(nil)
+}
+
 // TestTransfersMatchSemaphoreModel: booking a NIC direction or a disk at
 // the instant a process would have queued on it, as TryTransfer and the
 // disk path do, completes every operation at the very instant the FIFO
 // lock model does. Twenty seeded schedules of 3 000 operations each —
 // 1–3 hops, disk reads and writes on nodes every path shares, every
 // fourth seed with a degraded link, a lossy link and a slow disk — run
-// on both, and every completion instant must be identical.
+// on both, and on the continuation forms (TransferThen, DiskWriteThen),
+// and every completion instant must be identical.
 //
 // On grid-aligned schedules, where many events share a nanosecond, the
 // two may order same-instant requests differently (a booking's wake is
@@ -210,12 +248,14 @@ func TestTransfersMatchSemaphoreModel(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		sched := fabricSchedule(rand.New(rand.NewSource(seed)), ops, false)
 		faulty := seed%4 == 0
-		got := runSchedule(sched, faulty, seed, false)
-		want := runSchedule(sched, faulty, seed, true)
-		for i := range sched {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d (faults %v): op %d (start %v, path %v, %d B, disk %d) completed at %v, the FIFO lock model at %v",
-					seed, faulty, i, sched[i].at, sched[i].path, sched[i].size, sched[i].disk, got[i], want[i])
+		want := runSchedule(sched, faulty, seed, viaLocks)
+		for _, via := range []int{viaProcess, viaThen} {
+			got := runSchedule(sched, faulty, seed, via)
+			for i := range sched {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d (faults %v, form %d): op %d (start %v, path %v, %d B, disk %d) completed at %v, the FIFO lock model at %v",
+						seed, faulty, via, i, sched[i].at, sched[i].path, sched[i].size, sched[i].disk, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -223,8 +263,8 @@ func TestTransfersMatchSemaphoreModel(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		sched := fabricSchedule(rand.New(rand.NewSource(seed)), ops, true)
 		checkReservations(t, seed, sched)
-		got := runSchedule(sched, false, seed, false)
-		want := runSchedule(sched, false, seed, true)
+		got := runSchedule(sched, false, seed, viaProcess)
+		want := runSchedule(sched, false, seed, viaLocks)
 		d := 0
 		for i := range sched {
 			if got[i] != want[i] {

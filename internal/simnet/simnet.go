@@ -53,6 +53,10 @@ type Network struct {
 	// round-trip. AddNode republishes the snapshot.
 	nodesA atomic.Value
 	flt    *faults // failure state, allocated eagerly (see faults.go)
+
+	// free holds finished hop records for reuse (see hop). Only
+	// processes of env touch it, one at a time, so it needs no lock.
+	free []*hop
 }
 
 // Node is one machine: a transmit NIC, a receive NIC and a disk, each a
@@ -161,41 +165,21 @@ func (n *Network) Transfer(from, to NodeID, size int64) {
 // ErrUnreachable; a degraded link stretches latency and serialization;
 // packet loss adds retransmission rounds.
 func (n *Network) TryTransfer(from, to NodeID, size int64) error {
-	if from == to {
-		if n.NodeDown(from) {
-			n.env.Sleep(failureDetectDelay)
-			return ErrUnreachable
-		}
-		n.env.Sleep(loopbackLatency)
-		return nil
-	}
-	lf := n.lookFaults(from, to)
-	if !lf.reachable {
-		n.env.Sleep(failureDetectDelay)
-		return ErrUnreachable
-	}
-	src, dst := n.Node(from), n.Node(to)
-	tx := n.txTime(size)
-	if lf.bwFactor > 0 && lf.bwFactor < 1 {
-		tx = time.Duration(float64(tx) / lf.bwFactor)
-	}
-	lat := time.Duration(float64(linkLatency) * lf.latFactor)
+	h := hop{n: n, from: from, to: to, size: size}
+	return h.wait()
+}
 
-	n.sleepUntil(n.book(&src.tx, tx) + lat)
-
-	// Each lost packet costs a timeout-free retransmission round: the
-	// peer's NACK (or the sender's fast-retransmit) travels back, and
-	// the payload is serialized and propagated again.
-	for i := 0; i < lf.retransmit; i++ {
-		n.env.Sleep(lat) // feedback to sender
-		n.sleepUntil(n.book(&src.tx, tx) + lat)
-	}
-
-	n.sleepUntil(n.book(&dst.rx, tx))
-
-	src.bytesSent.Add(size)
-	dst.bytesRecv.Add(size)
-	return nil
+// TransferThen is TryTransfer without a process: it makes the same
+// bookings at the same instants, each from a continuation
+// (sim.Env.Then) where TryTransfer sleeps, and calls done with
+// TryTransfer's error at the instant TryTransfer would have returned.
+// The transfer's record is recycled before done runs, so a transfer
+// allocates nothing. done runs as a continuation: it must not block,
+// and once the environment is stopped it runs inside TransferThen.
+func (n *Network) TransferThen(from, to NodeID, size int64, done func(error)) {
+	h := n.newHop()
+	h.from, h.to, h.size, h.done = from, to, size, done
+	h.advance()
 }
 
 // TryCall is the fallible RPC path: if either leg of the round trip
@@ -217,24 +201,192 @@ func TryCall[T any](n *Network, from, to NodeID, reqSize, respSize int64, serve 
 // DiskRead charges a read of size bytes against the node's disk,
 // blocking the calling process.
 func (nd *Node) DiskRead(size int64) {
-	base := diskReadLatency + time.Duration(float64(size)/diskReadBandwidth*float64(time.Second))
-	nd.useDisk(base)
+	nd.net.sleepUntil(nd.bookDisk(diskReadLatency + time.Duration(float64(size)/diskReadBandwidth*float64(time.Second))))
 	nd.diskRead.Add(size)
 }
 
 // DiskWrite charges a write of size bytes against the node's disk,
 // blocking the calling process.
 func (nd *Node) DiskWrite(size int64) {
-	base := diskWriteLatency + time.Duration(float64(size)/diskWriteBandwidth*float64(time.Second))
-	nd.useDisk(base)
-	nd.diskWrite.Add(size)
+	h := hop{n: nd.net, dst: nd, size: size, stage: hopDiskWrite}
+	h.wait()
 }
 
-// useDisk books the disk for an operation of base duration, stretched
-// by the node's current disk slowdown, and sleeps until it completes.
-func (nd *Node) useDisk(base time.Duration) {
+// DiskWriteThen is DiskWrite without a process: it books the disk now,
+// as DiskWrite does, and calls done from a continuation at the instant
+// DiskWrite would have returned. Like TransferThen it allocates
+// nothing, and done must not block.
+func (nd *Node) DiskWriteThen(size int64, done func()) {
+	h := nd.net.newHop()
+	h.dst, h.size, h.stage, h.wrote = nd, size, hopDiskWrite, done
+	h.advance()
+}
+
+// bookDisk books the disk for an operation of base duration, stretched
+// by the node's current disk slowdown, and returns the instant it
+// completes.
+func (nd *Node) bookDisk(base time.Duration) sim.Time {
 	n := nd.net
-	n.sleepUntil(n.book(&nd.disk, time.Duration(float64(base)*n.diskFactor(nd.ID))))
+	return n.book(&nd.disk, time.Duration(float64(base)*n.diskFactor(nd.ID)))
+}
+
+// hop is one transfer or disk write in flight, and the one owner of its
+// booking schedule: step makes the bookings due at the current instant
+// and returns the instant of the next stage. TryTransfer and DiskWrite
+// drive a hop on their stack by sleeping to each such instant (wait);
+// TransferThen and DiskWriteThen drive a pooled one by scheduling its
+// continuation there (advance). Either way every booking is made at the
+// same instant, and every timer pushed in the same order.
+type hop struct {
+	n        *Network
+	from, to NodeID
+	size     int64
+	stage    hopStage
+	src, dst *Node
+	d, lat   time.Duration // serialization time and propagation latency
+	rounds   int           // retransmission rounds left
+	err      error
+	ending   bool // advance has scheduled the hop's last stage
+
+	// A pooled hop's continuation: done (a transfer) or wrote (a disk
+	// write) is called when it ends. resume is advance, bound once when
+	// the record is made.
+	done   func(error)
+	wrote  func()
+	resume func()
+}
+
+// hopStage is what a hop does when step is next called.
+type hopStage uint8
+
+const (
+	// hopSend: look up the link's faults and book the transmit NIC, or
+	// wait out a loopback or an unreachable peer.
+	hopSend hopStage = iota
+	// hopSent: the payload has propagated; a retransmission round
+	// begins, or it arrives and books the receive NIC.
+	hopSent
+	// hopResend: the loss feedback has reached the sender, which books
+	// the transmit NIC again.
+	hopResend
+	// hopArrived: the receive NIC is booked; at its end, the bytes count.
+	hopArrived
+	// hopDiskWrite: book the disk; at its end, the bytes count.
+	hopDiskWrite
+)
+
+// step advances h by one stage, at the current instant, and returns
+// the instant the next stage begins and whether that one is the last:
+// at the last, end counts the bytes and the hop is over (a transfer's
+// error is then in h.err).
+//
+// A transfer books the transmit NIC as it is sent and the receive NIC
+// at arrival (see book). Each lost packet costs a timeout-free
+// retransmission round: the peer's NACK (or the sender's
+// fast-retransmit) travels back, and the payload is serialized and
+// propagated again.
+func (h *hop) step() (at sim.Time, last bool) {
+	n := h.n
+	switch h.stage {
+	case hopSend:
+		now := n.env.Now()
+		if h.from == h.to {
+			if n.NodeDown(h.from) {
+				h.err = ErrUnreachable
+				return now + failureDetectDelay, true
+			}
+			return now + loopbackLatency, true
+		}
+		lf := n.lookFaults(h.from, h.to)
+		if !lf.reachable {
+			h.err = ErrUnreachable
+			return now + failureDetectDelay, true
+		}
+		h.src, h.dst = n.Node(h.from), n.Node(h.to)
+		h.d = n.txTime(h.size)
+		if lf.bwFactor > 0 && lf.bwFactor < 1 {
+			h.d = time.Duration(float64(h.d) / lf.bwFactor)
+		}
+		h.lat = time.Duration(float64(linkLatency) * lf.latFactor)
+		h.rounds = lf.retransmit
+		h.stage = hopSent
+		return n.book(&h.src.tx, h.d) + h.lat, false
+	case hopSent:
+		if h.rounds > 0 {
+			h.rounds--
+			h.stage = hopResend
+			return n.env.Now() + h.lat, false // feedback to sender
+		}
+		h.stage = hopArrived
+		return n.book(&h.dst.rx, h.d), true
+	case hopResend:
+		h.stage = hopSent
+		return n.book(&h.src.tx, h.d) + h.lat, false
+	default: // hopDiskWrite
+		return h.dst.bookDisk(diskWriteLatency + time.Duration(float64(h.size)/diskWriteBandwidth*float64(time.Second))), true
+	}
+}
+
+// end counts the bytes of a hop whose last stage has come.
+func (h *hop) end() {
+	switch h.stage {
+	case hopArrived:
+		h.src.bytesSent.Add(h.size)
+		h.dst.bytesRecv.Add(h.size)
+	case hopDiskWrite:
+		h.dst.diskWrite.Add(h.size)
+	}
+}
+
+// wait drives h in the calling process, sleeping to each stage.
+func (h *hop) wait() error {
+	for {
+		at, last := h.step()
+		h.n.sleepUntil(at)
+		if last {
+			h.end()
+			return h.err
+		}
+	}
+}
+
+// advance drives a pooled h: it runs the stage due now and schedules
+// itself at the next one, and at the last counts the bytes, recycles h
+// and calls its continuation.
+func (h *hop) advance() {
+	n := h.n
+	if !h.ending {
+		at, last := h.step()
+		h.ending = last
+		n.env.Then(at-n.env.Now(), h.resume)
+		return
+	}
+	h.end()
+	err, done, wrote := h.err, h.done, h.wrote
+	n.recycle(h)
+	if wrote != nil {
+		wrote()
+		return
+	}
+	done(err)
+}
+
+// newHop takes a record from the free list, or makes one.
+func (n *Network) newHop() *hop {
+	if k := len(n.free); k > 0 {
+		h := n.free[k-1]
+		n.free = n.free[:k-1]
+		return h
+	}
+	h := &hop{n: n}
+	h.resume = h.advance
+	return h
+}
+
+// recycle returns a finished record to the free list.
+func (n *Network) recycle(h *hop) {
+	*h = hop{n: n, resume: h.resume}
+	n.free = append(n.free, h)
 }
 
 // Stats reports cumulative traffic counters for the node.

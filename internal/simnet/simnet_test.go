@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -46,6 +47,41 @@ func TestLoopbackIsCheap(t *testing.T) {
 	env.Run()
 	if took != loopbackLatency {
 		t.Errorf("loopback took %v, want %v", took, loopbackLatency)
+	}
+}
+
+// TestTransferThenEdges: on the paths no booking is made — a loopback,
+// a loopback on a failed node, a failed peer, a cut link —
+// TransferThen ends at the instant TryTransfer returns, with its error.
+func TestTransferThenEdges(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		to          NodeID
+		fault       func(n *Network)
+		took        time.Duration
+		unreachable bool
+	}{
+		{"loopback", 0, func(*Network) {}, loopbackLatency, false},
+		{"loopback on a failed node", 0, func(n *Network) { n.SetNodeDown(0, true) }, failureDetectDelay, true},
+		{"failed peer", 1, func(n *Network) { n.SetNodeDown(1, true) }, failureDetectDelay, true},
+		{"cut link", 1, func(n *Network) { n.Partition(0, 1) }, failureDetectDelay, true},
+	} {
+		for _, cont := range []bool{false, true} {
+			env := sim.NewEnv(1)
+			n, _, _ := testNet(env)
+			c.fault(n)
+			var took time.Duration
+			var err error
+			if cont {
+				env.After(0, func() { n.TransferThen(0, c.to, 1<<20, func(e error) { took, err = env.Now(), e }) })
+			} else {
+				env.Go(func() { err = n.TryTransfer(0, c.to, 1<<20); took = env.Now() })
+			}
+			env.Run()
+			if took != c.took || errors.Is(err, ErrUnreachable) != c.unreachable {
+				t.Errorf("%s (continuation %v): ended at %v with %v, want %v and unreachable %v", c.name, cont, took, err, c.took, c.unreachable)
+			}
+		}
 	}
 }
 
