@@ -32,9 +32,11 @@ test:
 # (internal/overload), fault injection (internal/chaos) and the
 # statistics helpers (internal/metrics), and on the in-memory object
 # cache baseline (internal/imoc), the invariant checker
-# (internal/lint), the decision trees (internal/mltree) and the
-# evaluation workloads (internal/workload). Each floor is one covercheck pass over the same
-# profile; all but the first print only a failure.
+# (internal/lint), the decision trees (internal/mltree), the
+# evaluation workloads (internal/workload) and the experiments
+# that print every table (internal/experiments). Each floor is one
+# covercheck pass over the same profile; all but the first print only
+# a failure.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
@@ -53,6 +55,7 @@ test-cover:
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/lint -floor 91 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/mltree -floor 92 > /dev/null
 	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/workload -floor 88 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/experiments -floor 95 > /dev/null
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to

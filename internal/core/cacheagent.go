@@ -231,13 +231,13 @@ func (a *CacheAgent) Grow() {
 	}
 }
 
-// setGrant is the one place the cache grant changes: the invoker's
-// books first, then the engine's memory limit. It counts the change as
-// a Table 2 scale-up, or as a scale-down by how data was freed, and
-// starts the RAMCloud pool reconfiguration, which runs off the
-// critical path.
+// setGrant is the one place the agent changes the cache grant: the
+// invoker clamps it and writes it to the node, where the engine reads
+// it as its memory limit. It counts the change as a Table 2 scale-up,
+// or as a scale-down by how data was freed, each charged the RAMCloud
+// pool reconfiguration, which runs off the critical path.
 func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
-	a.kv.SetMemoryLimit(a.node, a.inv.SetCacheGrant(target))
+	a.inv.SetCacheGrant(target)
 	a.mu.Lock()
 	if up {
 		a.metrics.ScaleUps++
@@ -254,7 +254,6 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 		a.metrics.ScaleDownTime += poolReconfigTime
 	}
 	a.mu.Unlock()
-	a.env.Go(func() { a.env.Sleep(poolReconfigTime) })
 }
 
 // view captures the eviction policy's inputs for this node: census,

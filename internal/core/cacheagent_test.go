@@ -19,7 +19,6 @@ func TestReclaimFailureWrapsErrReclaim(t *testing.T) {
 	agent := NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, DefaultCacheAgentConfig())
 	sys.Env.Go(func() {
 		inv.SetCacheGrant(64 << 20)
-		sys.KV.SetMemoryLimit(inv.Node(), 64<<20)
 
 		// Need exceeds the whole grant: fails before touching data.
 		_, err := agent.Reclaim(128 << 20)
@@ -59,7 +58,6 @@ func TestReclaimFailsOnDirtyResidue(t *testing.T) {
 	sys.Env.Go(func() {
 		node := inv.Node()
 		inv.SetCacheGrant(64 << 20)
-		sys.KV.SetMemoryLimit(node, 64<<20)
 		for i := 0; i < 6; i++ {
 			key := fmt.Sprintf("dirty/%d", i)
 			if _, err := sys.KV.Write(node, key, kvstore.Synthetic(10<<20),
@@ -94,7 +92,6 @@ func TestConcurrentReclaimAndGrantShrink(t *testing.T) {
 	sys.Env.Go(func() {
 		node := inv.Node()
 		inv.SetCacheGrant(256 << 20)
-		sys.KV.SetMemoryLimit(node, 256<<20)
 		for i := 0; i < 8; i++ {
 			sys.KV.Write(node, fmt.Sprintf("in/%d", i), kvstore.Synthetic(4<<20),
 				map[string]string{"kind": "input", "dirty": "0"}, node)

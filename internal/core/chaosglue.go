@@ -5,21 +5,23 @@ import (
 	"ofc/internal/simnet"
 )
 
-// ApplyChaos arms a chaos schedule against a running System and wires
-// the crash/restart hooks to every layer that owns per-node state: the
-// cache cluster (crash + RAMCloud-style timed recovery), the FaaS
-// worker (sandboxes die with the machine) and, on restart, the cache
-// governor (the revived node re-grows its cache from booked-but-unused
-// memory). Returns the injector so callers can inspect Applied().
+// ApplyChaos arms a chaos schedule against a running System. The
+// injector marks the node down or up; that one flag is what every
+// layer reads, so the hooks add only what each layer does about it:
+// on a crash, the FaaS worker's sandboxes and grant die with the
+// machine and the cache cluster starts its RAMCloud-style timed
+// recovery; on a restart, the storage server's RAM comes back empty
+// and the cache governor re-grows the node's cache from
+// booked-but-unused memory. Returns the injector so callers can
+// inspect Applied().
 //
 // Must be called before the affected traffic starts; the injector
 // fires on the simulation's virtual clock.
 func (s *System) ApplyChaos(sched *chaos.Schedule, seed int64) *chaos.Injector {
 	inj := chaos.NewInjector(s.Net, sched, seed)
 	inj.OnCrash = func(n simnet.NodeID) {
-		s.KV.Crash(n)
 		if inv := s.Platform.InvokerOn(n); inv != nil {
-			inv.SetDown(true)
+			inv.Crash()
 		}
 		// The cluster notices after CrashDetectTimeout and promotes the
 		// victim's backup replicas; runs as its own process so the
@@ -28,9 +30,6 @@ func (s *System) ApplyChaos(sched *chaos.Schedule, seed int64) *chaos.Injector {
 	}
 	inj.OnRestart = func(n simnet.NodeID) {
 		s.KV.Restart(n)
-		if inv := s.Platform.InvokerOn(n); inv != nil {
-			inv.SetDown(false)
-		}
 		if a := s.Gov.Agent(n); a != nil {
 			a.Grow()
 		}

@@ -10,6 +10,7 @@ import (
 
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
+	"ofc/internal/objstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
 )
@@ -339,27 +340,110 @@ func (advisorAlways) Advise(req *faas.Request) faas.Advice {
 	return faas.Advice{Mem: 256 << 20, ShouldCache: true, Use: true}
 }
 
+// shadowSystem is a system whose workers' caches have room for a
+// write-back final and no agent to resize them, so a cached final
+// stays a shadow in the RSDS until its persistor runs.
+func shadowSystem() *System {
+	opts := testOptions(1)
+	opts.DisableCacheAgents = true
+	sys := NewSystem(opts)
+	for _, w := range sys.WorkerNodes {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+	}
+	return sys
+}
+
+// TestExternalReadBlocksOnShadow: an external read that arrives while
+// a cached final is still a shadow in the RSDS blocks in the read
+// webhook until the persistor has pushed the payload, then returns the
+// persisted version at full size (§6.2).
 func TestExternalReadBlocksOnShadow(t *testing.T) {
-	sys := newSystem(1)
+	sys := shadowSystem()
+	const key, size = "obj/ext", 4 << 20
+	var atRead objstore.Meta
+	var read struct {
+		blob faas.Blob
+		meta objstore.Meta
+		err  error
+		done bool
+	}
 	fn := &faas.Function{Name: "w", Tenant: "t", MemoryBooked: 256 << 20, InputType: "none",
 		Body: func(ctx *faas.Ctx) error {
-			return ctx.Load("obj/ext", faas.Blob{Size: 4 << 20}, faas.KindFinal)
+			if err := ctx.Load(key, faas.Blob{Size: size}, faas.KindFinal); err != nil {
+				return err
+			}
+			// The external client reads right after the write-back
+			// final was acknowledged, before its persistor has run.
+			atRead, _ = sys.RSDS.MetaOf(key)
+			sys.Env.Go(func() {
+				read.blob, read.meta, read.err = sys.RSDS.Get(sys.StorageNode, key, true)
+				read.done = true
+			})
+			return nil
 		}}
 	sys.Register(fn)
 	sys.Platform.Advisor = advisorAlways{}
 	sys.Run(func() {
-		res := sys.Platform.Invoke(&faas.Request{Function: fn})
-		if res.Err != nil {
+		if res := sys.Platform.Invoke(&faas.Request{Function: fn}); res.Err != nil {
 			t.Fatalf("invoke: %v", res.Err)
 		}
-		// Immediately read externally: the webhook must block until
-		// the persistor finishes, then hand back a consistent object.
-		_, m, err := sys.RSDS.Get(sys.StorageNode, "obj/ext", true)
-		if err != nil {
-			t.Fatalf("external get: %v", err)
+	})
+	if !atRead.IsShadow() {
+		t.Fatalf("the object was not a shadow when the read began: %+v", atRead)
+	}
+	if !read.done || read.err != nil {
+		t.Fatalf("external get: done=%v err=%v", read.done, read.err)
+	}
+	if read.meta.IsShadow() || read.meta.PersistedVersion != atRead.LatestVersion || read.blob.Size != size {
+		t.Errorf("external read returned %+v (%d bytes), want version %d persisted at %d bytes",
+			read.meta, read.blob.Size, atRead.LatestVersion, size)
+	}
+}
+
+// TestFallbackReadWaitsOutShadow: the master of a cached final crashes
+// before the final is persisted, so the persistor finds the cache
+// unreachable and reschedules. A proxy read meanwhile falls back to
+// the RSDS, finds the shadow, waits on the pending write-back, and
+// returns the payload once recovery has let the persistor push it.
+func TestFallbackReadWaitsOutShadow(t *testing.T) {
+	sys := shadowSystem()
+	const key, size = "obj/crash", 4 << 20
+	sys.Run(func() {
+		w := sys.WorkerNodes[0]
+		if err := sys.RC.Put(w, key, kvstore.Synthetic(size), faas.PutOpts{Kind: faas.KindFinal, ShouldCache: true}); err != nil {
+			t.Fatalf("put: %v", err)
 		}
-		if m.IsShadow() {
-			t.Error("external read observed a shadow object")
+		shadow, _ := sys.RSDS.MetaOf(key)
+		master, ok := sys.KV.MasterOf(key)
+		if !shadow.IsShadow() || !ok {
+			t.Fatalf("after the put: meta %+v, cached=%v; want a cached shadow", shadow, ok)
+		}
+		// The master's machine fails before the persistor reads the
+		// payload; recovery starts as ApplyChaos starts it.
+		sys.Net.SetNodeDown(master, true)
+		sys.Platform.InvokerOn(master).Crash()
+		sys.Env.Go(func() { sys.KV.Recover(master) })
+
+		reader := sys.WorkerNodes[1]
+		if reader == master {
+			reader = sys.WorkerNodes[2]
+		}
+		start := sys.Env.Now()
+		blob, err := sys.RC.Get(reader, key, faas.PutOpts{})
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		if blob.Size != size {
+			t.Errorf("get returned %d bytes, want %d", blob.Size, size)
+		}
+		if m, _ := sys.RSDS.MetaOf(key); m.IsShadow() || m.PersistedVersion != shadow.LatestVersion {
+			t.Errorf("after the get: meta %+v, want version %d persisted", m, shadow.LatestVersion)
+		}
+		if waited := time.Duration(sys.Env.Now() - start); waited < sys.RC.persistRetryDelay {
+			t.Errorf("get returned after %v, before the persist could be retried (%v)", waited, sys.RC.persistRetryDelay)
+		}
+		if st := sys.RC.Stats(); st.FallbackReads != 1 {
+			t.Errorf("fallback reads=%d, want 1", st.FallbackReads)
 		}
 	})
 }
@@ -441,7 +525,6 @@ func TestPeriodicEvictionPolicy(t *testing.T) {
 	agent := NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, cfg)
 	sys.Env.Go(func() {
 		inv.SetCacheGrant(1 << 30)
-		sys.KV.SetMemoryLimit(inv.Node(), 1<<30)
 		node := inv.Node()
 		// cold: 1 access, idle.
 		sys.KV.Write(node, "cold", kvstore.Synthetic(1<<20), map[string]string{"kind": "input"}, node)
@@ -478,7 +561,6 @@ func TestRouterPrefersDataLocality(t *testing.T) {
 	var res *faas.Result
 	sys.Run(func() {
 		// Master the input object's cached copy on worker 2.
-		sys.KV.SetMemoryLimit(target, 1<<30)
 		sys.Platform.Invokers()[2].SetCacheGrant(1 << 30)
 		sys.KV.Write(target, "img/loc", kvstore.Synthetic(32<<10), map[string]string{"kind": "input"}, target)
 		res = sys.Platform.Invoke(&faas.Request{Function: fn, InputKeys: []string{"img/loc"},
@@ -583,7 +665,6 @@ func TestRelaxedConsistencySkipsShadow(t *testing.T) {
 	sys2 := relaxed(2)
 	sys2.Env.Go(func() {
 		node := sys2.WorkerNodes[0]
-		sys2.KV.SetMemoryLimit(node, 1<<30)
 		sys2.Platform.Invokers()[0].SetCacheGrant(1 << 30)
 		sys2.KV.Write(node, "lazy/obj", kvstore.Synthetic(1<<20),
 			map[string]string{"kind": "final", "dirty": "1", "version": "0"}, node)
@@ -604,7 +685,6 @@ func TestCrashRecoveryUnderOFC(t *testing.T) {
 	sys := newSystem(3)
 	sys.Run(func() {
 		victim := sys.WorkerNodes[0]
-		sys.KV.SetMemoryLimit(victim, 1<<30)
 		sys.Platform.Invokers()[0].SetCacheGrant(1 << 30)
 		for _, w := range sys.WorkerNodes[1:] {
 			sys.KV.SetMemoryLimit(w, 1<<30)

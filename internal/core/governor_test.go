@@ -28,7 +28,6 @@ func TestGovernorMultiNodeReclaimFanOut(t *testing.T) {
 		richNode, poorNode := invs[0].Node(), invs[1].Node()
 		// Rich node: 64 MB grant holding clean final outputs.
 		invs[0].SetCacheGrant(64 << 20)
-		sys.KV.SetMemoryLimit(richNode, 64<<20)
 		for i := 0; i < 8; i++ {
 			key := fmt.Sprintf("rich/%d", i)
 			if _, err := sys.KV.Write(richNode, key, kvstore.Blob{Size: 4 << 20},
@@ -74,7 +73,6 @@ func TestAgentPolicySwap(t *testing.T) {
 	sys.Env.Go(func() {
 		node := inv.Node()
 		inv.SetCacheGrant(16 << 20)
-		sys.KV.SetMemoryLimit(node, 16<<20)
 		// Fill past the 90% watermark with cold objects.
 		for i := 0; i < 15; i++ {
 			key := fmt.Sprintf("cold/%d", i)

@@ -267,8 +267,8 @@ func (s *System) OnComplete(req *faas.Request, res *faas.Result) {
 		// from the RSDS profile and the observed payload sizes — the
 		// measured phases shrink once caching kicks in and would
 		// mislabel.
-		Extract:      s.RC.EstimateRSDS(res.ReadOps, res.BytesIn, false),
-		Load:         s.RC.EstimateRSDS(res.WriteOps, res.BytesOut, true),
+		Extract:      s.RSDS.Profile().ReadTime(max(res.ReadOps, 1), res.BytesIn),
+		Load:         s.RSDS.Profile().WriteTime(max(res.WriteOps, 1), res.BytesOut),
 		BenefitKnown: res.BytesIn+res.BytesOut > 0,
 	}
 	s.Trainer.Observe(req.Function, req, sample)

@@ -642,20 +642,6 @@ func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) (ok bool) {
 	return true
 }
 
-// EstimateRSDS returns the modeled uncached Extract/Load cost of ops
-// accesses moving size bytes in total, for caching-benefit labels when
-// the real access was served from the cache.
-func (rc *RCLib) EstimateRSDS(ops, size int64, write bool) time.Duration {
-	if ops < 1 {
-		ops = 1
-	}
-	p := rc.rsds.Profile()
-	if write {
-		return time.Duration(ops)*p.WriteBase + time.Duration(float64(size)/p.WriteBW*float64(time.Second))
-	}
-	return time.Duration(ops)*p.ReadBase + time.Duration(float64(size)/p.ReadBW*float64(time.Second))
-}
-
 // CacheStats reports proxy counters.
 type CacheStats struct {
 	Hits, LocalHits, Misses int64

@@ -41,7 +41,6 @@ func TestGetFallsBackToRSDS(t *testing.T) {
 			return
 		}
 
-		sys.Net.SetNodeDown(victim, true)
 		sys.KV.Crash(victim)
 
 		blob, err := sys.RC.Get(other, key, faas.PutOpts{})
@@ -102,7 +101,6 @@ func TestPutFallsBackToRSDS(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		sys.Net.SetNodeDown(victim, true)
 		sys.KV.Crash(victim)
 
 		err := sys.RC.Put(other, key, faas.Blob{Size: 64 << 10},
@@ -147,7 +145,6 @@ func TestDirtyWriteBackSurvivesCrash(t *testing.T) {
 		}
 		// Kill the master at the same instant: the async Persistor finds
 		// the cache unavailable and must keep rescheduling.
-		sys.Net.SetNodeDown(victim, true)
 		sys.KV.Crash(victim)
 
 		sys.Env.Sleep(200 * time.Millisecond)
@@ -155,7 +152,7 @@ func TestDirtyWriteBackSurvivesCrash(t *testing.T) {
 			t.Error("recovery promoted nothing")
 			return
 		}
-		sys.Net.SetNodeDown(victim, false)
+		sys.KV.Restart(victim)
 		// Give the Persistor retry loop (PersistRetryDelay cadence) and
 		// the breaker cooldown time to push the payload through.
 		sys.Env.Sleep(3 * time.Second)

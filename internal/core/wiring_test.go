@@ -69,9 +69,8 @@ func TestOptionsWiring(t *testing.T) {
 				defer sys.Env.Stop()
 				w := sys.WorkerNodes[0]
 				if sys.KV != nil {
-					for i, node := range sys.WorkerNodes {
-						sys.KV.SetMemoryLimit(node, 1<<30)
-						sys.Platform.Invokers()[i].SetCacheGrant(1 << 30)
+					for _, inv := range sys.Platform.Invokers() {
+						inv.SetCacheGrant(1 << 30)
 					}
 				}
 				// The checks run before this process blocks, so the

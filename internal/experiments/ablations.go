@@ -80,10 +80,8 @@ func AblationMigration(seed int64) *Table {
 	type pair struct{ promo, full time.Duration }
 	results := map[int64]pair{}
 	d.Env.Go(func() {
-		for i := range d.Workers {
-			inv := sys.Platform.Invokers()[i]
-			g := inv.SetCacheGrant(inv.Capacity())
-			sys.KV.SetMemoryLimit(d.Workers[i], g)
+		for _, inv := range sys.Platform.Invokers() {
+			inv.SetCacheGrant(inv.Capacity())
 		}
 		for _, total := range sizes {
 			n := int(total / (8 << 20))

@@ -175,12 +175,9 @@ func Constants(seed int64) *Table {
 	d3 := NewDeployment(ModeOFC, DefaultDeploy())
 	var promo time.Duration
 	d3.Env.Go(func() {
-		inv := d3.Sys.Platform.Invokers()[0]
-		g := inv.SetCacheGrant(inv.Capacity())
-		d3.Sys.KV.SetMemoryLimit(d3.Workers[0], g)
-		inv2 := d3.Sys.Platform.Invokers()[1]
-		g2 := inv2.SetCacheGrant(inv2.Capacity())
-		d3.Sys.KV.SetMemoryLimit(d3.Workers[1], g2)
+		for _, inv := range d3.Sys.Platform.Invokers()[:2] {
+			inv.SetCacheGrant(inv.Capacity())
+		}
 		d3.Sys.KV.Write(d3.Sys.CtrlNode, "c/promo", kvstore.Synthetic(8<<20), map[string]string{"kind": "input"}, d3.Workers[0])
 		start := d3.Env.Now()
 		if err := d3.Sys.KV.MigrateToBackup("c/promo"); err != nil {

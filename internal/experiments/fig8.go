@@ -62,10 +62,8 @@ func runFig8Cell(spec *workload.Spec, size int64, scen string, seed int64) Figur
 		// Hoard *all* free memory into the cache on every node (no
 		// slack), so that any sandbox creation must shrink the cache —
 		// the condition Figure 8 studies.
-		for i, w := range d.Workers {
-			inv := sys.Platform.Invokers()[i]
-			g := inv.SetCacheGrant(inv.Capacity())
-			sys.KV.SetMemoryLimit(w, g)
+		for _, inv := range sys.Platform.Invokers() {
+			inv.SetCacheGrant(inv.Capacity())
 		}
 		inv := sys.Platform.Invokers()[0]
 		switch scen {
@@ -83,8 +81,8 @@ func runFig8Cell(spec *workload.Spec, size int64, scen string, seed int64) Figur
 			}
 			if scen == "Sc3" {
 				// No node can take over a master copy: eviction only.
-				for _, w := range d.Workers[1:] {
-					sys.KV.SetMemoryLimit(w, 0)
+				for _, inv := range sys.Platform.Invokers()[1:] {
+					inv.SetCacheGrant(0)
 				}
 			}
 		}
@@ -120,9 +118,8 @@ func MigrationSeries(seed int64) (*Table, map[int64]time.Duration) {
 	out := map[int64]time.Duration{}
 	sizes := []int64{8 << 20, 64 << 20, 256 << 20, 512 << 20, 1 << 30}
 	d.Env.Go(func() {
-		for _, w := range d.Workers {
-			sys.KV.SetMemoryLimit(w, 4<<30)
-			sys.Platform.Invokers()[0].SetCacheGrant(4 << 30)
+		for _, inv := range sys.Platform.Invokers() {
+			inv.SetCacheGrant(4 << 30)
 		}
 		count := 0
 		for _, total := range sizes {

@@ -354,7 +354,8 @@ func TestCacheGrantLimitsSandboxes(t *testing.T) {
 	if free := inv.FreeForSandboxes(); free != (1<<30)-(900<<20) {
 		t.Errorf("free=%d", free)
 	}
-	// Without a governor the platform takes the grant directly.
+	// Without a governor nothing shrinks the grant: the invocation
+	// runs on a worker with room, and the grant stays whole.
 	fn := emptyFn(512 << 20)
 	tb.p.Register(fn)
 	var res *Result
@@ -362,6 +363,9 @@ func TestCacheGrantLimitsSandboxes(t *testing.T) {
 	tb.env.Run()
 	if res.Err != nil {
 		t.Fatalf("invoke: %v", res.Err)
+	}
+	if res.Node == inv.Node() || inv.CacheGrant() != 900<<20 {
+		t.Errorf("ran on node %d (the granted one is %d), grant=%d", res.Node, inv.Node(), inv.CacheGrant())
 	}
 }
 
@@ -1150,10 +1154,11 @@ func TestNodeCrashWithKeepAliveTimersPending(t *testing.T) {
 		if inv.SandboxCount() != 4 || inv.BookedWaste() != 4*(160<<20) {
 			t.Errorf("before the crash: sandboxes=%d waste=%d", inv.SandboxCount(), inv.BookedWaste())
 		}
-		inv.SetDown(true)
+		tb.net.SetNodeDown(inv.Node(), true)
+		inv.Crash()
 		empty("down", 4)
 		tb.env.Sleep(2 * time.Second)
-		inv.SetDown(false)
+		tb.net.SetNodeDown(inv.Node(), false)
 		// The busy invocations return to a revived node; their sandboxes
 		// stay dead.
 		busy.Wait()
@@ -1288,10 +1293,11 @@ func TestSandboxBooksMatchReferenceModel(t *testing.T) {
 				req := request(5*time.Second, false)
 				f := tb.p.InvokeAsync(req)
 				tb.env.Sleep([]time.Duration{200 * time.Millisecond, 2 * time.Second}[rng.Intn(2)])
-				inv.SetDown(true)
+				tb.net.SetNodeDown(inv.Node(), true)
+				inv.Crash()
 				clear(model)
 				tb.env.Sleep(time.Second)
-				inv.SetDown(false)
+				tb.net.SetNodeDown(inv.Node(), false)
 				f.Wait()
 				uses = uses[:0]
 			case k <= 2 && len(model) > 0: // look on both sides of the next expiry

@@ -44,7 +44,9 @@ func bookedWaste(fn *Function, mem int64) int64 {
 
 // Invoker is the per-node worker component: it reports node status to
 // the Loadbalancer, creates and resizes sandboxes, and runs
-// invocations.
+// invocations. Whether the node is up and how much of its memory the
+// cache holds are the node's facts (simnet.Node's Down and Grant); the
+// invoker reads them there and keeps only the sandboxes' books.
 type Invoker struct {
 	p        *Platform
 	node     *simnet.Node
@@ -54,16 +56,14 @@ type Invoker struct {
 	// bodies.
 	storage Storage
 
-	mu   sync.Mutex
-	down bool // node fail-stopped; no placements until restart
+	mu sync.Mutex
 	// The books on live (idle + busy) sandboxes, kept as sandboxes come
 	// and go instead of recounted per query: the sandboxes of each
 	// function in creation order, their number, and their BookedWaste.
-	sandboxes  map[*Function][]*Sandbox
-	live       int
-	waste      int64
-	reserved   int64 // Σ sandbox memory limits
-	cacheGrant int64 // bytes currently granted to the co-located cache
+	sandboxes map[*Function][]*Sandbox
+	live      int
+	waste     int64
+	reserved  int64 // Σ sandbox memory limits
 
 	// stats
 	created, expired int64
@@ -82,31 +82,27 @@ func newInvoker(p *Platform, node simnet.NodeID, capacity int64, storage Storage
 // Node returns the worker's node id.
 func (inv *Invoker) Node() simnet.NodeID { return inv.node.ID }
 
-// Down reports whether the worker's node is fail-stopped.
-func (inv *Invoker) Down() bool {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.down
-}
+// Down reports whether the worker's node is fail-stopped: no
+// placements until it restarts.
+func (inv *Invoker) Down() bool { return inv.node.Down() }
 
-// SetDown fail-stops or revives the worker. Going down kills every
-// sandbox (the containers die with the machine) and zeroes both the
-// sandbox reservations and the cache grant; the node comes back empty.
-func (inv *Invoker) SetDown(down bool) {
+// Crash is the worker's part of a fail-stop of its node, which the
+// fabric has already marked down: every sandbox dies with the machine,
+// and the memory the machine split between sandboxes and the cache is
+// gone, so the sandbox reservations and the cache grant are zero. The
+// node comes back empty.
+func (inv *Invoker) Crash() {
 	inv.mu.Lock()
-	inv.down = down
-	if down {
-		for _, list := range inv.sandboxes {
-			for _, sb := range list {
-				sb.state = sandboxDead
-			}
+	for _, list := range inv.sandboxes {
+		for _, sb := range list {
+			sb.state = sandboxDead
 		}
-		clear(inv.sandboxes)
-		inv.expired += int64(inv.live)
-		inv.live, inv.waste = 0, 0
-		inv.reserved = 0
-		inv.cacheGrant = 0
 	}
+	clear(inv.sandboxes)
+	inv.expired += int64(inv.live)
+	inv.live, inv.waste = 0, 0
+	inv.reserved = 0
+	inv.node.SetGrant(0)
 	inv.mu.Unlock()
 }
 
@@ -121,25 +117,18 @@ func (inv *Invoker) Reserved() int64 {
 }
 
 // CacheGrant returns the bytes currently granted to the cache.
-func (inv *Invoker) CacheGrant() int64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.cacheGrant
-}
+func (inv *Invoker) CacheGrant() int64 { return inv.node.Grant() }
 
-// SetCacheGrant adjusts the cache's share of node memory. Growing the
-// grant beyond free capacity is rejected (returns the grant actually
-// in force).
+// SetCacheGrant adjusts the cache's share of node memory, which the
+// cache's storage server on the node enforces as its limit. Growing
+// the grant beyond free capacity is rejected (returns the grant
+// actually in force).
 func (inv *Invoker) SetCacheGrant(bytes int64) int64 {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	if max := inv.capacity - inv.reserved; bytes > max {
-		bytes = max
-	}
-	if bytes < 0 {
-		bytes = 0
-	}
-	inv.cacheGrant = bytes
+	bytes = min(bytes, inv.capacity-inv.reserved)
+	bytes = max(bytes, 0)
+	inv.node.SetGrant(bytes)
 	return bytes
 }
 
@@ -148,7 +137,12 @@ func (inv *Invoker) SetCacheGrant(bytes int64) int64 {
 func (inv *Invoker) FreeForSandboxes() int64 {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	return inv.capacity - inv.reserved - inv.cacheGrant
+	return inv.freeLocked()
+}
+
+// freeLocked is FreeForSandboxes with inv.mu held.
+func (inv *Invoker) freeLocked() int64 {
+	return inv.capacity - inv.reserved - inv.node.Grant()
 }
 
 // BookedWaste is the memory tenants booked for the live sandboxes but
@@ -212,24 +206,15 @@ func (inv *Invoker) IdleSandboxMem(fn *Function, wanted int64) (int64, bool) {
 // the critical path.
 func (inv *Invoker) reserve(bytes int64) (time.Duration, error) {
 	inv.mu.Lock()
-	free := inv.capacity - inv.reserved - inv.cacheGrant
+	free := inv.freeLocked()
 	if free >= bytes {
 		inv.reserved += bytes
 		inv.mu.Unlock()
 		return 0, nil
 	}
 	need := bytes - free
-	canTakeFromCache := inv.cacheGrant >= need
 	inv.mu.Unlock()
-	if !canTakeFromCache || inv.p.Governor == nil {
-		if canTakeFromCache && inv.p.Governor == nil {
-			// No governor: take the grant directly.
-			inv.mu.Lock()
-			inv.cacheGrant -= need
-			inv.reserved += bytes
-			inv.mu.Unlock()
-			return 0, nil
-		}
+	if inv.node.Grant() < need || inv.p.Governor == nil {
 		return 0, ErrNoCapacity
 	}
 	took, err := inv.p.Governor.Reclaim(inv.node.ID, need)
@@ -238,7 +223,7 @@ func (inv *Invoker) reserve(bytes int64) (time.Duration, error) {
 	}
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	if inv.capacity-inv.reserved-inv.cacheGrant < bytes {
+	if inv.freeLocked() < bytes {
 		// Governor freed the grant but someone raced us; treat as no
 		// capacity rather than looping (callers retry at a higher level).
 		return took, ErrNoCapacity
@@ -268,7 +253,7 @@ func (inv *Invoker) createSandbox(fn *Function, mem int64) (*Sandbox, time.Durat
 	sb := &Sandbox{fn: fn, mem: mem, state: sandboxBusy, lastUsed: inv.p.env.Now()}
 	sb.expire = func() { inv.keepAliveFired(sb) }
 	inv.mu.Lock()
-	if inv.down {
+	if inv.node.Down() {
 		sb.state = sandboxDead
 	} else {
 		inv.sandboxes[fn] = append(inv.sandboxes[fn], sb)

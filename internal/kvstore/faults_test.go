@@ -165,9 +165,20 @@ func TestDirtyReplicaMetaSurvivesPromotion(t *testing.T) {
 // TestDemotedMasterCopySurvivesRestart: MigrateToBackup demotes the
 // old master to a backup and pays a disk write for its copy. Once that
 // write lands, the copy is on disk, so a reboot of the old master keeps
-// it and recovery can promote it when every other copy is gone.
+// it and recovery can promote it when every other copy is gone. The
+// coordinator runs on a node without a server, as in NewSystem, so
+// crashing every other copy's machine leaves it reachable.
 func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
-	run(t, func(env *sim.Env, c *Cluster) {
+	env := sim.NewEnv(1)
+	net := simnet.New(env)
+	for i := 0; i < 5; i++ {
+		net.AddNode("n")
+	}
+	c := New(net, 4, DefaultConfig())
+	for i := 0; i < 4; i++ {
+		c.AddServer(simnet.NodeID(i), 1<<30)
+	}
+	env.Go(func() {
 		ver, err := c.Write(1, "k", Synthetic(1<<20), nil, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -203,6 +214,7 @@ func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
 			t.Errorf("master=%d, want the restarted node %d", m, old)
 		}
 	})
+	env.Run()
 }
 
 // TestSetTagPropagatesToReplicas: a tag update on the master must reach

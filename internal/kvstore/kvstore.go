@@ -125,13 +125,14 @@ type replica struct {
 	meta Meta
 }
 
-// Server is a per-node storage server (master + backup roles).
+// Server is a per-node storage server (master + backup roles). Two
+// facts about it belong to its machine and are read there: whether it
+// is up (node.Down) and its master memory budget, the node's cache
+// grant (node.Grant).
 type Server struct {
 	node *simnet.Node
 
 	mu      sync.Mutex
-	crashed bool
-	limit   int64              // master memory budget in bytes
 	log     *objLog            // log-structured master storage
 	backups map[string]replica // backup copies still in the RAM buffer
 	disk    map[string]replica // backup copies flushed to disk
@@ -140,11 +141,14 @@ type Server struct {
 	reads, writes, evictions int64
 }
 
+// Down reports whether the server's machine is fail-stopped.
+func (s *Server) Down() bool { return s.node.Down() }
+
 // Usage returns the live master-copy bytes and the current limit.
 func (s *Server) Usage() (used, limit int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.log.live, s.limit
+	return s.log.live, s.node.Grant()
 }
 
 // LogStats exposes the log-structured engine's accounting: allocated
@@ -262,15 +266,15 @@ func (c *Cluster) placeCount() int {
 }
 
 // AddServer starts a storage server on node with the given master
-// memory budget.
+// memory budget, which becomes the node's cache grant.
 func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
 	s := &Server{
 		node:    c.net.Node(node),
-		limit:   memLimit,
 		log:     newObjLog(segmentSize),
 		backups: make(map[string]replica),
 		disk:    make(map[string]replica),
 	}
+	s.node.SetGrant(memLimit)
 	c.mu.Lock()
 	c.servers[node] = s
 	c.mu.Unlock()
@@ -295,14 +299,12 @@ func (c *Cluster) memCopyTime(size int64) time.Duration {
 	return time.Duration(float64(size) / memBandwidth * float64(time.Second))
 }
 
-// liveServersLocked lists non-crashed servers; c.mu must be held.
+// liveServersLocked lists the servers whose node is up; c.mu must be
+// held.
 func (c *Cluster) liveServersLocked() []simnet.NodeID {
 	var out []simnet.NodeID
 	for id, s := range c.servers {
-		s.mu.Lock()
-		ok := !s.crashed
-		s.mu.Unlock()
-		if ok {
+		if !s.node.Down() {
 			out = append(out, id)
 		}
 	}
@@ -324,7 +326,7 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 	master := simnet.NodeID(-1)
 	if s := c.servers[preferred]; s != nil {
 		s.mu.Lock()
-		if !s.crashed && s.log.live+size <= s.limit {
+		if !s.node.Down() && s.log.live+size <= s.node.Grant() {
 			master = preferred
 		}
 		s.mu.Unlock()
@@ -335,7 +337,7 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 		for _, id := range live {
 			s := c.servers[id]
 			s.mu.Lock()
-			free := s.limit - s.log.live
+			free := s.node.Grant() - s.log.live
 			s.mu.Unlock()
 			if free > bestFree {
 				bestFree, master = free, id
@@ -482,7 +484,8 @@ func (c *Cluster) Objects(node simnet.NodeID) []ObjectInfo {
 	return out
 }
 
-// SetMemoryLimit adjusts the master memory budget of node's server.
+// SetMemoryLimit sets the master memory budget of node's server: the
+// node's cache grant, which the invoker on the node reads too.
 // Lowering the limit below current usage does not evict anything by
 // itself: OFC's cacheAgent is responsible for freeing space (§6.4).
 func (c *Cluster) SetMemoryLimit(node simnet.NodeID, limit int64) error {
@@ -490,9 +493,7 @@ func (c *Cluster) SetMemoryLimit(node simnet.NodeID, limit int64) error {
 	if s == nil {
 		return ErrNoSuchServer
 	}
-	s.mu.Lock()
-	s.limit = limit
-	s.mu.Unlock()
+	s.node.SetGrant(limit)
 	return nil
 }
 
@@ -541,10 +542,11 @@ func (c *Cluster) TotalUsed() int64 {
 	defer c.mu.Unlock()
 	var t int64
 	for _, s := range c.servers {
-		s.mu.Lock()
-		if !s.crashed {
-			t += s.log.live
+		if s.node.Down() {
+			continue
 		}
+		s.mu.Lock()
+		t += s.log.live
 		s.mu.Unlock()
 	}
 	return t

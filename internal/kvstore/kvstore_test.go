@@ -280,8 +280,8 @@ func TestCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c.Crash(1)
-		if _, _, err := c.Read(2, "a"); !errors.Is(err, ErrCrashed) {
+		c.Crash(1) // the machine is down: the master is unreachable
+		if _, _, err := c.Read(2, "a"); !errors.Is(err, simnet.ErrUnreachable) {
 			t.Fatalf("read from crashed master: %v", err)
 		}
 		n := c.RecoverNode(1)

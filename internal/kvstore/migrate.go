@@ -39,14 +39,12 @@ func (c *Cluster) MigrateToBackup(key string) error {
 	}
 	for _, b := range p.backups {
 		s := c.Server(b)
-		if s == nil {
+		if s == nil || s.node.Down() {
 			continue
 		}
 		s.mu.Lock()
-		if !s.crashed {
-			if free := s.limit - s.log.live; free >= size && free > bestFree {
-				bestFree, dest = free, b
-			}
+		if free := s.node.Grant() - s.log.live; free >= size && free > bestFree {
+			bestFree, dest = free, b
 		}
 		s.mu.Unlock()
 	}
@@ -79,7 +77,7 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	var alive bool
 	if ms != nil {
 		ms.mu.Lock()
-		alive = !ms.crashed
+		alive = !ms.node.Down()
 		if o, found := ms.log.get(key); found {
 			cp := *o
 			obj = &cp
@@ -118,11 +116,10 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	}
 	c.env().Sleep(c.promotionTime(obj.meta.Size))
 
-	ds.mu.Lock()
-	if ds.crashed {
-		ds.mu.Unlock()
+	if ds.node.Down() {
 		return ErrCrashed
 	}
+	ds.mu.Lock()
 	ds.log.put(key, &object{blob: blob, meta: obj.meta})
 	delete(ds.backups, key)
 	delete(ds.disk, key)
@@ -181,7 +178,7 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	}
 	ms.mu.Lock()
 	o, found := ms.log.get(key)
-	if !found || ms.crashed {
+	if !found || ms.node.Down() {
 		ms.mu.Unlock()
 		return ErrNotFound
 	}
@@ -191,11 +188,10 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	c.net.Transfer(p.master, dest, cp.meta.Size+controlMsgSize)
 	c.env().Sleep(c.memCopyTime(cp.meta.Size))
 
-	ds.mu.Lock()
-	if ds.crashed {
-		ds.mu.Unlock()
+	if ds.node.Down() {
 		return ErrCrashed
 	}
+	ds.mu.Lock()
 	ds.log.put(key, &object{blob: cp.blob, meta: cp.meta})
 	ds.mu.Unlock()
 
@@ -213,28 +209,24 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	return nil
 }
 
-// Crash fail-stops the server on node. Masters held there become
-// unavailable until RecoverNode promotes their backups.
+// Crash fail-stops node's machine, and with it the server there: the
+// node is down for the fabric and for every layer on it. Masters held
+// there become unavailable until RecoverNode promotes their backups.
 func (c *Cluster) Crash(node simnet.NodeID) {
-	s := c.Server(node)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.crashed = true
-	s.mu.Unlock()
+	c.net.SetNodeDown(node, true)
 }
 
-// Restart models a backup machine rebooting after a fail-stop: RAM
-// state (master log and buffered replicas) is gone, disk contents
-// survive, and the server rejoins the cluster.
+// Restart models a backup machine rebooting after a fail-stop: the
+// node is up again, the server's RAM state (master log and buffered
+// replicas) is gone, disk contents survive, and the server rejoins the
+// cluster.
 func (c *Cluster) Restart(node simnet.NodeID) {
+	c.net.SetNodeDown(node, false)
 	s := c.Server(node)
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.crashed = false
 	s.log = newObjLog(segmentSize)
 	s.backups = make(map[string]replica)
 	s.mu.Unlock()
@@ -293,7 +285,7 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 			s.mu.Lock()
 			_, buffered := s.backups[key]
 			_, onDisk := s.disk[key]
-			ok := !s.crashed && (buffered || onDisk)
+			ok := !s.node.Down() && (buffered || onDisk)
 			s.mu.Unlock()
 			if ok {
 				dest = b

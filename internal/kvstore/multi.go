@@ -141,12 +141,11 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 		// once per key — the main latency win of batching.
 		env.Sleep(crossNodeOverhead)
 	}
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
+	if s.node.Down() {
 		fail(ErrCrashed)
 		return
 	}
+	s.mu.Lock()
 	var payload int64
 	found := 0
 	now := env.Now()
@@ -261,12 +260,12 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	// Master-side processing.
 	r := c.newRound(master)
 	defer c.recycleRound(r)
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
+	if s.node.Down() {
 		fail(ErrCrashed, false)
 		return
 	}
+	limit := s.node.Grant()
+	s.mu.Lock()
 	now := env.Now()
 	for _, i := range idxs {
 		it := items[i]
@@ -275,7 +274,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		if existed {
 			delta -= old.meta.Size
 		}
-		if s.log.live+delta > s.limit {
+		if s.log.live+delta > limit {
 			out[i].Err = ErrNoSpace
 			if speculative[i] { // undo speculative placement of a brand-new object
 				c.placeDelete(it.Key)
@@ -299,8 +298,8 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	// (write-path backpressure, as in RAMCloud). A share the master
 	// rejected whole wrote nothing, so it cleans nothing.
 	var cleanedBytes int64
-	if len(r.acc) > 0 && s.log.alloc > s.limit {
-		cleanedBytes = s.log.clean(s.limit)
+	if len(r.acc) > 0 && s.log.alloc > limit {
+		cleanedBytes = s.log.clean(limit)
 	}
 	s.mu.Unlock()
 	for _, a := range r.acc {
@@ -489,12 +488,11 @@ func (s *share) payloadArrived(err error) {
 // (see Restart).
 func (s *share) buffer() {
 	r, bs := s.r, s.bs
-	bs.mu.Lock()
-	if bs.crashed {
-		bs.mu.Unlock()
+	if bs.node.Down() {
 		s.end(ErrCrashed)
 		return
 	}
+	bs.mu.Lock()
 	for i := range r.acc {
 		if a := &r.acc[i]; s.mine(i) {
 			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}

@@ -85,7 +85,7 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	}
 	s.mu.Lock()
 	o, found := s.log.get(key)
-	if !found || s.crashed {
+	if !found || s.node.Down() {
 		s.mu.Unlock()
 		return ErrNotFound
 	}

@@ -71,12 +71,11 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 		return err
 	}
 	env.Sleep(c.memCopyTime(bytes))
-	bs.mu.Lock()
-	if bs.crashed {
-		bs.mu.Unlock()
+	if bs.node.Down() {
 		n.crashedAtBuffer++
 		return ErrCrashed
 	}
+	bs.mu.Lock()
 	for _, a := range acc {
 		if slices.Contains(a.backups, backup) {
 			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}

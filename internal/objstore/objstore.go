@@ -43,6 +43,28 @@ type Profile struct {
 	WriteBW    float64       // payload bytes/s on the write path
 }
 
+// ReadTime is the store-side time of ops GETs that move bytes payload
+// bytes in total: the per-GET overhead plus the payload at the read
+// bandwidth. It is the one formula for an RSDS read, shared by the
+// store's own Get and by every estimate of an uncached Extract.
+func (p Profile) ReadTime(ops, bytes int64) time.Duration {
+	return time.Duration(ops)*p.ReadBase + payloadTime(bytes, p.ReadBW)
+}
+
+// WriteTime is ReadTime for PUTs: the per-PUT overhead plus the
+// payload at the write bandwidth.
+func (p Profile) WriteTime(ops, bytes int64) time.Duration {
+	return time.Duration(ops)*p.WriteBase + payloadTime(bytes, p.WriteBW)
+}
+
+// payloadTime is the time to move bytes at bw bytes/s.
+func payloadTime(bytes int64, bw float64) time.Duration {
+	if bytes <= 0 || bw <= 0 {
+		return 0
+	}
+	return time.Duration(float64(bytes) / bw * float64(time.Second))
+}
+
 // SwiftProfile models the paper's on-testbed Swift deployment,
 // calibrated so that wand_edge(16 kB) sees ≈40 ms Extract and ≈115 ms
 // Load, and the shadow PUT costs the measured ≈11 ms (§7.2.1).
@@ -170,13 +192,6 @@ func (s *Store) OnCreated(h CreatedHook) {
 	s.createdHooks = append(s.createdHooks, h)
 }
 
-func (s *Store) bwTime(size int64, bw float64) time.Duration {
-	if size <= 0 {
-		return 0
-	}
-	return time.Duration(float64(size) / bw * float64(time.Second))
-}
-
 // Put stores a full object (payload + metadata), assigning the next
 // version. It is the plain, transparent write path; external is true
 // for accesses that did not come through the FaaS/cache layer, which
@@ -188,7 +203,7 @@ func (s *Store) Put(caller simnet.NodeID, key string, blob Blob, userMeta map[st
 		}
 	}
 	s.net.Transfer(caller, s.node, blob.Size+256)
-	s.net.Env().Sleep(s.profile.WriteBase + s.bwTime(blob.Size, s.profile.WriteBW))
+	s.net.Env().Sleep(s.profile.WriteTime(1, blob.Size))
 	s.mu.Lock()
 	e := s.objects[key]
 	if e == nil {
@@ -251,7 +266,7 @@ func (s *Store) Get(caller simnet.NodeID, key string, external bool) (Blob, Meta
 	}
 	blob, meta := e.blob, e.meta
 	s.mu.Unlock()
-	s.net.Env().Sleep(s.profile.ReadBase + s.bwTime(blob.Size, s.profile.ReadBW))
+	s.net.Env().Sleep(s.profile.ReadTime(1, blob.Size))
 	s.net.Transfer(s.node, caller, blob.Size+256)
 	s.statsMu.Lock()
 	s.gets++
@@ -328,7 +343,7 @@ func (s *Store) PutShadow(caller simnet.NodeID, key string, size int64) uint64 {
 // that successive updates are propagated in the correct order" (§6.2).
 func (s *Store) PersistPayload(caller simnet.NodeID, key string, blob Blob, version uint64) error {
 	s.net.Transfer(caller, s.node, blob.Size+256)
-	s.net.Env().Sleep(s.profile.WriteBase + s.bwTime(blob.Size, s.profile.WriteBW))
+	s.net.Env().Sleep(s.profile.WriteTime(1, blob.Size))
 	s.mu.Lock()
 	e := s.objects[key]
 	if e == nil {

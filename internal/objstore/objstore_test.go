@@ -59,6 +59,26 @@ func TestGetLatencyProfile(t *testing.T) {
 	env.Run()
 }
 
+// TestProfileCostModel: ReadTime and WriteTime charge the per-op base
+// once per op and the payload once at the path's bandwidth, and an
+// empty payload or a profile without bandwidth costs no payload time.
+func TestProfileCostModel(t *testing.T) {
+	p := SwiftProfile()
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"three reads of 120 MB", p.ReadTime(3, 120e6), 3*p.ReadBase + time.Second},
+		{"one write of 60 MB", p.WriteTime(1, 60e6), p.WriteBase + time.Second},
+		{"empty write", p.WriteTime(2, 0), 2 * p.WriteBase},
+		{"no bandwidth", Profile{ReadBase: time.Millisecond}.ReadTime(1, 1<<20), time.Millisecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestShadowLifecycle(t *testing.T) {
 	env := sim.NewEnv(1)
 	s, _ := setup(env, SwiftProfile())

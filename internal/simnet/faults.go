@@ -38,7 +38,6 @@ type linkState struct {
 type faults struct {
 	mu       sync.Mutex
 	any      atomic.Bool // fast-path hint: at least one fault ever injected
-	nodeDown map[NodeID]bool
 	links    map[linkKey]*linkState
 	diskSlow map[NodeID]float64
 	rng      *rand.Rand
@@ -46,7 +45,6 @@ type faults struct {
 
 func newFaults() *faults {
 	return &faults{
-		nodeDown: make(map[NodeID]bool),
 		links:    make(map[linkKey]*linkState),
 		diskSlow: make(map[NodeID]float64),
 		rng:      rand.New(rand.NewSource(0)),
@@ -69,25 +67,15 @@ func (n *Network) SeedFaults(seed int64) {
 }
 
 // SetNodeDown fail-stops (or revives) a machine: transfers from or to
-// it fail with ErrUnreachable.
+// it fail with ErrUnreachable, and every layer that asks the Node
+// whether it is up hears the same answer.
 func (n *Network) SetNodeDown(id NodeID, down bool) {
-	f := n.faultState()
-	f.mu.Lock()
-	f.nodeDown[id] = down
-	f.any.Store(true)
-	f.mu.Unlock()
+	n.Node(id).down.Store(down)
+	n.flt.any.Store(true)
 }
 
 // NodeDown reports whether the machine is fail-stopped.
-func (n *Network) NodeDown(id NodeID) bool {
-	f := n.flt
-	if !f.any.Load() {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nodeDown[id]
-}
+func (n *Network) NodeDown(id NodeID) bool { return n.Node(id).Down() }
 
 func (f *faults) link(a, b NodeID) *linkState {
 	k := mkLink(a, b)
@@ -198,12 +186,12 @@ func (n *Network) lookFaults(from, to NodeID) linkFaults {
 		// no lock, no map lookups.
 		return out
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.nodeDown[from] || f.nodeDown[to] {
+	if n.NodeDown(from) || n.NodeDown(to) {
 		out.reachable = false
 		return out
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	l := f.links[mkLink(from, to)]
 	if l == nil {
 		return out

@@ -60,7 +60,10 @@ type Network struct {
 }
 
 // Node is one machine: a transmit NIC, a receive NIC and a disk, each a
-// FIFO resource held as the instant it next falls idle (see book).
+// FIFO resource held as the instant it next falls idle (see book). It
+// is also the one owner of two facts every layer on the machine reads:
+// whether it is up, and how much of its memory the co-located cache
+// may use.
 type Node struct {
 	ID   NodeID
 	Name string
@@ -76,7 +79,26 @@ type Node struct {
 	bytesRecv atomic.Int64
 	diskRead  atomic.Int64
 	diskWrite atomic.Int64
+
+	// down is the fail-stop flag (Network.SetNodeDown writes it); grant
+	// is the cache grant in bytes: the cache's storage server enforces
+	// it as its master memory limit, and the invoker keeps sandboxes out
+	// of it. Atomics, like the counters: the data plane reads both on
+	// every operation.
+	down  atomic.Bool
+	grant atomic.Int64
 }
+
+// Down reports whether the machine is fail-stopped.
+func (nd *Node) Down() bool { return nd.down.Load() }
+
+// Grant returns the bytes of the machine's memory granted to the cache.
+func (nd *Node) Grant() int64 { return nd.grant.Load() }
+
+// SetGrant sets the cache grant. The caller decides the amount (the
+// invoker clamps it to the memory sandboxes leave free); the machine
+// only holds it.
+func (nd *Node) SetGrant(bytes int64) { nd.grant.Store(bytes) }
 
 // New creates an empty network over env.
 func New(env *sim.Env) *Network {

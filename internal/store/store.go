@@ -67,11 +67,11 @@ type PlacementView interface {
 }
 
 // MemoryView is the elasticity-control view the cache agents (§6.4)
-// need: per-node usage, grant enforcement, object census and the two
-// reclamation verbs.
+// need: per-node usage against the grant, object census and the two
+// reclamation verbs. The grant itself is the node's (simnet.Node), so
+// the view has no verb to set it.
 type MemoryView interface {
 	Usage(node simnet.NodeID) (used, limit int64)
-	SetMemoryLimit(node simnet.NodeID, limit int64) error
 	Objects(node simnet.NodeID) []ObjectInfo
 	Evict(key string) error
 	MigrateToBackup(key string) error

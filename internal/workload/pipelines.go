@@ -102,9 +102,9 @@ func (pl *Pipeline) Pretrain(trainer *core.ModelTrainer, rsds objstore.Profile, 
 			samples = append(samples, core.Sample{
 				Vals:         vals,
 				PeakMem:      st.mem(f, f),
-				Extract:      time.Duration(inOps)*rsds.ReadBase + bwTime(int64(f["size"])*int64(inOps), rsds.ReadBW),
+				Extract:      rsds.ReadTime(int64(inOps), int64(f["size"])*int64(inOps)),
 				Transform:    st.tim(f, f),
-				Load:         time.Duration(outOps)*rsds.WriteBase + bwTime(st.outSz(f, f), rsds.WriteBW),
+				Load:         rsds.WriteTime(int64(outOps), st.outSz(f, f)),
 				BenefitKnown: true,
 			})
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ofc/internal/core"
 	"ofc/internal/faas"
@@ -173,9 +172,9 @@ func TrainingSamples(spec *Spec, fn *faas.Function, pool *InputPool, n int, rng 
 		out = append(out, core.Sample{
 			Vals:         vals,
 			PeakMem:      spec.PeakMemRun(in.Key, in.Features, args, int64(i)),
-			Extract:      rsds.ReadBase + bwTime(in.Size, rsds.ReadBW),
+			Extract:      rsds.ReadTime(1, in.Size),
 			Transform:    spec.Time(in.Features, args),
-			Load:         rsds.WriteBase + bwTime(outSize, rsds.WriteBW),
+			Load:         rsds.WriteTime(1, outSize),
 			BenefitKnown: true,
 		})
 	}
@@ -187,13 +186,6 @@ func missing() float64 {
 	nan = 0
 	nan /= nan
 	return nan
-}
-
-func bwTime(size int64, bw float64) time.Duration {
-	if size <= 0 || bw <= 0 {
-		return 0
-	}
-	return time.Duration(float64(size) / bw * float64(time.Second))
 }
 
 // RSDSWriter stages inputs into the RSDS with feature sidecars.
