@@ -15,7 +15,6 @@ package chaos
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -223,7 +222,6 @@ type Injector struct {
 	// OnRestart runs after the node is marked up again.
 	OnRestart func(simnet.NodeID)
 
-	mu      sync.Mutex
 	applied []string
 }
 
@@ -273,15 +271,11 @@ func (inj *Injector) apply(e Event) {
 			e.Fn()
 		}
 	}
-	inj.mu.Lock()
 	inj.applied = append(inj.applied, fmt.Sprintf("%v: %s", inj.env.Now(), e))
-	inj.mu.Unlock()
 }
 
 // Applied returns the log of events applied so far, in firing order.
 func (inj *Injector) Applied() []string {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	out := make([]string, len(inj.applied))
 	copy(out, inj.applied)
 	return out

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ofc/internal/faas"
@@ -121,16 +120,9 @@ type CacheAgent struct {
 	pol  memctl.Policies
 
 	// tracer records reclaim/evict.sweep spans as trace-0 roots (nil =
-	// off). System.EnableTracing sets it before Start; read without
-	// synchronization.
+	// off). System.EnableTracing sets it before Start.
 	tracer *trace.Tracer
 
-	// mu guards the mutable state AND the policy set: policy
-	// implementations are plain bookkeeping with no internal locking,
-	// so every Admitted/Forget/Victims/Observe/Target call happens
-	// under mu. Decisions are computed under the lock, executed (RPCs,
-	// evictions, sleeps) outside it.
-	mu           sync.Mutex
 	slack        int64
 	lastReserved int64
 	pressure     memctl.Pressure
@@ -153,18 +145,10 @@ func NewCacheAgent(env *sim.Env, inv *faas.Invoker, kv store.MemoryView, rc *RCL
 func (a *CacheAgent) Node() simnet.NodeID { return a.node }
 
 // Slack returns the current slack pool size.
-func (a *CacheAgent) Slack() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.slack
-}
+func (a *CacheAgent) Slack() int64 { return a.slack }
 
 // Metrics returns a snapshot of the agent counters.
-func (a *CacheAgent) Metrics() AgentMetrics {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.metrics
-}
+func (a *CacheAgent) Metrics() AgentMetrics { return a.metrics }
 
 // Start arms the periodic loops: growth, slack maintenance, periodic
 // eviction. It also performs the initial grant.
@@ -192,9 +176,7 @@ func (a *CacheAgent) Start() {
 // missed input into this node's cache, with the predictor's
 // caching-benefit score.
 func (a *CacheAgent) Admitted(key string, benefit float64) {
-	a.mu.Lock()
 	a.pol.Eviction.Admitted(key, benefit)
-	a.mu.Unlock()
 }
 
 // Grow rebalances the cache grant to the node's current entitlement:
@@ -204,11 +186,8 @@ func (a *CacheAgent) Admitted(key string, benefit float64) {
 // shrinks the cache — the scale-up/scale-down events of Table 2.
 // Called at every placement, after every completion and periodically.
 func (a *CacheAgent) Grow() {
-	a.mu.Lock()
-	slack := a.slack
-	a.mu.Unlock()
 	target := a.inv.BookedWaste()
-	if free := a.inv.Capacity() - a.inv.Reserved() - slack; target > free {
+	if free := a.inv.Capacity() - a.inv.Reserved() - a.slack; target > free {
 		target = free
 	}
 	if target < 0 {
@@ -238,7 +217,6 @@ func (a *CacheAgent) Grow() {
 // pool reconfiguration, which runs off the critical path.
 func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 	a.inv.SetCacheGrant(target)
-	a.mu.Lock()
 	if up {
 		a.metrics.ScaleUps++
 		a.metrics.ScaleUpTime += poolReconfigTime
@@ -253,22 +231,18 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 		}
 		a.metrics.ScaleDownTime += poolReconfigTime
 	}
-	a.mu.Unlock()
 }
 
 // view captures the eviction policy's inputs for this node: census,
-// occupancy and pressure. Must be called without holding mu.
+// occupancy and pressure.
 func (a *CacheAgent) view() memctl.View {
 	used, limit := a.kv.Usage(a.node)
-	a.mu.Lock()
-	pressure := a.pressure
-	a.mu.Unlock()
 	return memctl.View{
 		Now:      a.env.Now(),
 		Objects:  a.kv.Objects(a.node),
 		Used:     used,
 		Limit:    limit,
-		Pressure: pressure,
+		Pressure: a.pressure,
 	}
 }
 
@@ -283,14 +257,12 @@ func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 	var freed []string
 	wrotebacks := 0
 	defer func() {
-		a.mu.Lock()
 		for _, k := range freed {
 			a.pol.Eviction.Forget(k)
 		}
 		a.metrics.Evictions += int64(evicted)
 		a.metrics.Migrations += int64(migrated)
 		a.metrics.WriteBacks += int64(wrotebacks)
-		a.mu.Unlock()
 	}()
 
 	for _, s := range plan.First {
@@ -334,21 +306,17 @@ func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 // sample and feeds it to the slack estimator.
 func (a *CacheAgent) sampleChurn() {
 	cur := a.inv.Reserved()
-	a.mu.Lock()
 	delta := cur - a.lastReserved
 	if delta < 0 {
 		delta = -delta
 	}
 	a.lastReserved = cur
 	a.pol.Slack.Observe(delta)
-	a.mu.Unlock()
 }
 
 // adjustSlack sets the slack pool from the estimator (§6.4); an
 // estimator with no opinion yet leaves the provisioned slack as is.
 func (a *CacheAgent) adjustSlack() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if t, ok := a.pol.Slack.Target(); ok {
 		a.slack = t
 	}
@@ -366,10 +334,8 @@ var ErrReclaim = errors.New("core: cache reclaim failed")
 // the tightened criteria, so cache memory flows back to sandboxes
 // while pressure lasts.
 func (a *CacheAgent) SetPressure(p memctl.Pressure) {
-	a.mu.Lock()
 	was := a.pressure
 	a.pressure = p
-	a.mu.Unlock()
 	if p == memctl.PressureBrownout && was != p {
 		a.env.Go(func() { a.periodicEviction() })
 	}
@@ -394,9 +360,7 @@ func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 	start := a.env.Now()
 	grant := a.inv.CacheGrant()
 	if grant < need {
-		a.mu.Lock()
 		a.metrics.ReclaimFailures++
-		a.mu.Unlock()
 		return 0, fmt.Errorf("node %d: need %d > grant %d: %w", a.node, need, grant, ErrReclaim)
 	}
 	used, _ := a.kv.Usage(a.node)
@@ -408,9 +372,7 @@ func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 		migrated, evicted = a.freeBytes(toFree)
 		used2, _ := a.kv.Usage(a.node)
 		if grant-used2 < need {
-			a.mu.Lock()
 			a.metrics.ReclaimFailures++
-			a.mu.Unlock()
 			return time.Duration(a.env.Now() - start),
 				fmt.Errorf("node %d: freed only %d of %d needed: %w", a.node, grant-used2, need, ErrReclaim)
 		}
@@ -446,9 +408,7 @@ func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 func (a *CacheAgent) periodicEviction() {
 	sp := a.tracer.Begin(0, 0, "evict.sweep", a.node)
 	v := a.view()
-	a.mu.Lock()
 	victims := a.pol.Eviction.Victims(v)
-	a.mu.Unlock()
 	for _, o := range victims {
 		key := o.Key
 		if o.Meta.Tags["dirty"] == "1" {
@@ -457,17 +417,13 @@ func (a *CacheAgent) periodicEviction() {
 					a.kv.Evict(key)
 				}
 			})
-			a.mu.Lock()
 			a.metrics.WriteBacks++
-			a.mu.Unlock()
 			continue
 		}
 		if a.kv.Evict(key) == nil {
-			a.mu.Lock()
 			a.metrics.PeriodicEvictions++
 			a.metrics.Evictions++
 			a.pol.Eviction.Forget(key)
-			a.mu.Unlock()
 		}
 	}
 	if len(victims) > 0 {
@@ -480,7 +436,6 @@ func (a *CacheAgent) periodicEviction() {
 // and routes the proxy's admission notices to the admitting node's
 // agent.
 type Governor struct {
-	mu     sync.Mutex
 	agents map[simnet.NodeID]*CacheAgent
 }
 
@@ -490,18 +445,10 @@ func NewGovernor() *Governor {
 }
 
 // Add registers an agent.
-func (g *Governor) Add(a *CacheAgent) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.agents[a.Node()] = a
-}
+func (g *Governor) Add(a *CacheAgent) { g.agents[a.Node()] = a }
 
 // Agent returns the agent on node, or nil.
-func (g *Governor) Agent(node simnet.NodeID) *CacheAgent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.agents[node]
-}
+func (g *Governor) Agent(node simnet.NodeID) *CacheAgent { return g.agents[node] }
 
 // Reclaim implements faas.MemoryGovernor.
 func (g *Governor) Reclaim(node simnet.NodeID, need int64) (time.Duration, error) {

@@ -843,17 +843,13 @@ func TestTrainerPostMaturationDatasetPolicy(t *testing.T) {
 	fn := &faas.Function{Name: "pol", Tenant: "t", InputType: "image", ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 300, 7))
 	st := pred.state(fn)
-	st.mu.Lock()
 	before := st.memData.Len()
-	st.mu.Unlock()
 	// Feed 50 samples the model already predicts exactly: none should
 	// be added.
 	for _, s := range synthSamples(pred.Schema(fn), 50, 7)[:50] {
 		trainer.Observe(fn, &faas.Request{Function: fn}, s)
 	}
-	st.mu.Lock()
 	after := st.memData.Len()
-	st.mu.Unlock()
 	if grown := after - before; grown > 25 {
 		t.Errorf("dataset grew by %d on well-predicted samples; §5.3.3 keeps it small", grown)
 	}

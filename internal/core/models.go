@@ -24,8 +24,6 @@ type ModelBundle struct {
 // ExportModel serializes fn's trained models.
 func (p *Predictor) ExportModel(fn *faas.Function) ([]byte, error) {
 	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	b := ModelBundle{FunctionID: fn.ID(), Mature: st.mature, MaturedAt: st.maturedAt}
 	if st.memModel != nil {
 		data, err := mltree.MarshalTree(st.memModel)
@@ -55,8 +53,6 @@ func (p *Predictor) ImportModel(fn *faas.Function, data []byte) error {
 		return fmt.Errorf("core: bundle is for %s, not %s", b.FunctionID, fn.ID())
 	}
 	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if len(b.Memory) > 0 {
 		tree, err := mltree.UnmarshalTree(b.Memory)
 		if err != nil {

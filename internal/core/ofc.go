@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"ofc/internal/faas"
@@ -91,7 +90,6 @@ type System struct {
 	seed   int64
 	agents []*CacheAgent
 
-	statsMu  sync.Mutex
 	goodPred int64
 	badPred  int64
 	started  bool
@@ -247,13 +245,11 @@ func (s *System) OnComplete(req *faas.Request, res *faas.Result) {
 		a.Grow()
 	}
 	if req.Advised() {
-		s.statsMu.Lock()
 		if res.PeakMem > res.InitialMem {
 			s.badPred++
 		} else {
 			s.goodPred++
 		}
-		s.statsMu.Unlock()
 	}
 	if res.Err != nil {
 		return
@@ -277,11 +273,7 @@ func (s *System) OnComplete(req *faas.Request, res *faas.Result) {
 // PredictionCounts reports (good, bad) advised predictions, Table 2
 // style: bad means the invocation's peak exceeded the provisioned
 // sandbox memory.
-func (s *System) PredictionCounts() (good, bad int64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.goodPred, s.badPred
-}
+func (s *System) PredictionCounts() (good, bad int64) { return s.goodPred, s.badPred }
 
 // CacheBytes returns the cache's total master-copy footprint (zero in
 // cache-off mode).

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"ofc/internal/faas"
@@ -40,7 +39,6 @@ type modelState struct {
 	fn     *faas.Function
 	schema *FeatureSchema
 
-	mu sync.Mutex
 	// Training data, append-only, and the learner that refits each set:
 	// kept across refits because a J48 starts its column sorts from
 	// its previous fit's order.
@@ -106,14 +104,13 @@ type Predictor struct {
 	intervals Intervals
 
 	// memo aggregates advice-cache hit/miss/invalidation counts across
-	// all functions (lock-free; reporting reads a coherent snapshot).
+	// all functions.
 	memo metrics.MemoCounters
 
 	// tracer records "predict"/"retrain" spans (nil = off; set by
 	// System.EnableTracing before traffic starts).
 	tracer *trace.Tracer
 
-	mu     sync.Mutex
 	models map[string]*modelState
 }
 
@@ -124,8 +121,6 @@ func NewPredictor() *Predictor {
 
 // state returns (creating if needed) the model state for fn.
 func (p *Predictor) state(fn *faas.Function) *modelState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	st, ok := p.models[fn.ID()]
 	if !ok {
 		schema := NewFeatureSchema(fn)
@@ -181,8 +176,6 @@ func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 		p.tracer.End(&sp)
 	}()
 	st := p.state(req.Function)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if !st.mature || st.memModel == nil {
 		sp.SetNum("immature", 1)
 		return faas.Advice{Use: false, ShouldCache: false}
@@ -199,7 +192,7 @@ func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 	p.memo.Miss()
 	sp.SetNum("memo", 0)
 
-	adv = st.adviseLocked(p.intervals, vals)
+	adv = st.advise(p.intervals, vals)
 	if st.advCache == nil || len(st.advCache) >= advCacheMax {
 		st.advCache = make(map[string]faas.Advice)
 	}
@@ -207,9 +200,9 @@ func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 	return adv
 }
 
-// adviseLocked computes advice from the compiled models; a memory
-// model always has its compiled form beside it. Callers hold st.mu.
-func (st *modelState) adviseLocked(iv Intervals, vals []float64) faas.Advice {
+// advise computes advice from the compiled models; a memory model
+// always has its compiled form beside it.
+func (st *modelState) advise(iv Intervals, vals []float64) faas.Advice {
 	k := st.memCompiled.Classify(vals)
 	mem := iv.UpperBound(k + 1) // conservative next interval
 	should := true
@@ -239,16 +232,12 @@ func (p *Predictor) MemoStats() (hits, misses, invalidations int64) {
 // model is refit; the advice memo is scoped to it).
 func (p *Predictor) Generation(fn *faas.Function) int {
 	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.gen
 }
 
 // Mature reports whether fn's memory model passed the §5.3 criteria.
 func (p *Predictor) Mature(fn *faas.Function) bool {
 	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.mature
 }
 
@@ -256,8 +245,6 @@ func (p *Predictor) Mature(fn *faas.Function) bool {
 // (0 if not yet).
 func (p *Predictor) MaturedAt(fn *faas.Function) int {
 	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.maturedAt
 }
 
@@ -285,8 +272,6 @@ func NewModelTrainer(p *Predictor, env *sim.Env) *ModelTrainer {
 // Observe records one completed invocation for fn.
 func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 	st := t.p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.invocations++
 	trueClass := t.p.intervals.ClassOf(s.PeakMem)
 
@@ -324,8 +309,8 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 		if st.invocations >= minInvocations && st.invocations-st.lastCheck >= 0 &&
 			(st.invocations == minInvocations || st.invocations-st.lastCheck >= checkEvery) {
 			st.lastCheck = st.invocations
-			t.trainLocked(st)
-			if t.matureCheckLocked(st) {
+			t.train(st)
+			if t.matureCheck(st) {
 				st.mature = true
 				st.maturedAt = st.invocations
 			}
@@ -335,18 +320,18 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 	// Post-maturation: correct quickly after a bad prediction (§5.3:
 	// "the model is corrected quickly").
 	if st.sinceTrain >= 5 || st.benefitSince >= 25 {
-		t.trainLocked(st)
+		t.train(st)
 	}
 }
 
-// trainLocked brings both models up to date with the current datasets.
+// train brings both models up to date with the current datasets.
 // A model is refit, and its compiled form rebuilt, only when its
 // dataset holds rows it has not seen; J48 is deterministic, so fitting
 // the same rows again would yield the same tree. Every retrain bumps
 // the serving generation and flushes the advice memo, whether or not a
 // tree moved, so stale advice can never outlive the model that
 // produced it.
-func (t *ModelTrainer) trainLocked(st *modelState) {
+func (t *ModelTrainer) train(st *modelState) {
 	changed := false
 	if n := st.memData.Len(); n >= 10 {
 		if n != st.memFitRows {
@@ -383,9 +368,9 @@ func (t *ModelTrainer) trainLocked(st *modelState) {
 	}
 }
 
-// matureCheckLocked evaluates the §5.3 criteria by cross-validation
+// matureCheck evaluates the §5.3 criteria by cross-validation
 // over the training set.
-func (t *ModelTrainer) matureCheckLocked(st *modelState) bool {
+func (t *ModelTrainer) matureCheck(st *modelState) bool {
 	if st.memData.Len() < minInvocations {
 		return false
 	}
@@ -399,8 +384,6 @@ func (t *ModelTrainer) matureCheckLocked(st *modelState) bool {
 // invocations than online maturation needs.
 func (t *ModelTrainer) Pretrain(fn *faas.Function, samples []Sample) {
 	st := t.p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for _, s := range samples {
 		st.memData.Add(s.Vals, t.p.intervals.ClassOf(s.PeakMem))
 		if s.BenefitKnown {
@@ -412,7 +395,7 @@ func (t *ModelTrainer) Pretrain(fn *faas.Function, samples []Sample) {
 		}
 	}
 	st.invocations += len(samples)
-	t.trainLocked(st)
+	t.train(st)
 	st.mature = true
 	st.maturedAt = st.invocations
 }
@@ -421,7 +404,6 @@ func (t *ModelTrainer) Pretrain(fn *faas.Function, samples []Sample) {
 // "periodically retrains all memory prediction models").
 func (t *ModelTrainer) Start() {
 	t.env.Every(trainEvery, func() bool {
-		t.p.mu.Lock()
 		// Retrain in sorted function order: each state's training is
 		// independent, but a fixed sequence keeps any future shared
 		// resource (trainer RNG, budget) off the map-order lottery.
@@ -430,17 +412,10 @@ func (t *ModelTrainer) Start() {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		states := make([]*modelState, 0, len(names))
 		for _, name := range names {
-			states = append(states, t.p.models[name])
-		}
-		t.p.mu.Unlock()
-		for _, st := range states {
-			st.mu.Lock()
-			if st.sinceTrain > 0 || st.benefitSince > 0 {
-				t.trainLocked(st)
+			if st := t.p.models[name]; st.sinceTrain > 0 || st.benefitSince > 0 {
+				t.train(st)
 			}
-			st.mu.Unlock()
 		}
 		return true
 	})

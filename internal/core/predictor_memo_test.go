@@ -21,13 +21,11 @@ func memoFixture(t testing.TB, n int, seed int64) (*Predictor, *ModelTrainer, *f
 	return pred, trainer, fn
 }
 
-// recompute is Advise without the memo: what adviseLocked derives from
+// recompute is Advise without the memo: what advise derives from
 // the compiled models for req, cached nowhere.
 func recompute(p *Predictor, req *faas.Request) faas.Advice {
 	st := p.state(req.Function)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.adviseLocked(p.intervals, st.schema.VectorInto(req, nil))
+	return st.advise(p.intervals, st.schema.VectorInto(req, nil))
 }
 
 func memoReq(fn *faas.Function, width float64) *faas.Request {
@@ -83,7 +81,7 @@ func TestAdviceMemoHitAndInvalidation(t *testing.T) {
 }
 
 // TestMemoTransparent replays a varied request stream through the
-// memoized Advise and through adviseLocked directly: every advice must
+// memoized Advise and through advise directly: every advice must
 // be identical, bit for bit.
 func TestMemoTransparent(t *testing.T) {
 	pred, _, fn := memoFixture(t, 300, 11)

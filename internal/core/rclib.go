@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ofc/internal/faas"
@@ -65,25 +63,21 @@ type RCLib struct {
 	// persistence meanwhile riding on the cache's replication.
 	relaxed []string
 
-	mu sync.Mutex
 	// pipelines tracks each pipeline instance's intermediates
 	// (control-plane state: only touched at intermediate Put and
 	// pipeline completion).
 	pipelines map[string]*pipelineState
 
 	// pending maps keys to futures resolved when their latest payload
-	// has been persisted (external-read webhook barrier). Its own lock,
-	// not mu: the write-back protocol probes it on every miss and every
-	// persist.
-	pendingMu sync.Mutex
-	pending   map[string]*sim.Future[struct{}]
+	// has been persisted (external-read webhook barrier).
+	pending map[string]*sim.Future[struct{}]
 
 	// brownout is the overload controller's degradation switch: miss
 	// admissions stop and non-intermediate writes take the synchronous
 	// durable RSDS path (per-request Passthrough/CacheOff), so the
 	// cache keeps only its existing hot set and the write path stops
 	// depending on cache capacity.
-	brownout atomic.Bool
+	brownout bool
 
 	// tracer records cache.get/cache.put/rsds.fetch spans (nil = off;
 	// set by System.EnableTracing before traffic starts).
@@ -93,29 +87,10 @@ type RCLib struct {
 	// the next persistor attempt.
 	persistRetryDelay time.Duration
 
-	// Data-plane counters. Single atomics, not a mutex block: every
-	// Get/Put increments a couple of them, and the old statsMu made
-	// those increments the one place the whole cache path serialized.
-	hits      atomic.Int64
-	localHits atomic.Int64
-	misses    atomic.Int64
-	// Ephemeral (pipeline-intermediate) accesses tracked separately:
-	// intra-pipeline hits are structural and would mask the input
-	// hit ratio the paper's Table 2 reports.
-	ephemHits    atomic.Int64
-	ephemMisses  atomic.Int64
-	admissions   atomic.Int64
-	writeBacks   atomic.Int64
-	bypassWrites atomic.Int64
-	ephemeral    atomic.Int64 // bytes of intermediate+final outputs produced
-	// degradation counters (retries/timeouts/trips live in the
-	// Resilient middleware)
-	fallbackReads  atomic.Int64
-	fallbackWrites atomic.Int64
-	// brownout counters: admissions skipped and writes diverted to the
-	// durable path while degraded.
-	brownoutSkips    atomic.Int64
-	brownoutBypasses atomic.Int64
+	// stats holds the data-plane counters; the retry, timeout and
+	// breaker counters live in the Resilient middleware, and Stats
+	// copies them in.
+	stats CacheStats
 }
 
 // NewRCLib builds the proxy over the cache cluster and the RSDS and
@@ -169,7 +144,7 @@ func NewRCLib(env *sim.Env, kv *kvstore.Cluster, rsds *objstore.Store, platform 
 		if !m.IsShadow() {
 			return
 		}
-		if f := rc.pendingFuture(key); f != nil {
+		if f := rc.pending[key]; f != nil {
 			f.Wait() // the persistor is already scheduled; block until done
 		}
 	})
@@ -191,10 +166,7 @@ func (rc *RCLib) StoreStats() store.OpStats { return rc.inst.Stats() }
 
 // SetBrownout switches the proxy's degradation mode (see the brownout
 // field).
-func (rc *RCLib) SetBrownout(on bool) { rc.brownout.Store(on) }
-
-// inBrownout reads the degradation switch.
-func (rc *RCLib) inBrownout() bool { return rc.brownout.Load() }
+func (rc *RCLib) SetBrownout(on bool) { rc.brownout = on }
 
 // StoreLatencyP99 reports the p99 of recent backend op latencies (the
 // degradation controller's store-health signal).
@@ -250,7 +222,7 @@ func (rc *RCLib) persistBody(ctx *faas.Ctx) error {
 		} else {
 			rc.be.SetTag(node, key, "dirty", "0")
 		}
-		rc.writeBacks.Add(1)
+		rc.stats.WriteBacks++
 	}
 	// A stale persist means a newer version's persistor owns the key.
 	if perr == nil || errors.Is(perr, objstore.ErrStale) {
@@ -262,58 +234,45 @@ func (rc *RCLib) persistBody(ctx *faas.Ctx) error {
 	return nil
 }
 
-// pendingFuture reads key's pending write-back future, nil if none.
-func (rc *RCLib) pendingFuture(key string) *sim.Future[struct{}] {
-	rc.pendingMu.Lock()
-	f := rc.pending[key]
-	rc.pendingMu.Unlock()
-	return f
-}
-
 // ensurePending installs a pending future for key if none exists.
 func (rc *RCLib) ensurePending(key string) {
-	rc.pendingMu.Lock()
 	if _, ok := rc.pending[key]; !ok {
 		rc.pending[key] = sim.NewFuture[struct{}](rc.env)
 	}
-	rc.pendingMu.Unlock()
 }
 
 func (rc *RCLib) resolvePending(key string) {
-	rc.pendingMu.Lock()
 	f := rc.pending[key]
 	delete(rc.pending, key)
-	rc.pendingMu.Unlock()
 	if f != nil && !f.Done() {
 		f.Set(struct{}{})
 	}
 }
 
 // noteGetHit is the Get-hit bookkeeping: counter increments and
-// locality attribution. Pure atomics plus a placement lookup — no
-// locks, no allocations (the critical path pays it on every warm
-// read).
+// locality attribution, a placement lookup that allocates nothing (the
+// critical path pays it on every warm read).
 func (rc *RCLib) noteGetHit(caller simnet.NodeID, key string, intermediate bool) {
-	rc.hits.Add(1)
+	rc.stats.Hits++
 	if intermediate {
-		rc.ephemHits.Add(1)
+		rc.stats.EphemHits++
 	}
 	if rc.pv == nil {
 		return
 	}
 	if master, ok := rc.pv.MasterOf(key); ok && master == caller {
-		rc.localHits.Add(1)
+		rc.stats.LocalHits++
 	}
 }
 
 // noteGetMiss is the Get-miss counter bookkeeping.
 func (rc *RCLib) noteGetMiss(key string, unavailable bool) {
-	rc.misses.Add(1)
+	rc.stats.Misses++
 	if unavailable {
-		rc.fallbackReads.Add(1)
+		rc.stats.FallbackReads++
 	}
 	if rc.isEphemeralKey(key) {
-		rc.ephemMisses.Add(1)
+		rc.stats.EphemMisses++
 	}
 }
 
@@ -363,7 +322,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		// (we got here because the cache is unreachable). Wait for the
 		// pending write-back — the Persistor retries until the cache
 		// recovers — then re-read the now-persisted payload.
-		if f := rc.pendingFuture(key); f != nil {
+		if f := rc.pending[key]; f != nil {
 			fsp.SetNum("shadowWait", 1)
 			f.Wait()
 			blob, _, rerr = rc.rsds.Get(caller, key, false)
@@ -375,10 +334,10 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		return faas.Blob{}, rerr
 	}
 	rc.tracer.End(&fsp)
-	if opts.ShouldCache && rc.inBrownout() {
+	if opts.ShouldCache && rc.brownout {
 		// Brownout: no new admissions — the cache serves (and keeps)
 		// only what it already holds.
-		rc.brownoutSkips.Add(1)
+		rc.stats.BrownoutSkips++
 		sp.SetNum("brownoutSkip", 1)
 		return blob, nil
 	}
@@ -396,7 +355,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 			asp := rc.tracer.Begin(0, 0, "cache.admit", caller)
 			_, werr := rc.be.Write(caller, key, blob, admittedTags, caller)
 			if werr == nil {
-				rc.admissions.Add(1)
+				rc.stats.Admissions++
 			} else {
 				asp.SetNum("err", 1)
 			}
@@ -426,14 +385,14 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 		rc.tracer.End(&sp)
 	}()
 	if opts.Kind != faas.KindInput {
-		rc.ephemeral.Add(blob.Size)
+		rc.stats.EphemeralBytes += blob.Size
 	}
 	if rc.durable {
 		// Durable engine: the ack IS persistence. No shadow, no
 		// persistor, no dirty state.
 		sp.SetStr("path", "durable")
 		_, err = rc.be.Write(caller, key, blob, nil, caller)
-		rc.bypassWrites.Add(1)
+		rc.stats.BypassWrites++
 		return err
 	}
 	maxObj := rc.be.MaxObjectSize()
@@ -442,10 +401,10 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 	// persistor, no cache capacity consumed. Intermediates stay on the
 	// cache path: they are never persisted and pushing them to the
 	// RSDS would cost more than it frees.
-	if opts.Kind != faas.KindIntermediate && rc.inBrownout() {
+	if opts.Kind != faas.KindIntermediate && rc.brownout {
 		sp.SetStr("path", "brownout")
 		rc.bypass(caller, key, blob)
-		rc.brownoutBypasses.Add(1)
+		rc.stats.BrownoutBypasses++
 		return nil
 	}
 	// Pipeline intermediates are cached regardless of the benefit
@@ -472,10 +431,8 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 			return nil
 		}
 		if opts.Pipeline != "" {
-			rc.mu.Lock()
-			pl := rc.pipelineLocked(opts.Pipeline)
+			pl := rc.pipelineOf(opts.Pipeline)
 			pl.keys = append(pl.keys, key)
-			rc.mu.Unlock()
 		}
 		return nil
 	}
@@ -513,7 +470,7 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 // synchronous RSDS write, durable on ack, which Put reports as nil.
 func (rc *RCLib) bypass(caller simnet.NodeID, key string, blob faas.Blob) error {
 	rc.rsds.Put(caller, key, blob, nil, false)
-	rc.bypassWrites.Add(1)
+	rc.stats.BypassWrites++
 	return nil
 }
 
@@ -522,7 +479,7 @@ func (rc *RCLib) bypass(caller simnet.NodeID, key string, blob faas.Blob) error 
 // bypass path, not degradation).
 func (rc *RCLib) countWriteFallback(err error) {
 	if store.IsUnavailable(err) {
-		rc.fallbackWrites.Add(1)
+		rc.stats.FallbackWrites++
 	}
 }
 
@@ -548,8 +505,8 @@ func (rc *RCLib) schedulePersist(node simnet.NodeID, key string, version uint64)
 }
 
 // isEphemeralKey reports whether key is a pipeline intermediate, by the
-// conventional prefix pipelines write under — it sits on every Get, so
-// it does not take rc.mu to consult the pipelines map.
+// conventional prefix pipelines write under: a prefix test, cheap
+// enough for every Get.
 func (rc *RCLib) isEphemeralKey(key string) bool {
 	return strings.HasPrefix(key, "pl/")
 }
@@ -571,9 +528,8 @@ type pipelineState struct {
 	keys []string
 }
 
-// pipelineLocked returns pipeline's state, made on first use; rc.mu must
-// be held.
-func (rc *RCLib) pipelineLocked(pipeline string) *pipelineState {
+// pipelineOf returns pipeline's state, made on first use.
+func (rc *RCLib) pipelineOf(pipeline string) *pipelineState {
 	pl := rc.pipelines[pipeline]
 	if pl == nil {
 		pl = &pipelineState{tags: map[string]string{"kind": "intermediate", "pipeline": pipeline, "dirty": "0"}}
@@ -584,9 +540,7 @@ func (rc *RCLib) pipelineLocked(pipeline string) *pipelineState {
 
 // intermediateTags is the tag map of pipeline's intermediates.
 func (rc *RCLib) intermediateTags(pipeline string) map[string]string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.pipelineLocked(pipeline).tags
+	return rc.pipelineOf(pipeline).tags
 }
 
 // PipelineDone implements faas.PipelineAware: intermediate objects of
@@ -594,13 +548,11 @@ func (rc *RCLib) intermediateTags(pipeline string) map[string]string {
 // pipeline completes (§6.3). Evicting a striped object drops every
 // stripe inside the chunking middleware.
 func (rc *RCLib) PipelineDone(pipeline string) {
-	rc.mu.Lock()
 	var keys []string
 	if pl := rc.pipelines[pipeline]; pl != nil {
 		keys = pl.keys
 	}
 	delete(rc.pipelines, pipeline)
-	rc.mu.Unlock()
 	for _, key := range keys {
 		rc.be.Evict(key)
 	}
@@ -637,7 +589,7 @@ func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) (ok bool) {
 		}
 		return false
 	}
-	rc.writeBacks.Add(1)
+	rc.stats.WriteBacks++
 	rc.resolvePending(key)
 	return true
 }
@@ -672,35 +624,22 @@ type CacheStats struct {
 	BrownoutBypasses int64
 }
 
-// Stats returns a snapshot of the proxy counters. Each counter is a
-// single atomic load; in the simulator's serialized event loop (and at
-// any quiescent point in real time) the loads are mutually coherent —
-// there is no cross-counter invariant a torn read could violate, since
-// every increment site bumps at most one ratio-relevant counter per
-// event.
+// Stats returns a snapshot of the proxy counters.
 func (rc *RCLib) Stats() CacheStats {
-	var rs store.ResilienceStats
+	s := rc.stats
 	if rc.resil != nil {
-		rs = rc.resil.Stats()
+		rs := rc.resil.Stats()
+		s.CacheRetries, s.CacheTimeouts = rs.Retries, rs.Timeouts
+		s.BreakerTrips, s.RetryDenied = rs.BreakerTrips, rs.BudgetDenied
 	}
-	return CacheStats{
-		Hits: rc.hits.Load(), LocalHits: rc.localHits.Load(), Misses: rc.misses.Load(),
-		EphemHits: rc.ephemHits.Load(), EphemMisses: rc.ephemMisses.Load(),
-		Admissions: rc.admissions.Load(), WriteBacks: rc.writeBacks.Load(),
-		BypassWrites:   rc.bypassWrites.Load(),
-		EphemeralBytes: rc.ephemeral.Load(),
-		FallbackReads:  rc.fallbackReads.Load(), FallbackWrites: rc.fallbackWrites.Load(),
-		CacheRetries: rs.Retries, CacheTimeouts: rs.Timeouts,
-		BreakerTrips: rs.BreakerTrips, RetryDenied: rs.BudgetDenied,
-		BrownoutSkips: rc.brownoutSkips.Load(), BrownoutBypasses: rc.brownoutBypasses.Load(),
-	}
+	return s
 }
 
 // InputHitRatio is the hit ratio over non-pipeline-intermediate
 // accesses — the quantity that collapses in the 24-tenant run.
 func (rc *RCLib) InputHitRatio() float64 {
-	hits := rc.hits.Load() - rc.ephemHits.Load()
-	total := hits + rc.misses.Load() - rc.ephemMisses.Load()
+	hits := rc.stats.Hits - rc.stats.EphemHits
+	total := hits + rc.stats.Misses - rc.stats.EphemMisses
 	if total <= 0 {
 		return 0
 	}
@@ -709,8 +648,8 @@ func (rc *RCLib) InputHitRatio() float64 {
 
 // HitRatio returns hits/(hits+misses), or 0 with no traffic.
 func (rc *RCLib) HitRatio() float64 {
-	hits := rc.hits.Load()
-	total := hits + rc.misses.Load()
+	hits := rc.stats.Hits
+	total := hits + rc.stats.Misses
 	if total == 0 {
 		return 0
 	}

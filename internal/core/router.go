@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"ofc/internal/faas"
 	"ofc/internal/store"
 )
@@ -22,9 +20,7 @@ import (
 // unchanged over any storage engine, and degrades to pure
 // capacity-based routing when the engine has no placement (cache-off).
 type Router struct {
-	pv store.PlacementView // nil when the backend has no placement
-
-	mu       sync.Mutex
+	pv       store.PlacementView // nil when the backend has no placement
 	brownout bool
 }
 
@@ -36,18 +32,7 @@ func NewRouter(pv store.PlacementView) *Router { return &Router{pv: pv} }
 // brownout the data-locality pull concentrates load exactly where
 // memory is already contended, so the overload controller trades hit
 // locality for load spreading.
-func (r *Router) SetBrownout(on bool) {
-	r.mu.Lock()
-	r.brownout = on
-	r.mu.Unlock()
-}
-
-// localityOff reports whether the locality pull is suspended.
-func (r *Router) localityOff() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.brownout
-}
+func (r *Router) SetBrownout(on bool) { r.brownout = on }
 
 // dataNode returns the node mastering the majority of the request's
 // input *bytes* — multi-input functions are pulled toward the node
@@ -55,7 +40,7 @@ func (r *Router) localityOff() bool {
 // to be. Ties break toward the lowest node ID so routing stays
 // deterministic. Returns -1 when nothing is cached.
 func (r *Router) dataNode(keys []string) int {
-	if r.pv == nil || len(keys) == 0 || r.localityOff() {
+	if r.pv == nil || len(keys) == 0 || r.brownout {
 		return -1
 	}
 	// Bytes per node, indexed by node id; clusters of up to 16 nodes are

@@ -17,8 +17,6 @@ type servedPointers struct {
 
 func served(p *Predictor, fn *faas.Function) servedPointers {
 	st := p.state(fn)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return servedPointers{
 		mem: st.memModel, benefit: st.benefitModel,
 		memCompiled: st.memCompiled, benefitCompiled: st.benefitCompiled,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"time"
 
 	"ofc/internal/faas"
@@ -27,7 +26,6 @@ type triggerRule struct {
 // Triggers dispatches object-creation events to functions.
 type Triggers struct {
 	sys       *System
-	mu        sync.Mutex
 	extractor FeatureExtractor
 	rules     []triggerRule
 	fired     int64
@@ -49,31 +47,19 @@ func NewTriggers(sys *System, extractor FeatureExtractor) *Triggers {
 // Register adds a rule: external creations under prefix invoke fn with
 // the new object as input.
 func (t *Triggers) Register(prefix string, fn *faas.Function, args map[string]float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.rules = append(t.rules, triggerRule{prefix: prefix, fn: fn, args: args})
 }
 
 // Fired reports how many invocations triggers have launched.
-func (t *Triggers) Fired() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fired
-}
+func (t *Triggers) Fired() int64 { return t.fired }
 
 // dispatch fires every matching rule asynchronously.
 func (t *Triggers) dispatch(key string, size int64) {
-	t.mu.Lock()
-	var matched []triggerRule
 	for _, r := range t.rules {
-		if strings.HasPrefix(key, r.prefix) {
-			matched = append(matched, r)
+		if !strings.HasPrefix(key, r.prefix) {
+			continue
 		}
-	}
-	t.fired += int64(len(matched))
-	t.mu.Unlock()
-	for _, r := range matched {
-		r := r
+		t.fired++
 		t.sys.Env.Go(func() {
 			// Synchronous feature extraction on the trigger path
 			// (§5.1.2): the object was not pre-annotated, so the

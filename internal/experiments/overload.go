@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"ofc/internal/chaos"
@@ -187,26 +186,15 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 
 	// The spike/calm hooks flip the victim tenant's pace on the same
 	// deterministic timeline as the crash.
-	var paceMu sync.Mutex
 	paces := make(map[string]time.Duration, len(tenants))
 	for _, t := range tenants {
 		paces[t] = basePace
 	}
-	setPace := func(tenant string, p time.Duration) {
-		paceMu.Lock()
-		paces[tenant] = p
-		paceMu.Unlock()
-	}
-	paceOf := func(tenant string) time.Duration {
-		paceMu.Lock()
-		defer paceMu.Unlock()
-		return paces[tenant]
-	}
 
 	sched := chaos.NewSchedule()
 	sched.OverloadCrash(spikeStart, spikeLen, crashAfter, downtime, d.Workers[1],
-		func() { setPace(spikeTenant, spikePace) },
-		func() { setPace(spikeTenant, basePace) })
+		func() { paces[spikeTenant] = spikePace },
+		func() { paces[spikeTenant] = basePace })
 	inj := sys.ApplyChaos(sched, seed)
 
 	// One function per tenant: read a staged input, transform, write a
@@ -246,13 +234,10 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 
 	res := &OverloadResult{SpikeTenant: spikeTenant}
 	tc := metrics.NewTenantCounters()
-	var recMu sync.Mutex
 	var outputs []string
 	var baseLat, spikeLat, recoverLat []time.Duration
 
 	record := func(tenant string, seq int, start time.Duration, r *faas.Result) {
-		recMu.Lock()
-		defer recMu.Unlock()
 		switch {
 		case r.Err == nil:
 			tc.Add(tenant, "good", 1)
@@ -309,7 +294,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 						})
 						record(tenant, seq, start, r)
 					})
-					env.Sleep(paceOf(tenant))
+					env.Sleep(paces[tenant])
 				}
 			})
 		}

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
+	"sync" //lint:allow rawgo the worker pool below is the one place experiments run on several goroutines, each cell in its own Env
 	"sync/atomic"
 )
 

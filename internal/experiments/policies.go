@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"ofc/internal/core"
@@ -88,7 +87,6 @@ func measurePolicyCell(evict, slack string, seed int64, quick bool) PolicyRow {
 
 	const pace = 150 * time.Millisecond
 
-	var latMu sync.Mutex
 	var lats []time.Duration
 
 	d.Run(func() {
@@ -103,9 +101,7 @@ func measurePolicyCell(evict, slack string, seed int64, quick bool) PolicyRow {
 				defer wg.Done()
 				r := d.Platform.Invoke(workload.NewRequest(fn, spec, in, args))
 				if r.Err == nil {
-					latMu.Lock()
 					lats = append(lats, time.Duration(r.End-r.Start))
-					latMu.Unlock()
 				}
 			})
 			env.Sleep(pace)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -35,7 +34,6 @@ type Activation struct {
 // (n-1) mod cap until number n+cap overwrites it, and its ID is derived
 // from n when it is read, not stored or formatted on the invoke path.
 type activationLog struct {
-	mu   sync.Mutex
 	next uint64 // number of the newest record; 0 when empty
 	ring []Activation
 	cap  int
@@ -54,8 +52,6 @@ func activationID(n uint64) string { return fmt.Sprintf("act-%08d", n) }
 
 // record files an activation, overwriting the oldest past capacity.
 func (l *activationLog) record(a Activation) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.ring) < l.cap {
 		l.ring = append(l.ring, a)
 	} else {
@@ -64,9 +60,8 @@ func (l *activationLog) record(a Activation) {
 	l.next++
 }
 
-// atLocked returns record number n, which must be retained; l.mu must
-// be held.
-func (l *activationLog) atLocked(n uint64) Activation {
+// at returns record number n, which must be retained.
+func (l *activationLog) at(n uint64) Activation {
 	a := l.ring[(n-1)%uint64(l.cap)]
 	a.ID = activationID(n)
 	return a
@@ -74,14 +69,12 @@ func (l *activationLog) atLocked(n uint64) Activation {
 
 // list returns up to n most recent activations, newest first.
 func (l *activationLog) list(n int) []Activation {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if n <= 0 || n > len(l.ring) {
 		n = len(l.ring)
 	}
 	out := make([]Activation, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, l.atLocked(l.next-uint64(i)))
+		out = append(out, l.at(l.next-uint64(i)))
 	}
 	return out
 }
@@ -96,12 +89,10 @@ func (l *activationLog) get(id string) (Activation, bool) {
 	if err != nil || activationID(n) != id {
 		return Activation{}, false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if n == 0 || n > l.next || l.next-n >= uint64(len(l.ring)) {
 		return Activation{}, false
 	}
-	return l.atLocked(n), true
+	return l.at(n), true
 }
 
 // recordActivation files the result of a completed invocation.

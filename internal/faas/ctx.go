@@ -100,7 +100,7 @@ func (c *Ctx) Transform(d time.Duration, peak int64) (err error) {
 	// performance"). The transform slows proportionally.
 	if overshoot := float64(peak-c.sb.mem) / float64(c.sb.mem); overshoot <= swapTolerance {
 		c.swapped = true
-		c.p.stats.swaps.Add(1)
+		c.p.stats.Swaps++
 		c.p.env.Sleep(d + time.Duration(float64(d)*overshoot*swapSlowdown))
 		return nil
 	}

@@ -15,8 +15,6 @@ package faas
 import (
 	"errors"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ofc/internal/kvstore"
@@ -294,10 +292,14 @@ type Platform struct {
 	cfg  Config
 	ctrl simnet.NodeID
 
-	mu          sync.Mutex
 	sequences   map[string]*Sequence
 	invokers    []*Invoker
 	activations *activationLog
+
+	// live and warmIdle are route's two invoker lists, dead once it
+	// has chosen a target; route never parks, so one pair serves every
+	// call.
+	live, warmIdle []*Invoker
 
 	// Policy hooks (nil = vanilla OWK behavior).
 	Advisor  Advisor
@@ -315,7 +317,7 @@ type Platform struct {
 	// MonitorEnabled turns on the §5.3 in-flight memory rescue.
 	MonitorEnabled bool
 
-	stats atomicStats
+	stats Stats
 }
 
 // Stats aggregates platform counters.
@@ -339,39 +341,6 @@ type Stats struct {
 	RetryDenied int64
 }
 
-// atomicStats holds the hot-path counters as per-field atomics: every
-// invocation bumps several of them, and a shared stats mutex there is
-// pure contention (the kvstore/simnet counter pattern).
-type atomicStats struct {
-	invocations atomic.Int64
-	coldStarts  atomic.Int64
-	warmStarts  atomic.Int64
-	oomKills    atomic.Int64
-	retries     atomic.Int64
-	rescues     atomic.Int64
-	swaps       atomic.Int64
-	failures    atomic.Int64
-	reroutes    atomic.Int64
-	shed        atomic.Int64
-	retryDenied atomic.Int64
-}
-
-func (s *atomicStats) snapshot() Stats {
-	return Stats{
-		Invocations: s.invocations.Load(),
-		ColdStarts:  s.coldStarts.Load(),
-		WarmStarts:  s.warmStarts.Load(),
-		OOMKills:    s.oomKills.Load(),
-		Retries:     s.retries.Load(),
-		Rescues:     s.rescues.Load(),
-		Swaps:       s.swaps.Load(),
-		Failures:    s.failures.Load(),
-		Reroutes:    s.reroutes.Load(),
-		Shed:        s.shed.Load(),
-		RetryDenied: s.retryDenied.Load(),
-	}
-}
-
 // New creates a platform whose controller runs on ctrlNode.
 func New(net *simnet.Network, ctrlNode simnet.NodeID, cfg Config) *Platform {
 	return &Platform{
@@ -387,7 +356,7 @@ func New(net *simnet.Network, ctrlNode simnet.NodeID, cfg Config) *Platform {
 func (p *Platform) Config() Config { return p.cfg }
 
 // Stats returns a copy of the platform counters.
-func (p *Platform) Stats() Stats { return p.stats.snapshot() }
+func (p *Platform) Stats() Stats { return p.stats }
 
 // Register readies a function for Invoke: it stamps the registry key
 // and defaults the booked memory to the platform ceiling.
@@ -402,16 +371,12 @@ func (p *Platform) Register(f *Function) {
 // and storage binding for function bodies.
 func (p *Platform) AddInvoker(node simnet.NodeID, capacity int64, storage Storage) *Invoker {
 	inv := newInvoker(p, node, capacity, storage)
-	p.mu.Lock()
 	p.invokers = append(p.invokers, inv)
-	p.mu.Unlock()
 	return inv
 }
 
 // Invokers returns the worker list.
 func (p *Platform) Invokers() []*Invoker {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]*Invoker, len(p.invokers))
 	copy(out, p.invokers)
 	return out
@@ -419,8 +384,6 @@ func (p *Platform) Invokers() []*Invoker {
 
 // InvokerOn returns the worker running on node, or nil.
 func (p *Platform) InvokerOn(node simnet.NodeID) *Invoker {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, inv := range p.invokers {
 		if inv.node.ID == node {
 			return inv

@@ -48,8 +48,6 @@ func newTestbedN(seed int64, capacity int64, workers int) *testbed {
 // booksBalanced recounts inv's sandbox index the slow way and compares
 // the result with the running count and BookedWaste.
 func booksBalanced(inv *Invoker) bool {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	var n int
 	var waste int64
 	for _, list := range inv.sandboxes {
@@ -1259,8 +1257,6 @@ func TestSandboxBooksMatchReferenceModel(t *testing.T) {
 			t.Errorf("step %d at %v: sandboxes=%d waste=%d reserved=%d, model says %d, %d, %d",
 				step, now, inv.SandboxCount(), inv.BookedWaste(), inv.Reserved(), len(model), waste, mem)
 		}
-		inv.mu.Lock()
-		defer inv.mu.Unlock()
 		for fn, list := range inv.sandboxes {
 			for _, sb := range list {
 				m := model[sb]

@@ -3,7 +3,6 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -22,7 +21,8 @@ type PipelineAware interface {
 // simulation process.
 func (p *Platform) Invoke(req *Request) *Result {
 	res := &Result{Start: p.env.Now()}
-	idx := p.stats.invocations.Add(1)
+	p.stats.Invocations++
+	idx := p.stats.Invocations
 
 	// The root span of the invocation's trace. Every tracer call below
 	// is nil-safe: with tracing off, root is the inert zero Span and
@@ -52,7 +52,7 @@ func (p *Platform) Invoke(req *Request) *Result {
 		if err != nil {
 			qsp.SetNum("shed", 1)
 			tr.End(&qsp)
-			p.stats.shed.Add(1)
+			p.stats.Shed++
 			res.Err = err
 			res.End = p.env.Now()
 			res.QueueDelay = time.Duration(res.End - res.Start)
@@ -106,15 +106,15 @@ func (p *Platform) Invoke(req *Request) *Result {
 		// arbitrated. A denied retry surfaces as ErrRetryBudget wrapping
 		// the OOM — typed, not silent — and the activation record below
 		// is written either way.
-		p.stats.oomKills.Add(1)
+		p.stats.OOMKills++
 		if p.Retry == nil || p.Retry.AllowRetry(req, attempt) {
 			// §5.3: immediate retry with the tenant-booked memory.
-			p.stats.retries.Add(1)
+			p.stats.Retries++
 			res.Retried = true
 			req.advised = false
 			attempt = exec(fn.MemoryBooked)
 		} else {
-			p.stats.retryDenied.Add(1)
+			p.stats.RetryDenied++
 			attempt = fmt.Errorf("%w: %w", ErrRetryBudget, attempt)
 		}
 	}
@@ -123,16 +123,16 @@ func (p *Platform) Invoke(req *Request) *Result {
 	// still terminates. Reroutes draw on the same retry budget.
 	for rr := 0; errors.Is(attempt, ErrInvokerDown) && rr < 3; rr++ {
 		if p.Retry != nil && !p.Retry.AllowRetry(req, attempt) {
-			p.stats.retryDenied.Add(1)
+			p.stats.RetryDenied++
 			attempt = fmt.Errorf("%w: %w", ErrRetryBudget, attempt)
 			break
 		}
-		p.stats.reroutes.Add(1)
+		p.stats.Reroutes++
 		attempt = exec(wanted)
 	}
 	res.Err = attempt
 	if attempt != nil {
-		p.stats.failures.Add(1)
+		p.stats.Failures++
 		root.SetNum("err", 1)
 	}
 	res.End = p.env.Now()
@@ -190,9 +190,9 @@ func (p *Platform) execute(req *Request, wanted int64, res *Result, attempt int)
 	res.ScaleDownTime += scale
 	res.InitialMem = sb.mem
 	if cold {
-		p.stats.coldStarts.Add(1)
+		p.stats.ColdStarts++
 	} else {
-		p.stats.warmStarts.Add(1)
+		p.stats.WarmStarts++
 	}
 
 	ctx := &Ctx{p: p, inv: inv, sb: sb, req: req, execStart: p.env.Now(), tref: esp.Ref()}
@@ -212,7 +212,7 @@ func (p *Platform) execute(req *Request, wanted int64, res *Result, attempt int)
 	res.Rescued = res.Rescued || ctx.rescued
 	res.Swapped = res.Swapped || ctx.swapped
 	if ctx.rescued {
-		p.stats.rescues.Add(1)
+		p.stats.Rescues++
 	}
 
 	if errors.Is(err, ErrOOM) {
@@ -300,23 +300,12 @@ func (p *Platform) acquire(req *Request, wanted int64) (*Invoker, *Sandbox, bool
 	}
 }
 
-// routeScratch holds the two invoker lists of one routing decision.
-// They are dead once a target is chosen, so route borrows a pair per
-// call instead of building both from nil.
-type routeScratch struct{ live, warmIdle []*Invoker }
-
-var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
-
 // route picks the invoker for one placement try among the live workers:
 // the Router's choice, else the default policy's, else nil (nobody has
 // room right now). anyLive is false when every worker is down.
 func (p *Platform) route(req *Request, wanted int64) (target *Invoker, anyLive bool) {
-	p.mu.Lock()
-	workers := p.invokers // append-only: elements below len never change
-	p.mu.Unlock()
-	sc := routeScratchPool.Get().(*routeScratch)
-	live, warmIdle := sc.live[:0], sc.warmIdle[:0]
-	for _, inv := range workers {
+	live, warmIdle := p.live[:0], p.warmIdle[:0]
+	for _, inv := range p.invokers {
 		if inv.Down() {
 			continue
 		}
@@ -333,8 +322,7 @@ func (p *Platform) route(req *Request, wanted int64) (target *Invoker, anyLive b
 			target = p.defaultRoute(req, live, warmIdle, wanted)
 		}
 	}
-	sc.live, sc.warmIdle = live, warmIdle
-	routeScratchPool.Put(sc)
+	p.live, p.warmIdle = live, warmIdle
 	return target, len(live) > 0
 }
 
@@ -377,12 +365,10 @@ func (p *Platform) defaultRoute(req *Request, all []*Invoker, warmIdle []*Invoke
 // the next stage's input.
 func (p *Platform) RegisterSequence(tenant, name string, members ...*Function) *Sequence {
 	seq := &Sequence{p: p, Tenant: tenant, Name: name, Members: members}
-	p.mu.Lock()
 	if p.sequences == nil {
 		p.sequences = make(map[string]*Sequence)
 	}
 	p.sequences[tenant+"/"+name] = seq
-	p.mu.Unlock()
 	return seq
 }
 
@@ -396,8 +382,6 @@ type Sequence struct {
 
 // LookupSequence finds a registered sequence.
 func (p *Platform) LookupSequence(id string) (*Sequence, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s, ok := p.sequences[id]
 	return s, ok
 }

@@ -2,7 +2,6 @@ package faas
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -22,7 +21,7 @@ const (
 // time, kept alive between invocations.
 type Sandbox struct {
 	fn       *Function
-	mem      int64 // current cgroup memory limit; written under Invoker.mu only
+	mem      int64 // current cgroup memory limit
 	state    sandboxState
 	lastUsed sim.Time
 
@@ -56,7 +55,6 @@ type Invoker struct {
 	// bodies.
 	storage Storage
 
-	mu sync.Mutex
 	// The books on live (idle + busy) sandboxes, kept as sandboxes come
 	// and go instead of recounted per query: the sandboxes of each
 	// function in creation order, their number, and their BookedWaste.
@@ -92,7 +90,6 @@ func (inv *Invoker) Down() bool { return inv.node.Down() }
 // gone, so the sandbox reservations and the cache grant are zero. The
 // node comes back empty.
 func (inv *Invoker) Crash() {
-	inv.mu.Lock()
 	for _, list := range inv.sandboxes {
 		for _, sb := range list {
 			sb.state = sandboxDead
@@ -103,18 +100,13 @@ func (inv *Invoker) Crash() {
 	inv.live, inv.waste = 0, 0
 	inv.reserved = 0
 	inv.node.SetGrant(0)
-	inv.mu.Unlock()
 }
 
 // Capacity returns the node's total sandbox-usable memory.
 func (inv *Invoker) Capacity() int64 { return inv.capacity }
 
 // Reserved returns the memory currently reserved by sandboxes.
-func (inv *Invoker) Reserved() int64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.reserved
-}
+func (inv *Invoker) Reserved() int64 { return inv.reserved }
 
 // CacheGrant returns the bytes currently granted to the cache.
 func (inv *Invoker) CacheGrant() int64 { return inv.node.Grant() }
@@ -124,8 +116,6 @@ func (inv *Invoker) CacheGrant() int64 { return inv.node.Grant() }
 // the grant beyond free capacity is rejected (returns the grant
 // actually in force).
 func (inv *Invoker) SetCacheGrant(bytes int64) int64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	bytes = min(bytes, inv.capacity-inv.reserved)
 	bytes = max(bytes, 0)
 	inv.node.SetGrant(bytes)
@@ -135,13 +125,6 @@ func (inv *Invoker) SetCacheGrant(bytes int64) int64 {
 // FreeForSandboxes is the memory available for new sandbox
 // reservations without shrinking the cache.
 func (inv *Invoker) FreeForSandboxes() int64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.freeLocked()
-}
-
-// freeLocked is FreeForSandboxes with inv.mu held.
-func (inv *Invoker) freeLocked() int64 {
 	return inv.capacity - inv.reserved - inv.node.Grant()
 }
 
@@ -149,19 +132,13 @@ func (inv *Invoker) freeLocked() int64 {
 // that the sandboxes do not hold — the quantity OFC is entitled to
 // hoard ("the difference between the booked memory and the predicted
 // size is used for increasing the size of the cache", §1).
-func (inv *Invoker) BookedWaste() int64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.waste
-}
+func (inv *Invoker) BookedWaste() int64 { return inv.waste }
 
 // idleSandbox returns an idle warm sandbox for fn, or nil. The
 // preferred selection among several idle sandboxes follows §6.5:
 // smallest |current - wanted| memory gap first, most recently used as
 // tie-break; a full tie goes to the earliest-created sandbox.
 func (inv *Invoker) idleSandbox(fn *Function, wanted int64) *Sandbox {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	var best *Sandbox
 	var bestGap int64
 	for _, sb := range inv.sandboxes[fn] {
@@ -181,8 +158,6 @@ func (inv *Invoker) idleSandbox(fn *Function, wanted int64) *Sandbox {
 
 // HasIdleSandbox reports whether a warm idle sandbox exists for fn.
 func (inv *Invoker) HasIdleSandbox(fn *Function) bool {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	for _, sb := range inv.sandboxes[fn] {
 		if sb.state == sandboxIdle {
 			return true
@@ -205,15 +180,12 @@ func (inv *Invoker) IdleSandboxMem(fn *Function, wanted int64) (int64, bool) {
 // the Governor when needed. It returns the cache-scaling time spent on
 // the critical path.
 func (inv *Invoker) reserve(bytes int64) (time.Duration, error) {
-	inv.mu.Lock()
-	free := inv.freeLocked()
+	free := inv.FreeForSandboxes()
 	if free >= bytes {
 		inv.reserved += bytes
-		inv.mu.Unlock()
 		return 0, nil
 	}
 	need := bytes - free
-	inv.mu.Unlock()
 	if inv.node.Grant() < need || inv.p.Governor == nil {
 		return 0, ErrNoCapacity
 	}
@@ -221,9 +193,7 @@ func (inv *Invoker) reserve(bytes int64) (time.Duration, error) {
 	if err != nil {
 		return took, err
 	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if inv.freeLocked() < bytes {
+	if inv.FreeForSandboxes() < bytes {
 		// Governor freed the grant but someone raced us; treat as no
 		// capacity rather than looping (callers retry at a higher level).
 		return took, ErrNoCapacity
@@ -232,9 +202,8 @@ func (inv *Invoker) reserve(bytes int64) (time.Duration, error) {
 	return took, nil
 }
 
-// releaseLocked returns sandbox memory to the free pool; inv.mu must be
-// held.
-func (inv *Invoker) releaseLocked(bytes int64) {
+// release returns sandbox memory to the free pool.
+func (inv *Invoker) release(bytes int64) {
 	inv.reserved -= bytes
 	if inv.reserved < 0 {
 		inv.reserved = 0
@@ -252,7 +221,6 @@ func (inv *Invoker) createSandbox(fn *Function, mem int64) (*Sandbox, time.Durat
 	inv.p.env.Sleep(coldStart)
 	sb := &Sandbox{fn: fn, mem: mem, state: sandboxBusy, lastUsed: inv.p.env.Now()}
 	sb.expire = func() { inv.keepAliveFired(sb) }
-	inv.mu.Lock()
 	if inv.node.Down() {
 		sb.state = sandboxDead
 	} else {
@@ -261,7 +229,6 @@ func (inv *Invoker) createSandbox(fn *Function, mem int64) (*Sandbox, time.Durat
 		inv.waste += bookedWaste(fn, mem)
 	}
 	inv.created++
-	inv.mu.Unlock()
 	return sb, scale, nil
 }
 
@@ -279,36 +246,27 @@ func (inv *Invoker) resize(sb *Sandbox, newMem int64) (time.Duration, error) {
 			return scale, err
 		}
 	}
-	inv.mu.Lock()
 	if sb.state == sandboxDead {
 		// The node failed under the invocation and took the sandbox off
 		// the books: hand back what was just reserved for it.
 		if delta > 0 {
-			inv.releaseLocked(delta)
+			inv.release(delta)
 		}
 	} else {
 		if delta < 0 {
-			inv.releaseLocked(-delta)
+			inv.release(-delta)
 		}
 		inv.waste += bookedWaste(sb.fn, newMem) - bookedWaste(sb.fn, sb.mem)
 	}
 	sb.mem = newMem
-	inv.mu.Unlock()
 	// The cgroup syscall + docker update run asynchronously.
 	inv.p.env.Go(func() { inv.p.env.Sleep(ResizeLatency) })
 	return scale, nil
 }
 
-// destroySandbox retires a container and frees its memory.
+// destroySandbox retires a container and frees its memory. Retiring a
+// dead sandbox again is a no-op.
 func (inv *Invoker) destroySandbox(sb *Sandbox) {
-	inv.mu.Lock()
-	inv.destroyLocked(sb)
-	inv.mu.Unlock()
-}
-
-// destroyLocked is destroySandbox with inv.mu held. Retiring a dead
-// sandbox again is a no-op.
-func (inv *Invoker) destroyLocked(sb *Sandbox) {
 	if sb.state == sandboxDead {
 		return
 	}
@@ -320,23 +278,20 @@ func (inv *Invoker) destroyLocked(sb *Sandbox) {
 	inv.live--
 	inv.waste -= bookedWaste(sb.fn, sb.mem)
 	inv.expired++
-	inv.releaseLocked(sb.mem)
+	inv.release(sb.mem)
 }
 
 // parkSandbox moves a sandbox to idle and makes sure its keep-alive
 // timer is pending. A sandbox that died under its invocation (node
 // failure) stays dead.
 func (inv *Invoker) parkSandbox(sb *Sandbox) {
-	inv.mu.Lock()
 	if sb.state == sandboxDead {
-		inv.mu.Unlock()
 		return
 	}
 	sb.state = sandboxIdle
 	sb.lastUsed = inv.p.env.Now()
 	arm := !sb.armed
 	sb.armed = true
-	inv.mu.Unlock()
 	if arm {
 		inv.p.env.After(inv.p.cfg.KeepAlive, sb.expire)
 	}
@@ -350,23 +305,19 @@ func (inv *Invoker) parkSandbox(sb *Sandbox) {
 // otherwise the sandbox has been idle for exactly KeepAlive and expires.
 func (inv *Invoker) keepAliveFired(sb *Sandbox) {
 	var left time.Duration
-	inv.mu.Lock()
 	if sb.state == sandboxIdle {
 		if left = sb.lastUsed + inv.p.cfg.KeepAlive - inv.p.env.Now(); left <= 0 {
-			inv.destroyLocked(sb)
+			inv.destroySandbox(sb)
 		}
 	}
 	sb.armed = left > 0
-	inv.mu.Unlock()
 	if left > 0 {
 		inv.p.env.After(left, sb.expire)
 	}
 }
 
-// claim atomically takes an idle sandbox for a new invocation.
+// claim takes an idle sandbox for a new invocation.
 func (inv *Invoker) claim(sb *Sandbox) bool {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	if sb.state != sandboxIdle {
 		return false
 	}
@@ -375,15 +326,7 @@ func (inv *Invoker) claim(sb *Sandbox) bool {
 }
 
 // SandboxCount reports live sandboxes (idle + busy).
-func (inv *Invoker) SandboxCount() int {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.live
-}
+func (inv *Invoker) SandboxCount() int { return inv.live }
 
 // Lifecycle reports cumulative created/expired sandbox counters.
-func (inv *Invoker) Lifecycle() (created, expired int64) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.created, inv.expired
-}
+func (inv *Invoker) Lifecycle() (created, expired int64) { return inv.created, inv.expired }

@@ -6,8 +6,6 @@ package imoc
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ofc/internal/kvstore"
@@ -39,13 +37,8 @@ type Cache struct {
 	node    simnet.NodeID
 	profile Profile
 
-	mu sync.Mutex
-	m  map[string]Blob
-
-	// Op counters are lock-free (the simnet/kvstore stats pattern):
-	// they sit on every data-plane op, where a dedicated stats mutex
-	// is pure contention.
-	gets, sets atomic.Int64
+	m          map[string]Blob
+	gets, sets int64
 }
 
 // New places the cache service on node.
@@ -64,27 +57,23 @@ func (c *Cache) bwTime(size int64) time.Duration {
 func (c *Cache) Set(caller simnet.NodeID, key string, blob Blob) {
 	c.net.Transfer(caller, c.node, blob.Size+64)
 	c.net.Env().Sleep(c.profile.OpBase + c.bwTime(blob.Size))
-	c.mu.Lock()
 	c.m[key] = blob
-	c.mu.Unlock()
 	c.net.Transfer(c.node, caller, 64)
-	c.sets.Add(1)
+	c.sets++
 }
 
 // Get fetches key.
 func (c *Cache) Get(caller simnet.NodeID, key string) (Blob, error) {
 	c.net.Transfer(caller, c.node, 64)
 	c.net.Env().Sleep(c.profile.OpBase)
-	c.mu.Lock()
 	blob, ok := c.m[key]
-	c.mu.Unlock()
 	if !ok {
 		c.net.Transfer(c.node, caller, 64)
 		return Blob{}, ErrNotFound
 	}
 	c.net.Env().Sleep(c.bwTime(blob.Size))
 	c.net.Transfer(c.node, caller, blob.Size+64)
-	c.gets.Add(1)
+	c.gets++
 	return blob, nil
 }
 
@@ -92,20 +81,12 @@ func (c *Cache) Get(caller simnet.NodeID, key string) (Blob, error) {
 func (c *Cache) Del(caller simnet.NodeID, key string) {
 	c.net.Transfer(caller, c.node, 64)
 	c.net.Env().Sleep(c.profile.OpBase)
-	c.mu.Lock()
 	delete(c.m, key)
-	c.mu.Unlock()
 	c.net.Transfer(c.node, caller, 64)
 }
 
 // Len reports the number of stored keys.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
+func (c *Cache) Len() int { return len(c.m) }
 
 // Stats reports operation counters.
-func (c *Cache) Stats() (gets, sets int64) {
-	return c.gets.Load(), c.sets.Load()
-}
+func (c *Cache) Stats() (gets, sets int64) { return c.gets, c.sets }

@@ -59,6 +59,25 @@ func TestRedisIsFastComparedToRSDS(t *testing.T) {
 	env.Run()
 }
 
+// An empty value costs the service's per-operation time and no
+// payload time.
+func TestEmptyValueCostsOneOp(t *testing.T) {
+	env := sim.NewEnv(1)
+	c := setup(env)
+	env.Go(func() {
+		c.Set(0, "empty", kvstore.Synthetic(0))
+		start := env.Now()
+		if _, err := c.Get(0, "empty"); err != nil {
+			t.Fatal(err)
+		}
+		took := env.Now() - start
+		if base := RedisProfile().OpBase; took < base || took > base+100*time.Microsecond {
+			t.Errorf("empty GET took %v, want the %v operation plus two small messages", took, base)
+		}
+	})
+	env.Run()
+}
+
 func TestLen(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := setup(env)

@@ -183,13 +183,13 @@ func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, _ := c.placeGet("k")
+		p := c.places["k"]
 		old := p.master
 		if err := c.MigrateToBackup("k"); err != nil {
 			t.Fatal(err)
 		}
 		env.Sleep(time.Second) // every disk flush has landed
-		p, _ = c.placeGet("k")
+		p = c.places["k"]
 		if p.master == old || !slices.Contains(p.backups, old) {
 			t.Fatalf("placement after migration: %+v, old master %d", p, old)
 		}

@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ofc/internal/sim"
@@ -132,7 +130,6 @@ type replica struct {
 type Server struct {
 	node *simnet.Node
 
-	mu      sync.Mutex
 	log     *objLog            // log-structured master storage
 	backups map[string]replica // backup copies still in the RAM buffer
 	disk    map[string]replica // backup copies flushed to disk
@@ -146,16 +143,12 @@ func (s *Server) Down() bool { return s.node.Down() }
 
 // Usage returns the live master-copy bytes and the current limit.
 func (s *Server) Usage() (used, limit int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.log.live, s.node.Grant()
 }
 
 // LogStats exposes the log-structured engine's accounting: allocated
 // segment bytes, live bytes, cleanings performed and bytes relocated.
 func (s *Server) LogStats() (alloc, live, cleanings, moved int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.log.alloc, s.log.live, s.log.cleaned, s.log.moved
 }
 
@@ -180,43 +173,31 @@ type Cluster struct {
 	cfg      Config
 	coordloc simnet.NodeID
 
-	mu      sync.Mutex // guards servers and the placement cursor
 	servers map[simnet.NodeID]*Server
 	rr      int // round-robin cursor for placement
-
-	// The placement map has its own lock, not mu: placement lookups
-	// are the data plane, server membership is not.
-	placeMu sync.Mutex
 	places  map[string]placement
+	nextVer uint64
 
-	nextVer atomic.Uint64
-
-	statsMu      sync.Mutex
 	promotions   int64
 	fullMoves    int64
 	recovered    int64
 	recoveries   int64
 	recoveryTime time.Duration
 	lastRecovery time.Duration
-
-	// RPC counters are charged on every lookup and server operation —
-	// atomics keep the data plane off the stats mutex.
-	coordRPCs  atomic.Int64
-	serverRPCs atomic.Int64
+	coordRPCs    int64
+	serverRPCs   int64
 
 	// tracer records kv.read/kv.write (and multi) coordinator RPC
-	// spans as trace-0 roots; nil = off. Set before traffic starts.
+	// spans as trace-0 roots; nil = off.
 	tracer *trace.Tracer
 
 	// Free lists of replication rounds and disk flushes (multi.go).
-	// Only processes of the network's env touch them, one at a time, so
-	// they need no lock.
 	rounds  []*round
 	flushes []*flushRec
 }
 
 // SetTracer attaches a span recorder to the coordinator RPC surface.
-// Call before traffic starts; the field is read without synchronization.
+// Call before traffic starts.
 func (c *Cluster) SetTracer(tr *trace.Tracer) { c.tracer = tr }
 
 // New creates a cluster whose coordinator runs on coordNode.
@@ -230,41 +211,6 @@ func New(net *simnet.Network, coordNode simnet.NodeID, cfg Config) *Cluster {
 	}
 }
 
-// placeGet reads key's placement.
-func (c *Cluster) placeGet(key string) (placement, bool) {
-	c.placeMu.Lock()
-	p, ok := c.places[key]
-	c.placeMu.Unlock()
-	return p, ok
-}
-
-// placeDelete drops key's placement.
-func (c *Cluster) placeDelete(key string) (placement, bool) {
-	c.placeMu.Lock()
-	p, ok := c.places[key]
-	if ok {
-		delete(c.places, key)
-	}
-	c.placeMu.Unlock()
-	return p, ok
-}
-
-// placeUpdate swaps key's placement under the lock, if present.
-func (c *Cluster) placeUpdate(key string, fn func(placement) placement) {
-	c.placeMu.Lock()
-	if p, ok := c.places[key]; ok {
-		c.places[key] = fn(p)
-	}
-	c.placeMu.Unlock()
-}
-
-// placeCount returns the number of objects tracked.
-func (c *Cluster) placeCount() int {
-	c.placeMu.Lock()
-	defer c.placeMu.Unlock()
-	return len(c.places)
-}
-
 // AddServer starts a storage server on node with the given master
 // memory budget, which becomes the node's cache grant.
 func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
@@ -275,18 +221,12 @@ func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
 		disk:    make(map[string]replica),
 	}
 	s.node.SetGrant(memLimit)
-	c.mu.Lock()
 	c.servers[node] = s
-	c.mu.Unlock()
 	return s
 }
 
 // Server returns the server on node, or nil.
-func (c *Cluster) Server(node simnet.NodeID) *Server {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.servers[node]
-}
+func (c *Cluster) Server(node simnet.NodeID) *Server { return c.servers[node] }
 
 // env is a shorthand.
 func (c *Cluster) env() *sim.Env { return c.net.Env() }
@@ -299,9 +239,8 @@ func (c *Cluster) memCopyTime(size int64) time.Duration {
 	return time.Duration(float64(size) / memBandwidth * float64(time.Second))
 }
 
-// liveServersLocked lists the servers whose node is up; c.mu must be
-// held.
-func (c *Cluster) liveServersLocked() []simnet.NodeID {
+// liveServers lists the servers whose node is up, in id order.
+func (c *Cluster) liveServers() []simnet.NodeID {
 	var out []simnet.NodeID
 	for id, s := range c.servers {
 		if !s.node.Down() {
@@ -317,28 +256,22 @@ func (c *Cluster) liveServersLocked() []simnet.NodeID {
 // When a concurrent writer already placed the key, the existing
 // placement wins and is returned.
 func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placement, error) {
-	c.mu.Lock()
-	live := c.liveServersLocked()
+	live := c.liveServers()
 	if len(live) < 1+replication {
-		c.mu.Unlock()
 		return placement{}, ErrNotEnoughSrvs
 	}
 	master := simnet.NodeID(-1)
 	if s := c.servers[preferred]; s != nil {
-		s.mu.Lock()
 		if !s.node.Down() && s.log.live+size <= s.node.Grant() {
 			master = preferred
 		}
-		s.mu.Unlock()
 	}
 	if master < 0 {
 		// Pick the live server with the most free master memory.
 		var bestFree int64 = -1
 		for _, id := range live {
 			s := c.servers[id]
-			s.mu.Lock()
 			free := s.node.Grant() - s.log.live
-			s.mu.Unlock()
 			if free > bestFree {
 				bestFree, master = free, id
 			}
@@ -348,7 +281,6 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 		// Every server is past its limit (grants shrink under live
 		// data): there is no master to place on, and a placement
 		// without one would be found by every later Locate.
-		c.mu.Unlock()
 		return placement{}, ErrNoSpace
 	}
 	var backups []simnet.NodeID
@@ -368,13 +300,10 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 		}
 	}
 	c.rr++
-	c.mu.Unlock()
 	if len(backups) < replication {
 		return placement{}, ErrNotEnoughSrvs
 	}
 	p := placement{master: master, backups: backups, size: size}
-	c.placeMu.Lock()
-	defer c.placeMu.Unlock()
 	if cur, ok := c.places[key]; ok {
 		return cur, nil
 	}
@@ -389,9 +318,9 @@ func (c *Cluster) lookup(caller simnet.NodeID, key string) (placement, bool, err
 		p  placement
 		ok bool
 	}
-	c.coordRPCs.Add(1)
+	c.coordRPCs++
 	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
-		p, ok := c.placeGet(key)
+		p, ok := c.places[key]
 		return res{p, ok}
 	})
 	if err != nil {
@@ -407,12 +336,12 @@ func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string) ([]placement,
 		ps []placement
 		ok []bool
 	}
-	c.coordRPCs.Add(1)
+	c.coordRPCs++
 	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
 		ps := make([]placement, len(keys))
 		ok := make([]bool, len(keys))
 		for i, k := range keys {
-			ps[i], ok[i] = c.placeGet(k)
+			ps[i], ok[i] = c.places[k]
 		}
 		return res{ps, ok}
 	})
@@ -427,7 +356,7 @@ func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string) ([]placement,
 // paper's controller queries the RAMCloud coordinator, whose cost is
 // part of the controller's fixed overhead).
 func (c *Cluster) MasterOf(key string) (simnet.NodeID, bool) {
-	p, ok := c.placeGet(key)
+	p, ok := c.places[key]
 	if !ok {
 		return 0, false
 	}
@@ -447,7 +376,7 @@ type Location struct {
 func (c *Cluster) Locate(keys []string) []Location {
 	out := make([]Location, len(keys))
 	for i, k := range keys {
-		if p, ok := c.placeGet(k); ok {
+		if p, ok := c.places[k]; ok {
 			out[i] = Location{Node: p.master, Size: p.size, OK: true}
 		}
 	}
@@ -475,8 +404,6 @@ func (c *Cluster) Objects(node simnet.NodeID) []ObjectInfo {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]ObjectInfo, 0, len(s.log.index))
 	s.log.each(func(k string, o *object) {
 		out = append(out, ObjectInfo{Key: k, Meta: o.meta})
@@ -517,8 +444,6 @@ type ClusterStats struct {
 
 // Stats reports cluster-wide counters.
 func (c *Cluster) Stats() ClusterStats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
 	return ClusterStats{
 		Promotions:   c.promotions,
 		FullMoves:    c.fullMoves,
@@ -526,35 +451,23 @@ func (c *Cluster) Stats() ClusterStats {
 		Recoveries:   c.recoveries,
 		RecoveryTime: c.recoveryTime,
 		LastRecovery: c.lastRecovery,
-		CoordRPCs:    c.coordRPCs.Load(),
-		ServerRPCs:   c.serverRPCs.Load(),
+		CoordRPCs:    c.coordRPCs,
+		ServerRPCs:   c.serverRPCs,
 	}
-}
-
-// countServerRPC records one request/response exchange with a master.
-func (c *Cluster) countServerRPC() {
-	c.serverRPCs.Add(1)
 }
 
 // TotalUsed sums master-copy bytes across live servers.
 func (c *Cluster) TotalUsed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var t int64
 	for _, s := range c.servers {
 		if s.node.Down() {
 			continue
 		}
-		s.mu.Lock()
 		t += s.log.live
-		s.mu.Unlock()
 	}
 	return t
 }
 
 func (c *Cluster) String() string {
-	c.mu.Lock()
-	servers := len(c.servers)
-	c.mu.Unlock()
-	return fmt.Sprintf("kvstore.Cluster{servers=%d objects=%d}", servers, c.placeCount())
+	return fmt.Sprintf("kvstore.Cluster{servers=%d objects=%d}", len(c.servers), len(c.places))
 }

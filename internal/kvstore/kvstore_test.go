@@ -167,14 +167,12 @@ func TestReplicationPlacesBackups(t *testing.T) {
 		replicas := 0
 		for i := simnet.NodeID(0); i < 4; i++ {
 			s := c.Server(i)
-			s.mu.Lock()
 			if _, ok := s.backups["k"]; ok {
 				replicas++
 				if i == 1 {
 					t.Error("master also holds a backup replica")
 				}
 			}
-			s.mu.Unlock()
 		}
 		if replicas != 2 {
 			t.Errorf("replicas=%d, want 2", replicas)
@@ -212,9 +210,7 @@ func TestMigrateToBackupNoTransfer(t *testing.T) {
 		}
 		// Replication factor preserved: old master now holds a backup.
 		s := c.Server(1)
-		s.mu.Lock()
 		_, demoted := s.backups["k"]
-		s.mu.Unlock()
 		if !demoted {
 			t.Error("old master lost its replica role")
 		}
@@ -613,11 +609,9 @@ func TestRestartLosesBufferKeepsDisk(t *testing.T) {
 		var holder simnet.NodeID = -1
 		for i := simnet.NodeID(0); i < 4; i++ {
 			s := c.Server(i)
-			s.mu.Lock()
 			if _, ok := s.disk["k"]; ok {
 				holder = i
 			}
-			s.mu.Unlock()
 		}
 		if holder < 0 {
 			t.Fatal("no disk replica found")
@@ -625,10 +619,8 @@ func TestRestartLosesBufferKeepsDisk(t *testing.T) {
 		c.Crash(holder)
 		c.Restart(holder)
 		s := c.Server(holder)
-		s.mu.Lock()
 		_, buffered := s.backups["k"]
 		_, onDisk := s.disk["k"]
-		s.mu.Unlock()
 		if buffered {
 			t.Error("buffer survived the restart")
 		}

@@ -20,7 +20,7 @@ func (c *Cluster) promotionTime(size int64) time.Duration {
 // the object there from the local replica, and demote the old master
 // to backup. No inter-node transfer of the payload occurs.
 func (c *Cluster) MigrateToBackup(key string) error {
-	p, ok := c.placeGet(key)
+	p, ok := c.places[key]
 	if !ok {
 		return ErrNotFound
 	}
@@ -31,22 +31,18 @@ func (c *Cluster) MigrateToBackup(key string) error {
 	ms := c.Server(oldMaster)
 	var size int64
 	if ms != nil {
-		ms.mu.Lock()
 		if o, found := ms.log.get(key); found {
 			size = o.meta.Size
 		}
-		ms.mu.Unlock()
 	}
 	for _, b := range p.backups {
 		s := c.Server(b)
 		if s == nil || s.node.Down() {
 			continue
 		}
-		s.mu.Lock()
 		if free := s.node.Grant() - s.log.live; free >= size && free > bestFree {
 			bestFree, dest = free, b
 		}
-		s.mu.Unlock()
 	}
 	if dest < 0 {
 		return ErrNotEnoughSrvs
@@ -60,7 +56,7 @@ func (c *Cluster) MigrateToBackup(key string) error {
 // without any transfer); otherwise the old master is gone (crash
 // recovery).
 func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error {
-	p, ok := c.placeGet(key)
+	p, ok := c.places[key]
 	if !ok {
 		return ErrNotFound
 	}
@@ -76,21 +72,17 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	var obj *object
 	var alive bool
 	if ms != nil {
-		ms.mu.Lock()
 		alive = !ms.node.Down()
 		if o, found := ms.log.get(key); found {
 			cp := *o
 			obj = &cp
 		}
-		ms.mu.Unlock()
 	}
-	ds.mu.Lock()
 	rep, buffered := ds.backups[key]
 	var onDisk bool
 	if !buffered {
 		rep, onDisk = ds.disk[key]
 	}
-	ds.mu.Unlock()
 	if !buffered && !onDisk {
 		return ErrNotFound
 	}
@@ -119,19 +111,15 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	if ds.node.Down() {
 		return ErrCrashed
 	}
-	ds.mu.Lock()
 	ds.log.put(key, &object{blob: blob, meta: obj.meta})
 	delete(ds.backups, key)
 	delete(ds.disk, key)
-	ds.mu.Unlock()
 
 	if ms != nil && alive {
-		ms.mu.Lock()
 		ms.log.delete(key)
 		if demoteOld {
 			ms.backups[key] = replica{blob: blob, meta: obj.meta}
 		}
-		ms.mu.Unlock()
 		if demoteOld {
 			// The old master's copy goes to its disk, off the critical
 			// path; once written it survives a restart, as a backup's
@@ -142,7 +130,7 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 
 	// Update placement: dest becomes master; old master replaces dest
 	// in the backup list (if demoted).
-	c.placeUpdate(key, func(p placement) placement {
+	if p, ok := c.places[key]; ok {
 		newBackups := make([]simnet.NodeID, 0, len(p.backups))
 		for _, b := range p.backups {
 			if b == dest {
@@ -153,12 +141,10 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 			}
 			newBackups = append(newBackups, b)
 		}
-		return placement{master: dest, backups: newBackups, size: p.size}
-	})
+		c.places[key] = placement{master: dest, backups: newBackups, size: p.size}
+	}
 
-	c.statsMu.Lock()
 	c.promotions++
-	c.statsMu.Unlock()
 	return nil
 }
 
@@ -167,7 +153,7 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 // arbitrary destination. Kept for the ablation benchmark comparing it
 // against MigrateToBackup.
 func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
-	p, ok := c.placeGet(key)
+	p, ok := c.places[key]
 	if !ok {
 		return ErrNotFound
 	}
@@ -176,14 +162,11 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	if ms == nil || ds == nil {
 		return ErrNoSuchServer
 	}
-	ms.mu.Lock()
 	o, found := ms.log.get(key)
 	if !found || ms.node.Down() {
-		ms.mu.Unlock()
 		return ErrNotFound
 	}
 	cp := *o
-	ms.mu.Unlock()
 
 	c.net.Transfer(p.master, dest, cp.meta.Size+controlMsgSize)
 	c.env().Sleep(c.memCopyTime(cp.meta.Size))
@@ -191,21 +174,15 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	if ds.node.Down() {
 		return ErrCrashed
 	}
-	ds.mu.Lock()
 	ds.log.put(key, &object{blob: cp.blob, meta: cp.meta})
-	ds.mu.Unlock()
 
-	ms.mu.Lock()
 	ms.log.delete(key)
-	ms.mu.Unlock()
 
-	c.placeUpdate(key, func(p placement) placement {
-		return placement{master: dest, backups: p.backups, size: p.size}
-	})
+	if p, ok := c.places[key]; ok {
+		c.places[key] = placement{master: dest, backups: p.backups, size: p.size}
+	}
 
-	c.statsMu.Lock()
 	c.fullMoves++
-	c.statsMu.Unlock()
 	return nil
 }
 
@@ -226,10 +203,8 @@ func (c *Cluster) Restart(node simnet.NodeID) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	s.log = newObjLog(segmentSize)
 	s.backups = make(map[string]replica)
-	s.mu.Unlock()
 }
 
 // RecoverNode re-masters every object whose master copy was lost on
@@ -262,17 +237,15 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 	}
 	start := c.env().Now()
 	var victims []string
-	c.placeMu.Lock()
 	for k, p := range c.places {
 		if p.master == crashed {
 			victims = append(victims, k)
 		}
 	}
-	c.placeMu.Unlock()
 	sort.Strings(victims)
 	n := 0
 	for _, key := range victims {
-		p, ok := c.placeGet(key)
+		p, ok := c.places[key]
 		if !ok {
 			continue
 		}
@@ -282,11 +255,9 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 			if s == nil {
 				continue
 			}
-			s.mu.Lock()
 			_, buffered := s.backups[key]
 			_, onDisk := s.disk[key]
 			ok := !s.node.Down() && (buffered || onDisk)
-			s.mu.Unlock()
 			if ok {
 				dest = b
 				break
@@ -300,11 +271,9 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 		}
 	}
 	dur := c.env().Now() - start
-	c.statsMu.Lock()
 	c.recovered += int64(n)
 	c.recoveries++
 	c.recoveryTime += dur
 	c.lastRecovery = dur
-	c.statsMu.Unlock()
 	return n, dur
 }

@@ -130,7 +130,7 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 	}
 	env := c.env()
 	// One batched request to the master.
-	c.countServerRPC()
+	c.serverRPCs++
 	if err := c.net.TryTransfer(caller, master, controlMsgSize); err != nil {
 		fail(err)
 		return
@@ -145,7 +145,6 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 		fail(ErrCrashed)
 		return
 	}
-	s.mu.Lock()
 	var payload int64
 	found := 0
 	now := env.Now()
@@ -162,7 +161,6 @@ func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []
 		found++
 		s.reads++
 	}
-	s.mu.Unlock()
 	if found == 0 {
 		return
 	}
@@ -235,7 +233,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		for _, i := range idxs {
 			out[i].Err = err
 			if undo && speculative[i] {
-				c.placeDelete(items[i].Key)
+				delete(c.places, items[i].Key)
 			}
 		}
 	}
@@ -250,7 +248,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		total += items[i].Blob.Size
 	}
 	// One bulk payload shipment to the master.
-	c.countServerRPC()
+	c.serverRPCs++
 	if err := c.net.TryTransfer(caller, master, total+controlMsgSize); err != nil {
 		fail(err, true)
 		return
@@ -265,7 +263,6 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		return
 	}
 	limit := s.node.Grant()
-	s.mu.Lock()
 	now := env.Now()
 	for _, i := range idxs {
 		it := items[i]
@@ -277,12 +274,13 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		if s.log.live+delta > limit {
 			out[i].Err = ErrNoSpace
 			if speculative[i] { // undo speculative placement of a brand-new object
-				c.placeDelete(it.Key)
+				delete(c.places, it.Key)
 			}
 			continue
 		}
+		c.nextVer++
 		meta := Meta{
-			Version: c.nextVer.Add(1), Size: it.Blob.Size, Created: now,
+			Version: c.nextVer, Size: it.Blob.Size, Created: now,
 			LastAccess: now, Tags: it.Tags,
 		}
 		if existed {
@@ -301,12 +299,14 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 	if len(r.acc) > 0 && s.log.alloc > limit {
 		cleanedBytes = s.log.clean(limit)
 	}
-	s.mu.Unlock()
 	for _, a := range r.acc {
 		if a.resized {
 			// Overwrite of an existing object: refresh the coordinator's
 			// size record so byte-weighted locality stays accurate.
-			c.placeUpdate(a.key, func(p placement) placement { p.size = a.blob.Size; return p })
+			if p, ok := c.places[a.key]; ok {
+				p.size = a.blob.Size
+				c.places[a.key] = p
+			}
 		}
 	}
 	if cleanedBytes > 0 {
@@ -492,13 +492,11 @@ func (s *share) buffer() {
 		s.end(ErrCrashed)
 		return
 	}
-	bs.mu.Lock()
 	for i := range r.acc {
 		if a := &r.acc[i]; s.mine(i) {
 			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
 		}
 	}
-	bs.mu.Unlock()
 	r.c.net.TransferThen(s.node, r.master, controlMsgSize, s.acked)
 	// The flushes are booked in the order the runnable queue ran their
 	// processes (one Go per item, in acc order, then the ack's
@@ -542,8 +540,8 @@ type flushRec struct {
 // the buffered replica is still that version (a later write or a
 // restart may have replaced or dropped it). Once recorded it survives a
 // restart. Backups flush every replica they buffer, and a demoted
-// master flushes its copy (promote). s.mu must not be held: once the
-// environment is stopped the write completes inside flush.
+// master flushes its copy (promote). Once the environment is stopped
+// the write completes inside flush.
 func (c *Cluster) flush(s *Server, key string, meta Meta) {
 	var f *flushRec
 	if n := len(c.flushes); n > 0 {
@@ -560,11 +558,9 @@ func (c *Cluster) flush(s *Server, key string, meta Meta) {
 // install records the flushed copy and recycles f.
 func (f *flushRec) install() {
 	s := f.s
-	s.mu.Lock()
 	if cur, ok := s.backups[f.key]; ok && cur.meta.Version == f.version {
 		s.disk[f.key] = cur
 	}
-	s.mu.Unlock()
 	f.s, f.key = nil, ""
 	f.c.flushes = append(f.c.flushes, f)
 }

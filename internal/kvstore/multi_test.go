@@ -309,7 +309,7 @@ func TestSingleKeyIsBatchOfOne(t *testing.T) {
 			name: "backup errors", caller: 0, preferred: 0, size: 1 << 20,
 			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
 				c.Write(0, key, Synthetic(1<<20), nil, 0)
-				p, _ := c.placeGet(key)
+				p := c.places[key]
 				c.Crash(p.backups[0])          // fails after the payload lands
 				net.Partition(0, p.backups[1]) // fails after the detection delay
 			},
@@ -383,9 +383,7 @@ func loseAtMaster(key string) func(env *sim.Env, c *Cluster, net *simnet.Network
 		c.Write(1, key, Synthetic(16<<10), nil, 1)
 		m, _ := c.MasterOf(key)
 		s := c.Server(m)
-		s.mu.Lock()
 		s.log.delete(key)
-		s.mu.Unlock()
 	}
 }
 

@@ -79,19 +79,16 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	if s == nil {
 		return ErrNoSuchServer
 	}
-	c.countServerRPC()
+	c.serverRPCs++
 	if err := c.net.TryTransfer(caller, p.master, controlMsgSize); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	o, found := s.log.get(key)
 	if !found || s.node.Down() {
-		s.mu.Unlock()
 		return ErrNotFound
 	}
 	o.meta.Tags = withTag(o.meta.Tags, tag, value)
 	ver := o.meta.Version
-	s.mu.Unlock()
 	// Propagate the tag to backup replicas of the same version so a
 	// post-recovery master sees current flags (a persisted object must
 	// not come back tagged dirty). The master piggybacks these tiny
@@ -101,14 +98,12 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		if bs == nil {
 			continue
 		}
-		bs.mu.Lock()
 		for _, m := range []map[string]replica{bs.backups, bs.disk} {
 			if rep, ok := m[key]; ok && rep.meta.Version == ver {
 				rep.meta.Tags = withTag(rep.meta.Tags, tag, value)
 				m[key] = rep
 			}
 		}
-		bs.mu.Unlock()
 	}
 	if err := c.net.TryTransfer(p.master, caller, controlMsgSize); err != nil {
 		return err
@@ -131,18 +126,14 @@ func withTag(tags map[string]string, tag, value string) map[string]string {
 // the caller's ack path).
 func (c *Cluster) dropLocal(p placement, key string) {
 	if s := c.Server(p.master); s != nil {
-		s.mu.Lock()
 		if _, freed := s.log.delete(key); freed {
 			s.evictions++
 		}
-		s.mu.Unlock()
 	}
 	for _, b := range p.backups {
 		if bs := c.Server(b); bs != nil {
-			bs.mu.Lock()
 			delete(bs.backups, key)
 			delete(bs.disk, key)
-			bs.mu.Unlock()
 		}
 	}
 }
@@ -151,10 +142,11 @@ func (c *Cluster) dropLocal(p placement, key string) {
 // copy lives in the RSDS). It is a local decision of the cacheAgent;
 // only coordinator bookkeeping is charged.
 func (c *Cluster) Evict(key string) error {
-	p, ok := c.placeDelete(key)
+	p, ok := c.places[key]
 	if !ok {
 		return ErrNotFound
 	}
+	delete(c.places, key)
 	c.dropLocal(p, key)
 	return nil
 }

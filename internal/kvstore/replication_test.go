@@ -75,13 +75,11 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 		n.crashedAtBuffer++
 		return ErrCrashed
 	}
-	bs.mu.Lock()
 	for _, a := range acc {
 		if slices.Contains(a.backups, backup) {
 			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
 		}
 	}
-	bs.mu.Unlock()
 	for _, a := range acc {
 		if !slices.Contains(a.backups, backup) {
 			continue
@@ -89,13 +87,11 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 		key, size, version := a.key, a.blob.Size, a.meta.Version
 		env.Go(func() {
 			bs.node.DiskWrite(size)
-			bs.mu.Lock()
 			if cur, ok := bs.backups[key]; ok && cur.meta.Version == version {
 				bs.disk[key] = cur
 			} else if !ok {
 				n.droppedFlushes++
 			}
-			bs.mu.Unlock()
 		})
 	}
 	return c.net.TryTransfer(backup, master, controlMsgSize)
@@ -406,7 +402,7 @@ func TestHealthyWriteSpawnsNoProcess(t *testing.T) {
 			}
 		}
 		env.Sleep(time.Second) // the flushes complete
-		p, _ := c.placeGet("k")
+		p := c.places["k"]
 		for _, b := range p.backups {
 			if _, ok := c.Server(b).disk["k"]; !ok {
 				t.Errorf("backup %d never flushed k", b)

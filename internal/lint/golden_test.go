@@ -141,8 +141,10 @@ func TestAtomicMixGolden(t *testing.T) {
 }
 
 func TestRawGoGolden(t *testing.T) {
-	// pos.go is flagged, allow.go suppressed, clean_test.go exempt.
-	runGolden(t, []*Analyzer{RawGo}, []goldenPkg{{"testdata/rawgo/a", "ofc/internal/gofake"}}, 1)
+	// pos.go is flagged (its go statements and its first sync import),
+	// allow.go's go statement and import are suppressed, clean_test.go
+	// is exempt.
+	runGolden(t, []*Analyzer{RawGo}, []goldenPkg{{"testdata/rawgo/a", "ofc/internal/gofake"}}, 2)
 }
 
 func TestRawGoAllowsCommands(t *testing.T) {

@@ -47,3 +47,21 @@ func (s *srv) badDiskUnderBranchLock(cond bool) {
 	}
 	s.mu.Unlock()
 }
+
+// An explicit instantiation is resolved through its package selector.
+func (s *srv) badInstantiatedCall() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, _ := simnet.TryCall[int](s.net, 0, 1, 64, 64, func() int { return 1 }) // want "TryCall blocks in the sim scheduler while a sync mutex is held"
+	return v
+}
+
+var initMu sync.Mutex
+
+// A func literal in a package-level initializer is walked like a
+// function body.
+var badInit = func(env *sim.Env) {
+	initMu.Lock()
+	defer initMu.Unlock()
+	env.Sleep(time.Millisecond) // want "Sleep blocks in the sim scheduler while a sync mutex is held"
+}

@@ -1,6 +1,9 @@
 package mapfake
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
 // Order-insensitive bodies are legal: commutative accumulation, keyed
 // writes, deletes, and loop-local scratch that dies with the
@@ -28,6 +31,17 @@ func cleanCollectSort(m map[string]int) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Other calls between the loop and the sort do not hide the sort.
+func cleanCollectLabelSort(m map[string]int) []string {
+	keys := make([]string, 0, len(m)+1)
+	for k := range m {
+		keys = append(keys, k)
+	}
+	keys = append(keys, strconv.Itoa(len(m)))
 	sort.Strings(keys)
 	return keys
 }

@@ -1,8 +1,12 @@
 // Package a is rawgo golden testdata: under an internal/ path every go
-// statement in a non-test file is flagged, however it is joined.
+// statement in a non-test file is flagged, however it is joined, and so
+// is the file's first import of sync or sync/atomic.
 package a
 
-import "sync"
+import (
+	"sync" // want "import of sync inside simulation code"
+	"sync/atomic"
+)
 
 func work() {}
 
@@ -20,4 +24,10 @@ func Joined() {
 		defer wg.Done()
 	}()
 	wg.Wait()
+}
+
+// Counted keeps an atomic where one process would do with an int.
+func Counted() int64 {
+	var n atomic.Int64
+	return n.Add(1)
 }

@@ -1,26 +1,21 @@
 package metrics
 
-import "sync/atomic"
-
-// MemoCounters tracks a memoization cache that sits on a hot path:
-// increments are lock-free atomics so the cache's bookkeeping never
-// serializes the callers it exists to speed up.
+// MemoCounters tracks a memoization cache: lookups it served, lookups
+// that fell through to the computation, and flushes.
 type MemoCounters struct {
-	hits          atomic.Int64
-	misses        atomic.Int64
-	invalidations atomic.Int64
+	hits, misses, invalidations int64
 }
 
 // Hit records a served-from-cache lookup.
-func (m *MemoCounters) Hit() { m.hits.Add(1) }
+func (m *MemoCounters) Hit() { m.hits++ }
 
 // Miss records a lookup that fell through to the computation.
-func (m *MemoCounters) Miss() { m.misses.Add(1) }
+func (m *MemoCounters) Miss() { m.misses++ }
 
 // Invalidation records a cache flush (e.g. a model retrain).
-func (m *MemoCounters) Invalidation() { m.invalidations.Add(1) }
+func (m *MemoCounters) Invalidation() { m.invalidations++ }
 
 // Snapshot reads the three counters.
 func (m *MemoCounters) Snapshot() (hits, misses, invalidations int64) {
-	return m.hits.Load(), m.misses.Load(), m.invalidations.Load()
+	return m.hits, m.misses, m.invalidations
 }

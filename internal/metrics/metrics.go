@@ -1,41 +1,33 @@
 // Package metrics provides the small statistics containers the
 // experiment harness reports with: duration histograms with exact
-// percentiles and the lock-free counter blocks of the advice memo and
-// the overload controller.
+// percentiles, the advice memo's counters, and the overload
+// controller's state timeline and per-tenant counters.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
 // Histogram collects duration samples and answers exact order
 // statistics (the evaluation's medians and p99s).
 type Histogram struct {
-	mu      sync.Mutex
 	samples []time.Duration
 	sorted  bool
 }
 
 // Add records one sample.
 func (h *Histogram) Add(d time.Duration) {
-	h.mu.Lock()
 	h.samples = append(h.samples, d)
 	h.sorted = false
-	h.mu.Unlock()
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
+func (h *Histogram) Count() int { return len(h.samples) }
 
-// ensureSorted sorts in place; callers hold h.mu.
+// ensureSorted sorts in place.
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
@@ -45,8 +37,6 @@ func (h *Histogram) ensureSorted() {
 
 // Quantile returns the q-th (0..1) order statistic, 0 when empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.ensureSorted()
 	return Quantile(h.samples, q)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -18,31 +17,18 @@ type Mark struct {
 // Timeline is an append-only log of labeled events — the overload
 // experiment's record of state-machine transitions.
 type Timeline struct {
-	mu    sync.Mutex
 	marks []Mark
 }
 
 // Mark appends one event.
 func (t *Timeline) Mark(at time.Duration, label string) {
-	t.mu.Lock()
 	t.marks = append(t.marks, Mark{At: at, Label: label})
-	t.mu.Unlock()
-}
-
-// Marks returns a copy of the events in append order.
-func (t *Timeline) Marks() []Mark {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Mark, len(t.marks))
-	copy(out, t.marks)
-	return out
 }
 
 // Labels returns just the event labels, in order.
 func (t *Timeline) Labels() []string {
-	marks := t.Marks()
-	out := make([]string, len(marks))
-	for i, m := range marks {
+	out := make([]string, len(t.marks))
+	for i, m := range t.marks {
 		out[i] = m.Label
 	}
 	return out
@@ -50,9 +36,8 @@ func (t *Timeline) Labels() []string {
 
 // String renders the timeline as "t=1s a → t=2s b".
 func (t *Timeline) String() string {
-	marks := t.Marks()
-	parts := make([]string, len(marks))
-	for i, m := range marks {
+	parts := make([]string, len(t.marks))
+	for i, m := range t.marks {
 		parts[i] = fmt.Sprintf("t=%v %s", m.At, m.Label)
 	}
 	return strings.Join(parts, " → ")
@@ -62,8 +47,7 @@ func (t *Timeline) String() string {
 // counter name — per-tenant goodput, shed and failure accounting for
 // the overload experiment.
 type TenantCounters struct {
-	mu sync.Mutex
-	m  map[string]map[string]int64
+	m map[string]map[string]int64
 }
 
 // NewTenantCounters returns an empty set.
@@ -73,27 +57,19 @@ func NewTenantCounters() *TenantCounters {
 
 // Add adds delta to tenant's counter name.
 func (c *TenantCounters) Add(tenant, name string, delta int64) {
-	c.mu.Lock()
 	t := c.m[tenant]
 	if t == nil {
 		t = make(map[string]int64)
 		c.m[tenant] = t
 	}
 	t[name] += delta
-	c.mu.Unlock()
 }
 
 // Of reads one tenant counter.
-func (c *TenantCounters) Of(tenant, name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[tenant][name]
-}
+func (c *TenantCounters) Of(tenant, name string) int64 { return c.m[tenant][name] }
 
 // Tenants lists the tenants seen, sorted.
 func (c *TenantCounters) Tenants() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.m))
 	for t := range c.m {
 		out = append(out, t)

@@ -21,7 +21,6 @@ import (
 	"maps"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ofc/internal/kvstore"
@@ -143,14 +142,12 @@ type Store struct {
 	node    simnet.NodeID
 	profile Profile
 
-	mu      sync.Mutex
 	objects map[string]*entry
 
 	readHooks    []ReadHook
 	writeHooks   []WriteHook
 	createdHooks []CreatedHook
 
-	statsMu                 sync.Mutex
 	gets, puts, shadows     int64
 	bytesRead, bytesWritten int64
 }
@@ -168,15 +165,11 @@ func (s *Store) Profile() Profile { return s.profile }
 
 // OnRead registers a read webhook.
 func (s *Store) OnRead(h ReadHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.readHooks = append(s.readHooks, h)
 }
 
 // OnWrite registers a write webhook.
 func (s *Store) OnWrite(h WriteHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.writeHooks = append(s.writeHooks, h)
 }
 
@@ -187,8 +180,6 @@ type CreatedHook func(key string, size int64)
 
 // OnCreated registers a post-create trigger hook.
 func (s *Store) OnCreated(h CreatedHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.createdHooks = append(s.createdHooks, h)
 }
 
@@ -198,13 +189,12 @@ func (s *Store) OnCreated(h CreatedHook) {
 // triggers write webhooks.
 func (s *Store) Put(caller simnet.NodeID, key string, blob Blob, userMeta map[string]string, external bool) uint64 {
 	if external {
-		for _, h := range s.snapshotWriteHooks() {
+		for _, h := range s.writeHooks {
 			h(key)
 		}
 	}
 	s.net.Transfer(caller, s.node, blob.Size+256)
 	s.net.Env().Sleep(s.profile.WriteTime(1, blob.Size))
-	s.mu.Lock()
 	e := s.objects[key]
 	if e == nil {
 		e = &entry{}
@@ -219,18 +209,11 @@ func (s *Store) Put(caller simnet.NodeID, key string, blob Blob, userMeta map[st
 		e.meta.UserMeta = userMeta
 	}
 	ver := e.meta.LatestVersion
-	s.mu.Unlock()
 	s.net.Transfer(s.node, caller, 256)
-	s.statsMu.Lock()
 	s.puts++
 	s.bytesWritten += blob.Size
-	s.statsMu.Unlock()
 	if external {
-		s.mu.Lock()
-		hooks := make([]CreatedHook, len(s.createdHooks))
-		copy(hooks, s.createdHooks)
-		s.mu.Unlock()
-		for _, h := range hooks {
+		for _, h := range s.createdHooks {
 			h(key, blob.Size)
 		}
 	}
@@ -240,51 +223,37 @@ func (s *Store) Put(caller simnet.NodeID, key string, blob Blob, userMeta map[st
 // Get fetches an object. external triggers read webhooks (OFC's
 // consistency barrier for non-FaaS clients).
 func (s *Store) Get(caller simnet.NodeID, key string, external bool) (Blob, Meta, error) {
-	s.mu.Lock()
 	e := s.objects[key]
-	var m Meta
-	if e != nil {
-		m = e.meta
-	}
-	hooks := make([]ReadHook, len(s.readHooks))
-	copy(hooks, s.readHooks)
-	s.mu.Unlock()
 	if e == nil {
 		return Blob{}, Meta{}, ErrNotFound
 	}
 	if external {
-		for _, h := range hooks {
+		m := e.meta
+		for _, h := range s.readHooks {
 			h(key, m)
 		}
 	}
 	s.net.Transfer(caller, s.node, 256)
-	s.mu.Lock()
 	e = s.objects[key]
 	if e == nil {
-		s.mu.Unlock()
 		return Blob{}, Meta{}, ErrNotFound
 	}
 	blob, meta := e.blob, e.meta
-	s.mu.Unlock()
 	s.net.Env().Sleep(s.profile.ReadTime(1, blob.Size))
 	s.net.Transfer(s.node, caller, blob.Size+256)
-	s.statsMu.Lock()
 	s.gets++
 	s.bytesRead += blob.Size
-	s.statsMu.Unlock()
 	return blob, meta, nil
 }
 
 // Head returns metadata only, at control-message cost.
 func (s *Store) Head(caller simnet.NodeID, key string) (Meta, error) {
 	s.net.Transfer(caller, s.node, 256)
-	s.mu.Lock()
 	e := s.objects[key]
 	var m Meta
 	if e != nil {
 		m = e.meta
 	}
-	s.mu.Unlock()
 	s.net.Transfer(s.node, caller, 512)
 	if e == nil {
 		return Meta{}, ErrNotFound
@@ -295,16 +264,14 @@ func (s *Store) Head(caller simnet.NodeID, key string) (Meta, error) {
 // Delete removes an object.
 func (s *Store) Delete(caller simnet.NodeID, key string, external bool) error {
 	if external {
-		for _, h := range s.snapshotWriteHooks() {
+		for _, h := range s.writeHooks {
 			h(key)
 		}
 	}
 	s.net.Transfer(caller, s.node, 256)
 	s.net.Env().Sleep(s.profile.DeleteBase)
-	s.mu.Lock()
 	_, ok := s.objects[key]
 	delete(s.objects, key)
-	s.mu.Unlock()
 	s.net.Transfer(s.node, caller, 256)
 	if !ok {
 		return ErrNotFound
@@ -319,7 +286,6 @@ func (s *Store) Delete(caller simnet.NodeID, key string, external bool) error {
 func (s *Store) PutShadow(caller simnet.NodeID, key string, size int64) uint64 {
 	s.net.Transfer(caller, s.node, 256)
 	s.net.Env().Sleep(s.profile.ShadowPut)
-	s.mu.Lock()
 	e := s.objects[key]
 	if e == nil {
 		e = &entry{}
@@ -329,11 +295,8 @@ func (s *Store) PutShadow(caller simnet.NodeID, key string, size int64) uint64 {
 	e.meta.Size = size
 	e.meta.Modified = s.net.Env().Now()
 	ver := e.meta.LatestVersion
-	s.mu.Unlock()
 	s.net.Transfer(s.node, caller, 256)
-	s.statsMu.Lock()
 	s.shadows++
-	s.statsMu.Unlock()
 	return ver
 }
 
@@ -344,26 +307,20 @@ func (s *Store) PutShadow(caller simnet.NodeID, key string, size int64) uint64 {
 func (s *Store) PersistPayload(caller simnet.NodeID, key string, blob Blob, version uint64) error {
 	s.net.Transfer(caller, s.node, blob.Size+256)
 	s.net.Env().Sleep(s.profile.WriteTime(1, blob.Size))
-	s.mu.Lock()
 	e := s.objects[key]
 	if e == nil {
-		s.mu.Unlock()
 		return ErrNotFound
 	}
 	if version < e.meta.PersistedVersion || version > e.meta.LatestVersion {
-		s.mu.Unlock()
 		return ErrStale
 	}
 	e.blob = blob
 	e.meta.PersistedVersion = version
 	e.meta.Size = blob.Size
 	e.meta.Modified = s.net.Env().Now()
-	s.mu.Unlock()
 	s.net.Transfer(s.node, caller, 256)
-	s.statsMu.Lock()
 	s.puts++
 	s.bytesWritten += blob.Size
-	s.statsMu.Unlock()
 	return nil
 }
 
@@ -371,8 +328,6 @@ func (s *Store) PersistPayload(caller simnet.NodeID, key string, blob Blob, vers
 // (background task at object creation, §5.1.2). No latency is charged:
 // it runs off the critical path inside the store.
 func (s *Store) SetFeatures(key string, features map[string]float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.objects[key]
 	if e == nil {
 		return ErrNotFound
@@ -387,8 +342,6 @@ func (s *Store) SetFeatures(key string, features map[string]float64) error {
 // cache's tag rule: the map Put was given is never written to, the
 // object gets a modified copy, and a Meta read earlier is a snapshot.
 func (s *Store) SetUserMeta(key, name, value string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.objects[key]
 	if e == nil {
 		return ErrNotFound
@@ -404,8 +357,6 @@ func (s *Store) SetUserMeta(key, name, value string) error {
 
 // Features returns the feature sidecar of key, or nil.
 func (s *Store) Features(key string) map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e := s.objects[key]; e != nil {
 		return e.meta.Features
 	}
@@ -415,8 +366,6 @@ func (s *Store) Features(key string) map[string]float64 {
 // MetaOf returns the metadata of key without charging latency (local
 // inspection for tests and experiment harnesses).
 func (s *Store) MetaOf(key string) (Meta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e := s.objects[key]; e != nil {
 		return e.meta, true
 	}
@@ -425,8 +374,6 @@ func (s *Store) MetaOf(key string) (Meta, bool) {
 
 // List returns the keys with the given prefix, sorted.
 func (s *Store) List(prefix string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var keys []string
 	for k := range s.objects {
 		if strings.HasPrefix(k, prefix) {
@@ -439,15 +386,5 @@ func (s *Store) List(prefix string) []string {
 
 // Stats reports operation counters.
 func (s *Store) Stats() (gets, puts, shadows, bytesRead, bytesWritten int64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
 	return s.gets, s.puts, s.shadows, s.bytesRead, s.bytesWritten
-}
-
-func (s *Store) snapshotWriteHooks() []WriteHook {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WriteHook, len(s.writeHooks))
-	copy(out, s.writeHooks)
-	return out
 }

@@ -1,7 +1,6 @@
 package overload
 
 import (
-	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -37,7 +36,6 @@ type BudgetStats struct {
 type RetryBudget struct {
 	env *sim.Env
 
-	mu      sync.Mutex
 	cfg     BudgetConfig
 	tokens  float64
 	last    sim.Time
@@ -54,9 +52,7 @@ func NewRetryBudget(env *sim.Env, cfg BudgetConfig) *RetryBudget {
 // may proceed.
 func (b *RetryBudget) Allow() bool {
 	now := b.env.Now()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(now)
+	b.refill(now)
 	if b.tokens >= 1 {
 		b.tokens--
 		b.granted++
@@ -66,7 +62,7 @@ func (b *RetryBudget) Allow() bool {
 	return false
 }
 
-func (b *RetryBudget) refillLocked(now sim.Time) {
+func (b *RetryBudget) refill(now sim.Time) {
 	if now <= b.last {
 		return
 	}
@@ -80,16 +76,12 @@ func (b *RetryBudget) refillLocked(now sim.Time) {
 // Remaining reports the tokens currently available.
 func (b *RetryBudget) Remaining() float64 {
 	now := b.env.Now()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(now)
+	b.refill(now)
 	return b.tokens
 }
 
 // Stats snapshots the grant/deny counters.
 func (b *RetryBudget) Stats() BudgetStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return BudgetStats{Granted: b.granted, Denied: b.denied}
 }
 
@@ -97,7 +89,5 @@ func (b *RetryBudget) Stats() BudgetStats {
 // experiment's "no retry storm" assertion checks total retries against
 // it.
 func (b *RetryBudget) Cap(window time.Duration) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.cfg.Burst + window.Seconds()*b.cfg.RefillPerSecond
 }

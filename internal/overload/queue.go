@@ -3,7 +3,6 @@ package overload
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -90,7 +89,6 @@ type tenantQueue struct {
 type Admission struct {
 	env *sim.Env
 
-	mu         sync.Mutex
 	cfg        AdmissionConfig
 	level      State
 	inflight   int
@@ -112,41 +110,23 @@ func (a *Admission) SetWeight(tenant string, w float64) {
 	if w <= 0 {
 		panic("overload: non-positive tenant weight")
 	}
-	a.mu.Lock()
-	a.tenantLocked(tenant).weight = w
-	a.mu.Unlock()
+	a.queueOf(tenant).weight = w
 }
 
 // SetLevel tells the gate the current degradation state; in Shed the
 // tighter per-tenant queue bound applies to new arrivals.
-func (a *Admission) SetLevel(s State) {
-	a.mu.Lock()
-	a.level = s
-	a.mu.Unlock()
-}
+func (a *Admission) SetLevel(s State) { a.level = s }
 
 // Depth reports the number of queued (not yet admitted) requests.
-func (a *Admission) Depth() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.queued
-}
+func (a *Admission) Depth() int { return a.queued }
 
 // Inflight reports the number of requests currently past the gate.
-func (a *Admission) Inflight() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight
-}
+func (a *Admission) Inflight() int { return a.inflight }
 
 // Stats snapshots the gate counters.
-func (a *Admission) Stats() AdmissionStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
-}
+func (a *Admission) Stats() AdmissionStats { return a.stats }
 
-func (a *Admission) tenantLocked(tenant string) *tenantQueue {
+func (a *Admission) queueOf(tenant string) *tenantQueue {
 	tq := a.tenants[tenant]
 	if tq == nil {
 		tq = &tenantQueue{weight: 1}
@@ -160,21 +140,18 @@ func (a *Admission) tenantLocked(tenant string) *tenantQueue {
 // error is always a *ShedError (errors.Is ErrShed) and means the
 // request was rejected without running.
 func (a *Admission) Admit(tenant string) (release func(), err error) {
-	a.mu.Lock()
 	if a.inflight < a.cfg.MaxConcurrent && a.queued == 0 {
 		a.inflight++
 		a.stats.Admitted++
-		a.mu.Unlock()
 		return a.releaseOnce(), nil
 	}
 	limit := a.cfg.MaxQueuePerTenant
 	if a.level >= Shed {
 		limit = a.cfg.ShedQueuePerTenant
 	}
-	tq := a.tenantLocked(tenant)
+	tq := a.queueOf(tenant)
 	if len(tq.q) >= limit {
 		a.stats.ShedQueueFull++
-		a.mu.Unlock()
 		return nil, &ShedError{Tenant: tenant, Reason: "queue-full"}
 	}
 	if len(tq.q) == 0 && tq.pass < a.virt {
@@ -186,7 +163,6 @@ func (a *Admission) Admit(tenant string) (release func(), err error) {
 	if a.queued > a.stats.MaxDepth {
 		a.stats.MaxDepth = a.queued
 	}
-	a.mu.Unlock()
 
 	if werr := w.f.Wait(); werr != nil {
 		return nil, werr
@@ -197,41 +173,32 @@ func (a *Admission) Admit(tenant string) (release func(), err error) {
 // releaseOnce returns the slot-release closure handed to an admitted
 // caller; it is idempotent so sloppy callers cannot corrupt the gate.
 func (a *Admission) releaseOnce() func() {
-	var once sync.Once
+	released := false
 	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			a.inflight--
-			grant, shed := a.dispatchLocked()
-			a.mu.Unlock()
-			a.resolve(grant, shed)
-		})
+		if released {
+			return
+		}
+		released = true
+		a.inflight--
+		a.dispatch()
 	}
 }
 
-// resolve wakes dispatched and shed waiters outside the gate mutex.
-func (a *Admission) resolve(grant, shed []*waiter) {
-	for _, w := range shed {
-		w.f.Set(&ShedError{Tenant: w.tenant, Reason: "stale"})
-	}
-	for _, w := range grant {
-		w.f.Set(nil)
-	}
-}
-
-// dispatchLocked fills free slots from the queues: weighted-fair tenant
+// dispatch fills free slots from the queues: weighted-fair tenant
 // selection (min pass, lexicographic tie-break), CoDel staleness check
-// on each dequeued head. Returns the waiters to grant and to shed.
-func (a *Admission) dispatchLocked() (grant, shed []*waiter) {
+// on each dequeued head, waking each waiter as it is decided. A waiter
+// queues only while every slot is taken, and each release frees one,
+// so a dispatch grants at most one waiter, after the ones it sheds.
+func (a *Admission) dispatch() {
 	now := a.env.Now()
 	for a.inflight < a.cfg.MaxConcurrent && a.queued > 0 {
-		tq := a.minPassLocked()
+		tq := a.minPass()
 		w := tq.q[0]
 		tq.q = tq.q[1:]
 		a.queued--
-		if a.staleLocked(now, now-w.enq) {
+		if a.stale(now, now-w.enq) {
 			a.stats.ShedStale++
-			shed = append(shed, w)
+			w.f.Set(&ShedError{Tenant: w.tenant, Reason: "stale"})
 			// Restart the interval measurement: at most one drop per
 			// Interval of continued standing delay, so the queue drains
 			// gradually instead of dumping its whole backlog.
@@ -242,18 +209,17 @@ func (a *Admission) dispatchLocked() (grant, shed []*waiter) {
 		tq.pass += 1 / tq.weight
 		a.inflight++
 		a.stats.Admitted++
-		grant = append(grant, w)
+		w.f.Set(nil)
 	}
 	if a.queued == 0 {
 		a.firstAbove = 0
 	}
-	return grant, shed
 }
 
-// minPassLocked picks the backlogged tenant with the smallest pass
+// minPass picks the backlogged tenant with the smallest pass
 // value, breaking ties by tenant name so dispatch order is a pure
 // function of queue state.
-func (a *Admission) minPassLocked() *tenantQueue {
+func (a *Admission) minPass() *tenantQueue {
 	var best *tenantQueue
 	var bestName string
 	for name, tq := range a.tenants {
@@ -267,10 +233,10 @@ func (a *Admission) minPassLocked() *tenantQueue {
 	return best
 }
 
-// staleLocked implements the CoDel drop decision for a head with the
+// stale implements the CoDel drop decision for a head with the
 // given sojourn time: sojourn must exceed Target, and must have done so
 // continuously for Interval, before heads start being dropped.
-func (a *Admission) staleLocked(now sim.Time, sojourn time.Duration) bool {
+func (a *Admission) stale(now sim.Time, sojourn time.Duration) bool {
 	if sojourn <= a.cfg.Target {
 		a.firstAbove = 0
 		return false

@@ -1,7 +1,6 @@
 package overload
 
 import (
-	"sync"
 	"time"
 
 	"ofc/internal/sim"
@@ -65,14 +64,12 @@ type Transition struct {
 }
 
 // Controller samples the health signals on the virtual clock and
-// drives the Normal → Brownout → Shed state machine. State-change
-// callbacks run outside the controller lock.
+// drives the Normal → Brownout → Shed state machine.
 type Controller struct {
 	env    *sim.Env
 	cfg    ControllerConfig
 	source func() Signals
 
-	mu          sync.Mutex
 	state       State
 	since       sim.Time
 	prev        Signals
@@ -90,9 +87,7 @@ func NewController(env *sim.Env, cfg ControllerConfig, source func() Signals) *C
 
 // OnChange registers a state-change callback. Register before Start.
 func (c *Controller) OnChange(fn func(from, to State)) {
-	c.mu.Lock()
 	c.onChange = append(c.onChange, fn)
-	c.mu.Unlock()
 }
 
 // Start begins periodic sampling; it runs until the environment stops.
@@ -104,23 +99,13 @@ func (c *Controller) Start() {
 }
 
 // State reports the current degradation level.
-func (c *Controller) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
+func (c *Controller) State() State { return c.state }
 
 // Score reports the last computed pressure score.
-func (c *Controller) Score() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.score
-}
+func (c *Controller) Score() float64 { return c.score }
 
 // Transitions returns the recorded state changes.
 func (c *Controller) Transitions() []Transition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]Transition, len(c.transitions))
 	copy(out, c.transitions)
 	return out
@@ -131,9 +116,7 @@ func (c *Controller) Transitions() []Transition {
 func (c *Controller) Tick() {
 	s := c.source()
 	now := c.env.Now()
-
-	c.mu.Lock()
-	score := c.scoreLocked(s)
+	score := c.pressure(s)
 	c.prev, c.havePrev = s, true
 	c.score = score
 
@@ -142,27 +125,24 @@ func (c *Controller) Tick() {
 	switch target := targetState(score, c.cfg); {
 	case target > from:
 		to = target // upward moves are immediate: overload will not wait
-	case target < from && now-c.since >= c.cfg.MinDwell && score <= c.exitLocked(from):
+	case target < from && now-c.since >= c.cfg.MinDwell && score <= c.exit(from):
 		to = from - 1 // downward moves step one level after dwelling
 	}
-	var cbs []func(from, to State)
-	if to != from {
-		c.state = to
-		c.since = now
-		c.transitions = append(c.transitions, Transition{At: now, From: from, To: to, Score: score})
-		cbs = append(cbs, c.onChange...)
+	if to == from {
+		return
 	}
-	c.mu.Unlock()
-
-	for _, fn := range cbs {
+	c.state = to
+	c.since = now
+	c.transitions = append(c.transitions, Transition{At: now, From: from, To: to, Score: score})
+	for _, fn := range c.onChange {
 		fn(from, to)
 	}
 }
 
-// scoreLocked computes the max-normalized pressure score from the
+// pressure computes the max-normalized pressure score from the
 // sample, using the previous sample to turn cumulative counters into
 // rates.
-func (c *Controller) scoreLocked(s Signals) float64 {
+func (c *Controller) pressure(s Signals) float64 {
 	score := ratio(s.QueueDepth, c.cfg.QueueHigh)
 	if c.havePrev {
 		secs := c.cfg.SampleEvery.Seconds()
@@ -173,9 +153,9 @@ func (c *Controller) scoreLocked(s Signals) float64 {
 	return score
 }
 
-// exitLocked is the threshold the score must reach to leave state
+// exit is the threshold the score must reach to leave state
 // downward.
-func (c *Controller) exitLocked(s State) float64 {
+func (c *Controller) exit(s State) float64 {
 	if s >= Shed {
 		return c.cfg.ShedExit
 	}

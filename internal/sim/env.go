@@ -10,10 +10,11 @@
 // while preserving the timing relationships between components.
 //
 // A process is a runtime coroutine (iter.Pull), and exactly one runs at
-// any host instant — by construction, not by locking: nothing in this
-// package is concurrent, so it holds no mutex, channel or atomic (the
-// Rand/NewRand lock aside). A process that blocks registers its timer
-// or waiter and then picks what runs next itself: the runnable queue
+// any host instant — by construction, not by locking. So code bound to
+// an Env, in this package and in every layer built on it, holds no
+// mutex, channel or atomic; ofc-lint's rawgo rejects a go statement or
+// a sync import there. A process that blocks registers its timer or
+// waiter and then picks what runs next itself: the runnable queue
 // first, else the earliest (timestamp, seq) entry of the 4-ary timer
 // heap. When the pick is its own entry it just carries on; otherwise it
 // hands the pick to Run and yields, and Run — the only resumer —
@@ -30,10 +31,7 @@
 // What callers must know: nothing runs before Run (Go, After and Then
 // only queue); a blocking primitive called outside a process, and Run
 // called inside one, panic; a panic in a process surfaces from Run, on
-// Run's caller, as a *PanicError; and a sync.Mutex held across a
-// blocking call deadlocks the host the moment a second process wants
-// it, because the holder cannot run until the waiter yields (ofc-lint's
-// lockedrpc rejects that shape).
+// Run's caller, as a *PanicError.
 //
 // Usage:
 //
@@ -47,7 +45,6 @@ import (
 	"iter"
 	"math/rand"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -131,8 +128,7 @@ type Env struct {
 	free []*timer // recycled timers
 	idle []*proc  // retired coroutines, parked until Run returns
 
-	rng   *rand.Rand
-	rngMu sync.Mutex
+	rng *rand.Rand
 }
 
 // NewEnv returns a fresh environment whose clock reads zero. The seed
@@ -153,20 +149,9 @@ func (e *Env) Events() int64 { return e.events }
 // Every and Then callbacks are not counted).
 func (e *Env) Spawned() int64 { return e.spawned }
 
-// Rand returns a deterministic pseudo-random float64 in [0,1). Hot
-// loops should carry a private rand.Rand obtained from NewRand instead
-// of paying for the shared generator's lock per event.
-func (e *Env) Rand() float64 {
-	e.rngMu.Lock()
-	defer e.rngMu.Unlock()
-	return e.rng.Float64()
-}
-
 // NewRand derives an independent deterministic generator, for workloads
 // that need a private stream. Derive once at setup, not per event.
 func (e *Env) NewRand() *rand.Rand {
-	e.rngMu.Lock()
-	defer e.rngMu.Unlock()
 	return rand.New(rand.NewSource(e.rng.Int63()))
 }
 
@@ -417,8 +402,8 @@ func (e *Env) After(d time.Duration, fn func()) {
 // already pending at the stop runs at the frozen clock in its heap
 // turn, as a sleeper is woken there. So a chain finishes at Stop where
 // the same steps written as Sleeps in one process would, and whoever
-// waits on its end is not stranded. A continuation takes no lock its
-// caller holds, since it may run inside Then, and must not block.
+// waits on its end is not stranded. A continuation may run inside
+// Then, on its caller's stack, and must not block.
 func (e *Env) Then(d time.Duration, fn func()) {
 	if e.stopped {
 		fn()

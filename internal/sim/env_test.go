@@ -299,11 +299,12 @@ func TestStop(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (Time, float64) {
 		env := NewEnv(42)
+		rng := env.NewRand()
 		var v float64
 		env.Go(func() {
 			for i := 0; i < 100; i++ {
-				env.Sleep(time.Duration(1+int(env.Rand()*10)) * time.Millisecond)
-				v += env.Rand()
+				env.Sleep(time.Duration(1+int(rng.Float64()*10)) * time.Millisecond)
+				v += rng.Float64()
 			}
 		})
 		return env.Run(), v

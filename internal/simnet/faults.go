@@ -3,8 +3,6 @@ package simnet
 import (
 	"errors"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // ErrUnreachable is returned by the fallible transfer path when the
@@ -31,13 +29,11 @@ type linkState struct {
 	lossProb    float64 // per-transfer packet-loss probability
 }
 
-// faults holds the mutable failure state of the fabric. It lives on
-// its own lock, and the `any` hint is atomic: fault-free runs (the
-// vast majority of transfers even in chaos drills) check one atomic
-// load on the hot path and never touch the mutex.
+// faults holds the mutable failure state of the fabric. Fault-free
+// runs (the vast majority of transfers even in chaos drills) check the
+// `any` hint on the hot path and never look at the maps.
 type faults struct {
-	mu       sync.Mutex
-	any      atomic.Bool // fast-path hint: at least one fault ever injected
+	any      bool // fast-path hint: at least one fault ever injected
 	links    map[linkKey]*linkState
 	diskSlow map[NodeID]float64
 	rng      *rand.Rand
@@ -51,27 +47,18 @@ func newFaults() *faults {
 	}
 }
 
-// faultState returns the fabric's failure state, allocated eagerly at
-// Network construction so lookups need no lock.
-func (n *Network) faultState() *faults {
-	return n.flt
-}
-
 // SeedFaults seeds the generator behind probabilistic faults (packet
 // loss). Chaos schedules call it so loss draws are reproducible.
 func (n *Network) SeedFaults(seed int64) {
-	f := n.faultState()
-	f.mu.Lock()
-	f.rng = rand.New(rand.NewSource(seed))
-	f.mu.Unlock()
+	n.flt.rng = rand.New(rand.NewSource(seed))
 }
 
 // SetNodeDown fail-stops (or revives) a machine: transfers from or to
 // it fail with ErrUnreachable, and every layer that asks the Node
 // whether it is up hears the same answer.
 func (n *Network) SetNodeDown(id NodeID, down bool) {
-	n.Node(id).down.Store(down)
-	n.flt.any.Store(true)
+	n.Node(id).down = down
+	n.flt.any = true
 }
 
 // NodeDown reports whether the machine is fail-stopped.
@@ -89,78 +76,57 @@ func (f *faults) link(a, b NodeID) *linkState {
 
 // Partition cuts the link between a and b (both directions).
 func (n *Network) Partition(a, b NodeID) {
-	f := n.faultState()
-	f.mu.Lock()
-	f.link(a, b).partitioned = true
-	f.any.Store(true)
-	f.mu.Unlock()
+	n.flt.link(a, b).partitioned = true
+	n.flt.any = true
 }
 
 // Heal restores the link between a and b (partition only; degradation
 // set via DegradeLink is cleared with ResetLink).
 func (n *Network) Heal(a, b NodeID) {
-	f := n.faultState()
-	f.mu.Lock()
-	f.link(a, b).partitioned = false
-	f.mu.Unlock()
+	n.flt.link(a, b).partitioned = false
 }
 
 // DegradeLink multiplies the link's propagation latency by latFactor
 // and its usable bandwidth by bwFactor (0 < bwFactor <= 1). Factors
 // <= 0 are treated as 1 (no change).
 func (n *Network) DegradeLink(a, b NodeID, latFactor, bwFactor float64) {
-	f := n.faultState()
-	f.mu.Lock()
-	l := f.link(a, b)
+	l := n.flt.link(a, b)
 	l.latFactor = latFactor
 	l.bwFactor = bwFactor
-	f.any.Store(true)
-	f.mu.Unlock()
+	n.flt.any = true
 }
 
 // SetPacketLoss sets the per-transfer loss probability on the link;
 // each lost packet costs one retransmission round trip plus the resend
 // serialization.
 func (n *Network) SetPacketLoss(a, b NodeID, p float64) {
-	f := n.faultState()
-	f.mu.Lock()
-	f.link(a, b).lossProb = p
-	f.any.Store(true)
-	f.mu.Unlock()
+	n.flt.link(a, b).lossProb = p
+	n.flt.any = true
 }
 
 // ResetLink clears every fault (partition, degradation, loss) on the
 // link.
 func (n *Network) ResetLink(a, b NodeID) {
-	f := n.faultState()
-	f.mu.Lock()
-	delete(f.links, mkLink(a, b))
-	f.mu.Unlock()
+	delete(n.flt.links, mkLink(a, b))
 }
 
 // SetDiskFactor multiplies node's disk operation time by factor
 // (factor <= 0 or == 1 restores full speed).
 func (n *Network) SetDiskFactor(id NodeID, factor float64) {
-	f := n.faultState()
-	f.mu.Lock()
 	if factor <= 0 || factor == 1 {
-		delete(f.diskSlow, id)
+		delete(n.flt.diskSlow, id)
 	} else {
-		f.diskSlow[id] = factor
-		f.any.Store(true)
+		n.flt.diskSlow[id] = factor
+		n.flt.any = true
 	}
-	f.mu.Unlock()
 }
 
 // diskFactor returns node's current disk slowdown (>= 1).
 func (n *Network) diskFactor(id NodeID) float64 {
-	f := n.flt
-	if !f.any.Load() {
+	if !n.flt.any {
 		return 1
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if v, ok := f.diskSlow[id]; ok && v > 1 {
+	if v, ok := n.flt.diskSlow[id]; ok && v > 1 {
 		return v
 	}
 	return 1
@@ -181,17 +147,14 @@ type linkFaults struct {
 func (n *Network) lookFaults(from, to NodeID) linkFaults {
 	out := linkFaults{reachable: true, latFactor: 1, bwFactor: 1}
 	f := n.flt
-	if !f.any.Load() {
-		// Fault-free fabric: the common case costs one atomic load and
-		// no lock, no map lookups.
+	if !f.any {
+		// Fault-free fabric: the common case, no map lookups.
 		return out
 	}
 	if n.NodeDown(from) || n.NodeDown(to) {
 		out.reachable = false
 		return out
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	l := f.links[mkLink(from, to)]
 	if l == nil {
 		return out

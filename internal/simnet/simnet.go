@@ -12,8 +12,7 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"ofc/internal/sim"
@@ -46,16 +45,10 @@ const (
 // Network is the cluster fabric: nodes, NICs and disks.
 type Network struct {
 	env   *sim.Env
-	mu    sync.Mutex // guards nodes (writes) — readers use nodesA
 	nodes []*Node
-	// nodesA holds an immutable []*Node snapshot so Node(), on every
-	// transfer and RPC, is a lock-free load instead of a mutex
-	// round-trip. AddNode republishes the snapshot.
-	nodesA atomic.Value
-	flt    *faults // failure state, allocated eagerly (see faults.go)
+	flt   *faults // failure state, allocated eagerly (see faults.go)
 
-	// free holds finished hop records for reuse (see hop). Only
-	// processes of env touch it, one at a time, so it needs no lock.
+	// free holds finished hop records for reuse (see hop).
 	free []*hop
 }
 
@@ -73,38 +66,33 @@ type Node struct {
 	rx   sim.Time
 	disk sim.Time
 
-	// Traffic counters are atomics: every transfer charges two of them,
-	// so a stats mutex would serialize the whole data plane under -race.
-	bytesSent atomic.Int64
-	bytesRecv atomic.Int64
-	diskRead  atomic.Int64
-	diskWrite atomic.Int64
+	bytesSent int64
+	bytesRecv int64
+	diskRead  int64
+	diskWrite int64
 
 	// down is the fail-stop flag (Network.SetNodeDown writes it); grant
 	// is the cache grant in bytes: the cache's storage server enforces
 	// it as its master memory limit, and the invoker keeps sandboxes out
-	// of it. Atomics, like the counters: the data plane reads both on
-	// every operation.
-	down  atomic.Bool
-	grant atomic.Int64
+	// of it.
+	down  bool
+	grant int64
 }
 
 // Down reports whether the machine is fail-stopped.
-func (nd *Node) Down() bool { return nd.down.Load() }
+func (nd *Node) Down() bool { return nd.down }
 
 // Grant returns the bytes of the machine's memory granted to the cache.
-func (nd *Node) Grant() int64 { return nd.grant.Load() }
+func (nd *Node) Grant() int64 { return nd.grant }
 
 // SetGrant sets the cache grant. The caller decides the amount (the
 // invoker clamps it to the memory sandboxes leave free); the machine
 // only holds it.
-func (nd *Node) SetGrant(bytes int64) { nd.grant.Store(bytes) }
+func (nd *Node) SetGrant(bytes int64) { nd.grant = bytes }
 
 // New creates an empty network over env.
 func New(env *sim.Env) *Network {
-	n := &Network{env: env, flt: newFaults()}
-	n.nodesA.Store([]*Node(nil))
-	return n
+	return &Network{env: env, flt: newFaults()}
 }
 
 // Env returns the simulation environment the network runs on.
@@ -112,38 +100,25 @@ func (n *Network) Env() *sim.Env { return n.env }
 
 // AddNode registers a machine and returns it.
 func (n *Network) AddNode(name string) *Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	node := &Node{
 		ID:   NodeID(len(n.nodes)),
 		Name: name,
 		net:  n,
 	}
 	n.nodes = append(n.nodes, node)
-	snap := make([]*Node, len(n.nodes))
-	copy(snap, n.nodes)
-	n.nodesA.Store(snap)
 	return node
 }
 
-// Node returns the node with the given id. Lock-free: it reads the
-// published node snapshot, so the per-transfer hot path never touches
-// the network mutex.
+// Node returns the node with the given id.
 func (n *Network) Node(id NodeID) *Node {
-	nodes := n.nodesA.Load().([]*Node)
-	if int(id) < 0 || int(id) >= len(nodes) {
+	if int(id) < 0 || int(id) >= len(n.nodes) {
 		panic(fmt.Sprintf("simnet: unknown node %d", id))
 	}
-	return nodes[id]
+	return n.nodes[id]
 }
 
-// Nodes returns all registered nodes.
-func (n *Network) Nodes() []*Node {
-	nodes := n.nodesA.Load().([]*Node)
-	out := make([]*Node, len(nodes))
-	copy(out, nodes)
-	return out
-}
+// Nodes returns a copy of the registered nodes.
+func (n *Network) Nodes() []*Node { return slices.Clone(n.nodes) }
 
 // txTime is the serialization time of size bytes at line rate.
 func (n *Network) txTime(size int64) time.Duration {
@@ -224,7 +199,7 @@ func TryCall[T any](n *Network, from, to NodeID, reqSize, respSize int64, serve 
 // blocking the calling process.
 func (nd *Node) DiskRead(size int64) {
 	nd.net.sleepUntil(nd.bookDisk(diskReadLatency + time.Duration(float64(size)/diskReadBandwidth*float64(time.Second))))
-	nd.diskRead.Add(size)
+	nd.diskRead += size
 }
 
 // DiskWrite charges a write of size bytes against the node's disk,
@@ -353,10 +328,10 @@ func (h *hop) step() (at sim.Time, last bool) {
 func (h *hop) end() {
 	switch h.stage {
 	case hopArrived:
-		h.src.bytesSent.Add(h.size)
-		h.dst.bytesRecv.Add(h.size)
+		h.src.bytesSent += h.size
+		h.dst.bytesRecv += h.size
 	case hopDiskWrite:
-		h.dst.diskWrite.Add(h.size)
+		h.dst.diskWrite += h.size
 	}
 }
 
@@ -413,5 +388,5 @@ func (n *Network) recycle(h *hop) {
 
 // Stats reports cumulative traffic counters for the node.
 func (nd *Node) Stats() (bytesSent, bytesRecv, diskRead, diskWrite int64) {
-	return nd.bytesSent.Load(), nd.bytesRecv.Load(), nd.diskRead.Load(), nd.diskWrite.Load()
+	return nd.bytesSent, nd.bytesRecv, nd.diskRead, nd.diskWrite
 }

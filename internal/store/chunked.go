@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"maps"
-	"sync"
 
 	"ofc/internal/simnet"
 )
@@ -38,7 +37,6 @@ type Chunked struct {
 	inner     BatchBackend
 	chunkSize int64
 
-	mu        sync.Mutex
 	manifests map[string]chunkManifest
 }
 
@@ -56,13 +54,6 @@ func NewChunked(inner BatchBackend, chunkSize int64) *Chunked {
 
 func chunkKey(key string, i int) string { return fmt.Sprintf("%s#%d", key, i) }
 
-func (c *Chunked) manifest(key string) (chunkManifest, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.manifests[key]
-	return m, ok
-}
-
 // MaxObjectSize implements Backend: the logical ceiling is effectively
 // unbounded; callers' bypass decisions follow.
 func (c *Chunked) MaxObjectSize() int64 { return 1 << 50 }
@@ -76,7 +67,7 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 	if blob.Size <= c.inner.MaxObjectSize() {
 		// Overwriting a previously striped key with a small payload
 		// invalidates the old stripes.
-		if m, ok := c.manifest(key); ok {
+		if m, ok := c.manifests[key]; ok {
 			c.dropStripes(key, m.n)
 		}
 		return c.inner.Write(caller, key, blob, tags, preferred)
@@ -114,10 +105,8 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 			version = r.Version
 		}
 	}
-	c.mu.Lock()
 	old := c.manifests[key]
 	c.manifests[key] = chunkManifest{n: n, size: blob.Size, version: version, tags: tags}
-	c.mu.Unlock()
 	for i := n; i < old.n; i++ {
 		c.inner.Evict(chunkKey(key, i))
 	}
@@ -129,7 +118,7 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 // batch path; a missing stripe fails the whole read (the caller falls
 // back to the RSDS, as for any miss).
 func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
-	m, ok := c.manifest(key)
+	m, ok := c.manifests[key]
 	if !ok {
 		return c.inner.Read(caller, key)
 	}
@@ -150,8 +139,6 @@ func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 // synthMeta builds the logical metadata of a striped object from its
 // manifest.
 func (c *Chunked) synthMeta(key string) Meta {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := c.manifests[key]
 	return Meta{Size: m.size, Version: m.version, Tags: m.tags}
 }
@@ -160,7 +147,6 @@ func (c *Chunked) synthMeta(key string) Meta {
 // in the manifest (the proxy's dirty-flag clears land here), which gets
 // a modified copy, as a kvstore master does.
 func (c *Chunked) SetTag(caller simnet.NodeID, key, tag, value string) error {
-	c.mu.Lock()
 	if m, ok := c.manifests[key]; ok {
 		tags := maps.Clone(m.tags)
 		if tags == nil {
@@ -169,10 +155,8 @@ func (c *Chunked) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		tags[tag] = value
 		m.tags = tags
 		c.manifests[key] = m
-		c.mu.Unlock()
 		return nil
 	}
-	c.mu.Unlock()
 	return c.inner.SetTag(caller, key, tag, value)
 }
 
@@ -181,16 +165,14 @@ func (c *Chunked) dropStripes(key string, n int) {
 	for i := 0; i < n; i++ {
 		c.inner.Evict(chunkKey(key, i))
 	}
-	c.mu.Lock()
 	delete(c.manifests, key)
-	c.mu.Unlock()
 }
 
 // Evict implements Backend: evicting a striped object drops every
 // stripe (pipeline cleanup, final-output discard, external
 // invalidation).
 func (c *Chunked) Evict(key string) error {
-	if m, ok := c.manifest(key); ok {
+	if m, ok := c.manifests[key]; ok {
 		c.dropStripes(key, m.n)
 		return nil
 	}

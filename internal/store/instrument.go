@@ -2,7 +2,6 @@ package store
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"ofc/internal/metrics"
@@ -37,7 +36,6 @@ type Instrumented struct {
 	inner Backend
 	env   *sim.Env
 
-	mu  sync.Mutex
 	s   OpStats
 	lat []time.Duration
 	nxt int
@@ -55,25 +53,19 @@ func NewInstrumented(env *sim.Env, inner Backend) *Instrumented {
 }
 
 // Stats snapshots the counters.
-func (n *Instrumented) Stats() OpStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.s
-}
+func (n *Instrumented) Stats() OpStats { return n.s }
 
 // LatencyQuantile returns the q-quantile (metrics.Quantile) of the
 // recent Read/Write latency window, or 0 with no samples.
 func (n *Instrumented) LatencyQuantile(q float64) time.Duration {
-	n.mu.Lock()
 	samples := make([]time.Duration, len(n.lat))
 	copy(samples, n.lat)
-	n.mu.Unlock()
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	return metrics.Quantile(samples, q)
 }
 
-// observeLocked records one op latency in the ring.
-func (n *Instrumented) observeLocked(d time.Duration) {
+// observe records one op latency in the ring.
+func (n *Instrumented) observe(d time.Duration) {
 	if len(n.lat) < latencyWindow {
 		n.lat = append(n.lat, d)
 		return
@@ -85,30 +77,26 @@ func (n *Instrumented) observeLocked(d time.Duration) {
 func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	start := n.env.Now()
 	blob, meta, err := n.inner.Read(caller, key)
-	n.mu.Lock()
 	n.s.Reads++
 	if err != nil {
 		n.s.ReadErrs++
 	} else {
 		n.s.BytesRead += blob.Size
 	}
-	n.observeLocked(n.env.Now() - start)
-	n.mu.Unlock()
+	n.observe(n.env.Now() - start)
 	return blob, meta, err
 }
 
 func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
 	start := n.env.Now()
 	ver, err := n.inner.Write(caller, key, blob, tags, preferred)
-	n.mu.Lock()
 	n.s.Writes++
 	if err != nil {
 		n.s.WriteErrs++
 	} else {
 		n.s.BytesWritten += blob.Size
 	}
-	n.observeLocked(n.env.Now() - start)
-	n.mu.Unlock()
+	n.observe(n.env.Now() - start)
 	return ver, err
 }
 

@@ -15,7 +15,7 @@ func TestLatencyQuantileNearestRank(t *testing.T) {
 	window := func(n int) *Instrumented {
 		in := NewInstrumented(sim.NewEnv(1), nil)
 		for i := n; i >= 1; i-- { // descending: the query must sort
-			in.observeLocked(time.Duration(i) * time.Millisecond)
+			in.observe(time.Duration(i) * time.Millisecond)
 		}
 		return in
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"ofc/internal/kvstore"
@@ -119,11 +118,9 @@ type Resilient struct {
 	pv    PlacementView // breaker target resolution; nil when inner has no placement
 	cfg   ResilienceConfig
 
-	// free holds answered call records for reuse (see call). Only
-	// processes of env touch it, one at a time, so it needs no lock.
+	// free holds answered call records for reuse (see call).
 	free []*call
 
-	mu       sync.Mutex
 	rng      *rand.Rand
 	breakers map[simnet.NodeID]*breaker
 	retries  int64
@@ -148,16 +145,12 @@ func NewResilient(env *sim.Env, inner BatchBackend, cfg ResilienceConfig) *Resil
 
 // Stats snapshots the degradation counters.
 func (r *Resilient) Stats() ResilienceStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return ResilienceStats{Retries: r.retries, Timeouts: r.timeouts, BreakerTrips: r.trips, BudgetDenied: r.denied}
 }
 
 // BreakerState exposes one server's breaker for tests and debugging.
 func (r *Resilient) BreakerState(node simnet.NodeID) (failures int, open bool) {
 	now := r.env.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.breakers[node]
 	if s == nil {
 		return 0, false
@@ -169,8 +162,6 @@ func (r *Resilient) BreakerState(node simnet.NodeID) (failures int, open bool) {
 // or half-open probe).
 func (r *Resilient) allow(node simnet.NodeID) bool {
 	now := r.env.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.breakers[node]
 	if s == nil || s.failures < r.cfg.BreakerThreshold {
 		return true
@@ -181,8 +172,6 @@ func (r *Resilient) allow(node simnet.NodeID) bool {
 // report records an op outcome against node.
 func (r *Resilient) report(node simnet.NodeID, ok bool) {
 	now := r.env.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.breakers[node]
 	if s == nil {
 		s = &breaker{}
@@ -216,9 +205,7 @@ func (r *Resilient) backoff(n int) time.Duration {
 		d = r.cfg.RetryMax
 	}
 	if r.cfg.Jitter > 0 {
-		r.mu.Lock()
 		f := 1 + r.cfg.Jitter*(2*r.rng.Float64()-1)
-		r.mu.Unlock()
 		d = time.Duration(float64(d) * f)
 	}
 	return d
@@ -311,24 +298,18 @@ func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 	for try := 0; try <= r.cfg.MaxRetries; try++ {
 		if try > 0 {
 			if r.cfg.Gate != nil && !r.cfg.Gate.AllowRetry() {
-				r.mu.Lock()
 				r.denied++
-				r.mu.Unlock()
 				return opResult{err: fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)}
 			}
 			r.env.Sleep(r.backoff(try))
-			r.mu.Lock()
 			r.retries++
-			r.mu.Unlock()
 		}
 		c := r.newCall(args)
 		r.env.Go(c.run)
 		out, ok := c.reply.WaitTimeout(r.cfg.OpTimeout)
 		if !ok {
 			lastErr = ErrCacheTimeout
-			r.mu.Lock()
 			r.timeouts++
-			r.mu.Unlock()
 			r.report(target, false)
 			continue
 		}

@@ -25,7 +25,7 @@
 package trace
 
 import (
-	"sync/atomic"
+	"sync/atomic" //lint:allow rawgo the recorder's cursors are shared across goroutines: TestRecorderStress records from 64 of them
 
 	"ofc/internal/sim"
 	"ofc/internal/simnet"

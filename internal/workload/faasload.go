@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ofc/internal/faas"
@@ -26,9 +25,7 @@ type FaaSLoad struct {
 	env      *sim.Env
 	platform *faas.Platform
 	rng      *rand.Rand
-
-	mu      sync.Mutex
-	tenants []*tenantState
+	tenants  []*tenantState
 }
 
 // TenantReport aggregates one tenant's results.
@@ -51,7 +48,6 @@ type TenantReport struct {
 type tenantState struct {
 	report TenantReport
 	lat    metrics.Histogram
-	mu     sync.Mutex
 	run    func(id string) (time.Duration, *statsDelta)
 	mean   time.Duration
 	// schedule, when non-empty, replays explicit offsets instead of a
@@ -73,9 +69,9 @@ func NewFaaSLoad(env *sim.Env, platform *faas.Platform, seed int64) *FaaSLoad {
 // AddFunctionTenant registers a tenant invoking a single-stage
 // function with inputs from pool. Each tenant derives a private
 // argument-generator stream once, at registration: per-invocation
-// draws never touch the injector's (locked) root generator.
+// draws never touch the injector's root generator.
 func (fl *FaaSLoad) AddFunctionTenant(name string, spec *Spec, fn *faas.Function, pool *InputPool, mean time.Duration) {
-	fl.add(&tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool), mean: mean})
+	fl.tenants = append(fl.tenants, &tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool), mean: mean})
 }
 
 // functionRun is the run closure of a single-function tenant: one
@@ -131,12 +127,6 @@ func (fl *FaaSLoad) AddPipelineTenant(name string, pl *Pipeline, pool *InputPool
 		}
 		return res.Duration(), d
 	}
-	fl.add(st)
-}
-
-func (fl *FaaSLoad) add(st *tenantState) {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
 	fl.tenants = append(fl.tenants, st)
 }
 
@@ -144,10 +134,7 @@ func (fl *FaaSLoad) add(st *tenantState) {
 // observation window closes. Invocations started before the deadline
 // run to completion.
 func (fl *FaaSLoad) Start(window time.Duration) {
-	fl.mu.Lock()
-	tenants := append([]*tenantState{}, fl.tenants...)
-	fl.mu.Unlock()
-	for ti, st := range tenants {
+	for ti, st := range fl.tenants {
 		rng := rand.New(rand.NewSource(fl.rng.Int63()))
 		prefix := fmt.Sprintf("t%d", ti)
 		fl.env.Go(func() {
@@ -177,7 +164,6 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 				id := fmt.Sprintf("%s-%d", prefix, seq)
 				dur, delta := st.run(id)
 				st.lat.Add(dur)
-				st.mu.Lock()
 				st.report.Invocations++
 				st.report.TotalExec += dur
 				st.report.Failures += delta.fail
@@ -189,7 +175,6 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 				st.report.TotalL += delta.l
 				st.report.BytesIn += delta.bytesIn
 				st.report.BytesOut += delta.bytesOut
-				st.mu.Unlock()
 			}
 		})
 	}
@@ -197,13 +182,9 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 
 // Reports returns the per-tenant aggregates.
 func (fl *FaaSLoad) Reports() []TenantReport {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
 	out := make([]TenantReport, 0, len(fl.tenants))
 	for _, st := range fl.tenants {
-		st.mu.Lock()
 		rep := st.report
-		st.mu.Unlock()
 		rep.P50 = st.lat.Median()
 		rep.P99 = st.lat.P99()
 		out = append(out, rep)
@@ -219,7 +200,7 @@ func (fl *FaaSLoad) AddTraceTenant(name string, spec *Spec, fn *faas.Function, p
 	st := &tenantState{report: TenantReport{Name: name}, run: fl.functionRun(spec, fn, pool)}
 	st.schedule = append([]time.Duration{}, offsets...)
 	sort.Slice(st.schedule, func(i, j int) bool { return st.schedule[i] < st.schedule[j] })
-	fl.add(st)
+	fl.tenants = append(fl.tenants, st)
 }
 
 // LoadTraceCSV parses one invocation offset per line, in seconds

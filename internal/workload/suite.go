@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"ofc/internal/core"
 	"ofc/internal/faas"
@@ -19,9 +17,8 @@ import (
 // for the actual bytes of images/audio/video the paper's functions
 // decode).
 type Suite struct {
-	mu       sync.Mutex
 	features map[string]map[string]float64
-	outSeq   atomic.Int64
+	outSeq   int64
 }
 
 // NewSuite returns an empty suite.
@@ -31,16 +28,12 @@ func NewSuite() *Suite {
 
 // RegisterObject records the true features of an object.
 func (su *Suite) RegisterObject(key string, features map[string]float64) {
-	su.mu.Lock()
-	defer su.mu.Unlock()
 	su.features[key] = features
 }
 
 // FeaturesOf returns the true features of key; for unknown keys it
 // falls back to size-only features.
 func (su *Suite) FeaturesOf(key string, size int64) map[string]float64 {
-	su.mu.Lock()
-	defer su.mu.Unlock()
 	if f, ok := su.features[key]; ok {
 		return f
 	}
@@ -68,7 +61,8 @@ func (su *Suite) Build(spec *Spec, tenant string, booked int64) *faas.Function {
 		}
 		f := su.FeaturesOf(key, blob.Size)
 		args := ctx.Args()
-		seq := su.outSeq.Add(1)
+		su.outSeq++
+		seq := su.outSeq
 		if err := ctx.Transform(spec.Time(f, args), spec.PeakMemRun(key, f, args, seq)); err != nil {
 			return err
 		}

@@ -295,6 +295,51 @@ func TestFaaSLoadInjector(t *testing.T) {
 	}
 }
 
+// A pipeline tenant's report sums its stages: every stage's phases and
+// bytes count toward the one pipeline invocation.
+func TestFaaSLoadPipelineTenant(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Workers = 3
+	opts.NodeCapacity = 8 << 30
+	sys := core.NewSystem(opts)
+	su := NewSuite()
+	rng := rand.New(rand.NewSource(10))
+
+	pl := NewImageProcessing(su, "tenant0", ProfileNormal, 2<<30)
+	for _, fn := range pl.Funcs {
+		sys.Register(fn)
+	}
+	pool := NewInputPool(rng, "image", "ip", []int64{64 << 10}, 2)
+	fl := NewFaaSLoad(sys.Env, sys.Platform, 11)
+	fl.AddPipelineTenant("tenant0", pl, pool, 30*time.Second)
+
+	sys.Env.SetHorizon(7 * time.Minute)
+	sys.Start()
+	sys.Env.Go(func() {
+		w := RSDSWriter{Suite: su, Store: sys.RSDS, Node: sys.CtrlNode}
+		for _, in := range pool.Inputs {
+			pl.StageInput(w, in)
+		}
+		fl.Start(5 * time.Minute)
+	})
+	sys.Env.Run()
+
+	reps := fl.Reports()
+	if len(reps) != 1 {
+		t.Fatalf("reports=%d", len(reps))
+	}
+	r := reps[0]
+	if r.Invocations == 0 || r.Failures != 0 {
+		t.Fatalf("report=%+v, want invocations and no failure", r)
+	}
+	if r.TotalE <= 0 || r.TotalT <= 0 || r.TotalL <= 0 || r.BytesIn <= 0 || r.BytesOut <= 0 {
+		t.Errorf("report=%+v, want every phase and both byte counts summed", r)
+	}
+	if r.ColdStarts == 0 {
+		t.Errorf("report=%+v, want the first run's cold starts", r)
+	}
+}
+
 func TestSuiteBuildBodyRoundTrip(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Workers = 2
