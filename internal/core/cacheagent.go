@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ofc/internal/faas"
+	"ofc/internal/kvstore"
 	"ofc/internal/memctl"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
@@ -15,16 +17,6 @@ import (
 
 // The per-node agent's fixed parameters, from the paper (§6.3, §6.4).
 const (
-	// initialSlack is the provisioned slack pool (paper: 100 MB).
-	initialSlack int64 = 100 << 20
-	// churnWindow is the number of samples in the sliding window.
-	churnWindow = 5
-	// minSlack and maxSlack clamp the slack estimators.
-	minSlack int64 = 64 << 20
-	maxSlack int64 = 1 << 30
-	// minAccess is the §6.3 eviction criterion n_access < 5 (with
-	// CacheAgentConfig.MaxIdle).
-	minAccess int64 = 5
 	// growEvery is the background growth cadence (growth also runs
 	// after every completed invocation on the node).
 	growEvery = 5 * time.Second
@@ -69,16 +61,7 @@ func DefaultCacheAgentConfig() CacheAgentConfig {
 // memctlParams maps the agent config onto the policy knobs. The age
 // floor is one eviction period, exactly the pre-refactor grace window.
 func (c CacheAgentConfig) memctlParams() memctl.Params {
-	return memctl.Params{
-		MinAccess:   minAccess,
-		MaxIdle:     c.MaxIdle,
-		AgeFloor:    c.EvictionEvery,
-		MinSlack:    minSlack,
-		MaxSlack:    maxSlack,
-		ChurnWindow: churnWindow,
-		StaticSlack: initialSlack,
-		HighWater:   memctl.DefaultParams().HighWater,
-	}
+	return memctl.Params{MaxIdle: c.MaxIdle, AgeFloor: c.EvictionEvery}
 }
 
 // AgentMetrics are the per-agent counters: Table 2's scaling events
@@ -137,7 +120,7 @@ func NewCacheAgent(env *sim.Env, inv *faas.Invoker, kv store.MemoryView, rc *RCL
 	return &CacheAgent{
 		env: env, node: inv.Node(), inv: inv, kv: kv, rc: rc, cfg: cfg,
 		pol:   memctl.MustBuild(cfg.Policy, cfg.memctlParams()),
-		slack: initialSlack, lastReserved: inv.Reserved(),
+		slack: memctl.InitialSlack, lastReserved: inv.Reserved(),
 	}
 }
 
@@ -234,12 +217,15 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 }
 
 // view captures the eviction policy's inputs for this node: census,
-// occupancy and pressure.
+// occupancy and pressure. The census leaves out stripes: the striping
+// layer frees them only whole, with the object whose State it holds.
 func (a *CacheAgent) view() memctl.View {
 	used, limit := a.kv.Usage(a.node)
 	return memctl.View{
-		Now:      a.env.Now(),
-		Objects:  a.kv.Objects(a.node),
+		Now: a.env.Now(),
+		Objects: slices.DeleteFunc(a.kv.Objects(a.node), func(o store.ObjectInfo) bool {
+			return o.Meta.State.Kind == kvstore.KindChunk
+		}),
 		Used:     used,
 		Limit:    limit,
 		Pressure: a.pressure,
@@ -411,7 +397,7 @@ func (a *CacheAgent) periodicEviction() {
 	victims := a.pol.Eviction.Victims(v)
 	for _, o := range victims {
 		key := o.Key
-		if o.Meta.Tags["dirty"] == "1" {
+		if o.Meta.State.Dirty {
 			a.env.Go(func() {
 				if a.rc.WriteBackNow(a.node, key) {
 					a.kv.Evict(key)

@@ -61,7 +61,7 @@ func TestReclaimFailsOnDirtyResidue(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			key := fmt.Sprintf("dirty/%d", i)
 			if _, err := sys.KV.Write(node, key, kvstore.Synthetic(10<<20),
-				map[string]string{"kind": "final", "dirty": "1", "version": "0"}, node); err != nil {
+				&kvstore.State{Kind: kvstore.KindFinal, Dirty: true}, node); err != nil {
 				t.Fatalf("stage dirty object: %v", err)
 			}
 		}
@@ -94,7 +94,7 @@ func TestConcurrentReclaimAndGrantShrink(t *testing.T) {
 		inv.SetCacheGrant(256 << 20)
 		for i := 0; i < 8; i++ {
 			sys.KV.Write(node, fmt.Sprintf("in/%d", i), kvstore.Synthetic(4<<20),
-				map[string]string{"kind": "input", "dirty": "0"}, node)
+				&kvstore.State{Kind: kvstore.KindInput}, node)
 		}
 		wg := sim.NewWaitGroup(sys.Env)
 		for i := 0; i < 6; i++ {

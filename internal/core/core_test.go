@@ -10,6 +10,7 @@ import (
 
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
+	"ofc/internal/memctl"
 	"ofc/internal/objstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
@@ -451,7 +452,7 @@ func TestFallbackReadWaitsOutShadow(t *testing.T) {
 func TestExternalWriteInvalidatesCache(t *testing.T) {
 	sys := newSystem(1)
 	sys.Run(func() {
-		sys.KV.Write(sys.WorkerNodes[0], "obj/k", kvstore.Synthetic(1<<20), map[string]string{"kind": "input"}, sys.WorkerNodes[0])
+		sys.KV.Write(sys.WorkerNodes[0], "obj/k", kvstore.Synthetic(1<<20), &kvstore.State{Kind: kvstore.KindInput}, sys.WorkerNodes[0])
 		sys.RSDS.Put(sys.CtrlNode, "obj/k", kvstore.Synthetic(2<<20), nil, true) // external write
 		if _, found := sys.KV.MasterOf("obj/k"); found {
 			t.Error("cached copy survived external write")
@@ -490,7 +491,7 @@ func TestCacheAgentGrowAndReclaim(t *testing.T) {
 			sys.KV.SetMemoryLimit(w, 1<<30)
 		}
 		// Fill the cache a bit, then reclaim more than free-in-grant.
-		sys.KV.Write(inv.Node(), "a", kvstore.Synthetic(8<<20), map[string]string{"kind": "input"}, inv.Node())
+		sys.KV.Write(inv.Node(), "a", kvstore.Synthetic(8<<20), &kvstore.State{Kind: kvstore.KindInput}, inv.Node())
 		var err error
 		took, err = agent.Reclaim(grant - 4<<20) // leaves less than the object size
 		if err != nil {
@@ -527,9 +528,9 @@ func TestPeriodicEvictionPolicy(t *testing.T) {
 		inv.SetCacheGrant(1 << 30)
 		node := inv.Node()
 		// cold: 1 access, idle.
-		sys.KV.Write(node, "cold", kvstore.Synthetic(1<<20), map[string]string{"kind": "input"}, node)
+		sys.KV.Write(node, "cold", kvstore.Synthetic(1<<20), &kvstore.State{Kind: kvstore.KindInput}, node)
 		// hot: accessed 6 times.
-		sys.KV.Write(node, "hot", kvstore.Synthetic(1<<20), map[string]string{"kind": "input"}, node)
+		sys.KV.Write(node, "hot", kvstore.Synthetic(1<<20), &kvstore.State{Kind: kvstore.KindInput}, node)
 		for i := 0; i < 6; i++ {
 			sys.Env.Sleep(30 * time.Second)
 			sys.KV.Read(node, "hot")
@@ -562,7 +563,7 @@ func TestRouterPrefersDataLocality(t *testing.T) {
 	sys.Run(func() {
 		// Master the input object's cached copy on worker 2.
 		sys.Platform.Invokers()[2].SetCacheGrant(1 << 30)
-		sys.KV.Write(target, "img/loc", kvstore.Synthetic(32<<10), map[string]string{"kind": "input"}, target)
+		sys.KV.Write(target, "img/loc", kvstore.Synthetic(32<<10), &kvstore.State{Kind: kvstore.KindInput}, target)
 		res = sys.Platform.Invoke(&faas.Request{Function: fn, InputKeys: []string{"img/loc"},
 			Args: map[string]float64{"sigma": 1}})
 	})
@@ -601,7 +602,7 @@ func TestSlackAdjustsToChurn(t *testing.T) {
 	inv := sys.Platform.Invokers()[0]
 	agent := NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, cfg)
 	sys.Run(func() {
-		if agent.Slack() != initialSlack {
+		if agent.Slack() != memctl.InitialSlack {
 			t.Errorf("initial slack=%d", agent.Slack())
 		}
 		// Churn: a 700MB sandbox comes and goes between samples.
@@ -667,7 +668,7 @@ func TestRelaxedConsistencySkipsShadow(t *testing.T) {
 		node := sys2.WorkerNodes[0]
 		sys2.Platform.Invokers()[0].SetCacheGrant(1 << 30)
 		sys2.KV.Write(node, "lazy/obj", kvstore.Synthetic(1<<20),
-			map[string]string{"kind": "final", "dirty": "1", "version": "0"}, node)
+			&kvstore.State{Kind: kvstore.KindFinal, Dirty: true}, node)
 		if !sys2.RC.WriteBackNow(node, "lazy/obj") {
 			t.Error("lazy write-back failed")
 		}
@@ -692,7 +693,7 @@ func TestCrashRecoveryUnderOFC(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			key := fmt.Sprintf("cr/%d", i)
 			if _, err := sys.KV.Write(victim, key, kvstore.Synthetic(2<<20),
-				map[string]string{"kind": "input"}, victim); err != nil {
+				&kvstore.State{Kind: kvstore.KindInput}, victim); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
 		}
@@ -825,7 +826,7 @@ func TestWriteBackNowMissingOrClean(t *testing.T) {
 		}
 		sys.KV.SetMemoryLimit(node, 1<<30)
 		sys.KV.Write(node, "clean", kvstore.Synthetic(1<<10),
-			map[string]string{"kind": "input", "dirty": "0"}, node)
+			&kvstore.State{Kind: kvstore.KindInput}, node)
 		if sys.RC.WriteBackNow(node, "clean") {
 			t.Error("write-back of clean object succeeded")
 		}
@@ -997,6 +998,46 @@ func TestChunkingIntermediatesDiscardedWithPipeline(t *testing.T) {
 			t.Error("chunked intermediate persisted")
 		}
 	})
+}
+
+// TestChunkedWriteBackSurvivesBrownoutSweep: the cache agent's sweep
+// must not evict the stripes of a striped write-back final before its
+// Persistor runs. Under brownout the threshold policy has no age floor
+// and condemns every object read fewer than five times, so a census
+// that listed the fresh stripes would evict them, the Persistor would
+// find the object gone, and the RSDS would keep only the shadow of an
+// acknowledged write.
+func TestChunkedWriteBackSurvivesBrownoutSweep(t *testing.T) {
+	sys := newChunkingSystem(13)
+	w := sys.WorkerNodes[0]
+	var agent *CacheAgent
+	for _, a := range sys.Agents() {
+		if a.Node() == w {
+			agent = a
+		}
+	}
+	const key, size = "big/final", 24 << 20 // three 8 MB stripes
+	var got objstore.Meta
+	var gotSize int64
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+		if err := sys.RC.Put(w, key, faas.Blob{Size: size}, faas.PutOpts{Kind: faas.KindFinal, ShouldCache: true}); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if _, ok := sys.KV.MasterOf(key + "#0"); !ok {
+			t.Fatalf("the write took no stripes: %+v", sys.RC.Stats())
+		}
+		agent.SetPressure(memctl.PressureBrownout)
+		sys.Env.Sleep(3 * time.Second)
+		blob, m, err := sys.RSDS.Get(sys.CtrlNode, key, true)
+		if err != nil {
+			t.Fatalf("external read: %v", err)
+		}
+		got, gotSize = m, blob.Size
+	})
+	if got.IsShadow() || gotSize != size {
+		t.Errorf("external read after the sweep: %d bytes, meta %+v; want the %d-byte payload", gotSize, got, size)
+	}
 }
 
 func TestStorageTriggersFireFunctions(t *testing.T) {

@@ -31,7 +31,7 @@ func TestGovernorMultiNodeReclaimFanOut(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			key := fmt.Sprintf("rich/%d", i)
 			if _, err := sys.KV.Write(richNode, key, kvstore.Blob{Size: 4 << 20},
-				map[string]string{"kind": "final", "dirty": "0"}, richNode); err != nil {
+				&kvstore.State{Kind: kvstore.KindFinal}, richNode); err != nil {
 				t.Fatalf("seed write: %v", err)
 			}
 		}
@@ -77,7 +77,7 @@ func TestAgentPolicySwap(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			key := fmt.Sprintf("cold/%d", i)
 			if _, err := sys.KV.Write(node, key, kvstore.Blob{Size: 1 << 20},
-				map[string]string{"kind": "input", "dirty": "0"}, node); err != nil {
+				&kvstore.State{Kind: kvstore.KindInput}, node); err != nil {
 				t.Fatalf("seed write: %v", err)
 			}
 		}
@@ -95,8 +95,8 @@ func TestAgentPolicySwap(t *testing.T) {
 		}
 		// The static estimator reports the provisioned slack immediately.
 		agent.adjustSlack()
-		if got := agent.Slack(); got != initialSlack {
-			t.Errorf("static slack = %d, want %d", got, initialSlack)
+		if got := agent.Slack(); got != memctl.InitialSlack {
+			t.Errorf("static slack = %d, want %d", got, memctl.InitialSlack)
 		}
 		sys.Env.Stop()
 	})

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,10 +62,10 @@ type RCLib struct {
 	// persistence meanwhile riding on the cache's replication.
 	relaxed []string
 
-	// pipelines tracks each pipeline instance's intermediates
-	// (control-plane state: only touched at intermediate Put and
-	// pipeline completion).
-	pipelines map[string]*pipelineState
+	// pipelines lists each pipeline instance's intermediates, to drop
+	// when it completes (control-plane state: only touched at
+	// intermediate Put and pipeline completion).
+	pipelines map[string][]string
 
 	// pending maps keys to futures resolved when their latest payload
 	// has been persisted (external-read webhook barrier).
@@ -107,7 +106,7 @@ func NewRCLib(env *sim.Env, kv *kvstore.Cluster, rsds *objstore.Store, platform 
 		platform:          platform,
 		gov:               gov,
 		relaxed:           slices.Clone(opts.RelaxedPrefixes),
-		pipelines:         make(map[string]*pipelineState),
+		pipelines:         make(map[string][]string),
 		pending:           make(map[string]*sim.Future[struct{}]),
 		persistRetryDelay: res.PersistRetryDelay,
 	}
@@ -215,12 +214,12 @@ func (rc *RCLib) persistBody(ctx *faas.Ctx) error {
 	}
 	perr := rc.rsds.PersistPayload(node, key, blob, version)
 	if perr == nil {
-		if meta.Tags["kind"] == "final" {
+		if meta.State.Kind == faas.KindFinal {
 			// Final outputs are discarded from the cache as soon as
 			// they have been written back (§6.3).
 			rc.be.Evict(key)
 		} else {
-			rc.be.SetTag(node, key, "dirty", "0")
+			rc.be.MarkClean(node, key)
 		}
 		rc.stats.WriteBacks++
 	}
@@ -296,7 +295,7 @@ func (rc *RCLib) Get(caller simnet.NodeID, key string, opts faas.PutOpts) (blob 
 	}
 	blob, meta, err := rc.be.Read(caller, key)
 	if err == nil {
-		rc.noteGetHit(caller, key, meta.Tags["kind"] == "intermediate")
+		rc.noteGetHit(caller, key, meta.State.Kind == faas.KindIntermediate)
 		sp.SetNum("hit", 1)
 		return blob, nil
 	}
@@ -353,7 +352,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 			// Off-critical-path admission: a control-plane root span
 			// (the issuing invocation may already have completed).
 			asp := rc.tracer.Begin(0, 0, "cache.admit", caller)
-			_, werr := rc.be.Write(caller, key, blob, admittedTags, caller)
+			_, werr := rc.be.Write(caller, key, blob, nil, caller)
 			if werr == nil {
 				rc.stats.Admissions++
 			} else {
@@ -421,7 +420,7 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 			sp.SetNum("bypass", 1)
 			return rc.bypass(caller, key, blob)
 		}
-		_, err = rc.be.Write(caller, key, blob, rc.intermediateTags(opts.Pipeline), caller)
+		_, err = rc.be.Write(caller, key, blob, &intermediateState, caller)
 		if err != nil {
 			// Cache full or unreachable: fall back to the RSDS
 			// (transparently slower).
@@ -431,16 +430,15 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 			return nil
 		}
 		if opts.Pipeline != "" {
-			pl := rc.pipelineOf(opts.Pipeline)
-			pl.keys = append(pl.keys, key)
+			rc.pipelines[opts.Pipeline] = append(rc.pipelines[opts.Pipeline], key)
 		}
 		return nil
 	}
 	if rc.isRelaxed(key) {
-		// §6.2 relaxed mode: cache-resident, lazily written back. The
-		// version tag 0 makes WriteBackNow use a plain Put.
+		// §6.2 relaxed mode: cache-resident, lazily written back. No
+		// shadow version makes WriteBackNow use a plain Put.
 		sp.SetStr("path", "relaxed")
-		_, err = rc.be.Write(caller, key, blob, relaxedTags, caller)
+		_, err = rc.be.Write(caller, key, blob, &relaxedState, caller)
 		if err != nil {
 			rc.countWriteFallback(err)
 			sp.SetNum("fallback", 1)
@@ -451,9 +449,7 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 	// Final output: shadow + cache + async persist.
 	sp.SetStr("path", "writeback")
 	version := rc.rsds.PutShadow(caller, key, blob.Size)
-	_, err = rc.be.Write(caller, key, blob, map[string]string{
-		"kind": "final", "dirty": "1", "version": strconv.FormatUint(version, 10),
-	}, caller)
+	_, err = rc.be.Write(caller, key, blob, &kvstore.State{Kind: faas.KindFinal, Dirty: true, PersistVersion: version}, caller)
 	if err != nil {
 		// No cache room or cache unreachable: persist synchronously
 		// (the vanilla write-through path). The shadow version keeps
@@ -511,47 +507,20 @@ func (rc *RCLib) isEphemeralKey(key string) bool {
 	return strings.HasPrefix(key, "pl/")
 }
 
-// The tag maps the proxy writes with. A tag map is immutable once
-// written (kvstore.Meta), so every write of one kind shares one map:
-// admissions and relaxed finals these two, each pipeline's
-// intermediates its pipelineState's. Only a write-back final, whose
-// version tag is its own, gets a fresh map.
+// The States the proxy writes with beside the zero State of an
+// admitted input; a write-back final carries its own shadow version.
+// Passing a package value's address allocates nothing; Write copies it.
 var (
-	admittedTags = map[string]string{"kind": "input", "dirty": "0"}
-	relaxedTags  = map[string]string{"kind": "final", "dirty": "1", "version": "0"}
+	intermediateState = kvstore.State{Kind: faas.KindIntermediate}
+	relaxedState      = kvstore.State{Kind: faas.KindFinal, Dirty: true}
 )
-
-// pipelineState is one pipeline instance's intermediates: the keys to
-// drop when it completes, and the tag map they are all written with.
-type pipelineState struct {
-	tags map[string]string
-	keys []string
-}
-
-// pipelineOf returns pipeline's state, made on first use.
-func (rc *RCLib) pipelineOf(pipeline string) *pipelineState {
-	pl := rc.pipelines[pipeline]
-	if pl == nil {
-		pl = &pipelineState{tags: map[string]string{"kind": "intermediate", "pipeline": pipeline, "dirty": "0"}}
-		rc.pipelines[pipeline] = pl
-	}
-	return pl
-}
-
-// intermediateTags is the tag map of pipeline's intermediates.
-func (rc *RCLib) intermediateTags(pipeline string) map[string]string {
-	return rc.pipelineOf(pipeline).tags
-}
 
 // PipelineDone implements faas.PipelineAware: intermediate objects of
 // the pipeline are removed from the cache (not persisted) once the
 // pipeline completes (§6.3). Evicting a striped object drops every
 // stripe inside the chunking middleware.
 func (rc *RCLib) PipelineDone(pipeline string) {
-	var keys []string
-	if pl := rc.pipelines[pipeline]; pl != nil {
-		keys = pl.keys
-	}
+	keys := rc.pipelines[pipeline]
 	delete(rc.pipelines, pipeline)
 	for _, key := range keys {
 		rc.be.Evict(key)
@@ -572,10 +541,10 @@ func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) (ok bool) {
 		rc.tracer.End(&sp)
 	}()
 	blob, meta, err := rc.be.Read(node, key)
-	if err != nil || meta.Tags["dirty"] != "1" {
+	if err != nil || !meta.State.Dirty {
 		return false
 	}
-	version, _ := strconv.ParseUint(meta.Tags["version"], 10, 64)
+	version := meta.State.PersistVersion
 	if version == 0 {
 		// Relaxed-mode object: no shadow was created; plain put.
 		rc.rsds.Put(node, key, blob, nil, false)
@@ -584,7 +553,7 @@ func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) (ok bool) {
 			// An equal or newer version is already persisted; the
 			// cached copy is effectively clean and must not overwrite
 			// the store.
-			rc.be.SetTag(node, key, "dirty", "0")
+			rc.be.MarkClean(node, key)
 			rc.resolvePending(key)
 		}
 		return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -64,22 +65,24 @@ func TestGetHitStatsPathZeroAlloc(t *testing.T) {
 	sys := newSystem(9)
 	w := sys.WorkerNodes[0]
 	// A real cached object, so the placement lookup and the governor
-	// touch both take their full paths.
+	// touch both take their full paths. The ops run before the agent's
+	// first growth tick, which shrinks the idle node's grant and frees
+	// the object.
 	sys.Run(func() {
 		sys.KV.SetMemoryLimit(w, 1<<30)
 		if _, err := sys.KV.Write(w, "img/hot", kvstore.Synthetic(4<<10), nil, w); err != nil {
 			t.Fatalf("seed write: %v", err)
 		}
+		if _, ok := sys.KV.MasterOf("img/hot"); !ok {
+			t.Fatal("seed object has no placement; the test would skip the touch path")
+		}
+		if n := testing.AllocsPerRun(200, func() { sys.RC.noteGetHit(w, "img/hot", false) }); n != 0 {
+			t.Errorf("Get-hit stats path allocates %v/op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(200, func() { sys.RC.noteGetMiss("img/hot", false) }); n != 0 {
+			t.Errorf("Get-miss stats path allocates %v/op, want 0", n)
+		}
 	})
-	if _, ok := sys.KV.MasterOf("img/hot"); !ok {
-		t.Fatal("seed object has no placement; the test would skip the touch path")
-	}
-	if n := testing.AllocsPerRun(200, func() { sys.RC.noteGetHit(w, "img/hot", false) }); n != 0 {
-		t.Errorf("Get-hit stats path allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { sys.RC.noteGetMiss("img/hot", false) }); n != 0 {
-		t.Errorf("Get-miss stats path allocates %v/op, want 0", n)
-	}
 }
 
 // quietSystem is the test bed of the proxy-path allocation ceilings:
@@ -169,5 +172,40 @@ func TestPutAllocCeiling(t *testing.T) {
 	}
 	if allocs > 9 {
 		t.Errorf("local intermediate Put: %.0f allocs, want at most 9", allocs)
+	}
+}
+
+// TestWriteBackPutAllocCeiling pins the allocations of a write-back
+// final RC.Put into the caller's own cache server: the shadow in the
+// RSDS, the cache write and the Persistor's scheduling. The Persistors
+// run while later Puts wait on the fabric, so their cost is counted
+// too. The keys rotate, as each final is discarded once persisted.
+func TestWriteBackPutAllocCeiling(t *testing.T) {
+	sys := quietSystem()
+	w := sys.WorkerNodes[0]
+	blob := kvstore.Synthetic(4 << 10)
+	opts := faas.PutOpts{Kind: faas.KindFinal, ShouldCache: true}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("out/%02d", i)
+	}
+	var allocs float64
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+		i := 0
+		put := func() {
+			if err := sys.RC.Put(w, keys[i%len(keys)], blob, opts); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			i++
+		}
+		put()
+		allocs = testing.AllocsPerRun(10000, put)
+	})
+	if st := sys.RC.Stats(); st.BypassWrites != 0 || st.FallbackWrites != 0 || st.WriteBacks == 0 {
+		t.Fatalf("puts left the write-back path: %+v", st)
+	}
+	if allocs > 16 {
+		t.Errorf("local write-back Put: %.0f allocs, want at most 16", allocs)
 	}
 }

@@ -27,7 +27,7 @@ func TestGetFallsBackToRSDS(t *testing.T) {
 		}
 		sys.RSDS.Put(sys.CtrlNode, key, kvstore.Synthetic(size), nil, false)
 		if _, err := sys.KV.Write(victim, key, kvstore.Synthetic(size),
-			map[string]string{"kind": "input", "dirty": "0"}, victim); err != nil {
+			&kvstore.State{Kind: kvstore.KindInput}, victim); err != nil {
 			t.Errorf("stage cache copy: %v", err)
 			return
 		}
@@ -97,7 +97,7 @@ func TestPutFallsBackToRSDS(t *testing.T) {
 		}
 		// Establish the key's placement on the victim, then kill it.
 		if _, err := sys.KV.Write(victim, key, kvstore.Synthetic(64<<10),
-			map[string]string{"kind": "final", "dirty": "0"}, victim); err != nil {
+			&kvstore.State{Kind: kvstore.KindFinal}, victim); err != nil {
 			t.Error(err)
 			return
 		}

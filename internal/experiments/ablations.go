@@ -90,7 +90,7 @@ func AblationMigration(seed int64) *Table {
 			keys := make([]string, n)
 			for i := range keys {
 				keys[i] = fmt.Sprintf("ablp/%d/%d", total, i)
-				sys.KV.Write(sys.CtrlNode, keys[i], kvstore.Synthetic(8<<20), map[string]string{"kind": "input"}, d.Workers[0])
+				sys.KV.Write(sys.CtrlNode, keys[i], kvstore.Synthetic(8<<20), nil, d.Workers[0])
 			}
 			start := sys.Env.Now()
 			for _, k := range keys {
@@ -105,7 +105,7 @@ func AblationMigration(seed int64) *Table {
 			// Full transfer.
 			for i := range keys {
 				keys[i] = fmt.Sprintf("ablf/%d/%d", total, i)
-				sys.KV.Write(sys.CtrlNode, keys[i], kvstore.Synthetic(8<<20), map[string]string{"kind": "input"}, d.Workers[0])
+				sys.KV.Write(sys.CtrlNode, keys[i], kvstore.Synthetic(8<<20), nil, d.Workers[0])
 			}
 			start = sys.Env.Now()
 			for _, k := range keys {

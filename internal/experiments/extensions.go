@@ -178,7 +178,7 @@ func Constants(seed int64) *Table {
 		for _, inv := range d3.Sys.Platform.Invokers()[:2] {
 			inv.SetCacheGrant(inv.Capacity())
 		}
-		d3.Sys.KV.Write(d3.Sys.CtrlNode, "c/promo", kvstore.Synthetic(8<<20), map[string]string{"kind": "input"}, d3.Workers[0])
+		d3.Sys.KV.Write(d3.Sys.CtrlNode, "c/promo", kvstore.Synthetic(8<<20), nil, d3.Workers[0])
 		start := d3.Env.Now()
 		if err := d3.Sys.KV.MigrateToBackup("c/promo"); err != nil {
 			panic(err)

@@ -73,8 +73,7 @@ func runFig8Cell(spec *workload.Spec, size int64, scen string, seed int64) Figur
 			var filled int64
 			for i := 0; filled < grant-32<<20; i++ {
 				key := fmt.Sprintf("f8fill/%d", i)
-				if _, err := sys.KV.Write(sys.CtrlNode, key, kvstore.Synthetic(8<<20),
-					map[string]string{"kind": "input", "dirty": "0"}, w0); err != nil {
+				if _, err := sys.KV.Write(sys.CtrlNode, key, kvstore.Synthetic(8<<20), nil, w0); err != nil {
 					break
 				}
 				filled += 8 << 20
@@ -128,8 +127,7 @@ func MigrationSeries(seed int64) (*Table, map[int64]time.Duration) {
 			for i := range keys {
 				keys[i] = fmt.Sprintf("mig/%d/%d", total, i)
 				count++
-				if _, err := sys.KV.Write(sys.CtrlNode, keys[i], kvstore.Synthetic(8<<20),
-					map[string]string{"kind": "input"}, d.Workers[0]); err != nil {
+				if _, err := sys.KV.Write(sys.CtrlNode, keys[i], kvstore.Synthetic(8<<20), nil, d.Workers[0]); err != nil {
 					panic(err)
 				}
 			}

@@ -26,20 +26,14 @@ import (
 // Blob aliases the shared payload type.
 type Blob = kvstore.Blob
 
-// ObjKind classifies objects for the caching policy (§6.3).
-type ObjKind int
+// ObjKind aliases the cache's object kind (§6.3); functions write the
+// three kinds below.
+type ObjKind = kvstore.Kind
 
 const (
-	// KindInput marks objects read as function inputs.
-	KindInput ObjKind = iota
-	// KindIntermediate marks outputs of intermediate pipeline stages,
-	// discarded from the cache when the pipeline completes and never
-	// persisted to the RSDS.
-	KindIntermediate
-	// KindFinal marks final outputs (single-stage functions or the
-	// last stage of a pipeline), written back to the RSDS and then
-	// dropped from the cache.
-	KindFinal
+	KindInput        = kvstore.KindInput
+	KindIntermediate = kvstore.KindIntermediate
+	KindFinal        = kvstore.KindFinal
 )
 
 // PutOpts carries write intent to the storage layer.

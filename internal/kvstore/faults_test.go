@@ -13,14 +13,14 @@ import (
 // TestCrashMasterMidPut crashes the master while a Put is in flight.
 // The in-flight write may fail (it was never acknowledged), but every
 // previously acknowledged version must survive recovery: the promoted
-// backup serves the exact acked version with its tags.
+// backup serves the exact acked version with its State.
 func TestCrashMasterMidPut(t *testing.T) {
 	env := sim.NewEnv(1)
 	c, net := testCluster(env)
 	var ackedVer uint64
 	env.Go(func() {
 		var err error
-		ackedVer, err = c.Write(0, "k", Synthetic(1<<20), map[string]string{"dirty": "1"}, 1)
+		ackedVer, err = c.Write(0, "k", Synthetic(1<<20), &State{Kind: KindFinal, Dirty: true}, 1)
 		if err != nil {
 			t.Errorf("setup write: %v", err)
 			return
@@ -54,8 +54,8 @@ func TestCrashMasterMidPut(t *testing.T) {
 			if meta.Version != ackedVer {
 				t.Errorf("version=%d, want acked %d (write err %v)", meta.Version, ackedVer, werr)
 			}
-			if meta.Tags["dirty"] != "1" {
-				t.Errorf("acked tags lost: %v", meta.Tags)
+			if !meta.State.Dirty {
+				t.Errorf("acked state lost: %+v", meta.State)
 			}
 		} else if meta.Version <= ackedVer {
 			t.Errorf("acked overwrite not recovered: version=%d", meta.Version)
@@ -134,12 +134,12 @@ func TestRecoveryDeterministicOrder(t *testing.T) {
 
 // TestDirtyReplicaMetaSurvivesPromotion is the write-back safety net:
 // a dirty (not yet persisted) object whose master dies must come back
-// with its dirty tag and version intact, so the persistor can still
+// with its State intact, so the persistor can still
 // push it to the RSDS.
 func TestDirtyReplicaMetaSurvivesPromotion(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
-		tags := map[string]string{"dirty": "1", "version": "7", "kind": "output"}
-		ver, err := c.Write(0, "wb", Synthetic(3<<20), tags, 1)
+		st := State{Kind: KindFinal, Dirty: true, PersistVersion: 7}
+		ver, err := c.Write(0, "wb", Synthetic(3<<20), &st, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,10 +154,8 @@ func TestDirtyReplicaMetaSurvivesPromotion(t *testing.T) {
 		if meta.Version != ver {
 			t.Errorf("version=%d, want %d", meta.Version, ver)
 		}
-		for k, v := range tags {
-			if meta.Tags[k] != v {
-				t.Errorf("tag %q=%q, want %q", k, meta.Tags[k], v)
-			}
+		if meta.State != st {
+			t.Errorf("state=%+v, want %+v", meta.State, st)
 		}
 	})
 }
@@ -217,15 +215,15 @@ func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
 	env.Run()
 }
 
-// TestSetTagPropagatesToReplicas: a tag update on the master must reach
+// TestSetTagPropagatesToReplicas: a MarkClean on the master must reach
 // same-version backup replicas, or a later promotion would resurrect a
 // stale dirty flag.
 func TestSetTagPropagatesToReplicas(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
-		if _, err := c.Write(0, "k", Synthetic(1<<20), map[string]string{"dirty": "1"}, 1); err != nil {
+		if _, err := c.Write(0, "k", Synthetic(1<<20), &State{Kind: KindFinal, Dirty: true}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SetTag(0, "k", "dirty", "0"); err != nil {
+		if err := c.MarkClean(0, "k"); err != nil {
 			t.Fatal(err)
 		}
 		c.Crash(1)
@@ -236,8 +234,8 @@ func TestSetTagPropagatesToReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Tags["dirty"] != "0" {
-			t.Errorf("promoted replica dirty=%q, want 0 (SetTag not propagated)", m.Tags["dirty"])
+		if m.State.Dirty {
+			t.Error("promoted replica is dirty (MarkClean not propagated)")
 		}
 	})
 }

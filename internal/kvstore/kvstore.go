@@ -42,6 +42,36 @@ func Bytes(b []byte) Blob { return Blob{Size: int64(len(b)), Data: b} }
 // bytes.
 func Synthetic(size int64) Blob { return Blob{Size: size} }
 
+// Kind classifies a cached object for the caching policy (§6.3).
+type Kind uint8
+
+const (
+	// KindInput marks objects read as function inputs.
+	KindInput Kind = iota
+	// KindIntermediate marks outputs of intermediate pipeline stages,
+	// discarded from the cache when the pipeline completes and never
+	// persisted to the RSDS.
+	KindIntermediate
+	// KindFinal marks final outputs (single-stage functions or the
+	// last stage of a pipeline), written back to the RSDS and then
+	// dropped from the cache.
+	KindFinal
+	// KindChunk marks one stripe of a larger object (store.Chunked);
+	// the object's own state lives in the striping layer's manifest.
+	KindChunk
+)
+
+// State is what the proxy, the Persistor and the cache agent know of a
+// cached object (§6.2, §6.3): its kind, whether its payload has yet to
+// reach the RSDS, and the shadow version its write-back persists (0
+// for a relaxed-mode object, which a plain Put writes back). The zero
+// State is a clean input.
+type State struct {
+	Kind           Kind
+	Dirty          bool
+	PersistVersion uint64
+}
+
 // Meta is the per-object metadata the store maintains.
 type Meta struct {
 	Version    uint64
@@ -49,11 +79,7 @@ type Meta struct {
 	NAccess    int64    // read count since creation (OFC extension)
 	LastAccess sim.Time // virtual time of last read (OFC extension)
 	Created    sim.Time
-	// Tags are the OFC object tags (kind, pipeline id, dirty, ...). A tag
-	// map is immutable once written: the store keeps the writer's map,
-	// SetTag installs a modified copy, and nobody writes to a map handed
-	// to a Write or read out of a Meta. So a Meta is a snapshot.
-	Tags map[string]string
+	State      State
 }
 
 // Errors returned by cluster operations.
@@ -114,7 +140,7 @@ type object struct {
 }
 
 // replica is a backup copy: the payload plus the metadata needed to
-// rebuild a master from it. Carrying version and tags (notably the
+// rebuild a master from it. Carrying version and state (notably the
 // write-back dirty flag) with every replica is what lets crash
 // recovery promote a backup without losing an acknowledged write's
 // identity.

@@ -41,7 +41,7 @@ func run(t *testing.T, body func(env *sim.Env, c *Cluster)) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
 		payload := []byte("hello ramcloud")
-		ver, err := c.Write(1, "obj/a", Bytes(payload), map[string]string{"kind": "input"}, 1)
+		ver, err := c.Write(1, "obj/a", Bytes(payload), &State{Kind: KindIntermediate}, 1)
 		if err != nil {
 			t.Fatalf("write: %v", err)
 		}
@@ -58,8 +58,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if meta.Version != ver || meta.Size != int64(len(payload)) {
 			t.Errorf("meta=%+v", meta)
 		}
-		if meta.Tags["kind"] != "input" {
-			t.Errorf("tags=%v", meta.Tags)
+		if meta.State != (State{Kind: KindIntermediate}) {
+			t.Errorf("state=%+v", meta.State)
 		}
 	})
 }
@@ -335,43 +335,48 @@ func TestWriteWithEveryServerOverLimit(t *testing.T) {
 
 func TestObjectsSnapshot(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
-		c.Write(1, "x", Synthetic(100), map[string]string{"kind": "output"}, 1)
+		c.Write(1, "x", Synthetic(100), &State{Kind: KindFinal}, 1)
 		c.Write(1, "y", Synthetic(200), nil, 1)
 		objs := c.Objects(1)
 		if len(objs) != 2 {
 			t.Fatalf("objects=%d", len(objs))
 		}
 		for _, o := range objs {
-			if o.Key == "x" && o.Meta.Tags["kind"] != "output" {
-				t.Errorf("tags lost: %+v", o.Meta)
+			if o.Key == "x" && o.Meta.State.Kind != KindFinal {
+				t.Errorf("state lost: %+v", o.Meta)
 			}
 		}
 	})
 }
 
-func TestSetTag(t *testing.T) {
+// TestMarkClean: MarkClean clears only the Dirty bit, and a missing key
+// is ErrNotFound.
+func TestMarkClean(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
-		c.Write(1, "k", Synthetic(10), nil, 1)
-		if err := c.SetTag(1, "k", "dirty", "1"); err != nil {
+		c.Write(1, "k", Synthetic(10), &State{Kind: KindFinal, Dirty: true, PersistVersion: 7}, 1)
+		if err := c.MarkClean(1, "k"); err != nil {
 			t.Fatal(err)
 		}
 		_, m, err := c.Read(1, "k")
-		if err != nil || m.Tags["dirty"] != "1" {
+		if err != nil || m.State != (State{Kind: KindFinal, PersistVersion: 7}) {
 			t.Errorf("meta=%+v err=%v", m, err)
+		}
+		if err := c.MarkClean(1, "missing"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("missing key: err=%v, want ErrNotFound", err)
 		}
 	})
 }
 
 // TestMetaIsSnapshotAcrossSetTag: a Meta from Read or Objects is a
-// snapshot, and a tag map is immutable once written. A SetTag must
-// neither change the tags of a Meta a caller already holds (the
-// eviction sweep and the memory census read dirty from such snapshots)
-// nor reach another key written with the same map.
+// snapshot. A MarkClean must neither change the State of a Meta a
+// caller already holds (the eviction sweep and the memory census read
+// Dirty from such snapshots) nor reach another key written with the
+// same State.
 func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
-		shared := map[string]string{"kind": "final", "dirty": "1"}
+		st := &State{Kind: KindFinal, Dirty: true}
 		for _, k := range []string{"a", "b"} {
-			if _, err := c.Write(1, k, Synthetic(100), shared, 1); err != nil {
+			if _, err := c.Write(1, k, Synthetic(100), st, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -385,22 +390,19 @@ func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 				census = o.Meta
 			}
 		}
-		if err := c.SetTag(1, "a", "dirty", "0"); err != nil {
+		if err := c.MarkClean(1, "a"); err != nil {
 			t.Fatal(err)
 		}
 		for name, m := range map[string]Meta{"Read": read, "Objects": census} {
-			if m.Tags["dirty"] != "1" {
-				t.Errorf("%s before SetTag now says dirty=%q, want the snapshot's 1", name, m.Tags["dirty"])
+			if !m.State.Dirty {
+				t.Errorf("%s before MarkClean now says clean, want the snapshot's dirty", name)
 			}
 		}
-		if shared["dirty"] != "1" {
-			t.Errorf("SetTag wrote into the writer's map: dirty=%q", shared["dirty"])
+		if _, m, _ := c.Read(1, "a"); m.State.Dirty {
+			t.Error("a after MarkClean is still dirty")
 		}
-		if _, m, _ := c.Read(1, "a"); m.Tags["dirty"] != "0" {
-			t.Errorf("a after SetTag: dirty=%q, want 0", m.Tags["dirty"])
-		}
-		if _, m, _ := c.Read(1, "b"); m.Tags["dirty"] != "1" {
-			t.Errorf("b shares a's written map and changed with it: dirty=%q, want 1", m.Tags["dirty"])
+		if _, m, _ := c.Read(1, "b"); !m.State.Dirty {
+			t.Error("b, written with a's State, was cleaned with it")
 		}
 	})
 }

@@ -89,7 +89,7 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	blob := rep.blob
 	if obj == nil {
 		// Old master lost the in-memory copy (crash): rebuild from the
-		// replica's own metadata, which carries version and tags —
+		// replica's own metadata, which carries version and State —
 		// including the write-back dirty flag — so no acknowledged
 		// write loses its identity.
 		m := rep.meta

@@ -28,12 +28,11 @@ type ReadResult struct {
 	Err  error
 }
 
-// WriteItem is one object of a WriteMulti batch. Its Tags are kept as
-// given, as Write keeps its tags.
+// WriteItem is one object of a WriteMulti batch.
 type WriteItem struct {
-	Key  string
-	Blob Blob
-	Tags map[string]string
+	Key   string
+	Blob  Blob
+	State State
 }
 
 // WriteResult is the outcome of one item of a WriteMulti.
@@ -281,7 +280,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		c.nextVer++
 		meta := Meta{
 			Version: c.nextVer, Size: it.Blob.Size, Created: now,
-			LastAccess: now, Tags: it.Tags,
+			LastAccess: now, State: it.State,
 		}
 		if existed {
 			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess

@@ -110,9 +110,9 @@ func TestWriteMultiDurable(t *testing.T) {
 		items := make([]WriteItem, K)
 		for i := range items {
 			items[i] = WriteItem{
-				Key:  fmt.Sprintf("obj/%d", i),
-				Blob: Synthetic(int64(1+i) << 10),
-				Tags: map[string]string{"dirty": "1"},
+				Key:   fmt.Sprintf("obj/%d", i),
+				Blob:  Synthetic(int64(1+i) << 10),
+				State: State{Kind: KindFinal, Dirty: true},
 			}
 		}
 		before := c.Stats()
@@ -149,8 +149,8 @@ func TestWriteMultiDurable(t *testing.T) {
 			if blob.Size != items[i].Blob.Size {
 				t.Fatalf("%s: size %d, want %d", it.Key, blob.Size, items[i].Blob.Size)
 			}
-			if meta.Tags["dirty"] != "1" {
-				t.Fatalf("%s: dirty tag lost in recovery", it.Key)
+			if !meta.State.Dirty {
+				t.Fatalf("%s: dirty bit lost in recovery", it.Key)
 			}
 		}
 	})

@@ -1,20 +1,15 @@
 package kvstore
 
-import (
-	"maps"
-
-	"ofc/internal/simnet"
-)
+import "ofc/internal/simnet"
 
 // Write stores (or overwrites) key with blob. The master copy lands on
 // preferred when that node has a live server with room (OFC routes
 // writes to the invoking worker for locality, §6.5). The write is
 // durable once all backups have buffered it, matching RAMCloud's
 // commit point. Returns the new version. Past the coordinator round it
-// is a one-item batch: writeGroup does the server side. The store keeps
-// tags as given, not a copy (see Meta.Tags), so one map may serve any
-// number of writes.
-func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
+// is a one-item batch: writeGroup does the server side. A nil st
+// writes the zero State.
+func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error) {
 	sp := c.tracer.Begin(0, 0, "kv.write", caller)
 	sp.SetNum("bytes", blob.Size)
 	var out [1]WriteResult
@@ -28,7 +23,10 @@ func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 			ps[0], out[0].Err = c.place(key, blob.Size, preferred)
 		}
 		if out[0].Err == nil {
-			items, idxs := [1]WriteItem{{Key: key, Blob: blob, Tags: tags}}, [1]int{0}
+			items, idxs := [1]WriteItem{{Key: key, Blob: blob}}, [1]int{0}
+			if st != nil {
+				items[0].State = *st
+			}
 			c.writeGroup(caller, ps[0].master, items[:], ps[:], speculative[:], idxs[:], out[:])
 		}
 	}
@@ -64,10 +62,9 @@ func (c *Cluster) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	return r.Blob, r.Meta, nil
 }
 
-// SetTag updates one metadata tag on the master copy and its
-// same-version replicas, each of which gets a modified copy of its tags
-// (see Meta.Tags).
-func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
+// MarkClean clears the Dirty bit of key's master copy and of its
+// same-version replicas.
+func (c *Cluster) MarkClean(caller simnet.NodeID, key string) error {
 	p, ok, lerr := c.lookup(caller, key)
 	if lerr != nil {
 		return lerr
@@ -87,12 +84,12 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 	if !found || s.node.Down() {
 		return ErrNotFound
 	}
-	o.meta.Tags = withTag(o.meta.Tags, tag, value)
+	o.meta.State.Dirty = false
 	ver := o.meta.Version
-	// Propagate the tag to backup replicas of the same version so a
-	// post-recovery master sees current flags (a persisted object must
-	// not come back tagged dirty). The master piggybacks these tiny
-	// updates on its replication stream; we fold the cost into the ack.
+	// Clear the replicas of the same version too, so a post-recovery
+	// master does not come back dirty after its payload was persisted.
+	// The master piggybacks these tiny updates on its replication
+	// stream; we fold the cost into the ack.
 	for _, b := range p.backups {
 		bs := c.Server(b)
 		if bs == nil {
@@ -100,25 +97,12 @@ func (c *Cluster) SetTag(caller simnet.NodeID, key, tag, value string) error {
 		}
 		for _, m := range []map[string]replica{bs.backups, bs.disk} {
 			if rep, ok := m[key]; ok && rep.meta.Version == ver {
-				rep.meta.Tags = withTag(rep.meta.Tags, tag, value)
+				rep.meta.State.Dirty = false
 				m[key] = rep
 			}
 		}
 	}
-	if err := c.net.TryTransfer(p.master, caller, controlMsgSize); err != nil {
-		return err
-	}
-	return nil
-}
-
-// withTag returns a copy of tags with tag set to value.
-func withTag(tags map[string]string, tag, value string) map[string]string {
-	out := maps.Clone(tags)
-	if out == nil {
-		out = make(map[string]string, 1)
-	}
-	out[tag] = value
-	return out
+	return c.net.TryTransfer(p.master, caller, controlMsgSize)
 }
 
 // dropLocal erases key's copies without network charges (the master

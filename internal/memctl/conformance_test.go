@@ -41,14 +41,11 @@ func genView(seed int64, n int) View {
 	rng := rand.New(rand.NewSource(seed))
 	now := sim.Time(2 * time.Hour)
 	objs := make([]Object, 0, n)
-	kinds := []string{"input", "intermediate", "final"}
+	kinds := []kvstore.Kind{kvstore.KindInput, kvstore.KindIntermediate, kvstore.KindFinal}
 	for i := 0; i < n; i++ {
 		created := sim.Time(rng.Int63n(int64(2 * time.Hour)))
 		last := created + sim.Time(rng.Int63n(int64(now-created)+1))
-		dirty := "0"
-		if rng.Intn(4) == 0 {
-			dirty = "1"
-		}
+		dirty := rng.Intn(4) == 0
 		objs = append(objs, Object{
 			Key: fmt.Sprintf("obj/%03d", i),
 			Meta: kvstore.Meta{
@@ -56,10 +53,7 @@ func genView(seed int64, n int) View {
 				Created:    created,
 				NAccess:    rng.Int63n(12),
 				LastAccess: last,
-				Tags: map[string]string{
-					"kind":  kinds[rng.Intn(len(kinds))],
-					"dirty": dirty,
-				},
+				State:      kvstore.State{Kind: kinds[rng.Intn(len(kinds))], Dirty: dirty},
 			},
 		})
 	}
@@ -150,7 +144,7 @@ func TestConformanceCensusOrderIrrelevant(t *testing.T) {
 }
 
 // TestConformanceOvershootBound: the watermark policies trim occupancy
-// back to HighWater of the grant and stop at the first victim that
+// back to highWater of the grant and stop at the first victim that
 // gets there, so their victims exceed the trim by at most one object.
 // (The threshold policy has no byte target: it frees every object the
 // §6.3 criteria condemn.)
@@ -160,7 +154,7 @@ func TestConformanceOvershootBound(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
 				v := genView(seed, 100)
 				v.Limit = v.Used
-				need := v.Used - int64(DefaultParams().HighWater*float64(v.Limit))
+				need := v.Used - int64(highWater*float64(v.Limit))
 				p, err := NewEviction(name, DefaultParams())
 				if err != nil {
 					t.Fatal(err)
@@ -193,7 +187,7 @@ func TestThresholdMatchesPaperCriteria(t *testing.T) {
 		return Object{Key: key, Meta: kvstore.Meta{
 			Size: 1 << 20, Created: now - sim.Time(age),
 			LastAccess: now - sim.Time(idle), NAccess: n,
-			Tags: map[string]string{"kind": "input", "dirty": "0"},
+			State: kvstore.State{Kind: kvstore.KindInput},
 		}}
 	}
 	v := View{Now: now, Objects: []Object{
@@ -220,12 +214,12 @@ func TestThresholdMatchesPaperCriteria(t *testing.T) {
 // with equal frequency, a large zero-benefit object is evicted before
 // a small high-benefit one.
 func TestGDSFPrefersHighBenefitSmallObjects(t *testing.T) {
-	g := NewGDSFEviction(DefaultParams())
+	g := NewGDSFEviction()
 	now := sim.Time(time.Hour)
 	mk := func(key string, size int64) Object {
 		return Object{Key: key, Meta: kvstore.Meta{
 			Size: size, Created: 0, LastAccess: now, NAccess: 3,
-			Tags: map[string]string{"kind": "input", "dirty": "0"},
+			State: kvstore.State{Kind: kvstore.KindInput},
 		}}
 	}
 	big, small := mk("big", 16<<20), mk("small", 1<<20)
@@ -244,49 +238,49 @@ func TestGDSFPrefersHighBenefitSmallObjects(t *testing.T) {
 // TestWindowSlack pins the estimator to the pre-refactor semantics:
 // no opinion while empty, then clamp(max(window)).
 func TestWindowSlack(t *testing.T) {
-	p := DefaultParams()
-	w := NewWindowSlack(p)
+	w := NewWindowSlack()
 	if _, ok := w.Target(); ok {
 		t.Fatal("empty window must have no opinion")
 	}
-	w.Observe(10 << 20) // below MinSlack
-	if got, _ := w.Target(); got != p.MinSlack {
-		t.Fatalf("clamped min: got %d want %d", got, p.MinSlack)
+	w.Observe(10 << 20) // below minSlack
+	if got, _ := w.Target(); got != minSlack {
+		t.Fatalf("clamped min: got %d want %d", got, minSlack)
 	}
 	w.Observe(200 << 20)
 	if got, _ := w.Target(); got != 200<<20 {
 		t.Fatalf("window max: got %d want %d", got, int64(200<<20))
 	}
 	// Push the large sample out of the window.
-	for i := 0; i < p.ChurnWindow; i++ {
+	for i := 0; i < churnWindow; i++ {
 		w.Observe(80 << 20)
 	}
 	if got, _ := w.Target(); got != 80<<20 {
 		t.Fatalf("after trim: got %d want %d", got, int64(80<<20))
 	}
-	w2 := NewWindowSlack(p)
-	w2.Observe(int64(4) << 40) // above MaxSlack
-	if got, _ := w2.Target(); got != p.MaxSlack {
-		t.Fatalf("clamped max: got %d want %d", got, p.MaxSlack)
+	w2 := NewWindowSlack()
+	w2.Observe(int64(4) << 40) // above maxSlack
+	if got, _ := w2.Target(); got != maxSlack {
+		t.Fatalf("clamped max: got %d want %d", got, maxSlack)
 	}
 }
 
 // TestMigrateFirstPlannerShape pins PlanReclaim to the §6.4 phase
 // structure: clean finals first (key order), dirty write-backs, then
-// LRU-ordered inputs.
+// LRU-ordered inputs. A stripe is in no phase: it goes with its object.
 func TestMigrateFirstPlannerShape(t *testing.T) {
-	obj := func(key, kind, dirty string, last time.Duration) Object {
+	obj := func(key string, kind kvstore.Kind, dirty bool, last time.Duration) Object {
 		return Object{Key: key, Meta: kvstore.Meta{
 			Size: 1 << 20, LastAccess: sim.Time(last),
-			Tags: map[string]string{"kind": kind, "dirty": dirty},
+			State: kvstore.State{Kind: kind, Dirty: dirty},
 		}}
 	}
 	plan := PlanReclaim([]Object{
-		obj("in-new", "input", "0", 40*time.Minute),
-		obj("fin-clean", "final", "0", 10*time.Minute),
-		obj("fin-dirty", "final", "1", 20*time.Minute),
-		obj("in-old", "input", "0", 5*time.Minute),
-		obj("mid", "intermediate", "0", 30*time.Minute),
+		obj("in-new", kvstore.KindInput, false, 40*time.Minute),
+		obj("fin-clean", kvstore.KindFinal, false, 10*time.Minute),
+		obj("fin-dirty", kvstore.KindFinal, true, 20*time.Minute),
+		obj("in-old", kvstore.KindInput, false, 5*time.Minute),
+		obj("mid", kvstore.KindIntermediate, false, 30*time.Minute),
+		obj("big#0", kvstore.KindChunk, false, time.Minute),
 	})
 	if got, want := stepKeys(plan.First), []string{"fin-clean"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("First: got %v want %v", got, want)
@@ -309,7 +303,7 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, n := range SlackEstimators() {
-		if _, err := NewSlack(n, p); err != nil {
+		if _, err := NewSlack(n); err != nil {
 			t.Fatalf("slack %q: %v", n, err)
 		}
 	}

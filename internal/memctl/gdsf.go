@@ -19,18 +19,13 @@ import "sort"
 // never iterates the internal map — candidates come from the census
 // slice and are ordered by (H, Key), so selection is deterministic.
 type GDSFEviction struct {
-	highWater float64
-	clock     float64
-	benefit   map[string]float64
+	clock   float64
+	benefit map[string]float64
 }
 
-// NewGDSFEviction builds the cost/size-aware policy from params.
-func NewGDSFEviction(p Params) *GDSFEviction {
-	hw := p.HighWater
-	if hw <= 0 || hw > 1 {
-		hw = DefaultParams().HighWater
-	}
-	return &GDSFEviction{highWater: hw, benefit: make(map[string]float64)}
+// NewGDSFEviction builds the cost/size-aware policy.
+func NewGDSFEviction() *GDSFEviction {
+	return &GDSFEviction{benefit: make(map[string]float64)}
 }
 
 // Admitted implements EvictionPolicy: the benefit score is recorded as
@@ -69,7 +64,7 @@ func (g *GDSFEviction) Victims(v View) []Object {
 	if v.Limit <= 0 {
 		return nil
 	}
-	water := int64(g.highWater * float64(v.Limit))
+	water := int64(highWater * float64(v.Limit))
 	if v.Used <= water {
 		return nil
 	}

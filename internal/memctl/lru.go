@@ -8,7 +8,7 @@ import (
 // LRUEviction is the classic recency-only baseline: victims are the
 // least-recently-accessed objects, regardless of access count, kind or
 // predicted benefit. For the discretionary sweep it behaves like a
-// watermark cache — it only evicts once occupancy crosses HighWater
+// watermark cache — it only evicts once occupancy crosses highWater
 // of the grant, then trims back down to the watermark — so a
 // lightly-loaded cache is never touched (unlike the threshold policy,
 // which evicts cold objects even with memory to spare).
@@ -16,18 +16,10 @@ import (
 // Recency comes from the engine census (Meta.LastAccess), so the
 // policy carries no per-key state and is deterministic by
 // construction: ordering is (LastAccess, Key) ascending.
-type LRUEviction struct {
-	highWater float64
-}
+type LRUEviction struct{}
 
-// NewLRUEviction builds the recency baseline from params.
-func NewLRUEviction(p Params) *LRUEviction {
-	hw := p.HighWater
-	if hw <= 0 || hw > 1 {
-		hw = DefaultParams().HighWater
-	}
-	return &LRUEviction{highWater: hw}
-}
+// NewLRUEviction builds the recency baseline.
+func NewLRUEviction() *LRUEviction { return &LRUEviction{} }
 
 // Admitted implements EvictionPolicy: LRU admits everything and lets
 // recency sort it out.
@@ -43,7 +35,7 @@ func (l *LRUEviction) Victims(v View) []Object {
 	if v.Limit <= 0 {
 		return nil
 	}
-	water := int64(l.highWater * float64(v.Limit))
+	water := int64(highWater * float64(v.Limit))
 	if v.Used <= water {
 		return nil
 	}

@@ -29,7 +29,7 @@ import (
 )
 
 // Object is one cached object's census entry (key + engine metadata:
-// size, creation/access times, access count, tags).
+// size, creation/access times, access count, State).
 type Object = store.ObjectInfo
 
 // Pressure is the control plane's urgency level, fed by the overload
@@ -123,40 +123,39 @@ type Plan struct {
 	Second     []Step
 }
 
-// Params carries the shared numeric knobs the built-in policies draw
-// from; the zero value is completed by Defaults.
+// The policies' fixed constants, from the paper (§6.3, §6.4); no run
+// varies them.
+const (
+	// minAccess is the §6.3 eviction criterion n_access < 5 (with
+	// Params.MaxIdle).
+	minAccess int64 = 5
+	// minSlack and maxSlack clamp the window slack estimator.
+	minSlack int64 = 64 << 20
+	maxSlack int64 = 1 << 30
+	// churnWindow is the sliding-window length of WindowSlack.
+	churnWindow = 5
+	// InitialSlack is the provisioned slack pool (paper: 100 MB): the
+	// cache agent starts with it, and the static estimator (the
+	// ablation baseline) holds it.
+	InitialSlack int64 = 100 << 20
+	// highWater is the occupancy fraction above which the demand-
+	// driven policies (LRU, GDSF) start their discretionary sweeps.
+	highWater = 0.9
+)
+
+// Params carries the two policy knobs a run varies (-exp policies sets
+// both).
 type Params struct {
-	// MinAccess and MaxIdle are the §6.3 threshold-eviction criteria
-	// (n_access < 5 or idle > 30 min).
-	MinAccess int64
-	MaxIdle   time.Duration
+	// MaxIdle is the §6.3 idleness eviction criterion (idle > 30 min).
+	MaxIdle time.Duration
 	// AgeFloor is the grace window: objects younger than one eviction
 	// period survive their first sweep.
 	AgeFloor time.Duration
-	// MinSlack and MaxSlack clamp the slack estimators.
-	MinSlack, MaxSlack int64
-	// ChurnWindow is the sliding-window length of WindowSlack.
-	ChurnWindow int
-	// StaticSlack is the fixed target of the static estimator (the
-	// ablation baseline); 0 falls back to MinSlack.
-	StaticSlack int64
-	// HighWater is the occupancy fraction above which the demand-
-	// driven policies (LRU, GDSF) start their discretionary sweeps.
-	HighWater float64
 }
 
-// DefaultParams returns the paper's constants.
+// DefaultParams returns the paper's values.
 func DefaultParams() Params {
-	return Params{
-		MinAccess:   5,
-		MaxIdle:     30 * time.Minute,
-		AgeFloor:    300 * time.Second,
-		MinSlack:    64 << 20,
-		MaxSlack:    1 << 30,
-		ChurnWindow: 5,
-		StaticSlack: 100 << 20,
-		HighWater:   0.9,
-	}
+	return Params{MaxIdle: 30 * time.Minute, AgeFloor: 300 * time.Second}
 }
 
 // Spec names one point in the policy design space: an eviction
@@ -188,20 +187,20 @@ func NewEviction(name string, p Params) (EvictionPolicy, error) {
 	case "", "threshold":
 		return NewThresholdEviction(p), nil
 	case "lru":
-		return NewLRUEviction(p), nil
+		return NewLRUEviction(), nil
 	case "gdsf":
-		return NewGDSFEviction(p), nil
+		return NewGDSFEviction(), nil
 	}
 	return nil, fmt.Errorf("memctl: unknown eviction policy %q", name)
 }
 
 // NewSlack builds one slack estimator by name.
-func NewSlack(name string, p Params) (SlackEstimator, error) {
+func NewSlack(name string) (SlackEstimator, error) {
 	switch name {
 	case "", "window":
-		return NewWindowSlack(p), nil
+		return NewWindowSlack(), nil
 	case "static":
-		return NewStaticSlack(p), nil
+		return NewStaticSlack(), nil
 	}
 	return nil, fmt.Errorf("memctl: unknown slack estimator %q", name)
 }
@@ -214,7 +213,7 @@ func Build(s Spec, p Params) (Policies, error) {
 	if out.Eviction, err = NewEviction(s.Eviction, p); err != nil {
 		return Policies{}, err
 	}
-	if out.Slack, err = NewSlack(s.Slack, p); err != nil {
+	if out.Slack, err = NewSlack(s.Slack); err != nil {
 		return Policies{}, err
 	}
 	return out, nil

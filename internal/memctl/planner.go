@@ -1,6 +1,10 @@
 package memctl
 
-import "sort"
+import (
+	"sort"
+
+	"ofc/internal/kvstore"
+)
 
 // PlanReclaim is the paper's §6.4 migrate-first reclamation order over
 // a node's census:
@@ -20,13 +24,15 @@ func PlanReclaim(census []Object) Plan {
 	var p Plan
 	var inputs []Object
 	for _, o := range census {
-		switch {
-		case o.Meta.Tags["dirty"] == "1":
+		switch st := o.Meta.State; {
+		case st.Dirty:
 			p.WriteBacks = append(p.WriteBacks, o.Key)
-		case o.Meta.Tags["kind"] == "final":
+		case st.Kind == kvstore.KindFinal:
 			p.First = append(p.First, Step{Key: o.Key, Size: o.Meta.Size})
-		case o.Meta.Tags["kind"] == "input" || o.Meta.Tags["kind"] == "intermediate":
+		case st.Kind == kvstore.KindInput || st.Kind == kvstore.KindIntermediate:
 			inputs = append(inputs, o)
+		case st.Kind == kvstore.KindChunk:
+			// A stripe is freed only whole, with its object (store.Chunked).
 		}
 	}
 	sort.Slice(p.First, func(i, j int) bool { return p.First[i].Key < p.First[j].Key })

@@ -8,7 +8,7 @@ import (
 )
 
 // ThresholdEviction is the paper's §6.3 policy: an object is a victim
-// when n_access < MinAccess or it has been idle longer than MaxIdle.
+// when n_access < 5 or it has been idle longer than MaxIdle.
 // Objects younger than the grace window (one eviction period) survive
 // their first sweep; brownout removes the grace window and quarters
 // the idle bound so only the hot set survives while memory is
@@ -19,14 +19,13 @@ import (
 // Victims is a function of the View's contents, not of the order the
 // engine listed them in.
 type ThresholdEviction struct {
-	minAccess int64
-	maxIdle   time.Duration
-	ageFloor  time.Duration
+	maxIdle  time.Duration
+	ageFloor time.Duration
 }
 
 // NewThresholdEviction builds the paper's policy from params.
 func NewThresholdEviction(p Params) *ThresholdEviction {
-	return &ThresholdEviction{minAccess: p.MinAccess, maxIdle: p.MaxIdle, ageFloor: p.AgeFloor}
+	return &ThresholdEviction{maxIdle: p.MaxIdle, ageFloor: p.AgeFloor}
 }
 
 // Admitted implements EvictionPolicy: the paper admits every
@@ -51,7 +50,7 @@ func (t *ThresholdEviction) Victims(v View) []Object {
 			continue
 		}
 		idle := v.Now - o.Meta.LastAccess
-		if o.Meta.NAccess >= t.minAccess && idle <= sim.Time(maxIdle) {
+		if o.Meta.NAccess >= minAccess && idle <= sim.Time(maxIdle) {
 			continue
 		}
 		out = append(out, o)

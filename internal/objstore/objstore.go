@@ -18,7 +18,6 @@ package objstore
 
 import (
 	"errors"
-	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -156,9 +155,6 @@ type Store struct {
 func New(net *simnet.Network, node simnet.NodeID, profile Profile) *Store {
 	return &Store{net: net, node: node, profile: profile, objects: make(map[string]*entry)}
 }
-
-// Node returns the node hosting the store.
-func (s *Store) Node() simnet.NodeID { return s.node }
 
 // Profile returns the latency profile.
 func (s *Store) Profile() Profile { return s.profile }
@@ -333,25 +329,6 @@ func (s *Store) SetFeatures(key string, features map[string]float64) error {
 		return ErrNotFound
 	}
 	e.meta.Features = features
-	return nil
-}
-
-// SetUserMeta rewrites one user-metadata entry of key — a metadata-only
-// POST: no payload moves and no version is created. The cache-off
-// passthrough backend uses it to store object tags, so it follows the
-// cache's tag rule: the map Put was given is never written to, the
-// object gets a modified copy, and a Meta read earlier is a snapshot.
-func (s *Store) SetUserMeta(key, name, value string) error {
-	e := s.objects[key]
-	if e == nil {
-		return ErrNotFound
-	}
-	um := maps.Clone(e.meta.UserMeta)
-	if um == nil {
-		um = make(map[string]string, 1)
-	}
-	um[name] = value
-	e.meta.UserMeta = um
 	return nil
 }
 

@@ -309,37 +309,3 @@ func TestCreatedHookFiresOnlyForExternalPut(t *testing.T) {
 		t.Errorf("created hook fired for %v, want [upload]", fired)
 	}
 }
-
-// TestSetUserMetaIsMetadataOnly: SetUserMeta, the cache-off backend's
-// SetTag, rewrites one entry without a new version, leaves the map Put
-// was given and an earlier Meta untouched, and fails on a missing key.
-func TestSetUserMetaIsMetadataOnly(t *testing.T) {
-	env := sim.NewEnv(1)
-	s, _ := setup(env, SwiftProfile())
-	given := map[string]string{"dirty": "1"}
-	env.Go(func() {
-		s.Put(0, "k", kvstore.Synthetic(10), given, false)
-		s.Put(0, "bare", kvstore.Synthetic(10), nil, false)
-	})
-	env.Run()
-	before, _ := s.MetaOf("k")
-	if err := s.SetUserMeta("k", "dirty", "0"); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := s.MetaOf("k")
-	if after.UserMeta["dirty"] != "0" || after.LatestVersion != before.LatestVersion || after.PersistedVersion != before.PersistedVersion {
-		t.Errorf("after SetUserMeta: %+v, was %+v", after, before)
-	}
-	if given["dirty"] != "1" || before.UserMeta["dirty"] != "1" {
-		t.Errorf("SetUserMeta wrote through: given=%v earlier meta=%v", given, before.UserMeta)
-	}
-	if err := s.SetUserMeta("bare", "kind", "input"); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := s.MetaOf("bare"); m.UserMeta["kind"] != "input" {
-		t.Errorf("bare object's user meta %v", m.UserMeta)
-	}
-	if err := s.SetUserMeta("missing", "dirty", "0"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing key: err=%v, want ErrNotFound", err)
-	}
-}

@@ -2,8 +2,8 @@ package store
 
 import (
 	"fmt"
-	"maps"
 
+	"ofc/internal/kvstore"
 	"ofc/internal/simnet"
 )
 
@@ -13,22 +13,23 @@ import (
 const DefaultChunkSize = 8 << 20
 
 // chunkManifest records one striped object: stripe count, logical
-// size, a synthetic version, and the logical tags the proxy attached
-// (kind/dirty/version…), which the stripes themselves do not carry.
+// size, a synthetic version, and the State the proxy wrote it with,
+// which the stripes themselves do not carry.
 type chunkManifest struct {
 	n       int
 	size    int64
 	version uint64
-	tags    map[string]string
+	state   State
 }
 
 // Chunked is transparent large-object striping middleware: writes
 // above the inner backend's per-object ceiling are striped across
-// "key#i" chunk objects (each a regular replicated object, tagged
-// kind=chunk), reads reassemble them through the batch path, and the
-// synthesized metadata carries the logical tags — so the proxy's
-// write-back and consistency machinery works on striped objects
-// without knowing they are striped.
+// "key#i" chunk objects (each a regular replicated object of
+// KindChunk, which only this layer frees, whole with its object), reads
+// reassemble them through the batch path, and the synthesized metadata
+// carries the object's State — so the proxy's write-back and
+// consistency machinery works on striped objects without knowing they
+// are striped.
 //
 // The faithful-paper configuration leaves the layer out of the stack
 // altogether (core.Options.Chunking); the proxy stacks it only over the
@@ -63,18 +64,17 @@ func (c *Chunked) MaxObjectSize() int64 { return 1 << 50 }
 // before goes: the stripes of an older, longer object past the new
 // count, and a plain copy a striped object replaces. A failed stripe
 // aborts the whole write and leaves the key uncached.
-func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
+func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error) {
 	if blob.Size <= c.inner.MaxObjectSize() {
 		// Overwriting a previously striped key with a small payload
 		// invalidates the old stripes.
 		if m, ok := c.manifests[key]; ok {
 			c.dropStripes(key, m.n)
 		}
-		return c.inner.Write(caller, key, blob, tags, preferred)
+		return c.inner.Write(caller, key, blob, st, preferred)
 	}
 	n := int((blob.Size + c.chunkSize - 1) / c.chunkSize)
 	items := make([]WriteItem, 0, n)
-	stripeTags := map[string]string{"kind": "chunk", "of": key, "dirty": "0"}
 	remaining := blob.Size
 	for i := 0; i < n; i++ {
 		sz := remaining
@@ -83,9 +83,9 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 		}
 		remaining -= sz
 		items = append(items, WriteItem{
-			Key:  chunkKey(key, i),
-			Blob: Blob{Size: sz},
-			Tags: stripeTags,
+			Key:   chunkKey(key, i),
+			Blob:  Blob{Size: sz},
+			State: State{Kind: kvstore.KindChunk},
 		})
 	}
 	res := c.inner.WriteMulti(caller, items, preferred)
@@ -106,7 +106,11 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 		}
 	}
 	old := c.manifests[key]
-	c.manifests[key] = chunkManifest{n: n, size: blob.Size, version: version, tags: tags}
+	m := chunkManifest{n: n, size: blob.Size, version: version}
+	if st != nil {
+		m.state = *st
+	}
+	c.manifests[key] = m
 	for i := n; i < old.n; i++ {
 		c.inner.Evict(chunkKey(key, i))
 	}
@@ -140,24 +144,18 @@ func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 // manifest.
 func (c *Chunked) synthMeta(key string) Meta {
 	m := c.manifests[key]
-	return Meta{Size: m.size, Version: m.version, Tags: m.tags}
+	return Meta{Size: m.size, Version: m.version, State: m.state}
 }
 
-// SetTag implements Backend: for striped objects the logical tags live
-// in the manifest (the proxy's dirty-flag clears land here), which gets
-// a modified copy, as a kvstore master does.
-func (c *Chunked) SetTag(caller simnet.NodeID, key, tag, value string) error {
+// MarkClean implements Backend: a striped object's State lives in its
+// manifest, where the proxy's dirty-bit clears land.
+func (c *Chunked) MarkClean(caller simnet.NodeID, key string) error {
 	if m, ok := c.manifests[key]; ok {
-		tags := maps.Clone(m.tags)
-		if tags == nil {
-			tags = make(map[string]string)
-		}
-		tags[tag] = value
-		m.tags = tags
+		m.state.Dirty = false
 		c.manifests[key] = m
 		return nil
 	}
-	return c.inner.SetTag(caller, key, tag, value)
+	return c.inner.MarkClean(caller, key)
 }
 
 // dropStripes evicts every stripe of key and forgets the manifest.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"testing"
 
+	"ofc/internal/kvstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
 	"ofc/internal/store"
@@ -38,7 +39,9 @@ func Run(t *testing.T, mk Factory, traits Traits) {
 		{"RoundTrip", testRoundTrip},
 		{"MissingKey", testMissingKey},
 		{"OverwriteVersions", testOverwriteVersions},
-		{"Tags", testTags},
+		{"State", func(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID) {
+			testState(t, env, b, caller, traits)
+		}},
 		{"Evict", func(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID) {
 			testEvict(t, env, b, caller, traits)
 		}},
@@ -56,9 +59,9 @@ func Run(t *testing.T, mk Factory, traits Traits) {
 	}
 }
 
-func mustWrite(t *testing.T, b store.Backend, caller simnet.NodeID, key string, size int64, tags map[string]string) uint64 {
+func mustWrite(t *testing.T, b store.Backend, caller simnet.NodeID, key string, size int64, st *store.State) uint64 {
 	t.Helper()
-	v, err := b.Write(caller, key, store.Blob{Size: size}, tags, caller)
+	v, err := b.Write(caller, key, store.Blob{Size: size}, st, caller)
 	if err != nil {
 		t.Fatalf("write %s: %v", key, err)
 	}
@@ -97,22 +100,26 @@ func testOverwriteVersions(t *testing.T, env *sim.Env, b store.Backend, caller s
 	}
 }
 
-func testTags(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID) {
-	mustWrite(t, b, caller, "c/t", 1<<10, map[string]string{"kind": "final", "dirty": "1"})
-	_, meta, err := b.Read(caller, "c/t")
-	if err != nil {
-		t.Fatalf("read: %v", err)
+// testState: a cache tier reads back the State an object was written
+// with, and MarkClean clears only its Dirty bit; a durable tier keeps
+// no State, so it reads the zero one, and MarkClean succeeds.
+func testState(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID, traits Traits) {
+	st := store.State{Kind: kvstore.KindFinal, Dirty: true, PersistVersion: 7}
+	mustWrite(t, b, caller, "c/t", 1<<10, &st)
+	check := func(step string, want store.State) {
+		if !traits.CacheTier {
+			want = store.State{}
+		}
+		if _, meta, err := b.Read(caller, "c/t"); err != nil || meta.State != want {
+			t.Fatalf("after %s: err %v, state %+v, want %+v", step, err, meta.State, want)
+		}
 	}
-	if meta.Tags["kind"] != "final" || meta.Tags["dirty"] != "1" {
-		t.Fatalf("write tags not visible: %v", meta.Tags)
+	check("write", st)
+	if err := b.MarkClean(caller, "c/t"); err != nil {
+		t.Fatalf("mark clean: %v", err)
 	}
-	if err := b.SetTag(caller, "c/t", "dirty", "0"); err != nil {
-		t.Fatalf("settag: %v", err)
-	}
-	_, meta, err = b.Read(caller, "c/t")
-	if err != nil || meta.Tags["dirty"] != "0" {
-		t.Fatalf("settag not visible: %v %v", err, meta.Tags)
-	}
+	st.Dirty = false
+	check("MarkClean", st)
 }
 
 func testEvict(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID, traits Traits) {
@@ -159,7 +166,7 @@ func testBatchRead(t *testing.T, env *sim.Env, b store.Backend, caller simnet.No
 func testBatchWrite(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID) {
 	items := []store.WriteItem{
 		{Key: "c/w0", Blob: store.Blob{Size: 1 << 10}},
-		{Key: "c/w1", Blob: store.Blob{Size: 2 << 10}, Tags: map[string]string{"kind": "input"}},
+		{Key: "c/w1", Blob: store.Blob{Size: 2 << 10}, State: store.State{Kind: kvstore.KindIntermediate}},
 	}
 	if bb, ok := b.(store.BatchBackend); ok {
 		for i, r := range bb.WriteMulti(caller, items, caller) {
@@ -169,7 +176,7 @@ func testBatchWrite(t *testing.T, env *sim.Env, b store.Backend, caller simnet.N
 		}
 	} else {
 		for _, it := range items {
-			mustWrite(t, b, caller, it.Key, it.Blob.Size, it.Tags)
+			mustWrite(t, b, caller, it.Key, it.Blob.Size, &it.State)
 		}
 	}
 	for i, it := range items {

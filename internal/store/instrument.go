@@ -87,9 +87,9 @@ func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error
 	return blob, meta, err
 }
 
-func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
+func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error) {
 	start := n.env.Now()
-	ver, err := n.inner.Write(caller, key, blob, tags, preferred)
+	ver, err := n.inner.Write(caller, key, blob, st, preferred)
 	n.s.Writes++
 	if err != nil {
 		n.s.WriteErrs++
@@ -100,8 +100,8 @@ func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, tags m
 	return ver, err
 }
 
-func (n *Instrumented) SetTag(caller simnet.NodeID, key, tag, value string) error {
-	return n.inner.SetTag(caller, key, tag, value)
+func (n *Instrumented) MarkClean(caller simnet.NodeID, key string) error {
+	return n.inner.MarkClean(caller, key)
 }
 
 func (n *Instrumented) Evict(key string) error { return n.inner.Evict(key) }

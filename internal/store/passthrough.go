@@ -30,28 +30,26 @@ func mapErr(err error) error {
 	return err
 }
 
-// Read implements Backend.
+// Read implements Backend. The RSDS keeps no State, so every object
+// reads as the zero one.
 func (p *Passthrough) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	blob, m, err := p.rsds.Get(caller, key, false)
 	if err != nil {
 		return Blob{}, Meta{}, mapErr(err)
 	}
-	// The user metadata doubles as the tag map, so tags written through
-	// this backend round-trip.
-	return blob, Meta{Size: m.Size, Version: m.PersistedVersion, Tags: m.UserMeta}, nil
+	return blob, Meta{Size: m.Size, Version: m.PersistedVersion}, nil
 }
 
 // Write implements Backend. The preferred node is ignored: the RSDS
-// has one location.
-func (p *Passthrough) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, _ simnet.NodeID) (uint64, error) {
-	return p.rsds.Put(caller, key, blob, tags, false), nil
+// has one location, and the State is dropped: the write is durable on
+// ack, so nothing is ever dirty.
+func (p *Passthrough) Write(caller simnet.NodeID, key string, blob Blob, _ *State, _ simnet.NodeID) (uint64, error) {
+	return p.rsds.Put(caller, key, blob, nil, false), nil
 }
 
-// SetTag implements Backend by rewriting the object's user metadata in
-// place (a metadata-only POST; no payload moves, no version bump).
-func (p *Passthrough) SetTag(caller simnet.NodeID, key, tag, value string) error {
-	return mapErr(p.rsds.SetUserMeta(key, tag, value))
-}
+// MarkClean implements Backend: nothing is dirty, so there is nothing
+// to clear. Always succeeds.
+func (p *Passthrough) MarkClean(simnet.NodeID, string) error { return nil }
 
 // Evict implements Backend: nothing is cached, so there is nothing to
 // drop. Always succeeds.

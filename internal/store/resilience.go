@@ -228,7 +228,7 @@ type opArgs struct {
 	caller    simnet.NodeID
 	key       string
 	blob      Blob
-	tags      map[string]string
+	st        *State
 	preferred simnet.NodeID
 }
 
@@ -258,7 +258,7 @@ func (c *call) body() {
 	var out opResult
 	a := &c.args
 	if a.write {
-		out.version, out.err = c.inner.Write(a.caller, a.key, a.blob, a.tags, a.preferred)
+		out.version, out.err = c.inner.Write(a.caller, a.key, a.blob, a.st, a.preferred)
 	} else {
 		out.blob, out.meta, out.err = c.inner.Read(a.caller, a.key)
 	}
@@ -335,17 +335,17 @@ func (r *Resilient) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 
 // Write implements Backend, mirroring Read. ErrNoSpace and ErrTooLarge
 // are definitive (capacity, not availability) and return immediately.
-func (r *Resilient) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
-	out := r.attempt(r.target(key, preferred), opArgs{write: true, caller: caller, key: key, blob: blob, tags: tags, preferred: preferred})
+func (r *Resilient) Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error) {
+	out := r.attempt(r.target(key, preferred), opArgs{write: true, caller: caller, key: key, blob: blob, st: st, preferred: preferred})
 	return out.version, out.err
 }
 
 // The remaining ops pass through: they are either local bookkeeping
 // (Evict), a tiny control message whose failure the callers already
-// tolerate (SetTag), or batch paths with their own failure semantics.
+// tolerate (MarkClean), or batch paths with their own failure semantics.
 
-func (r *Resilient) SetTag(caller simnet.NodeID, key, tag, value string) error {
-	return r.inner.SetTag(caller, key, tag, value)
+func (r *Resilient) MarkClean(caller simnet.NodeID, key string) error {
+	return r.inner.MarkClean(caller, key)
 }
 
 func (r *Resilient) Evict(key string) error { return r.inner.Evict(key) }

@@ -20,6 +20,7 @@ import (
 type (
 	Blob        = kvstore.Blob
 	Meta        = kvstore.Meta
+	State       = kvstore.State
 	ObjectInfo  = kvstore.ObjectInfo
 	Location    = kvstore.Location
 	ReadResult  = kvstore.ReadResult
@@ -27,21 +28,19 @@ type (
 	WriteResult = kvstore.WriteResult
 )
 
-// Sentinel errors shared across backends. A non-kvstore backend maps
-// its native errors onto these so callers classify uniformly.
-var (
-	ErrNotFound = kvstore.ErrNotFound
-	ErrNoSpace  = kvstore.ErrNoSpace
-	ErrTooLarge = kvstore.ErrTooLarge
-)
+// ErrNotFound is the miss every backend reports; a non-kvstore backend
+// maps its native miss onto it so callers classify uniformly.
+var ErrNotFound = kvstore.ErrNotFound
 
 // Backend is the data-plane contract: per-object reads and writes with
-// caller locality, tag metadata, and an explicit cache-tier Evict, which
-// only drops a cached copy and is a no-op for durable backends.
+// caller locality and each object's State (nil writes the zero State),
+// which a cache tier keeps and MarkClean clears the Dirty bit of, and an
+// explicit cache-tier Evict. Durable backends keep no State, and their
+// MarkClean and Evict are no-ops.
 type Backend interface {
 	Read(caller simnet.NodeID, key string) (Blob, Meta, error)
-	Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error)
-	SetTag(caller simnet.NodeID, key, tag, value string) error
+	Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error)
+	MarkClean(caller simnet.NodeID, key string) error
 	Evict(key string) error
 	// MaxObjectSize is the per-object ceiling; larger payloads must be
 	// handled above the backend (bypass or chunking middleware).

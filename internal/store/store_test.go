@@ -60,8 +60,9 @@ func TestMiddlewareStackConformance(t *testing.T) {
 }
 
 // TestChunkedStriping checks the striping middleware end to end:
-// oversized writes land as "key#i" stripes, reads reassemble, logical
-// tags ride the manifest, and Evict drops every stripe. A striped
+// oversized writes land as "key#i" stripes of KindChunk, reads
+// reassemble, the object's State rides the manifest, and Evict drops
+// every stripe. A striped
 // overwrite leaves nothing of the old object in the cache: not the
 // surplus stripes of a longer one, not a plain copy, and not the old
 // object when the overwrite fails.
@@ -71,8 +72,8 @@ func TestChunkedStriping(t *testing.T) {
 	ch := store.NewChunked(kv, store.DefaultChunkSize)
 	env.Go(func() {
 		const size = 25 << 20 // 4 stripes of 8 MB
-		tags := map[string]string{"kind": "final", "dirty": "1", "version": "7"}
-		if _, err := ch.Write(caller, "big/obj", store.Blob{Size: size}, tags, caller); err != nil {
+		st := store.State{Kind: kvstore.KindFinal, Dirty: true, PersistVersion: 7}
+		if _, err := ch.Write(caller, "big/obj", store.Blob{Size: size}, &st, caller); err != nil {
 			t.Fatalf("chunked write: %v", err)
 		}
 		for i := 0; i < 4; i++ {
@@ -84,14 +85,18 @@ func TestChunkedStriping(t *testing.T) {
 		if err != nil || blob.Size != size {
 			t.Fatalf("chunked read: %v size %d", err, blob.Size)
 		}
-		if meta.Tags["kind"] != "final" || meta.Tags["dirty"] != "1" || meta.Tags["version"] != "7" {
-			t.Fatalf("manifest tags wrong: %v", meta.Tags)
+		if meta.State != st {
+			t.Fatalf("manifest state %+v, want %+v", meta.State, st)
 		}
-		if err := ch.SetTag(caller, "big/obj", "dirty", "0"); err != nil {
-			t.Fatalf("settag: %v", err)
+		if _, stripe, err := kv.Read(caller, "big/obj#0"); err != nil || stripe.State != (store.State{Kind: kvstore.KindChunk}) {
+			t.Fatalf("stripe state %+v, err %v: want a clean KindChunk", stripe.State, err)
 		}
-		if _, meta, _ = ch.Read(caller, "big/obj"); meta.Tags["dirty"] != "0" {
-			t.Fatalf("manifest settag not visible: %v", meta.Tags)
+		if err := ch.MarkClean(caller, "big/obj"); err != nil {
+			t.Fatalf("mark clean: %v", err)
+		}
+		st.Dirty = false
+		if _, meta, _ = ch.Read(caller, "big/obj"); meta.State != st {
+			t.Fatalf("manifest state after MarkClean %+v, want %+v", meta.State, st)
 		}
 		if err := ch.Evict("big/obj"); err != nil {
 			t.Fatalf("evict: %v", err)
@@ -106,7 +111,7 @@ func TestChunkedStriping(t *testing.T) {
 		}
 
 		write := func(key string, size int64) error {
-			_, err := ch.Write(caller, key, store.Blob{Size: size}, map[string]string{"size": fmt.Sprint(size)}, caller)
+			_, err := ch.Write(caller, key, store.Blob{Size: size}, nil, caller)
 			return err
 		}
 		// 4 stripes, then 2: a#2 and a#3 must go.
@@ -124,7 +129,7 @@ func TestChunkedStriping(t *testing.T) {
 			t.Fatalf("plain then striped: %v", err)
 		}
 		if blob, meta, err := ch.Read(caller, "b"); err == nil {
-			t.Errorf("read after evict served a stale %d-byte object tagged %v", blob.Size, meta.Tags)
+			t.Errorf("read after evict served a stale %d-byte object of %+v", blob.Size, meta.State)
 		}
 		// A striped write that fails takes the old object with it.
 		if err := write("c", 1<<20); err != nil {
