@@ -42,6 +42,58 @@ func clusterReads(tb testing.TB, n int) *sim.Env {
 	return env
 }
 
+// benchKeys are the 1024 keys the continuation benchmarks cycle over,
+// built once so that the benchmarks themselves allocate nothing.
+var benchKeys = func() []string {
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	return keys
+}()
+
+// clusterWriteThens is n replicated 64 KB writes cycling over 1024
+// keys, each started by the previous one's done: a chain of
+// continuations from first to last, with no process.
+func clusterWriteThens(tb testing.TB, n int) *sim.Env {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	i := 0
+	var next func(WriteResult)
+	next = func(r WriteResult) {
+		if r.Err != nil {
+			tb.Fatal(r.Err)
+		}
+		if i++; i <= n {
+			c.WriteThen(1, benchKeys[i%1024], Synthetic(64<<10), nil, 1, next)
+		}
+	}
+	env.After(0, func() { next(WriteResult{}) })
+	return env
+}
+
+// clusterReadThens is one write and n local reads of it, each read
+// started by the previous one's done.
+func clusterReadThens(tb testing.TB, n int) *sim.Env {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	i := 0
+	var next func(ReadResult)
+	next = func(r ReadResult) {
+		if r.Err != nil {
+			tb.Fatal(r.Err)
+		}
+		if i++; i <= n {
+			c.ReadThen(1, "k", next)
+		}
+	}
+	env.Go(func() {
+		c.Write(1, "k", Synthetic(64<<10), nil, 1)
+		next(ReadResult{})
+	})
+	return env
+}
+
 // BenchmarkClusterWrite measures the host cost of a replicated durable
 // write through the simulated fabric.
 func BenchmarkClusterWrite(b *testing.B) {
@@ -59,12 +111,32 @@ func BenchmarkClusterRead(b *testing.B) {
 	env.Run()
 }
 
-// TestClusterOpAllocCeilings pins the allocations per op of the two
+// BenchmarkClusterWriteThen measures a replicated write as a chain of
+// continuations, with no process parked on it.
+func BenchmarkClusterWriteThen(b *testing.B) {
+	b.ReportAllocs()
+	env := clusterWriteThens(b, b.N)
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkClusterReadThen measures a cache read as a chain of
+// continuations, with no process parked on it.
+func BenchmarkClusterReadThen(b *testing.B) {
+	b.ReportAllocs()
+	env := clusterReadThens(b, b.N)
+	b.ResetTimer()
+	env.Run()
+}
+
+// TestClusterOpAllocCeilings pins the allocations per op of the four
 // benchmarks above, counted as testing.Benchmark counts them: the heap
 // allocations of Run divided by the number of ops, rounded down. A read
-// allocates nothing; a write allocates the master's log entry, and the
-// rest of its count is the benchmark's own fmt.Sprintf of the key: the
-// replication round, its continuations and its disk flushes are pooled.
+// allocates nothing, parked on or not; a write allocates the master's
+// log entry, and the rest of the blocking Write's count is the
+// benchmark's own fmt.Sprintf of the key: the op record, its waiter,
+// the replication round, its continuations and its disk flushes are
+// pooled.
 func TestClusterOpAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -74,6 +146,8 @@ func TestClusterOpAllocCeilings(t *testing.T) {
 	}{
 		{"Read", clusterReads, 10000, 0},
 		{"Write", clusterWrites, 50000, 2},
+		{"ReadThen", clusterReadThens, 10000, 0},
+		{"WriteThen", clusterWriteThens, 50000, 1},
 	} {
 		env := c.setup(t, c.n)
 		var before, after runtime.MemStats

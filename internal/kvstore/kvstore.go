@@ -200,7 +200,9 @@ type Cluster struct {
 	coordloc simnet.NodeID
 
 	servers map[simnet.NodeID]*Server
-	rr      int // round-robin cursor for placement
+	ids     []simnet.NodeID // the servers' nodes, in id order
+	live    []simnet.NodeID // liveServers' buffer
+	rr      int             // round-robin cursor for placement
 	places  map[string]placement
 	nextVer uint64
 
@@ -217,7 +219,12 @@ type Cluster struct {
 	// spans as trace-0 roots; nil = off.
 	tracer *trace.Tracer
 
-	// Free lists of replication rounds and disk flushes (multi.go).
+	// Free lists of the records ops in flight run on: single-key ops,
+	// the waiters of blocking ones (ops.go), batch groups, replication
+	// rounds and disk flushes (multi.go).
+	ops     []*op
+	waiters []*waiter
+	groups  []*group
 	rounds  []*round
 	flushes []*flushRec
 }
@@ -247,6 +254,9 @@ func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
 		disk:    make(map[string]replica),
 	}
 	s.node.SetGrant(memLimit)
+	if i, found := slices.BinarySearch(c.ids, node); !found {
+		c.ids = slices.Insert(c.ids, i, node)
+	}
 	c.servers[node] = s
 	return s
 }
@@ -265,16 +275,16 @@ func (c *Cluster) memCopyTime(size int64) time.Duration {
 	return time.Duration(float64(size) / memBandwidth * float64(time.Second))
 }
 
-// liveServers lists the servers whose node is up, in id order.
+// liveServers lists the servers whose node is up, in id order, in a
+// buffer the next call reuses.
 func (c *Cluster) liveServers() []simnet.NodeID {
-	var out []simnet.NodeID
-	for id, s := range c.servers {
-		if !s.node.Down() {
-			out = append(out, id)
+	c.live = c.live[:0]
+	for _, id := range c.ids {
+		if !c.servers[id].node.Down() {
+			c.live = append(c.live, id)
 		}
 	}
-	slices.Sort(out)
-	return out
+	return c.live
 }
 
 // place assigns a master and backups for a new object. preferred, when
@@ -338,7 +348,9 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 }
 
 // lookup fetches the placement of key, charging a coordinator RPC from
-// caller. The error is non-nil when the coordinator is unreachable.
+// caller, for MarkClean; a Read or Write makes the same two hops as
+// continuations (op.lookup). The error is non-nil when the coordinator
+// is unreachable.
 func (c *Cluster) lookup(caller simnet.NodeID, key string) (placement, bool, error) {
 	type res struct {
 		p  placement

@@ -1,17 +1,20 @@
 package kvstore
 
-// The read and write protocols, each implemented once, per master:
-// readGroup serves one master's share of a read, and writeGroup lands
-// one master's share of a write and replicates it in one round: per
-// backup, a chain of continuations (payload hop, RAM buffering, install,
-// ack hop, disk flush bookings) with no process, the writer parked once
-// on the round's countdown. Read and Write are one-key batches served
-// inline in the caller's process, and a healthy Write spawns nothing.
+// The read and write protocols, each implemented once, per master, as a
+// chain of continuations with no process: a read group serves one
+// master's share of a read, and a write group lands one master's share
+// of a write and replicates it in one round: per backup, a chain of
+// continuations (payload hop, RAM buffering, install, ack hop, disk
+// flush bookings). Each step is a simnet.TransferThen hop or a
+// sim.Env.Then delay, booked at the instant a process sleeping through
+// the same steps would book it. ReadThen and WriteThen are one-key
+// batches (ops.go), and the blocking Read and Write park on them once.
 // ReadMulti and WriteMulti resolve every placement in one coordinator
-// round-trip, group the keys by master, and serve the groups in
-// parallel, one process per master: one control round-trip and one
-// bulk transfer per involved server instead of one per key. The
-// chunking middleware's stripes go through the batch paths.
+// round-trip, group the keys by master, start one group chain per
+// master and park once until the last has ended: one control
+// round-trip and one bulk transfer per involved server instead of one
+// per key. The chunking middleware's stripes go through the batch
+// paths.
 
 import (
 	"slices"
@@ -41,40 +44,59 @@ type WriteResult struct {
 	Err     error
 }
 
-// idxGroup is one master's share of a batch: the batch indices it owns.
-// Batches touch a handful of servers (six nodes in the paper's
-// testbed), so grouping via a linear-scanned slice avoids the map plus
-// side order-slice the old code allocated on every multi-op.
-type idxGroup struct {
-	node simnet.NodeID
-	idxs []int
-}
-
-// groupAppend files batch index i under node, preserving first-seen
-// node order (which is what keeps multi-op fan-out deterministic).
-func groupAppend(groups []idxGroup, node simnet.NodeID, i int) []idxGroup {
-	for g := range groups {
-		if groups[g].node == node {
-			groups[g].idxs = append(groups[g].idxs, i)
+// groupAppend files batch index i under master's group, taking a group
+// record from the free list for a master not seen yet. Groups keep
+// first-seen master order, which is what keeps multi-op fan-out
+// deterministic; batches touch a handful of servers (six nodes in the
+// paper's testbed), so a linear scan finds the group.
+func (c *Cluster) groupAppend(groups []*group, master simnet.NodeID, i int) []*group {
+	for _, g := range groups {
+		if g.master == master {
+			g.idxs = append(g.idxs, i)
 			return groups
 		}
 	}
-	return append(groups, idxGroup{node: node, idxs: []int{i}})
+	g := c.newGroup()
+	g.master, g.idxs = master, append(g.idxs[:0], i)
+	return append(groups, g)
 }
 
-// serveGroups runs serve on every master's share of a batch, each in
-// its own process, and waits for all of them.
-func (c *Cluster) serveGroups(groups []idxGroup, serve func(g idxGroup)) {
-	env := c.env()
-	wg := sim.NewWaitGroup(env)
-	for _, g := range groups {
-		wg.Add(1)
-		env.Go(func() {
-			defer wg.Done()
-			serve(g)
-		})
+// serveBatch runs every group of a batch b as a chain, a read or a
+// write one, parks the calling process once, until the last has ended,
+// and recycles the groups. The chains start in the order the runnable
+// queue ran the processes the groups used to be (one Go per group, in
+// first-seen order, then the caller parked): the last readied first,
+// then the rest in order (DESIGN.md §11).
+func (c *Cluster) serveBatch(caller simnet.NodeID, b *batch, groups []*group, write bool) {
+	if len(groups) == 0 {
+		return
 	}
-	wg.Wait()
+	done := sim.NewFuture[struct{}](c.env())
+	pending := len(groups)
+	ended := func() {
+		if pending--; pending == 0 {
+			done.Set(struct{}{})
+		}
+	}
+	for _, g := range groups {
+		g.b, g.caller, g.ended = b, caller, ended
+	}
+	start := func(g *group) {
+		if write {
+			g.write(g.master)
+		} else {
+			g.read(g.master)
+		}
+	}
+	last := len(groups) - 1
+	start(groups[last])
+	for _, g := range groups[:last] {
+		start(g)
+	}
+	done.Wait()
+	for _, g := range groups {
+		c.recycleGroup(g)
+	}
 }
 
 // ReadMulti fetches a batch of keys, grouping them per master server:
@@ -87,7 +109,7 @@ func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
 	out := make([]ReadResult, len(keys))
 	if len(keys) > 0 {
 		ps, oks, lerr := c.lookupMulti(caller, keys)
-		var groups []idxGroup
+		var groups []*group
 		for i := range keys {
 			switch {
 			case lerr != nil:
@@ -95,10 +117,10 @@ func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
 			case !oks[i]:
 				out[i].Err = ErrNotFound
 			default:
-				groups = groupAppend(groups, ps[i].master, i)
+				groups = c.groupAppend(groups, ps[i].master, i)
 			}
 		}
-		c.serveGroups(groups, func(g idxGroup) { c.readGroup(caller, g.node, keys, g.idxs, out) })
+		c.serveBatch(caller, &batch{keys: keys, rout: out}, groups, false)
 	}
 	var errs int64
 	for i := range out {
@@ -111,62 +133,6 @@ func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
 	}
 	c.tracer.End(&sp)
 	return out
-}
-
-// readGroup serves one master's share of a read: idxs index keys and
-// out. One request goes to the master and one bulk response carries
-// back every payload it found; when it found none, nothing is shipped.
-func (c *Cluster) readGroup(caller, master simnet.NodeID, keys []string, idxs []int, out []ReadResult) {
-	fail := func(err error) {
-		for _, i := range idxs {
-			out[i].Err = err
-		}
-	}
-	s := c.Server(master)
-	if s == nil {
-		fail(ErrNoSuchServer)
-		return
-	}
-	env := c.env()
-	// One batched request to the master.
-	c.serverRPCs++
-	if err := c.net.TryTransfer(caller, master, controlMsgSize); err != nil {
-		fail(err)
-		return
-	}
-	env.Sleep(time.Duration(len(idxs)) * serveOverhead)
-	if caller != master {
-		// The remote-hit software penalty is paid once per batch, not
-		// once per key — the main latency win of batching.
-		env.Sleep(crossNodeOverhead)
-	}
-	if s.node.Down() {
-		fail(ErrCrashed)
-		return
-	}
-	var payload int64
-	found := 0
-	now := env.Now()
-	for _, i := range idxs {
-		o, ok := s.log.get(keys[i])
-		if !ok {
-			out[i].Err = ErrNotFound
-			continue
-		}
-		o.meta.NAccess++
-		o.meta.LastAccess = now
-		out[i].Blob, out[i].Meta = o.blob, o.meta
-		payload += o.blob.Size
-		found++
-		s.reads++
-	}
-	if found == 0 {
-		return
-	}
-	// One bulk response carrying every found payload.
-	if err := c.net.TryTransfer(master, caller, payload+controlMsgSize); err != nil {
-		fail(err)
-	}
 }
 
 // WriteMulti stores a batch of objects, grouping them by target master:
@@ -185,7 +151,7 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 		}
 		ps, oks, lerr := c.lookupMulti(caller, keys)
 		speculative := make([]bool, len(items))
-		var groups []idxGroup
+		var groups []*group
 		for i, it := range items {
 			switch {
 			case lerr != nil:
@@ -199,10 +165,10 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 				speculative[i] = out[i].Err == nil
 			}
 			if out[i].Err == nil {
-				groups = groupAppend(groups, ps[i].master, i)
+				groups = c.groupAppend(groups, ps[i].master, i)
 			}
 		}
-		c.serveGroups(groups, func(g idxGroup) { c.writeGroup(caller, g.node, items, ps, speculative, g.idxs, out) })
+		c.serveBatch(caller, &batch{items: items, ps: ps, spec: speculative, wout: out}, groups, true)
 	}
 	var errs int64
 	for i := range out {
@@ -217,62 +183,209 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 	return out
 }
 
-// writeGroup lands one master's share of a write (idxs index items, ps,
-// speculative and out) and replicates what the master accepted in one
-// round (see round). Only a write that never reached the master's log
-// (its payload transfer failed, or it did not fit) undoes the placement
+// batch is what the groups of one op read and write, indexed by their
+// idxs: a read's keys and results, or a write's items, placements,
+// speculative marks (placements this op made) and results.
+type batch struct {
+	keys  []string
+	rout  []ReadResult
+	items []WriteItem
+	ps    []placement
+	spec  []bool
+	wout  []WriteResult
+}
+
+// group is one master's share of an op in flight, a read's or a
+// write's, as a chain of continuations; ended is its owner's next step.
+// Its steps are method values bound once, when the record is made. An
+// op holds one group; the batch paths take theirs from a free list on
+// the Cluster.
+type group struct {
+	c              *Cluster
+	b              *batch
+	idxs           []int
+	caller, master simnet.NodeID
+	s              *Server
+	bytes          int64 // a write's payload
+	r              *round
+	ended          func()
+
+	readAsked  func(error) // g.readArrived
+	served     func()      // g.serve
+	crossed    func()      // g.lookUp
+	replied    func(error) // g.reply
+	shipped    func(error) // g.payloadArrived
+	logged     func()      // g.log
+	cleaned    func()      // g.clean
+	replicated func()      // g.ack
+	acked      func(error) // g.ackArrived
+}
+
+// bind makes g a record of c over b's idxs, its steps bound.
+func (g *group) bind(c *Cluster, b *batch, idxs []int) {
+	g.c, g.b, g.idxs = c, b, idxs
+	g.readAsked, g.served, g.crossed, g.replied = g.readArrived, g.serve, g.lookUp, g.reply
+	g.shipped, g.logged, g.cleaned, g.replicated, g.acked = g.payloadArrived, g.log, g.clean, g.ack, g.ackArrived
+}
+
+// newGroup takes a batch group record from the free list, or makes one.
+func (c *Cluster) newGroup() *group {
+	if n := len(c.groups); n > 0 {
+		g := c.groups[n-1]
+		c.groups = c.groups[:n-1]
+		return g
+	}
+	g := &group{}
+	g.bind(c, nil, nil)
+	return g
+}
+
+// recycleGroup returns an ended batch group to the free list, keeping
+// its index slice for the next batch.
+func (c *Cluster) recycleGroup(g *group) {
+	g.b, g.idxs, g.s, g.ended = nil, g.idxs[:0], nil, nil
+	c.groups = append(c.groups, g)
+}
+
+// read serves the group's share of a read from master: one request goes
+// to the master and one bulk response carries back every payload it
+// found; when it found none, nothing is shipped.
+func (g *group) read(master simnet.NodeID) {
+	c := g.c
+	g.master = master
+	if g.s = c.Server(master); g.s == nil {
+		g.failRead(ErrNoSuchServer)
+		return
+	}
+	// One batched request to the master.
+	c.serverRPCs++
+	c.net.TransferThen(g.caller, master, controlMsgSize, g.readAsked)
+}
+
+// readArrived charges the master's serve time.
+func (g *group) readArrived(err error) {
+	if err != nil {
+		g.failRead(err)
+		return
+	}
+	g.c.env().Then(time.Duration(len(g.idxs))*serveOverhead, g.served)
+}
+
+// serve charges the remote-hit software penalty, once per batch, not
+// once per key — the main latency win of batching.
+func (g *group) serve() {
+	if g.caller != g.master {
+		g.c.env().Then(crossNodeOverhead, g.crossed)
+		return
+	}
+	g.lookUp()
+}
+
+// lookUp reads the share's keys at the master, unless it crashed
+// meanwhile, and ships what it found in one bulk response.
+func (g *group) lookUp() {
+	if g.s.node.Down() {
+		g.failRead(ErrCrashed)
+		return
+	}
+	b := g.b
+	var payload int64
+	found := 0
+	now := g.c.env().Now()
+	for _, i := range g.idxs {
+		o, ok := g.s.log.get(b.keys[i])
+		if !ok {
+			b.rout[i].Err = ErrNotFound
+			continue
+		}
+		o.meta.NAccess++
+		o.meta.LastAccess = now
+		b.rout[i].Blob, b.rout[i].Meta = o.blob, o.meta
+		payload += o.blob.Size
+		found++
+		g.s.reads++
+	}
+	if found == 0 {
+		g.ended()
+		return
+	}
+	// One bulk response carrying every found payload.
+	g.c.net.TransferThen(g.master, g.caller, payload+controlMsgSize, g.replied)
+}
+
+// reply ends the read.
+func (g *group) reply(err error) {
+	if err != nil {
+		g.failRead(err)
+		return
+	}
+	g.ended()
+}
+
+// failRead reports err for the whole share and ends it.
+func (g *group) failRead(err error) {
+	for _, i := range g.idxs {
+		g.b.rout[i].Err = err
+	}
+	g.ended()
+}
+
+// write lands the group's share of a write on master (one bulk payload
+// shipment) and replicates what the master accepted in one round (see
+// round). Only a write that never reached the master's log (its
+// payload transfer failed, or it did not fit) undoes the placement
 // this operation made (speculative): an object the master logged keeps
 // its placement, or Evict could not reach its bytes. An accepted item
 // reports the first of its backups to fail, in placement order, else
 // the ack's failure.
-func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps []placement, speculative []bool, idxs []int, out []WriteResult) {
-	// fail reports err for the whole share; undo also drops the
-	// placements this operation made.
-	fail := func(err error, undo bool) {
-		for _, i := range idxs {
-			out[i].Err = err
-			if undo && speculative[i] {
-				delete(c.places, items[i].Key)
-			}
-		}
-	}
-	s := c.Server(master)
-	if s == nil {
-		fail(ErrNoSuchServer, false)
+func (g *group) write(master simnet.NodeID) {
+	c, b := g.c, g.b
+	g.master = master
+	if g.s = c.Server(master); g.s == nil {
+		g.failWrite(ErrNoSuchServer, false)
 		return
 	}
-	env := c.env()
-	var total int64
-	for _, i := range idxs {
-		total += items[i].Blob.Size
+	g.bytes = 0
+	for _, i := range g.idxs {
+		g.bytes += b.items[i].Blob.Size
 	}
-	// One bulk payload shipment to the master.
 	c.serverRPCs++
-	if err := c.net.TryTransfer(caller, master, total+controlMsgSize); err != nil {
-		fail(err, true)
-		return
-	}
-	env.Sleep(time.Duration(len(idxs))*serveOverhead + c.memCopyTime(total))
+	c.net.TransferThen(g.caller, master, g.bytes+controlMsgSize, g.shipped)
+}
 
-	// Master-side processing.
-	r := c.newRound(master)
-	defer c.recycleRound(r)
-	if s.node.Down() {
-		fail(ErrCrashed, false)
+// payloadArrived charges the master's serve and copy time.
+func (g *group) payloadArrived(err error) {
+	if err != nil {
+		g.failWrite(err, true)
 		return
 	}
+	c := g.c
+	c.env().Then(time.Duration(len(g.idxs))*serveOverhead+c.memCopyTime(g.bytes), g.logged)
+}
+
+// log is the master-side processing: unless the master crashed
+// meanwhile, every item that fits its grant is logged, and the cleaner
+// runs if the log outgrew the grant.
+func (g *group) log() {
+	c, b, s := g.c, g.b, g.s
+	if s.node.Down() {
+		g.failWrite(ErrCrashed, false)
+		return
+	}
+	r := c.newRound(g.master)
+	g.r = r
 	limit := s.node.Grant()
-	now := env.Now()
-	for _, i := range idxs {
-		it := items[i]
+	now := c.env().Now()
+	for _, i := range g.idxs {
+		it := b.items[i]
 		old, existed := s.log.get(it.Key)
 		delta := it.Blob.Size
 		if existed {
 			delta -= old.meta.Size
 		}
 		if s.log.live+delta > limit {
-			out[i].Err = ErrNoSpace
-			if speculative[i] { // undo speculative placement of a brand-new object
+			b.wout[i].Err = ErrNoSpace
+			if b.spec[i] { // undo speculative placement of a brand-new object
 				delete(c.places, it.Key)
 			}
 			continue
@@ -288,7 +401,7 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		s.log.put(it.Key, &object{blob: it.Blob, meta: meta})
 		s.writes++
 		r.acc = append(r.acc, acceptedItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
-			backups: ps[i].backups, resized: existed && !speculative[i]})
+			backups: b.ps[i].backups, resized: existed && !b.spec[i]})
 	}
 	// Log-structured memory: if dead entries push the allocated bytes
 	// past the budget, the cleaner compacts before the write returns
@@ -309,16 +422,30 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 		}
 	}
 	if cleanedBytes > 0 {
-		env.Sleep(c.memCopyTime(cleanedBytes))
-	}
-	if len(r.acc) == 0 {
+		c.env().Then(c.memCopyTime(cleanedBytes), g.cleaned)
 		return
 	}
+	g.clean()
+}
 
-	r.replicate()
+// clean replicates what the master accepted, once the cleaner is done.
+func (g *group) clean() {
+	if len(g.r.acc) == 0 {
+		g.endWrite()
+		return
+	}
+	g.r.replicate(g.replicated)
+}
 
-	// Ack to the caller (one control message for the group).
-	ackErr := c.net.TryTransfer(master, caller, controlMsgSize)
+// ack sends the ack to the caller, one control message for the group,
+// once the round has ended.
+func (g *group) ack() {
+	g.c.net.TransferThen(g.master, g.caller, controlMsgSize, g.acked)
+}
+
+// ackArrived reports each accepted item's outcome.
+func (g *group) ackArrived(ackErr error) {
+	r := g.r
 	for i := range r.acc {
 		a := &r.acc[i]
 		err := ackErr
@@ -329,11 +456,34 @@ func (c *Cluster) writeGroup(caller, master simnet.NodeID, items []WriteItem, ps
 			}
 		}
 		if err != nil {
-			out[a.idx].Err = err
+			g.b.wout[a.idx].Err = err
 		} else {
-			out[a.idx].Version = a.meta.Version
+			g.b.wout[a.idx].Version = a.meta.Version
 		}
 	}
+	g.endWrite()
+}
+
+// failWrite reports err for the whole share and ends it; undo also
+// drops the placements this operation made.
+func (g *group) failWrite(err error, undo bool) {
+	b := g.b
+	for _, i := range g.idxs {
+		b.wout[i].Err = err
+		if undo && b.spec[i] {
+			delete(g.c.places, b.items[i].Key)
+		}
+	}
+	g.ended()
+}
+
+// endWrite recycles the group's round, if it made one, and ends it.
+func (g *group) endWrite() {
+	if g.r != nil {
+		g.c.recycleRound(g.r)
+		g.r = nil
+	}
+	g.ended()
 }
 
 // acceptedItem is one object a master logged: what its backups buffer,
@@ -348,22 +498,28 @@ type acceptedItem struct {
 	resized bool
 }
 
-// round is the replication of one writeGroup: the items the master
+// round is the replication of one write group: the items the master
 // accepted, one share per backup node they name, in first-seen order,
 // so that each backup sees one bulk transfer and one ack for its whole
-// share, and the countdown the writer parks on. A share is a chain of
-// continuations, not a process: its payload hop (simnet.TransferThen),
-// the RAM-buffer delay (sim.Env.Then), the crash check and install, the
-// ack hop and the disk flush bookings. The writer parks once, on done,
-// which the last share to end sets. Rounds are pooled on the Cluster,
-// each with its share records and future.
+// share, and the countdown of the shares still running. A share is a
+// chain of continuations, not a process: its payload hop
+// (simnet.TransferThen), the RAM-buffer delay (sim.Env.Then), the crash
+// check and install, the ack hop and the disk flush bookings. When the
+// last share has ended, the round calls then, the write group's next
+// step. Rounds are pooled on the Cluster, each with its share records.
 type round struct {
 	c       *Cluster
 	master  simnet.NodeID
 	acc     []acceptedItem
 	shares  []*share
 	pending int // shares not yet ended
-	done    *sim.Future[struct{}]
+	// holds counts the steps running on the round's records (the start
+	// loop, a share's buffering) that then must not interrupt: a chain
+	// that ends inside one, as every chain does once the environment is
+	// stopped, leaves then to run once the step is done, where the
+	// writer process the round used to wake would have run.
+	holds int
+	then  func()
 }
 
 // share is one backup node's part of a round, and how it ended. Its
@@ -387,7 +543,7 @@ func (c *Cluster) newRound(master simnet.NodeID) *round {
 		r = c.rounds[n-1]
 		c.rounds = c.rounds[:n-1]
 	} else {
-		r = &round{c: c, done: sim.NewFuture[struct{}](c.env())}
+		r = &round{c: c}
 	}
 	r.master = master
 	return r
@@ -399,7 +555,7 @@ func (c *Cluster) recycleRound(r *round) {
 	clear(r.acc)
 	r.acc = r.acc[:0]
 	r.shares = r.shares[:0]
-	r.done.Reset()
+	r.then = nil
 	c.rounds = append(c.rounds, r)
 }
 
@@ -426,30 +582,40 @@ func (r *round) shareOf(node simnet.NodeID) *share {
 // mine reports whether the round's accepted item i is backed by s.
 func (s *share) mine(i int) bool { return slices.Contains(s.r.acc[i].backups, s.node) }
 
-// replicate starts every share's chain now and parks the calling
-// process until the last one has ended.
+// replicate starts every share's chain now, and calls then once the
+// last one has ended.
 //
 // The chains start in the order the runnable queue ran the processes
 // the shares used to be (one Go per share, in first-seen order, then
 // the writer parked): the last readied first, then the rest in order
 // (DESIGN.md §11). So every booking is made, and every timer
 // sequenced, where those processes made them.
-func (r *round) replicate() {
+func (r *round) replicate(then func()) {
 	for i := range r.acc {
 		for _, b := range r.acc[i].backups {
 			r.shareOf(b)
 		}
 	}
-	r.pending = len(r.shares)
+	r.pending, r.then = len(r.shares), then
 	if r.pending == 0 {
-		return // every item lost its backups to recoveries
+		then() // every item lost its backups to recoveries
+		return
 	}
+	r.holds++
 	last := len(r.shares) - 1
 	r.shares[last].start()
 	for _, s := range r.shares[:last] {
 		s.start()
 	}
-	r.done.Wait()
+	r.release()
+}
+
+// release ends a hold on r; the last one out calls then if every share
+// has ended meanwhile.
+func (r *round) release() {
+	if r.holds--; r.holds == 0 && r.pending == 0 {
+		r.then()
+	}
 }
 
 // start sends the share's payload, one bulk transfer of every item the
@@ -491,6 +657,7 @@ func (s *share) buffer() {
 		s.end(ErrCrashed)
 		return
 	}
+	r.holds++
 	for i := range r.acc {
 		if a := &r.acc[i]; s.mine(i) {
 			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
@@ -510,15 +677,16 @@ func (s *share) buffer() {
 			r.c.flush(bs, r.acc[i].key, r.acc[i].meta)
 		}
 	}
+	r.release()
 }
 
 // end records how the share ended; the last share of a round to end
-// wakes the writer.
+// calls then, unless a step that holds the round is still running.
 func (s *share) end(err error) {
 	s.err = err
 	r := s.r
-	if r.pending--; r.pending == 0 {
-		r.done.Set(struct{}{})
+	if r.pending--; r.pending == 0 && r.holds == 0 {
+		r.then()
 	}
 }
 

@@ -22,6 +22,7 @@ type refShare struct {
 
 // refCounts tallies what the process model's schedules reached.
 type refCounts struct {
+	crashedAtServe  int // ops whose master crashed between request arrival and serving
 	crashedAtBuffer int // shares whose backup crashed between payload arrival and buffering
 	droppedFlushes  int // flushes whose replica a restart dropped meanwhile
 }
@@ -99,7 +100,7 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 
 // repOp is one writer of a replication schedule: at `at` it ships items
 // from caller to master, which accepts them all, replicates them and
-// acks, as writeGroup does past its crash and space checks.
+// acks, as a write group does past its crash and space checks.
 type repOp struct {
 	at             time.Duration
 	caller, master simnet.NodeID
@@ -276,7 +277,9 @@ func runReplication(ops []repOp, faults []repFault, lossy bool, seed int64, stop
 				r := c.newRound(o.master)
 				defer c.recycleRound(r)
 				r.acc = append(r.acc, o.items...)
-				r.replicate()
+				ended := sim.NewFuture[struct{}](env)
+				r.replicate(func() { ended.Set(struct{}{}) })
+				ended.Wait()
 				errOf = func(b simnet.NodeID) error { return r.shareOf(b).err }
 			}
 			ackErr := net.TryTransfer(o.master, o.caller, controlMsgSize)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +126,55 @@ func TestChainsReuseOneCoroutine(t *testing.T) {
 	if join > 2 || left > 0 {
 		t.Errorf("%d Go-then-Wait rounds ran on %d coroutines and left %d, want 2 (parent and one child, reused) and 0", n, join, left)
 	}
+}
+
+// TestWaiterHostsContinuations: a process parked on the end of a chain
+// of continuations runs the chain on its own coroutine, so a wait on a
+// chain is no switch at all, and the steps run at the instants and in
+// the order they would on any coroutine. A continuation that blocks
+// there panics instead of parking the process that hosts it.
+func TestWaiterHostsContinuations(t *testing.T) {
+	const n = 10000
+	var order []int
+	peak, left := goroutinesOver(func(env *Env, probe func()) {
+		env.Go(func() {
+			for i := 0; i < n; i++ {
+				f := NewFuture[int](env)
+				start := env.Now()
+				env.Then(time.Microsecond, func() {
+					probe()
+					if i < 2 {
+						order = append(order, i, 1)
+					}
+					env.Then(time.Microsecond, func() { probe(); f.Set(i) })
+				})
+				if i < 2 {
+					env.Then(time.Microsecond, func() { order = append(order, i, 2) })
+				}
+				if f.Wait() != i || env.Now() != start+2*time.Microsecond {
+					t.Errorf("iteration %d: joined the wrong chain or at %v, want %v", i, env.Now(), start+2*time.Microsecond)
+				}
+			}
+		})
+	})
+	if peak > 1 || left > 0 {
+		t.Errorf("%d waits on chains ran on %d coroutines and left %d, want 1 and 0", n, peak, left)
+	}
+	if want := []int{0, 1, 0, 2, 1, 1, 1, 2}; !slices.Equal(order, want) {
+		t.Errorf("continuations ran in the order %v, want %v (FIFO at one instant)", order, want)
+	}
+
+	env := NewEnv(1)
+	env.Go(func() {
+		env.Then(time.Microsecond, func() { env.Sleep(time.Microsecond) })
+		NewFuture[int](env).WaitTimeout(time.Millisecond)
+	})
+	defer func() {
+		if s := fmt.Sprint(recover()); !strings.Contains(s, "a Then continuation cannot") {
+			t.Errorf("a continuation that blocks panicked with %q", s)
+		}
+	}()
+	env.Run()
 }
 
 // TestProcessPanicAfterBlocking: a panic deep in a process that has

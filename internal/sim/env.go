@@ -16,7 +16,8 @@
 // a sync import there. A process that blocks registers its timer or
 // waiter and then picks what runs next itself: the runnable queue
 // first, else the earliest (timestamp, seq) entry of the 4-ary timer
-// heap. When the pick is its own entry it just carries on; otherwise it
+// heap. When the pick is its own entry it just carries on; when it is a
+// Then continuation it runs it in place and picks again; otherwise it
 // hands the pick to Run and yields, and Run — the only resumer —
 // switches straight to the picked process. A process that returns picks
 // as well, and hosts a picked callback or spawned function on its own
@@ -182,7 +183,7 @@ func (e *Env) takeFn(t *timer) func() {
 // waiter returns the timer the running process is about to park on.
 func (e *Env) waiter() *timer {
 	if e.cur == nil {
-		panic("sim: blocking call (Sleep, Wait, Recv) outside a simulation process: nothing runs before Run, and only a function started by Go, After or Every can block")
+		panic("sim: blocking call (Sleep, Wait, Recv) outside a simulation process: nothing runs before Run, only a function started by Go, After or Every can block, and a Then continuation cannot")
 	}
 	w := e.newTimer()
 	w.p = e.cur
@@ -240,11 +241,29 @@ func (e *Env) parkDeadline(w *timer, d time.Duration) {
 }
 
 // block suspends the running process, already registered on w, until w
-// is picked. The process picks what runs meanwhile itself; only when
-// that is not w does it leave the pick to Run and switch away.
+// is picked. The process picks what runs meanwhile itself. A Then
+// continuation it runs on its own stack, as a stopped Then does, and
+// picks again: a continuation cannot block, and which coroutine hosts
+// it is invisible to it. Only when the pick is another process, or a
+// callback or spawn that may block, does it leave the pick to Run and
+// switch away. So a process that waits on a chain of continuations
+// (a transfer, a replicated write, a cache op) does not switch until
+// something other than the chain has to run, and not at all when the
+// chain's end wakes it. No process is current while a continuation
+// runs here, so one that blocks panics instead of parking the host.
 func (e *Env) block(w *timer) {
-	if t := e.pick(); t != w {
-		w.p.yield(t)
+	for {
+		t := e.pick()
+		if t == w {
+			return
+		}
+		if t == nil || !t.cont {
+			w.p.yield(t)
+			return
+		}
+		e.cur = nil
+		e.takeFn(t)()
+		e.cur = w.p
 	}
 }
 
@@ -403,7 +422,8 @@ func (e *Env) After(d time.Duration, fn func()) {
 // turn, as a sleeper is woken there. So a chain finishes at Stop where
 // the same steps written as Sleeps in one process would, and whoever
 // waits on its end is not stranded. A continuation may run inside
-// Then, on its caller's stack, and must not block.
+// Then, on its caller's stack, or on the stack of a process that
+// blocks (see block), and must not block.
 func (e *Env) Then(d time.Duration, fn func()) {
 	if e.stopped {
 		fn()

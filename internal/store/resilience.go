@@ -107,18 +107,18 @@ type ResilienceStats struct {
 	BudgetDenied int64
 }
 
-// Resilient wraps a BatchBackend's Read and Write with per-attempt
+// Resilient wraps a ChainBackend's Read and Write with per-attempt
 // timeouts, bounded jittered retry and per-server circuit breakers —
 // the graceful-degradation layer that used to live inside RCLib.
 // Metadata ops and the batch paths pass through untouched (batch ops
 // carry their own fallback semantics in the chunking layer above).
 type Resilient struct {
-	inner BatchBackend
+	inner ChainBackend
 	env   *sim.Env
 	pv    PlacementView // breaker target resolution; nil when inner has no placement
 	cfg   ResilienceConfig
 
-	// free holds answered call records for reuse (see call).
+	// free holds finished call records for reuse (see call).
 	free []*call
 
 	rng      *rand.Rand
@@ -131,7 +131,7 @@ type Resilient struct {
 
 // NewResilient wraps inner with the degradation layer. Its breakers key
 // on the master of each op's key when inner is a PlacementView.
-func NewResilient(env *sim.Env, inner BatchBackend, cfg ResilienceConfig) *Resilient {
+func NewResilient(env *sim.Env, inner ChainBackend, cfg ResilienceConfig) *Resilient {
 	r := &Resilient{
 		inner:    inner,
 		env:      env,
@@ -240,56 +240,63 @@ type opResult struct {
 	err     error
 }
 
-// call is one attempt: the op's arguments, the future its answer lands
-// on, and run, the process body that makes the op, bound once when the
-// record is made. Records are recycled through Resilient.free under one
-// rule: a record goes back only once its answer has been taken. A
-// timed-out attempt's record stays with its op, which still runs and
-// will Set the future, and is garbage once that op returns.
+// call is one attempt: the future its answer lands on, and the done
+// continuations, bound once when the record is made, that the inner
+// op's chain answers through. A record has two ends, the caller's
+// timed wait and the chain, and whichever finishes last recycles it
+// through Resilient.free: the caller when it took the answer, the
+// chain when its caller timed out (abandoned) and it answers nobody.
 type call struct {
-	inner Backend
-	args  opArgs
-	reply *sim.Future[opResult]
-	run   func()
+	r         *Resilient
+	reply     *sim.Future[opResult]
+	abandoned bool
+	read      func(ReadResult)  // c.readDone
+	wrote     func(WriteResult) // c.writeDone
 }
 
-// body makes the op against the inner backend and answers it.
-func (c *call) body() {
-	var out opResult
-	a := &c.args
-	if a.write {
-		out.version, out.err = c.inner.Write(a.caller, a.key, a.blob, a.st, a.preferred)
-	} else {
-		out.blob, out.meta, out.err = c.inner.Read(a.caller, a.key)
+// readDone answers a Read attempt.
+func (c *call) readDone(res ReadResult) {
+	c.answer(opResult{blob: res.Blob, meta: res.Meta, err: res.Err})
+}
+
+// writeDone answers a Write attempt.
+func (c *call) writeDone(res WriteResult) {
+	c.answer(opResult{version: res.Version, err: res.Err})
+}
+
+// answer sets the reply, and recycles the record if its caller is gone.
+func (c *call) answer(out opResult) {
+	c.reply.Set(out)
+	if c.abandoned {
+		c.r.recycle(c)
 	}
-	c.reply.Set(out) // the last touch: once answered, the record may be reused
 }
 
-// newCall takes a record from the free list, or makes one, for args.
-func (r *Resilient) newCall(args opArgs) *call {
-	var c *call
+// newCall takes a record from the free list, or makes one.
+func (r *Resilient) newCall() *call {
 	if n := len(r.free); n > 0 {
-		c = r.free[n-1]
+		c := r.free[n-1]
 		r.free = r.free[:n-1]
-	} else {
-		c = &call{inner: r.inner, reply: sim.NewFuture[opResult](r.env)}
-		c.run = c.body
+		return c
 	}
-	c.args = args
+	c := &call{r: r, reply: sim.NewFuture[opResult](r.env)}
+	c.read, c.wrote = c.readDone, c.writeDone
 	return c
 }
 
 // recycle returns an answered record to the free list.
 func (r *Resilient) recycle(c *call) {
-	c.args = opArgs{}
+	c.abandoned = false
 	c.reply.Reset()
 	r.free = append(r.free, c)
 }
 
 // attempt runs the op args describes with the per-attempt deadline,
 // retry loop and breaker bookkeeping shared by Read and Write. Each
-// attempt is its own process, so that a timed-out op runs on, as a
-// timed-out RPC does, while the caller retries.
+// attempt starts the inner op's chain and races it against the
+// deadline, parking the caller once: when the deadline wins, the
+// caller backs off and retries while the chain runs on to its end, as
+// a timed-out RPC does, landing its write and booking its NICs.
 func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 	if !r.allow(target) {
 		return opResult{err: ErrBreakerOpen}
@@ -304,10 +311,15 @@ func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 			r.env.Sleep(r.backoff(try))
 			r.retries++
 		}
-		c := r.newCall(args)
-		r.env.Go(c.run)
+		c := r.newCall()
+		if args.write {
+			r.inner.WriteThen(args.caller, args.key, args.blob, args.st, args.preferred, c.wrote)
+		} else {
+			r.inner.ReadThen(args.caller, args.key, c.read)
+		}
 		out, ok := c.reply.WaitTimeout(r.cfg.OpTimeout)
 		if !ok {
+			c.abandoned = true
 			lastErr = ErrCacheTimeout
 			r.timeouts++
 			r.report(target, false)

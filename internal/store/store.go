@@ -57,6 +57,18 @@ type BatchBackend interface {
 	WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult
 }
 
+// ChainBackend is a BatchBackend whose Read and Write also run as
+// chains of continuations, with no process: ReadThen and WriteThen
+// make the bookings their blocking forms make, at the same instants,
+// and call done with their result at the instant those would have
+// returned. done must not block. The Resilient layer races such a
+// chain against its deadline.
+type ChainBackend interface {
+	BatchBackend
+	ReadThen(caller simnet.NodeID, key string, done func(ReadResult))
+	WriteThen(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID, done func(WriteResult))
+}
+
 // PlacementView is the scheduler-side locality view (§6.5): where
 // master copies live, without network charges. Engines without
 // placement (durable passthrough) simply don't implement it.

@@ -154,28 +154,28 @@ func TestChunkedStriping(t *testing.T) {
 	env.Run()
 }
 
-// scriptedReads is a Backend whose i-th Read (from 1) answers after
-// delays[i-1] with a blob of size i, so that every answer names the
-// call that produced it. It implements nothing else.
+// scriptedReads is a ChainBackend whose i-th ReadThen (from 1) answers
+// after delays[i-1] with a blob of size i, so that every answer names
+// the call that produced it. It implements nothing else.
 type scriptedReads struct {
-	store.BatchBackend
+	store.ChainBackend
 	env    *sim.Env
 	delays []time.Duration
 	calls  int
 }
 
-func (s *scriptedReads) Read(simnet.NodeID, string) (store.Blob, store.Meta, error) {
+func (s *scriptedReads) ReadThen(_ simnet.NodeID, _ string, done func(store.ReadResult)) {
 	s.calls++
 	n := s.calls
-	s.env.Sleep(s.delays[n-1])
-	return store.Blob{Size: int64(n)}, store.Meta{}, nil
+	s.env.Then(s.delays[n-1], func() { done(store.ReadResult{Blob: store.Blob{Size: int64(n)}}) })
 }
 
 // TestResilientRecyclesOnlyAnsweredCalls: the first Read's attempt
-// parks past OpTimeout and answers late, while the retry has already
+// runs past OpTimeout and answers late, while the retry has already
 // answered and a later Read is waiting on its own attempt. A call
-// record goes back for reuse only once answered, so the late answer
-// reaches nobody: the retry and the later Read each get their own.
+// record goes back for reuse only once both its ends are done, the
+// caller's wait and the chain, so the late answer reaches nobody: the
+// retry and the later Read each get their own.
 func TestResilientRecyclesOnlyAnsweredCalls(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := store.DefaultResilienceConfig()
@@ -242,4 +242,55 @@ func TestResilientBreaker(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestHealthyResilientOpsSpawnNothing: on a healthy cluster a
+// Resilient Read or Write spawns no process. Each attempt starts the
+// op's chain of continuations and parks its caller once, on the
+// answer, with a deadline.
+func TestHealthyResilientOpsSpawnNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	kv, caller := newKV(env)
+	r := store.NewResilient(env, kv, store.DefaultResilienceConfig())
+	env.Go(func() {
+		for _, op := range []struct {
+			name string
+			do   func() error
+		}{
+			{"write of a new key", func() error {
+				_, err := r.Write(caller, "k", store.Blob{Size: 64 << 10}, nil, caller)
+				return err
+			}},
+			{"overwrite", func() error {
+				_, err := r.Write(caller, "k", store.Blob{Size: 32 << 10}, &store.State{Dirty: true}, caller)
+				return err
+			}},
+			{"hit", func() error {
+				_, _, err := r.Read(caller, "k")
+				return err
+			}},
+			{"remote hit", func() error {
+				_, _, err := r.Read(caller+1, "k")
+				return err
+			}},
+			{"miss", func() error {
+				if _, _, err := r.Read(caller, "none"); !errors.Is(err, store.ErrNotFound) {
+					return fmt.Errorf("err %v, want ErrNotFound", err)
+				}
+				return nil
+			}},
+		} {
+			before := env.Spawned()
+			if err := op.do(); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			if n := env.Spawned() - before; n != 0 {
+				t.Errorf("%s spawned %d processes, want 0", op.name, n)
+			}
+		}
+	})
+	env.Run()
+	if st := r.Stats(); st != (store.ResilienceStats{}) {
+		t.Errorf("stats %+v on a healthy cluster, want none", st)
+	}
 }

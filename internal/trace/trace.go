@@ -212,20 +212,20 @@ func (t *Tracer) End(sp *Span) {
 		return
 	}
 	sp.End = t.env.Now()
-	t.record(*sp)
+	t.record(sp)
 }
 
 // record claims a slot by atomic cursor; a full shard counts a drop.
 // Each successful claim maps to a distinct slot, so concurrent writers
-// never touch the same memory.
-func (t *Tracer) record(sp Span) {
+// never touch the same memory. The span is copied once, into its slot.
+func (t *Tracer) record(sp *Span) {
 	sh := &t.shards[uint64(sp.ID)%uint64(len(t.shards))]
 	i := sh.cur.Add(1) - 1
 	if i >= int64(len(sh.buf)) {
 		t.drops.Add(1)
 		return
 	}
-	sh.buf[i] = sp
+	sh.buf[i] = *sp
 }
 
 // Drops returns the number of spans discarded because their shard was
