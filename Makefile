@@ -15,11 +15,12 @@ check: build vet lint test test-race test-cover smoke-policies smoke-examples
 build:
 	$(GO) build ./...
 
-# The second line names the mltree fuzz targets, which run here over
-# their seed corpus only: the training kernel against its reference.
+# The second line names the fuzz targets, which run here over their
+# seed corpus only: the training kernel against its reference, and the
+# scheduler's two-heap event queue against a sorted list.
 test:
 	$(GO) test ./...
-	$(GO) test -run Fuzz ./internal/mltree
+	$(GO) test -run Fuzz ./internal/mltree ./internal/sim
 
 # Statement coverage: repo-wide report (informational) with hard
 # floors on internal/trace — the golden-trace harness is the point of

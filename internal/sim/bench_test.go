@@ -50,6 +50,29 @@ func thenChain(n int) *Env {
 	return env
 }
 
+// thenChainBesideCallbacks is thenChain beside what a platform keeps
+// pending while it works: 600 After timers 600 s out, as many as
+// macro24's idle sandboxes waiting out their keep-alive, and 300 wait
+// deadlines whose waits were answered at once. Their 300 waiters are
+// the run's only allocations.
+func thenChainBesideCallbacks(n int) *Env {
+	env := thenChain(n)
+	idle := func() {}
+	for i := 0; i < 600; i++ {
+		env.After(600*time.Second+time.Duration(i)*time.Millisecond, idle)
+	}
+	f := NewFuture[int](env)
+	answer := func() { f.Set(1) }
+	env.Go(func() {
+		for i := 0; i < 300; i++ {
+			env.Then(0, answer)
+			f.WaitTimeout(600*time.Second + time.Duration(i)*time.Millisecond)
+			f.Reset()
+		}
+	})
+	return env
+}
+
 // batchWakeup is 64 processes sleeping to the same instants, n/64+1
 // rounds each.
 func batchWakeup(n int) *Env {
@@ -99,6 +122,11 @@ func BenchmarkAfterCallback(b *testing.B) { benchRun(b, afterChain) }
 // bookings, like a replication round in the store).
 func BenchmarkThenChain(b *testing.B) { benchRun(b, thenChain) }
 
+// BenchmarkThenChainBesideCallbacks measures continuation dispatch
+// beside a standing population of far timers, as in a platform whose
+// idle sandboxes each hold a keep-alive timer.
+func BenchmarkThenChainBesideCallbacks(b *testing.B) { benchRun(b, thenChainBesideCallbacks) }
+
 // BenchmarkBatchWakeup measures equal-timestamp fan-out: many
 // processes sleeping to the same instant, each handing off to the next
 // (one coroutine switch per event, never a self-wake).
@@ -112,8 +140,8 @@ func BenchmarkFutureRoundTrip(b *testing.B) { benchRun(b, futureRoundTrips) }
 // benchmarks above: the heap allocations of Run divided by the number
 // of ops, not rounded, since an allocation every other op (a queue
 // reslice that regrows) must show. At 10 000 ops the Env's set-up and
-// its heap's growth amortise to a few thousandths; BatchWakeup's 64
-// coroutines to 0.1.
+// its heap's growth amortise to a few thousandths, BatchWakeup's 64
+// coroutines to 0.1 and ThenChainBesideCallbacks' 300 waiters to 0.03.
 func TestSchedulerAllocCeilings(t *testing.T) {
 	const n = 10000
 	for _, c := range []struct {
@@ -124,6 +152,7 @@ func TestSchedulerAllocCeilings(t *testing.T) {
 		{"SleepEvent", sleepChain, 0.05},
 		{"AfterCallback", afterChain, 0.05},
 		{"ThenChain", thenChain, 0.05},
+		{"ThenChainBesideCallbacks", thenChainBesideCallbacks, 0.05},
 		{"BatchWakeup", batchWakeup, 0.15},
 		{"FutureRoundTrip", futureRoundTrips, 2.05},
 	} {

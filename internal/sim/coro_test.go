@@ -238,7 +238,7 @@ func TestMisusePanics(t *testing.T) {
 		wg.Add(1)
 		wg.Wait()
 	})
-	if len(env.heap) != 0 || env.Now() != 0 {
+	if env.pending() != 0 || env.Now() != 0 {
 		t.Errorf("a refused call left something behind: %v", env)
 	}
 	// What does not block needs no process.

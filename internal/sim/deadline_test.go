@@ -28,7 +28,7 @@ func TestWaitTimeoutSetWins(t *testing.T) {
 	if env.Events() != 1 {
 		t.Errorf("Events() = %d, want 1 (the setter's sleep)", env.Events())
 	}
-	if len(env.heap) != 0 {
+	if env.pending() != 0 {
 		t.Errorf("dead deadline left behind: %v", env)
 	}
 }

@@ -15,19 +15,21 @@
 // mutex, channel or atomic; ofc-lint's rawgo rejects a go statement or
 // a sync import there. A process that blocks registers its timer or
 // waiter and then picks what runs next itself: the runnable queue
-// first, else the earliest (timestamp, seq) entry of the 4-ary timer
-// heap. When the pick is its own entry it just carries on; when it is a
-// Then continuation it runs it in place and picks again; otherwise it
-// hands the pick to Run and yields, and Run — the only resumer —
-// switches straight to the picked process. A process that returns picks
-// as well, and hosts a picked callback or spawned function on its own
-// coroutine, so a keep-alive, Every or arrival chain never switches at
-// all. Timers and retired coroutines are recycled per environment, a
-// wait with a deadline (Future.WaitTimeout) is one heap entry and no
-// helper event. One event runs to its next blocking point, and
-// everything it made runnable runs, before the next timer is popped,
-// which is what makes a run a pure function of its seed on any number
-// of Ps.
+// first, else the earliest (timestamp, seq) entry of two 4-ary timer
+// heaps, one of After callbacks and one of what is in flight (sleepers,
+// wait deadlines, continuations), each of which a pop leaves with an
+// empty root for the next push to fill. When the pick is its own entry
+// it just carries on; when it is a Then continuation it runs it in
+// place and picks again; otherwise it hands the pick to Run and yields,
+// and Run — the only resumer — switches straight to the picked process.
+// A process that returns picks as well, and hosts a picked callback or
+// spawned function on its own coroutine, so a keep-alive, Every or
+// arrival chain never switches at all. Timers and retired coroutines
+// are recycled per environment, a wait with a deadline
+// (Future.WaitTimeout) is one heap entry and no helper event. One event
+// runs to its next blocking point, and everything it made runnable
+// runs, before the next timer is popped, which is what makes a run a
+// pure function of its seed on any number of Ps.
 //
 // What callers must know: nothing runs before Run (Go, After and Then
 // only queue); a blocking primitive called outside a process, and Run
@@ -110,7 +112,8 @@ func (p *PanicError) Error() string {
 // else may touch them while Run is in progress.
 type Env struct {
 	now     Time
-	heap    []*timer // 4-ary min-heap ordered by (at, seq)
+	calls   timerHeap // After callbacks: keep-alive, Every and arrival chains
+	work    timerHeap // what is in flight: sleepers, wait deadlines, continuations
 	seq     int64
 	stopped bool
 	limit   Time  // horizon; 0 means none
@@ -276,34 +279,105 @@ func less(a, b *timer) bool {
 }
 
 // push schedules t at the given instant, behind everything already
-// scheduled there. A 4-ary layout halves the tree depth of the binary
-// heap and keeps children on one cache line, and the inlined sift
-// avoids container/heap's interface boxing on every operation.
+// scheduled there. An After callback joins calls, everything else
+// (a sleeper, a wait deadline, a continuation) joins work. A heap
+// whose root is empty takes t there.
 func (e *Env) push(at Time, t *timer) {
 	t.at, t.seq = at, e.seq
 	e.seq++
-	h := append(e.heap, t)
-	i := len(h) - 1
-	for i > 0 {
+	q := &e.work
+	if t.fn != nil && !t.cont {
+		q = &e.calls
+	}
+	h := *q
+	if len(h) > 0 && h[0] == nil {
+		h[0] = t
+		h.down()
+		return
+	}
+	h = append(h, t)
+	h.up()
+	*q = h
+}
+
+// earliest removes and returns the earliest pending timer of both
+// heaps, nil if none is pending, and leaves its root empty. Each
+// (at, seq) is unique, so the order is the one a single heap would
+// give.
+func (e *Env) earliest() *timer {
+	q := &e.work
+	switch {
+	case len(e.calls) == 0:
+		if len(e.work) == 0 {
+			return nil
+		}
+	case len(e.work) == 0 || less(e.calls.top(), e.work.top()):
+		q = &e.calls
+	}
+	t := q.top()
+	if h := *q; len(h) == 1 {
+		*q = h[:0]
+	} else {
+		h[0] = nil
+	}
+	return t
+}
+
+// pending counts the timers on both heaps, dead deadlines included.
+func (e *Env) pending() int { return e.calls.size() + e.work.size() }
+
+// timerHeap is a 4-ary min-heap ordered by (at, seq): the 4-ary layout
+// halves the depth of a binary heap and keeps siblings on one cache
+// line, and the inlined sifts avoid container/heap's interface boxing.
+// Its root may be empty (nil): a pop (earliest) takes the root and
+// leaves the hole, and the next push lands in it and sifts down, so an
+// event that schedules its successor costs one short sift instead of a
+// full-depth refill from the last leaf plus a sift-up; a top that finds
+// the hole refills it first. A hole is never the only slot, so an empty
+// heap has length 0.
+type timerHeap []*timer
+
+// size is the number of timers held, the hole not counted.
+func (q timerHeap) size() int {
+	if len(q) > 0 && q[0] == nil {
+		return len(q) - 1
+	}
+	return len(q)
+}
+
+// top returns the earliest timer; the heap must be non-empty.
+func (q *timerHeap) top() *timer {
+	if (*q)[0] == nil {
+		q.refill()
+	}
+	return (*q)[0]
+}
+
+// refill moves the last leaf into the empty root and sifts it down.
+func (q *timerHeap) refill() {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	h.down()
+	*q = h
+}
+
+// up sifts the last timer to its place above.
+func (h timerHeap) up() {
+	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 4
 		if !less(h[i], h[p]) {
-			break
+			return
 		}
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	e.heap = h
 }
 
-// pop removes and returns the earliest timer; the heap must be
-// non-empty.
-func (e *Env) pop() *timer {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
+// down sifts the root to its place below.
+func (h timerHeap) down() {
+	n := len(h)
 	i := 0
 	for {
 		min := i
@@ -318,13 +392,11 @@ func (e *Env) pop() *timer {
 			}
 		}
 		if min == i {
-			break
+			return
 		}
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	e.heap = h
-	return top
 }
 
 // pick removes and returns what runs next: the runnable queue first,
@@ -345,8 +417,7 @@ func (e *Env) pick() *timer {
 		}
 		return t
 	}
-	for len(e.heap) > 0 {
-		t := e.pop()
+	for t := e.earliest(); t != nil; t = e.earliest() {
 		if t.woken {
 			// A deadline whose wait was already resolved: not an event.
 			e.recycle(t)
@@ -568,5 +639,5 @@ func (e *Env) String() string {
 	if e.next != nil {
 		runnable++
 	}
-	return fmt.Sprintf("sim.Env{now=%v runnable=%d timers=%d}", e.now, runnable, len(e.heap))
+	return fmt.Sprintf("sim.Env{now=%v runnable=%d timers=%d}", e.now, runnable, e.pending())
 }
