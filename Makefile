@@ -16,11 +16,12 @@ build:
 	$(GO) build ./...
 
 # The second line names the fuzz targets, which run here over their
-# seed corpus only: the training kernel against its reference, and the
-# scheduler's two-heap event queue against a sorted list.
+# seed corpus only: the training kernel against its reference, the
+# scheduler's two-heap event queue against a sorted list, and the
+# store's key table against a map of reference counts.
 test:
 	$(GO) test ./...
-	$(GO) test -run Fuzz ./internal/mltree ./internal/sim
+	$(GO) test -run Fuzz ./internal/mltree ./internal/sim ./internal/kvstore
 
 # Statement coverage: repo-wide report (informational) with hard
 # floors on internal/trace — the golden-trace harness is the point of

@@ -17,12 +17,41 @@ import (
 // ReadMulti and WriteMulti as they were written before they became
 // chains of continuations, each step a TryTransfer or a Sleep of the
 // process that runs the op, one process per master of a batch, and
-// replication through refReplicate (replication_test.go).
+// replication through refReplicate (replication_test.go). It reads and
+// writes the store's tables by key (tables_test.go).
+
+// refLookup is the coordinator round of Read and Write: the placement
+// of key, read as the request arrives.
+func refLookup(c *Cluster, caller simnet.NodeID, key string) (placement, bool, error) {
+	ps, oks, err := refLookupMulti(c, caller, []string{key})
+	if err != nil {
+		return placement{}, false, err
+	}
+	return ps[0], oks[0], nil
+}
+
+// refLookupMulti is the coordinator round of ReadMulti and WriteMulti.
+func refLookupMulti(c *Cluster, caller simnet.NodeID, keys []string) ([]placement, []bool, error) {
+	type res struct {
+		ps []placement
+		ok []bool
+	}
+	c.coordRPCs++
+	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
+		ps := make([]placement, len(keys))
+		ok := make([]bool, len(keys))
+		for i, k := range keys {
+			ps[i], ok[i] = c.places.lookupKey(k)
+		}
+		return res{ps, ok}
+	})
+	return r.ps, r.ok, err
+}
 
 // refRead is Read as a process.
 func refRead(c *Cluster, caller simnet.NodeID, key string, n *refCounts) ReadResult {
 	var out [1]ReadResult
-	if p, ok, err := c.lookup(caller, key); err != nil {
+	if p, ok, err := refLookup(c, caller, key); err != nil {
 		out[0].Err = err
 	} else if !ok {
 		out[0].Err = ErrNotFound
@@ -41,12 +70,12 @@ func refWrite(c *Cluster, caller simnet.NodeID, key string, blob Blob, st *State
 	var out [1]WriteResult
 	if blob.Size > maxObjectSize {
 		out[0].Err = ErrTooLarge
-	} else if p, ok, err := c.lookup(caller, key); err != nil {
+	} else if p, ok, err := refLookup(c, caller, key); err != nil {
 		out[0].Err = err
 	} else {
 		ps, speculative := [1]placement{p}, [1]bool{!ok}
 		if !ok {
-			ps[0], out[0].Err = c.place(key, blob.Size, preferred)
+			ps[0], out[0].Err = c.placeKey(key, blob.Size, preferred)
 		}
 		if out[0].Err == nil {
 			items, idxs := [1]WriteItem{{Key: key, Blob: blob}}, [1]int{0}
@@ -93,7 +122,7 @@ func refServeGroups(env *sim.Env, groups []idxGroup, serve func(g idxGroup)) {
 // refReadMulti is ReadMulti with one process per master.
 func refReadMulti(c *Cluster, caller simnet.NodeID, keys []string, n *refCounts) []ReadResult {
 	out := make([]ReadResult, len(keys))
-	ps, oks, lerr := c.lookupMulti(caller, keys)
+	ps, oks, lerr := refLookupMulti(c, caller, keys)
 	var groups []idxGroup
 	for i := range keys {
 		switch {
@@ -116,7 +145,7 @@ func refWriteMulti(c *Cluster, caller simnet.NodeID, items []WriteItem, preferre
 	for i, it := range items {
 		keys[i] = it.Key
 	}
-	ps, oks, lerr := c.lookupMulti(caller, keys)
+	ps, oks, lerr := refLookupMulti(c, caller, keys)
 	speculative := make([]bool, len(items))
 	var groups []idxGroup
 	for i, it := range items {
@@ -126,7 +155,7 @@ func refWriteMulti(c *Cluster, caller simnet.NodeID, items []WriteItem, preferre
 		case it.Blob.Size > maxObjectSize:
 			out[i].Err = ErrTooLarge
 		case !oks[i]:
-			ps[i], out[i].Err = c.place(it.Key, it.Blob.Size, preferred)
+			ps[i], out[i].Err = c.placeKey(it.Key, it.Blob.Size, preferred)
 			speculative[i] = out[i].Err == nil
 		}
 		if out[i].Err == nil {
@@ -168,7 +197,7 @@ func refReadGroup(c *Cluster, caller, master simnet.NodeID, keys []string, idxs 
 	found := 0
 	now := env.Now()
 	for _, i := range idxs {
-		o, ok := s.log.get(keys[i])
+		o, ok := s.log.getKey(keys[i])
 		if !ok {
 			out[i].Err = ErrNotFound
 			continue
@@ -194,7 +223,7 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 		for _, i := range idxs {
 			out[i].Err = err
 			if undo && speculative[i] {
-				delete(c.places, items[i].Key)
+				c.places.delKey(items[i].Key)
 			}
 		}
 	}
@@ -221,10 +250,10 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 	}
 	limit := s.node.Grant()
 	now := env.Now()
-	var acc []acceptedItem
+	var acc []refItem
 	for _, i := range idxs {
 		it := items[i]
-		old, existed := s.log.get(it.Key)
+		old, existed := s.log.getKey(it.Key)
 		delta := it.Blob.Size
 		if existed {
 			delta -= old.meta.Size
@@ -232,7 +261,7 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 		if s.log.live+delta > limit {
 			out[i].Err = ErrNoSpace
 			if speculative[i] {
-				delete(c.places, it.Key)
+				c.places.delKey(it.Key)
 			}
 			continue
 		}
@@ -241,19 +270,19 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 		if existed {
 			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess
 		}
-		s.log.put(it.Key, &object{blob: it.Blob, meta: meta})
+		s.log.putKey(it.Key, &object{blob: it.Blob, meta: meta})
 		s.writes++
-		acc = append(acc, acceptedItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
-			backups: ps[i].backups, resized: existed && !speculative[i]})
+		acc = append(acc, refItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
+			backups: slices.Clone(ps[i].backups.list()), resized: existed && !speculative[i]})
 	}
 	var cleanedBytes int64
 	if len(acc) > 0 && s.log.alloc > limit {
 		cleanedBytes = s.log.clean(limit)
 	}
 	for _, a := range acc {
-		if p, ok := c.places[a.key]; ok && a.resized {
+		if p, ok := c.places.lookupKey(a.key); ok && a.resized {
 			p.size = a.blob.Size
-			c.places[a.key] = p
+			c.places.setKey(a.key, p)
 		}
 	}
 	if cleanedBytes > 0 {
@@ -516,19 +545,14 @@ func runAttempts(ops []attOp, faults []repFault, lossy bool, seed int64, stop ti
 	for i := 0; i < repNodes; i++ {
 		s := c.Server(simnet.NodeID(i))
 		masters := make(map[string]Meta)
-		s.log.each(func(k string, o *object) { masters[k] = o.meta })
-		versions := func(m map[string]replica) map[string]uint64 {
-			v := make(map[string]uint64, len(m))
-			for k, r := range m {
-				v[k] = r.meta.Version
-			}
-			return v
+		for k, o := range s.log.byKey() {
+			masters[k] = o.meta
 		}
 		out.masters = append(out.masters, masters)
 		out.backups = append(out.backups, versions(s.backups))
 		out.disk = append(out.disk, versions(s.disk))
 	}
-	out.places = maps.Clone(c.places)
+	out.places = c.places.byKey()
 	return out
 }
 
@@ -574,9 +598,7 @@ func (got attOutcome) diff(want attOutcome, ops []attOp) string {
 			return fmt.Sprintf("server %d flushed %v, the process model %v", s, got.disk[s], want.disk[s])
 		}
 	}
-	if !maps.EqualFunc(got.places, want.places, func(a, b placement) bool {
-		return a.master == b.master && a.size == b.size && slices.Equal(a.backups, b.backups)
-	}) {
+	if !maps.Equal(got.places, want.places) {
 		return "the coordinator's placements differ from the process model's"
 	}
 	return ""

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -94,6 +95,61 @@ func clusterReadThens(tb testing.TB, n int) *sim.Env {
 	return env
 }
 
+// churnLive is the number of keys clusterKeyChurn keeps in the store.
+const churnLive = 2000
+
+// clusterKeyChurn is n unique keys, each written (4 KB), read back and,
+// churnLive keys later, evicted, as a chain of continuations: the store
+// holds churnLive keys throughout while n pass through it, as a cache
+// whose working set moves does. The key is built per op.
+func clusterKeyChurn(tb testing.TB, n int) *sim.Env {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	ring := make([]string, churnLive) // the live keys, by op number
+	var buf []byte
+	i := 0
+	var write func()
+	read := func(r ReadResult) {
+		if r.Err != nil {
+			tb.Fatal(r.Err)
+		}
+		i++
+		write()
+	}
+	wrote := func(r WriteResult) {
+		if r.Err != nil {
+			tb.Fatal(r.Err)
+		}
+		c.ReadThen(1, ring[i%churnLive], read)
+	}
+	write = func() {
+		if i >= n {
+			return
+		}
+		slot := &ring[i%churnLive]
+		if *slot != "" {
+			if err := c.Evict(*slot); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		buf = strconv.AppendInt(append(buf[:0], 'c'), int64(i), 10)
+		*slot = string(buf)
+		c.WriteThen(1, *slot, Synthetic(4<<10), nil, 1, wrote)
+	}
+	env.After(0, write)
+	return env
+}
+
+// BenchmarkClusterKeyChurn measures a write, a read and an eviction of
+// unique keys at a steady churnLive live: its ns/op must not grow with
+// the number of keys that have passed through.
+func BenchmarkClusterKeyChurn(b *testing.B) {
+	b.ReportAllocs()
+	env := clusterKeyChurn(b, b.N)
+	b.ResetTimer()
+	env.Run()
+}
+
 // BenchmarkClusterWrite measures the host cost of a replicated durable
 // write through the simulated fabric.
 func BenchmarkClusterWrite(b *testing.B) {
@@ -129,14 +185,17 @@ func BenchmarkClusterReadThen(b *testing.B) {
 	env.Run()
 }
 
-// TestClusterOpAllocCeilings pins the allocations per op of the four
+// TestClusterOpAllocCeilings pins the allocations per op of the five
 // benchmarks above, counted as testing.Benchmark counts them: the heap
 // allocations of Run divided by the number of ops, rounded down. A read
 // allocates nothing, parked on or not; a write allocates the master's
 // log entry, and the rest of the blocking Write's count is the
 // benchmark's own fmt.Sprintf of the key: the op record, its waiter,
 // the replication round, its continuations and its disk flushes are
-// pooled.
+// pooled, a placement is a value and the id tables grow only with the
+// live key set. Key churn allocates the log entry and the key the
+// benchmark builds: interning, placing and evicting a new key allocate
+// nothing.
 func TestClusterOpAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -148,6 +207,7 @@ func TestClusterOpAllocCeilings(t *testing.T) {
 		{"Write", clusterWrites, 50000, 2},
 		{"ReadThen", clusterReadThens, 10000, 0},
 		{"WriteThen", clusterWriteThens, 50000, 1},
+		{"KeyChurn", clusterKeyChurn, 50000, 2},
 	} {
 		env := c.setup(t, c.n)
 		var before, after runtime.MemStats
@@ -179,10 +239,10 @@ func lossyPools() bool {
 // BenchmarkLogPut measures the raw log-structured engine.
 func BenchmarkLogPut(b *testing.B) {
 	b.ReportAllocs()
-	l := newObjLog(16 << 20)
+	l := newObjLog(16<<20, newKeyTable())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.put(fmt.Sprintf("k%d", i%512), mkObj(64<<10))
+		l.putKey(fmt.Sprintf("k%d", i%512), mkObj(64<<10))
 		if l.alloc > 1<<30 {
 			l.clean(l.live)
 		}

@@ -181,18 +181,18 @@ func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := c.places["k"]
+		p, _ := c.places.lookupKey("k")
 		old := p.master
 		if err := c.MigrateToBackup("k"); err != nil {
 			t.Fatal(err)
 		}
 		env.Sleep(time.Second) // every disk flush has landed
-		p = c.places["k"]
-		if p.master == old || !slices.Contains(p.backups, old) {
+		p, _ = c.places.lookupKey("k")
+		if p.master == old || !slices.Contains(p.backups.list(), old) {
 			t.Fatalf("placement after migration: %+v, old master %d", p, old)
 		}
 		c.Restart(old)
-		for _, b := range p.backups {
+		for _, b := range p.backups.list() {
 			if b != old {
 				c.Crash(b)
 			}

@@ -156,9 +156,9 @@ type replica struct {
 type Server struct {
 	node *simnet.Node
 
-	log     *objLog            // log-structured master storage
-	backups map[string]replica // backup copies still in the RAM buffer
-	disk    map[string]replica // backup copies flushed to disk
+	log     *objLog        // log-structured master storage
+	backups table[replica] // backup copies still in the RAM buffer
+	disk    table[replica] // backup copies flushed to disk
 
 	// stats
 	reads, writes, evictions int64
@@ -189,8 +189,23 @@ type ObjectInfo struct {
 // bytes without touching the data path).
 type placement struct {
 	master  simnet.NodeID
-	backups []simnet.NodeID
+	backups backupSet
 	size    int64
+}
+
+// backupSet is the backup nodes of one object, in placement order.
+type backupSet struct {
+	nodes [replication]simnet.NodeID
+	n     int
+}
+
+// list returns the backup nodes.
+func (b *backupSet) list() []simnet.NodeID { return b.nodes[:b.n] }
+
+// add appends node.
+func (b *backupSet) add(node simnet.NodeID) {
+	b.nodes[b.n] = node
+	b.n++
 }
 
 // Cluster is the whole store: a coordinator plus per-node servers.
@@ -199,11 +214,11 @@ type Cluster struct {
 	cfg      Config
 	coordloc simnet.NodeID
 
-	servers map[simnet.NodeID]*Server
-	ids     []simnet.NodeID // the servers' nodes, in id order
+	servers []*Server       // by node id; nil where a node has none
 	live    []simnet.NodeID // liveServers' buffer
 	rr      int             // round-robin cursor for placement
-	places  map[string]placement
+	keys    *keyTable       // the interned keys (keys.go)
+	places  table[placement]
 	nextVer uint64
 
 	promotions   int64
@@ -235,12 +250,13 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) { c.tracer = tr }
 
 // New creates a cluster whose coordinator runs on coordNode.
 func New(net *simnet.Network, coordNode simnet.NodeID, cfg Config) *Cluster {
+	keys := newKeyTable()
 	return &Cluster{
 		net:      net,
 		cfg:      cfg,
 		coordloc: coordNode,
-		servers:  make(map[simnet.NodeID]*Server),
-		places:   make(map[string]placement),
+		keys:     keys,
+		places:   table[placement]{keys: keys},
 	}
 }
 
@@ -249,20 +265,25 @@ func New(net *simnet.Network, coordNode simnet.NodeID, cfg Config) *Cluster {
 func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
 	s := &Server{
 		node:    c.net.Node(node),
-		log:     newObjLog(segmentSize),
-		backups: make(map[string]replica),
-		disk:    make(map[string]replica),
+		log:     newObjLog(segmentSize, c.keys),
+		backups: table[replica]{keys: c.keys},
+		disk:    table[replica]{keys: c.keys},
 	}
 	s.node.SetGrant(memLimit)
-	if i, found := slices.BinarySearch(c.ids, node); !found {
-		c.ids = slices.Insert(c.ids, i, node)
+	if n := int(node) + 1; n > len(c.servers) {
+		c.servers = slices.Grow(c.servers, n-len(c.servers))[:n]
 	}
 	c.servers[node] = s
 	return s
 }
 
 // Server returns the server on node, or nil.
-func (c *Cluster) Server(node simnet.NodeID) *Server { return c.servers[node] }
+func (c *Cluster) Server(node simnet.NodeID) *Server {
+	if node < 0 || int(node) >= len(c.servers) {
+		return nil
+	}
+	return c.servers[node]
+}
 
 // env is a shorthand.
 func (c *Cluster) env() *sim.Env { return c.net.Env() }
@@ -279,9 +300,9 @@ func (c *Cluster) memCopyTime(size int64) time.Duration {
 // buffer the next call reuses.
 func (c *Cluster) liveServers() []simnet.NodeID {
 	c.live = c.live[:0]
-	for _, id := range c.ids {
-		if !c.servers[id].node.Down() {
-			c.live = append(c.live, id)
+	for id, s := range c.servers {
+		if s != nil && !s.node.Down() {
+			c.live = append(c.live, simnet.NodeID(id))
 		}
 	}
 	return c.live
@@ -291,13 +312,13 @@ func (c *Cluster) liveServers() []simnet.NodeID {
 // valid and live with capacity, becomes master (OFC locality, §6.5).
 // When a concurrent writer already placed the key, the existing
 // placement wins and is returned.
-func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placement, error) {
+func (c *Cluster) place(id objID, size int64, preferred simnet.NodeID) (placement, error) {
 	live := c.liveServers()
 	if len(live) < 1+replication {
 		return placement{}, ErrNotEnoughSrvs
 	}
 	master := simnet.NodeID(-1)
-	if s := c.servers[preferred]; s != nil {
+	if s := c.Server(preferred); s != nil {
 		if !s.node.Down() && s.log.live+size <= s.node.Grant() {
 			master = preferred
 		}
@@ -319,47 +340,77 @@ func (c *Cluster) place(key string, size int64, preferred simnet.NodeID) (placem
 		// without one would be found by every later Locate.
 		return placement{}, ErrNoSpace
 	}
-	var backups []simnet.NodeID
-	for i := 0; len(backups) < replication && i < 2*len(live); i++ {
-		id := live[(c.rr+i)%len(live)]
-		if id == master {
-			continue
-		}
-		dup := false
-		for _, b := range backups {
-			if b == id {
-				dup = true
-			}
-		}
-		if !dup {
-			backups = append(backups, id)
+	p := placement{master: master, size: size}
+	for i := 0; p.backups.n < replication && i < 2*len(live); i++ {
+		node := live[(c.rr+i)%len(live)]
+		if node != master && !slices.Contains(p.backups.list(), node) {
+			p.backups.add(node)
 		}
 	}
 	c.rr++
-	if len(backups) < replication {
+	if p.backups.n < replication {
 		return placement{}, ErrNotEnoughSrvs
 	}
-	p := placement{master: master, backups: backups, size: size}
-	if cur, ok := c.places[key]; ok {
+	if cur, ok := c.places.get(id); ok {
 		return cur, nil
 	}
-	c.places[key] = p
+	c.places.set(id, p)
 	return p, nil
+}
+
+// placeOf returns key's placement and id, when the key is placed.
+func (c *Cluster) placeOf(key string) (placement, objID, bool) {
+	id, ok := c.keys.lookup(key)
+	if !ok {
+		return placement{}, noID, false
+	}
+	p, ok := c.places.get(id)
+	return p, id, ok
+}
+
+// resolve reads key's placement at the coordinator. The id it returns
+// is held, for the caller to release: a placed key's, and with intern
+// an unplaced key's too, which a write is about to place. It is noID
+// for a key left unresolved.
+func (c *Cluster) resolve(key string, intern bool) (objID, placement, bool) {
+	if intern {
+		id := c.keys.acquire(key)
+		p, ok := c.places.get(id)
+		return id, p, ok
+	}
+	p, id, ok := c.placeOf(key)
+	if !ok {
+		return noID, placement{}, false
+	}
+	c.keys.hold(id)
+	return id, p, true
+}
+
+// releaseAll drops the references resolve took on ids.
+func (c *Cluster) releaseAll(ids []objID) {
+	for i, id := range ids {
+		if id != noID {
+			c.keys.release(id)
+			ids[i] = noID
+		}
+	}
 }
 
 // lookup fetches the placement of key, charging a coordinator RPC from
 // caller, for MarkClean; a Read or Write makes the same two hops as
-// continuations (op.lookup). The error is non-nil when the coordinator
-// is unreachable.
-func (c *Cluster) lookup(caller simnet.NodeID, key string) (placement, bool, error) {
+// continuations (op.lookup). The key's id goes to *id as resolve leaves
+// it, also when the answer is lost; the caller releases it. The error
+// is non-nil when the coordinator is unreachable.
+func (c *Cluster) lookup(caller simnet.NodeID, key string, id *objID) (placement, bool, error) {
 	type res struct {
 		p  placement
 		ok bool
 	}
 	c.coordRPCs++
 	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
-		p, ok := c.places[key]
-		return res{p, ok}
+		var r res
+		*id, r.p, r.ok = c.resolve(key, false)
+		return r
 	})
 	if err != nil {
 		return placement{}, false, err
@@ -368,25 +419,27 @@ func (c *Cluster) lookup(caller simnet.NodeID, key string) (placement, bool, err
 }
 
 // lookupMulti fetches the placements of all keys in one coordinator
-// round-trip (a single control RPC regardless of batch size).
-func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string) ([]placement, []bool, error) {
-	type res struct {
-		ps []placement
-		ok []bool
+// round-trip (a single control RPC regardless of batch size). Each
+// key's id goes to ids as resolve leaves it, also when the answer is
+// lost, for the caller to release. A read passes a nil fresh: a key
+// it finds unplaced keeps noID. A write passes fresh, marked for each
+// key found unplaced, and interns those keys.
+func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string, ids []objID, fresh []bool) ([]placement, error) {
+	for i := range ids {
+		ids[i] = noID // until the request arrives
 	}
 	c.coordRPCs++
-	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
+	return simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() []placement {
 		ps := make([]placement, len(keys))
-		ok := make([]bool, len(keys))
 		for i, k := range keys {
-			ps[i], ok[i] = c.places[k]
+			var ok bool
+			ids[i], ps[i], ok = c.resolve(k, fresh != nil)
+			if fresh != nil {
+				fresh[i] = !ok
+			}
 		}
-		return res{ps, ok}
+		return ps
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.ps, r.ok, nil
 }
 
 // MasterOf returns the node currently mastering key, without charging
@@ -394,7 +447,7 @@ func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string) ([]placement,
 // paper's controller queries the RAMCloud coordinator, whose cost is
 // part of the controller's fixed overhead).
 func (c *Cluster) MasterOf(key string) (simnet.NodeID, bool) {
-	p, ok := c.places[key]
+	p, _, ok := c.placeOf(key)
 	if !ok {
 		return 0, false
 	}
@@ -414,7 +467,7 @@ type Location struct {
 func (c *Cluster) Locate(keys []string) []Location {
 	out := make([]Location, len(keys))
 	for i, k := range keys {
-		if p, ok := c.places[k]; ok {
+		if p, _, ok := c.placeOf(k); ok {
 			out[i] = Location{Node: p.master, Size: p.size, OK: true}
 		}
 	}
@@ -434,17 +487,18 @@ func (c *Cluster) Usage(node simnet.NodeID) (used, limit int64) {
 	return s.Usage()
 }
 
-// Objects returns a snapshot of the master copies on node, in no
-// particular order (the index is a map, and sorting here would charge
-// every caller): a consumer whose result depends on the order sorts.
+// Objects returns a snapshot of the master copies on node, in the order
+// of the keys' interned ids, which says nothing about the keys (sorting
+// here would charge every caller): a consumer whose result depends on
+// the order sorts.
 func (c *Cluster) Objects(node simnet.NodeID) []ObjectInfo {
 	s := c.Server(node)
 	if s == nil {
 		return nil
 	}
-	out := make([]ObjectInfo, 0, len(s.log.index))
-	s.log.each(func(k string, o *object) {
-		out = append(out, ObjectInfo{Key: k, Meta: o.meta})
+	out := make([]ObjectInfo, 0, s.log.index.len())
+	s.log.each(func(id objID, o *object) {
+		out = append(out, ObjectInfo{Key: c.keys.name(id), Meta: o.meta})
 	})
 	return out
 }
@@ -498,7 +552,7 @@ func (c *Cluster) Stats() ClusterStats {
 func (c *Cluster) TotalUsed() int64 {
 	var t int64
 	for _, s := range c.servers {
-		if s.node.Down() {
+		if s == nil || s.node.Down() {
 			continue
 		}
 		t += s.log.live
@@ -507,5 +561,11 @@ func (c *Cluster) TotalUsed() int64 {
 }
 
 func (c *Cluster) String() string {
-	return fmt.Sprintf("kvstore.Cluster{servers=%d objects=%d}", len(c.servers), len(c.places))
+	servers := 0
+	for _, s := range c.servers {
+		if s != nil {
+			servers++
+		}
+	}
+	return fmt.Sprintf("kvstore.Cluster{servers=%d objects=%d}", servers, c.places.len())
 }

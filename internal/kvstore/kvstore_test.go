@@ -167,7 +167,7 @@ func TestReplicationPlacesBackups(t *testing.T) {
 		replicas := 0
 		for i := simnet.NodeID(0); i < 4; i++ {
 			s := c.Server(i)
-			if _, ok := s.backups["k"]; ok {
+			if _, ok := s.backups.lookupKey("k"); ok {
 				replicas++
 				if i == 1 {
 					t.Error("master also holds a backup replica")
@@ -210,7 +210,7 @@ func TestMigrateToBackupNoTransfer(t *testing.T) {
 		}
 		// Replication factor preserved: old master now holds a backup.
 		s := c.Server(1)
-		_, demoted := s.backups["k"]
+		_, demoted := s.backups.lookupKey("k")
 		if !demoted {
 			t.Error("old master lost its replica role")
 		}
@@ -611,7 +611,7 @@ func TestRestartLosesBufferKeepsDisk(t *testing.T) {
 		var holder simnet.NodeID = -1
 		for i := simnet.NodeID(0); i < 4; i++ {
 			s := c.Server(i)
-			if _, ok := s.disk["k"]; ok {
+			if _, ok := s.disk.lookupKey("k"); ok {
 				holder = i
 			}
 		}
@@ -621,8 +621,8 @@ func TestRestartLosesBufferKeepsDisk(t *testing.T) {
 		c.Crash(holder)
 		c.Restart(holder)
 		s := c.Server(holder)
-		_, buffered := s.backups["k"]
-		_, onDisk := s.disk["k"]
+		_, buffered := s.backups.lookupKey("k")
+		_, onDisk := s.disk.lookupKey("k")
 		if buffered {
 			t.Error("buffer survived the restart")
 		}

@@ -1,5 +1,7 @@
 package kvstore
 
+import "slices"
+
 // Log-structured memory, the storage engine RAMCloud builds masters on:
 // objects are only ever appended to the head segment; overwrites and
 // deletes leave dead entries behind; a cleaner compacts low-utilization
@@ -19,9 +21,10 @@ type segment struct {
 	live     int64
 }
 
-// logEntry is one record: an object version or a tombstone.
+// logEntry is one record: an object version or a tombstone. A live
+// entry's id is held by the index; a dead entry's id is never read.
 type logEntry struct {
-	key  string
+	id   objID
 	obj  *object // nil for tombstones
 	size int64
 	dead bool
@@ -38,17 +41,18 @@ type objLog struct {
 	segCap  int64
 	nextID  int
 	head    *segment
-	segs    map[int]*segment
-	index   map[string]entryRef
+	segs    []*segment // in id order, the head last
+	index   table[entryRef]
 	live    int64
 	alloc   int64
 	cleaned int64 // cleanings performed
 	moved   int64 // bytes relocated by the cleaner
 }
 
-// newObjLog returns an empty log with the given segment capacity.
-func newObjLog(segCap int64) *objLog {
-	l := &objLog{segCap: segCap, segs: make(map[int]*segment), index: make(map[string]entryRef)}
+// newObjLog returns an empty log with the given segment capacity, its
+// index over keys.
+func newObjLog(segCap int64, keys *keyTable) *objLog {
+	l := &objLog{segCap: segCap, index: table[entryRef]{keys: keys}}
 	l.roll()
 	return l
 }
@@ -62,7 +66,7 @@ func (l *objLog) roll() {
 		s.entries = make([]logEntry, 0, len(l.head.entries))
 	}
 	l.nextID++
-	l.segs[s.id] = s
+	l.segs = append(l.segs, s)
 	l.head = s
 }
 
@@ -91,48 +95,46 @@ func (l *objLog) killEntry(ref entryRef) {
 }
 
 // put stores (or overwrites) an object; returns the live-byte delta.
-func (l *objLog) put(key string, obj *object) int64 {
+func (l *objLog) put(id objID, obj *object) int64 {
 	var delta int64 = obj.meta.Size
-	if old, ok := l.index[key]; ok {
+	if old, ok := l.index.get(id); ok {
 		delta -= old.seg.entries[old.idx].size
 		l.killEntry(old)
 		l.live -= old.seg.entries[old.idx].size
 	}
-	ref := l.appendEntry(logEntry{key: key, obj: obj, size: obj.meta.Size})
-	l.index[key] = ref
+	ref := l.appendEntry(logEntry{id: id, obj: obj, size: obj.meta.Size})
+	l.index.set(id, ref)
 	l.live += obj.meta.Size
 	return delta
 }
 
-// get returns the current object for key.
-func (l *objLog) get(key string) (*object, bool) {
-	ref, ok := l.index[key]
+// get returns the current object for id.
+func (l *objLog) get(id objID) (*object, bool) {
+	ref, ok := l.index.get(id)
 	if !ok {
 		return nil, false
 	}
 	return ref.seg.entries[ref.idx].obj, true
 }
 
-// delete removes key (appending a zero-size tombstone, as RAMCloud
+// delete removes id (appending a zero-size tombstone, as RAMCloud
 // does so deletes survive crashes); returns the freed live bytes.
-func (l *objLog) delete(key string) (int64, bool) {
-	ref, ok := l.index[key]
+func (l *objLog) delete(id objID) (int64, bool) {
+	ref, ok := l.index.get(id)
 	if !ok {
 		return 0, false
 	}
 	size := ref.seg.entries[ref.idx].size
 	l.killEntry(ref)
 	l.live -= size
-	delete(l.index, key)
-	l.appendEntry(logEntry{key: key, size: 0, dead: true})
+	l.index.del(id)
+	l.appendEntry(logEntry{id: id, size: 0, dead: true})
 	return size, true
 }
 
-// each visits every live object, in no particular order.
-func (l *objLog) each(fn func(key string, obj *object)) {
-	for key, ref := range l.index {
-		fn(key, ref.seg.entries[ref.idx].obj) //lint:allow mapiter the one caller, Cluster.Objects, promises no order; memctl's policies impose their own and its conformance suite shuffles the census
-	}
+// each visits every live object, in id order.
+func (l *objLog) each(fn func(id objID, obj *object)) {
+	l.index.each(func(id objID, ref *entryRef) { fn(id, ref.seg.entries[ref.idx].obj) })
 }
 
 // utilization is live/allocated (1 when empty).
@@ -152,21 +154,22 @@ func (l *objLog) clean(target int64) int64 {
 	for l.alloc > target {
 		// Pick the closed segment with the lowest utilization, the
 		// oldest on a tie: the victim decides how many bytes move, and
-		// the caller sleeps for them, so it may not be left to the
-		// order a map range happens to take.
-		var victim *segment
+		// the caller sleeps for them. The segments are in id order, so
+		// the first of the lowest is the oldest.
+		vi := -1
 		var victimUtil float64
-		for _, s := range l.segs {
+		for i, s := range l.segs {
 			if s == l.head {
 				continue
 			}
-			if u := segUtil(s); victim == nil || u < victimUtil || (u == victimUtil && s.id < victim.id) {
-				victim, victimUtil = s, u
+			if u := segUtil(s); vi < 0 || u < victimUtil {
+				vi, victimUtil = i, u
 			}
 		}
-		if victim == nil {
+		if vi < 0 {
 			break
 		}
+		victim := l.segs[vi]
 		if victimUtil >= 0.98 && l.alloc-victim.appended < target {
 			// Only nearly-full-live segments remain: compaction cannot
 			// reclaim meaningfully.
@@ -178,12 +181,12 @@ func (l *objLog) clean(target int64) int64 {
 			if e.dead || e.obj == nil {
 				continue
 			}
-			ref := l.appendEntry(logEntry{key: e.key, obj: e.obj, size: e.size})
-			l.index[e.key] = ref
+			ref := l.appendEntry(logEntry{id: e.id, obj: e.obj, size: e.size})
+			l.index.set(e.id, ref)
 			movedTotal += e.size
 		}
 		l.alloc -= victim.appended
-		delete(l.segs, victim.id)
+		l.segs = slices.Delete(l.segs, vi, vi+1)
 		l.cleaned++
 	}
 	l.moved += movedTotal

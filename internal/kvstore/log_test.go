@@ -14,22 +14,22 @@ func mkObj(size int64) *object {
 }
 
 func TestLogPutGetDelete(t *testing.T) {
-	l := newObjLog(16 << 20)
-	if delta := l.put("a", mkObj(1000)); delta != 1000 {
+	l := newObjLog(16<<20, newKeyTable())
+	if delta := l.putKey("a", mkObj(1000)); delta != 1000 {
 		t.Errorf("delta=%d", delta)
 	}
-	o, ok := l.get("a")
+	o, ok := l.getKey("a")
 	if !ok || o.meta.Size != 1000 {
 		t.Fatalf("get: %v %v", o, ok)
 	}
 	if l.live != 1000 {
 		t.Errorf("live=%d", l.live)
 	}
-	freed, ok := l.delete("a")
+	freed, ok := l.deleteKey("a")
 	if !ok || freed != 1000 {
 		t.Errorf("delete: %d %v", freed, ok)
 	}
-	if _, ok := l.get("a"); ok {
+	if _, ok := l.getKey("a"); ok {
 		t.Error("get after delete")
 	}
 	if l.live != 0 {
@@ -42,9 +42,9 @@ func TestLogPutGetDelete(t *testing.T) {
 }
 
 func TestLogOverwriteLeavesDeadBytes(t *testing.T) {
-	l := newObjLog(16 << 20)
-	l.put("k", mkObj(5000))
-	if delta := l.put("k", mkObj(3000)); delta != -2000 {
+	l := newObjLog(16<<20, newKeyTable())
+	l.putKey("k", mkObj(5000))
+	if delta := l.putKey("k", mkObj(3000)); delta != -2000 {
 		t.Errorf("overwrite delta=%d, want -2000", delta)
 	}
 	if l.live != 3000 {
@@ -59,9 +59,9 @@ func TestLogOverwriteLeavesDeadBytes(t *testing.T) {
 }
 
 func TestLogRollsSegments(t *testing.T) {
-	l := newObjLog(10_000)
+	l := newObjLog(10_000, newKeyTable())
 	for i := 0; i < 5; i++ {
-		l.put(fmt.Sprintf("k%d", i), mkObj(4000))
+		l.putKey(fmt.Sprintf("k%d", i), mkObj(4000))
 	}
 	if len(l.segs) < 2 {
 		t.Errorf("segments=%d, expected rolling", len(l.segs))
@@ -69,11 +69,11 @@ func TestLogRollsSegments(t *testing.T) {
 }
 
 func TestLogCleanCompacts(t *testing.T) {
-	l := newObjLog(10_000)
+	l := newObjLog(10_000, newKeyTable())
 	// Write 10 objects, overwrite them all: ~half the log is dead.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 10; i++ {
-			l.put(fmt.Sprintf("k%d", i), mkObj(4000))
+			l.putKey(fmt.Sprintf("k%d", i), mkObj(4000))
 		}
 	}
 	if l.alloc <= l.live {
@@ -88,7 +88,7 @@ func TestLogCleanCompacts(t *testing.T) {
 	}
 	// Every object survives with its latest version.
 	for i := 0; i < 10; i++ {
-		o, ok := l.get(fmt.Sprintf("k%d", i))
+		o, ok := l.getKey(fmt.Sprintf("k%d", i))
 		if !ok || o.meta.Size != 4000 {
 			t.Fatalf("k%d lost after clean", i)
 		}
@@ -104,17 +104,17 @@ func TestLogCleanCompacts(t *testing.T) {
 func TestPropertyLogMatchesModel(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := newObjLog(8 << 10)
+		l := newObjLog(8<<10, newKeyTable())
 		model := map[string]int64{}
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%7)
 			switch op % 3 {
 			case 0, 1:
 				size := int64(rng.Intn(4000) + 1)
-				l.put(key, mkObj(size))
+				l.putKey(key, mkObj(size))
 				model[key] = size
 			case 2:
-				l.delete(key)
+				l.deleteKey(key)
 				delete(model, key)
 			}
 			if rng.Intn(8) == 0 {
@@ -123,7 +123,7 @@ func TestPropertyLogMatchesModel(t *testing.T) {
 		}
 		var total int64
 		for k, size := range model {
-			o, ok := l.get(k)
+			o, ok := l.getKey(k)
 			if !ok || o.meta.Size != size {
 				return false
 			}
@@ -137,7 +137,7 @@ func TestPropertyLogMatchesModel(t *testing.T) {
 		}
 		// No extra keys.
 		count := 0
-		l.each(func(string, *object) { count++ })
+		l.each(func(objID, *object) { count++ })
 		return count == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -174,19 +174,18 @@ func TestWritePathCleansUnderPressure(t *testing.T) {
 // TestLogCleanTieGoesToOldestSegment: closed segments of equal
 // utilization hold different amounts of live data, so which one the
 // cleaner takes decides the bytes it relocates — and the copy time the
-// master sleeps for. The tie goes to the lowest segment id every time,
-// not to wherever the range over the segment map happens to start.
+// master sleeps for. The tie goes to the lowest segment id every time.
 func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
 	for run := 0; run < 100; run++ {
-		l := newObjLog(100)
+		l := newObjLog(100, newKeyTable())
 		// Three closed segments at utilization 1/2: 50 live of 100, 30 of
 		// 60 (the next object did not fit), 50 of 100. Deletes append
 		// zero-size tombstones, so they move no segment boundary.
 		for i, size := range []int64{50, 50, 30, 30, 50, 50, 10} {
-			l.put(fmt.Sprintf("k%d", i), mkObj(size))
+			l.putKey(fmt.Sprintf("k%d", i), mkObj(size))
 		}
 		for _, k := range []string{"k0", "k2", "k4"} {
-			l.delete(k)
+			l.deleteKey(k)
 		}
 		if len(l.segs) != 4 || l.head.id != 3 {
 			t.Fatalf("layout: %d segments, head %d; want 4 and 3", len(l.segs), l.head.id)
@@ -197,7 +196,7 @@ func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
 			}
 		}
 		moved := l.clean(l.alloc - 1) // one victim is enough
-		if _, left := l.segs[0]; left || moved != 50 {
+		if left := l.segs[0].id == 0; left || moved != 50 {
 			t.Fatalf("run %d: moved %d bytes, segment 0 cleaned=%v; want the oldest segment's 50 bytes", run, moved, !left)
 		}
 	}

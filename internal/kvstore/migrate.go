@@ -1,7 +1,8 @@
 package kvstore
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"ofc/internal/simnet"
@@ -20,7 +21,7 @@ func (c *Cluster) promotionTime(size int64) time.Duration {
 // the object there from the local replica, and demote the old master
 // to backup. No inter-node transfer of the payload occurs.
 func (c *Cluster) MigrateToBackup(key string) error {
-	p, ok := c.places[key]
+	p, id, ok := c.placeOf(key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -31,11 +32,11 @@ func (c *Cluster) MigrateToBackup(key string) error {
 	ms := c.Server(oldMaster)
 	var size int64
 	if ms != nil {
-		if o, found := ms.log.get(key); found {
+		if o, found := ms.log.get(id); found {
 			size = o.meta.Size
 		}
 	}
-	for _, b := range p.backups {
+	for _, b := range p.backups.list() {
 		s := c.Server(b)
 		if s == nil || s.node.Down() {
 			continue
@@ -47,16 +48,18 @@ func (c *Cluster) MigrateToBackup(key string) error {
 	if dest < 0 {
 		return ErrNotEnoughSrvs
 	}
-	return c.promote(key, dest, true)
+	return c.promote(id, dest, true)
 }
 
-// promote makes dest the master of key, sourcing the payload from
+// promote makes dest the master of id's key, sourcing the payload from
 // dest's buffered backup replica. When demoteOld is set, the previous
 // master keeps a backup copy (so the replication factor is preserved
 // without any transfer); otherwise the old master is gone (crash
-// recovery).
-func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error {
-	p, ok := c.places[key]
+// recovery). It holds id across its sleeps.
+func (c *Cluster) promote(id objID, dest simnet.NodeID, demoteOld bool) error {
+	c.keys.hold(id)
+	defer c.keys.release(id)
+	p, ok := c.places.get(id)
 	if !ok {
 		return ErrNotFound
 	}
@@ -73,15 +76,15 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	var alive bool
 	if ms != nil {
 		alive = !ms.node.Down()
-		if o, found := ms.log.get(key); found {
+		if o, found := ms.log.get(id); found {
 			cp := *o
 			obj = &cp
 		}
 	}
-	rep, buffered := ds.backups[key]
+	rep, buffered := ds.backups.get(id)
 	var onDisk bool
 	if !buffered {
-		rep, onDisk = ds.disk[key]
+		rep, onDisk = ds.disk.get(id)
 	}
 	if !buffered && !onDisk {
 		return ErrNotFound
@@ -111,37 +114,33 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 	if ds.node.Down() {
 		return ErrCrashed
 	}
-	ds.log.put(key, &object{blob: blob, meta: obj.meta})
-	delete(ds.backups, key)
-	delete(ds.disk, key)
+	ds.log.put(id, &object{blob: blob, meta: obj.meta})
+	ds.backups.del(id)
+	ds.disk.del(id)
 
 	if ms != nil && alive {
-		ms.log.delete(key)
+		ms.log.delete(id)
 		if demoteOld {
-			ms.backups[key] = replica{blob: blob, meta: obj.meta}
-		}
-		if demoteOld {
+			ms.backups.set(id, replica{blob: blob, meta: obj.meta})
 			// The old master's copy goes to its disk, off the critical
 			// path; once written it survives a restart, as a backup's
 			// flushed replica does.
-			c.flush(ms, key, obj.meta)
+			c.flush(ms, id, obj.meta)
 		}
 	}
 
 	// Update placement: dest becomes master; old master replaces dest
 	// in the backup list (if demoted).
-	if p, ok := c.places[key]; ok {
-		newBackups := make([]simnet.NodeID, 0, len(p.backups))
-		for _, b := range p.backups {
-			if b == dest {
-				if demoteOld && alive {
-					newBackups = append(newBackups, oldMaster)
-				}
-				continue
+	if p := c.places.at(id); p != nil {
+		old := p.backups
+		p.master, p.backups = dest, backupSet{}
+		for _, b := range old.list() {
+			if b != dest {
+				p.backups.add(b)
+			} else if demoteOld && alive {
+				p.backups.add(oldMaster)
 			}
-			newBackups = append(newBackups, b)
 		}
-		c.places[key] = placement{master: dest, backups: newBackups, size: p.size}
 	}
 
 	c.promotions++
@@ -153,7 +152,7 @@ func (c *Cluster) promote(key string, dest simnet.NodeID, demoteOld bool) error 
 // arbitrary destination. Kept for the ablation benchmark comparing it
 // against MigrateToBackup.
 func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
-	p, ok := c.places[key]
+	p, id, ok := c.placeOf(key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -162,24 +161,26 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	if ms == nil || ds == nil {
 		return ErrNoSuchServer
 	}
-	o, found := ms.log.get(key)
+	o, found := ms.log.get(id)
 	if !found || ms.node.Down() {
 		return ErrNotFound
 	}
 	cp := *o
 
+	c.keys.hold(id) // across the copy's sleeps
+	defer c.keys.release(id)
 	c.net.Transfer(p.master, dest, cp.meta.Size+controlMsgSize)
 	c.env().Sleep(c.memCopyTime(cp.meta.Size))
 
 	if ds.node.Down() {
 		return ErrCrashed
 	}
-	ds.log.put(key, &object{blob: cp.blob, meta: cp.meta})
+	ds.log.put(id, &object{blob: cp.blob, meta: cp.meta})
 
-	ms.log.delete(key)
+	ms.log.delete(id)
 
-	if p, ok := c.places[key]; ok {
-		c.places[key] = placement{master: dest, backups: p.backups, size: p.size}
+	if p := c.places.at(id); p != nil {
+		p.master = dest
 	}
 
 	c.fullMoves++
@@ -203,8 +204,9 @@ func (c *Cluster) Restart(node simnet.NodeID) {
 	if s == nil {
 		return
 	}
-	s.log = newObjLog(segmentSize)
-	s.backups = make(map[string]replica)
+	s.log.index.clear()
+	s.log = newObjLog(segmentSize, c.keys)
+	s.backups.clear()
 }
 
 // RecoverNode re-masters every object whose master copy was lost on
@@ -236,39 +238,21 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 		c.env().Sleep(c.cfg.CrashDetectTimeout)
 	}
 	start := c.env().Now()
-	var victims []string
-	for k, p := range c.places {
+	// Each victim's id is held until its turn has passed.
+	var victims []objID
+	c.places.each(func(id objID, p *placement) {
 		if p.master == crashed {
-			victims = append(victims, k)
+			c.keys.hold(id)
+			victims = append(victims, id)
 		}
-	}
-	sort.Strings(victims)
+	})
+	slices.SortFunc(victims, func(a, b objID) int { return strings.Compare(c.keys.name(a), c.keys.name(b)) })
 	n := 0
-	for _, key := range victims {
-		p, ok := c.places[key]
-		if !ok {
-			continue
-		}
-		var dest simnet.NodeID = -1
-		for _, b := range p.backups {
-			s := c.Server(b)
-			if s == nil {
-				continue
-			}
-			_, buffered := s.backups[key]
-			_, onDisk := s.disk[key]
-			ok := !s.node.Down() && (buffered || onDisk)
-			if ok {
-				dest = b
-				break
-			}
-		}
-		if dest < 0 {
-			continue
-		}
-		if err := c.promote(key, dest, false); err == nil {
+	for _, id := range victims {
+		if c.recoverOne(id) {
 			n++
 		}
+		c.keys.release(id)
 	}
 	dur := c.env().Now() - start
 	c.recovered += int64(n)
@@ -276,4 +260,26 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 	c.recoveryTime += dur
 	c.lastRecovery = dur
 	return n, dur
+}
+
+// recoverOne re-masters id's key, if it is still placed, on the first
+// of its backups that is up and holds a replica; it reports whether the
+// promotion succeeded.
+func (c *Cluster) recoverOne(id objID) bool {
+	p, ok := c.places.get(id)
+	if !ok {
+		return false
+	}
+	for _, b := range p.backups.list() {
+		s := c.Server(b)
+		if s == nil || s.node.Down() {
+			continue
+		}
+		_, buffered := s.backups.get(id)
+		_, onDisk := s.disk.get(id)
+		if buffered || onDisk {
+			return c.promote(id, b, false) == nil
+		}
+	}
+	return false
 }

@@ -108,19 +108,21 @@ func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
 	sp.SetNum("keys", int64(len(keys)))
 	out := make([]ReadResult, len(keys))
 	if len(keys) > 0 {
-		ps, oks, lerr := c.lookupMulti(caller, keys)
+		ids := make([]objID, len(keys))
+		ps, lerr := c.lookupMulti(caller, keys, ids, nil)
 		var groups []*group
 		for i := range keys {
 			switch {
 			case lerr != nil:
 				out[i].Err = lerr
-			case !oks[i]:
+			case ids[i] == noID:
 				out[i].Err = ErrNotFound
 			default:
 				groups = c.groupAppend(groups, ps[i].master, i)
 			}
 		}
-		c.serveBatch(caller, &batch{keys: keys, rout: out}, groups, false)
+		c.serveBatch(caller, &batch{keys: keys, ids: ids, rout: out}, groups, false)
+		c.releaseAll(ids)
 	}
 	var errs int64
 	for i := range out {
@@ -149,8 +151,11 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 		for i, it := range items {
 			keys[i] = it.Key
 		}
-		ps, oks, lerr := c.lookupMulti(caller, keys)
+		ids := make([]objID, len(items))
+		// speculative first marks the keys the coordinator found
+		// unplaced, then the placements this op made.
 		speculative := make([]bool, len(items))
+		ps, lerr := c.lookupMulti(caller, keys, ids, speculative)
 		var groups []*group
 		for i, it := range items {
 			switch {
@@ -158,17 +163,18 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 				out[i].Err = lerr
 			case it.Blob.Size > maxObjectSize:
 				out[i].Err = ErrTooLarge
-			case !oks[i]:
+			case speculative[i]:
 				// A new key: the placement decision rides on the same
 				// coordinator round, as in Write.
-				ps[i], out[i].Err = c.place(it.Key, it.Blob.Size, preferred)
-				speculative[i] = out[i].Err == nil
+				ps[i], out[i].Err = c.place(ids[i], it.Blob.Size, preferred)
 			}
+			speculative[i] = speculative[i] && out[i].Err == nil
 			if out[i].Err == nil {
 				groups = c.groupAppend(groups, ps[i].master, i)
 			}
 		}
-		c.serveBatch(caller, &batch{items: items, ps: ps, spec: speculative, wout: out}, groups, true)
+		c.serveBatch(caller, &batch{ids: ids, items: items, ps: ps, spec: speculative, wout: out}, groups, true)
+		c.releaseAll(ids)
 	}
 	var errs int64
 	for i := range out {
@@ -184,10 +190,12 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 }
 
 // batch is what the groups of one op read and write, indexed by their
-// idxs: a read's keys and results, or a write's items, placements,
-// speculative marks (placements this op made) and results.
+// idxs: the keys' ids, which the op holds, and a read's keys and
+// results, or a write's items, placements, speculative marks
+// (placements this op made) and results.
 type batch struct {
 	keys  []string
+	ids   []objID
 	rout  []ReadResult
 	items []WriteItem
 	ps    []placement
@@ -293,7 +301,7 @@ func (g *group) lookUp() {
 	found := 0
 	now := g.c.env().Now()
 	for _, i := range g.idxs {
-		o, ok := g.s.log.get(b.keys[i])
+		o, ok := g.s.log.get(b.ids[i])
 		if !ok {
 			b.rout[i].Err = ErrNotFound
 			continue
@@ -377,8 +385,8 @@ func (g *group) log() {
 	limit := s.node.Grant()
 	now := c.env().Now()
 	for _, i := range g.idxs {
-		it := b.items[i]
-		old, existed := s.log.get(it.Key)
+		it, id := b.items[i], b.ids[i]
+		old, existed := s.log.get(id)
 		delta := it.Blob.Size
 		if existed {
 			delta -= old.meta.Size
@@ -386,7 +394,7 @@ func (g *group) log() {
 		if s.log.live+delta > limit {
 			b.wout[i].Err = ErrNoSpace
 			if b.spec[i] { // undo speculative placement of a brand-new object
-				delete(c.places, it.Key)
+				c.places.del(id)
 			}
 			continue
 		}
@@ -398,9 +406,9 @@ func (g *group) log() {
 		if existed {
 			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess
 		}
-		s.log.put(it.Key, &object{blob: it.Blob, meta: meta})
+		s.log.put(id, &object{blob: it.Blob, meta: meta})
 		s.writes++
-		r.acc = append(r.acc, acceptedItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
+		r.acc = append(r.acc, acceptedItem{idx: i, id: id, blob: it.Blob, meta: meta,
 			backups: b.ps[i].backups, resized: existed && !b.spec[i]})
 	}
 	// Log-structured memory: if dead entries push the allocated bytes
@@ -415,9 +423,8 @@ func (g *group) log() {
 		if a.resized {
 			// Overwrite of an existing object: refresh the coordinator's
 			// size record so byte-weighted locality stays accurate.
-			if p, ok := c.places[a.key]; ok {
+			if p := c.places.at(a.id); p != nil {
 				p.size = a.blob.Size
-				c.places[a.key] = p
 			}
 		}
 	}
@@ -449,7 +456,7 @@ func (g *group) ackArrived(ackErr error) {
 	for i := range r.acc {
 		a := &r.acc[i]
 		err := ackErr
-		for _, b := range a.backups {
+		for _, b := range a.backups.list() {
 			if e := r.shareOf(b).err; e != nil {
 				err = e
 				break
@@ -471,7 +478,7 @@ func (g *group) failWrite(err error, undo bool) {
 	for _, i := range g.idxs {
 		b.wout[i].Err = err
 		if undo && b.spec[i] {
-			delete(g.c.places, b.items[i].Key)
+			g.c.places.del(b.ids[i])
 		}
 	}
 	g.ended()
@@ -488,13 +495,14 @@ func (g *group) endWrite() {
 
 // acceptedItem is one object a master logged: what its backups buffer,
 // and where its outcome goes (out[idx]). resized marks the overwrite of
-// an object the coordinator already placed.
+// an object the coordinator already placed. Its id is held by the op
+// the round replicates for.
 type acceptedItem struct {
 	idx     int
-	key     string
+	id      objID
 	blob    Blob
 	meta    Meta
-	backups []simnet.NodeID
+	backups backupSet
 	resized bool
 }
 
@@ -580,7 +588,7 @@ func (r *round) shareOf(node simnet.NodeID) *share {
 }
 
 // mine reports whether the round's accepted item i is backed by s.
-func (s *share) mine(i int) bool { return slices.Contains(s.r.acc[i].backups, s.node) }
+func (s *share) mine(i int) bool { return slices.Contains(s.r.acc[i].backups.list(), s.node) }
 
 // replicate starts every share's chain now, and calls then once the
 // last one has ended.
@@ -592,7 +600,7 @@ func (s *share) mine(i int) bool { return slices.Contains(s.r.acc[i].backups, s.
 // sequenced, where those processes made them.
 func (r *round) replicate(then func()) {
 	for i := range r.acc {
-		for _, b := range r.acc[i].backups {
+		for _, b := range r.acc[i].backups.list() {
 			r.shareOf(b)
 		}
 	}
@@ -660,7 +668,7 @@ func (s *share) buffer() {
 	r.holds++
 	for i := range r.acc {
 		if a := &r.acc[i]; s.mine(i) {
-			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
+			bs.backups.set(a.id, replica{blob: a.blob, meta: a.meta})
 		}
 	}
 	r.c.net.TransferThen(s.node, r.master, controlMsgSize, s.acked)
@@ -671,10 +679,10 @@ func (s *share) buffer() {
 	for !s.mine(last) {
 		last--
 	}
-	r.c.flush(bs, r.acc[last].key, r.acc[last].meta)
+	r.c.flush(bs, r.acc[last].id, r.acc[last].meta)
 	for i := 0; i < last; i++ {
 		if s.mine(i) {
-			r.c.flush(bs, r.acc[i].key, r.acc[i].meta)
+			r.c.flush(bs, r.acc[i].id, r.acc[i].meta)
 		}
 	}
 	r.release()
@@ -691,12 +699,12 @@ func (s *share) end(err error) {
 }
 
 // flushRec is one replica's disk write in flight on server s (see
-// flush). Records are pooled on the Cluster; wrote is f.install, bound
-// once.
+// flush), holding its id until it installs. Records are pooled on the
+// Cluster; wrote is f.install, bound once.
 type flushRec struct {
 	c       *Cluster
 	s       *Server
-	key     string
+	id      objID
 	version uint64
 	wrote   func()
 }
@@ -709,7 +717,7 @@ type flushRec struct {
 // restart. Backups flush every replica they buffer, and a demoted
 // master flushes its copy (promote). Once the environment is stopped
 // the write completes inside flush.
-func (c *Cluster) flush(s *Server, key string, meta Meta) {
+func (c *Cluster) flush(s *Server, id objID, meta Meta) {
 	var f *flushRec
 	if n := len(c.flushes); n > 0 {
 		f = c.flushes[n-1]
@@ -718,16 +726,18 @@ func (c *Cluster) flush(s *Server, key string, meta Meta) {
 		f = &flushRec{c: c}
 		f.wrote = f.install
 	}
-	f.s, f.key, f.version = s, key, meta.Version
+	c.keys.hold(id)
+	f.s, f.id, f.version = s, id, meta.Version
 	s.node.DiskWriteThen(meta.Size, f.wrote)
 }
 
-// install records the flushed copy and recycles f.
+// install records the flushed copy, releases the id and recycles f.
 func (f *flushRec) install() {
 	s := f.s
-	if cur, ok := s.backups[f.key]; ok && cur.meta.Version == f.version {
-		s.disk[f.key] = cur
+	if cur, ok := s.backups.get(f.id); ok && cur.meta.Version == f.version {
+		s.disk.set(f.id, cur)
 	}
-	f.s, f.key = nil, ""
+	f.c.keys.release(f.id)
+	f.s, f.id = nil, noID
 	f.c.flushes = append(f.c.flushes, f)
 }

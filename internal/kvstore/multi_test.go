@@ -231,12 +231,12 @@ func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 	env.Run()
 	// The cluster must still be coherent: every surviving placement
 	// resolves to a live master copy.
-	for key, p := range c.places {
+	for key, p := range c.places.byKey() {
 		s := c.Server(p.master)
 		if s == nil {
 			t.Fatalf("%s placed on unknown server %d", key, p.master)
 		}
-		if _, found := s.log.get(key); !found {
+		if _, found := s.log.getKey(key); !found {
 			t.Fatalf("%s placed on %d but master copy missing", key, p.master)
 		}
 	}
@@ -309,9 +309,9 @@ func TestSingleKeyIsBatchOfOne(t *testing.T) {
 			name: "backup errors", caller: 0, preferred: 0, size: 1 << 20,
 			stage: func(env *sim.Env, c *Cluster, net *simnet.Network) {
 				c.Write(0, key, Synthetic(1<<20), nil, 0)
-				p := c.places[key]
-				c.Crash(p.backups[0])          // fails after the payload lands
-				net.Partition(0, p.backups[1]) // fails after the detection delay
+				p, _ := c.places.lookupKey(key)
+				c.Crash(p.backups.nodes[0])          // fails after the payload lands
+				net.Partition(0, p.backups.nodes[1]) // fails after the detection delay
 			},
 		},
 		{
@@ -383,7 +383,7 @@ func loseAtMaster(key string) func(env *sim.Env, c *Cluster, net *simnet.Network
 		c.Write(1, key, Synthetic(16<<10), nil, 1)
 		m, _ := c.MasterOf(key)
 		s := c.Server(m)
-		s.log.delete(key)
+		s.log.deleteKey(key)
 	}
 }
 

@@ -69,9 +69,10 @@ func (c *Cluster) WriteThen(caller simnet.NodeID, key string, blob Blob, st *Sta
 }
 
 // op is one Read or Write in flight. The coordinator lookup is two
-// hops, the placement read at the request's arrival (asked, located);
-// the master's share is the op's one group, over the one-key batch the
-// op holds. Records are pooled on the Cluster with their steps bound
+// hops, the placement read at the request's arrival (asked, located),
+// where the key's id is resolved and held until the op finishes; the
+// master's share is the op's one group, over the one-key batch the op
+// holds. Records are pooled on the Cluster with their steps bound
 // once, and one is recycled before its done runs, so that done may
 // start the next op on it.
 type op struct {
@@ -83,6 +84,7 @@ type op struct {
 	sp        trace.Span
 
 	keys  [1]string
+	ids   [1]objID
 	idxs  [1]int
 	items [1]WriteItem
 	ps    [1]placement
@@ -105,8 +107,8 @@ func (c *Cluster) newOp(caller simnet.NodeID) *op {
 		o = c.ops[n-1]
 		c.ops = c.ops[:n-1]
 	} else {
-		o = &op{c: c}
-		o.b = batch{keys: o.keys[:], rout: o.rout[:], items: o.items[:], ps: o.ps[:], spec: o.spec[:], wout: o.wout[:]}
+		o = &op{c: c, ids: [1]objID{noID}}
+		o.b = batch{keys: o.keys[:], ids: o.ids[:], rout: o.rout[:], items: o.items[:], ps: o.ps[:], spec: o.spec[:], wout: o.wout[:]}
 		o.g.bind(c, &o.b, o.idxs[:])
 		o.g.ended = o.finish
 		o.asked, o.located = o.ask, o.locate
@@ -130,7 +132,7 @@ func (o *op) ask(err error) {
 		return
 	}
 	c := o.c
-	o.ps[0], o.found = c.places[o.keys[0]]
+	o.ids[0], o.ps[0], o.found = c.resolve(o.keys[0], o.write)
 	c.net.TransferThen(c.coordloc, o.caller, controlMsgSize, o.located)
 }
 
@@ -148,7 +150,7 @@ func (o *op) locate(err error) {
 	default:
 		o.spec[0] = !o.found
 		if !o.found {
-			o.ps[0], err = o.c.place(o.keys[0], o.items[0].Blob.Size, o.preferred)
+			o.ps[0], err = o.c.place(o.ids[0], o.items[0].Blob.Size, o.preferred)
 		}
 		if err == nil {
 			o.g.write(o.ps[0].master)
@@ -159,9 +161,11 @@ func (o *op) locate(err error) {
 	o.finish()
 }
 
-// finish ends the op's span, recycles the record and answers done.
+// finish ends the op's span, releases its key, recycles the record and
+// answers done.
 func (o *op) finish() {
 	c := o.c
+	c.releaseAll(o.ids[:])
 	if o.write {
 		res := o.wout[0]
 		if res.Err != nil {
@@ -232,7 +236,9 @@ func (c *Cluster) recycleWaiter(w *waiter) {
 // MarkClean clears the Dirty bit of key's master copy and of its
 // same-version replicas.
 func (c *Cluster) MarkClean(caller simnet.NodeID, key string) error {
-	p, ok, lerr := c.lookup(caller, key)
+	ids := [1]objID{noID} // held from the coordinator's answer on
+	defer c.releaseAll(ids[:])
+	p, ok, lerr := c.lookup(caller, key, &ids[0])
 	if lerr != nil {
 		return lerr
 	}
@@ -247,7 +253,7 @@ func (c *Cluster) MarkClean(caller simnet.NodeID, key string) error {
 	if err := c.net.TryTransfer(caller, p.master, controlMsgSize); err != nil {
 		return err
 	}
-	o, found := s.log.get(key)
+	o, found := s.log.get(ids[0])
 	if !found || s.node.Down() {
 		return ErrNotFound
 	}
@@ -257,47 +263,41 @@ func (c *Cluster) MarkClean(caller simnet.NodeID, key string) error {
 	// master does not come back dirty after its payload was persisted.
 	// The master piggybacks these tiny updates on its replication
 	// stream; we fold the cost into the ack.
-	for _, b := range p.backups {
+	for _, b := range p.backups.list() {
 		bs := c.Server(b)
 		if bs == nil {
 			continue
 		}
-		for _, m := range []map[string]replica{bs.backups, bs.disk} {
-			if rep, ok := m[key]; ok && rep.meta.Version == ver {
+		for _, t := range [...]*table[replica]{&bs.backups, &bs.disk} {
+			if rep := t.at(ids[0]); rep != nil && rep.meta.Version == ver {
 				rep.meta.State.Dirty = false
-				m[key] = rep
 			}
 		}
 	}
 	return c.net.TryTransfer(p.master, caller, controlMsgSize)
 }
 
-// dropLocal erases key's copies without network charges (the master
-// fans out tiny control messages to backups; we fold that cost into
-// the caller's ack path).
-func (c *Cluster) dropLocal(p placement, key string) {
-	if s := c.Server(p.master); s != nil {
-		if _, freed := s.log.delete(key); freed {
-			s.evictions++
-		}
-	}
-	for _, b := range p.backups {
-		if bs := c.Server(b); bs != nil {
-			delete(bs.backups, key)
-			delete(bs.disk, key)
-		}
-	}
-}
-
 // Evict removes key entirely (used for clean objects whose canonical
 // copy lives in the RSDS). It is a local decision of the cacheAgent;
-// only coordinator bookkeeping is charged.
+// only coordinator bookkeeping is charged: the master fans out tiny
+// control messages to the backups, whose cost folds into the caller's
+// ack path.
 func (c *Cluster) Evict(key string) error {
-	p, ok := c.places[key]
+	p, id, ok := c.placeOf(key)
 	if !ok {
 		return ErrNotFound
 	}
-	delete(c.places, key)
-	c.dropLocal(p, key)
+	c.places.del(id)
+	if s := c.Server(p.master); s != nil {
+		if _, freed := s.log.delete(id); freed {
+			s.evictions++
+		}
+	}
+	for _, b := range p.backups.list() {
+		if bs := c.Server(b); bs != nil {
+			bs.backups.del(id)
+			bs.disk.del(id)
+		}
+	}
 	return nil
 }

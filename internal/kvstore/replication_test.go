@@ -27,10 +27,29 @@ type refCounts struct {
 	droppedFlushes  int // flushes whose replica a restart dropped meanwhile
 }
 
+// refItem is an acceptedItem of the process model, which names its key.
+type refItem struct {
+	idx     int
+	key     string
+	blob    Blob
+	meta    Meta
+	backups []simnet.NodeID
+	resized bool
+}
+
+// versions maps each key of a replica table to its replica's version.
+func versions(t table[replica]) map[string]uint64 {
+	v := make(map[string]uint64)
+	for k, r := range t.byKey() {
+		v[k] = r.meta.Version
+	}
+	return v
+}
+
 // refReplicate is the replication phase as it was written with one
 // process per backup share, spawned in first-seen order, and a wait
 // group the writer parks on.
-func refReplicate(c *Cluster, master simnet.NodeID, acc []acceptedItem, n *refCounts) []refShare {
+func refReplicate(c *Cluster, master simnet.NodeID, acc []refItem, n *refCounts) []refShare {
 	env := c.env()
 	var shares []refShare
 	for _, a := range acc {
@@ -56,7 +75,7 @@ func refReplicate(c *Cluster, master simnet.NodeID, acc []acceptedItem, n *refCo
 // refReplicateShare is one share as a process: one bulk transfer in,
 // the RAM-buffer delay, the crash check and install, one process per
 // disk flush, one ack back.
-func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedItem, n *refCounts) error {
+func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []refItem, n *refCounts) error {
 	bs := c.Server(backup)
 	if bs == nil {
 		return ErrNoSuchServer
@@ -78,7 +97,7 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 	}
 	for _, a := range acc {
 		if slices.Contains(a.backups, backup) {
-			bs.backups[a.key] = replica{blob: a.blob, meta: a.meta}
+			bs.backups.setKey(a.key, replica{blob: a.blob, meta: a.meta})
 		}
 	}
 	for _, a := range acc {
@@ -88,8 +107,8 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 		key, size, version := a.key, a.blob.Size, a.meta.Version
 		env.Go(func() {
 			bs.node.DiskWrite(size)
-			if cur, ok := bs.backups[key]; ok && cur.meta.Version == version {
-				bs.disk[key] = cur
+			if cur, ok := bs.backups.lookupKey(key); ok && cur.meta.Version == version {
+				bs.disk.setKey(key, cur)
 			} else if !ok {
 				n.droppedFlushes++
 			}
@@ -104,7 +123,7 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []acceptedI
 type repOp struct {
 	at             time.Duration
 	caller, master simnet.NodeID
-	items          []acceptedItem
+	items          []refItem
 }
 
 // repFault is one fault of a schedule: at `at` node crashes (and, with
@@ -156,7 +175,7 @@ func repSchedule(rng *rand.Rand, ops int, grid bool) ([]repOp, []repFault) {
 				}
 			}
 			sz := size()
-			o.items = append(o.items, acceptedItem{
+			o.items = append(o.items, refItem{
 				key: fmt.Sprintf("k%d", rng.Intn(8)), blob: Synthetic(sz),
 				meta: Meta{Size: sz}, backups: backups,
 			})
@@ -244,7 +263,7 @@ func runReplication(ops []repOp, faults []repFault, lossy bool, seed int64, stop
 	env.Every(20*time.Microsecond, func() bool {
 		var f uint64
 		for i := 0; i < repNodes; i++ {
-			for k, r := range c.Server(simnet.NodeID(i)).disk {
+			for k, r := range c.Server(simnet.NodeID(i)).disk.byKey() {
 				f += (uint64(i)<<40 | uint64(k[1])<<32 | r.meta.Version) * 0x9E3779B97F4A7C15
 			}
 		}
@@ -274,9 +293,20 @@ func runReplication(ops []repOp, faults []repFault, lossy bool, seed int64, stop
 					return shares[slices.IndexFunc(shares, func(s refShare) bool { return s.node == b })].err
 				}
 			} else {
+				// The writer holds the items' ids, as an op does.
 				r := c.newRound(o.master)
 				defer c.recycleRound(r)
-				r.acc = append(r.acc, o.items...)
+				for _, a := range o.items {
+					r.acc = append(r.acc, acceptedItem{id: c.keys.acquire(a.key), blob: a.blob, meta: a.meta})
+					for _, b := range a.backups {
+						r.acc[len(r.acc)-1].backups.add(b)
+					}
+				}
+				defer func() {
+					for _, a := range r.acc {
+						c.keys.release(a.id)
+					}
+				}()
 				ended := sim.NewFuture[struct{}](env)
 				r.replicate(func() { ended.Set(struct{}{}) })
 				ended.Wait()
@@ -297,13 +327,6 @@ func runReplication(ops []repOp, faults []repFault, lossy bool, seed int64, stop
 	env.Run()
 	for i := 0; i < repNodes; i++ {
 		s := c.Server(simnet.NodeID(i))
-		versions := func(m map[string]replica) map[string]uint64 {
-			v := make(map[string]uint64, len(m))
-			for k, r := range m {
-				v[k] = r.meta.Version
-			}
-			return v
-		}
 		out.backups = append(out.backups, versions(s.backups))
 		out.disk = append(out.disk, versions(s.disk))
 	}
@@ -405,9 +428,9 @@ func TestHealthyWriteSpawnsNoProcess(t *testing.T) {
 			}
 		}
 		env.Sleep(time.Second) // the flushes complete
-		p := c.places["k"]
-		for _, b := range p.backups {
-			if _, ok := c.Server(b).disk["k"]; !ok {
+		p, _ := c.places.lookupKey("k")
+		for _, b := range p.backups.list() {
+			if _, ok := c.Server(b).disk.lookupKey("k"); !ok {
 				t.Errorf("backup %d never flushed k", b)
 			}
 		}

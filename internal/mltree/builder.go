@@ -73,13 +73,11 @@ type treeBuilder struct {
 //
 // Nothing is laid out before the root is known to need a split: a
 // function whose invocations all land in one class refits to a single
-// leaf, and that must cost one pass over the rows and nothing else.
+// leaf, and that costs no pass over the rows the dataset's class
+// weights already cover.
 func (b *treeBuilder) fit(d *Dataset, order *[][]int32) *node {
-	counts := make([]float64, len(d.Classes))
-	for i := range d.Instances {
-		counts[d.Instances[i].Class] += d.Instances[i].Weight
-	}
-	if b.stops(counts, 0) {
+	if sums := d.classWeights(); b.stops(sums, 0) {
+		counts := slices.Clone(sums)
 		return &node{attr: -1, counts: counts, majority: majorityClass(counts)}
 	}
 	b.layout(d, order)

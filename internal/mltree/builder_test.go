@@ -136,6 +136,45 @@ func TestRefitOfGrownDatasetMatchesReference(t *testing.T) {
 	sameTree(t, "shrunk", j.Fit(d).(*Tree), refJ48Fit(j, d))
 }
 
+// TestFitOfGrowingDatasetMatchesFresh: a dataset keeps its class weights
+// across fits and adds only the rows appended since, so a refit of a
+// grown dataset, a fit of its Subset and a refit after more Adds must
+// each grow the tree a fresh copy of the same rows grows, to the bit.
+// The first 60 rows are one class, so the early fits are the one-leaf
+// refits the kept weights serve; the 0.7 weight shows the order of
+// every sum in its low bits.
+func TestFitOfGrowingDatasetMatchesFresh(t *testing.T) {
+	src := tieDataset(11, 320, 3, 24, "mixed", 0.7)
+	for i := range src.Instances[:60] {
+		src.Instances[i].Class = 1
+	}
+	fresh := func(rows []Instance) *Dataset {
+		d := NewDataset(src.Attrs, src.Classes)
+		for _, in := range rows {
+			d.AddWeighted(in.Vals, in.Class, in.Weight)
+		}
+		return d
+	}
+	grown := NewDataset(src.Attrs, src.Classes)
+	j, sub := NewJ48(), NewJ48()
+	for n, in := range src.Instances {
+		if n%2 == 0 {
+			grown.Add(in.Vals, in.Class) // weight 1, as Add appends it
+			src.Instances[n].Weight = 1
+		} else {
+			grown.AddWeighted(in.Vals, in.Class, in.Weight)
+		}
+		if n%23 != 0 && n != src.Len()-1 {
+			continue
+		}
+		rows := src.Instances[:n+1]
+		name := fmt.Sprintf("rows=%d", n+1)
+		sameTree(t, name, j.Fit(grown).(*Tree), refJ48Fit(j, fresh(rows)))
+		half := grown.Subset(grown.Instances[:n/2+1])
+		sameTree(t, name+"/subset", sub.Fit(half).(*Tree), refJ48Fit(sub, fresh(rows[:n/2+1])))
+	}
+}
+
 // TestBuilderMatchesReferenceRandom pins the rng order too: a builder
 // that sampled attributes at a different node, or in a different order,
 // would grow different trees from the same seed.

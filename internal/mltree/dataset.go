@@ -55,10 +55,17 @@ type Instance struct {
 // Dataset is a set of instances over a fixed schema. Classes are the
 // ordered label names; "ordered" matters for the exact-or-over metric,
 // where class k means the k-th memory interval.
+//
+// Instances only grows between fits: a learner keeps per-class weight
+// sums over the rows it has seen and adds only the rows appended since,
+// so a caller that rewrites rows in place builds a new Dataset instead.
 type Dataset struct {
 	Attrs     []Attribute
 	Classes   []string
 	Instances []Instance
+
+	sums    []float64 // per-class weight of the first sumRows rows
+	sumRows int
 }
 
 // NewDataset returns an empty dataset with the given schema.
@@ -86,6 +93,21 @@ func (d *Dataset) AddWeighted(vals []float64, class int, weight float64) {
 
 // Len returns the number of instances.
 func (d *Dataset) Len() int { return len(d.Instances) }
+
+// classWeights returns the per-class weight sums of d's rows, which d
+// keeps: the rows appended since the last call are added to them, in
+// row order, so the sums are the ones a pass over every row from zero
+// makes. The result is d's own; a caller that keeps it copies it.
+func (d *Dataset) classWeights() []float64 {
+	if len(d.sums) != len(d.Classes) || d.sumRows > len(d.Instances) {
+		d.sums, d.sumRows = make([]float64, len(d.Classes)), 0
+	}
+	for i := d.sumRows; i < len(d.Instances); i++ {
+		d.sums[d.Instances[i].Class] += d.Instances[i].Weight
+	}
+	d.sumRows = len(d.Instances)
+	return d.sums
+}
 
 // majorityClass returns the index of the heaviest class, breaking ties
 // toward the lower index for determinism.
