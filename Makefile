@@ -17,8 +17,9 @@ build:
 
 # The second line names the fuzz targets, which run here over their
 # seed corpus only: the training kernel against its reference, the
-# scheduler's two-heap event queue against a sorted list, and the
-# store's key table against a map of reference counts.
+# scheduler's two-heap event queue against a sorted list, the store's
+# key table against a map of reference counts, and its log-structured
+# memory against a map of each key's object and the log's byte counts.
 test:
 	$(GO) test ./...
 	$(GO) test -run Fuzz ./internal/mltree ./internal/sim ./internal/kvstore
@@ -93,7 +94,7 @@ bench:
 # benchmark; drop BENCHTIME for real numbers).
 BENCHTIME ?= 1x
 bench-sim:
-	$(GO) test -bench 'Sleep|After|Then|Batch|Future|Queue|Cluster|Multi|Transfer|Disk|Resilient' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
+	$(GO) test -bench 'Sleep|After|Then|Batch|Future|Queue|Cluster|Multi|Transfer|Disk|Resilient|Log' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree

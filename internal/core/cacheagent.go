@@ -110,7 +110,34 @@ type CacheAgent struct {
 	lastReserved int64
 	pressure     memctl.Pressure
 	metrics      AgentMetrics
+
+	// scratch holds the census and plan buffers no sweep or reclaim is
+	// using (see takeScratch).
+	scratch []*agentScratch
 }
+
+// agentScratch is the room the agent's census walks reuse.
+type agentScratch struct {
+	census []store.ObjectInfo
+	plan   memctl.Plan
+	freed  []string
+}
+
+// takeScratch hands the caller a set of the agent's buffers, which it
+// gives back with putScratch when its walk is over. A reclaim sleeps
+// through its migrations, and others start meanwhile, so the agent
+// keeps as many sets as walks have overlapped.
+func (a *CacheAgent) takeScratch() *agentScratch {
+	n := len(a.scratch)
+	if n == 0 {
+		return new(agentScratch)
+	}
+	sc := a.scratch[n-1]
+	a.scratch = a.scratch[:n-1]
+	return sc
+}
+
+func (a *CacheAgent) putScratch(sc *agentScratch) { a.scratch = append(a.scratch, sc) }
 
 // NewCacheAgent builds the agent for one node over the engine's
 // memory-control view, instantiating its own policy set from the
@@ -217,15 +244,17 @@ func (a *CacheAgent) setGrant(target int64, up bool, migrated, evicted int) {
 }
 
 // view captures the eviction policy's inputs for this node: census,
-// occupancy and pressure. The census leaves out stripes: the striping
-// layer frees them only whole, with the object whose State it holds.
-func (a *CacheAgent) view() memctl.View {
+// occupancy and pressure. The census, in sc's buffer, leaves out
+// stripes: the striping layer frees them only whole, with the object
+// whose State it holds.
+func (a *CacheAgent) view(sc *agentScratch) memctl.View {
 	used, limit := a.kv.Usage(a.node)
+	sc.census = slices.DeleteFunc(a.kv.Objects(sc.census[:0], a.node), func(o store.ObjectInfo) bool {
+		return o.Meta.State.Kind == kvstore.KindChunk
+	})
 	return memctl.View{
-		Now: a.env.Now(),
-		Objects: slices.DeleteFunc(a.kv.Objects(a.node), func(o store.ObjectInfo) bool {
-			return o.Meta.State.Kind == kvstore.KindChunk
-		}),
+		Now:      a.env.Now(),
+		Objects:  sc.census,
 		Used:     used,
 		Limit:    limit,
 		Pressure: a.pressure,
@@ -238,9 +267,12 @@ func (a *CacheAgent) view() memctl.View {
 // walk the second phase, migrating each object with eviction as the
 // fallback.
 func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
-	plan := memctl.PlanReclaim(a.kv.Objects(a.node))
+	sc := a.takeScratch()
+	sc.census = a.kv.Objects(sc.census[:0], a.node)
+	plan := &sc.plan
+	memctl.PlanReclaim(plan, sc.census)
 
-	var freed []string
+	freed := sc.freed[:0]
 	wrotebacks := 0
 	defer func() {
 		for _, k := range freed {
@@ -249,6 +281,8 @@ func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 		a.metrics.Evictions += int64(evicted)
 		a.metrics.Migrations += int64(migrated)
 		a.metrics.WriteBacks += int64(wrotebacks)
+		sc.freed = freed
+		a.putScratch(sc)
 	}()
 
 	for _, s := range plan.First {
@@ -393,8 +427,9 @@ func (a *CacheAgent) Reclaim(need int64) (took time.Duration, err error) {
 // before eviction, clean ones evicted directly.
 func (a *CacheAgent) periodicEviction() {
 	sp := a.tracer.Begin(0, 0, "evict.sweep", a.node)
-	v := a.view()
-	victims := a.pol.Eviction.Victims(v)
+	sc := a.takeScratch()
+	defer a.putScratch(sc)
+	victims := a.pol.Eviction.Victims(a.view(sc))
 	for _, o := range victims {
 		key := o.Key
 		if o.Meta.State.Dirty {

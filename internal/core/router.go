@@ -22,6 +22,7 @@ import (
 type Router struct {
 	pv       store.PlacementView // nil when the backend has no placement
 	brownout bool
+	locs     []store.Location // dataNode's scratch, reused per route
 }
 
 // NewRouter builds the OFC routing policy over a placement view (nil
@@ -44,10 +45,12 @@ func (r *Router) dataNode(keys []string) int {
 		return -1
 	}
 	// Bytes per node, indexed by node id; clusters of up to 16 nodes are
-	// weighed on the stack.
+	// weighed on the stack. The locations go to the router's buffer: an
+	// array on the stack would escape through the interface call.
 	var small [16]int64
 	weight := small[:]
-	for _, loc := range r.pv.Locate(keys) {
+	r.locs = r.pv.Locate(r.locs[:0], keys)
+	for _, loc := range r.locs {
 		if !loc.OK {
 			continue
 		}

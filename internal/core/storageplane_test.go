@@ -120,6 +120,34 @@ func TestRouterByteMajorityLocality(t *testing.T) {
 	})
 }
 
+// TestRouterDataNodeZeroAlloc: weighing a request's inputs by their
+// masters allocates nothing once the router's location buffer has room,
+// over the kvstore's placement view, for cached and uncached keys.
+func TestRouterDataNodeZeroAlloc(t *testing.T) {
+	sys := newSystem(1)
+	w1 := sys.WorkerNodes[1]
+	keys := []string{"in/a", "in/b", "in/missing"}
+	var node int
+	var allocs float64
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w1, 1<<30)
+		for _, k := range keys[:2] {
+			if _, err := sys.KV.Write(w1, k, kvstore.Synthetic(4<<10), nil, w1); err != nil {
+				t.Fatalf("stage %s: %v", k, err)
+			}
+		}
+		r := NewRouter(sys.KV)
+		node = r.dataNode(keys) // sizes the buffer
+		allocs = testing.AllocsPerRun(100, func() { r.dataNode(keys) })
+	})
+	if node != int(w1) {
+		t.Errorf("dataNode=%d, want %d", node, w1)
+	}
+	if allocs != 0 {
+		t.Errorf("dataNode: %.1f allocs, want 0", allocs)
+	}
+}
+
 // fixedPlacement is a PlacementView over a fixed table.
 type fixedPlacement map[string]store.Location
 
@@ -127,12 +155,11 @@ func (f fixedPlacement) MasterOf(key string) (simnet.NodeID, bool) {
 	return f[key].Node, f[key].OK
 }
 
-func (f fixedPlacement) Locate(keys []string) []store.Location {
-	out := make([]store.Location, len(keys))
-	for i, k := range keys {
-		out[i] = f[k]
+func (f fixedPlacement) Locate(dst []store.Location, keys []string) []store.Location {
+	for _, k := range keys {
+		dst = append(dst, f[k])
 	}
-	return out
+	return dst
 }
 
 // TestRouterDataNodeTieBreak: equal byte weights go to the lowest node

@@ -195,7 +195,10 @@ func (p *Platform) execute(req *Request, wanted int64, res *Result, attempt int)
 		p.stats.WarmStarts++
 	}
 
-	ctx := &Ctx{p: p, inv: inv, sb: sb, req: req, execStart: p.env.Now(), tref: esp.Ref()}
+	// A sandbox hosts one body at a time, busy from acquire to park or
+	// destroy, so the body's Ctx is the sandbox's, reset.
+	ctx := &sb.ctx
+	*ctx = Ctx{p: p, inv: inv, sb: sb, req: req, execStart: p.env.Now(), tref: esp.Ref()}
 	err = fn.Body(ctx)
 
 	res.Extract += ctx.extract

@@ -30,6 +30,10 @@ type Sandbox struct {
 	// the sandbox (see keepAliveFired).
 	armed  bool
 	expire func()
+
+	// ctx is the invocation context of the body the sandbox runs;
+	// execute resets it for each one.
+	ctx Ctx
 }
 
 // bookedWaste is the part of fn's booked memory that a sandbox limited

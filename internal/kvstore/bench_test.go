@@ -185,17 +185,18 @@ func BenchmarkClusterReadThen(b *testing.B) {
 	env.Run()
 }
 
-// TestClusterOpAllocCeilings pins the allocations per op of the five
-// benchmarks above, counted as testing.Benchmark counts them: the heap
-// allocations of Run divided by the number of ops, rounded down. A read
-// allocates nothing, parked on or not; a write allocates the master's
-// log entry, and the rest of the blocking Write's count is the
-// benchmark's own fmt.Sprintf of the key: the op record, its waiter,
+// TestClusterOpAllocCeilings pins the allocations per op of the
+// benchmarks in this file, counted as testing.Benchmark counts them: the
+// heap allocations of Run divided by the number of ops, rounded down. A
+// read allocates nothing, parked on or not; a write allocates the
+// master's object record, and the rest of the blocking Write's count is
+// the benchmark's own fmt.Sprintf of the key: the op record, its waiter,
 // the replication round, its continuations and its disk flushes are
-// pooled, a placement is a value and the id tables grow only with the
-// live key set. Key churn allocates the log entry and the key the
-// benchmark builds: interning, placing and evicting a new key allocate
-// nothing.
+// pooled, a placement is a value, the id tables grow only with the live
+// key set and the log's head reuses the segments the cleaner frees. Key
+// churn allocates the object record and the key the benchmark builds:
+// interning, placing and evicting a new key allocate nothing. The log's
+// own put, cleaning included, allocates nothing.
 func TestClusterOpAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -208,6 +209,7 @@ func TestClusterOpAllocCeilings(t *testing.T) {
 		{"ReadThen", clusterReadThens, 10000, 0},
 		{"WriteThen", clusterWriteThens, 50000, 1},
 		{"KeyChurn", clusterKeyChurn, 50000, 2},
+		{"LogPut", logPuts, 200000, 0},
 	} {
 		env := c.setup(t, c.n)
 		var before, after runtime.MemStats
@@ -236,17 +238,40 @@ func lossyPools() bool {
 	return false
 }
 
-// BenchmarkLogPut measures the raw log-structured engine.
-func BenchmarkLogPut(b *testing.B) {
-	b.ReportAllocs()
+// logPuts is n overwrites of 64 KB objects cycling over 512 keys, the
+// cleaner holding the log's allocated bytes under 1 GB. The keys and
+// objects are built first, and the puts run until the cleaner has
+// taken its first segments, so what Run does is the steady state.
+func logPuts(tb testing.TB, n int) *sim.Env {
 	l := newObjLog(16<<20, newKeyTable())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.putKey(fmt.Sprintf("k%d", i%512), mkObj(64<<10))
+	objs := make([]*object, 512)
+	for i := range objs {
+		objs[i] = mkObj(64 << 10)
+	}
+	put := func(i int) {
+		l.putKey(benchKeys[i%512], objs[i%512])
 		if l.alloc > 1<<30 {
 			l.clean(l.live)
 		}
 	}
+	for i := 0; l.cleaned == 0; i++ {
+		put(i)
+	}
+	env := sim.NewEnv(1)
+	env.After(0, func() {
+		for i := 0; i < n; i++ {
+			put(i)
+		}
+	})
+	return env
+}
+
+// BenchmarkLogPut measures the raw log-structured engine.
+func BenchmarkLogPut(b *testing.B) {
+	b.ReportAllocs()
+	env := logPuts(b, b.N)
+	b.ResetTimer()
+	env.Run()
 }
 
 // BenchmarkMigrateToBackup measures the promotion path.

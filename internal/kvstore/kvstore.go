@@ -462,16 +462,19 @@ type Location struct {
 	OK   bool
 }
 
-// Locate resolves the master node and object size for each key without
-// charging network time (scheduler-side placement view, like MasterOf).
-func (c *Cluster) Locate(keys []string) []Location {
-	out := make([]Location, len(keys))
-	for i, k := range keys {
+// Locate appends to dst the master node and object size of each key,
+// in order, and returns the extended slice; it charges no network time
+// (scheduler-side placement view, like MasterOf). A caller that passes
+// a buffer with room allocates nothing.
+func (c *Cluster) Locate(dst []Location, keys []string) []Location {
+	for _, k := range keys {
+		var loc Location
 		if p, _, ok := c.placeOf(k); ok {
-			out[i] = Location{Node: p.master, Size: p.size, OK: true}
+			loc = Location{Node: p.master, Size: p.size, OK: true}
 		}
+		dst = append(dst, loc)
 	}
-	return out
+	return dst
 }
 
 // MaxObjectSize reports the per-object ceiling of this backend.
@@ -487,20 +490,20 @@ func (c *Cluster) Usage(node simnet.NodeID) (used, limit int64) {
 	return s.Usage()
 }
 
-// Objects returns a snapshot of the master copies on node, in the order
-// of the keys' interned ids, which says nothing about the keys (sorting
-// here would charge every caller): a consumer whose result depends on
-// the order sorts.
-func (c *Cluster) Objects(node simnet.NodeID) []ObjectInfo {
+// Objects appends to dst a snapshot of the master copies on node, in
+// the order of the keys' interned ids, which says nothing about the
+// keys (sorting here would charge every caller): a consumer whose
+// result depends on the order sorts. It returns the extended slice.
+func (c *Cluster) Objects(dst []ObjectInfo, node simnet.NodeID) []ObjectInfo {
 	s := c.Server(node)
 	if s == nil {
-		return nil
+		return dst
 	}
-	out := make([]ObjectInfo, 0, s.log.index.len())
+	dst = slices.Grow(dst, s.log.index.len())
 	s.log.each(func(id objID, o *object) {
-		out = append(out, ObjectInfo{Key: c.keys.name(id), Meta: o.meta})
+		dst = append(dst, ObjectInfo{Key: c.keys.name(id), Meta: o.meta})
 	})
-	return out
+	return dst
 }
 
 // SetMemoryLimit sets the master memory budget of node's server: the

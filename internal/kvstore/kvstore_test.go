@@ -327,7 +327,7 @@ func TestWriteWithEveryServerOverLimit(t *testing.T) {
 		if _, err := c.Write(1, "new", Synthetic(100), nil, 1); !errors.Is(err, ErrNoSpace) {
 			t.Errorf("write with every server over its limit: %v, want ErrNoSpace", err)
 		}
-		if loc := c.Locate([]string{"new"})[0]; loc.OK {
+		if loc := c.Locate(nil, []string{"new"})[0]; loc.OK {
 			t.Errorf("refused write left a placement on node %d", loc.Node)
 		}
 	})
@@ -337,7 +337,7 @@ func TestObjectsSnapshot(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
 		c.Write(1, "x", Synthetic(100), &State{Kind: KindFinal}, 1)
 		c.Write(1, "y", Synthetic(200), nil, 1)
-		objs := c.Objects(1)
+		objs := c.Objects(nil, 1)
 		if len(objs) != 2 {
 			t.Fatalf("objects=%d", len(objs))
 		}
@@ -385,7 +385,7 @@ func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 			t.Fatal(err)
 		}
 		var census Meta
-		for _, o := range c.Objects(1) {
+		for _, o := range c.Objects(nil, 1) {
 			if o.Key == "a" {
 				census = o.Meta
 			}

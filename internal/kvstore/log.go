@@ -10,23 +10,40 @@ import "slices"
 // current object sizes, what eviction policies reason about) and
 // allocated bytes (segment memory actually held, what the cleaner
 // bounds).
+//
+// A segment keeps its entries in fixed blocks, so it grows without
+// copying what it holds and without room it never fills. A cleaned
+// segment goes to the log's spare list and its blocks to the log's free
+// list, as RAMCloud returns a cleaned segment to the free pool, and the
+// next roll and appends reuse them: once the cleaner runs, neither
+// appends nor cleaning allocate.
+
+// blockLen is the number of entries in a block.
+const blockLen = 32
+
+// entryBlock is a block of a segment's entries.
+type entryBlock [blockLen]logEntry
 
 // segment is one append-only arena.
 type segment struct {
-	id      int
-	entries []logEntry
+	id     int
+	blocks []*entryBlock
+	n      int // entries appended
 	// appended is the byte volume ever written into the segment;
 	// live is the portion still current.
 	appended int64
 	live     int64
 }
 
+// entry returns the segment's i-th entry.
+func (s *segment) entry(i int) *logEntry { return &s.blocks[i/blockLen][i%blockLen] }
+
 // logEntry is one record: an object version or a tombstone. A live
 // entry's id is held by the index; a dead entry's id is never read.
 type logEntry struct {
-	id   objID
 	obj  *object // nil for tombstones
 	size int64
+	id   objID
 	dead bool
 }
 
@@ -42,6 +59,8 @@ type objLog struct {
 	nextID  int
 	head    *segment
 	segs    []*segment // in id order, the head last
+	spare   []*segment // cleaned segments, emptied, for roll to reuse
+	free    []*entryBlock
 	index   table[entryRef]
 	live    int64
 	alloc   int64
@@ -57,14 +76,17 @@ func newObjLog(segCap int64, keys *keyTable) *objLog {
 	return l
 }
 
-// roll opens a fresh head segment, with room for as many entries as the
-// previous head took, so that filling it does not regrow the slice from
-// zero.
+// roll opens a head segment under the next id, a spare when the cleaner
+// left one.
 func (l *objLog) roll() {
-	s := &segment{id: l.nextID}
-	if l.head != nil {
-		s.entries = make([]logEntry, 0, len(l.head.entries))
+	var s *segment
+	if n := len(l.spare); n > 0 {
+		s = l.spare[n-1]
+		l.spare = l.spare[:n-1]
+	} else {
+		s = &segment{}
 	}
+	s.id = l.nextID
 	l.nextID++
 	l.segs = append(l.segs, s)
 	l.head = s
@@ -75,18 +97,30 @@ func (l *objLog) appendEntry(e logEntry) entryRef {
 	if l.head.appended+e.size > l.segCap && l.head.appended > 0 {
 		l.roll()
 	}
-	l.head.entries = append(l.head.entries, e)
-	l.head.appended += e.size
+	h := l.head
+	if h.n == len(h.blocks)*blockLen {
+		var b *entryBlock
+		if n := len(l.free); n > 0 {
+			b = l.free[n-1]
+			l.free = l.free[:n-1]
+		} else {
+			b = new(entryBlock)
+		}
+		h.blocks = append(h.blocks, b)
+	}
+	*h.entry(h.n) = e
+	h.n++
+	h.appended += e.size
 	l.alloc += e.size
 	if !e.dead {
-		l.head.live += e.size
+		h.live += e.size
 	}
-	return entryRef{seg: l.head, idx: len(l.head.entries) - 1}
+	return entryRef{seg: h, idx: h.n - 1}
 }
 
 // killEntry marks a located entry dead and adjusts accounting.
 func (l *objLog) killEntry(ref entryRef) {
-	e := &ref.seg.entries[ref.idx]
+	e := ref.seg.entry(ref.idx)
 	if e.dead {
 		return
 	}
@@ -98,9 +132,10 @@ func (l *objLog) killEntry(ref entryRef) {
 func (l *objLog) put(id objID, obj *object) int64 {
 	var delta int64 = obj.meta.Size
 	if old, ok := l.index.get(id); ok {
-		delta -= old.seg.entries[old.idx].size
+		size := old.seg.entry(old.idx).size
+		delta -= size
 		l.killEntry(old)
-		l.live -= old.seg.entries[old.idx].size
+		l.live -= size
 	}
 	ref := l.appendEntry(logEntry{id: id, obj: obj, size: obj.meta.Size})
 	l.index.set(id, ref)
@@ -114,7 +149,7 @@ func (l *objLog) get(id objID) (*object, bool) {
 	if !ok {
 		return nil, false
 	}
-	return ref.seg.entries[ref.idx].obj, true
+	return ref.seg.entry(ref.idx).obj, true
 }
 
 // delete removes id (appending a zero-size tombstone, as RAMCloud
@@ -124,7 +159,7 @@ func (l *objLog) delete(id objID) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	size := ref.seg.entries[ref.idx].size
+	size := ref.seg.entry(ref.idx).size
 	l.killEntry(ref)
 	l.live -= size
 	l.index.del(id)
@@ -134,7 +169,7 @@ func (l *objLog) delete(id objID) (int64, bool) {
 
 // each visits every live object, in id order.
 func (l *objLog) each(fn func(id objID, obj *object)) {
-	l.index.each(func(id objID, ref *entryRef) { fn(id, ref.seg.entries[ref.idx].obj) })
+	l.index.each(func(id objID, ref *entryRef) { fn(id, ref.seg.entry(ref.idx).obj) })
 }
 
 // utilization is live/allocated (1 when empty).
@@ -176,8 +211,8 @@ func (l *objLog) clean(target int64) int64 {
 			break
 		}
 		// Relocate live entries to the head.
-		for idx := range victim.entries {
-			e := &victim.entries[idx]
+		for idx := range victim.n {
+			e := victim.entry(idx)
 			if e.dead || e.obj == nil {
 				continue
 			}
@@ -187,10 +222,23 @@ func (l *objLog) clean(target int64) int64 {
 		}
 		l.alloc -= victim.appended
 		l.segs = slices.Delete(l.segs, vi, vi+1)
+		l.recycle(victim)
 		l.cleaned++
 	}
 	l.moved += movedTotal
 	return movedTotal
+}
+
+// recycle empties a cleaned segment onto the spare list and its blocks
+// onto the free list. The cleaner has re-indexed every live entry it
+// held, so no entryRef names it.
+func (l *objLog) recycle(s *segment) {
+	for _, b := range s.blocks {
+		*b = entryBlock{} // drop the object pointers for the collector
+		l.free = append(l.free, b)
+	}
+	*s = segment{blocks: s.blocks[:0]}
+	l.spare = append(l.spare, s)
 }
 
 func segUtil(s *segment) float64 {

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,5 +200,130 @@ func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
 		if left := l.segs[0].id == 0; left || moved != 50 {
 			t.Fatalf("run %d: moved %d bytes, segment 0 cleaned=%v; want the oldest segment's 50 bytes", run, moved, !left)
 		}
+	}
+}
+
+// FuzzObjLog drives the log with puts, overwrites, deletes and cleans at
+// random targets, three bytes an op, against a model: each id's current
+// object, the live bytes, and the allocated bytes, which grow by what a
+// put appends and stay put for a delete, whose tombstone is empty; a
+// clean leaves the live bytes and frees what it does not relocate.
+// After every op checkObjLog holds: above all, no index entry names a
+// spare segment or an entry in a free block.
+func FuzzObjLog(f *testing.F) {
+	f.Add([]byte{0, 1, 40, 0, 2, 40, 0, 1, 10, 3, 0, 0})
+	f.Add([]byte{0, 0, 255, 0, 1, 255, 0, 2, 255, 2, 0, 0, 3, 0, 0, 0, 3, 255, 3, 0, 0, 0, 4, 9})
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		b := make([]byte, 96)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const ids = 8
+		l := newObjLog(8<<10, newKeyTable())
+		model := make(map[string]*object)
+		var live, alloc int64
+		for i := 0; i+2 < len(ops); i += 3 {
+			op, key, arg := ops[i]%4, fmt.Sprintf("k%d", ops[i+1]%ids), int64(ops[i+2])
+			switch op {
+			case 0, 1: // put, or overwrite when key is present
+				obj := mkObj(arg * 32)
+				want := obj.meta.Size
+				if old, ok := model[key]; ok {
+					want -= old.meta.Size
+				}
+				if delta := l.putKey(key, obj); delta != want {
+					t.Fatalf("op %d: put %s: delta %d, want %d", i/3, key, delta, want)
+				}
+				live += want
+				alloc += obj.meta.Size
+				model[key] = obj
+			case 2:
+				old, present := model[key]
+				freed, ok := l.deleteKey(key)
+				if ok != present || present && freed != old.meta.Size {
+					t.Fatalf("op %d: delete %s: %d %v, want %v", i/3, key, freed, ok, present)
+				}
+				if present {
+					live -= old.meta.Size
+					delete(model, key)
+				}
+			case 3:
+				// A clean relocates live entries, which appends them
+				// again, and frees whole segments: what it freed is
+				// the rest of the change, and it has to be some.
+				before := alloc
+				moved := l.clean(l.live + arg*64)
+				if freed := before + moved - l.alloc; moved < 0 || freed < 0 || moved > 0 && freed == 0 {
+					t.Fatalf("op %d: clean moved %d and freed %d bytes", i/3, moved, freed)
+				}
+				alloc = l.alloc // the segments' books are checked below
+			}
+			if l.live != live || l.alloc != alloc {
+				t.Fatalf("op %d: live %d alloc %d, model %d and %d", i/3, l.live, l.alloc, live, alloc)
+			}
+			checkObjLog(t, l, model)
+		}
+	})
+}
+
+// checkObjLog fails t unless l's index, segments, spares and free
+// blocks agree with each other and with model, each key's current
+// object. A cleaned segment is on the spare list or reopened as a later
+// head, so a spare is checked to be empty and outside the log, and a
+// free block to be zeroed and held by no segment.
+func checkObjLog(t *testing.T, l *objLog, model map[string]*object) {
+	t.Helper()
+	inLog := make(map[*segment]bool, len(l.segs))
+	held := make(map[*entryBlock]bool)
+	var alloc int64
+	for _, s := range l.segs {
+		inLog[s] = true
+		if len(s.blocks) != (s.n+blockLen-1)/blockLen {
+			t.Fatalf("segment %d: %d entries in %d blocks", s.id, s.n, len(s.blocks))
+		}
+		for _, b := range s.blocks {
+			held[b] = true
+		}
+		var appended, live int64
+		for i := range s.n {
+			e := s.entry(i)
+			appended += e.size
+			if !e.dead {
+				live += e.size
+			}
+		}
+		if s.appended != appended || s.live != live {
+			t.Fatalf("segment %d: books %d/%d, entries %d/%d", s.id, s.live, s.appended, live, appended)
+		}
+		alloc += appended
+	}
+	if alloc != l.alloc || l.segs[len(l.segs)-1] != l.head {
+		t.Fatalf("log: alloc %d, segments hold %d; head last %v", l.alloc, alloc, l.segs[len(l.segs)-1] == l.head)
+	}
+	for _, s := range l.spare {
+		if inLog[s] || s.n != 0 || len(s.blocks) != 0 || s.appended != 0 || s.live != 0 {
+			t.Fatalf("spare segment in the log (%v) or not empty (%d entries)", inLog[s], s.n)
+		}
+	}
+	for _, b := range l.free {
+		if held[b] || *b != (entryBlock{}) {
+			t.Fatalf("free block held by a segment (%v) or not zeroed", held[b])
+		}
+	}
+	n := 0
+	l.index.each(func(id objID, ref *entryRef) {
+		n++
+		key := l.index.keys.name(id)
+		if !inLog[ref.seg] || ref.idx >= ref.seg.n {
+			t.Fatalf("%s: index names entry %d of a segment outside the log (spare %v) or past its end", key, ref.idx, slices.Contains(l.spare, ref.seg))
+		}
+		if e := ref.seg.entry(ref.idx); e.dead || e.id != id || e.obj != model[key] {
+			t.Fatalf("%s: index names entry %+v, want the live %p", key, *e, model[key])
+		}
+	})
+	if n != len(model) {
+		t.Fatalf("index holds %d keys, model %d", n, len(model))
 	}
 }

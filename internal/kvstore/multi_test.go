@@ -179,7 +179,7 @@ func TestWriteMultiOverwriteAndNoSpace(t *testing.T) {
 		if _, ok := c.MasterOf("obj/huge"); ok {
 			t.Fatal("failed item left a placement behind")
 		}
-		locs := c.Locate([]string{"obj/a", "obj/b"})
+		locs := c.Locate(nil, []string{"obj/a", "obj/b"})
 		if !locs[0].OK || locs[0].Size != 32<<10 {
 			t.Fatalf("overwrite did not refresh placement size: %+v", locs[0])
 		}
@@ -223,7 +223,7 @@ func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 					}
 					c.WriteMulti(node, items, node)
 				}
-				c.Locate([]string{key})
+				c.Locate(nil, []string{key})
 				c.MasterOf(key)
 			}
 		})
@@ -362,7 +362,7 @@ func TestSingleKeyIsBatchOfOne(t *testing.T) {
 				s := c.Server(simnet.NodeID(n))
 				st.logs[n][0], st.logs[n][1], st.logs[n][2], st.logs[n][3] = s.LogStats()
 			}
-			st.loc = c.Locate([]string{key})[0]
+			st.loc = c.Locate(nil, []string{key})[0]
 			return st
 		}
 		one, batch := observe(false), observe(true)

@@ -105,7 +105,7 @@ func dumpStore(c *Cluster) string {
 			}
 			b.WriteByte('\n')
 		}
-		objs := c.Objects(node)
+		objs := c.Objects(nil, node)
 		slices.SortFunc(objs, func(x, y ObjectInfo) int { return strings.Compare(x.Key, y.Key) })
 		if len(objs) != len(masters) {
 			fmt.Fprintf(&b, "    Objects: %d, masters %d\n", len(objs), len(masters))
@@ -252,7 +252,7 @@ func seededSchedule(l *schedLog, rng *rand.Rand, n int) {
 		case r < 18:
 			l.run(at, func() string {
 				m, ok := c.MasterOf(k)
-				loc := c.Locate([]string{k, "absent"})
+				loc := c.Locate(nil, []string{k, "absent"})
 				return fmt.Sprintf("MasterOf(%s) %d %v Locate %+v", k, m, ok, loc)
 			})
 		default:

@@ -121,6 +121,8 @@ type Plan struct {
 	// path, and never count toward the synchronous need).
 	WriteBacks []string
 	Second     []Step
+
+	inputs []Object // PlanReclaim's scratch: the second phase's census
 }
 
 // The policies' fixed constants, from the paper (§6.3, §6.4); no run

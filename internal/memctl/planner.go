@@ -1,7 +1,9 @@
 package memctl
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"ofc/internal/kvstore"
 )
@@ -19,10 +21,13 @@ import (
 //
 // The executor's stop-when-satisfied walk supplies the early exits.
 // Every ordering is total, so the plan does not depend on the order of
-// the census, which the engine hands out in map order.
-func PlanReclaim(census []Object) Plan {
-	var p Plan
-	var inputs []Object
+// the census, which the engine hands out in id order.
+//
+// PlanReclaim writes the plan into p, reusing the room its slices have:
+// an executor that keeps one Plan across reclaims allocates nothing
+// once it has planned its largest census.
+func PlanReclaim(p *Plan, census []Object) {
+	p.First, p.WriteBacks, p.Second, p.inputs = p.First[:0], p.WriteBacks[:0], p.Second[:0], p.inputs[:0]
 	for _, o := range census {
 		switch st := o.Meta.State; {
 		case st.Dirty:
@@ -30,21 +35,20 @@ func PlanReclaim(census []Object) Plan {
 		case st.Kind == kvstore.KindFinal:
 			p.First = append(p.First, Step{Key: o.Key, Size: o.Meta.Size})
 		case st.Kind == kvstore.KindInput || st.Kind == kvstore.KindIntermediate:
-			inputs = append(inputs, o)
+			p.inputs = append(p.inputs, o)
 		case st.Kind == kvstore.KindChunk:
 			// A stripe is freed only whole, with its object (store.Chunked).
 		}
 	}
-	sort.Slice(p.First, func(i, j int) bool { return p.First[i].Key < p.First[j].Key })
-	sort.Strings(p.WriteBacks)
-	sort.Slice(inputs, func(i, j int) bool {
-		if inputs[i].Meta.LastAccess != inputs[j].Meta.LastAccess {
-			return inputs[i].Meta.LastAccess < inputs[j].Meta.LastAccess
+	slices.SortFunc(p.First, func(a, b Step) int { return strings.Compare(a.Key, b.Key) })
+	slices.Sort(p.WriteBacks)
+	slices.SortFunc(p.inputs, func(a, b Object) int {
+		if c := cmp.Compare(a.Meta.LastAccess, b.Meta.LastAccess); c != 0 {
+			return c
 		}
-		return inputs[i].Key < inputs[j].Key
+		return strings.Compare(a.Key, b.Key)
 	})
-	for _, o := range inputs {
+	for _, o := range p.inputs {
 		p.Second = append(p.Second, Step{Key: o.Key, Size: o.Meta.Size})
 	}
-	return p
 }

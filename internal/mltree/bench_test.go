@@ -1,6 +1,9 @@
 package mltree
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // benchProbes extracts a power-of-two probe set from the dataset so
 // benchmark loops can index with a mask instead of an integer divide
@@ -28,9 +31,9 @@ type fitCase struct {
 // grows with the run.
 func fitCases() []fitCase {
 	return []fitCase{
-		{"Nominal600x3x3", nominalDataset(600, 1), 63},
-		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2), 661},
-		{"Benefit2000x5x2", tieDataset(2, 2000, 2, 24, "numeric", 2), 526},
+		{"Nominal600x3x3", nominalDataset(600, 1), 62},
+		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2), 660},
+		{"Benefit2000x5x2", tieDataset(2, 2000, 2, 24, "numeric", 2), 525},
 	}
 }
 
@@ -41,6 +44,23 @@ func BenchmarkJ48Fit(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				NewJ48().Fit(bc.d)
+			}
+		})
+	}
+}
+
+// BenchmarkJ48Refit measures a kept learner refitting each of fitCases,
+// as the ModelTrainer refits a dataset: the builder's scratch and
+// column orders are the last fit's, so only the tree is allocated.
+func BenchmarkJ48Refit(b *testing.B) {
+	for _, bc := range fitCases() {
+		b.Run(bc.name, func(b *testing.B) {
+			j := NewJ48()
+			j.Fit(bc.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j.Fit(bc.d)
 			}
 		})
 	}
@@ -59,6 +79,67 @@ func TestJ48FitAllocCeiling(t *testing.T) {
 		}
 		t.Errorf("%s: J48.Fit allocates %.0f times, want at most %.0f", c.name, n, c.maxAllocs)
 	}
+}
+
+// TestJ48RefitAllocCeiling: the ModelTrainer's refit, a kept learner's
+// second Fit of a dataset grown by appends, allocates the tree and
+// nothing else: each node, its class counts and an internal node's
+// children, counted on the unpruned tree the fit grows before pruning,
+// and the Tree. The builder's scratch and column orders are the first
+// fit's, with room for the rows appended since. The count is the least
+// of three runs, each with a fresh learner: a run can catch an
+// allocation of the runtime's own.
+func TestJ48RefitAllocCeiling(t *testing.T) {
+	for _, c := range fitCases() {
+		var least, ceiling uint64
+		var nodes, internal int
+		for run := 0; run < 3; run++ {
+			grown := NewDataset(c.d.Attrs, c.d.Classes)
+			add := func(rows []Instance) {
+				for _, in := range rows {
+					grown.AddWeighted(in.Vals, in.Class, in.Weight)
+				}
+			}
+			cut := c.d.Len() * 9 / 10
+			add(c.d.Instances[:cut])
+			j := NewJ48()
+			j.Fit(grown)
+			add(c.d.Instances[cut:])
+			nodes, internal = countNodes((&J48{MinLeaf: j.MinLeaf}).Fit(grown).(*Tree).root)
+			ceiling = uint64(2*nodes + internal + 1)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			j.Fit(grown)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; run == 0 || n < least {
+				least = n
+			}
+		}
+		if least > ceiling {
+			if appendMakeAllocates() {
+				t.Skipf("%s: %d allocs with append(s, make(...)...) allocating its temporary (race detector)", c.name, least)
+			}
+			t.Errorf("%s: refit allocates %d times, want at most %d (%d nodes, %d internal)", c.name, least, ceiling, nodes, internal)
+		}
+	}
+}
+
+// countNodes returns the number of nodes under n and how many of them
+// are internal.
+func countNodes(n *node) (nodes, internal int) {
+	nodes = 1
+	if n.isLeaf() {
+		return nodes, 0
+	}
+	internal = 1
+	for _, c := range n.children {
+		if c != nil {
+			cn, ci := countNodes(c)
+			nodes, internal = nodes+cn, internal+ci
+		}
+	}
+	return nodes, internal
 }
 
 // appendMakeAllocates reports whether append(s, make([]T, n)...)

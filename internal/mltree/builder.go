@@ -31,7 +31,9 @@ type splitCandidate struct {
 //
 // Everything but the nodes and the counts they keep is scratch owned
 // by the builder and reused down the recursion: a node finishes
-// evaluating its candidates and partitioning before it recurses.
+// evaluating its candidates and partitioning before it recurses. A
+// builder kept across fits (J48 keeps one) grows its scratch in place,
+// so a refit allocates only the tree's nodes.
 type treeBuilder struct {
 	// Set by the learner; fit fills in the rest.
 	minLeaf  float64
@@ -46,13 +48,18 @@ type treeBuilder struct {
 	numClasses int
 
 	// Training rows, column-wise.
-	vals   [][]float64 // vals[attr][row]
+	vals   [][]float64 // vals[attr][row], windows on cols
+	cols   []float64
 	class  []int32
 	weight []float64
 
 	// Row-index arrays, partitioned in step.
 	rows   []int32   // dataset order
-	sorted [][]int32 // per numeric attribute (nil for nominal ones)
+	sorted [][]int32 // per numeric attribute (empty for nominal ones)
+	// whole is each numeric column's order as the last fit sorted it,
+	// before build partitioned its copy in sorted: the next fit's sorts
+	// start from it (see presort).
+	whole [][]int32
 
 	// Scratch.
 	allAttrs    []int            // J48's candidate set: every attribute
@@ -67,20 +74,19 @@ type treeBuilder struct {
 	sizes       []int            // stack of child sizes, one frame per split in progress
 }
 
-// fit grows the tree for d. order, when non-nil, points at the column
-// orders an earlier fit left there: the sorts start from them and the
-// new orders replace them (see presort).
+// fit grows the tree for d. Its column sorts start from the orders an
+// earlier fit of the same builder left, and leave d's for the next.
 //
 // Nothing is laid out before the root is known to need a split: a
 // function whose invocations all land in one class refits to a single
 // leaf, and that costs no pass over the rows the dataset's class
 // weights already cover.
-func (b *treeBuilder) fit(d *Dataset, order *[][]int32) *node {
+func (b *treeBuilder) fit(d *Dataset) *node {
 	if sums := d.classWeights(); b.stops(sums, 0) {
 		counts := slices.Clone(sums)
 		return &node{attr: -1, counts: counts, majority: majorityClass(counts)}
 	}
-	b.layout(d, order)
+	b.layout(d)
 	return b.build(0, len(d.Instances), 0)
 }
 
@@ -99,28 +105,30 @@ func (b *treeBuilder) stops(counts []float64, depth int) bool {
 }
 
 // layout copies d's rows into columns, sorts the numeric ones and sizes
-// the scratch.
-func (b *treeBuilder) layout(d *Dataset, order *[][]int32) {
+// the scratch, reusing the room an earlier fit left.
+func (b *treeBuilder) layout(d *Dataset) {
 	n, numAttrs, numClasses := len(d.Instances), len(d.Attrs), len(d.Classes)
 	b.attrs, b.numClasses = d.Attrs, numClasses
-	b.vals = make([][]float64, numAttrs)
-	b.class = make([]int32, n)
-	b.weight = make([]float64, n)
-	b.rows = make([]int32, n)
-	b.sorted = make([][]int32, numAttrs)
+	b.vals = resize(b.vals, numAttrs)
+	b.cols = resize(b.cols, numAttrs*n)
+	b.class = resize(b.class, n)
+	b.weight = resize(b.weight, n)
+	b.rows = resize(b.rows, n)
+	b.sorted = resize(b.sorted, numAttrs)
+	b.whole = resize(b.whole, numAttrs)
 
-	b.allAttrs = make([]int, numAttrs)
-	b.gains = make([]splitCandidate, 0, numAttrs)
-	b.seen = make([]bool, numClasses)
-	b.present = make([]int32, 0, numClasses)
-	b.left = make([]float64, numClasses)
-	b.right = make([]float64, numClasses)
-	b.dest = make([]int32, n)
-	b.tmp = make([]int32, n)
+	b.allAttrs = resize(b.allAttrs, numAttrs)
+	b.gains = slices.Grow(b.gains[:0], numAttrs)
+	b.seen = resize(b.seen, numClasses)
+	clear(b.seen)
+	b.present = slices.Grow(b.present[:0], numClasses)
+	b.left = resize(b.left, numClasses)
+	b.right = resize(b.right, numClasses)
+	b.dest = resize(b.dest, n)
+	b.tmp = resize(b.tmp, n)
 
-	cols := make([]float64, numAttrs*n)
 	for a := range b.vals {
-		b.vals[a], cols = cols[:n:n], cols[n:]
+		b.vals[a] = b.cols[a*n : (a+1)*n : (a+1)*n]
 		b.allAttrs[a] = a
 	}
 	for i := range d.Instances {
@@ -132,48 +140,53 @@ func (b *treeBuilder) layout(d *Dataset, order *[][]int32) {
 		b.weight[i] = inst.Weight
 		b.rows[i] = int32(i)
 	}
-	var prev [][]int32
-	if order != nil {
-		prev = *order
-		*order = make([][]int32, numAttrs)
-	}
 	fanout := 2
 	for a := range d.Attrs {
 		if d.Attrs[a].Kind == Nominal {
 			fanout = max(fanout, d.Attrs[a].NumValues())
+			b.sorted[a], b.whole[a] = b.sorted[a][:0], b.whole[a][:0]
 			continue
 		}
-		var start []int32
-		if a < len(prev) {
-			start = prev[a]
-		}
-		b.sorted[a] = presort(b.vals[a], start)
-		if order != nil {
-			// build partitions b.sorted; the next fit wants it whole.
-			(*order)[a] = slices.Clone(b.sorted[a])
-		}
+		b.whole[a] = presort(b.vals[a], b.whole[a])
+		// build partitions b.sorted; the next fit wants whole.
+		b.sorted[a] = resize(b.sorted[a], n)
+		copy(b.sorted[a], b.whole[a])
 	}
-	b.nomCounts = make([]float64, fanout*numClasses)
-	b.cursor = make([]int, fanout)
+	b.nomCounts = resize(b.nomCounts, fanout*numClasses)
+	b.cursor = resize(b.cursor, fanout)
 }
 
-// presort returns col's row indices by ascending value, missing last,
-// equal values in row order: the order a stable sort of the rows gives.
-// The comparator breaks ties by row itself, so the order is total and
-// the result does not depend on where the sort starts. That lets it
-// start from prev, the result for an earlier and shorter col (any
-// permutation of its rows will do), followed by the new rows: when col
-// is that column with rows appended, the start is sorted but for its
-// tail, and the insertion-sort blocks and ordered-run merges of
-// SortStableFunc do a fraction of the comparisons a sort from row
-// order needs.
-func presort(col []float64, prev []int32) []int32 {
-	if len(prev) > len(col) {
-		prev = nil
+// resize returns s at length n, keeping what it holds up to there. It
+// reuses s's room when that is enough and otherwise makes room for a
+// quarter more, so that the scratch of a builder refitting a dataset
+// that grows by appends is reallocated only now and then.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	order := make([]int32, len(col))
-	copy(order, prev)
-	for r := len(prev); r < len(order); r++ {
+	grown := make([]T, n, n+n/4)
+	copy(grown, s)
+	return grown
+}
+
+// presort sorts col's row indices by ascending value, missing last,
+// equal values in row order: the order a stable sort of the rows gives.
+// It sorts in place in order, which holds the result for an earlier
+// and shorter col (any permutation of its rows will do), after
+// appending the new rows; an order longer than col is dropped for row
+// order. The comparator breaks ties by row itself, so the order is
+// total and the result does not depend on where the sort starts. When
+// col is that earlier column with rows appended, the start is sorted
+// but for its tail, and the insertion-sort blocks and ordered-run
+// merges of SortStableFunc do a fraction of the comparisons a sort from
+// row order needs. It returns the sorted order.
+func presort(col []float64, order []int32) []int32 {
+	if len(order) > len(col) {
+		order = order[:0]
+	}
+	from := len(order)
+	order = resize(order, len(col))
+	for r := from; r < len(order); r++ {
 		order[r] = int32(r)
 	}
 	slices.SortStableFunc(order, func(x, y int32) int {
@@ -280,7 +293,7 @@ func (b *treeBuilder) build(lo, n, depth int) *node {
 	nd.attr = best.attr
 	b.partition(b.rows[lo:lo+n], sizes)
 	for _, idx := range b.sorted {
-		if idx != nil {
+		if len(idx) > 0 {
 			b.partition(idx[lo:lo+n], sizes)
 		}
 	}

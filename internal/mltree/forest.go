@@ -39,7 +39,7 @@ func (r *RandomTree) Fit(d *Dataset) Classifier {
 		perm := rng.Perm(len(d.Attrs))
 		return perm[:k]
 	}}
-	return &Tree{root: b.fit(d, nil), attrs: d.Attrs, n: d.Len()}
+	return &Tree{root: b.fit(d), attrs: d.Attrs, n: d.Len()}
 }
 
 // RandomForest bags RandomTrees and classifies by majority vote of the

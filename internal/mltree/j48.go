@@ -110,12 +110,13 @@ type J48 struct {
 	// MaxDepth caps tree depth; zero means unlimited.
 	MaxDepth int
 
-	// order is the column sort order of the last Fit, where the next
-	// one starts its sorts: a learner kept across refits of a dataset
-	// that only grows (the ModelTrainer's) sorts nearly sorted input.
-	// It affects cost alone, never the tree. Because Fit writes it, a
-	// J48 must not run two Fits at once.
-	order [][]int32
+	// b is the builder every Fit grows its tree with. It keeps its
+	// scratch and the column orders of the last fit, where the next one
+	// starts its sorts: a learner kept across refits of a dataset that
+	// only grows (the ModelTrainer's) allocates only the tree's nodes
+	// and sorts nearly sorted input. It affects cost alone, never the
+	// tree. Because Fit writes it, a J48 must not run two Fits at once.
+	b treeBuilder
 }
 
 // NewJ48 returns a learner with the C4.5 defaults.
@@ -137,8 +138,8 @@ func (j *J48) Fit(d *Dataset) Classifier {
 	if minLeaf <= 0 {
 		minLeaf = 2
 	}
-	b := treeBuilder{minLeaf: minLeaf, maxDepth: j.MaxDepth}
-	root := b.fit(d, &j.order)
+	j.b.minLeaf, j.b.maxDepth = minLeaf, j.MaxDepth
+	root := j.b.fit(d)
 	if j.Confidence > 0 {
 		prune(root, j.Confidence, d.Attrs)
 	}

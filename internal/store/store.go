@@ -74,7 +74,9 @@ type ChainBackend interface {
 // placement (durable passthrough) simply don't implement it.
 type PlacementView interface {
 	MasterOf(key string) (simnet.NodeID, bool)
-	Locate(keys []string) []Location
+	// Locate appends each key's location to dst and returns the
+	// extended slice.
+	Locate(dst []Location, keys []string) []Location
 }
 
 // MemoryView is the elasticity-control view the cache agents (§6.4)
@@ -83,7 +85,9 @@ type PlacementView interface {
 // the view has no verb to set it.
 type MemoryView interface {
 	Usage(node simnet.NodeID) (used, limit int64)
-	Objects(node simnet.NodeID) []ObjectInfo
+	// Objects appends node's census to dst and returns the extended
+	// slice.
+	Objects(dst []ObjectInfo, node simnet.NodeID) []ObjectInfo
 	Evict(key string) error
 	MigrateToBackup(key string) error
 }

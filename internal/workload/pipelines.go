@@ -1,9 +1,9 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"ofc/internal/core"
@@ -138,6 +138,20 @@ func lastSeg(key string) string {
 	return key
 }
 
+// keyOf returns parts joined, then n in decimal, then suffix, built in
+// *buf, which it reuses from call to call: the key's string is its one
+// allocation.
+func keyOf(buf *[]byte, n int, suffix string, parts ...string) string {
+	b := (*buf)[:0]
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, suffix...)
+	*buf = b
+	return string(b)
+}
+
 // blobOf builds a synthetic payload.
 func blobOf(size int64) blobType { return blobType{Size: size} }
 
@@ -180,6 +194,9 @@ func NewMapReduce(su *Suite, tenant string, profile TenantProfile, platformMax i
 	reduce := &faas.Function{Name: "mr_reduce", Tenant: tenant, InputType: "text", ArgNames: []string{"chunks"},
 		MemoryBooked: book(redMem(map[string]float64{"chunks": float64(ceilDiv(maxIn, mrChunk))}, nil))}
 
+	// Every part's counts are the same size, so they share one feature
+	// map (loadObj sets its size, to the same value each time).
+	countsF := map[string]float64{}
 	mapFn.Body = func(ctx *faas.Ctx) error {
 		in := ctx.InputKeys()[0]
 		blob, err := ctx.Extract(in)
@@ -190,7 +207,7 @@ func NewMapReduce(su *Suite, tenant string, profile TenantProfile, platformMax i
 		if err := ctx.Transform(mapTime(f, nil), mapMem(f, nil)); err != nil {
 			return err
 		}
-		return su.loadObj(ctx, "pl/"+ctx.PipelineID()+"/"+lastSeg(in)+".counts", 64<<10, faas.KindIntermediate, map[string]float64{})
+		return su.loadObj(ctx, "pl/"+ctx.PipelineID()+"/"+lastSeg(in)+".counts", 64<<10, faas.KindIntermediate, countsF)
 	}
 	reduce.Body = func(ctx *faas.Ctx) error {
 		for _, key := range ctx.InputKeys() {
@@ -206,25 +223,30 @@ func NewMapReduce(su *Suite, tenant string, profile TenantProfile, platformMax i
 	}
 
 	pl := &Pipeline{Name: "map_reduce", InputType: "text", Funcs: []*faas.Function{mapFn, reduce}}
+	var kb []byte // key buffer
 	pl.Parts = func(in InputMeta) []InputMeta {
 		chunks := ceilDiv(in.Size, mrChunk)
 		per := in.Size / int64(chunks)
 		parts := make([]InputMeta, chunks)
+		f := map[string]float64{"size": float64(per), "lines": float64(per) / 60} // every part's
 		for i := range parts {
-			parts[i] = InputMeta{
-				Key:      fmt.Sprintf("%s/part/%d", in.Key, i),
-				Size:     per,
-				Features: map[string]float64{"size": float64(per), "lines": float64(per) / 60},
-			}
+			parts[i] = InputMeta{Key: keyOf(&kb, i, "", in.Key, "/part/"), Size: per, Features: f}
 		}
 		return parts
 	}
 	pl.Run = func(p *faas.Platform, in InputMeta, id string) *PipelineResult {
-		out := &PipelineResult{}
 		parts := pl.Parts(in)
+		out := &PipelineResult{Results: make([]*faas.Result, 0, len(parts)+1)}
+		inKeys := make([]string, len(parts))
+		countKeys := make([]string, len(parts))
+		for i, part := range parts {
+			inKeys[i] = part.Key
+			countKeys[i] = "pl/" + id + "/" + lastSeg(part.Key) + ".counts"
+		}
+		defer su.forget(countKeys)
 		mapReqs := make([]*faas.Request, len(parts))
 		for i, part := range parts {
-			mapReqs[i] = stageReq(mapFn, id, []string{part.Key}, part.Features, false)
+			mapReqs[i] = stageReq(mapFn, id, inKeys[i:i+1:i+1], part.Features, false)
 		}
 		mapRes := p.InvokeParallel(mapReqs)
 		out.Results = append(out.Results, mapRes...)
@@ -233,10 +255,6 @@ func NewMapReduce(su *Suite, tenant string, profile TenantProfile, platformMax i
 				out.Err = r.Err
 				return out
 			}
-		}
-		countKeys := make([]string, len(parts))
-		for i, part := range parts {
-			countKeys[i] = "pl/" + id + "/" + lastSeg(part.Key) + ".counts"
 		}
 		rr := stageReq(reduce, id, countKeys, map[string]float64{"size": 64 << 10}, true)
 		rr.Args = map[string]float64{"chunks": float64(len(parts))}
@@ -308,6 +326,11 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 	process := &faas.Function{Name: "this_process", Tenant: tenant, InputType: "video", MemoryBooked: book(prMem(f1080, nil))}
 	merge := &faas.Function{Name: "this_merge", Tenant: tenant, InputType: "video", MemoryBooked: book(mgMem(f1080, nil))}
 
+	var kb []byte // key buffer
+	// frameKey is the key of segment seg's frame j in run id.
+	frameKey := func(id, seg string, j int, suffix string) string {
+		return keyOf(&kb, j, suffix, "pl/", id, "/", seg, "/f")
+	}
 	decode.Body = func(ctx *faas.Ctx) error {
 		in := ctx.InputKeys()[0]
 		blob, err := ctx.Extract(in)
@@ -321,7 +344,7 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 		per := blob.Size / thisFramesPerSeg
 		cf := map[string]float64{"width": f["width"], "height": f["height"]}
 		for j := 0; j < thisFramesPerSeg; j++ {
-			key := fmt.Sprintf("pl/%s/%s/f%d", ctx.PipelineID(), lastSeg(in), j)
+			key := frameKey(ctx.PipelineID(), lastSeg(in), j, "")
 			if err := su.loadObj(ctx, key, per, faas.KindIntermediate, cf); err != nil {
 				return err
 			}
@@ -345,7 +368,7 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 		}
 		per := int64(float64(total) * 0.9 / thisFramesPerSeg)
 		for j := range ctx.InputKeys() {
-			key := fmt.Sprintf("%s.out", ctx.InputKeys()[j])
+			key := ctx.InputKeys()[j] + ".out"
 			if err := su.loadObj(ctx, key, per, faas.KindIntermediate, f); err != nil {
 				return err
 			}
@@ -377,25 +400,37 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 		}
 		per := in.Size / int64(chunks)
 		parts := make([]InputMeta, chunks)
+		f := map[string]float64{ // every segment's
+			"size": float64(per), "width": in.Features["width"], "height": in.Features["height"],
+			"fps": in.Features["fps"], "duration": thisChunkSecs,
+		}
 		for i := range parts {
-			parts[i] = InputMeta{
-				Key:  fmt.Sprintf("%s/seg/%d", in.Key, i),
-				Size: per,
-				Features: map[string]float64{
-					"size": float64(per), "width": in.Features["width"], "height": in.Features["height"],
-					"fps": in.Features["fps"], "duration": thisChunkSecs,
-				},
-			}
+			parts[i] = InputMeta{Key: keyOf(&kb, i, "", in.Key, "/seg/"), Size: per, Features: f}
 		}
 		return parts
 	}
 	pl.Run = func(p *faas.Platform, in InputMeta, id string) *PipelineResult {
-		out := &PipelineResult{}
 		parts := pl.Parts(in)
+		out := &PipelineResult{Results: make([]*faas.Result, 0, 2*len(parts)+1)}
+		// Every key the run names, built once: each segment's input, its
+		// decoded frames (process's inputs) and their processed outputs
+		// (merge's), which the registry forgets when the run ends.
+		inKeys := make([]string, len(parts))
+		frames := make([]string, len(parts)*thisFramesPerSeg)
+		outKeys := make([]string, len(frames))
+		for i, part := range parts {
+			inKeys[i] = part.Key
+			for j := 0; j < thisFramesPerSeg; j++ {
+				frames[i*thisFramesPerSeg+j] = frameKey(id, lastSeg(part.Key), j, "")
+				outKeys[i*thisFramesPerSeg+j] = frameKey(id, lastSeg(part.Key), j, ".out")
+			}
+		}
+		defer su.forget(frames)
+		defer su.forget(outKeys)
 		// Stage 1: decode each segment into frames.
 		decReqs := make([]*faas.Request, len(parts))
 		for i, part := range parts {
-			decReqs[i] = stageReq(decode, id, []string{part.Key}, part.Features, false)
+			decReqs[i] = stageReq(decode, id, inKeys[i:i+1:i+1], part.Features, false)
 		}
 		decRes := p.InvokeParallel(decReqs)
 		out.Results = append(out.Results, decRes...)
@@ -405,16 +440,13 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 				return out
 			}
 		}
-		// Stage 2: process each segment's frames.
-		frameSize := func(part InputMeta) float64 { return float64(part.Size) / thisFramesPerSeg }
+		// Stage 2: process each segment's frames. Parts cuts segments of
+		// one size, so their requests share one feature map.
+		pf := map[string]float64{"size": float64(parts[0].Size) / thisFramesPerSeg, "width": in.Features["width"],
+			"height": in.Features["height"], "duration": thisChunkSecs}
 		prReqs := make([]*faas.Request, len(parts))
-		for i, part := range parts {
-			keys := make([]string, thisFramesPerSeg)
-			for j := range keys {
-				keys[j] = fmt.Sprintf("pl/%s/%s/f%d", id, lastSeg(part.Key), j)
-			}
-			pf := map[string]float64{"size": frameSize(part), "width": in.Features["width"],
-				"height": in.Features["height"], "duration": thisChunkSecs}
+		for i := range parts {
+			keys := frames[i*thisFramesPerSeg : (i+1)*thisFramesPerSeg : (i+1)*thisFramesPerSeg]
 			prReqs[i] = stageReq(process, id, keys, pf, false)
 		}
 		prRes := p.InvokeParallel(prReqs)
@@ -426,12 +458,6 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 			}
 		}
 		// Stage 3: merge all processed frames.
-		var outKeys []string
-		for _, part := range parts {
-			for j := 0; j < thisFramesPerSeg; j++ {
-				outKeys = append(outKeys, fmt.Sprintf("pl/%s/%s/f%d.out", id, lastSeg(part.Key), j))
-			}
-		}
 		mf := map[string]float64{"size": float64(in.Size) * 0.9, "width": in.Features["width"],
 			"height": in.Features["height"], "duration": in.Features["duration"]}
 		r3 := p.Invoke(stageReq(merge, id, outKeys, mf, true))

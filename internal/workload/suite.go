@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"ofc/internal/core"
@@ -31,6 +30,14 @@ func (su *Suite) RegisterObject(key string, features map[string]float64) {
 	su.features[key] = features
 }
 
+// forget drops keys from the registry: a pipeline's intermediates, once
+// the run that wrote and read them is over.
+func (su *Suite) forget(keys []string) {
+	for _, k := range keys {
+		delete(su.features, k)
+	}
+}
+
 // FeaturesOf returns the true features of key; for unknown keys it
 // falls back to size-only features.
 func (su *Suite) FeaturesOf(key string, size int64) map[string]float64 {
@@ -53,6 +60,8 @@ func (su *Suite) Build(spec *Spec, tenant string, booked int64) *faas.Function {
 		InputType:    spec.InputType,
 		ArgNames:     spec.ArgNames,
 	}
+	outPrefix := "out/" + tenant + "/" + spec.Name + "/"
+	var kb []byte // key buffer
 	fn.Body = func(ctx *faas.Ctx) error {
 		key := ctx.InputKeys()[0]
 		blob, err := ctx.Extract(key)
@@ -66,7 +75,7 @@ func (su *Suite) Build(spec *Spec, tenant string, booked int64) *faas.Function {
 		if err := ctx.Transform(spec.Time(f, args), spec.PeakMemRun(key, f, args, seq)); err != nil {
 			return err
 		}
-		outKey := fmt.Sprintf("out/%s/%s/%d", tenant, spec.Name, seq)
+		outKey := keyOf(&kb, int(seq), "", outPrefix)
 		return ctx.Load(outKey, faas.Blob{Size: spec.OutSize(f, args)}, faas.KindFinal)
 	}
 	return fn
