@@ -65,8 +65,8 @@ test-cover:
 # find inside internal/sim on any number of Ps, and this is where it
 # says so. The second line covers every package. State bound to an Env
 # holds no lock or atomic, so it is the evidence that no host goroutine
-# shares such state: experiments.Parallel runs each cell's deployment
-# on its own goroutine, and the trace recorder is driven from 64.
+# shares such state: experiments.Parallel runs each cell's deployment,
+# its trace recorder included, on its own goroutine.
 test-race:
 	$(GO) test -race -cpu 1,4 ./internal/sim/...
 	$(GO) test -race ./...
@@ -94,7 +94,7 @@ bench:
 # benchmark; drop BENCHTIME for real numbers).
 BENCHTIME ?= 1x
 bench-sim:
-	$(GO) test -bench 'Sleep|After|Then|Batch|Future|Queue|Cluster|Multi|Transfer|Disk|Resilient|Log' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
+	$(GO) test -bench 'Sleep|After|Then|Batch|Future|Cluster|Multi|Transfer|Disk|Resilient|Log' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree

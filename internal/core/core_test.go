@@ -856,49 +856,6 @@ func TestTrainerPostMaturationDatasetPolicy(t *testing.T) {
 	}
 }
 
-func TestModelPersistenceRoundTrip(t *testing.T) {
-	sys := newSystem(8)
-	fn := imageFn("persist", 10*time.Millisecond)
-	sys.Register(fn)
-	sys.Trainer.Pretrain(fn, synthSamples(sys.Pred.Schema(fn), 300, 9))
-	req := &faas.Request{Function: fn,
-		Args:          map[string]float64{"sigma": 2},
-		InputFeatures: map[string]float64{"size": 64 * 1024, "width": 800, "height": 600, "channels": 3}}
-	want := sys.Pred.Advise(req)
-	if !want.Use {
-		t.Fatal("model not mature")
-	}
-	data, err := sys.Pred.ExportModel(fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fresh controller (new Predictor) imports the models and gives
-	// identical advice.
-	fresh := NewPredictor()
-	if err := fresh.ImportModel(fn, data); err != nil {
-		t.Fatal(err)
-	}
-	if got := fresh.Advise(req); got != want {
-		t.Errorf("advice after import %+v, want %+v", got, want)
-	}
-}
-
-func TestModelImportRejectsWrongFunction(t *testing.T) {
-	sys := newSystem(9)
-	a := imageFn("fa", time.Millisecond)
-	b := imageFn("fb", time.Millisecond)
-	sys.Register(a)
-	sys.Register(b)
-	sys.Trainer.Pretrain(a, synthSamples(sys.Pred.Schema(a), 200, 1))
-	data, err := sys.Pred.ExportModel(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Pred.ImportModel(b, data); err == nil {
-		t.Error("bundle for fa accepted by fb")
-	}
-}
-
 // newChunkingSystem deploys newSystem's shape with Options.Chunking.
 func newChunkingSystem(seed int64) *System {
 	opts := testOptions(seed)
@@ -1062,8 +1019,8 @@ func TestStorageTriggersFireFunctions(t *testing.T) {
 	}
 	// The triggered invocations produced outputs (registered under the
 	// function's tenant) and feature sidecars for the new objects.
-	if f := sys.RSDS.Features("uploads/a.jpg"); f == nil || f["width"] != 800 {
-		t.Errorf("features not extracted: %v", f)
+	if m, _ := sys.RSDS.MetaOf("uploads/a.jpg"); m.Features == nil || m.Features["width"] != 800 {
+		t.Errorf("features not extracted: %v", m.Features)
 	}
 	st := sys.Platform.Stats()
 	// 2 triggered + their persistors.

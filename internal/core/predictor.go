@@ -49,8 +49,7 @@ type modelState struct {
 	// Trained models (nil until first train) and the dataset length
 	// each was fitted from: the datasets only grow, so a model whose
 	// length still matches has seen every row and a refit would
-	// reproduce it. -1 marks an imported model, fitted from no local
-	// data.
+	// reproduce it.
 	memModel       *mltree.Tree
 	benefitModel   *mltree.Tree
 	memFitRows     int

@@ -64,8 +64,10 @@ type RCLib struct {
 
 	// pipelines lists each pipeline instance's intermediates, to drop
 	// when it completes (control-plane state: only touched at
-	// intermediate Put and pipeline completion).
+	// intermediate Put and pipeline completion). spareKeys holds the
+	// emptied lists of completed pipelines for the next ones to fill.
 	pipelines map[string][]string
+	spareKeys [][]string
 
 	// pending maps keys to futures resolved when their latest payload
 	// has been persisted (external-read webhook barrier).
@@ -430,7 +432,11 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 			return nil
 		}
 		if opts.Pipeline != "" {
-			rc.pipelines[opts.Pipeline] = append(rc.pipelines[opts.Pipeline], key)
+			keys := rc.pipelines[opts.Pipeline]
+			if n := len(rc.spareKeys); keys == nil && n > 0 {
+				keys, rc.spareKeys = rc.spareKeys[n-1], rc.spareKeys[:n-1]
+			}
+			rc.pipelines[opts.Pipeline] = append(keys, key)
 		}
 		return nil
 	}
@@ -520,11 +526,16 @@ var (
 // pipeline completes (§6.3). Evicting a striped object drops every
 // stripe inside the chunking middleware.
 func (rc *RCLib) PipelineDone(pipeline string) {
-	keys := rc.pipelines[pipeline]
+	keys, ok := rc.pipelines[pipeline]
+	if !ok {
+		return
+	}
 	delete(rc.pipelines, pipeline)
 	for _, key := range keys {
 		rc.be.Evict(key)
 	}
+	clear(keys)
+	rc.spareKeys = append(rc.spareKeys, keys[:0])
 }
 
 // WriteBackNow synchronously persists one dirty cached object (used by

@@ -175,6 +175,47 @@ func TestPutAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestPipelineKeysAllocCeiling: once a pipeline has completed, the
+// next pipeline's intermediate Put and completion reuse its key list,
+// so they allocate no more than the same Put and eviction with no
+// pipeline to track: only the store's record of the new object.
+func TestPipelineKeysAllocCeiling(t *testing.T) {
+	sys := quietSystem()
+	w := sys.WorkerNodes[0]
+	blob := kvstore.Synthetic(4 << 10)
+	var plain, tracked float64
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+		run := func(pipeline string, done func()) func() {
+			return func() {
+				opts := faas.PutOpts{Kind: faas.KindIntermediate, Pipeline: pipeline}
+				if err := sys.RC.Put(w, "pl/p/mid", blob, opts); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+				if _, ok := sys.KV.MasterOf("pl/p/mid"); !ok {
+					t.Fatal("intermediate not cached")
+				}
+				done()
+				if _, ok := sys.KV.MasterOf("pl/p/mid"); ok {
+					t.Fatal("intermediate survived its pipeline")
+				}
+			}
+		}
+		untracked := run("", func() { sys.RC.be.Evict("pl/p/mid") })
+		pipeline := run("p", func() { sys.RC.PipelineDone("p") })
+		untracked()
+		pipeline()
+		plain = testing.AllocsPerRun(1000, untracked)
+		tracked = testing.AllocsPerRun(1000, pipeline)
+	})
+	if st := sys.RC.Stats(); st.BypassWrites != 0 || st.FallbackWrites != 0 {
+		t.Fatalf("puts left the cache path: %+v", st)
+	}
+	if tracked > plain || plain > 1 {
+		t.Errorf("warm intermediate Put + PipelineDone: %.0f allocs, Put + Evict: %.0f; want the same, at most 1", tracked, plain)
+	}
+}
+
 // TestWriteBackPutAllocCeiling pins the allocations of a write-back
 // final RC.Put into the caller's own cache server: the shadow in the
 // RSDS, the cache write and the Persistor's scheduling. The Persistors

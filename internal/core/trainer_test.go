@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"ofc/internal/faas"
@@ -81,37 +80,6 @@ func TestSecondPretrainRefitsBoth(t *testing.T) {
 	}
 	if after.benefit == before.benefit || after.benefitCompiled == before.benefitCompiled {
 		t.Error("benefit model not refit by a second Pretrain")
-	}
-}
-
-// TestImportThenRetrainReplacesImportedModels: an imported tree was
-// fitted from none of the local rows, so the next retrain replaces it
-// by a fit of the local datasets, even when those have not grown since
-// the local fit the import overwrote.
-func TestImportThenRetrainReplacesImportedModels(t *testing.T) {
-	donor, _, fn := memoFixture(t, 300, 9)
-	bundle, err := donor.ExportModel(fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := func(imported bool) []byte {
-		pred := NewPredictor()
-		trainer := NewModelTrainer(pred, sim.NewEnv(1))
-		trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 100, 5))
-		if imported {
-			if err := pred.ImportModel(fn, bundle); err != nil {
-				t.Fatal(err)
-			}
-		}
-		trainer.Pretrain(fn, nil) // a retrain with no new row
-		out, err := pred.ExportModel(fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if got, want := local(true), local(false); !bytes.Equal(got, want) {
-		t.Errorf("models after import + retrain differ from a fit of the local data\n got %s\nwant %s", got, want)
 	}
 }
 

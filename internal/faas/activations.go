@@ -2,8 +2,6 @@ package faas
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -79,22 +77,6 @@ func (l *activationLog) list(n int) []Activation {
 	return out
 }
 
-// get finds a retained activation by id.
-func (l *activationLog) get(id string) (Activation, bool) {
-	digits, ok := strings.CutPrefix(id, "act-")
-	if !ok {
-		return Activation{}, false
-	}
-	n, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil || activationID(n) != id {
-		return Activation{}, false
-	}
-	if n == 0 || n > l.next || l.next-n >= uint64(len(l.ring)) {
-		return Activation{}, false
-	}
-	return l.at(n), true
-}
-
 // recordActivation files the result of a completed invocation.
 func (p *Platform) recordActivation(req *Request, res *Result) {
 	a := Activation{
@@ -120,9 +102,4 @@ func (p *Platform) recordActivation(req *Request, res *Result) {
 // first (n ≤ 0 returns all retained).
 func (p *Platform) Activations(n int) []Activation {
 	return p.activations.list(n)
-}
-
-// Activation looks one record up by id.
-func (p *Platform) Activation(id string) (Activation, bool) {
-	return p.activations.get(id)
 }

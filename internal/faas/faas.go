@@ -286,7 +286,6 @@ type Platform struct {
 	cfg  Config
 	ctrl simnet.NodeID
 
-	sequences   map[string]*Sequence
 	invokers    []*Invoker
 	activations *activationLog
 

@@ -45,6 +45,14 @@ func newTestbedN(seed int64, capacity int64, workers int) *testbed {
 	return &testbed{env: env, net: net, p: p, store: store}
 }
 
+// invokeAsync starts req in its own process and returns a future that
+// resolves to its result.
+func invokeAsync(tb *testbed, req *Request) *sim.Future[*Result] {
+	f := sim.NewFuture[*Result](tb.env)
+	tb.env.Go(func() { f.Set(tb.p.Invoke(req)) })
+	return f
+}
+
 // booksBalanced recounts inv's sandbox index the slow way and compares
 // the result with the running count and BookedWaste.
 func booksBalanced(inv *Invoker) bool {
@@ -644,13 +652,6 @@ func TestActivationRecords(t *testing.T) {
 		if a.Function != "t/act" || a.Duration <= 0 || a.Error != "" {
 			t.Errorf("record %+v", a)
 		}
-		got, ok := tb.p.Activation(a.ID)
-		if !ok || got.ID != a.ID {
-			t.Errorf("lookup %s failed", a.ID)
-		}
-	}
-	if _, ok := tb.p.Activation("act-99999999"); ok {
-		t.Error("lookup of unknown id succeeded")
 	}
 }
 
@@ -677,68 +678,6 @@ func TestActivationLogBounded(t *testing.T) {
 		if got := l.list(2); len(got) != min(2, retained) {
 			t.Errorf("total=%d: list(2)=%d", total, len(got))
 		}
-		if total == 0 {
-			continue
-		}
-		oldest := total - retained + 1
-		if a, ok := l.get(activationID(uint64(oldest))); !ok || a.Node != oldest {
-			t.Errorf("total=%d: oldest retained %d: ok=%v node=%d", total, oldest, ok, a.Node)
-		}
-		if a, ok := l.get(activationID(uint64(total))); !ok || a.Node != total {
-			t.Errorf("total=%d: newest %d: ok=%v node=%d", total, total, ok, a.Node)
-		}
-		// oldest-1 is the first evicted record, or number 0, which never
-		// existed.
-		if _, ok := l.get(activationID(uint64(oldest - 1))); ok {
-			t.Errorf("total=%d: record %d found past eviction", total, oldest-1)
-		}
-		if _, ok := l.get(activationID(uint64(total + 1))); ok {
-			t.Errorf("total=%d: record %d found before it was filed", total, total+1)
-		}
-	}
-	for _, id := range []string{"", "act-", "act-1", "act-+0000017", "run-00000017", "act-000000017"} {
-		if _, ok := l.get(id); ok {
-			t.Errorf("malformed id %q found a record", id)
-		}
-	}
-}
-
-func TestRegisteredSequence(t *testing.T) {
-	tb := newTestbed(1, 8<<30)
-	produce := &Function{Name: "produce", Tenant: "t", MemoryBooked: 128 << 20,
-		Body: func(ctx *Ctx) error {
-			return ctx.Load("pl/"+ctx.PipelineID()+"/mid", Blob{Size: 2 << 10}, KindIntermediate)
-		}}
-	consume := &Function{Name: "consume", Tenant: "t", MemoryBooked: 128 << 20,
-		Body: func(ctx *Ctx) error {
-			if _, err := ctx.Extract(ctx.InputKeys()[0]); err != nil {
-				return err
-			}
-			return ctx.Load("pl/"+ctx.PipelineID()+"/final", Blob{Size: 1 << 10}, KindFinal)
-		}}
-	tb.p.Register(produce)
-	tb.p.Register(consume)
-	seq := tb.p.RegisterSequence("t", "prodcons", produce, consume)
-	if got, ok := tb.p.LookupSequence("t/prodcons"); !ok || got != seq {
-		t.Fatal("sequence not registered")
-	}
-	var results []*Result
-	tb.env.Go(func() {
-		results = seq.Invoke("sq-1", nil, nil, func(stage int, prev *Result) []string {
-			return []string{"pl/sq-1/mid"}
-		})
-	})
-	tb.env.Run()
-	if len(results) != 2 {
-		t.Fatalf("results=%d", len(results))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Errorf("stage %d: %v", i, r.Err)
-		}
-	}
-	if results[1].Start < results[0].End {
-		t.Error("stages overlapped")
 	}
 }
 
@@ -843,27 +782,6 @@ func TestSwapDegradationInsteadOfOOM(t *testing.T) {
 	if tb.p.Stats().OOMKills != 0 {
 		t.Error("swap counted as OOM")
 	}
-}
-
-func TestInvokeAsync(t *testing.T) {
-	tb := newTestbed(1, 8<<30)
-	fn := &Function{Name: "async", Tenant: "t", MemoryBooked: 128 << 20,
-		Body: func(ctx *Ctx) error { return ctx.Transform(100*time.Millisecond, 64<<20) }}
-	tb.p.Register(fn)
-	tb.env.Go(func() {
-		f1 := tb.p.InvokeAsync(&Request{Function: fn})
-		f2 := tb.p.InvokeAsync(&Request{Function: fn})
-		start := tb.env.Now()
-		r1, r2 := f1.Wait(), f2.Wait()
-		if r1.Err != nil || r2.Err != nil {
-			t.Errorf("errs: %v %v", r1.Err, r2.Err)
-		}
-		// Both ran concurrently: waiting for both takes ~one duration.
-		if wall := tb.env.Now() - start; wall > 900*time.Millisecond {
-			t.Errorf("async invocations serialized: wall=%v", wall)
-		}
-	})
-	tb.env.Run()
 }
 
 // TestOOMRetrySeesWrappedErrors is the regression test for the
@@ -1145,8 +1063,8 @@ func TestNodeCrashWithKeepAliveTimersPending(t *testing.T) {
 	tb.env.Go(func() {
 		// Two sandboxes busy across the outage, two idle with timers
 		// pending.
-		busy := tb.p.InvokeAsync(&Request{Function: fn, Args: map[string]float64{"run": float64(10 * time.Second)}})
-		busy2 := tb.p.InvokeAsync(&Request{Function: rescued})
+		busy := invokeAsync(tb, &Request{Function: fn, Args: map[string]float64{"run": float64(10 * time.Second)}})
+		busy2 := invokeAsync(tb, &Request{Function: rescued})
 		tb.p.InvokeParallel([]*Request{{Function: fn}, {Function: fn}})
 		tb.env.Sleep(2 * time.Second)
 		if inv.SandboxCount() != 4 || inv.BookedWaste() != 4*(160<<20) {
@@ -1287,7 +1205,7 @@ func TestSandboxBooksMatchReferenceModel(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k == 0: // node crash under a running body (2 s in) or a cold start (0.2 s in)
 				req := request(5*time.Second, false)
-				f := tb.p.InvokeAsync(req)
+				f := invokeAsync(tb, req)
 				tb.env.Sleep([]time.Duration{200 * time.Millisecond, 2 * time.Second}[rng.Intn(2)])
 				tb.net.SetNodeDown(inv.Node(), true)
 				inv.Crash()

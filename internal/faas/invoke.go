@@ -362,62 +362,6 @@ func (p *Platform) defaultRoute(req *Request, all []*Invoker, warmIdle []*Invoke
 	return nil
 }
 
-// RegisterSequence registers a named function composition (OWK's
-// first-class "sequences", §2.1): invoking the sequence runs the
-// member functions in order, each stage's single output key feeding
-// the next stage's input.
-func (p *Platform) RegisterSequence(tenant, name string, members ...*Function) *Sequence {
-	seq := &Sequence{p: p, Tenant: tenant, Name: name, Members: members}
-	if p.sequences == nil {
-		p.sequences = make(map[string]*Sequence)
-	}
-	p.sequences[tenant+"/"+name] = seq
-	return seq
-}
-
-// Sequence is a registered function composition.
-type Sequence struct {
-	p       *Platform
-	Tenant  string
-	Name    string
-	Members []*Function
-}
-
-// LookupSequence finds a registered sequence.
-func (p *Platform) LookupSequence(id string) (*Sequence, bool) {
-	s, ok := p.sequences[id]
-	return s, ok
-}
-
-// Invoke runs the sequence: stage i+1 receives stage i's input keys
-// unless chain is provided to derive them. The pipeline id groups the
-// stages for intermediate cleanup.
-func (s *Sequence) Invoke(pipeline string, firstInput []string, features map[string]float64, chain func(stage int, prev *Result) []string) []*Result {
-	keys := firstInput
-	var results []*Result
-	for i, fn := range s.Members {
-		req := &Request{
-			Function:      fn,
-			Pipeline:      pipeline,
-			FinalStage:    i == len(s.Members)-1,
-			InputKeys:     keys,
-			InputFeatures: features,
-		}
-		if i > 0 {
-			s.p.env.Sleep(s.p.cfg.ControllerOverhead / 2)
-		}
-		res := s.p.Invoke(req)
-		results = append(results, res)
-		if res.Err != nil {
-			break
-		}
-		if chain != nil {
-			keys = chain(i, res)
-		}
-	}
-	return results
-}
-
 // InvokeSequence runs requests one after another (an OWK "sequence"):
 // each next stage is triggered by the platform upon completion of the
 // previous one. It returns per-stage results.
@@ -461,13 +405,4 @@ func clamp(v, lo, hi int64) int64 {
 		return hi
 	}
 	return v
-}
-
-// InvokeAsync fires an invocation without blocking (OpenWhisk's
-// default invoke mode returns an activation id immediately); the
-// returned future resolves to the Result.
-func (p *Platform) InvokeAsync(req *Request) *sim.Future[*Result] {
-	f := sim.NewFuture[*Result](p.env)
-	p.env.Go(func() { f.Set(p.Invoke(req)) })
-	return f
 }

@@ -77,14 +77,6 @@ func (c *Cache) Get(caller simnet.NodeID, key string) (Blob, error) {
 	return blob, nil
 }
 
-// Del removes key.
-func (c *Cache) Del(caller simnet.NodeID, key string) {
-	c.net.Transfer(caller, c.node, 64)
-	c.net.Env().Sleep(c.profile.OpBase)
-	delete(c.m, key)
-	c.net.Transfer(c.node, caller, 64)
-}
-
 // Len reports the number of stored keys.
 func (c *Cache) Len() int { return len(c.m) }
 

@@ -18,18 +18,17 @@ func setup(env *sim.Env) *Cache {
 	return New(net, 1, RedisProfile())
 }
 
-func TestSetGetDel(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := setup(env)
 	env.Go(func() {
+		if _, err := c.Get(0, "k"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("get before set: %v", err)
+		}
 		c.Set(0, "k", kvstore.Bytes([]byte("v")))
 		blob, err := c.Get(0, "k")
 		if err != nil || string(blob.Data) != "v" {
 			t.Errorf("get: %v %q", err, blob.Data)
-		}
-		c.Del(0, "k")
-		if _, err := c.Get(0, "k"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("get after del: %v", err)
 		}
 	})
 	env.Run()
@@ -93,7 +92,8 @@ func TestLen(t *testing.T) {
 }
 
 // TestManyKeys exercises the object map across a few hundred keys:
-// Set/Get/Del stay correct and Len tracks the count exactly.
+// Set/Get stay correct, an overwrite replaces the object, and Len
+// tracks the count exactly.
 func TestManyKeys(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := setup(env)
@@ -112,14 +112,18 @@ func TestManyKeys(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i += 2 {
-			c.Del(0, key(i))
+			c.Set(0, key(i), kvstore.Synthetic(1))
 		}
-		if c.Len() != n/2 {
-			t.Errorf("len=%d after deleting half, want %d", c.Len(), n/2)
+		if c.Len() != n {
+			t.Errorf("len=%d after overwriting half, want %d", c.Len(), n)
 		}
-		for i := 1; i < n; i += 2 {
-			if _, err := c.Get(0, key(i)); err != nil {
-				t.Fatalf("surviving key %d: %v", i, err)
+		for i := 0; i < n; i++ {
+			want := int64(i + 1)
+			if i%2 == 0 {
+				want = 1
+			}
+			if blob, err := c.Get(0, key(i)); err != nil || blob.Size != want {
+				t.Fatalf("key %d after overwrites: %v size=%d, want %d", i, err, blob.Size, want)
 			}
 		}
 	})

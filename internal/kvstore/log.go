@@ -39,7 +39,8 @@ type segment struct {
 func (s *segment) entry(i int) *logEntry { return &s.blocks[i/blockLen][i%blockLen] }
 
 // logEntry is one record: an object version or a tombstone. A live
-// entry's id is held by the index; a dead entry's id is never read.
+// entry's id is held by the index; a dead entry's id is never read,
+// and a dead entry holds no object.
 type logEntry struct {
 	obj  *object // nil for tombstones
 	size int64
@@ -118,13 +119,17 @@ func (l *objLog) appendEntry(e logEntry) entryRef {
 	return entryRef{seg: h, idx: h.n - 1}
 }
 
-// killEntry marks a located entry dead and adjusts accounting.
+// killEntry marks a located entry dead and adjusts accounting. The
+// entry lets go of its object: nothing reads a dead entry's object, and
+// a log that is never cleaned would otherwise keep every overwritten
+// record reachable.
 func (l *objLog) killEntry(ref entryRef) {
 	e := ref.seg.entry(ref.idx)
 	if e.dead {
 		return
 	}
 	e.dead = true
+	e.obj = nil
 	ref.seg.live -= e.size
 }
 
@@ -213,7 +218,7 @@ func (l *objLog) clean(target int64) int64 {
 		// Relocate live entries to the head.
 		for idx := range victim.n {
 			e := victim.entry(idx)
-			if e.dead || e.obj == nil {
+			if e.dead {
 				continue
 			}
 			ref := l.appendEntry(logEntry{id: e.id, obj: e.obj, size: e.size})

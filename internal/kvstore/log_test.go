@@ -209,7 +209,8 @@ func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
 // put appends and stay put for a delete, whose tombstone is empty; a
 // clean leaves the live bytes and frees what it does not relocate.
 // After every op checkObjLog holds: above all, no index entry names a
-// spare segment or an entry in a free block.
+// spare segment or an entry in a free block, and no dead entry holds an
+// object.
 func FuzzObjLog(f *testing.F) {
 	f.Add([]byte{0, 1, 40, 0, 2, 40, 0, 1, 10, 3, 0, 0})
 	f.Add([]byte{0, 0, 255, 0, 1, 255, 0, 2, 255, 2, 0, 0, 3, 0, 0, 0, 3, 255, 3, 0, 0, 0, 4, 9})
@@ -292,6 +293,8 @@ func checkObjLog(t *testing.T, l *objLog, model map[string]*object) {
 			appended += e.size
 			if !e.dead {
 				live += e.size
+			} else if e.obj != nil {
+				t.Fatalf("segment %d: dead entry %d holds an object", s.id, i)
 			}
 		}
 		if s.appended != appended || s.live != live {

@@ -7,7 +7,7 @@ import (
 )
 
 // LockedRPC forbids blocking simulation operations — simnet
-// TryCall/Transfer, disk I/O, sim.Env.Sleep, Future/WaitGroup/Queue waits
+// TryCall/Transfer, disk I/O, sim.Env.Sleep, Future/WaitGroup waits
 // — while a sync.Mutex or sync.RWMutex is held. A sim process that
 // parks inside the scheduler while holding a Go mutex stalls every
 // other process that touches the same lock without the scheduler
@@ -32,7 +32,6 @@ var lockedBlocking = map[string]map[string]bool{
 		"Run":         true, // Env
 		"Wait":        true, // Future, WaitGroup
 		"WaitTimeout": true, // Future
-		"Recv":        true, // Queue
 	},
 	"internal/simnet": {
 		"TryCall":     true,

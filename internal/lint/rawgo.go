@@ -15,10 +15,9 @@ import (
 // state bound to an Env needs no lock, so a non-test file under
 // internal/ that imports sync or sync/atomic is flagged too, once, at
 // its first such import. cmd/, examples/ and _test.go files are
-// allowlisted (drivers and tests own real threads); the places
-// internal/ really is concurrent — separate Envs side by side, a
-// recorder shared across goroutines — carry a //lint:allow rawgo
-// directive.
+// allowlisted (drivers and tests own real threads); the one place
+// internal/ really is concurrent — separate Envs side by side — carries
+// a //lint:allow rawgo directive.
 var RawGo = &Analyzer{
 	Name: "rawgo",
 	Doc:  "forbid go statements and sync imports in non-test files under internal/; simulation concurrency is env.Go",

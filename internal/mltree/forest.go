@@ -54,11 +54,6 @@ type RandomForest struct {
 	Seed    int64
 }
 
-// NewRandomForest returns a forest learner with sensible defaults.
-func NewRandomForest(seed int64) *RandomForest {
-	return &RandomForest{Trees: 30, MinLeaf: 1, Seed: seed}
-}
-
 // Name implements Learner.
 func (r *RandomForest) Name() string { return "RandomForest" }
 

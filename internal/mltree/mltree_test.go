@@ -159,7 +159,7 @@ func TestMaxDepth(t *testing.T) {
 
 func TestRandomForestLearnsQuadrant(t *testing.T) {
 	d := quadDataset(500, 7)
-	f := NewRandomForest(7).Fit(d)
+	f := (&RandomForest{Trees: 30, MinLeaf: 1, Seed: 7}).Fit(d)
 	conf := Evaluate(f, quadDataset(250, 8))
 	if acc := conf.Accuracy(); acc < 0.9 {
 		t.Errorf("forest quadrant accuracy %.3f", acc)
@@ -383,7 +383,7 @@ func TestPropertyDistributionIsProbability(t *testing.T) {
 	d := nominalDataset(300, 15)
 	models := []Classifier{
 		NewJ48().Fit(d),
-		NewRandomForest(1).Fit(d),
+		(&RandomForest{Trees: 30, MinLeaf: 1, Seed: 1}).Fit(d),
 		HoeffdingLearner{}.Fit(d),
 	}
 	f := func(color8, shape8 uint8, size float64) bool {

@@ -32,13 +32,12 @@ type Blob = kvstore.Blob
 
 // Profile is a latency/bandwidth model for the store.
 type Profile struct {
-	Name       string
-	ReadBase   time.Duration // per-GET overhead
-	WriteBase  time.Duration // per-PUT overhead (replication, container update, fsync)
-	DeleteBase time.Duration
-	ShadowPut  time.Duration // empty-payload placeholder PUT (OFC's Swift patch)
-	ReadBW     float64       // payload bytes/s on the read path
-	WriteBW    float64       // payload bytes/s on the write path
+	Name      string
+	ReadBase  time.Duration // per-GET overhead
+	WriteBase time.Duration // per-PUT overhead (replication, container update, fsync)
+	ShadowPut time.Duration // empty-payload placeholder PUT (OFC's Swift patch)
+	ReadBW    float64       // payload bytes/s on the read path
+	WriteBW   float64       // payload bytes/s on the write path
 }
 
 // ReadTime is the store-side time of ops GETs that move bytes payload
@@ -68,13 +67,12 @@ func payloadTime(bytes int64, bw float64) time.Duration {
 // Load, and the shadow PUT costs the measured ≈11 ms (§7.2.1).
 func SwiftProfile() Profile {
 	return Profile{
-		Name:       "swift",
-		ReadBase:   40 * time.Millisecond,
-		WriteBase:  115 * time.Millisecond,
-		DeleteBase: 20 * time.Millisecond,
-		ShadowPut:  11 * time.Millisecond,
-		ReadBW:     120e6,
-		WriteBW:    60e6,
+		Name:      "swift",
+		ReadBase:  40 * time.Millisecond,
+		WriteBase: 115 * time.Millisecond,
+		ShadowPut: 11 * time.Millisecond,
+		ReadBW:    120e6,
+		WriteBW:   60e6,
 	}
 }
 
@@ -82,13 +80,12 @@ func SwiftProfile() Profile {
 // runs): higher first-byte latency than LAN Swift on reads.
 func S3Profile() Profile {
 	return Profile{
-		Name:       "s3",
-		ReadBase:   45 * time.Millisecond,
-		WriteBase:  60 * time.Millisecond,
-		DeleteBase: 15 * time.Millisecond,
-		ShadowPut:  12 * time.Millisecond,
-		ReadBW:     90e6,
-		WriteBW:    70e6,
+		Name:      "s3",
+		ReadBase:  45 * time.Millisecond,
+		WriteBase: 60 * time.Millisecond,
+		ShadowPut: 12 * time.Millisecond,
+		ReadBW:    90e6,
+		WriteBW:   70e6,
 	}
 }
 
@@ -242,39 +239,6 @@ func (s *Store) Get(caller simnet.NodeID, key string, external bool) (Blob, Meta
 	return blob, meta, nil
 }
 
-// Head returns metadata only, at control-message cost.
-func (s *Store) Head(caller simnet.NodeID, key string) (Meta, error) {
-	s.net.Transfer(caller, s.node, 256)
-	e := s.objects[key]
-	var m Meta
-	if e != nil {
-		m = e.meta
-	}
-	s.net.Transfer(s.node, caller, 512)
-	if e == nil {
-		return Meta{}, ErrNotFound
-	}
-	return m, nil
-}
-
-// Delete removes an object.
-func (s *Store) Delete(caller simnet.NodeID, key string, external bool) error {
-	if external {
-		for _, h := range s.writeHooks {
-			h(key)
-		}
-	}
-	s.net.Transfer(caller, s.node, 256)
-	s.net.Env().Sleep(s.profile.DeleteBase)
-	_, ok := s.objects[key]
-	delete(s.objects, key)
-	s.net.Transfer(s.node, caller, 256)
-	if !ok {
-		return ErrNotFound
-	}
-	return nil
-}
-
 // PutShadow records that a new version of key exists (in the cache)
 // whose payload the store does not hold yet. It is the synchronous,
 // cheap part of OFC's write path (§6.2, ≈11 ms) and returns the new
@@ -329,14 +293,6 @@ func (s *Store) SetFeatures(key string, features map[string]float64) error {
 		return ErrNotFound
 	}
 	e.meta.Features = features
-	return nil
-}
-
-// Features returns the feature sidecar of key, or nil.
-func (s *Store) Features(key string) map[string]float64 {
-	if e := s.objects[key]; e != nil {
-		return e.meta.Features
-	}
 	return nil
 }
 

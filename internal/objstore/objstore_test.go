@@ -158,11 +158,10 @@ func TestWriteWebhookRunsOnExternalPut(t *testing.T) {
 	env.Go(func() {
 		s.Put(0, "k", kvstore.Synthetic(10), nil, false)
 		s.Put(0, "k", kvstore.Synthetic(10), nil, true)
-		s.Delete(0, "k", true)
 	})
 	env.Run()
-	if invalidated != 2 {
-		t.Errorf("write hooks=%d, want 2", invalidated)
+	if invalidated != 1 {
+		t.Errorf("write hooks=%d, want 1", invalidated)
 	}
 }
 
@@ -206,12 +205,11 @@ func TestHeadAndList(t *testing.T) {
 		s.Put(0, "b/x", kvstore.Synthetic(5), nil, false)
 		s.Put(0, "b/y", kvstore.Synthetic(6), nil, false)
 		s.Put(0, "c/z", kvstore.Synthetic(7), nil, false)
-		m, err := s.Head(0, "b/y")
-		if err != nil || m.Size != 6 {
-			t.Errorf("head: %v %+v", err, m)
+		if m, ok := s.MetaOf("b/y"); !ok || m.Size != 6 {
+			t.Errorf("head: %v %+v", ok, m)
 		}
-		if _, err := s.Head(0, "nope"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("head missing: %v", err)
+		if _, ok := s.MetaOf("nope"); ok {
+			t.Error("head of a missing key found metadata")
 		}
 		keys := s.List("b/")
 		if len(keys) != 2 || keys[0] != "b/x" || keys[1] != "b/y" {
@@ -229,30 +227,11 @@ func TestFeatureSidecar(t *testing.T) {
 		if err := s.SetFeatures("img", map[string]float64{"width": 1920, "height": 1080}); err != nil {
 			t.Fatal(err)
 		}
-		f := s.Features("img")
-		if f["width"] != 1920 {
-			t.Errorf("features=%v", f)
+		if m, _ := s.MetaOf("img"); m.Features["width"] != 1920 {
+			t.Errorf("features=%v", m.Features)
 		}
-		if s.Features("missing") != nil {
-			t.Error("features of missing key")
-		}
-	})
-	env.Run()
-}
-
-func TestDelete(t *testing.T) {
-	env := sim.NewEnv(1)
-	s, _ := setup(env, SwiftProfile())
-	env.Go(func() {
-		s.Put(0, "k", kvstore.Synthetic(10), nil, false)
-		if err := s.Delete(0, "k", false); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Get(0, "k", false); !errors.Is(err, ErrNotFound) {
-			t.Errorf("get after delete: %v", err)
-		}
-		if err := s.Delete(0, "k", false); !errors.Is(err, ErrNotFound) {
-			t.Errorf("double delete: %v", err)
+		if err := s.SetFeatures("missing", map[string]float64{"width": 1}); !errors.Is(err, ErrNotFound) {
+			t.Errorf("features set on a missing key: %v", err)
 		}
 	})
 	env.Run()

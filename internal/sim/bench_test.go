@@ -166,24 +166,3 @@ func TestSchedulerAllocCeilings(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkQueueSendRecv measures producer/consumer throughput.
-func BenchmarkQueueSendRecv(b *testing.B) {
-	env := NewEnv(1)
-	q := NewQueue[int](env)
-	env.Go(func() {
-		for i := 0; i < b.N; i++ {
-			q.Send(i)
-		}
-		q.Close()
-	})
-	env.Go(func() {
-		for {
-			if _, ok := q.Recv(); !ok {
-				return
-			}
-		}
-	})
-	b.ResetTimer()
-	env.Run()
-}

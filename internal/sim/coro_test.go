@@ -53,13 +53,13 @@ func TestRunnableOrder(t *testing.T) {
 			env.After(time.Millisecond, func() { log("T2") })
 		}, "T1 G1 G2 T2"},
 		{"a displaced wake keeps its turn across the waker's exit", func(env *Env, log func(string)) {
-			q := NewQueue[int](env)
+			f := NewFuture[int](env)
 			wg := NewWaitGroup(env)
 			wg.Add(1)
-			env.After(0, func() { q.Recv(); log("R") })
+			env.After(0, func() { f.Wait(); log("R") })
 			env.After(0, func() { wg.Wait(); log("J") })
 			env.After(time.Millisecond, func() {
-				q.Send(1)
+				f.Set(1)
 				wg.Done()
 			})
 		}, "J R"},
@@ -232,7 +232,6 @@ func TestMisusePanics(t *testing.T) {
 	const outside = "outside a simulation process"
 	mustPanic("Sleep from the set-up goroutine", outside, func() { env.Sleep(time.Millisecond) })
 	mustPanic("Future.Wait from the set-up goroutine", outside, func() { NewFuture[int](env).Wait() })
-	mustPanic("Queue.Recv from the set-up goroutine", outside, func() { NewQueue[int](env).Recv() })
 	mustPanic("WaitGroup.Wait from the set-up goroutine", outside, func() {
 		wg := NewWaitGroup(env)
 		wg.Add(1)

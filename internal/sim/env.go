@@ -4,10 +4,10 @@
 // Every component of the OFC reproduction (FaaS platform, RAMCloud-like
 // cache, Swift-like object store, network and disks) runs as sim
 // processes: functions that only ever block through the primitives of
-// this package (Sleep, Future.Wait, Queue.Recv, WaitGroup.Wait). The
-// clock advances only when every process is blocked, which makes
-// half-hour macro experiments complete in milliseconds of host time
-// while preserving the timing relationships between components.
+// this package (Sleep, Future.Wait, WaitGroup.Wait). The clock advances
+// only when every process is blocked, which makes half-hour macro
+// experiments complete in milliseconds of host time while preserving
+// the timing relationships between components.
 //
 // A process is a runtime coroutine (iter.Pull), and exactly one runs at
 // any host instant — by construction, not by locking. So code bound to
@@ -58,7 +58,7 @@ type Time = time.Duration
 
 // timer is one thing that can be picked to run: a parked process (p) —
 // on the heap (Sleep, a WaitTimeout deadline), on the waiter list of a
-// Future, WaitGroup or Queue, or both at once — or a function to host
+// Future or WaitGroup, or both at once — or a function to host
 // (fn): an After callback on the heap, a Go spawn in the runnable
 // queue. Timers are recycled per environment as soon as their single
 // wake has been delivered, so the steady-state event loop allocates

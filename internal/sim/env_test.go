@@ -220,66 +220,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[int](env)
-	var got []int
-	env.Go(func() {
-		for {
-			v, ok := q.Recv()
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	env.Go(func() {
-		for i := 0; i < 5; i++ {
-			env.Sleep(time.Millisecond)
-			q.Send(i)
-		}
-		q.Close()
-	})
-	env.Run()
-	if len(got) != 5 {
-		t.Fatalf("got %v", got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v, want ordered", got)
-		}
-	}
-}
-
-func TestQueueMultipleConsumers(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[int](env)
-	var total atomic.Int64
-	for i := 0; i < 3; i++ {
-		env.Go(func() {
-			for {
-				v, ok := q.Recv()
-				if !ok {
-					return
-				}
-				total.Add(int64(v))
-				env.Sleep(time.Millisecond)
-			}
-		})
-	}
-	env.Go(func() {
-		for i := 1; i <= 10; i++ {
-			q.Send(i)
-		}
-		env.Sleep(time.Second)
-		q.Close()
-	})
-	env.Run()
-	if total.Load() != 55 {
-		t.Errorf("total=%d, want 55", total.Load())
-	}
-}
-
 func TestStop(t *testing.T) {
 	env := NewEnv(1)
 	ticks := 0

@@ -119,59 +119,3 @@ func (w *WaitGroup) Wait() {
 	w.waiters = append(w.waiters, p)
 	w.env.park(p)
 }
-
-// Queue is an unbounded FIFO channel for simulation processes. Send
-// never blocks; Recv blocks until an item is available.
-type Queue[T any] struct {
-	env     *Env
-	items   []T
-	waiters []*timer
-	closed  bool
-}
-
-// NewQueue returns an empty queue bound to env.
-func NewQueue[T any](env *Env) *Queue[T] { return &Queue[T]{env: env} }
-
-// Send enqueues an item, waking one waiting receiver if any.
-func (q *Queue[T]) Send(v T) {
-	if q.closed {
-		panic("sim: send on closed Queue")
-	}
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.env.wake(w)
-	}
-}
-
-// Close marks the queue closed; pending and future Recv calls drain
-// remaining items then return ok=false.
-func (q *Queue[T]) Close() {
-	q.closed = true
-	for _, w := range q.waiters {
-		q.env.wake(w)
-	}
-	q.waiters = nil
-}
-
-// Recv dequeues the next item, blocking while the queue is empty.
-// ok is false once the queue is closed and drained.
-func (q *Queue[T]) Recv() (v T, ok bool) {
-	for {
-		if len(q.items) > 0 {
-			v = q.items[0]
-			q.items = q.items[1:]
-			return v, true
-		}
-		if q.closed {
-			return v, false
-		}
-		w := q.env.waiter()
-		q.waiters = append(q.waiters, w)
-		q.env.park(w)
-	}
-}
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }

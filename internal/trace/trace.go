@@ -8,11 +8,11 @@
 // The subsystem is built to cost nothing when off: every entry point
 // is nil-safe (a nil *Tracer and a zero Span fast-path out without
 // allocating), so instrumented packages hold a plain *Tracer field and
-// call through it unconditionally. Recording is lock-free: spans land
-// in sharded bounded buffers via an atomic cursor; when a shard is
-// full the span is counted in Drops() and discarded (drop-on-full, not
-// overwrite, so the drop counter is exact and no slot is ever written
-// twice).
+// call through it unconditionally. A Tracer is bound to one Env, like
+// every other piece of simulation state, and records into one bounded
+// buffer preallocated at New; when it is full the span is counted in
+// Drops() and discarded (drop-on-full, not overwrite, so the drop
+// counter is exact).
 //
 // Determinism contract: virtual timestamps, span names, nodes,
 // attributes and the parent structure are pure functions of the seed,
@@ -25,8 +25,6 @@
 package trace
 
 import (
-	"sync/atomic" //lint:allow rawgo the recorder's cursors are shared across goroutines: TestRecorderStress records from 64 of them
-
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
 )
@@ -110,16 +108,17 @@ func (sp *Span) Attrs() []Attr { return sp.attrs[:sp.nattrs] }
 // Duration is the span's virtual-time extent.
 func (sp *Span) Duration() sim.Time { return sp.End - sp.Start }
 
-// Config sizes a Tracer.
+// Config sizes a Tracer. The tracer keeps at most Shards × ShardCap
+// spans; the two factors are kept apart because callers size them
+// apart (a base per shard plus a per-tick margin).
 type Config struct {
 	// Seed feeds trace-ID derivation; use the simulation seed so trace
 	// IDs are part of the deterministic artifact.
 	Seed int64
-	// Shards is the number of independent buffers (default 8). More
-	// shards means less cursor contention under concurrent recording.
+	// Shards multiplies ShardCap into the capacity (default 8).
 	Shards int
-	// ShardCap is the span capacity of each shard (default 4096).
-	// Total bounded memory is Shards * ShardCap * sizeof(Span).
+	// ShardCap is the span capacity per shard (default 4096). Total
+	// bounded memory is Shards * ShardCap * sizeof(Span).
 	ShardCap int
 }
 
@@ -128,23 +127,16 @@ const (
 	defaultShardCap = 4096
 )
 
-// shard is one bounded append-only buffer. cur counts attempted
-// appends; slots beyond len(buf) were dropped. The pad keeps hot
-// cursors of adjacent shards off one cache line.
-type shard struct {
-	cur atomic.Int64
-	_   [56]byte
-	buf []Span
-}
-
 // Tracer records spans against a simulation clock. A nil *Tracer is a
 // valid, permanently-disabled tracer: all methods fast-path out.
 type Tracer struct {
 	env    *sim.Env
 	seed   int64
-	nextID atomic.Uint64
-	drops  atomic.Int64
-	shards []shard
+	nextID SpanID
+	drops  int64
+	// buf holds the kept spans in End order; its capacity, fixed at
+	// New, is the tracer's bound.
+	buf []Span
 }
 
 // New creates an enabled tracer reading time from env.
@@ -155,15 +147,8 @@ func New(env *sim.Env, cfg Config) *Tracer {
 	if cfg.ShardCap <= 0 {
 		cfg.ShardCap = defaultShardCap
 	}
-	t := &Tracer{env: env, seed: cfg.Seed, shards: make([]shard, cfg.Shards)}
-	for i := range t.shards {
-		t.shards[i].buf = make([]Span, cfg.ShardCap)
-	}
-	return t
+	return &Tracer{env: env, seed: cfg.Seed, buf: make([]Span, 0, cfg.Shards*cfg.ShardCap)}
 }
-
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // InvocationTrace derives the TraceID for the index-th invocation
 // (1-based, from the platform's invocation counter) from the seed.
@@ -195,9 +180,10 @@ func (t *Tracer) Begin(tr TraceID, parent SpanID, name string, node simnet.NodeI
 	if t == nil {
 		return Span{}
 	}
+	t.nextID++
 	return Span{
 		Trace:  tr,
-		ID:     SpanID(t.nextID.Add(1)),
+		ID:     t.nextID,
 		Parent: parent,
 		Name:   name,
 		Node:   node,
@@ -205,36 +191,27 @@ func (t *Tracer) Begin(tr TraceID, parent SpanID, name string, node simnet.NodeI
 	}
 }
 
-// End stamps the span's end time and records it. No-op for the zero
-// span or a disabled tracer.
+// End stamps the span's end time and records it; a full buffer counts
+// a drop instead. No-op for the zero span or a disabled tracer.
 func (t *Tracer) End(sp *Span) {
 	if t == nil || sp == nil || sp.ID == 0 {
 		return
 	}
 	sp.End = t.env.Now()
-	t.record(sp)
-}
-
-// record claims a slot by atomic cursor; a full shard counts a drop.
-// Each successful claim maps to a distinct slot, so concurrent writers
-// never touch the same memory. The span is copied once, into its slot.
-func (t *Tracer) record(sp *Span) {
-	sh := &t.shards[uint64(sp.ID)%uint64(len(t.shards))]
-	i := sh.cur.Add(1) - 1
-	if i >= int64(len(sh.buf)) {
-		t.drops.Add(1)
+	if len(t.buf) == cap(t.buf) {
+		t.drops++
 		return
 	}
-	sh.buf[i] = *sp
+	t.buf = append(t.buf, *sp)
 }
 
-// Drops returns the number of spans discarded because their shard was
+// Drops returns the number of spans discarded because the buffer was
 // full. Zero on a disabled tracer.
 func (t *Tracer) Drops() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.drops.Load()
+	return t.drops
 }
 
 // Len returns the number of recorded (kept) spans.
@@ -242,46 +219,26 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	n := 0
-	for i := range t.shards {
-		c := int(t.shards[i].cur.Load())
-		if c > len(t.shards[i].buf) {
-			c = len(t.shards[i].buf)
-		}
-		n += c
-	}
-	return n
+	return len(t.buf)
 }
 
-// Snapshot copies out all recorded spans sorted by (Start, ID). Call
-// it after the traffic being traced has quiesced: recording is
-// lock-free, so a snapshot taken mid-flight may miss spans whose slot
-// claim has not yet been followed by the write.
+// Snapshot copies out all recorded spans sorted by (Start, ID).
 func (t *Tracer) Snapshot() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, t.Len())
-	for i := range t.shards {
-		c := int(t.shards[i].cur.Load())
-		if c > len(t.shards[i].buf) {
-			c = len(t.shards[i].buf)
-		}
-		out = append(out, t.shards[i].buf[:c]...)
-	}
+	out := append(make([]Span, 0, len(t.buf)), t.buf...)
 	sortSpans(out)
 	return out
 }
 
 // Reset discards all recorded spans and the drop count, keeping the
-// buffers. Span IDs keep climbing, so spans recorded after a Reset
+// buffer. Span IDs keep climbing, so spans recorded after a Reset
 // never collide with earlier snapshots.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	for i := range t.shards {
-		t.shards[i].cur.Store(0)
-	}
-	t.drops.Store(0)
+	t.buf = t.buf[:0]
+	t.drops = 0
 }

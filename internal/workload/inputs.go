@@ -116,28 +116,6 @@ func (p *InputPool) Pick() InputMeta {
 	return p.Inputs[p.rng.Intn(len(p.Inputs))]
 }
 
-// PickSized returns a random input whose nominal size bucket matches
-// closest to want.
-func (p *InputPool) PickSized(want int64) InputMeta {
-	best := p.Inputs[0]
-	bestDiff := abs64(best.Size - want)
-	start := p.rng.Intn(len(p.Inputs))
-	for i := 0; i < len(p.Inputs); i++ {
-		in := p.Inputs[(start+i)%len(p.Inputs)]
-		if d := abs64(in.Size - want); d < bestDiff {
-			best, bestDiff = in, d
-		}
-	}
-	return best
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // ObjectWriter abstracts where prepared inputs are staged: the RSDS
 // (OWK-Swift and OFC runs) or the IMOC (OWK-Redis runs).
 type ObjectWriter interface {
