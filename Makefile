@@ -37,28 +37,28 @@ test:
 # cache baseline (internal/imoc), the invariant checker
 # (internal/lint), the decision trees (internal/mltree), the
 # evaluation workloads (internal/workload) and the experiments
-# that print every table (internal/experiments). Each floor is one
-# covercheck pass over the same profile; all but the first print only
-# a failure.
+# that print every table (internal/experiments). One covercheck run
+# prints the report and checks every floor, naming each that slipped.
 test-cover:
 	$(GO) test -coverprofile=cover.out ./...
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/core -floor 75 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/faas -floor 85 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/kvstore -floor 90 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/store -floor 91 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/memctl -floor 83 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/sim -floor 92 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/simnet -floor 93 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/objstore -floor 86 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/overload -floor 90 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/chaos -floor 94 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/metrics -floor 94 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/imoc -floor 97 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/lint -floor 91 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/mltree -floor 92 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/workload -floor 88 > /dev/null
-	$(GO) run ./scripts/covercheck -profile cover.out -pkg ofc/internal/experiments -floor 95 > /dev/null
+	$(GO) run ./scripts/covercheck -profile cover.out \
+		-floor ofc/internal/trace=70 \
+		-floor ofc/internal/core=75 \
+		-floor ofc/internal/faas=85 \
+		-floor ofc/internal/kvstore=90 \
+		-floor ofc/internal/store=91 \
+		-floor ofc/internal/memctl=83 \
+		-floor ofc/internal/sim=92 \
+		-floor ofc/internal/simnet=93 \
+		-floor ofc/internal/objstore=86 \
+		-floor ofc/internal/overload=90 \
+		-floor ofc/internal/chaos=94 \
+		-floor ofc/internal/metrics=94 \
+		-floor ofc/internal/imoc=97 \
+		-floor ofc/internal/lint=91 \
+		-floor ofc/internal/mltree=92 \
+		-floor ofc/internal/workload=88 \
+		-floor ofc/internal/experiments=95
 
 # The scheduler runs on one P and on several. Its processes are
 # coroutines, one runnable at a time, so the detector has nothing to

@@ -78,8 +78,9 @@ func (m *MacroResult) TotalExec() time.Duration {
 	return t
 }
 
-// macroWorkloads is the fixed tenant mix of Figure 9: six image
-// functions, MapReduce and THIS.
+// macroSingle is the six single-stage image functions of Figure 9's
+// tenant mix; RunMacro adds a MapReduce and a THIS pipeline beside them
+// in each repetition.
 var macroSingle = []string{"wand_blur", "wand_resize", "wand_sepia", "wand_rotate", "wand_denoise", "wand_edge"}
 
 // RunMacro executes one macro experiment.

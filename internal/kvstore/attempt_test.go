@@ -14,9 +14,9 @@ import (
 )
 
 // The process model of the read and write protocols: Read, Write,
-// ReadMulti and WriteMulti as they were written before they became
-// chains of continuations, each step a TryTransfer or a Sleep of the
-// process that runs the op, one process per master of a batch, and
+// ReadMulti, WriteMulti and MarkClean as they were written before they
+// became chains of continuations, each step a TryTransfer or a Sleep of
+// the process that runs the op, one process per master of a batch, and
 // replication through refReplicate (replication_test.go). It reads and
 // writes the store's tables by key (tables_test.go).
 
@@ -86,6 +86,45 @@ func refWrite(c *Cluster, caller simnet.NodeID, key string, blob Blob, st *State
 		}
 	}
 	return out[0]
+}
+
+// refMarkClean is MarkClean as a process: the coordinator round, then
+// one exchange with the master, which clears the Dirty bit of its copy
+// and of the replicas of the same version.
+func refMarkClean(c *Cluster, caller simnet.NodeID, key string) error {
+	p, ok, err := refLookup(c, caller, key)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return ErrNotFound
+	}
+	s := c.Server(p.master)
+	if s == nil {
+		return ErrNoSuchServer
+	}
+	c.serverRPCs++
+	if err := c.net.TryTransfer(caller, p.master, controlMsgSize); err != nil {
+		return err
+	}
+	o, found := s.log.getKey(key)
+	if !found || s.node.Down() {
+		return ErrNotFound
+	}
+	o.meta.State.Dirty = false
+	for _, b := range p.backups.list() {
+		bs := c.Server(b)
+		if bs == nil {
+			continue
+		}
+		for _, t := range [...]*table[replica]{&bs.backups, &bs.disk} {
+			if rep, ok := t.lookupKey(key); ok && rep.meta.Version == o.meta.Version {
+				rep.meta.State.Dirty = false
+				t.setKey(key, rep)
+			}
+		}
+	}
+	return c.net.TryTransfer(p.master, caller, controlMsgSize)
 }
 
 // idxGroup is one master's share of a batch: the batch indices it owns.
@@ -326,6 +365,7 @@ const (
 	attWrite
 	attReadMulti  // a batch read, not raced against a deadline
 	attWriteMulti // a batch write, likewise
+	attMarkClean  // a MarkClean, likewise
 )
 
 // attOp is one caller of an attempt schedule: at `at` it makes op kind
@@ -352,7 +392,8 @@ type attTry struct {
 // attOutcome is what a run of an attempt schedule leaves: each op's
 // completion instant (-1: never), per-key errors and answers (a
 // version written or read), every try, the events dispatched, each
-// server's master, buffered and flushed copies, and the placements.
+// server's master, buffered and flushed copies, its dirty replicas, and
+// the placements.
 type attOutcome struct {
 	done     []sim.Time
 	errs     [][]error
@@ -362,6 +403,7 @@ type attOutcome struct {
 	masters  []map[string]Meta
 	backups  []map[string]uint64
 	disk     []map[string]uint64
+	dirty    []map[string]bool
 	places   map[string]placement
 	timedOut int // writes whose try timed out and whose op still landed
 }
@@ -371,7 +413,7 @@ type attOutcome struct {
 // so that writers and readers of one key race, plus twelve faults as
 // repSchedule draws them.
 func attSchedule(rng *rand.Rand, ops int) ([]attOp, []repFault) {
-	const window = 40 * time.Millisecond
+	const window = attWindow
 	out := make([]attOp, ops)
 	for i := range out {
 		o := &out[i]
@@ -411,6 +453,25 @@ func attSchedule(rng *rand.Rand, ops int) ([]attOp, []repFault) {
 	return out, faults
 }
 
+// attWindow is the span of virtual time a schedule's callers start in.
+const attWindow = 40 * time.Millisecond
+
+// withCleans returns sched with n MarkClean callers added, drawn from
+// rng over sched's keys and callers, in instant order.
+func withCleans(rng *rand.Rand, sched []attOp, n int) []attOp {
+	out := slices.Clone(sched)
+	for i := 0; i < n; i++ {
+		out = append(out, attOp{
+			at:     time.Duration(rng.Int63n(int64(attWindow))),
+			caller: simnet.NodeID(rng.Intn(repNodes + 1)),
+			kind:   attMarkClean,
+			keys:   []string{fmt.Sprintf("k%d", rng.Intn(10))},
+		})
+	}
+	slices.SortStableFunc(out, func(a, b attOp) int { return int(a.at - b.at) })
+	return out
+}
+
 // unavailable is store.IsUnavailable minus its own sentinels.
 func unavailable(err error) bool {
 	return errors.Is(err, ErrCrashed) || errors.Is(err, ErrNoSuchServer) ||
@@ -420,8 +481,8 @@ func unavailable(err error) bool {
 // runAttempts runs a schedule on a fresh cluster, each read and write
 // raced against its deadline by the chain (ReadThen, WriteThen) or,
 // with ref, by the process model: a process per try running refRead or
-// refWrite. Batches go through ReadMulti and WriteMulti, or
-// refReadMulti and refWriteMulti. stop > 0 stops the run there, by
+// refWrite. Batches and cleans go through ReadMulti, WriteMulti and
+// MarkClean, or refReadMulti, refWriteMulti and refMarkClean. stop > 0 stops the run there, by
 // Stop or, with horizon, by the horizon.
 func runAttempts(ops []attOp, faults []repFault, lossy bool, seed int64, stop time.Duration, horizon, ref bool, n *refCounts) attOutcome {
 	env := sim.NewEnv(1)
@@ -499,6 +560,13 @@ func runAttempts(ops []attOp, faults []repFault, lossy bool, seed int64, stop ti
 					out.errs[i][k], out.answers[i][k] = r.Err, r.Version
 				}
 				return
+			case attMarkClean:
+				if ref {
+					out.errs[i][0] = refMarkClean(c, o.caller, o.keys[0])
+				} else {
+					out.errs[i][0] = c.MarkClean(o.caller, o.keys[0])
+				}
+				return
 			}
 			var last attTry
 			for try := 0; try <= attRetries; try++ {
@@ -551,6 +619,15 @@ func runAttempts(ops []attOp, faults []repFault, lossy bool, seed int64, stop ti
 		out.masters = append(out.masters, masters)
 		out.backups = append(out.backups, versions(s.backups))
 		out.disk = append(out.disk, versions(s.disk))
+		dirty := make(map[string]bool)
+		for name, t := range map[string]table[replica]{"buffered ": s.backups, "flushed ": s.disk} {
+			for k, r := range t.byKey() {
+				if r.meta.State.Dirty {
+					dirty[name+k] = true
+				}
+			}
+		}
+		out.dirty = append(out.dirty, dirty)
 	}
 	out.places = c.places.byKey()
 	return out
@@ -597,6 +674,9 @@ func (got attOutcome) diff(want attOutcome, ops []attOp) string {
 		if !maps.Equal(got.disk[s], want.disk[s]) {
 			return fmt.Sprintf("server %d flushed %v, the process model %v", s, got.disk[s], want.disk[s])
 		}
+		if !maps.Equal(got.dirty[s], want.dirty[s]) {
+			return fmt.Sprintf("server %d dirty replicas %v, the process model %v", s, got.dirty[s], want.dirty[s])
+		}
 	}
 	if !maps.Equal(got.places, want.places) {
 		return "the coordinator's placements differ from the process model's"
@@ -619,11 +699,14 @@ func (got attOutcome) diff(want attOutcome, ops []attOp) string {
 // short enough that tries time out and retry while their ops run on;
 // every second seed adds a degraded link, two lossy ones and a slow
 // disk, and every fifth is stopped mid-run by Stop, every fifth by the
-// horizon.
+// horizon. Each schedule then runs again with forty MarkCleans of the
+// same keys among its callers, on both, which must clear the same
+// Dirty bits on every master and replica.
 func TestAttemptMatchesProcessModel(t *testing.T) {
 	const seeds, ops = 20, 200
 	var reached refCounts
 	var timedOutLanded, tries, timeouts int
+	cleans := make(map[string]int) // completed MarkCleans by outcome
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sched, faults := attSchedule(rng, ops)
@@ -645,6 +728,17 @@ func TestAttemptMatchesProcessModel(t *testing.T) {
 				timeouts++
 			}
 		}
+		withClean := withCleans(rng, sched, 40)
+		got = runAttempts(withClean, faults, lossy, seed, stop, horizon, false, nil)
+		want = runAttempts(withClean, faults, lossy, seed, stop, horizon, true, &refCounts{})
+		if d := got.diff(want, withClean); d != "" {
+			t.Fatalf("seed %d with cleans (lossy %v, stop %v, horizon %v): %s", seed, lossy, stop, horizon, d)
+		}
+		for i, o := range withClean {
+			if o.kind == attMarkClean && got.done[i] >= 0 {
+				cleans[errKind(got.errs[i][0])]++
+			}
+		}
 	}
 	t.Logf("%d tries, %d timed out, %d of them writes that landed; %d ops met a master crashed at serve time, %d shares a backup crashed at buffering, %d flushes a replica a restart dropped",
 		tries, timeouts, timedOutLanded, reached.crashedAtServe, reached.crashedAtBuffer, reached.droppedFlushes)
@@ -652,4 +746,21 @@ func TestAttemptMatchesProcessModel(t *testing.T) {
 		t.Errorf("the schedules never timed out a write that still landed (%d) or crashed a master at serve time (%d)",
 			timedOutLanded, reached.crashedAtServe)
 	}
+	t.Logf("MarkCleans by outcome: %v", cleans)
+	if cleans["ok"] == 0 || cleans["not found"] == 0 || cleans["unreachable"] == 0 {
+		t.Errorf("the schedules never cleaned a key, missed one and lost a clean's round all at once: %v", cleans)
+	}
+}
+
+// errKind names err's class for the tally of outcomes.
+func errKind(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrNotFound):
+		return "not found"
+	case errors.Is(err, simnet.ErrUnreachable):
+		return "unreachable"
+	}
+	return err.Error()
 }

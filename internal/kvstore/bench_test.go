@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ofc/internal/sim"
+	"ofc/internal/simnet"
 )
 
 // The cluster benchmarks below are each a set-up function of n ops
@@ -91,6 +92,69 @@ func clusterReadThens(tb testing.TB, n int) *sim.Env {
 	env.Go(func() {
 		c.Write(1, "k", Synthetic(64<<10), nil, 1)
 		next(ReadResult{})
+	})
+	return env
+}
+
+// clusterMarkCleans is one write and n MarkCleans of it from a remote
+// caller.
+func clusterMarkCleans(tb testing.TB, n int) *sim.Env {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	env.Go(func() {
+		c.Write(1, "k", Synthetic(64<<10), &State{Dirty: true}, 1)
+		for i := 0; i < n; i++ {
+			if err := c.MarkClean(2, "k"); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	})
+	return env
+}
+
+// multiKeys are the batches of the multi-key benchmarks: four keys,
+// mastered on four nodes when written from their own node.
+var multiKeys = benchKeys[:4]
+
+// clusterReadMultis is one write of each of multiKeys, each from its
+// own node, and n ReadMultis of all four from node 1.
+func clusterReadMultis(tb testing.TB, n int) *sim.Env {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	env.Go(func() {
+		for i, k := range multiKeys {
+			c.Write(simnet.NodeID(i), k, Synthetic(16<<10), nil, simnet.NodeID(i))
+		}
+		for i := 0; i < n; i++ {
+			for _, r := range c.ReadMulti(1, multiKeys) {
+				if r.Err != nil {
+					tb.Fatal(r.Err)
+				}
+			}
+		}
+	})
+	return env
+}
+
+// clusterWriteMultis is n WriteMultis of four 16 KB items from node 1,
+// cycling over 1024 keys in batches built once.
+func clusterWriteMultis(tb testing.TB, n int) *sim.Env {
+	env := sim.NewEnv(1)
+	c, _ := testCluster(env)
+	batches := make([][]WriteItem, len(benchKeys)/4)
+	for i := range batches {
+		for _, k := range benchKeys[4*i : 4*i+4] {
+			batches[i] = append(batches[i], WriteItem{Key: k, Blob: Synthetic(16 << 10)})
+		}
+	}
+	env.Go(func() {
+		for i := 0; i < n; i++ {
+			for _, r := range c.WriteMulti(1, batches[i%len(batches)], 1) {
+				if r.Err != nil {
+					tb.Fatal(r.Err)
+				}
+			}
+		}
 	})
 	return env
 }
@@ -186,7 +250,8 @@ func BenchmarkClusterReadThen(b *testing.B) {
 }
 
 // TestClusterOpAllocCeilings pins the allocations per op of the
-// benchmarks in this file, counted as testing.Benchmark counts them: the
+// set-ups in this file, the benchmarks' and the batch and clean ones,
+// counted as testing.Benchmark counts them: the
 // heap allocations of Run divided by the number of ops, rounded down. A
 // read allocates nothing, parked on or not; a write allocates the
 // master's object record, and the rest of the blocking Write's count is
@@ -196,7 +261,10 @@ func BenchmarkClusterReadThen(b *testing.B) {
 // key set and the log's head reuses the segments the cleaner frees. Key
 // churn allocates the object record and the key the benchmark builds:
 // interning, placing and evicting a new key allocate nothing. The log's
-// own put, cleaning included, allocates nothing.
+// own put, cleaning included, allocates nothing. A MarkClean allocates
+// nothing, and a batch only its result slice and, for a write, one
+// object record per item: the op record, its groups and its id and
+// placement buffers are pooled.
 func TestClusterOpAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -209,6 +277,9 @@ func TestClusterOpAllocCeilings(t *testing.T) {
 		{"ReadThen", clusterReadThens, 10000, 0},
 		{"WriteThen", clusterWriteThens, 50000, 1},
 		{"KeyChurn", clusterKeyChurn, 50000, 2},
+		{"MarkClean", clusterMarkCleans, 10000, 0},
+		{"ReadMulti", clusterReadMultis, 10000, 1},
+		{"WriteMulti", clusterWriteMultis, 20000, 5},
 		{"LogPut", logPuts, 200000, 0},
 	} {
 		env := c.setup(t, c.n)

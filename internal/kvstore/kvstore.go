@@ -234,12 +234,11 @@ type Cluster struct {
 	// spans as trace-0 roots; nil = off.
 	tracer *trace.Tracer
 
-	// Free lists of the records ops in flight run on: single-key ops,
-	// the waiters of blocking ones (ops.go), batch groups, replication
+	// Free lists of the records ops in flight run on: ops, which keep
+	// their groups, the waiters of blocking ones (ops.go), replication
 	// rounds and disk flushes (multi.go).
 	ops     []*op
 	waiters []*waiter
-	groups  []*group
 	rounds  []*round
 	flushes []*flushRec
 }
@@ -394,52 +393,6 @@ func (c *Cluster) releaseAll(ids []objID) {
 			ids[i] = noID
 		}
 	}
-}
-
-// lookup fetches the placement of key, charging a coordinator RPC from
-// caller, for MarkClean; a Read or Write makes the same two hops as
-// continuations (op.lookup). The key's id goes to *id as resolve leaves
-// it, also when the answer is lost; the caller releases it. The error
-// is non-nil when the coordinator is unreachable.
-func (c *Cluster) lookup(caller simnet.NodeID, key string, id *objID) (placement, bool, error) {
-	type res struct {
-		p  placement
-		ok bool
-	}
-	c.coordRPCs++
-	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
-		var r res
-		*id, r.p, r.ok = c.resolve(key, false)
-		return r
-	})
-	if err != nil {
-		return placement{}, false, err
-	}
-	return r.p, r.ok, nil
-}
-
-// lookupMulti fetches the placements of all keys in one coordinator
-// round-trip (a single control RPC regardless of batch size). Each
-// key's id goes to ids as resolve leaves it, also when the answer is
-// lost, for the caller to release. A read passes a nil fresh: a key
-// it finds unplaced keeps noID. A write passes fresh, marked for each
-// key found unplaced, and interns those keys.
-func (c *Cluster) lookupMulti(caller simnet.NodeID, keys []string, ids []objID, fresh []bool) ([]placement, error) {
-	for i := range ids {
-		ids[i] = noID // until the request arrives
-	}
-	c.coordRPCs++
-	return simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() []placement {
-		ps := make([]placement, len(keys))
-		for i, k := range keys {
-			var ok bool
-			ids[i], ps[i], ok = c.resolve(k, fresh != nil)
-			if fresh != nil {
-				fresh[i] = !ok
-			}
-		}
-		return ps
-	})
 }
 
 // MasterOf returns the node currently mastering key, without charging

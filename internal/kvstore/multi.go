@@ -1,26 +1,22 @@
 package kvstore
 
-// The read and write protocols, each implemented once, per master, as a
-// chain of continuations with no process: a read group serves one
-// master's share of a read, and a write group lands one master's share
-// of a write and replicates it in one round: per backup, a chain of
-// continuations (payload hop, RAM buffering, install, ack hop, disk
-// flush bookings). Each step is a simnet.TransferThen hop or a
-// sim.Env.Then delay, booked at the instant a process sleeping through
-// the same steps would book it. ReadThen and WriteThen are one-key
-// batches (ops.go), and the blocking Read and Write park on them once.
-// ReadMulti and WriteMulti resolve every placement in one coordinator
-// round-trip, group the keys by master, start one group chain per
-// master and park once until the last has ended: one control
-// round-trip and one bulk transfer per involved server instead of one
-// per key. The chunking middleware's stripes go through the batch
-// paths.
+// The master side of the data-plane protocols, each implemented once,
+// per master, as a chain of continuations with no process: a read group
+// serves one master's share of an op's keys, a clean group clears their
+// Dirty bits, and a write group lands its share of a write and
+// replicates it in one round: per backup, a chain of continuations
+// (payload hop, RAM buffering, install, ack hop, disk flush bookings).
+// Each step is a simnet.TransferThen hop or a sim.Env.Then delay, booked
+// at the instant a process sleeping through the same steps would book
+// it. An op (ops.go) makes one coordinator round for all its keys and
+// runs one group per master: one control round-trip and one bulk
+// transfer per involved server instead of one per key. The chunking
+// middleware's stripes go through the batch paths.
 
 import (
 	"slices"
 	"time"
 
-	"ofc/internal/sim"
 	"ofc/internal/simnet"
 )
 
@@ -44,156 +40,12 @@ type WriteResult struct {
 	Err     error
 }
 
-// groupAppend files batch index i under master's group, taking a group
-// record from the free list for a master not seen yet. Groups keep
-// first-seen master order, which is what keeps multi-op fan-out
-// deterministic; batches touch a handful of servers (six nodes in the
-// paper's testbed), so a linear scan finds the group.
-func (c *Cluster) groupAppend(groups []*group, master simnet.NodeID, i int) []*group {
-	for _, g := range groups {
-		if g.master == master {
-			g.idxs = append(g.idxs, i)
-			return groups
-		}
-	}
-	g := c.newGroup()
-	g.master, g.idxs = master, append(g.idxs[:0], i)
-	return append(groups, g)
-}
-
-// serveBatch runs every group of a batch b as a chain, a read or a
-// write one, parks the calling process once, until the last has ended,
-// and recycles the groups. The chains start in the order the runnable
-// queue ran the processes the groups used to be (one Go per group, in
-// first-seen order, then the caller parked): the last readied first,
-// then the rest in order (DESIGN.md §11).
-func (c *Cluster) serveBatch(caller simnet.NodeID, b *batch, groups []*group, write bool) {
-	if len(groups) == 0 {
-		return
-	}
-	done := sim.NewFuture[struct{}](c.env())
-	pending := len(groups)
-	ended := func() {
-		if pending--; pending == 0 {
-			done.Set(struct{}{})
-		}
-	}
-	for _, g := range groups {
-		g.b, g.caller, g.ended = b, caller, ended
-	}
-	start := func(g *group) {
-		if write {
-			g.write(g.master)
-		} else {
-			g.read(g.master)
-		}
-	}
-	last := len(groups) - 1
-	start(groups[last])
-	for _, g := range groups[:last] {
-		start(g)
-	}
-	done.Wait()
-	for _, g := range groups {
-		c.recycleGroup(g)
-	}
-}
-
-// ReadMulti fetches a batch of keys, grouping them per master server:
-// one coordinator lookup for the whole batch, then one request and one
-// (bulk) response exchange per involved server. Per-key failures are
-// reported individually in the result slice.
-func (c *Cluster) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	sp := c.tracer.Begin(0, 0, "kv.readmulti", caller)
-	sp.SetNum("keys", int64(len(keys)))
-	out := make([]ReadResult, len(keys))
-	if len(keys) > 0 {
-		ids := make([]objID, len(keys))
-		ps, lerr := c.lookupMulti(caller, keys, ids, nil)
-		var groups []*group
-		for i := range keys {
-			switch {
-			case lerr != nil:
-				out[i].Err = lerr
-			case ids[i] == noID:
-				out[i].Err = ErrNotFound
-			default:
-				groups = c.groupAppend(groups, ps[i].master, i)
-			}
-		}
-		c.serveBatch(caller, &batch{keys: keys, ids: ids, rout: out}, groups, false)
-		c.releaseAll(ids)
-	}
-	var errs int64
-	for i := range out {
-		if out[i].Err != nil {
-			errs++
-		}
-	}
-	if errs > 0 {
-		sp.SetNum("err", errs)
-	}
-	c.tracer.End(&sp)
-	return out
-}
-
-// WriteMulti stores a batch of objects, grouping them by target master:
-// one coordinator lookup/placement round for the whole batch, then one
-// bulk payload transfer and one ack per involved master, with replica
-// payloads likewise grouped per backup server. Per-item failures
-// (ErrNoSpace, ErrTooLarge) are reported individually.
-func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	sp := c.tracer.Begin(0, 0, "kv.writemulti", caller)
-	sp.SetNum("keys", int64(len(items)))
-	out := make([]WriteResult, len(items))
-	if len(items) > 0 {
-		keys := make([]string, len(items))
-		for i, it := range items {
-			keys[i] = it.Key
-		}
-		ids := make([]objID, len(items))
-		// speculative first marks the keys the coordinator found
-		// unplaced, then the placements this op made.
-		speculative := make([]bool, len(items))
-		ps, lerr := c.lookupMulti(caller, keys, ids, speculative)
-		var groups []*group
-		for i, it := range items {
-			switch {
-			case lerr != nil:
-				out[i].Err = lerr
-			case it.Blob.Size > maxObjectSize:
-				out[i].Err = ErrTooLarge
-			case speculative[i]:
-				// A new key: the placement decision rides on the same
-				// coordinator round, as in Write.
-				ps[i], out[i].Err = c.place(ids[i], it.Blob.Size, preferred)
-			}
-			speculative[i] = speculative[i] && out[i].Err == nil
-			if out[i].Err == nil {
-				groups = c.groupAppend(groups, ps[i].master, i)
-			}
-		}
-		c.serveBatch(caller, &batch{ids: ids, items: items, ps: ps, spec: speculative, wout: out}, groups, true)
-		c.releaseAll(ids)
-	}
-	var errs int64
-	for i := range out {
-		if out[i].Err != nil {
-			errs++
-		}
-	}
-	if errs > 0 {
-		sp.SetNum("err", errs)
-	}
-	c.tracer.End(&sp)
-	return out
-}
-
 // batch is what the groups of one op read and write, indexed by their
-// idxs: the keys' ids, which the op holds, and a read's keys and
-// results, or a write's items, placements, speculative marks
-// (placements this op made) and results.
+// idxs: the keys' ids, which the op holds, and their placements; a
+// read's or a clean's keys and results, or a write's items, speculative
+// marks (placements this op made) and results.
 type batch struct {
+	kind  opKind
 	keys  []string
 	ids   []objID
 	rout  []ReadResult
@@ -203,11 +55,25 @@ type batch struct {
 	wout  []WriteResult
 }
 
-// group is one master's share of an op in flight, a read's or a
-// write's, as a chain of continuations; ended is its owner's next step.
-// Its steps are method values bound once, when the record is made. An
-// op holds one group; the batch paths take theirs from a free list on
-// the Cluster.
+// err is key i's error.
+func (b *batch) err(i int) *error {
+	if b.kind == opWrite {
+		return &b.wout[i].Err
+	}
+	return &b.rout[i].Err
+}
+
+// group is one master's share of an op in flight, a read's, a write's
+// or a clean's, as a chain of continuations; ended is its op's next
+// step. A write group lands its share on the master and replicates what
+// the master accepted in one round (see round). Only a write that never
+// reached the master's log (its payload transfer failed, or it did not
+// fit) undoes the placement its op made (speculative): an object the
+// master logged keeps its placement, or Evict could not reach its
+// bytes. An accepted item reports the first of its backups to fail, in
+// placement order, else the ack's failure. A group's steps are method
+// values bound once, when the record is made. An op keeps the group
+// records it made for the next op on it.
 type group struct {
 	c              *Cluster
 	b              *batch
@@ -227,53 +93,59 @@ type group struct {
 	cleaned    func()      // g.clean
 	replicated func()      // g.ack
 	acked      func(error) // g.ackArrived
+	markAsked  func(error) // g.markArrived
 }
 
-// bind makes g a record of c over b's idxs, its steps bound.
-func (g *group) bind(c *Cluster, b *batch, idxs []int) {
-	g.c, g.b, g.idxs = c, b, idxs
+// newGroup makes a group record of o.
+func (o *op) newGroup() *group {
+	g := &group{c: o.c, b: &o.b, ended: o.ended}
 	g.readAsked, g.served, g.crossed, g.replied = g.readArrived, g.serve, g.lookUp, g.reply
 	g.shipped, g.logged, g.cleaned, g.replicated, g.acked = g.payloadArrived, g.log, g.clean, g.ack, g.ackArrived
-}
-
-// newGroup takes a batch group record from the free list, or makes one.
-func (c *Cluster) newGroup() *group {
-	if n := len(c.groups); n > 0 {
-		g := c.groups[n-1]
-		c.groups = c.groups[:n-1]
-		return g
-	}
-	g := &group{}
-	g.bind(c, nil, nil)
+	g.markAsked = g.markArrived
 	return g
 }
 
-// recycleGroup returns an ended batch group to the free list, keeping
-// its index slice for the next batch.
-func (c *Cluster) recycleGroup(g *group) {
-	g.b, g.idxs, g.s, g.ended = nil, g.idxs[:0], nil, nil
-	c.groups = append(c.groups, g)
-}
-
-// read serves the group's share of a read from master: one request goes
-// to the master and one bulk response carries back every payload it
-// found; when it found none, nothing is shipped.
-func (g *group) read(master simnet.NodeID) {
-	c := g.c
-	g.master = master
-	if g.s = c.Server(master); g.s == nil {
-		g.failRead(ErrNoSuchServer)
+// start sends the group's request to its master: a read's or a
+// clean's is one control message, a write's one bulk shipment of its
+// share's payloads.
+func (g *group) start() {
+	c, b := g.c, g.b
+	if g.s = c.Server(g.master); g.s == nil {
+		g.fail(ErrNoSuchServer, false)
 		return
 	}
-	// One batched request to the master.
 	c.serverRPCs++
-	c.net.TransferThen(g.caller, master, controlMsgSize, g.readAsked)
+	switch b.kind {
+	case opRead:
+		c.net.TransferThen(g.caller, g.master, controlMsgSize, g.readAsked)
+	case opClean:
+		c.net.TransferThen(g.caller, g.master, controlMsgSize, g.markAsked)
+	default:
+		g.bytes = 0
+		for _, i := range g.idxs {
+			g.bytes += b.items[i].Blob.Size
+		}
+		c.net.TransferThen(g.caller, g.master, g.bytes+controlMsgSize, g.shipped)
+	}
+}
+
+// fail reports err for the whole share and ends it; undo also drops
+// the placements this op made.
+func (g *group) fail(err error, undo bool) {
+	b := g.b
+	for _, i := range g.idxs {
+		*b.err(i) = err
+		if undo && b.spec[i] {
+			g.c.places.del(b.ids[i])
+		}
+	}
+	g.ended()
 }
 
 // readArrived charges the master's serve time.
 func (g *group) readArrived(err error) {
 	if err != nil {
-		g.failRead(err)
+		g.fail(err, false)
 		return
 	}
 	g.c.env().Then(time.Duration(len(g.idxs))*serveOverhead, g.served)
@@ -293,7 +165,7 @@ func (g *group) serve() {
 // meanwhile, and ships what it found in one bulk response.
 func (g *group) lookUp() {
 	if g.s.node.Down() {
-		g.failRead(ErrCrashed)
+		g.fail(ErrCrashed, false)
 		return
 	}
 	b := g.b
@@ -321,50 +193,19 @@ func (g *group) lookUp() {
 	g.c.net.TransferThen(g.master, g.caller, payload+controlMsgSize, g.replied)
 }
 
-// reply ends the read.
+// reply ends a read or a clean.
 func (g *group) reply(err error) {
 	if err != nil {
-		g.failRead(err)
+		g.fail(err, false)
 		return
 	}
 	g.ended()
-}
-
-// failRead reports err for the whole share and ends it.
-func (g *group) failRead(err error) {
-	for _, i := range g.idxs {
-		g.b.rout[i].Err = err
-	}
-	g.ended()
-}
-
-// write lands the group's share of a write on master (one bulk payload
-// shipment) and replicates what the master accepted in one round (see
-// round). Only a write that never reached the master's log (its
-// payload transfer failed, or it did not fit) undoes the placement
-// this operation made (speculative): an object the master logged keeps
-// its placement, or Evict could not reach its bytes. An accepted item
-// reports the first of its backups to fail, in placement order, else
-// the ack's failure.
-func (g *group) write(master simnet.NodeID) {
-	c, b := g.c, g.b
-	g.master = master
-	if g.s = c.Server(master); g.s == nil {
-		g.failWrite(ErrNoSuchServer, false)
-		return
-	}
-	g.bytes = 0
-	for _, i := range g.idxs {
-		g.bytes += b.items[i].Blob.Size
-	}
-	c.serverRPCs++
-	c.net.TransferThen(g.caller, master, g.bytes+controlMsgSize, g.shipped)
 }
 
 // payloadArrived charges the master's serve and copy time.
 func (g *group) payloadArrived(err error) {
 	if err != nil {
-		g.failWrite(err, true)
+		g.fail(err, true)
 		return
 	}
 	c := g.c
@@ -377,7 +218,7 @@ func (g *group) payloadArrived(err error) {
 func (g *group) log() {
 	c, b, s := g.c, g.b, g.s
 	if s.node.Down() {
-		g.failWrite(ErrCrashed, false)
+		g.fail(ErrCrashed, false)
 		return
 	}
 	r := c.newRound(g.master)
@@ -471,19 +312,6 @@ func (g *group) ackArrived(ackErr error) {
 	g.endWrite()
 }
 
-// failWrite reports err for the whole share and ends it; undo also
-// drops the placements this operation made.
-func (g *group) failWrite(err error, undo bool) {
-	b := g.b
-	for _, i := range g.idxs {
-		b.wout[i].Err = err
-		if undo && b.spec[i] {
-			g.c.places.del(b.ids[i])
-		}
-	}
-	g.ended()
-}
-
 // endWrite recycles the group's round, if it made one, and ends it.
 func (g *group) endWrite() {
 	if g.r != nil {
@@ -491,6 +319,44 @@ func (g *group) endWrite() {
 		g.r = nil
 	}
 	g.ended()
+}
+
+// markArrived clears the Dirty bit of each key's master copy, unless
+// the master crashed meanwhile or no longer holds the key, and of its
+// replicas of the same version, so that a post-recovery master does not
+// come back dirty after its payload was persisted. The master
+// piggybacks these tiny updates on its replication stream; their cost
+// folds into the reply, which a master that cleaned nothing skips.
+func (g *group) markArrived(err error) {
+	if err != nil {
+		g.fail(err, false)
+		return
+	}
+	c, b, s := g.c, g.b, g.s
+	cleaned := 0
+	for _, i := range g.idxs {
+		o, ok := s.log.get(b.ids[i])
+		if !ok || s.node.Down() {
+			b.rout[i].Err = ErrNotFound
+			continue
+		}
+		o.meta.State.Dirty = false
+		for _, n := range b.ps[i].backups.list() {
+			if bs := c.Server(n); bs != nil {
+				for _, t := range [...]*table[replica]{&bs.backups, &bs.disk} {
+					if rep := t.at(b.ids[i]); rep != nil && rep.meta.Version == o.meta.Version {
+						rep.meta.State.Dirty = false
+					}
+				}
+			}
+		}
+		cleaned++
+	}
+	if cleaned == 0 {
+		g.ended()
+		return
+	}
+	c.net.TransferThen(g.master, g.caller, controlMsgSize, g.replied)
 }
 
 // acceptedItem is one object a master logged: what its backups buffer,

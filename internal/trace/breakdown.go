@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"ofc/internal/metrics"
 	"ofc/internal/sim"
@@ -56,19 +54,4 @@ func Breakdown(spans []Span) []PhaseStat {
 // quantile of an ascending-sorted slice by ceiling nearest-rank.
 func Quantile(sorted []sim.Time, q float64) sim.Time {
 	return metrics.Quantile(sorted, q)
-}
-
-// FormatBreakdown renders the per-phase table the -exp trace drill
-// prints: one row per phase, durations in milliseconds.
-func FormatBreakdown(stats []PhaseStat) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %7s %12s %10s %10s %10s %10s\n",
-		"phase", "count", "total_ms", "mean_ms", "p50_ms", "p99_ms", "max_ms")
-	for _, st := range stats {
-		fmt.Fprintf(&b, "%-16s %7d %12.3f %10.3f %10.3f %10.3f %10.3f\n",
-			st.Phase, st.Count,
-			float64(st.Total)/1e6, float64(st.Mean)/1e6,
-			float64(st.P50)/1e6, float64(st.P99)/1e6, float64(st.Max)/1e6)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -106,16 +105,4 @@ func TestBreakdown(t *testing.T) {
 			t.Fatalf("queue stats wrong: %+v", q)
 		}
 	})
-}
-
-func TestFormatBreakdown(t *testing.T) {
-	out := FormatBreakdown(Breakdown([]Span{
-		{ID: 1, Name: "invoke", Start: 0, End: sim.Time(8 * time.Millisecond)},
-	}))
-	if !strings.Contains(out, "invoke") || !strings.Contains(out, "8.000") {
-		t.Fatalf("table missing row data:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "phase") {
-		t.Fatalf("table missing header:\n%s", out)
-	}
 }

@@ -1,15 +1,19 @@
 // Command covercheck turns a `go test -coverprofile` profile into a
-// per-package statement-coverage report and enforces a floor on one
-// package. The repo-wide numbers are report-only (growing code should
-// not fail CI for packages that predate a floor); the floored package
-// fails the build when it slips. The floor covers the package alone,
+// per-package statement-coverage report and enforces a floor on each
+// package named by a -floor flag. The other packages' numbers are
+// report-only (growing code should not fail CI for packages that
+// predate a floor); a floored package fails the run when it slips, and
+// every slipped floor is reported. A floor covers its package alone,
 // not its subpackages: a profile counts a package's statements only
 // under its own tests, so helper packages that other packages' tests
 // exercise (internal/store/conformance) read 0 %.
 //
 // Usage:
 //
-//	go run ./scripts/covercheck -profile cover.out -pkg ofc/internal/trace -floor 70
+//	go run ./scripts/covercheck -profile cover.out -floor ofc/internal/trace=70 -floor ofc/internal/sim=92
+//
+// It exits 1 when a package is below its floor and 2 when the profile
+// cannot be read or a floored package has no statements in it.
 package main
 
 import (
@@ -37,8 +41,23 @@ func (c pkgCov) percent() float64 {
 
 func main() {
 	profile := flag.String("profile", "cover.out", "coverage profile written by go test -coverprofile")
-	pkg := flag.String("pkg", "", "import path of the package the floor applies to (empty: floor the whole profile)")
-	floor := flag.Float64("floor", 0, "minimum statement coverage percent for -pkg")
+	floors := make(map[string]float64)
+	var order []string
+	flag.Func("floor", "`pkg=percent`: minimum statement coverage of one package's import path (repeatable)", func(v string) error {
+		pkg, pct, ok := strings.Cut(v, "=")
+		if !ok || pkg == "" {
+			return fmt.Errorf("want pkg=percent, got %q", v)
+		}
+		p, err := strconv.ParseFloat(pct, 64)
+		if err != nil {
+			return err
+		}
+		if _, dup := floors[pkg]; !dup {
+			order = append(order, pkg)
+		}
+		floors[pkg] = p
+		return nil
+	})
 	flag.Parse()
 
 	pkgs, err := parseProfile(*profile)
@@ -56,38 +75,34 @@ func main() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var total, floored pkgCov
+	var total pkgCov
 	for _, name := range names {
 		c := pkgs[name]
 		total.stmts += c.stmts
 		total.hit += c.hit
 		mark := " "
-		if name == *pkg {
-			floored.stmts += c.stmts
-			floored.hit += c.hit
+		if _, ok := floors[name]; ok {
 			mark = "*"
 		}
 		fmt.Printf("%s %-44s %6.1f%%  (%d/%d stmts)\n", mark, name, c.percent(), c.hit, c.stmts)
 	}
 	fmt.Printf("  %-44s %6.1f%%  (%d/%d stmts)\n", "TOTAL", total.percent(), total.hit, total.stmts)
 
-	target := total
-	label := "profile"
-	if *pkg != "" {
-		target = floored
-		label = *pkg
+	status := 0
+	for _, pkg := range order {
+		c, floor := pkgs[pkg], floors[pkg]
+		switch got := c.percent(); {
+		case c.stmts == 0:
+			fmt.Fprintf(os.Stderr, "covercheck: no statements matched %s\n", pkg)
+			status = 2
+		case got < floor:
+			fmt.Fprintf(os.Stderr, "covercheck: %s coverage %.1f%% is below the %.1f%% floor\n", pkg, got, floor)
+			status = max(status, 1)
+		default:
+			fmt.Printf("floor ok: %s at %.1f%% (floor %.1f%%)\n", pkg, got, floor)
+		}
 	}
-	if *pkg != "" && target.stmts == 0 {
-		fmt.Fprintf(os.Stderr, "covercheck: no statements matched -pkg %s\n", *pkg)
-		os.Exit(2)
-	}
-	if got := target.percent(); got < *floor {
-		fmt.Fprintf(os.Stderr, "covercheck: %s coverage %.1f%% is below the %.1f%% floor\n", label, got, *floor)
-		os.Exit(1)
-	}
-	if *floor > 0 {
-		fmt.Printf("floor ok: %s at %.1f%% (floor %.1f%%)\n", label, target.percent(), *floor)
-	}
+	os.Exit(status)
 }
 
 // parseProfile reads the cover profile, summing statement and hit
