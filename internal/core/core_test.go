@@ -440,8 +440,8 @@ func TestFallbackReadWaitsOutShadow(t *testing.T) {
 		if m, _ := sys.RSDS.MetaOf(key); m.IsShadow() || m.PersistedVersion != shadow.LatestVersion {
 			t.Errorf("after the get: meta %+v, want version %d persisted", m, shadow.LatestVersion)
 		}
-		if waited := time.Duration(sys.Env.Now() - start); waited < sys.RC.persistRetryDelay {
-			t.Errorf("get returned after %v, before the persist could be retried (%v)", waited, sys.RC.persistRetryDelay)
+		if waited := time.Duration(sys.Env.Now() - start); waited < persistRetryDelay {
+			t.Errorf("get returned after %v, before the persist could be retried (%v)", waited, persistRetryDelay)
 		}
 		if st := sys.RC.Stats(); st.FallbackReads != 1 {
 			t.Errorf("fallback reads=%d, want 1", st.FallbackReads)

@@ -44,10 +44,10 @@ type Options struct {
 	// strong consistency: cacheable writes under them get no shadow
 	// object and no eager Persistor, and reach the RSDS when evicted.
 	RelaxedPrefixes []string
-	// Overload, when non-nil, installs end-to-end overload control
-	// (admission gate, shared retry budget, degradation controller);
-	// System.Overload is then non-nil.
-	Overload *OverloadConfig
+	// Overload installs end-to-end overload control (admission gate,
+	// shared retry budget, degradation controller); System.Overload is
+	// then non-nil.
+	Overload bool
 }
 
 // DefaultOptions mirrors the paper's testbed shape.
@@ -134,8 +134,8 @@ func NewSystem(opts Options) *System {
 	sys.Trainer = NewModelTrainer(sys.Pred, env)
 	sys.Gov = NewGovernor()
 	res := store.DefaultResilienceConfig()
-	if opts.Overload != nil {
-		sys.Overload = newOverloadControl(sys, *opts.Overload)
+	if opts.Overload {
+		sys.Overload = newOverloadControl(sys)
 		res.Gate = storeRetryGate{sys.Overload.Budget}
 	}
 	sys.RC = NewRCLib(env, kv, rsds, platform, sys.Gov, res, opts)

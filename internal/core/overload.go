@@ -9,15 +9,6 @@ import (
 	"ofc/internal/overload"
 )
 
-// OverloadConfig bundles the tuning of the three overload-control
-// pieces: the admission gate, the shared retry budget and the
-// degradation state machine.
-type OverloadConfig struct {
-	Admission  overload.AdmissionConfig
-	Budget     overload.BudgetConfig
-	Controller overload.ControllerConfig
-}
-
 // OverloadControl is the wired overload subsystem of one System: the
 // gate in front of the platform, the budget under every retry path,
 // the controller reading the health signals, and the timeline of
@@ -37,13 +28,13 @@ type OverloadControl struct {
 // queue depth, OOM-kill rate, reclaim-failure rate and store latency.
 // NewSystem hands the budget to the proxy's resilience layer; the
 // controller's sampling loop is armed by Start.
-func newOverloadControl(s *System, cfg OverloadConfig) *OverloadControl {
-	adm := overload.NewAdmission(s.Env, cfg.Admission)
-	bud := overload.NewRetryBudget(s.Env, cfg.Budget)
+func newOverloadControl(s *System) *OverloadControl {
+	adm := overload.NewAdmission(s.Env)
+	bud := overload.NewRetryBudget(s.Env)
 	oc := &OverloadControl{
 		sys: s, Admission: adm, Budget: bud, Timeline: &metrics.Timeline{},
 	}
-	oc.Controller = overload.NewController(s.Env, cfg.Controller, func() overload.Signals {
+	oc.Controller = overload.NewController(s.Env, func() overload.Signals {
 		return overload.Signals{
 			QueueDepth:      float64(adm.Depth()),
 			OOMKills:        float64(s.Platform.Stats().OOMKills),

@@ -84,33 +84,33 @@ type RCLib struct {
 	// set by System.EnableTracing before traffic starts).
 	tracer *trace.Tracer
 
-	// persistRetryDelay is how long a failed write-back waits before
-	// the next persistor attempt.
-	persistRetryDelay time.Duration
-
 	// stats holds the data-plane counters; the retry, timeout and
 	// breaker counters live in the Resilient middleware, and Stats
 	// copies them in.
 	stats CacheStats
 }
 
+// persistRetryDelay is how long a Persistor waits before retrying when
+// the cache is unavailable; the pending write-back is never dropped
+// (acked writes survive in backup replicas).
+const persistRetryDelay = 500 * time.Millisecond
+
 // NewRCLib builds the proxy over the cache cluster and the RSDS and
 // registers its Persistor with the platform. kv is unused, and may be
 // nil, when opts.CacheOff puts the proxy over the RSDS passthrough
-// instead. gov hears each admission, res tunes the Resilient layer, and
-// opts supplies Chunking and RelaxedPrefixes.
+// instead. gov hears each admission, res carries the Resilient layer's
+// retry gate, and opts supplies Chunking and RelaxedPrefixes.
 func NewRCLib(env *sim.Env, kv *kvstore.Cluster, rsds *objstore.Store, platform *faas.Platform,
 	gov *Governor, res store.ResilienceConfig, opts Options) *RCLib {
 	rc := &RCLib{
-		env:               env,
-		rsds:              rsds,
-		durable:           opts.CacheOff,
-		platform:          platform,
-		gov:               gov,
-		relaxed:           slices.Clone(opts.RelaxedPrefixes),
-		pipelines:         make(map[string][]string),
-		pending:           make(map[string]*sim.Future[struct{}]),
-		persistRetryDelay: res.PersistRetryDelay,
+		env:       env,
+		rsds:      rsds,
+		durable:   opts.CacheOff,
+		platform:  platform,
+		gov:       gov,
+		relaxed:   slices.Clone(opts.RelaxedPrefixes),
+		pipelines: make(map[string][]string),
+		pending:   make(map[string]*sim.Future[struct{}]),
 	}
 
 	// Assemble the middleware stack bottom-up. Chunked stripes around
@@ -204,7 +204,7 @@ func (rc *RCLib) persistBody(ctx *faas.Ctx) error {
 			// payload survives in backup replicas, so the pending
 			// write-back must NOT be resolved — reschedule the persist
 			// for after the store has had time to recover.
-			rc.env.After(rc.persistRetryDelay, func() {
+			rc.env.After(persistRetryDelay, func() {
 				rc.schedulePersist(node, key, version)
 			})
 			return nil
@@ -499,7 +499,7 @@ func (rc *RCLib) schedulePersist(node simnet.NodeID, key string, version uint64)
 			// to the dying master for locality). The acked payload still
 			// lives in backup replicas — retry until persistBody gets to
 			// run and decide.
-			rc.env.After(rc.persistRetryDelay, func() {
+			rc.env.After(persistRetryDelay, func() {
 				rc.schedulePersist(node, key, version)
 			})
 		}

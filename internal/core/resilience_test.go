@@ -58,8 +58,8 @@ func TestGetFallsBackToRSDS(t *testing.T) {
 		if st.CacheRetries == 0 {
 			t.Errorf("no cache retries recorded: %+v", st)
 		}
-		// One Get exhausts MaxRetries+1 attempts = BreakerThreshold
-		// failures: the master's breaker is now open.
+		// One Get exhausts the Resilient layer's maxRetries+1 attempts,
+		// its breakerThreshold failures: the master's breaker is now open.
 		if _, open := sys.RC.resil.BreakerState(victim); !open {
 			t.Error("breaker not open after retry exhaustion")
 		}
@@ -153,7 +153,7 @@ func TestDirtyWriteBackSurvivesCrash(t *testing.T) {
 			return
 		}
 		sys.KV.Restart(victim)
-		// Give the Persistor retry loop (PersistRetryDelay cadence) and
+		// Give the Persistor retry loop (persistRetryDelay cadence) and
 		// the breaker cooldown time to push the payload through.
 		sys.Env.Sleep(3 * time.Second)
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ofc/internal/faas"
-	"ofc/internal/overload"
 	"ofc/internal/store"
 )
 
@@ -30,13 +29,7 @@ func TestOptionsWiring(t *testing.T) {
 		{"CacheOff", func(o *Options) { o.CacheOff = true }, rsds, false, false, false, false},
 		{"Chunking", func(o *Options) { o.Chunking = true }, kv, true, true, true, false},
 		{"RelaxedPrefixes", func(o *Options) { o.RelaxedPrefixes = []string{"lazy/"} }, kv, true, false, false, false},
-		{"Overload", func(o *Options) {
-			o.Overload = &OverloadConfig{
-				Admission:  overload.DefaultAdmissionConfig(),
-				Budget:     overload.DefaultBudgetConfig(),
-				Controller: overload.DefaultControllerConfig(),
-			}
-		}, kv, true, false, true, true},
+		{"Overload", func(o *Options) { o.Overload = true }, kv, true, false, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

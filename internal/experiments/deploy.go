@@ -114,7 +114,7 @@ func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 		var storageBinding faas.Storage
 		if mode == ModeRedis {
 			redisNode := net.AddNode("redis").ID
-			d.Redis = imoc.New(net, redisNode, imoc.RedisProfile())
+			d.Redis = imoc.New(net, redisNode)
 			storageBinding = faas.NewIMOCStorage(d.Redis)
 			d.Writer = workload.IMOCWriter{Suite: su, Cache: d.Redis, Node: ctrl}
 		} else {

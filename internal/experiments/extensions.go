@@ -136,14 +136,17 @@ func ChunkingExtension(seed int64) (*Table, map[bool]time.Duration) {
 // Constants verifies the §6.4/§7.2.1 micro constants end to end: the
 // empty-function end-to-end time, the shadow persist, the cgroup
 // update, the Predictor+Sizer overhead and the small-object promotion.
+// Its three deployments run at seed.
 func Constants(seed int64) *Table {
 	t := &Table{
 		Title:   "§6.4/§7.2.1 — micro constants (measured end to end)",
 		Headers: []string{"Constant", "Paper", "Measured"},
 	}
+	cfg := DefaultDeploy()
+	cfg.Seed = seed
 
 	// Empty function through vanilla OWK (warm).
-	d := NewDeployment(ModeSwift, DefaultDeploy())
+	d := NewDeployment(ModeSwift, cfg)
 	empty := &faas.Function{Name: "empty", Tenant: "c", MemoryBooked: 128 << 20,
 		Body: func(ctx *faas.Ctx) error { return nil }}
 	d.Register(empty)
@@ -156,7 +159,7 @@ func Constants(seed int64) *Table {
 	t.Add("empty function end-to-end (warm)", "≈8ms", warm)
 
 	// Shadow persist.
-	d2 := NewDeployment(ModeOFC, DefaultDeploy())
+	d2 := NewDeployment(ModeOFC, cfg)
 	var shadow time.Duration
 	d2.Run(func() {
 		start := d2.Env.Now()
@@ -172,7 +175,7 @@ func Constants(seed int64) *Table {
 	t.Add("Predictor+Sizer overhead", "≈6ms", faas.AdviceOverhead)
 
 	// Promotion of one 8 MB object.
-	d3 := NewDeployment(ModeOFC, DefaultDeploy())
+	d3 := NewDeployment(ModeOFC, cfg)
 	var promo time.Duration
 	d3.Env.Go(func() {
 		for _, inv := range d3.Sys.Platform.Invokers()[:2] {

@@ -102,12 +102,8 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 		for _, name := range macroSingle {
 			spec := workload.SpecByName(name)
 			tenant := fmt.Sprintf("%s-%d", name, rep)
-			perSize := cfg.PoolPerSize
-			if perSize <= 0 {
-				perSize = 3
-			}
 			pool := workload.NewInputPool(rng, spec.InputType, "macro/"+tenant,
-				[]int64{1 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}, perSize)
+				[]int64{1 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}, cfg.PoolPerSize)
 			booked := workload.BookedMem(cfg.Profile, spec.MaxMem(pool, rng), 2<<30)
 			fn := d.Suite.Build(spec, tenant, booked)
 			d.Register(fn)

@@ -109,34 +109,6 @@ func (r *OverloadResult) Healthy() bool {
 	return true
 }
 
-// overloadConfig tunes the subsystem so the drill's spike actually
-// crosses the thresholds: a tight concurrency bound, a fast-sampling
-// controller with short dwell, and a small retry budget.
-func overloadConfig() core.OverloadConfig {
-	return core.OverloadConfig{
-		Admission: overload.AdmissionConfig{
-			MaxConcurrent:      4,
-			MaxQueuePerTenant:  10,
-			ShedQueuePerTenant: 4,
-			Target:             500 * time.Millisecond,
-			Interval:           250 * time.Millisecond,
-		},
-		Budget: overload.BudgetConfig{Burst: 20, RefillPerSecond: 2},
-		Controller: overload.ControllerConfig{
-			SampleEvery:     time.Second,
-			QueueHigh:       6,
-			OOMRateHigh:     2.5,
-			ReclaimRateHigh: 4,
-			LatencyHigh:     time.Second,
-			BrownoutEnter:   1.0,
-			BrownoutExit:    0.4,
-			ShedEnter:       2.0,
-			ShedExit:        0.6,
-			MinDwell:        3 * time.Second,
-		},
-	}
-}
-
 // Overload runs four tenants against a deployment whose admission gate
 // allows four concurrent invocations, then hits it with the combined
 // drill: tenant t0's arrival rate jumps ~7× while one worker crashes
@@ -149,8 +121,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 	cfg := DefaultDeploy()
 	cfg.Seed = seed
 	cfg.Tune = func(o *core.Options) {
-		ocfg := overloadConfig()
-		o.Overload = &ocfg
+		o.Overload = true
 		o.KV.CrashDetectTimeout = 3 * time.Second
 	}
 	d := NewDeployment(ModeOFC, cfg)

@@ -18,45 +18,38 @@ type Blob = kvstore.Blob
 // ErrNotFound is returned for missing keys.
 var ErrNotFound = errors.New("imoc: key not found")
 
-// Profile is the latency model for the cache service.
-type Profile struct {
-	Name      string
-	OpBase    time.Duration // per-operation service time
-	Bandwidth float64       // payload bytes/s through the service
-}
-
-// RedisProfile models an in-region ElastiCache Redis: sub-millisecond
-// operations, RAM-speed payloads.
-func RedisProfile() Profile {
-	return Profile{Name: "redis", OpBase: 150 * time.Microsecond, Bandwidth: 2e9}
-}
+// The service's latency model, an in-region ElastiCache Redis:
+// sub-millisecond operations, RAM-speed payloads.
+const (
+	opBase    = 150 * time.Microsecond // per-operation service time
+	bandwidth = 2e9                    // payload bytes/s through the service
+)
 
 // Cache is the centralized in-memory store.
 type Cache struct {
-	net     *simnet.Network
-	node    simnet.NodeID
-	profile Profile
+	net  *simnet.Network
+	node simnet.NodeID
 
 	m          map[string]Blob
 	gets, sets int64
 }
 
 // New places the cache service on node.
-func New(net *simnet.Network, node simnet.NodeID, profile Profile) *Cache {
-	return &Cache{net: net, node: node, profile: profile, m: make(map[string]Blob)}
+func New(net *simnet.Network, node simnet.NodeID) *Cache {
+	return &Cache{net: net, node: node, m: make(map[string]Blob)}
 }
 
 func (c *Cache) bwTime(size int64) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	return time.Duration(float64(size) / c.profile.Bandwidth * float64(time.Second))
+	return time.Duration(float64(size) / bandwidth * float64(time.Second))
 }
 
 // Set stores key.
 func (c *Cache) Set(caller simnet.NodeID, key string, blob Blob) {
 	c.net.Transfer(caller, c.node, blob.Size+64)
-	c.net.Env().Sleep(c.profile.OpBase + c.bwTime(blob.Size))
+	c.net.Env().Sleep(opBase + c.bwTime(blob.Size))
 	c.m[key] = blob
 	c.net.Transfer(c.node, caller, 64)
 	c.sets++
@@ -65,7 +58,7 @@ func (c *Cache) Set(caller simnet.NodeID, key string, blob Blob) {
 // Get fetches key.
 func (c *Cache) Get(caller simnet.NodeID, key string) (Blob, error) {
 	c.net.Transfer(caller, c.node, 64)
-	c.net.Env().Sleep(c.profile.OpBase)
+	c.net.Env().Sleep(opBase)
 	blob, ok := c.m[key]
 	if !ok {
 		c.net.Transfer(c.node, caller, 64)

@@ -15,7 +15,7 @@ func setup(env *sim.Env) *Cache {
 	net := simnet.New(env)
 	net.AddNode("worker")
 	net.AddNode("redis")
-	return New(net, 1, RedisProfile())
+	return New(net, 1)
 }
 
 func TestSetGet(t *testing.T) {
@@ -70,8 +70,8 @@ func TestEmptyValueCostsOneOp(t *testing.T) {
 			t.Fatal(err)
 		}
 		took := env.Now() - start
-		if base := RedisProfile().OpBase; took < base || took > base+100*time.Microsecond {
-			t.Errorf("empty GET took %v, want the %v operation plus two small messages", took, base)
+		if took < opBase || took > opBase+100*time.Microsecond {
+			t.Errorf("empty GET took %v, want the %v operation plus two small messages", took, opBase)
 		}
 	})
 	env.Run()

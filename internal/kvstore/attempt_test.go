@@ -117,7 +117,7 @@ func refMarkClean(c *Cluster, caller simnet.NodeID, key string) error {
 		if bs == nil {
 			continue
 		}
-		for _, t := range [...]*table[replica]{&bs.backups, &bs.disk} {
+		for _, t := range [...]*table[object]{&bs.backups, &bs.disk} {
 			if rep, ok := t.lookupKey(key); ok && rep.meta.Version == o.meta.Version {
 				rep.meta.State.Dirty = false
 				t.setKey(key, rep)
@@ -620,7 +620,7 @@ func runAttempts(ops []attOp, faults []repFault, lossy bool, seed int64, stop ti
 		out.backups = append(out.backups, versions(s.backups))
 		out.disk = append(out.disk, versions(s.disk))
 		dirty := make(map[string]bool)
-		for name, t := range map[string]table[replica]{"buffered ": s.backups, "flushed ": s.disk} {
+		for name, t := range map[string]table[object]{"buffered ": s.backups, "flushed ": s.disk} {
 			for k, r := range t.byKey() {
 				if r.meta.State.Dirty {
 					dirty[name+k] = true

@@ -133,18 +133,13 @@ func DefaultConfig() Config {
 	return Config{CrashDetectTimeout: 150 * time.Millisecond}
 }
 
-// object is a master copy.
+// object is one copy of a key: the master copy in a server's log, or a
+// backup copy in a server's RAM buffer or on its disk. A backup carries
+// the metadata needed to rebuild a master from it: carrying version and
+// state (notably the write-back dirty flag) with every replica is what
+// lets crash recovery promote a backup without losing an acknowledged
+// write's identity.
 type object struct {
-	blob Blob
-	meta Meta
-}
-
-// replica is a backup copy: the payload plus the metadata needed to
-// rebuild a master from it. Carrying version and state (notably the
-// write-back dirty flag) with every replica is what lets crash
-// recovery promote a backup without losing an acknowledged write's
-// identity.
-type replica struct {
 	blob Blob
 	meta Meta
 }
@@ -156,9 +151,9 @@ type replica struct {
 type Server struct {
 	node *simnet.Node
 
-	log     *objLog        // log-structured master storage
-	backups table[replica] // backup copies still in the RAM buffer
-	disk    table[replica] // backup copies flushed to disk
+	log     *objLog       // log-structured master storage
+	backups table[object] // backup copies still in the RAM buffer
+	disk    table[object] // backup copies flushed to disk
 
 	// stats
 	reads, writes, evictions int64
@@ -265,8 +260,8 @@ func (c *Cluster) AddServer(node simnet.NodeID, memLimit int64) *Server {
 	s := &Server{
 		node:    c.net.Node(node),
 		log:     newObjLog(segmentSize, c.keys),
-		backups: table[replica]{keys: c.keys},
-		disk:    table[replica]{keys: c.keys},
+		backups: table[object]{keys: c.keys},
+		disk:    table[object]{keys: c.keys},
 	}
 	s.node.SetGrant(memLimit)
 	if n := int(node) + 1; n > len(c.servers) {

@@ -121,7 +121,7 @@ func (c *Cluster) promote(id objID, dest simnet.NodeID, demoteOld bool) error {
 	if ms != nil && alive {
 		ms.log.delete(id)
 		if demoteOld {
-			ms.backups.set(id, replica{blob: blob, meta: obj.meta})
+			ms.backups.set(id, object{blob: blob, meta: obj.meta})
 			// The old master's copy goes to its disk, off the critical
 			// path; once written it survives a restart, as a backup's
 			// flushed replica does.

@@ -343,7 +343,7 @@ func (g *group) markArrived(err error) {
 		o.meta.State.Dirty = false
 		for _, n := range b.ps[i].backups.list() {
 			if bs := c.Server(n); bs != nil {
-				for _, t := range [...]*table[replica]{&bs.backups, &bs.disk} {
+				for _, t := range [...]*table[object]{&bs.backups, &bs.disk} {
 					if rep := t.at(b.ids[i]); rep != nil && rep.meta.Version == o.meta.Version {
 						rep.meta.State.Dirty = false
 					}
@@ -534,7 +534,7 @@ func (s *share) buffer() {
 	r.holds++
 	for i := range r.acc {
 		if a := &r.acc[i]; s.mine(i) {
-			bs.backups.set(a.id, replica{blob: a.blob, meta: a.meta})
+			bs.backups.set(a.id, object{blob: a.blob, meta: a.meta})
 		}
 	}
 	r.c.net.TransferThen(s.node, r.master, controlMsgSize, s.acked)

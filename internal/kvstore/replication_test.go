@@ -38,7 +38,7 @@ type refItem struct {
 }
 
 // versions maps each key of a replica table to its replica's version.
-func versions(t table[replica]) map[string]uint64 {
+func versions(t table[object]) map[string]uint64 {
 	v := make(map[string]uint64)
 	for k, r := range t.byKey() {
 		v[k] = r.meta.Version
@@ -97,7 +97,7 @@ func refReplicateShare(c *Cluster, master, backup simnet.NodeID, acc []refItem, 
 	}
 	for _, a := range acc {
 		if slices.Contains(a.backups, backup) {
-			bs.backups.setKey(a.key, replica{blob: a.blob, meta: a.meta})
+			bs.backups.setKey(a.key, object{blob: a.blob, meta: a.meta})
 		}
 	}
 	for _, a := range acc {

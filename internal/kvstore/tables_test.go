@@ -93,8 +93,8 @@ func checkKeyTable(t *testing.T, c *Cluster, exact bool) {
 			continue
 		}
 		s.log.index.each(func(id objID, _ *entryRef) { refs[id]++ })
-		s.backups.each(func(id objID, _ *replica) { refs[id]++ })
-		s.disk.each(func(id objID, _ *replica) { refs[id]++ })
+		s.backups.each(func(id objID, _ *object) { refs[id]++ })
+		s.disk.each(func(id objID, _ *object) { refs[id]++ })
 	}
 	for id, n := range refs {
 		name, held := c.keys.names[id], c.keys.refs[id]

@@ -6,23 +6,17 @@ import (
 	"ofc/internal/sim"
 )
 
-// BudgetConfig tunes the retry budget: a token bucket with Burst
-// capacity refilling at RefillPerSecond (virtual time). Every retry —
-// faas OOM re-executions and storage-layer re-attempts alike — spends
-// one token, so the whole platform's retry volume over any window w is
-// bounded by Burst + RefillPerSecond·w and failures cannot amplify
-// into retry storms.
-type BudgetConfig struct {
-	Burst           float64
-	RefillPerSecond float64
-}
-
-// DefaultBudgetConfig sizes the bucket for the testbed: enough burst
-// to absorb one node's worth of simultaneous failures, a refill rate
-// well below the platform's request rate.
-func DefaultBudgetConfig() BudgetConfig {
-	return BudgetConfig{Burst: 20, RefillPerSecond: 5}
-}
+// The retry budget is a token bucket with burst capacity refilling at
+// refillPerSecond (virtual time). Every retry — faas OOM re-executions
+// and storage-layer re-attempts alike — spends one token, so the whole
+// platform's retry volume over any window w is bounded by
+// burst + refillPerSecond·w and failures cannot amplify into retry
+// storms. The bucket is small so that the OOM retries of the overload
+// drill's spike (experiments/overload.go) press against it.
+const (
+	burst           = 20
+	refillPerSecond = 2
+)
 
 // BudgetStats counts budget decisions.
 type BudgetStats struct {
@@ -36,7 +30,6 @@ type BudgetStats struct {
 type RetryBudget struct {
 	env *sim.Env
 
-	cfg     BudgetConfig
 	tokens  float64
 	last    sim.Time
 	granted int64
@@ -44,8 +37,8 @@ type RetryBudget struct {
 }
 
 // NewRetryBudget returns a full bucket bound to env.
-func NewRetryBudget(env *sim.Env, cfg BudgetConfig) *RetryBudget {
-	return &RetryBudget{env: env, cfg: cfg, tokens: cfg.Burst, last: env.Now()}
+func NewRetryBudget(env *sim.Env) *RetryBudget {
+	return &RetryBudget{env: env, tokens: burst, last: env.Now()}
 }
 
 // Allow spends one token if available and reports whether the retry
@@ -66,9 +59,9 @@ func (b *RetryBudget) refill(now sim.Time) {
 	if now <= b.last {
 		return
 	}
-	b.tokens += (now - b.last).Seconds() * b.cfg.RefillPerSecond
-	if b.tokens > b.cfg.Burst {
-		b.tokens = b.cfg.Burst
+	b.tokens += (now - b.last).Seconds() * refillPerSecond
+	if b.tokens > burst {
+		b.tokens = burst
 	}
 	b.last = now
 }
@@ -89,5 +82,5 @@ func (b *RetryBudget) Stats() BudgetStats {
 // experiment's "no retry storm" assertion checks total retries against
 // it.
 func (b *RetryBudget) Cap(window time.Duration) float64 {
-	return b.cfg.Burst + window.Seconds()*b.cfg.RefillPerSecond
+	return burst + window.Seconds()*refillPerSecond
 }

@@ -1,9 +1,8 @@
 // Package overload implements end-to-end overload control for the OFC
-// testbed: bounded admission queues with per-tenant weighted-fair
-// dequeue and CoDel-style staleness shedding, a token-bucket retry
-// budget shared by every subsystem that re-executes work, and a
-// signal-driven graceful-degradation state machine
-// (Normal → Brownout → Shed).
+// testbed: bounded admission queues with per-tenant fair dequeue and
+// CoDel-style staleness shedding, a token-bucket retry budget shared by
+// every subsystem that re-executes work, and a signal-driven
+// graceful-degradation state machine (Normal → Brownout → Shed).
 //
 // OFC's cache is *opportunistic* — its memory can be reclaimed at any
 // moment (§6.4) — so a traffic spike simultaneously shrinks the cache,

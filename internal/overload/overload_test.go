@@ -2,16 +2,36 @@ package overload
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"ofc/internal/sim"
 )
 
+// holdAll takes every slot of the gate for tenant and returns the
+// release functions.
+func holdAll(t *testing.T, adm *Admission, tenant string) []func() {
+	t.Helper()
+	rels := make([]func(), maxConcurrent)
+	for i := range rels {
+		rel, err := adm.Admit(tenant)
+		if err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+		rels[i] = rel
+	}
+	return rels
+}
+
+func releaseAll(rels []func()) {
+	for _, rel := range rels {
+		rel()
+	}
+}
+
 func TestAdmissionFastPath(t *testing.T) {
 	env := sim.NewEnv(1)
-	adm := NewAdmission(env, AdmissionConfig{MaxConcurrent: 2, MaxQueuePerTenant: 4, ShedQueuePerTenant: 1, Target: time.Second, Interval: time.Second})
+	adm := NewAdmission(env)
 	env.Go(func() {
 		rel, err := adm.Admit("a")
 		if err != nil {
@@ -30,13 +50,14 @@ func TestAdmissionFastPath(t *testing.T) {
 	env.Run()
 }
 
+// TestAdmissionQueuesAndReleases: the first maxConcurrent arrivals
+// pass, the next ones queue, and each release admits the oldest.
 func TestAdmissionQueuesAndReleases(t *testing.T) {
 	env := sim.NewEnv(1)
-	adm := NewAdmission(env, AdmissionConfig{MaxConcurrent: 1, MaxQueuePerTenant: 8, ShedQueuePerTenant: 1, Target: time.Minute, Interval: time.Minute})
-	var mu sync.Mutex
+	adm := NewAdmission(env)
+	const n = 2 * maxConcurrent
 	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
+	for i := 0; i < n; i++ {
 		env.Go(func() {
 			env.Sleep(time.Duration(i) * time.Millisecond) // deterministic arrival order
 			rel, err := adm.Admit("a")
@@ -44,142 +65,138 @@ func TestAdmissionQueuesAndReleases(t *testing.T) {
 				t.Errorf("req %d shed: %v", i, err)
 				return
 			}
-			mu.Lock()
 			order = append(order, i)
-			mu.Unlock()
 			env.Sleep(10 * time.Millisecond)
 			rel()
 		})
 	}
 	env.Run()
-	if len(order) != 4 {
-		t.Fatalf("admitted %d, want 4", len(order))
+	if len(order) != n {
+		t.Fatalf("admitted %d, want %d", len(order), n)
 	}
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("admission order %v, want FIFO", order)
 		}
 	}
+	if s := adm.Stats(); s.MaxDepth != n-maxConcurrent {
+		t.Fatalf("MaxDepth = %d, want %d", s.MaxDepth, n-maxConcurrent)
+	}
+}
+
+// fillQueue holds every slot, queues limit waiters for tenant "a",
+// then lets one more arrive and reports its error. Every request the
+// gate took is admitted once the slots are released, before fillQueue
+// returns.
+func fillQueue(t *testing.T, env *sim.Env, adm *Admission, limit int) error {
+	t.Helper()
+	rels := holdAll(t, adm, "a")
+	done := sim.NewWaitGroup(env)
+	for i := 0; i < limit; i++ {
+		done.Add(1)
+		env.Go(func() {
+			defer done.Done()
+			rel, err := adm.Admit("a")
+			if err != nil {
+				t.Errorf("queued admit %d: %v", i, err)
+				return
+			}
+			rel()
+		})
+	}
+	env.Sleep(time.Millisecond)
+	var err error
+	done.Add(1)
+	env.Go(func() {
+		defer done.Done()
+		var rel func()
+		if rel, err = adm.Admit("a"); err == nil {
+			rel()
+		}
+	})
+	env.Sleep(time.Millisecond)
+	releaseAll(rels)
+	done.Wait()
+	return err
 }
 
 func TestAdmissionQueueFullSheds(t *testing.T) {
 	env := sim.NewEnv(1)
-	adm := NewAdmission(env, AdmissionConfig{MaxConcurrent: 1, MaxQueuePerTenant: 1, ShedQueuePerTenant: 1, Target: time.Minute, Interval: time.Minute})
-	var sheds int
+	adm := NewAdmission(env)
 	env.Go(func() {
-		rel, err := adm.Admit("a") // takes the slot
-		if err != nil {
-			t.Errorf("first admit: %v", err)
-			return
+		err := fillQueue(t, env, adm, maxQueuePerTenant)
+		var se *ShedError
+		if !errors.Is(err, ErrShed) || !errors.As(err, &se) {
+			t.Errorf("arrival past a full queue: %v, want a *ShedError", err)
+		} else if se.Reason != "queue-full" || se.Tenant != "a" {
+			t.Errorf("shed error = %+v", se)
 		}
-		done := sim.NewWaitGroup(env)
-		done.Add(1)
-		env.Go(func() { // fills the queue
-			defer done.Done()
-			rel2, err := adm.Admit("a")
-			if err != nil {
-				t.Errorf("queued admit: %v", err)
-				return
-			}
-			rel2()
-		})
-		env.Sleep(time.Millisecond)
-		if _, err := adm.Admit("a"); err == nil {
-			t.Error("third admit should shed")
-		} else {
-			var se *ShedError
-			if !errors.Is(err, ErrShed) || !errors.As(err, &se) {
-				t.Errorf("shed error type: %v", err)
-			} else if se.Reason != "queue-full" || se.Tenant != "a" {
-				t.Errorf("shed error = %+v", se)
-			}
-			sheds++
-		}
-		rel()
-		done.Wait()
 	})
 	env.Run()
-	if sheds != 1 {
-		t.Fatalf("sheds = %d, want 1", sheds)
-	}
-	if s := adm.Stats(); s.ShedQueueFull != 1 {
-		t.Fatalf("ShedQueueFull = %d, want 1", s.ShedQueueFull)
+	if s := adm.Stats(); s.ShedQueueFull != 1 || s.ShedStale != 0 {
+		t.Fatalf("stats = %+v, want one queue-full shed and no stale one", s)
 	}
 }
 
-func TestAdmissionWeightedFairness(t *testing.T) {
-	// One slot, slow consumers, two tenants with 3:1 weights and deep
-	// backlogs: dispatches should interleave roughly 3:1.
+// TestAdmissionEqualShare: two tenants with backlogs on a full gate
+// take turns at its one free slot, whatever order their requests
+// arrived in. Bodies are short, so CoDel stays quiet.
+func TestAdmissionEqualShare(t *testing.T) {
 	env := sim.NewEnv(1)
-	adm := NewAdmission(env, AdmissionConfig{MaxConcurrent: 1, MaxQueuePerTenant: 64, ShedQueuePerTenant: 1, Target: time.Hour, Interval: time.Hour})
-	adm.SetWeight("heavy", 3)
-	adm.SetWeight("light", 1)
-	var mu sync.Mutex
-	counts := map[string]int{}
-	firstN := []string{}
-	spawn := func(tenant string, n int) {
-		for i := 0; i < n; i++ {
+	adm := NewAdmission(env)
+	var order []string
+	spawn := func(tenant string) {
+		for i := 0; i < maxQueuePerTenant; i++ {
 			env.Go(func() {
+				env.Sleep(time.Microsecond) // after the slots are taken
 				rel, err := adm.Admit(tenant)
 				if err != nil {
+					t.Errorf("%s %d shed: %v", tenant, i, err)
 					return
 				}
-				mu.Lock()
-				counts[tenant]++
-				if len(firstN) < 12 {
-					firstN = append(firstN, tenant)
-				}
-				mu.Unlock()
+				order = append(order, tenant)
 				env.Sleep(time.Millisecond)
 				rel()
 			})
 		}
 	}
 	env.Go(func() {
-		env.Sleep(time.Millisecond) // let a seed request take the slot first
+		rels := holdAll(t, adm, "seed")
+		env.Sleep(time.Millisecond)
+		rels[0]() // one slot serves both backlogs, one request at a time
+		env.Sleep(2 * maxQueuePerTenant * 2 * time.Millisecond)
+		releaseAll(rels[1:])
 	})
-	spawn("heavy", 30)
-	spawn("light", 30)
+	spawn("a") // every "a" queues ahead of every "b"
+	spawn("b")
 	env.Run()
-	if counts["heavy"] != 30 || counts["light"] != 30 {
-		t.Fatalf("counts = %v, want all 30+30 served", counts)
+	if len(order) != 2*maxQueuePerTenant {
+		t.Fatalf("served %d, want %d: %v", len(order), 2*maxQueuePerTenant, order)
 	}
-	// Inspect the steady-state prefix: heavy should get ~3 of every 4.
-	heavy := 0
-	for _, tn := range firstN {
-		if tn == "heavy" {
-			heavy++
+	for i, tenant := range order {
+		if want := []string{"a", "b"}[i%2]; tenant != want {
+			t.Fatalf("dispatch %d went to %s, want %s: dispatches do not alternate: %v", i, tenant, want, order)
 		}
 	}
-	if heavy < 7 || heavy > 11 {
-		t.Fatalf("heavy got %d of first %d dispatches, want ~9 (3:1 weights): %v", heavy, len(firstN), firstN)
+	if s := adm.Stats(); s.ShedStale != 0 || s.MaxDepth != 2*maxQueuePerTenant {
+		t.Fatalf("stats = %+v, want no stale shed and both backlogs queued at once", s)
 	}
 }
 
 func TestAdmissionCoDelShedsStale(t *testing.T) {
 	env := sim.NewEnv(1)
-	adm := NewAdmission(env, AdmissionConfig{
-		MaxConcurrent: 1, MaxQueuePerTenant: 64, ShedQueuePerTenant: 1,
-		Target: 5 * time.Millisecond, Interval: 10 * time.Millisecond,
-	})
-	var mu sync.Mutex
+	adm := NewAdmission(env)
 	admitted, stale := 0, 0
-	// One long holder, then a burst that goes stale behind it.
+	// Long holders, then a burst that goes stale behind them.
 	env.Go(func() {
-		rel, err := adm.Admit("a")
-		if err != nil {
-			t.Errorf("holder shed: %v", err)
-			return
-		}
-		env.Sleep(100 * time.Millisecond)
-		rel()
+		rels := holdAll(t, adm, "holder")
+		env.Sleep(2 * codelTarget)
+		releaseAll(rels)
 	})
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*maxConcurrent; i++ {
 		env.Go(func() {
 			env.Sleep(time.Millisecond)
 			rel, err := adm.Admit("a")
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
 				if !errors.Is(err, ErrShed) {
 					t.Errorf("unexpected error: %v", err)
@@ -188,9 +205,7 @@ func TestAdmissionCoDelShedsStale(t *testing.T) {
 				return
 			}
 			admitted++
-			mu.Unlock()
-			env.Sleep(20 * time.Millisecond) // hold the slot so delay stands
-			mu.Lock()
+			env.Sleep(2 * codelTarget) // hold the slot so delay stands
 			rel()
 		})
 	}
@@ -206,115 +221,99 @@ func TestAdmissionCoDelShedsStale(t *testing.T) {
 	}
 }
 
+// TestAdmissionShedLevelTightensBound: in Shed a tenant's queue holds
+// shedQueuePerTenant waiters; back in Normal it holds more.
 func TestAdmissionShedLevelTightensBound(t *testing.T) {
 	env := sim.NewEnv(1)
-	adm := NewAdmission(env, AdmissionConfig{MaxConcurrent: 1, MaxQueuePerTenant: 8, ShedQueuePerTenant: 1, Target: time.Hour, Interval: time.Hour})
-	adm.SetLevel(Shed)
+	adm := NewAdmission(env)
 	env.Go(func() {
-		rel, err := adm.Admit("a")
-		if err != nil {
-			t.Errorf("first admit: %v", err)
-			return
-		}
-		done := sim.NewWaitGroup(env)
-		done.Add(1)
-		env.Go(func() {
-			defer done.Done()
-			if rel2, err := adm.Admit("a"); err == nil {
-				rel2()
-			}
-		})
-		env.Sleep(time.Millisecond)
-		if _, err := adm.Admit("a"); !errors.Is(err, ErrShed) {
+		adm.SetLevel(Shed)
+		if err := fillQueue(t, env, adm, shedQueuePerTenant); !errors.Is(err, ErrShed) {
 			t.Errorf("want shed under tightened bound, got %v", err)
 		}
-		rel()
-		done.Wait()
+		adm.SetLevel(Normal)
+		if err := fillQueue(t, env, adm, shedQueuePerTenant); err != nil {
+			t.Errorf("Normal bound shed at %d queued: %v", shedQueuePerTenant, err)
+		}
 	})
 	env.Run()
 }
 
 func TestRetryBudgetSpendAndRefill(t *testing.T) {
 	env := sim.NewEnv(1)
-	b := NewRetryBudget(env, BudgetConfig{Burst: 2, RefillPerSecond: 1})
+	b := NewRetryBudget(env)
 	env.Go(func() {
-		if !b.Allow() || !b.Allow() {
-			t.Error("burst tokens should be granted")
+		for i := 0; i < burst; i++ {
+			if !b.Allow() {
+				t.Fatalf("burst token %d denied", i)
+			}
 		}
 		if b.Allow() {
 			t.Error("empty bucket should deny")
 		}
 		env.Sleep(time.Second)
-		if !b.Allow() {
-			t.Error("refill after 1s should grant")
+		for i := 0; i < refillPerSecond; i++ {
+			if !b.Allow() {
+				t.Errorf("refilled token %d denied", i)
+			}
 		}
 		if b.Allow() {
-			t.Error("only one token refilled")
+			t.Errorf("only %d tokens refilled", refillPerSecond)
 		}
 		env.Sleep(time.Hour)
-		if got := b.Remaining(); got != 2 {
-			t.Errorf("Remaining = %v, want capped at Burst 2", got)
+		if got := b.Remaining(); got != burst {
+			t.Errorf("Remaining = %v, want capped at burst %d", got, burst)
 		}
 	})
 	env.Run()
 	s := b.Stats()
-	if s.Granted != 3 || s.Denied != 2 {
-		t.Fatalf("stats = %+v, want 3 granted / 2 denied", s)
+	if s.Granted != burst+refillPerSecond || s.Denied != 2 {
+		t.Fatalf("stats = %+v, want %d granted / 2 denied", s, burst+refillPerSecond)
 	}
-	if cap := b.Cap(10 * time.Second); cap != 12 {
-		t.Fatalf("Cap(10s) = %v, want 12", cap)
+	if cap := b.Cap(10 * time.Second); cap != burst+10*refillPerSecond {
+		t.Fatalf("Cap(10s) = %v, want %d", cap, burst+10*refillPerSecond)
+	}
+}
+
+// tickEvery samples c n times, one sampling period apart.
+func tickEvery(env *sim.Env, c *Controller, n int) {
+	for i := 0; i < n; i++ {
+		env.Sleep(sampleEvery)
+		c.Tick()
 	}
 }
 
 func TestControllerTransitionsWithHysteresis(t *testing.T) {
 	env := sim.NewEnv(1)
-	cfg := DefaultControllerConfig()
-	cfg.MinDwell = 3 * time.Second
 	var depth float64
-	var mu sync.Mutex
-	src := func() Signals {
-		mu.Lock()
-		defer mu.Unlock()
-		return Signals{QueueDepth: depth}
-	}
-	c := NewController(env, cfg, src)
-	set := func(d float64) {
-		mu.Lock()
-		depth = d
-		mu.Unlock()
-	}
+	c := NewController(env, func() Signals { return Signals{QueueDepth: depth} })
+	dwell := int(minDwell / sampleEvery)
 	env.Go(func() {
-		tick := func(n int) {
-			for i := 0; i < n; i++ {
-				env.Sleep(cfg.SampleEvery)
-				c.Tick()
-			}
-		}
-		tick(2)
+		tickEvery(env, c, 2)
 		if c.State() != Normal {
 			t.Errorf("idle state = %v, want normal", c.State())
 		}
-		set(cfg.QueueHigh * 1.5) // score 1.5: brownout territory
-		tick(1)
+		depth = queueHigh * 1.5 // score 1.5: brownout territory
+		tickEvery(env, c, 1)
 		if c.State() != Brownout {
 			t.Errorf("state = %v, want brownout", c.State())
 		}
-		set(cfg.QueueHigh * 3) // score 3: shed territory
-		tick(1)
+		depth = queueHigh * 3 // score 3: shed territory
+		tickEvery(env, c, 1)
 		if c.State() != Shed {
 			t.Errorf("state = %v, want shed", c.State())
 		}
 		// Pressure gone — but dwell and one-step-down must both gate.
-		set(0)
-		tick(1)
+		depth = 0
+		tickEvery(env, c, dwell-1)
 		if c.State() != Shed {
-			t.Errorf("state left shed before MinDwell: %v", c.State())
+			t.Errorf("state left shed before minDwell: %v", c.State())
 		}
-		tick(3) // dwell satisfied → step to brownout only
+		tickEvery(env, c, 1) // dwell satisfied → step to brownout only
 		if c.State() != Brownout {
 			t.Errorf("state = %v, want brownout (one step down)", c.State())
 		}
-		tick(3) // dwell in brownout → back to normal
+		tickEvery(env, c, dwell) // dwell in brownout → back to normal
 		if c.State() != Normal {
 			t.Errorf("state = %v, want normal", c.State())
 		}
@@ -338,35 +337,27 @@ func TestControllerNoFlapping(t *testing.T) {
 	// Score oscillating around the brownout boundary every sample must
 	// not produce a transition per sample: dwell pins the state down.
 	env := sim.NewEnv(1)
-	cfg := DefaultControllerConfig()
-	cfg.MinDwell = 5 * time.Second
 	var depth float64
-	var mu sync.Mutex
-	c := NewController(env, cfg, func() Signals {
-		mu.Lock()
-		defer mu.Unlock()
-		return Signals{QueueDepth: depth}
-	})
+	c := NewController(env, func() Signals { return Signals{QueueDepth: depth} })
+	const samples = 20
 	env.Go(func() {
-		for i := 0; i < 20; i++ {
-			mu.Lock()
+		for i := 0; i < samples; i++ {
 			if i%2 == 0 {
-				depth = cfg.QueueHigh * 1.2 // above enter
+				depth = queueHigh * 1.2 // above enter
 			} else {
 				depth = 0 // below exit
 			}
-			mu.Unlock()
-			env.Sleep(cfg.SampleEvery)
-			c.Tick()
+			tickEvery(env, c, 1)
 		}
 	})
 	env.Run()
 	// Upward flaps are free (immediate by design) but each down-move
-	// needs 5 samples of dwell, so: 20 samples admit at most
-	// 20/(dwell samples) ≈ 4 down-moves → ≤ 9 transitions; without
-	// hysteresis there would be ~19.
-	if n := len(c.Transitions()); n > 9 {
-		t.Fatalf("%d transitions in 20 oscillating samples; hysteresis failed: %v", n, c.Transitions())
+	// needs minDwell of dwell, and the next up-move comes one sample
+	// after it: every up/down pair spans dwell+1 samples. Without
+	// hysteresis there would be one transition per sample.
+	limit := 2 * samples / (int(minDwell/sampleEvery) + 1)
+	if n := len(c.Transitions()); n > limit {
+		t.Fatalf("%d transitions in %d oscillating samples, want ≤ %d; hysteresis failed: %v", n, samples, limit, c.Transitions())
 	}
 }
 
@@ -374,20 +365,16 @@ func TestControllerRateSignals(t *testing.T) {
 	// Cumulative counters must be differentiated: a big absolute count
 	// with zero delta is not pressure.
 	env := sim.NewEnv(1)
-	cfg := DefaultControllerConfig()
 	var ooms float64 = 1000
-	c := NewController(env, cfg, func() Signals { return Signals{OOMKills: ooms} })
+	c := NewController(env, func() Signals { return Signals{OOMKills: ooms} })
 	env.Go(func() {
-		env.Sleep(cfg.SampleEvery)
-		c.Tick() // primes prev
-		env.Sleep(cfg.SampleEvery)
-		c.Tick() // delta 0 → score 0
+		tickEvery(env, c, 1) // primes prev
+		tickEvery(env, c, 1) // delta 0 → score 0
 		if c.State() != Normal {
 			t.Errorf("steady counter drove state to %v", c.State())
 		}
-		ooms += cfg.OOMRateHigh * cfg.SampleEvery.Seconds() * 2 // rate = 2×high
-		env.Sleep(cfg.SampleEvery)
-		c.Tick()
+		ooms += oomRateHigh * sampleEvery.Seconds() * 2 // rate = 2×high
+		tickEvery(env, c, 1)
 		if c.State() != Shed {
 			t.Errorf("OOM burst: state = %v, want shed (score %v)", c.State(), c.Score())
 		}

@@ -27,36 +27,26 @@ func (e *ShedError) Error() string {
 // Unwrap makes errors.Is(err, ErrShed) hold.
 func (e *ShedError) Unwrap() error { return ErrShed }
 
-// AdmissionConfig tunes the admission queue.
-type AdmissionConfig struct {
-	// MaxConcurrent is the number of requests allowed past the gate at
+// The admission gate's bounds. They are tight so that the overload
+// drill's spike (experiments/overload.go) actually crosses them.
+const (
+	// maxConcurrent is the number of requests allowed past the gate at
 	// once; further arrivals queue.
-	MaxConcurrent int
-	// MaxQueuePerTenant bounds one tenant's queue in Normal/Brownout;
+	maxConcurrent = 4
+	// maxQueuePerTenant bounds one tenant's queue in Normal/Brownout;
 	// arrivals beyond it are rejected immediately (queue-full).
-	MaxQueuePerTenant int
-	// ShedQueuePerTenant is the tighter per-tenant bound while the
+	maxQueuePerTenant = 10
+	// shedQueuePerTenant is the tighter per-tenant bound while the
 	// degradation state machine is in Shed.
-	ShedQueuePerTenant int
-	// Target and Interval implement CoDel-style staleness shedding:
-	// once dequeued head sojourn has stayed above Target for Interval,
-	// stale heads are dropped (stale) instead of dispatched, so the
-	// queue sheds standing latency rather than serving dead requests.
-	Target   time.Duration
-	Interval time.Duration
-}
-
-// DefaultAdmissionConfig returns bounds sized for the testbed
-// deployments (a handful of worker nodes, ~100 ms function runtimes).
-func DefaultAdmissionConfig() AdmissionConfig {
-	return AdmissionConfig{
-		MaxConcurrent:      16,
-		MaxQueuePerTenant:  32,
-		ShedQueuePerTenant: 8,
-		Target:             200 * time.Millisecond,
-		Interval:           100 * time.Millisecond,
-	}
-}
+	shedQueuePerTenant = 4
+	// codelTarget and codelInterval implement CoDel-style staleness
+	// shedding: once dequeued head sojourn has stayed above codelTarget
+	// for codelInterval, stale heads are dropped (stale) instead of
+	// dispatched, so the queue sheds standing latency rather than
+	// serving dead requests.
+	codelTarget   = 500 * time.Millisecond
+	codelInterval = 250 * time.Millisecond
+)
 
 // AdmissionStats counts gate outcomes.
 type AdmissionStats struct {
@@ -73,44 +63,33 @@ type waiter struct {
 	f      *sim.Future[error]
 }
 
-// tenantQueue is one tenant's FIFO plus its weighted-fair pass value
-// (stride scheduling: pass advances by 1/weight per dispatch; the
-// tenant with the smallest pass dequeues next).
+// tenantQueue is one tenant's FIFO plus its fair-share pass value
+// (stride scheduling with equal shares: pass advances by one per
+// dispatch; the tenant with the smallest pass dequeues next).
 type tenantQueue struct {
-	q      []*waiter
-	pass   float64
-	weight float64
+	q    []*waiter
+	pass int64
 }
 
-// Admission is a bounded admission gate with per-tenant weighted-fair
-// dequeue. Admit blocks the calling sim process until a slot frees or
-// the request is shed. All waiting happens on sim futures, so the gate
-// is deterministic under the virtual clock.
+// Admission is a bounded admission gate with per-tenant fair dequeue.
+// Admit blocks the calling sim process until a slot frees or the
+// request is shed. All waiting happens on sim futures, so the gate is
+// deterministic under the virtual clock.
 type Admission struct {
 	env *sim.Env
 
-	cfg        AdmissionConfig
 	level      State
 	inflight   int
 	queued     int
 	tenants    map[string]*tenantQueue
-	virt       float64  // global virtual time: floor for new pass values
-	firstAbove sim.Time // CoDel: since when head sojourn has exceeded Target
+	virt       int64    // global virtual time: floor for new pass values
+	firstAbove sim.Time // CoDel: since when head sojourn has exceeded codelTarget
 	stats      AdmissionStats
 }
 
 // NewAdmission returns an idle gate bound to env.
-func NewAdmission(env *sim.Env, cfg AdmissionConfig) *Admission {
-	return &Admission{env: env, cfg: cfg, tenants: make(map[string]*tenantQueue)}
-}
-
-// SetWeight sets a tenant's weighted-fair share (default 1). Higher
-// weight dequeues proportionally more often under contention.
-func (a *Admission) SetWeight(tenant string, w float64) {
-	if w <= 0 {
-		panic("overload: non-positive tenant weight")
-	}
-	a.queueOf(tenant).weight = w
+func NewAdmission(env *sim.Env) *Admission {
+	return &Admission{env: env, tenants: make(map[string]*tenantQueue)}
 }
 
 // SetLevel tells the gate the current degradation state; in Shed the
@@ -129,7 +108,7 @@ func (a *Admission) Stats() AdmissionStats { return a.stats }
 func (a *Admission) queueOf(tenant string) *tenantQueue {
 	tq := a.tenants[tenant]
 	if tq == nil {
-		tq = &tenantQueue{weight: 1}
+		tq = &tenantQueue{}
 		a.tenants[tenant] = tq
 	}
 	return tq
@@ -140,14 +119,14 @@ func (a *Admission) queueOf(tenant string) *tenantQueue {
 // error is always a *ShedError (errors.Is ErrShed) and means the
 // request was rejected without running.
 func (a *Admission) Admit(tenant string) (release func(), err error) {
-	if a.inflight < a.cfg.MaxConcurrent && a.queued == 0 {
+	if a.inflight < maxConcurrent && a.queued == 0 {
 		a.inflight++
 		a.stats.Admitted++
 		return a.releaseOnce(), nil
 	}
-	limit := a.cfg.MaxQueuePerTenant
+	limit := maxQueuePerTenant
 	if a.level >= Shed {
-		limit = a.cfg.ShedQueuePerTenant
+		limit = shedQueuePerTenant
 	}
 	tq := a.queueOf(tenant)
 	if len(tq.q) >= limit {
@@ -184,14 +163,14 @@ func (a *Admission) releaseOnce() func() {
 	}
 }
 
-// dispatch fills free slots from the queues: weighted-fair tenant
-// selection (min pass, lexicographic tie-break), CoDel staleness check
-// on each dequeued head, waking each waiter as it is decided. A waiter
+// dispatch fills free slots from the queues: fair tenant selection
+// (min pass, lexicographic tie-break), CoDel staleness check on each
+// dequeued head, waking each waiter as it is decided. A waiter
 // queues only while every slot is taken, and each release frees one,
 // so a dispatch grants at most one waiter, after the ones it sheds.
 func (a *Admission) dispatch() {
 	now := a.env.Now()
-	for a.inflight < a.cfg.MaxConcurrent && a.queued > 0 {
+	for a.inflight < maxConcurrent && a.queued > 0 {
 		tq := a.minPass()
 		w := tq.q[0]
 		tq.q = tq.q[1:]
@@ -200,13 +179,13 @@ func (a *Admission) dispatch() {
 			a.stats.ShedStale++
 			w.f.Set(&ShedError{Tenant: w.tenant, Reason: "stale"})
 			// Restart the interval measurement: at most one drop per
-			// Interval of continued standing delay, so the queue drains
-			// gradually instead of dumping its whole backlog.
+			// codelInterval of continued standing delay, so the queue
+			// drains gradually instead of dumping its whole backlog.
 			a.firstAbove = now
 			continue
 		}
 		a.virt = tq.pass
-		tq.pass += 1 / tq.weight
+		tq.pass++
 		a.inflight++
 		a.stats.Admitted++
 		w.f.Set(nil)
@@ -234,10 +213,11 @@ func (a *Admission) minPass() *tenantQueue {
 }
 
 // stale implements the CoDel drop decision for a head with the
-// given sojourn time: sojourn must exceed Target, and must have done so
-// continuously for Interval, before heads start being dropped.
+// given sojourn time: sojourn must exceed codelTarget, and must have
+// done so continuously for codelInterval, before heads start being
+// dropped.
 func (a *Admission) stale(now sim.Time, sojourn time.Duration) bool {
-	if sojourn <= a.cfg.Target {
+	if sojourn <= codelTarget {
 		a.firstAbove = 0
 		return false
 	}
@@ -245,5 +225,5 @@ func (a *Admission) stale(now sim.Time, sojourn time.Duration) bool {
 		a.firstAbove = now
 		return false
 	}
-	return now-a.firstAbove >= a.cfg.Interval
+	return now-a.firstAbove >= codelInterval
 }

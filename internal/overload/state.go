@@ -17,43 +17,29 @@ type Signals struct {
 	StoreLatencyP99 time.Duration
 }
 
-// ControllerConfig tunes the state machine. Each signal is normalized
-// against its High reference (1.0 = "at the overload threshold"); the
-// pressure score is the max across signals. Enter thresholds move the
-// state up immediately; moving down requires the score at or below the
-// exit threshold AND MinDwell in the current state, one step at a
-// time — the hysteresis that prevents flapping.
-type ControllerConfig struct {
-	SampleEvery time.Duration
+// The state machine's thresholds. Each signal is normalized against
+// its High reference (1.0 = "at the overload threshold"); the pressure
+// score is the max across signals. Enter thresholds move the state up
+// immediately; moving down requires the score at or below the exit
+// threshold AND minDwell in the current state, one step at a time —
+// the hysteresis that prevents flapping. The controller samples fast
+// and dwells briefly so that the overload drill's spike
+// (experiments/overload.go) crosses the thresholds and the state walks
+// back to Normal within the run.
+const (
+	sampleEvery = time.Second
 
-	QueueHigh       float64       // queued requests
-	OOMRateHigh     float64       // OOM kills per second
-	ReclaimRateHigh float64       // reclaim failures per second
-	LatencyHigh     time.Duration // store op p99
+	queueHigh       = 6           // queued requests
+	oomRateHigh     = 2.5         // OOM kills per second
+	reclaimRateHigh = 4           // reclaim failures per second
+	latencyHigh     = time.Second // store op p99
 
-	BrownoutEnter float64
-	BrownoutExit  float64
-	ShedEnter     float64
-	ShedExit      float64
-	MinDwell      time.Duration
-}
-
-// DefaultControllerConfig returns thresholds sized for the testbed
-// deployments.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{
-		SampleEvery:     time.Second,
-		QueueHigh:       16,
-		OOMRateHigh:     2,
-		ReclaimRateHigh: 2,
-		LatencyHigh:     50 * time.Millisecond,
-		BrownoutEnter:   1.0,
-		BrownoutExit:    0.5,
-		ShedEnter:       2.0,
-		ShedExit:        1.0,
-		MinDwell:        5 * time.Second,
-	}
-}
+	brownoutEnter = 1.0
+	brownoutExit  = 0.4
+	shedEnter     = 2.0
+	shedExit      = 0.6
+	minDwell      = 3 * time.Second
+)
 
 // Transition is one recorded state change.
 type Transition struct {
@@ -67,7 +53,6 @@ type Transition struct {
 // drives the Normal → Brownout → Shed state machine.
 type Controller struct {
 	env    *sim.Env
-	cfg    ControllerConfig
 	source func() Signals
 
 	state       State
@@ -81,8 +66,8 @@ type Controller struct {
 
 // NewController builds a controller reading signals from source.
 // Call Start to begin sampling.
-func NewController(env *sim.Env, cfg ControllerConfig, source func() Signals) *Controller {
-	return &Controller{env: env, cfg: cfg, source: source, since: env.Now()}
+func NewController(env *sim.Env, source func() Signals) *Controller {
+	return &Controller{env: env, source: source, since: env.Now()}
 }
 
 // OnChange registers a state-change callback. Register before Start.
@@ -92,7 +77,7 @@ func (c *Controller) OnChange(fn func(from, to State)) {
 
 // Start begins periodic sampling; it runs until the environment stops.
 func (c *Controller) Start() {
-	c.env.Every(c.cfg.SampleEvery, func() bool {
+	c.env.Every(sampleEvery, func() bool {
 		c.Tick()
 		return true
 	})
@@ -122,10 +107,10 @@ func (c *Controller) Tick() {
 
 	from := c.state
 	to := from
-	switch target := targetState(score, c.cfg); {
+	switch target := targetState(score); {
 	case target > from:
 		to = target // upward moves are immediate: overload will not wait
-	case target < from && now-c.since >= c.cfg.MinDwell && score <= c.exit(from):
+	case target < from && now-c.since >= minDwell && score <= c.exit(from):
 		to = from - 1 // downward moves step one level after dwelling
 	}
 	if to == from {
@@ -143,47 +128,32 @@ func (c *Controller) Tick() {
 // sample, using the previous sample to turn cumulative counters into
 // rates.
 func (c *Controller) pressure(s Signals) float64 {
-	score := ratio(s.QueueDepth, c.cfg.QueueHigh)
+	score := s.QueueDepth / queueHigh
 	if c.havePrev {
-		secs := c.cfg.SampleEvery.Seconds()
-		score = maxf(score, ratio((s.OOMKills-c.prev.OOMKills)/secs, c.cfg.OOMRateHigh))
-		score = maxf(score, ratio((s.ReclaimFailures-c.prev.ReclaimFailures)/secs, c.cfg.ReclaimRateHigh))
+		secs := sampleEvery.Seconds()
+		score = max(score, (s.OOMKills-c.prev.OOMKills)/secs/oomRateHigh)
+		score = max(score, (s.ReclaimFailures-c.prev.ReclaimFailures)/secs/reclaimRateHigh)
 	}
-	score = maxf(score, ratio(s.StoreLatencyP99.Seconds(), c.cfg.LatencyHigh.Seconds()))
-	return score
+	return max(score, s.StoreLatencyP99.Seconds()/latencyHigh.Seconds())
 }
 
 // exit is the threshold the score must reach to leave state
 // downward.
 func (c *Controller) exit(s State) float64 {
 	if s >= Shed {
-		return c.cfg.ShedExit
+		return shedExit
 	}
-	return c.cfg.BrownoutExit
+	return brownoutExit
 }
 
 // targetState maps a score to the state its enter thresholds justify.
-func targetState(score float64, cfg ControllerConfig) State {
+func targetState(score float64) State {
 	switch {
-	case score >= cfg.ShedEnter:
+	case score >= shedEnter:
 		return Shed
-	case score >= cfg.BrownoutEnter:
+	case score >= brownoutEnter:
 		return Brownout
 	default:
 		return Normal
 	}
-}
-
-func ratio(v, high float64) float64 {
-	if high <= 0 {
-		return 0
-	}
-	return v / high
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

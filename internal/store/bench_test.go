@@ -45,7 +45,7 @@ func BenchmarkResilientRead(b *testing.B) {
 // allocations per op, not rounded: the call record an attempt uses is
 // recycled once answered and carries the op's arguments, and the
 // cluster read allocates nothing. What is left is set-up: the cluster,
-// and the timers of the dead deadlines an OpTimeout's worth of answered
+// and the timers of the dead deadlines an opTimeout's worth of answered
 // reads leave in the event heap (≈ 1 600, each recycled when its
 // instant comes), which 100 000 reads amortise to ≈ 0.02.
 func TestResilientReadAllocCeiling(t *testing.T) {

@@ -11,51 +11,40 @@ import (
 	"ofc/internal/simnet"
 )
 
-// ResilienceConfig tunes the Resilient middleware: per-operation
-// deadlines, bounded retry with exponential backoff and jitter, and a
-// per-server circuit breaker that short-circuits while a node
-// recovers.
-type ResilienceConfig struct {
-	// OpTimeout is the deadline for one cache operation attempt.
-	OpTimeout time.Duration
-	// MaxRetries is the number of re-attempts after the first try.
-	MaxRetries int
-	// RetryBase is the first backoff; it doubles per attempt up to
-	// RetryMax. Jitter randomizes each backoff by ±Jitter fraction.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	Jitter    float64
-	// BreakerThreshold consecutive unavailability errors against one
+// The Resilient middleware's timings, sized for the testbed: timeouts
+// well above healthy op latency, a breaker that trips within a handful
+// of failed ops, and a cooldown on the order of RAMCloud's fast
+// recovery.
+const (
+	// opTimeout is the deadline for one cache operation attempt.
+	opTimeout = 100 * time.Millisecond
+	// maxRetries is the number of re-attempts after the first try.
+	maxRetries = 2
+	// retryBase is the first backoff; it doubles per attempt up to
+	// retryMax. Jitter randomizes each backoff by ±jitter fraction.
+	retryBase = 5 * time.Millisecond
+	retryMax  = 50 * time.Millisecond
+	jitter    = 0.2
+	// breakerThreshold consecutive unavailability errors against one
 	// server open its breaker; while open, cache ops targeting it fail
-	// fast (straight to the RSDS). After BreakerCooldown a probe is
+	// fast (straight to the RSDS). After breakerCooldown a probe is
 	// allowed through (half-open).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// PersistRetryDelay is how long a Persistor waits before retrying
-	// when the cache is unavailable; the pending write-back is never
-	// dropped (acked writes survive in backup replicas).
-	PersistRetryDelay time.Duration
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
+
+// ResilienceConfig is what a Resilient layer takes from its owner
+// beside the constants above.
+type ResilienceConfig struct {
 	// Gate, when non-nil, is consulted before every re-attempt (the
-	// overload layer's shared retry budget); nil means MaxRetries
+	// overload layer's shared retry budget); nil means maxRetries
 	// alone bounds them.
 	Gate RetryGate
 }
 
-// DefaultResilienceConfig returns constants sized for the testbed:
-// timeouts well above healthy op latency, a breaker that trips within
-// a handful of failed ops, and a cooldown on the order of RAMCloud's
-// fast recovery.
+// DefaultResilienceConfig returns a config without a retry gate.
 func DefaultResilienceConfig() ResilienceConfig {
-	return ResilienceConfig{
-		OpTimeout:         100 * time.Millisecond,
-		MaxRetries:        2,
-		RetryBase:         5 * time.Millisecond,
-		RetryMax:          50 * time.Millisecond,
-		Jitter:            0.2,
-		BreakerThreshold:  3,
-		BreakerCooldown:   time.Second,
-		PersistRetryDelay: 500 * time.Millisecond,
-	}
+	return ResilienceConfig{}
 }
 
 // Sentinel errors of the resilience layer.
@@ -116,7 +105,7 @@ type Resilient struct {
 	inner ChainBackend
 	env   *sim.Env
 	pv    PlacementView // breaker target resolution; nil when inner has no placement
-	cfg   ResilienceConfig
+	gate  RetryGate     // nil: maxRetries alone bounds re-attempts
 
 	// free holds finished call records for reuse (see call).
 	free []*call
@@ -135,7 +124,7 @@ func NewResilient(env *sim.Env, inner ChainBackend, cfg ResilienceConfig) *Resil
 	r := &Resilient{
 		inner:    inner,
 		env:      env,
-		cfg:      cfg,
+		gate:     cfg.Gate,
 		rng:      env.NewRand(),
 		breakers: make(map[simnet.NodeID]*breaker),
 	}
@@ -155,7 +144,7 @@ func (r *Resilient) BreakerState(node simnet.NodeID) (failures int, open bool) {
 	if s == nil {
 		return 0, false
 	}
-	return s.failures, s.failures >= r.cfg.BreakerThreshold && now < s.openUntil
+	return s.failures, s.failures >= breakerThreshold && now < s.openUntil
 }
 
 // allow reports whether an op against node may proceed (breaker closed
@@ -163,7 +152,7 @@ func (r *Resilient) BreakerState(node simnet.NodeID) (failures int, open bool) {
 func (r *Resilient) allow(node simnet.NodeID) bool {
 	now := r.env.Now()
 	s := r.breakers[node]
-	if s == nil || s.failures < r.cfg.BreakerThreshold {
+	if s == nil || s.failures < breakerThreshold {
 		return true
 	}
 	return now >= s.openUntil
@@ -182,33 +171,27 @@ func (r *Resilient) report(node simnet.NodeID, ok bool) {
 		return
 	}
 	s.failures++
-	if s.failures >= r.cfg.BreakerThreshold {
-		if s.failures == r.cfg.BreakerThreshold {
+	if s.failures >= breakerThreshold {
+		if s.failures == breakerThreshold {
 			r.trips++
 		}
-		s.openUntil = now + r.cfg.BreakerCooldown
+		s.openUntil = now + breakerCooldown
 	}
 }
 
 // backoff computes the jittered exponential backoff for re-attempt n
 // (n >= 1).
 func (r *Resilient) backoff(n int) time.Duration {
-	d := r.cfg.RetryBase
+	d := retryBase
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= r.cfg.RetryMax {
-			d = r.cfg.RetryMax
+		if d >= retryMax {
+			d = retryMax
 			break
 		}
 	}
-	if d > r.cfg.RetryMax {
-		d = r.cfg.RetryMax
-	}
-	if r.cfg.Jitter > 0 {
-		f := 1 + r.cfg.Jitter*(2*r.rng.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	f := 1 + jitter*(2*r.rng.Float64()-1)
+	return time.Duration(float64(d) * f)
 }
 
 // target picks the breaker key for ops on key: the current master if
@@ -302,9 +285,9 @@ func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 		return opResult{err: ErrBreakerOpen}
 	}
 	var lastErr error
-	for try := 0; try <= r.cfg.MaxRetries; try++ {
+	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			if r.cfg.Gate != nil && !r.cfg.Gate.AllowRetry() {
+			if r.gate != nil && !r.gate.AllowRetry() {
 				r.denied++
 				return opResult{err: fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)}
 			}
@@ -317,7 +300,7 @@ func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 		} else {
 			r.inner.ReadThen(args.caller, args.key, c.read)
 		}
-		out, ok := c.reply.WaitTimeout(r.cfg.OpTimeout)
+		out, ok := c.reply.WaitTimeout(opTimeout)
 		if !ok {
 			c.abandoned = true
 			lastErr = ErrCacheTimeout

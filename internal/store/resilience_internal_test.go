@@ -1,17 +1,21 @@
 package store
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"ofc/internal/kvstore"
 	"ofc/internal/sim"
 	"ofc/internal/simnet"
 )
 
 // mkResilient builds a bare Resilient for white-box breaker/backoff
 // tests (no inner backend needed; only the breaker machinery runs).
-func mkResilient(env *sim.Env, cfg ResilienceConfig) *Resilient {
-	return NewResilient(env, nil, cfg)
+func mkResilient(env *sim.Env) *Resilient {
+	return NewResilient(env, nil, DefaultResilienceConfig())
 }
 
 // TestBreakerTransitions walks the per-server circuit breaker through
@@ -20,11 +24,9 @@ func mkResilient(env *sim.Env, cfg ResilienceConfig) *Resilient {
 // without a second trip, probe success closes.
 func TestBreakerTransitions(t *testing.T) {
 	env := sim.NewEnv(1)
-	cfg := DefaultResilienceConfig()
-	cfg.BreakerThreshold = 3
-	cfg.BreakerCooldown = time.Second
-	r := mkResilient(env, cfg)
+	r := mkResilient(env)
 	node := simnet.NodeID(7)
+	fail := func() { r.report(node, false) }
 
 	type step struct {
 		name      string
@@ -33,17 +35,19 @@ func TestBreakerTransitions(t *testing.T) {
 		wantOpen  bool
 		wantTrips int64
 	}
-	steps := []step{
-		{"fail 1", func() { r.report(node, false) }, true, false, 0},
-		{"fail 2", func() { r.report(node, false) }, true, false, 0},
-		{"fail 3 trips", func() { r.report(node, false) }, false, true, 1},
-		{"still open", func() { env.Sleep(cfg.BreakerCooldown / 2) }, false, true, 1},
-		{"cooldown elapses (half-open)", func() { env.Sleep(cfg.BreakerCooldown) }, true, false, 1},
-		{"probe fails, re-opens, no new trip", func() { r.report(node, false) }, false, true, 1},
-		{"second cooldown", func() { env.Sleep(2 * cfg.BreakerCooldown) }, true, false, 1},
-		{"probe succeeds, closes", func() { r.report(node, true) }, true, false, 1},
-		{"stays closed", func() { r.report(node, false) }, true, false, 1},
+	var steps []step
+	for i := 1; i < breakerThreshold; i++ {
+		steps = append(steps, step{fmt.Sprintf("fail %d", i), fail, true, false, 0})
 	}
+	steps = append(steps, []step{
+		{"threshold failure trips", fail, false, true, 1},
+		{"still open", func() { env.Sleep(breakerCooldown / 2) }, false, true, 1},
+		{"cooldown elapses (half-open)", func() { env.Sleep(breakerCooldown) }, true, false, 1},
+		{"probe fails, re-opens, no new trip", fail, false, true, 1},
+		{"second cooldown", func() { env.Sleep(2 * breakerCooldown) }, true, false, 1},
+		{"probe succeeds, closes", func() { r.report(node, true) }, true, false, 1},
+		{"stays closed", fail, true, false, 1},
+	}...)
 	env.Go(func() {
 		for _, s := range steps {
 			s.act()
@@ -65,19 +69,18 @@ func TestBreakerTransitions(t *testing.T) {
 	env.Run()
 }
 
-// TestBackoffBounds checks the exponential schedule: doubling from
-// RetryBase, capped at RetryMax, and jitter within ±Jitter.
+// TestBackoffBounds checks the exponential schedule: each re-attempt's
+// backoff lies within ±jitter of retryBase doubled per attempt, capped
+// at retryMax, and is exactly that base scaled by the layer's next
+// random draw, replayed here from a twin source.
 func TestBackoffBounds(t *testing.T) {
 	env := sim.NewEnv(1)
-	cfg := DefaultResilienceConfig()
-	cfg.RetryBase = 5 * time.Millisecond
-	cfg.RetryMax = 50 * time.Millisecond
-
-	cfg.Jitter = 0
-	r := mkResilient(env, cfg)
-	exact := []struct {
+	r := mkResilient(env)
+	r.rng = rand.New(rand.NewSource(7))
+	twin := rand.New(rand.NewSource(7))
+	bases := []struct {
 		attempt int
-		want    time.Duration
+		base    time.Duration
 	}{
 		{1, 5 * time.Millisecond},
 		{2, 10 * time.Millisecond},
@@ -86,26 +89,66 @@ func TestBackoffBounds(t *testing.T) {
 		{5, 50 * time.Millisecond}, // capped
 		{9, 50 * time.Millisecond},
 	}
-	for _, c := range exact {
-		if got := r.backoff(c.attempt); got != c.want {
-			t.Errorf("backoff(%d)=%v, want %v", c.attempt, got, c.want)
-		}
+	if bases[0].base != retryBase || bases[len(bases)-1].base != retryMax {
+		t.Fatalf("table assumes retryBase 5ms and retryMax 50ms, have %v and %v", retryBase, retryMax)
 	}
-
-	cfg.Jitter = 0.2
-	r = mkResilient(env, cfg)
-	for attempt := 1; attempt <= 8; attempt++ {
-		base := cfg.RetryBase << (attempt - 1)
-		if base > cfg.RetryMax {
-			base = cfg.RetryMax
-		}
-		lo := time.Duration(float64(base) * (1 - cfg.Jitter))
-		hi := time.Duration(float64(base) * (1 + cfg.Jitter))
+	for _, c := range bases {
+		lo := time.Duration(float64(c.base) * (1 - jitter))
+		hi := time.Duration(float64(c.base) * (1 + jitter))
 		for i := 0; i < 20; i++ {
-			d := r.backoff(attempt)
+			d := r.backoff(c.attempt)
 			if d < lo || d > hi {
-				t.Fatalf("backoff(%d)=%v outside [%v, %v]", attempt, d, lo, hi)
+				t.Fatalf("backoff(%d)=%v outside [%v, %v]", c.attempt, d, lo, hi)
+			}
+			if want := time.Duration(float64(c.base) * (1 + jitter*(2*twin.Float64()-1))); d != want {
+				t.Fatalf("backoff(%d)=%v, want %v", c.attempt, d, want)
 			}
 		}
 	}
+}
+
+// TestResilientBreaker checks the degradation layer standalone: ops
+// against a crashed cluster trip the breaker and fail fast. Each Read
+// reports its first try and maxRetries re-attempts as failures.
+func TestResilientBreaker(t *testing.T) {
+	env := sim.NewEnv(1)
+	net := simnet.New(env)
+	for i := 0; i < 4; i++ {
+		net.AddNode("n")
+	}
+	kv := kvstore.New(net, 0, kvstore.DefaultConfig())
+	for i := 0; i < 4; i++ {
+		kv.AddServer(simnet.NodeID(i), 1<<30)
+	}
+	caller := simnet.NodeID(1)
+	res := NewResilient(env, kv, DefaultResilienceConfig())
+	env.Go(func() {
+		if _, err := res.Write(caller, "k", Blob{Size: 1 << 10}, nil, caller); err != nil {
+			t.Fatalf("healthy write: %v", err)
+		}
+		master, _ := kv.MasterOf("k")
+		for i := 0; i < 4; i++ {
+			kv.Crash(simnet.NodeID(i))
+		}
+		reads := 0
+		for failed := 0; failed < breakerThreshold; failed += 1 + maxRetries {
+			if _, _, err := res.Read(caller, "k"); err == nil {
+				t.Fatal("read against crashed cluster succeeded")
+			}
+			reads++
+		}
+		if got := res.Stats().Retries; got != int64(reads*maxRetries) {
+			t.Fatalf("retries %d after %d failed reads, want %d each", got, reads, maxRetries)
+		}
+		if _, open := res.BreakerState(master); !open {
+			t.Fatal("breaker did not open after threshold failures")
+		}
+		if _, _, err := res.Read(caller, "k"); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("open breaker: err %v, want ErrBreakerOpen", err)
+		}
+		if res.Stats().BreakerTrips != 1 {
+			t.Fatalf("trips %d, want 1", res.Stats().BreakerTrips)
+		}
+	})
+	env.Run()
 }

@@ -171,19 +171,18 @@ func (s *scriptedReads) ReadThen(_ simnet.NodeID, _ string, done func(store.Read
 }
 
 // TestResilientRecyclesOnlyAnsweredCalls: the first Read's attempt
-// runs past OpTimeout and answers late, while the retry has already
+// runs past its deadline and answers late, while the retry has already
 // answered and a later Read is waiting on its own attempt. A call
 // record goes back for reuse only once both its ends are done, the
 // caller's wait and the chain, so the late answer reaches nobody: the
 // retry and the later Read each get their own.
 func TestResilientRecyclesOnlyAnsweredCalls(t *testing.T) {
 	env := sim.NewEnv(1)
-	cfg := store.DefaultResilienceConfig()
-	cfg.Jitter = 0
 	// Call 1 answers at 250 ms, after its 100 ms deadline; call 2, the
-	// retry, at 106 ms; call 3, the later Read, at 290 ms.
+	// retry after a 5 ms ±20 % backoff, at about 106 ms; call 3, the
+	// later Read, at 290 ms.
 	inner := &scriptedReads{env: env, delays: []time.Duration{250 * time.Millisecond, time.Millisecond, 90 * time.Millisecond}}
-	r := store.NewResilient(env, inner, cfg)
+	r := store.NewResilient(env, inner, store.DefaultResilienceConfig())
 	var first, later int64
 	env.Go(func() {
 		blob, _, err := r.Read(0, "k")
@@ -208,40 +207,6 @@ func TestResilientRecyclesOnlyAnsweredCalls(t *testing.T) {
 	if st := r.Stats(); st.Timeouts != 1 || st.Retries != 1 {
 		t.Errorf("stats %+v, want 1 timeout and 1 retry", st)
 	}
-}
-
-// TestResilientBreaker checks the moved degradation layer standalone:
-// ops against a crashed cluster trip the breaker and fail fast.
-func TestResilientBreaker(t *testing.T) {
-	env := sim.NewEnv(1)
-	kv, caller := newKV(env)
-	cfg := store.DefaultResilienceConfig()
-	cfg.MaxRetries = 0
-	res := store.NewResilient(env, kv, cfg)
-	env.Go(func() {
-		if _, err := res.Write(caller, "k", store.Blob{Size: 1 << 10}, nil, caller); err != nil {
-			t.Fatalf("healthy write: %v", err)
-		}
-		master, _ := kv.MasterOf("k")
-		for i := 0; i < 4; i++ {
-			kv.Crash(simnet.NodeID(i))
-		}
-		for i := 0; i < cfg.BreakerThreshold; i++ {
-			if _, _, err := res.Read(caller, "k"); err == nil {
-				t.Fatal("read against crashed cluster succeeded")
-			}
-		}
-		if _, open := res.BreakerState(master); !open {
-			t.Fatal("breaker did not open after threshold failures")
-		}
-		if _, _, err := res.Read(caller, "k"); !errors.Is(err, store.ErrBreakerOpen) {
-			t.Fatalf("open breaker: err %v, want ErrBreakerOpen", err)
-		}
-		if res.Stats().BreakerTrips != 1 {
-			t.Fatalf("trips %d, want 1", res.Stats().BreakerTrips)
-		}
-	})
-	env.Run()
 }
 
 // TestHealthyResilientOpsSpawnNothing: on a healthy cluster a
