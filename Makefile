@@ -97,12 +97,12 @@ bench-sim:
 	$(GO) test -bench 'Sleep|After|Then|Batch|Future|Cluster|Multi|Transfer|Disk|Resilient|Log' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/ ./internal/store/
 	$(GO) test -bench 'WarmInvocation' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/faas/
 
-# Invocation critical-path evidence: pointer-walk vs compiled tree
-# inference and the end-to-end memoized Advise lookup;
+# Invocation critical-path evidence: tree inference (Classify and the
+# buffered Distribution) and the end-to-end memoized Advise lookup;
 # and J48 training on the shapes the ModelTrainer refits
 # (CI smoke: -benchtime=10x; drop it for real numbers).
 bench-ml:
-	$(GO) test -run '^$$' -bench 'Fit|Classify|Advise' -benchmem -benchtime 10x ./internal/mltree ./internal/core
+	$(GO) test -run '^$$' -bench 'Fit|Refit|Classify|Distribution|Advise' -benchmem -benchtime 10x ./internal/mltree ./internal/core
 
 # Regenerate every table and figure of the paper's evaluation.
 repro:
@@ -126,7 +126,11 @@ smoke-examples:
 	done
 	$(GO) run ./cmd/ofc-wsk -action wand_blur -size 64k -repeat 2 > /dev/null
 	$(GO) run ./cmd/ofc-sim -mode ofc -tenants 2 -window 2m > /dev/null
-	f=$$(mktemp) && $(GO) run ./cmd/ofc-ml -cmd gen -data $$f > /dev/null; s=$$?; rm -f $$f; exit $$s
+	f=$$(mktemp) && m=$$(mktemp) && \
+		$(GO) run ./cmd/ofc-ml -cmd gen -data $$f > /dev/null && \
+		$(GO) run ./cmd/ofc-ml -cmd train -data $$f -model $$m > /dev/null && \
+		$(GO) run ./cmd/ofc-ml -cmd eval -data $$f -model $$m > /dev/null; \
+		s=$$?; rm -f $$f $$m; exit $$s
 
 clean:
 	$(GO) clean ./...

@@ -54,17 +54,14 @@ type modelState struct {
 	benefitModel   *mltree.Tree
 	memFitRows     int
 	benefitFitRows int
-	// Serving state: the compiled (flat, zero-allocation) forms of the
-	// models, each rebuilt when its model is refit; the advice memo
-	// keyed by the exact feature-vector bits, flushed on every retrain;
-	// and the retrain generation that scopes the memo's validity.
-	gen             int
-	memCompiled     *mltree.CompiledTree
-	benefitCompiled *mltree.CompiledTree
-	advCache        map[string]faas.Advice
-	vecBuf          []float64
-	keyBuf          []byte
-	distBuf         []float64
+	// Serving state: the advice memo keyed by the exact feature-vector
+	// bits, flushed on every retrain; the retrain generation that
+	// scopes the memo's validity; and the buffers a memo miss reuses.
+	gen      int
+	advCache map[string]faas.Advice
+	vecBuf   []float64
+	keyBuf   []byte
+	distBuf  []float64
 	// Maturation state (§5.3).
 	mature       bool
 	maturedAt    int // invocation count at maturation
@@ -139,7 +136,7 @@ func (p *Predictor) state(fn *faas.Function) *modelState {
 // advCacheMax bounds the per-function advice memo. Real workloads
 // cluster on few distinct feature vectors (that is why the memo pays);
 // a pathological stream of unique vectors just resets the map and
-// keeps serving from the compiled models.
+// keeps serving from the models.
 const advCacheMax = 4096
 
 // appendVecKey encodes the exact bit pattern of every feature into
@@ -158,11 +155,11 @@ func appendVecKey(dst []byte, vals []float64) []byte {
 // the caching benefit. Advice is unusable until the model matures.
 //
 // This is the invocation critical path (§5.1 budgets ~1 ms), so it
-// serves from the compiled (flat, zero-allocation) model forms and
-// memoizes the full advice per exact feature vector; the memo is
-// flushed whenever a retrain bumps the model generation, making it
-// semantically invisible. A hit costs a vector build, a key append and
-// one map probe — no tree walk, no allocation.
+// serves from the models' flat, zero-allocation walk and memoizes the
+// full advice per exact feature vector; the memo is flushed whenever a
+// retrain bumps the model generation, making it semantically
+// invisible. A hit costs a vector build, a key append and one map
+// probe — no tree walk, no allocation.
 func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 	ref := req.TraceRef()
 	sp := p.tracer.Begin(ref.Trace, ref.Span, "predict", 0)
@@ -199,23 +196,22 @@ func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 	return adv
 }
 
-// advise computes advice from the compiled models; a memory model
-// always has its compiled form beside it.
+// advise computes advice from the models.
 func (st *modelState) advise(iv Intervals, vals []float64) faas.Advice {
-	k := st.memCompiled.Classify(vals)
+	k := st.memModel.Classify(vals)
 	mem := iv.UpperBound(k + 1) // conservative next interval
 	should := true
 	benefit := 1.0
-	if st.benefitCompiled != nil {
-		should = st.benefitCompiled.Classify(vals) == 1
+	if st.benefitModel != nil {
+		should = st.benefitModel.Classify(vals) == 1
 		// The benefit score is the model's probability mass on the
 		// "yes" class — the cost term cost-aware eviction policies
 		// weigh per object.
-		if st.benefitCompiled.NumClasses() > 1 {
-			if cap(st.distBuf) < st.benefitCompiled.NumClasses() {
-				st.distBuf = make([]float64, st.benefitCompiled.NumClasses())
+		if n := st.benefitModel.NumClasses(); n > 1 {
+			if cap(st.distBuf) < n {
+				st.distBuf = make([]float64, n)
 			}
-			benefit = st.benefitCompiled.DistributionInto(vals, st.distBuf)[1]
+			benefit = st.benefitModel.DistributionInto(vals, st.distBuf)[1]
 		}
 	}
 	return faas.Advice{Mem: mem, ShouldCache: should, Benefit: benefit, Use: true}
@@ -324,18 +320,16 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 }
 
 // train brings both models up to date with the current datasets.
-// A model is refit, and its compiled form rebuilt, only when its
-// dataset holds rows it has not seen; J48 is deterministic, so fitting
-// the same rows again would yield the same tree. Every retrain bumps
-// the serving generation and flushes the advice memo, whether or not a
-// tree moved, so stale advice can never outlive the model that
-// produced it.
+// A model is refit only when its dataset holds rows it has not seen;
+// J48 is deterministic, so fitting the same rows again would yield the
+// same tree. Every retrain bumps the serving generation and flushes
+// the advice memo, whether or not a tree moved, so stale advice can
+// never outlive the model that produced it.
 func (t *ModelTrainer) train(st *modelState) {
 	changed := false
 	if n := st.memData.Len(); n >= 10 {
 		if n != st.memFitRows {
 			st.memModel = st.memLearner.Fit(st.memData).(*mltree.Tree)
-			st.memCompiled = st.memModel.Compile()
 			st.memFitRows = n
 		}
 		st.sinceTrain = 0
@@ -344,7 +338,6 @@ func (t *ModelTrainer) train(st *modelState) {
 	if n := st.benefitData.Len(); n >= 10 {
 		if n != st.benefitFitRows {
 			st.benefitModel = st.benefitLearner.Fit(st.benefitData).(*mltree.Tree)
-			st.benefitCompiled = st.benefitModel.Compile()
 			st.benefitFitRows = n
 		}
 		st.benefitSince = 0

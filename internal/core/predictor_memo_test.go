@@ -22,7 +22,7 @@ func memoFixture(t testing.TB, n int, seed int64) (*Predictor, *ModelTrainer, *f
 }
 
 // recompute is Advise without the memo: what advise derives from
-// the compiled models for req, cached nowhere.
+// the models for req, cached nowhere.
 func recompute(p *Predictor, req *faas.Request) faas.Advice {
 	st := p.state(req.Function)
 	return st.advise(p.intervals, st.schema.VectorInto(req, nil))
@@ -124,7 +124,7 @@ func BenchmarkAdvise(b *testing.B) {
 	}
 }
 
-// BenchmarkAdviseNoMemo measures what a memo miss computes: compiled
+// BenchmarkAdviseNoMemo measures what a memo miss computes: tree
 // inference (memory class + benefit verdict + benefit score) on every
 // call.
 func BenchmarkAdviseNoMemo(b *testing.B) {

@@ -9,25 +9,23 @@ import (
 
 // servedPointers snapshots which model objects a function is served by.
 type servedPointers struct {
-	mem, benefit                 any
-	memCompiled, benefitCompiled any
-	memRows, benefitRows         int
+	mem, benefit         any
+	memRows, benefitRows int
 }
 
 func served(p *Predictor, fn *faas.Function) servedPointers {
 	st := p.state(fn)
 	return servedPointers{
 		mem: st.memModel, benefit: st.benefitModel,
-		memCompiled: st.memCompiled, benefitCompiled: st.benefitCompiled,
 		memRows: st.memData.Len(), benefitRows: st.benefitData.Len(),
 	}
 }
 
 // TestRetrainRefitsOnlyTheGrownDataset: well-predicted invocations add
 // benefit rows only, so the retrain they trigger must leave the memory
-// model and its compiled table alone (the same objects, not equal
-// copies), refit the benefit model, and still advance the generation
-// and flush the memo as every retrain does.
+// model alone (the same object, not an equal copy), refit the benefit
+// model, and still advance the generation and flush the memo as every
+// retrain does.
 func TestRetrainRefitsOnlyTheGrownDataset(t *testing.T) {
 	pred, trainer, fn := memoFixture(t, 300, 7)
 	req := memoReq(fn, 800)
@@ -50,11 +48,11 @@ func TestRetrainRefitsOnlyTheGrownDataset(t *testing.T) {
 		t.Fatalf("datasets grew %d→%d (memory) and %d→%d (benefit); want only 25 benefit rows",
 			before.memRows, after.memRows, before.benefitRows, after.benefitRows)
 	}
-	if after.mem != before.mem || after.memCompiled != before.memCompiled {
-		t.Error("memory model was refit or recompiled though its dataset has no new row")
+	if after.mem != before.mem {
+		t.Error("memory model was refit though its dataset has no new row")
 	}
-	if after.benefit == before.benefit || after.benefitCompiled == before.benefitCompiled {
-		t.Error("benefit model was not refit and recompiled from its 25 new rows")
+	if after.benefit == before.benefit {
+		t.Error("benefit model was not refit from its 25 new rows")
 	}
 	if got := pred.Generation(fn); got != gen+1 {
 		t.Errorf("generation %d after one retrain, want %d", got, gen+1)
@@ -75,10 +73,10 @@ func TestSecondPretrainRefitsBoth(t *testing.T) {
 	before := served(pred, fn)
 	trainer.Pretrain(fn, synthSamples(pred.Schema(fn), 100, 99))
 	after := served(pred, fn)
-	if after.mem == before.mem || after.memCompiled == before.memCompiled {
+	if after.mem == before.mem {
 		t.Error("memory model not refit by a second Pretrain")
 	}
-	if after.benefit == before.benefit || after.benefitCompiled == before.benefitCompiled {
+	if after.benefit == before.benefit {
 		t.Error("benefit model not refit by a second Pretrain")
 	}
 }

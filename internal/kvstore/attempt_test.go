@@ -36,7 +36,7 @@ func refLookupMulti(c *Cluster, caller simnet.NodeID, keys []string) ([]placemen
 		ps []placement
 		ok []bool
 	}
-	c.coordRPCs++
+	c.stats.CoordRPCs++
 	r, err := simnet.TryCall(c.net, caller, c.coordloc, controlMsgSize, controlMsgSize, func() res {
 		ps := make([]placement, len(keys))
 		ok := make([]bool, len(keys))
@@ -103,7 +103,7 @@ func refMarkClean(c *Cluster, caller simnet.NodeID, key string) error {
 	if s == nil {
 		return ErrNoSuchServer
 	}
-	c.serverRPCs++
+	c.stats.ServerRPCs++
 	if err := c.net.TryTransfer(caller, p.master, controlMsgSize); err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func refReadGroup(c *Cluster, caller, master simnet.NodeID, keys []string, idxs 
 		return
 	}
 	env := c.env()
-	c.serverRPCs++
+	c.stats.ServerRPCs++
 	if err := c.net.TryTransfer(caller, master, controlMsgSize); err != nil {
 		fail(err)
 		return
@@ -276,7 +276,7 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 	for _, i := range idxs {
 		total += items[i].Blob.Size
 	}
-	c.serverRPCs++
+	c.stats.ServerRPCs++
 	if err := c.net.TryTransfer(caller, master, total+controlMsgSize); err != nil {
 		fail(err, true)
 		return

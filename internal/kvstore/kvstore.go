@@ -215,15 +215,7 @@ type Cluster struct {
 	keys    *keyTable       // the interned keys (keys.go)
 	places  table[placement]
 	nextVer uint64
-
-	promotions   int64
-	fullMoves    int64
-	recovered    int64
-	recoveries   int64
-	recoveryTime time.Duration
-	lastRecovery time.Duration
-	coordRPCs    int64
-	serverRPCs   int64
+	stats   ClusterStats
 
 	// tracer records kv.read/kv.write (and multi) coordinator RPC
 	// spans as trace-0 roots; nil = off.
@@ -486,18 +478,7 @@ type ClusterStats struct {
 }
 
 // Stats reports cluster-wide counters.
-func (c *Cluster) Stats() ClusterStats {
-	return ClusterStats{
-		Promotions:   c.promotions,
-		FullMoves:    c.fullMoves,
-		Recovered:    c.recovered,
-		Recoveries:   c.recoveries,
-		RecoveryTime: c.recoveryTime,
-		LastRecovery: c.lastRecovery,
-		CoordRPCs:    c.coordRPCs,
-		ServerRPCs:   c.serverRPCs,
-	}
-}
+func (c *Cluster) Stats() ClusterStats { return c.stats }
 
 // TotalUsed sums master-copy bytes across live servers.
 func (c *Cluster) TotalUsed() int64 {

@@ -143,7 +143,7 @@ func (c *Cluster) promote(id objID, dest simnet.NodeID, demoteOld bool) error {
 		}
 	}
 
-	c.promotions++
+	c.stats.Promotions++
 	return nil
 }
 
@@ -183,7 +183,7 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 		p.master = dest
 	}
 
-	c.fullMoves++
+	c.stats.FullMoves++
 	return nil
 }
 
@@ -255,10 +255,10 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 		c.keys.release(id)
 	}
 	dur := c.env().Now() - start
-	c.recovered += int64(n)
-	c.recoveries++
-	c.recoveryTime += dur
-	c.lastRecovery = dur
+	c.stats.Recovered += int64(n)
+	c.stats.Recoveries++
+	c.stats.RecoveryTime += dur
+	c.stats.LastRecovery = dur
 	return n, dur
 }
 

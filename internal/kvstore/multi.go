@@ -114,7 +114,7 @@ func (g *group) start() {
 		g.fail(ErrNoSuchServer, false)
 		return
 	}
-	c.serverRPCs++
+	c.stats.ServerRPCs++
 	switch b.kind {
 	case opRead:
 		c.net.TransferThen(g.caller, g.master, controlMsgSize, g.readAsked)

@@ -177,7 +177,7 @@ func (o *op) run() {
 		return
 	}
 	c := o.c
-	c.coordRPCs++
+	c.stats.CoordRPCs++
 	c.net.TransferThen(o.caller, c.coordloc, controlMsgSize, o.asked)
 }
 

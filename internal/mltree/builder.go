@@ -29,15 +29,22 @@ type splitCandidate struct {
 // visits the rows, and thresholds, gains, tie-breaks and counts are
 // bit-identical to that (reference_test.go holds it as the oracle).
 //
-// Everything but the nodes and the counts they keep is scratch owned
-// by the builder and reused down the recursion: a node finishes
-// evaluating its candidates and partitioning before it recurses. A
-// builder kept across fits (J48 keeps one) grows its scratch in place,
-// so a refit allocates only the tree's nodes.
+// The tree is written into the Tree's tables (compiled.go) as it
+// grows: each node is appended in DFS pre-order when its recursion
+// starts, a nominal split reserves its child slots before its subtrees
+// are built, and a subtree that pruning collapses is cut off the end
+// of every table, since everything after its root's entry is its own.
+//
+// Everything is scratch owned by the builder and reused down the
+// recursion: a node reads its class counts, evaluates its candidates
+// and partitions before it recurses. A builder kept across fits (J48
+// keeps one) grows its scratch in place, so a refit allocates only the
+// Tree and the copies of its tables.
 type treeBuilder struct {
 	// Set by the learner; fit fills in the rest.
 	minLeaf  float64
-	maxDepth int // 0 = unlimited
+	maxDepth int     // 0 = unlimited
+	cf       float64 // pruning confidence; 0 = unpruned
 	// attrSampler, when non-nil, returns the candidate attribute set
 	// for a node (RandomTree's per-node random subspace). It is called
 	// once per node that gets as far as choosing a split, in DFS
@@ -72,6 +79,12 @@ type treeBuilder struct {
 	tmp         []int32          // partition buffer
 	cursor      []int            // per child: next write position in tmp
 	sizes       []int            // stack of child sizes, one frame per split in progress
+	counts      []float64        // class histogram of the node being split
+
+	// The tables the tree grows in; fit hands the Tree copies.
+	nodes    []cnode
+	children []int32
+	dist     []float64
 }
 
 // fit grows the tree for d. Its column sorts start from the orders an
@@ -81,13 +94,19 @@ type treeBuilder struct {
 // function whose invocations all land in one class refits to a single
 // leaf, and that costs no pass over the rows the dataset's class
 // weights already cover.
-func (b *treeBuilder) fit(d *Dataset) *node {
+func (b *treeBuilder) fit(d *Dataset) *Tree {
+	b.nodes, b.children, b.dist = b.nodes[:0], b.children[:0], b.dist[:0]
 	if sums := d.classWeights(); b.stops(sums, 0) {
-		counts := slices.Clone(sums)
-		return &node{attr: -1, counts: counts, majority: majorityClass(counts)}
+		b.addNode(sums, majorityClass(sums))
+	} else {
+		b.layout(d)
+		b.build(0, len(d.Instances), 0)
 	}
-	b.layout(d)
-	return b.build(0, len(d.Instances), 0)
+	t := &Tree{attrs: d.Attrs, classes: len(d.Classes), nodes: slices.Clone(b.nodes), dist: slices.Clone(b.dist)}
+	if len(b.children) > 0 {
+		t.children = slices.Clone(b.children)
+	}
+	return t
 }
 
 // stops reports whether a node with the given class histogram stays a
@@ -126,6 +145,7 @@ func (b *treeBuilder) layout(d *Dataset) {
 	b.right = resize(b.right, numClasses)
 	b.dest = resize(b.dest, n)
 	b.tmp = resize(b.tmp, n)
+	b.counts = resize(b.counts, numClasses)
 
 	for a := range b.vals {
 		b.vals[a] = b.cols[a*n : (a+1)*n : (a+1)*n]
@@ -201,9 +221,15 @@ func presort(col []float64, order []int32) []int32 {
 	return order
 }
 
-// build grows the subtree over the rows in segment [lo, lo+n).
-func (b *treeBuilder) build(lo, n, depth int) *node {
-	counts := make([]float64, b.numClasses)
+// build grows the subtree over the rows in segment [lo, lo+n),
+// appends it to the tables and returns its pessimistic error (0 when
+// the builder does not prune). It prunes as C4.5 does after the fit,
+// bottom-up: a node becomes a leaf when its error as a leaf does not
+// exceed the summed errors of its pruned subtrees, the same sums in
+// the same order.
+func (b *treeBuilder) build(lo, n, depth int) float64 {
+	counts := b.counts
+	clear(counts)
 	for _, r := range b.rows[lo : lo+n] {
 		counts[b.class[r]] += b.weight[r]
 		b.seen[b.class[r]] = true
@@ -215,9 +241,22 @@ func (b *treeBuilder) build(lo, n, depth int) *node {
 			b.seen[c] = false
 		}
 	}
-	nd := &node{attr: -1, counts: counts, majority: majorityClass(counts)}
+	majority := majorityClass(counts)
+	self, slots, distEnd := int32(len(b.nodes)), len(b.children), len(b.dist)+b.numClasses
+	b.addNode(counts, majority)
+	var leafErr float64
+	if b.cf > 0 {
+		var total, errs float64
+		for c, w := range counts {
+			total += w
+			if c != majority {
+				errs += w
+			}
+		}
+		leafErr = errorEstimate(total, errs, b.cf)
+	}
 	if b.stops(counts, depth) {
-		return nd
+		return leafErr
 	}
 	baseEntropy := b.entropy(counts)
 
@@ -238,7 +277,7 @@ func (b *treeBuilder) build(lo, n, depth int) *node {
 		}
 	}
 	if len(b.gains) == 0 {
-		return nd
+		return leafErr
 	}
 	// C4.5 heuristic: restrict to splits with at least average gain,
 	// then pick the best gain ratio.
@@ -256,10 +295,10 @@ func (b *treeBuilder) build(lo, n, depth int) *node {
 		}
 	}
 	if !best.valid {
-		return nd
+		return leafErr
 	}
 
-	nd.threshold = best.threshold
+	b.nodes[self].Threshold = best.threshold
 	numeric := b.attrs[best.attr].Kind == Numeric
 	fanout := 2
 	if !numeric {
@@ -288,26 +327,74 @@ func (b *treeBuilder) build(lo, n, depth int) *node {
 	}
 	if numeric && (sizes[0] == 0 || sizes[1] == 0) {
 		b.sizes = b.sizes[:frame]
-		return nd
+		return leafErr
 	}
-	nd.attr = best.attr
 	b.partition(b.rows[lo:lo+n], sizes)
 	for _, idx := range b.sorted {
 		if len(idx) > 0 {
 			b.partition(idx[lo:lo+n], sizes)
 		}
 	}
-	nd.children = make([]*node, fanout)
-	at := lo
-	for c := range nd.children {
-		size := b.sizes[frame+c] // not sizes[c]: a deeper frame may have moved the stack
-		if size > 0 {
-			nd.children[c] = b.build(at, size, depth+1)
+	nd := &b.nodes[self]
+	nd.Attr = int32(best.attr) << 1
+	if numeric {
+		nd.Attr |= 1
+	} else {
+		nd.C0, nd.C1 = int32(slots), int32(fanout)
+		for range fanout {
+			b.children = append(b.children, -1)
 		}
+	}
+	var subtreeErr float64
+	at := lo
+	for c := range fanout {
+		size := b.sizes[frame+c] // not sizes[c]: a deeper frame may have moved the stack
+		if size == 0 {
+			continue
+		}
+		child := int32(len(b.nodes))
+		switch {
+		case !numeric:
+			b.children[slots+c] = child
+		case c == 0:
+			b.nodes[self].C0 = child
+		default:
+			b.nodes[self].C1 = child
+		}
+		subtreeErr += b.build(at, size, depth+1)
 		at += size
 	}
 	b.sizes = b.sizes[:frame]
-	return nd
+	if b.cf > 0 && leafErr <= subtreeErr+1e-9 {
+		// Collapse: every entry after self's belongs to its subtree.
+		b.nodes, b.children, b.dist = b.nodes[:self+1], b.children[:slots], b.dist[:distEnd]
+		nd := &b.nodes[self]
+		nd.Attr, nd.C0, nd.C1 = -1, -1, 0
+		return leafErr
+	}
+	return subtreeErr
+}
+
+// addNode appends a leaf with the given class counts and majority,
+// and its class distribution: counts/total, or one-hot majority when
+// the node carries no weight.
+func (b *treeBuilder) addNode(counts []float64, majority int) {
+	b.nodes = append(b.nodes, cnode{Attr: -1, Majority: int32(majority), C0: -1, DistOff: int32(len(b.dist))})
+	var total float64
+	for _, c := range counts {
+		total += c
+	}
+	at := len(b.dist)
+	b.dist = append(b.dist, counts...)
+	dist := b.dist[at:]
+	if total > 0 {
+		for i := range dist {
+			dist[i] /= total
+		}
+	} else {
+		clear(dist)
+		dist[majority] = 1
+	}
 }
 
 // partition stably regroups seg by b.dest: child 0's rows first, then

@@ -73,9 +73,9 @@ func tieDataset(seed int64, rows, classes, distinct int, schema string, heavy fl
 }
 
 // sameTree fails unless got and want serialize to the same bytes and
-// compile to the same tables. JSON prints a float64 as the shortest
-// string that reads back to the same bits, so equal bytes are equal
-// thresholds and counts, bit for bit.
+// hold the same tables. JSON prints a float64 as the shortest string
+// that reads back to the same bits, so equal bytes are equal
+// thresholds and distributions, bit for bit.
 func sameTree(t testing.TB, name string, got, want *Tree) {
 	t.Helper()
 	g, err := MarshalTree(got)
@@ -89,8 +89,8 @@ func sameTree(t testing.TB, name string, got, want *Tree) {
 	if !bytes.Equal(g, w) {
 		t.Fatalf("%s: tree differs from the reference builder's\n got %s\nwant %s", name, g, w)
 	}
-	if !reflect.DeepEqual(got.Compile(), want.Compile()) {
-		t.Fatalf("%s: compiled tables differ from the reference builder's", name)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: tables differ from the reference builder's", name)
 	}
 }
 
@@ -212,4 +212,44 @@ func FuzzBuilderMatchesReference(f *testing.F) {
 		rt := &RandomTree{MinLeaf: 1, Seed: seed}
 		sameTree(t, "RandomTree", rt.Fit(d).(*Tree), refRandomTreeFit(rt, d))
 	})
+}
+
+// TestPrunedMiddleChildKeepsLaterSibling: a nominal root whose middle
+// subtree, itself a nominal split, collapses while the subtree after it
+// is kept. The collapse must cut the middle subtree's child slots off
+// the table before the later sibling reserves its own, so that
+// sibling's slots start right after the root's.
+func TestPrunedMiddleChildKeepsLaterSibling(t *testing.T) {
+	nominal := func(name string, k int) Attribute {
+		a := Attribute{Name: name, Kind: Nominal}
+		for v := 0; v < k; v++ {
+			a.Values = append(a.Values, fmt.Sprint(name, v))
+		}
+		return a
+	}
+	d := NewDataset([]Attribute{nominal("a", 3), nominal("b", 3), nominal("c", 2)}, []string{"x", "y", "z"})
+	for i := 0; i < 24; i++ {
+		b, c := i%3, i%2
+		d.Add([]float64{0, float64(b), float64(c)}, 0) // a=0: all x
+		// a=1: mostly x, a little y in b=1 and b=2: a weak split on b
+		// that pruning undoes.
+		class := 0
+		if i == 1 || i == 4 || i == 5 || i == 8 {
+			class = 1
+		}
+		d.Add([]float64{1, float64(b), float64(c)}, class)
+		d.Add([]float64{2, float64(b), float64(c)}, 1+c) // a=2: c decides y or z
+	}
+	j := NewJ48()
+	unpruned := refJ48Root(&J48{MinLeaf: j.MinLeaf}, d)
+	pruned := refJ48Root(j, d)
+	if unpruned.attr != 0 || unpruned.children[1].isLeaf() || pruned.attr != 0 ||
+		!pruned.children[1].isLeaf() || pruned.children[2].isLeaf() {
+		t.Fatal("the data no longer grows a root split on a whose middle subtree pruning collapses while the last is kept")
+	}
+	tree := j.Fit(d).(*Tree)
+	sameTree(t, "pruned middle child", tree, refJ48Fit(j, d))
+	if last := tree.nodes[tree.children[2]]; last.C0 != 3 {
+		t.Errorf("the kept sibling's child slots start at %d, want 3 (right after the root's)", last.C0)
+	}
 }

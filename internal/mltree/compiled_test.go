@@ -59,27 +59,27 @@ func probeVectors(d *Dataset, n int, seed int64) [][]float64 {
 	return out
 }
 
-// assertSame checks the compiled tree agrees bit-for-bit with the
+// assertSame checks the Tree agrees bit-for-bit with the reference
 // pointer walk on every probe.
-func assertSame(t *testing.T, name string, base Classifier, compiled Classifier, probes [][]float64) {
+func assertSame(t *testing.T, name string, ref Classifier, tree *Tree, probes [][]float64) {
 	t.Helper()
 	for i, vals := range probes {
-		if bc, cc := base.Classify(vals), compiled.Classify(vals); bc != cc {
-			t.Fatalf("%s: probe %d Classify: base=%d compiled=%d", name, i, bc, cc)
+		if rc, tc := ref.Classify(vals), tree.Classify(vals); rc != tc {
+			t.Fatalf("%s: probe %d Classify: pointer walk=%d tree=%d", name, i, rc, tc)
 		}
-		bd, cd := base.Distribution(vals), compiled.Distribution(vals)
-		if len(bd) != len(cd) {
-			t.Fatalf("%s: probe %d distribution lengths differ: %d vs %d", name, i, len(bd), len(cd))
+		rd, td := ref.Distribution(vals), tree.Distribution(vals)
+		if len(rd) != len(td) {
+			t.Fatalf("%s: probe %d distribution lengths differ: %d vs %d", name, i, len(rd), len(td))
 		}
-		for c := range bd {
-			if bd[c] != cd[c] {
-				t.Fatalf("%s: probe %d class %d: base=%v compiled=%v (must be bit-identical)", name, i, c, bd[c], cd[c])
+		for c := range rd {
+			if rd[c] != td[c] {
+				t.Fatalf("%s: probe %d class %d: pointer walk=%v tree=%v (must be bit-identical)", name, i, c, rd[c], td[c])
 			}
 		}
 	}
 }
 
-func TestCompiledJ48Equivalent(t *testing.T) {
+func TestJ48WalkMatchesPointerWalk(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		d    *Dataset
@@ -87,34 +87,31 @@ func TestCompiledJ48Equivalent(t *testing.T) {
 		{"nominal", nominalDataset(600, 1)},
 		{"numeric128", predictorDataset(800, 128, 2)},
 	} {
-		tree := NewJ48().Fit(tc.d).(*Tree)
-		ct := tree.Compile()
-		if ct.Nodes() != tree.Size() {
-			t.Errorf("%s: compiled %d nodes, tree has %d", tc.name, ct.Nodes(), tree.Size())
-		}
-		assertSame(t, "J48/"+tc.name, tree, ct, probeVectors(tc.d, 300, 7))
+		j := NewJ48()
+		tree := j.Fit(tc.d).(*Tree)
+		ref := refTree{refJ48Root(j, tc.d), tc.d.Attrs}
+		assertSame(t, "J48/"+tc.name, ref, tree, probeVectors(tc.d, 300, 7))
 	}
 }
 
-func TestCompiledRandomTreeEquivalent(t *testing.T) {
+func TestRandomTreeWalkMatchesPointerWalk(t *testing.T) {
 	d := nominalDataset(500, 3)
-	tree := NewRandomTree(11).Fit(d).(*Tree)
-	assertSame(t, "RandomTree", tree, tree.Compile(), probeVectors(d, 300, 8))
+	rt := NewRandomTree(11)
+	ref := refTree{refRandomTreeRoot(rt, d), d.Attrs}
+	assertSame(t, "RandomTree", ref, rt.Fit(d).(*Tree), probeVectors(d, 300, 8))
 }
 
-// TestCompiledClassifyZeroAlloc is the allocation regression gate for
-// the critical path: compiled Classify and DistributionInto must not
-// allocate.
-func TestCompiledClassifyZeroAlloc(t *testing.T) {
+// TestClassifyZeroAlloc is the allocation regression gate for the
+// critical path: Classify and DistributionInto must not allocate.
+func TestClassifyZeroAlloc(t *testing.T) {
 	d := predictorDataset(800, 128, 2)
 	tree := NewJ48().Fit(d).(*Tree)
-	ct := tree.Compile()
 	vals := d.Instances[17].Vals
-	if n := testing.AllocsPerRun(200, func() { ct.Classify(vals) }); n != 0 {
-		t.Errorf("compiled Tree.Classify allocates %v/op, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { tree.Classify(vals) }); n != 0 {
+		t.Errorf("Tree.Classify allocates %v/op, want 0", n)
 	}
-	buf := make([]float64, ct.NumClasses())
-	if n := testing.AllocsPerRun(200, func() { ct.DistributionInto(vals, buf) }); n != 0 {
-		t.Errorf("compiled Tree.DistributionInto allocates %v/op, want 0", n)
+	buf := make([]float64, tree.NumClasses())
+	if n := testing.AllocsPerRun(200, func() { tree.DistributionInto(vals, buf) }); n != 0 {
+		t.Errorf("Tree.DistributionInto allocates %v/op, want 0", n)
 	}
 }

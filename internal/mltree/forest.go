@@ -39,7 +39,7 @@ func (r *RandomTree) Fit(d *Dataset) Classifier {
 		perm := rng.Perm(len(d.Attrs))
 		return perm[:k]
 	}}
-	return &Tree{root: b.fit(d), attrs: d.Attrs, n: d.Len()}
+	return b.fit(d)
 }
 
 // RandomForest bags RandomTrees and classifies by majority vote of the
@@ -79,11 +79,14 @@ func (r *RandomForest) Fit(d *Dataset) Classifier {
 	return f
 }
 
-// Distribution implements Classifier: average of member distributions.
+// Distribution implements Classifier: average of member
+// distributions, each read into one scratch half of the only
+// allocation.
 func (f *Forest) Distribution(vals []float64) []float64 {
-	dist := make([]float64, f.classes)
+	buf := make([]float64, 2*f.classes)
+	dist, member := buf[:f.classes:f.classes], buf[f.classes:]
 	for _, t := range f.members {
-		for c, p := range t.Distribution(vals) {
+		for c, p := range t.DistributionInto(vals, member) {
 			dist[c] += p
 		}
 	}
@@ -103,13 +106,4 @@ func (f *Forest) Classify(vals []float64) int {
 		}
 	}
 	return best
-}
-
-// Size returns the total node count across members.
-func (f *Forest) Size() int {
-	s := 0
-	for _, t := range f.members {
-		s += t.Size()
-	}
-	return s
 }

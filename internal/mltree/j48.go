@@ -1,102 +1,12 @@
 package mltree
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+// J48: the C4.5 learner (gain-ratio splits, a minimum leaf weight,
+// pessimistic error pruning). treeBuilder grows its tree straight into
+// the flat Tree of compiled.go and prunes each subtree as its
+// recursion returns; this file holds the learner and the pruning
+// arithmetic.
 
-// node is a decision-tree node shared by J48 and RandomTree.
-type node struct {
-	// split
-	attr      int     // attribute index, -1 for leaf
-	threshold float64 // numeric split: <= threshold goes left
-	children  []*node // numeric: [left,right]; nominal: one per category
-
-	// leaf / fallback data
-	counts   []float64 // weighted class histogram at this node
-	majority int       // majority class (used for leaves and missing values)
-}
-
-func (n *node) isLeaf() bool { return n.attr < 0 }
-
-// leafFor walks the tree for vals and returns the node the walk stops
-// at: a leaf, or an internal node when its split value is missing or
-// names a nominal branch the training data never filled.
-func (n *node) leafFor(vals []float64, attrs []Attribute) *node {
-	cur := n
-	for !cur.isLeaf() {
-		v := vals[cur.attr]
-		if IsMissing(v) {
-			break
-		}
-		if attrs[cur.attr].Kind == Numeric {
-			if v <= cur.threshold {
-				cur = cur.children[0]
-			} else {
-				cur = cur.children[1]
-			}
-		} else {
-			idx := int(v)
-			if idx < 0 || idx >= len(cur.children) || cur.children[idx] == nil {
-				break
-			}
-			cur = cur.children[idx]
-		}
-	}
-	return cur
-}
-
-// distribution returns the normalized class histogram of the node the
-// walk for vals stops at (one-hot majority when it carries no weight).
-func (n *node) distribution(vals []float64, attrs []Attribute) []float64 {
-	cur := n.leafFor(vals, attrs)
-	total := 0.0
-	for _, c := range cur.counts {
-		total += c
-	}
-	dist := make([]float64, len(cur.counts))
-	if total > 0 {
-		for i, c := range cur.counts {
-			dist[i] = c / total
-		}
-	} else {
-		dist[cur.majority] = 1
-	}
-	return dist
-}
-
-// classify returns the majority class of the node the walk for vals
-// stops at.
-func (n *node) classify(vals []float64, attrs []Attribute) int {
-	return n.leafFor(vals, attrs).majority
-}
-
-func (n *node) size() int {
-	if n.isLeaf() {
-		return 1
-	}
-	s := 1
-	for _, c := range n.children {
-		if c != nil {
-			s += c.size()
-		}
-	}
-	return s
-}
-
-func (n *node) depth() int {
-	if n.isLeaf() {
-		return 1
-	}
-	d := 0
-	for _, c := range n.children {
-		if c != nil && c.depth() > d {
-			d = c.depth()
-		}
-	}
-	return d + 1
-}
+import "math"
 
 // J48 is a C4.5-style decision-tree learner: gain-ratio splits, a
 // minimum leaf weight, and optional pessimistic error pruning with the
@@ -113,8 +23,8 @@ type J48 struct {
 	// b is the builder every Fit grows its tree with. It keeps its
 	// scratch and the column orders of the last fit, where the next one
 	// starts its sorts: a learner kept across refits of a dataset that
-	// only grows (the ModelTrainer's) allocates only the tree's nodes
-	// and sorts nearly sorted input. It affects cost alone, never the
+	// only grows (the ModelTrainer's) allocates only the Tree and its
+	// tables, and sorts nearly sorted input. It affects cost alone, never the
 	// tree. Because Fit writes it, a J48 must not run two Fits at once.
 	b treeBuilder
 }
@@ -125,25 +35,14 @@ func NewJ48() *J48 { return &J48{MinLeaf: 2, Confidence: 0.25} }
 // Name implements Learner.
 func (j *J48) Name() string { return "J48" }
 
-// Tree is a trained decision tree.
-type Tree struct {
-	root  *node
-	attrs []Attribute
-	n     int // training instances
-}
-
 // Fit implements Learner.
 func (j *J48) Fit(d *Dataset) Classifier {
 	minLeaf := j.MinLeaf
 	if minLeaf <= 0 {
 		minLeaf = 2
 	}
-	j.b.minLeaf, j.b.maxDepth = minLeaf, j.MaxDepth
-	root := j.b.fit(d)
-	if j.Confidence > 0 {
-		prune(root, j.Confidence, d.Attrs)
-	}
-	return &Tree{root: root, attrs: d.Attrs, n: d.Len()}
+	j.b.minLeaf, j.b.maxDepth, j.b.cf = minLeaf, j.MaxDepth, j.Confidence
+	return j.b.fit(d)
 }
 
 // errorEstimate is the C4.5 pessimistic upper bound on the error rate
@@ -190,52 +89,4 @@ func zValue(cf float64) float64 {
 		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((dd[0]*q+dd[1])*q+dd[2])*q+dd[3])*q + 1)
 	}
-}
-
-// prune applies subtree replacement: if the pessimistic error of a node
-// as a leaf does not exceed the summed pessimistic error of its
-// children, collapse it.
-func prune(n *node, cf float64, attrs []Attribute) float64 {
-	var total, errs float64
-	for c, w := range n.counts {
-		total += w
-		if c != n.majority {
-			errs += w
-		}
-	}
-	leafErr := errorEstimate(total, errs, cf)
-	if n.isLeaf() {
-		return leafErr
-	}
-	var subtreeErr float64
-	for _, c := range n.children {
-		if c != nil {
-			subtreeErr += prune(c, cf, attrs)
-		}
-	}
-	if leafErr <= subtreeErr+1e-9 {
-		n.attr = -1
-		n.children = nil
-		return leafErr
-	}
-	return subtreeErr
-}
-
-// Classify implements Classifier.
-func (t *Tree) Classify(vals []float64) int { return t.root.classify(vals, t.attrs) }
-
-// Distribution implements Classifier.
-func (t *Tree) Distribution(vals []float64) []float64 { return t.root.distribution(vals, t.attrs) }
-
-// Size returns the number of nodes.
-func (t *Tree) Size() int { return t.root.size() }
-
-// Depth returns the tree depth.
-func (t *Tree) Depth() int { return t.root.depth() }
-
-// String renders a compact description.
-func (t *Tree) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Tree{nodes=%d depth=%d}", t.Size(), t.Depth())
-	return sb.String()
 }

@@ -10,7 +10,152 @@ import (
 // replaced, kept as the oracle of the differential and fuzz tests. It
 // copies and sorts the node's instances per (node, attribute) and
 // allocates every histogram afresh, which makes it slow and obviously
-// right. treeBuilder must produce the same trees bit for bit.
+// right. It grows a pointer tree, prunes it in a pass after the fit and
+// flattens the result into a Tree's tables; treeBuilder, which writes
+// the tables and prunes as it grows, must produce the same Tree bit for
+// bit, and Tree's walk must answer as the pointer walk does.
+
+// node is a pointer-linked tree node.
+type node struct {
+	// split
+	attr      int     // attribute index, -1 for leaf
+	threshold float64 // numeric split: <= threshold goes left
+	children  []*node // numeric: [left,right]; nominal: one per category
+
+	// leaf / fallback data
+	counts   []float64 // weighted class histogram at this node
+	majority int       // majority class (used for leaves and missing values)
+}
+
+func (n *node) isLeaf() bool { return n.attr < 0 }
+
+// leafFor walks the tree for vals and returns the node the walk stops
+// at: a leaf, or an internal node when its split value is missing or
+// names a nominal branch the training data never filled.
+func (n *node) leafFor(vals []float64, attrs []Attribute) *node {
+	cur := n
+	for !cur.isLeaf() {
+		v := vals[cur.attr]
+		if IsMissing(v) {
+			break
+		}
+		if attrs[cur.attr].Kind == Numeric {
+			if v <= cur.threshold {
+				cur = cur.children[0]
+			} else {
+				cur = cur.children[1]
+			}
+		} else {
+			idx := int(v)
+			if idx < 0 || idx >= len(cur.children) || cur.children[idx] == nil {
+				break
+			}
+			cur = cur.children[idx]
+		}
+	}
+	return cur
+}
+
+// refTree is a pointer tree as a Classifier: the walk, and the
+// distribution computed per call from the stopping node's counts.
+type refTree struct {
+	root  *node
+	attrs []Attribute
+}
+
+func (r refTree) Classify(vals []float64) int { return r.root.leafFor(vals, r.attrs).majority }
+
+func (r refTree) Distribution(vals []float64) []float64 {
+	cur := r.root.leafFor(vals, r.attrs)
+	total := 0.0
+	for _, c := range cur.counts {
+		total += c
+	}
+	dist := make([]float64, len(cur.counts))
+	if total > 0 {
+		for i, c := range cur.counts {
+			dist[i] = c / total
+		}
+	} else {
+		dist[cur.majority] = 1
+	}
+	return dist
+}
+
+// prune applies subtree replacement after the fit: if the pessimistic
+// error of a node as a leaf does not exceed the summed pessimistic
+// error of its children, collapse it.
+func prune(n *node, cf float64) float64 {
+	var total, errs float64
+	for c, w := range n.counts {
+		total += w
+		if c != n.majority {
+			errs += w
+		}
+	}
+	leafErr := errorEstimate(total, errs, cf)
+	if n.isLeaf() {
+		return leafErr
+	}
+	var subtreeErr float64
+	for _, c := range n.children {
+		if c != nil {
+			subtreeErr += prune(c, cf)
+		}
+	}
+	if leafErr <= subtreeErr+1e-9 {
+		n.attr = -1
+		n.children = nil
+		return leafErr
+	}
+	return subtreeErr
+}
+
+// flatten lays a pointer tree out in a Tree's tables, DFS pre-order, a
+// nominal node's child slots reserved before its subtrees.
+func flatten(root *node, attrs []Attribute) *Tree {
+	t := &Tree{attrs: attrs, classes: len(root.counts)}
+	var add func(n *node) int32
+	add = func(n *node) int32 {
+		idx := int32(len(t.nodes))
+		var total float64
+		for _, c := range n.counts {
+			total += c
+		}
+		dist := make([]float64, t.classes)
+		if total > 0 {
+			for i, c := range n.counts {
+				dist[i] = c / total
+			}
+		} else {
+			dist[n.majority] = 1
+		}
+		t.nodes = append(t.nodes, cnode{Attr: -1, Majority: int32(n.majority), C0: -1, DistOff: int32(len(t.dist)), Threshold: n.threshold})
+		t.dist = append(t.dist, dist...)
+		if n.isLeaf() {
+			return idx
+		}
+		enc := int32(n.attr) << 1
+		if attrs[n.attr].Kind == Numeric {
+			l, r := add(n.children[0]), add(n.children[1])
+			t.nodes[idx].Attr, t.nodes[idx].C0, t.nodes[idx].C1 = enc|1, l, r
+			return idx
+		}
+		off := int32(len(t.children))
+		for range n.children {
+			t.children = append(t.children, -1)
+		}
+		t.nodes[idx].Attr, t.nodes[idx].C0, t.nodes[idx].C1 = enc, off, int32(len(n.children))
+		for i, c := range n.children {
+			if c != nil {
+				t.children[off+int32(i)] = add(c)
+			}
+		}
+		return idx
+	}
+	add(root)
+	return t
+}
 
 type refBuilder struct {
 	d           *Dataset
@@ -248,8 +393,9 @@ func (b *refBuilder) build(insts []Instance, depth int) *node {
 	return nd
 }
 
-// refJ48Fit is J48.Fit over the reference builder.
-func refJ48Fit(j *J48, d *Dataset) *Tree {
+// refJ48Root grows J48's pointer tree with the reference builder and
+// prunes it.
+func refJ48Root(j *J48, d *Dataset) *node {
 	minLeaf := j.MinLeaf
 	if minLeaf <= 0 {
 		minLeaf = 2
@@ -257,13 +403,17 @@ func refJ48Fit(j *J48, d *Dataset) *Tree {
 	b := &refBuilder{d: d, minLeaf: minLeaf, maxDepth: j.MaxDepth}
 	root := b.build(d.Instances, 0)
 	if j.Confidence > 0 {
-		prune(root, j.Confidence, d.Attrs)
+		prune(root, j.Confidence)
 	}
-	return &Tree{root: root, attrs: d.Attrs, n: d.Len()}
+	return root
 }
 
-// refRandomTreeFit is RandomTree.Fit over the reference builder.
-func refRandomTreeFit(r *RandomTree, d *Dataset) *Tree {
+// refJ48Fit is J48.Fit over the reference builder.
+func refJ48Fit(j *J48, d *Dataset) *Tree { return flatten(refJ48Root(j, d), d.Attrs) }
+
+// refRandomTreeRoot grows RandomTree's pointer tree with the reference
+// builder.
+func refRandomTreeRoot(r *RandomTree, d *Dataset) *node {
 	k := r.K
 	if k <= 0 {
 		k = int(math.Log2(float64(len(d.Attrs)))) + 1
@@ -281,7 +431,12 @@ func refRandomTreeFit(r *RandomTree, d *Dataset) *Tree {
 		perm := rng.Perm(len(d.Attrs))
 		return perm[:k]
 	}
-	return &Tree{root: b.build(d.Instances, 0), attrs: d.Attrs, n: d.Len()}
+	return b.build(d.Instances, 0)
+}
+
+// refRandomTreeFit is RandomTree.Fit over the reference builder.
+func refRandomTreeFit(r *RandomTree, d *Dataset) *Tree {
+	return flatten(refRandomTreeRoot(r, d), d.Attrs)
 }
 
 // refForestFit is RandomForest.Fit over the reference builder.

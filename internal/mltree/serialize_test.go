@@ -2,6 +2,7 @@ package mltree
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,48 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		t.Error("no error for truncated JSON")
 	}
 	if _, err := UnmarshalTree([]byte("{}")); err == nil {
-		t.Error("no error for rootless tree")
+		t.Error("no error for a tree without nodes")
+	}
+	// A trained tree with one entry broken at a time: every index a
+	// walk follows must be in range.
+	d := nominalDataset(400, 21)
+	data, err := MarshalTree(NewJ48().Fit(d).(*Tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(j *treeJSON)
+	}{
+		{"child index past the last node", func(j *treeJSON) { j.Children[0] = int32(len(j.Nodes)) }},
+		{"child index before its parent", func(j *treeJSON) { j.Children[len(j.Children)-1] = 0 }},
+		{"child slots past the table", func(j *treeJSON) { j.Nodes[0].C1 = int32(len(j.Children) + 1) }},
+		{"numeric child past the last node", func(j *treeJSON) {
+			for i := range j.Nodes {
+				if j.Nodes[i].Attr >= 0 && j.Nodes[i].Attr&1 != 0 {
+					j.Nodes[i].C1 = int32(len(j.Nodes))
+					return
+				}
+			}
+			t.Fatal("no numeric split to break")
+		}},
+		{"distribution offset", func(j *treeJSON) { j.Nodes[len(j.Nodes)-1].DistOff = int32(len(j.Dist)) }},
+		{"attribute", func(j *treeJSON) { j.Nodes[0].Attr = int32(len(j.Attrs)) << 1 }},
+		{"attribute kind", func(j *treeJSON) { j.Nodes[0].Attr |= 1 }},
+		{"majority class", func(j *treeJSON) { j.Nodes[0].Majority = int32(j.Classes) }},
+	} {
+		var j treeJSON
+		if err := json.Unmarshal(data, &j); err != nil {
+			t.Fatal(err)
+		}
+		tc.spoil(&j)
+		bad, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalTree(bad); err == nil {
+			t.Errorf("no error for an out-of-range %s", tc.name)
+		}
 	}
 }
 

@@ -112,10 +112,7 @@ type Resilient struct {
 
 	rng      *rand.Rand
 	breakers map[simnet.NodeID]*breaker
-	retries  int64
-	timeouts int64
-	trips    int64
-	denied   int64
+	stats    ResilienceStats
 }
 
 // NewResilient wraps inner with the degradation layer. Its breakers key
@@ -133,9 +130,7 @@ func NewResilient(env *sim.Env, inner ChainBackend, cfg ResilienceConfig) *Resil
 }
 
 // Stats snapshots the degradation counters.
-func (r *Resilient) Stats() ResilienceStats {
-	return ResilienceStats{Retries: r.retries, Timeouts: r.timeouts, BreakerTrips: r.trips, BudgetDenied: r.denied}
-}
+func (r *Resilient) Stats() ResilienceStats { return r.stats }
 
 // BreakerState exposes one server's breaker for tests and debugging.
 func (r *Resilient) BreakerState(node simnet.NodeID) (failures int, open bool) {
@@ -173,7 +168,7 @@ func (r *Resilient) report(node simnet.NodeID, ok bool) {
 	s.failures++
 	if s.failures >= breakerThreshold {
 		if s.failures == breakerThreshold {
-			r.trips++
+			r.stats.BreakerTrips++
 		}
 		s.openUntil = now + breakerCooldown
 	}
@@ -288,11 +283,11 @@ func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
 			if r.gate != nil && !r.gate.AllowRetry() {
-				r.denied++
+				r.stats.BudgetDenied++
 				return opResult{err: fmt.Errorf("%w: %w", ErrRetryBudget, lastErr)}
 			}
 			r.env.Sleep(r.backoff(try))
-			r.retries++
+			r.stats.Retries++
 		}
 		c := r.newCall()
 		if args.write {
@@ -304,7 +299,7 @@ func (r *Resilient) attempt(target simnet.NodeID, args opArgs) opResult {
 		if !ok {
 			c.abandoned = true
 			lastErr = ErrCacheTimeout
-			r.timeouts++
+			r.stats.Timeouts++
 			r.report(target, false)
 			continue
 		}
