@@ -15,14 +15,13 @@ check: build vet lint test test-race test-cover smoke-policies smoke-examples
 build:
 	$(GO) build ./...
 
-# The second line names the fuzz targets, which run here over their
-# seed corpus only: the training kernel against its reference, the
-# scheduler's two-heap event queue against a sorted list, the store's
-# key table against a map of reference counts, and its log-structured
-# memory against a map of each key's object and the log's byte counts.
+# Every test, and every fuzz target over its seed corpus only: the
+# training kernel against its reference, the scheduler's two-heap event
+# queue against a sorted list, the store's key table against a map of
+# reference counts, and its log-structured memory against a map of
+# each key's object and the log's byte counts.
 test:
 	$(GO) test ./...
-	$(GO) test -run Fuzz ./internal/mltree ./internal/sim ./internal/kvstore
 
 # Statement coverage: repo-wide report (informational) with hard
 # floors on internal/trace — the golden-trace harness is the point of

@@ -78,7 +78,6 @@ func main() {
 	sys.Run(func() {
 		// Stage the input in the Swift-like object store.
 		sys.RSDS.Put(sys.CtrlNode, "demo/in.jpg", ofc.Blob{Size: 64 << 10}, nil, false)
-		sys.RSDS.SetFeatures("demo/in.jpg", features)
 
 		first := sys.Platform.Invoke(req())
 		sys.Env.Sleep(time.Second) // let the cache admission land

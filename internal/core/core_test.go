@@ -242,7 +242,6 @@ func TestSystemEndToEndCaching(t *testing.T) {
 	var first, second *faas.Result
 	sys.Run(func() {
 		sys.RSDS.Put(sys.CtrlNode, "img/1", kvstore.Synthetic(64<<10), nil, false)
-		sys.RSDS.SetFeatures("img/1", map[string]float64{"size": 64 * 1024, "width": 800, "height": 600, "channels": 3})
 		req := func() *faas.Request {
 			return &faas.Request{Function: fn, InputKeys: []string{"img/1"},
 				Args:          map[string]float64{"sigma": 2},
@@ -1006,6 +1005,8 @@ func TestStorageTriggersFireFunctions(t *testing.T) {
 		return map[string]float64{"size": float64(size), "width": 800, "height": 600, "channels": 3}
 	})
 	triggers.Register("uploads/", fn, map[string]float64{"sigma": 1})
+	features := map[string]map[string]float64{}
+	sys.Platform.Advisor = featureLog{Advisor: sys.Platform.Advisor, fn: fn, seen: features}
 	sys.Run(func() {
 		// An external client uploads two objects under the watched
 		// prefix and one elsewhere.
@@ -1017,26 +1018,43 @@ func TestStorageTriggersFireFunctions(t *testing.T) {
 	if got := triggers.Fired(); got != 2 {
 		t.Errorf("fired=%d, want 2", got)
 	}
-	// The triggered invocations produced outputs (registered under the
-	// function's tenant) and feature sidecars for the new objects.
-	if m, _ := sys.RSDS.MetaOf("uploads/a.jpg"); m.Features == nil || m.Features["width"] != 800 {
-		t.Errorf("features not extracted: %v", m.Features)
+	// Each triggered invocation's request carries the features the
+	// extractor read off its new object.
+	for key, size := range map[string]float64{"uploads/a.jpg": 32 << 10, "uploads/b.jpg": 64 << 10} {
+		if f := features[key]; f["size"] != size || f["width"] != 800 {
+			t.Errorf("%s: request features %v", key, f)
+		}
 	}
 	st := sys.Platform.Stats()
-	// 2 triggered + their persistors.
-	if st.Invocations < 2 {
-		t.Errorf("invocations=%d", st.Invocations)
+	// 2 triggered + their persistors, none failed.
+	if st.Invocations < 2 || st.Failures != 0 {
+		t.Errorf("invocations=%d failures=%d", st.Invocations, st.Failures)
 	}
 	acts := sys.Platform.Activations(0)
 	seen := 0
 	for _, a := range acts {
-		if a.Function == "t/ontrigger" && a.Error == "" {
+		if a.Function == "t/ontrigger" {
 			seen++
 		}
 	}
 	if seen != 2 {
 		t.Errorf("triggered activations=%d, want 2", seen)
 	}
+}
+
+// featureLog records the input features of fn's requests by input key
+// before passing each on to Advisor.
+type featureLog struct {
+	faas.Advisor
+	fn   *faas.Function
+	seen map[string]map[string]float64
+}
+
+func (l featureLog) Advise(req *faas.Request) faas.Advice {
+	if req.Function == l.fn {
+		l.seen[req.InputKeys[0]] = req.InputFeatures
+	}
+	return l.Advisor.Advise(req)
 }
 
 // Property: write-back completeness — after any mix of cacheable final

@@ -79,9 +79,6 @@ type System struct {
 	// Overload is the overload-control subsystem; nil unless
 	// Options.Overload is set.
 	Overload *OverloadControl
-	// Tracer is the deterministic span recorder; nil until
-	// EnableTracing is called.
-	Tracer *trace.Tracer
 
 	CtrlNode    simnet.NodeID
 	StorageNode simnet.NodeID
@@ -179,7 +176,6 @@ func (s *System) EnableTracing(cfg trace.Config) *trace.Tracer {
 	for _, a := range s.agents {
 		a.tracer = tr
 	}
-	s.Tracer = tr
 	return tr
 }
 

@@ -1,24 +1,20 @@
 package core
 
 import (
-	"time"
-
 	"ofc/internal/faas"
 	"ofc/internal/memctl"
-	"ofc/internal/metrics"
 	"ofc/internal/overload"
 )
 
 // OverloadControl is the wired overload subsystem of one System: the
 // gate in front of the platform, the budget under every retry path,
-// the controller reading the health signals, and the timeline of
-// state transitions for reports.
+// and the controller reading the health signals, which also records
+// the state transitions reports print.
 type OverloadControl struct {
 	sys        *System
 	Admission  *overload.Admission
 	Budget     *overload.RetryBudget
 	Controller *overload.Controller
-	Timeline   *metrics.Timeline
 }
 
 // newOverloadControl builds end-to-end overload control for s
@@ -31,9 +27,7 @@ type OverloadControl struct {
 func newOverloadControl(s *System) *OverloadControl {
 	adm := overload.NewAdmission(s.Env)
 	bud := overload.NewRetryBudget(s.Env)
-	oc := &OverloadControl{
-		sys: s, Admission: adm, Budget: bud, Timeline: &metrics.Timeline{},
-	}
+	oc := &OverloadControl{sys: s, Admission: adm, Budget: bud}
 	oc.Controller = overload.NewController(s.Env, func() overload.Signals {
 		return overload.Signals{
 			QueueDepth:      float64(adm.Depth()),
@@ -42,10 +36,7 @@ func newOverloadControl(s *System) *OverloadControl {
 			StoreLatencyP99: s.RC.StoreLatencyP99(),
 		}
 	})
-	oc.Controller.OnChange(func(from, to overload.State) {
-		oc.Timeline.Mark(time.Duration(s.Env.Now()), from.String()+"->"+to.String())
-		oc.apply(to)
-	})
+	oc.Controller.OnChange(func(_, to overload.State) { oc.apply(to) })
 	s.Platform.Admission = admissionAdapter{adm}
 	s.Platform.Retry = faasRetryGate{bud}
 	return oc

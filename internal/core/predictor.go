@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ofc/internal/faas"
-	"ofc/internal/metrics"
 	"ofc/internal/mltree"
 	"ofc/internal/sim"
 	"ofc/internal/trace"
@@ -99,9 +98,9 @@ const (
 type Predictor struct {
 	intervals Intervals
 
-	// memo aggregates advice-cache hit/miss/invalidation counts across
-	// all functions.
-	memo metrics.MemoCounters
+	// Advice-memo lookups served, lookups that fell through to the
+	// models, and memo flushes, across all functions.
+	memoHits, memoMisses, memoInvalidations int64
 
 	// tracer records "predict"/"retrain" spans (nil = off; set by
 	// System.EnableTracing before traffic starts).
@@ -181,11 +180,11 @@ func (p *Predictor) Advise(req *faas.Request) (adv faas.Advice) {
 
 	st.keyBuf = appendVecKey(st.keyBuf[:0], vals)
 	if cached, ok := st.advCache[string(st.keyBuf)]; ok {
-		p.memo.Hit()
+		p.memoHits++
 		sp.SetNum("memo", 1)
 		return cached
 	}
-	p.memo.Miss()
+	p.memoMisses++
 	sp.SetNum("memo", 0)
 
 	adv = st.advise(p.intervals, vals)
@@ -220,7 +219,7 @@ func (st *modelState) advise(iv Intervals, vals []float64) faas.Advice {
 // MemoStats returns the aggregate advice-memo hit/miss/invalidation
 // counts.
 func (p *Predictor) MemoStats() (hits, misses, invalidations int64) {
-	return p.memo.Snapshot()
+	return p.memoHits, p.memoMisses, p.memoInvalidations
 }
 
 // Generation returns fn's retrain generation (bumped whenever either
@@ -347,7 +346,7 @@ func (t *ModelTrainer) train(st *modelState) {
 		st.gen++
 		if len(st.advCache) > 0 {
 			st.advCache = nil
-			t.p.memo.Invalidation()
+			t.p.memoInvalidations++
 		}
 		// Control-plane root span (trace 0): retrains have no owning
 		// invocation. Zero-duration — training is off the virtual

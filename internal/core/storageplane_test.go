@@ -36,7 +36,6 @@ func TestCacheOffSystem(t *testing.T) {
 	var first, second *faas.Result
 	sys.Run(func() {
 		sys.RSDS.Put(sys.CtrlNode, "img/1", kvstore.Synthetic(64<<10), nil, false)
-		sys.RSDS.SetFeatures("img/1", map[string]float64{"size": 64 * 1024, "width": 800, "height": 600, "channels": 3})
 		req := func() *faas.Request {
 			return &faas.Request{Function: fn, InputKeys: []string{"img/1"},
 				Args:          map[string]float64{"sigma": 2},

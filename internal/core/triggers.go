@@ -68,7 +68,6 @@ func (t *Triggers) dispatch(key string, size int64) {
 			var features map[string]float64
 			if t.extractor != nil {
 				features = t.extractor(key, size)
-				t.sys.RSDS.SetFeatures(key, features)
 			}
 			t.sys.Platform.Invoke(&faas.Request{
 				Function:      r.fn,

@@ -51,7 +51,6 @@ type Deployment struct {
 	Sys      *core.System // non-nil in ModeOFC
 	Suite    *workload.Suite
 	Writer   workload.ObjectWriter
-	Ctrl     simnet.NodeID
 	Workers  []simnet.NodeID
 }
 
@@ -101,7 +100,6 @@ func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 		d.Net = sys.Net
 		d.Platform = sys.Platform
 		d.Store = sys.RSDS
-		d.Ctrl = sys.CtrlNode
 		d.Workers = sys.WorkerNodes
 		d.Writer = workload.RSDSWriter{Suite: su, Store: sys.RSDS, Node: sys.CtrlNode}
 	default:
@@ -130,7 +128,6 @@ func NewDeployment(mode Mode, cfg DeployConfig) *Deployment {
 		d.Net = net
 		d.Platform = p
 		d.Store = store
-		d.Ctrl = ctrl
 	}
 	if deployed != nil {
 		deployed(d)

@@ -123,10 +123,10 @@ func deploymentDigest(d *Deployment) string {
 			}
 		}
 		h := sha256.New()
-		if err := trace.ExportChrome(h, trace.Canonicalize(sys.Tracer.Snapshot())); err != nil {
+		if err := trace.ExportChrome(h, trace.Canonicalize(sys.Platform.Tracer.Snapshot())); err != nil {
 			return "trace export: " + err.Error()
 		}
-		fmt.Fprintf(&b, " trace=%x drops=%d", h.Sum(nil), sys.Tracer.Drops())
+		fmt.Fprintf(&b, " trace=%x drops=%d", h.Sum(nil), sys.Platform.Tracer.Drops())
 	}
 	return b.String()
 }

@@ -56,7 +56,6 @@ type CachePoint struct {
 
 // MacroResult aggregates one macro run.
 type MacroResult struct {
-	Config      MacroConfig
 	Reports     []workload.TenantReport
 	CacheSeries []CachePoint
 	// OFC-only internals (Table 2).
@@ -128,7 +127,7 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 		all = append(all, staged{pool: thPool, pl: th})
 	}
 
-	res := &MacroResult{Config: cfg}
+	res := &MacroResult{}
 
 	d.Env.SetHorizon(cfg.Window + 3*time.Minute)
 	if d.Sys != nil {

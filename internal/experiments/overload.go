@@ -10,7 +10,6 @@ import (
 	"ofc/internal/chaos"
 	"ofc/internal/core"
 	"ofc/internal/faas"
-	"ofc/internal/metrics"
 	"ofc/internal/overload"
 	"ofc/internal/sim"
 	"ofc/internal/workload"
@@ -47,7 +46,6 @@ type OverloadResult struct {
 	Reroutes     int64
 	RetryDenied  int64
 	StoreRetries int64
-	StoreDenied  int64
 
 	BudgetGranted int64
 	BudgetDenied  int64
@@ -66,8 +64,6 @@ type OverloadResult struct {
 
 	Outputs     int
 	LostOutputs int
-
-	Applied []string
 }
 
 // TotalRetries is every re-execution the run performed: faas OOM
@@ -166,7 +162,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 	sched.OverloadCrash(spikeStart, spikeLen, crashAfter, downtime, d.Workers[1],
 		func() { paces[spikeTenant] = spikePace },
 		func() { paces[spikeTenant] = basePace })
-	inj := sys.ApplyChaos(sched, seed)
+	sys.ApplyChaos(sched, seed)
 
 	// One function per tenant: read a staged input, transform, write a
 	// final output under a driver-chosen key. Every oomEvery-th t0
@@ -203,16 +199,18 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 		pools[tenant] = workload.NewInputPool(rng, "image", "ovl/"+tenant+"/in", []int64{32 << 10, 64 << 10}, 3)
 	}
 
-	res := &OverloadResult{SpikeTenant: spikeTenant}
-	tc := metrics.NewTenantCounters()
+	res := &OverloadResult{SpikeTenant: spikeTenant, Tenants: make([]TenantLoad, len(tenants))}
+	for ti, tenant := range tenants {
+		res.Tenants[ti].Name = tenant
+	}
 	var outputs []string
 	var baseLat, spikeLat, recoverLat []time.Duration
 
-	record := func(tenant string, seq int, start time.Duration, r *faas.Result) {
+	record := func(tl *TenantLoad, seq int, start time.Duration, r *faas.Result) {
 		switch {
 		case r.Err == nil:
-			tc.Add(tenant, "good", 1)
-			outputs = append(outputs, fmt.Sprintf("ovl/%s/out/%d", tenant, seq))
+			tl.Good++
+			outputs = append(outputs, fmt.Sprintf("ovl/%s/out/%d", tl.Name, seq))
 			lat := time.Duration(r.End - r.Start)
 			switch {
 			case start < spikeStart:
@@ -223,9 +221,9 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 				recoverLat = append(recoverLat, lat)
 			}
 		case errors.Is(r.Err, overload.ErrShed):
-			tc.Add(tenant, "shed", 1)
+			tl.Shed++
 		default:
-			tc.Add(tenant, "failed", 1)
+			tl.Failed++
 		}
 	}
 
@@ -240,6 +238,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 			env.Go(func() {
 				defer wg.Done()
 				pool := pools[tenant]
+				tl := &res.Tenants[ti]
 				// Staggered starts de-synchronize the tenants' arrival
 				// processes (lockstep arrivals make the queue-depth
 				// samples spiky and the baseline artificially bursty).
@@ -255,7 +254,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 					if tenant == spikeTenant && seq%oomEvery == oomEvery-1 {
 						args["oom"] = 1
 					}
-					tc.Add(tenant, "offered", 1)
+					tl.Offered++
 					wg.Add(1)
 					env.Go(func() {
 						defer wg.Done()
@@ -263,7 +262,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 							Function: fns[tenant], Args: args,
 							InputKeys: []string{in.Key}, InputFeatures: in.Features,
 						})
-						record(tenant, seq, start, r)
+						record(tl, seq, start, r)
 					})
 					env.Sleep(paces[tenant])
 				}
@@ -275,22 +274,15 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 		env.Sleep(2 * time.Second)
 	})
 
-	for _, tenant := range tc.Tenants() {
-		res.Tenants = append(res.Tenants, TenantLoad{
-			Name:    tenant,
-			Offered: tc.Of(tenant, "offered"),
-			Good:    tc.Of(tenant, "good"),
-			Shed:    tc.Of(tenant, "shed"),
-			Failed:  tc.Of(tenant, "failed"),
-		})
-		res.Invocations += tc.Of(tenant, "offered")
+	for _, tl := range res.Tenants {
+		res.Invocations += tl.Offered
 	}
 
 	ps := d.Platform.Stats()
 	res.Shed, res.RetryDenied = ps.Shed, ps.RetryDenied
 	res.OOMKills, res.Retries, res.Reroutes = ps.OOMKills, ps.Retries, ps.Reroutes
 	cs := sys.RC.Stats()
-	res.StoreRetries, res.StoreDenied = cs.CacheRetries, cs.RetryDenied
+	res.StoreRetries = cs.CacheRetries
 	res.BrownoutSkips, res.BrownoutBypasses = cs.BrownoutSkips, cs.BrownoutBypasses
 	as := oc.Admission.Stats()
 	res.ShedQueueFull, res.ShedStale, res.MaxQueueDepth = as.ShedQueueFull, as.ShedStale, as.MaxDepth
@@ -302,14 +294,14 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 	res.SpikeP99 = p99(spikeLat)
 	res.RecoverP99 = p99(recoverLat)
 
-	res.Transitions = oc.Timeline.Labels()
-	res.FinalState = oc.State().String()
-	for _, tr := range res.Transitions {
-		if strings.HasSuffix(tr, "->shed") {
-			res.ReachedShed = true
-		}
+	var timeline []string
+	for _, tr := range oc.Controller.Transitions() {
+		label := tr.From.String() + "->" + tr.To.String()
+		res.Transitions = append(res.Transitions, label)
+		timeline = append(timeline, fmt.Sprintf("t=%v %s", time.Duration(tr.At), label))
+		res.ReachedShed = res.ReachedShed || tr.To == overload.Shed
 	}
-	res.Applied = inj.Applied()
+	res.FinalState = oc.State().String()
 
 	// Zero-data-loss check against the RSDS ground truth: every final
 	// output acknowledged to an invoker must be persisted — whether it
@@ -340,7 +332,7 @@ func Overload(seed int64, quick bool) (*Table, *OverloadResult) {
 	t.Add("retry budget", fmt.Sprintf("%d granted, %d denied", res.BudgetGranted, res.BudgetDenied))
 	t.Add("brownout", fmt.Sprintf("%d admissions skipped, %d writes diverted to RSDS", res.BrownoutSkips, res.BrownoutBypasses))
 	t.Add("p99 latency", fmt.Sprintf("baseline %s, spike %s, recovery %s", fmtDur(res.BaselineP99), fmtDur(res.SpikeP99), fmtDur(res.RecoverP99)))
-	t.Add("state timeline", oc.Timeline.String())
+	t.Add("state timeline", strings.Join(timeline, " → "))
 	t.Add("final state", res.FinalState)
 	t.Add("final outputs", fmt.Sprintf("%d persisted, %d lost", res.Outputs-res.LostOutputs, res.LostOutputs))
 	t.Note = "bounded degradation: fair per-tenant goodput under the spike, retries capped by the budget, no acked write lost"

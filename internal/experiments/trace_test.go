@@ -81,7 +81,7 @@ func TestTraceDrillRawSpansRepeat(t *testing.T) {
 	raw := func(procs int) []trace.Span {
 		runtime.GOMAXPROCS(procs)
 		TraceDrill(1)
-		return d.Sys.Tracer.Snapshot()
+		return d.Sys.Platform.Tracer.Snapshot()
 	}
 	a, b := raw(1), raw(4)
 	if len(a) == 0 {

@@ -14,16 +14,10 @@ type Activation struct {
 	ID       string
 	Function string
 	Start    time.Duration
-	End      time.Duration
 	Duration time.Duration
-	Node     int
 	Cold     bool
-	Retried  bool
-	Rescued  bool
-	Error    string
 	// Phase breakdown (an OFC addition to the record).
 	Extract, Transform, Load time.Duration
-	PeakMemMB                int64
 	SandboxMemMB             int64
 }
 
@@ -79,23 +73,14 @@ func (l *activationLog) list(n int) []Activation {
 
 // recordActivation files the result of a completed invocation.
 func (p *Platform) recordActivation(req *Request, res *Result) {
-	a := Activation{
+	p.activations.record(Activation{
 		Function: req.Function.ID(),
 		Start:    time.Duration(res.Start),
-		End:      time.Duration(res.End),
 		Duration: res.Duration(),
-		Node:     int(res.Node),
 		Cold:     res.ColdStart,
-		Retried:  res.Retried,
-		Rescued:  res.Rescued,
 		Extract:  res.Extract, Transform: res.Transform, Load: res.Load,
-		PeakMemMB:    res.PeakMem >> 20,
 		SandboxMemMB: res.SandboxMem >> 20,
-	}
-	if res.Err != nil {
-		a.Error = res.Err.Error()
-	}
-	p.activations.record(a)
+	})
 }
 
 // Activations returns up to n most recent activation records, newest

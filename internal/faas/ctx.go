@@ -3,7 +3,6 @@ package faas
 import (
 	"time"
 
-	"ofc/internal/sim"
 	"ofc/internal/simnet"
 	"ofc/internal/trace"
 )
@@ -17,7 +16,6 @@ type Ctx struct {
 	sb  *Sandbox
 	req *Request
 
-	execStart sim.Time
 	tref      trace.Ref // the execute span the body runs under
 	extract   time.Duration
 	transform time.Duration
@@ -29,7 +27,6 @@ type Ctx struct {
 	writeOps  int64
 	rescued   bool
 	swapped   bool
-	oomAt     int64 // memory demand that caused an OOM, for retry diagnostics
 }
 
 // Node returns the worker node the invocation runs on.
@@ -118,12 +115,10 @@ func (c *Ctx) Transform(d time.Duration, peak int64) (err error) {
 		if target < peak {
 			// Even the booked memory cannot satisfy the demand: the
 			// tenant under-provisioned; the invocation dies for real.
-			c.oomAt = peak
 			c.p.env.Sleep(d / 4)
 			return ErrOOM
 		}
 		if _, err := c.inv.resize(c.sb, target); err != nil {
-			c.oomAt = peak
 			return ErrOOM
 		}
 		c.rescued = true
@@ -132,7 +127,6 @@ func (c *Ctx) Transform(d time.Duration, peak int64) (err error) {
 	}
 	// Short invocation: the OOM killer terminates the container
 	// partway through the transform.
-	c.oomAt = peak
 	kill := d / 4
 	if kill > 200*time.Millisecond {
 		kill = 200 * time.Millisecond

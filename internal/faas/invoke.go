@@ -198,7 +198,7 @@ func (p *Platform) execute(req *Request, wanted int64, res *Result, attempt int)
 	// A sandbox hosts one body at a time, busy from acquire to park or
 	// destroy, so the body's Ctx is the sandbox's, reset.
 	ctx := &sb.ctx
-	*ctx = Ctx{p: p, inv: inv, sb: sb, req: req, execStart: p.env.Now(), tref: esp.Ref()}
+	*ctx = Ctx{p: p, inv: inv, sb: sb, req: req, tref: esp.Ref()}
 	err = fn.Body(ctx)
 
 	res.Extract += ctx.extract

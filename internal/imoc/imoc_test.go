@@ -25,10 +25,10 @@ func TestSetGet(t *testing.T) {
 		if _, err := c.Get(0, "k"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("get before set: %v", err)
 		}
-		c.Set(0, "k", kvstore.Bytes([]byte("v")))
+		c.Set(0, "k", kvstore.Synthetic(1))
 		blob, err := c.Get(0, "k")
-		if err != nil || string(blob.Data) != "v" {
-			t.Errorf("get: %v %q", err, blob.Data)
+		if err != nil || blob.Size != 1 {
+			t.Errorf("get: %v %+v", err, blob)
 		}
 	})
 	env.Run()

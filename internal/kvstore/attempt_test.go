@@ -246,7 +246,6 @@ func refReadGroup(c *Cluster, caller, master simnet.NodeID, keys []string, idxs 
 		out[i].Blob, out[i].Meta = o.blob, o.meta
 		payload += o.blob.Size
 		found++
-		s.reads++
 	}
 	if found == 0 {
 		return
@@ -310,7 +309,6 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess
 		}
 		s.log.putKey(it.Key, &object{blob: it.Blob, meta: meta})
-		s.writes++
 		acc = append(acc, refItem{idx: i, key: it.Key, blob: it.Blob, meta: meta,
 			backups: slices.Clone(ps[i].backups.list()), resized: existed && !speculative[i]})
 	}

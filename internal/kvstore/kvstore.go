@@ -27,16 +27,13 @@ import (
 	"ofc/internal/trace"
 )
 
-// Blob is an object payload. Data may be nil for synthetic payloads
-// (macro experiments move hundreds of GB of virtual data); Size is
-// authoritative either way.
+// Blob is an object payload, known by its size alone: the store, the
+// cache's books and every cost model see an object as a size, a
+// version and a State, never as content (macro experiments move
+// hundreds of GB of virtual data).
 type Blob struct {
 	Size int64
-	Data []byte
 }
-
-// Bytes returns a payload of the given content; convenience for tests.
-func Bytes(b []byte) Blob { return Blob{Size: int64(len(b)), Data: b} }
 
 // Synthetic returns a payload of the given size with no materialized
 // bytes.
@@ -154,9 +151,6 @@ type Server struct {
 	log     *objLog       // log-structured master storage
 	backups table[object] // backup copies still in the RAM buffer
 	disk    table[object] // backup copies flushed to disk
-
-	// stats
-	reads, writes, evictions int64
 }
 
 // Down reports whether the server's machine is fail-stopped.

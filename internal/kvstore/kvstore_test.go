@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -40,8 +39,8 @@ func run(t *testing.T, body func(env *sim.Env, c *Cluster)) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
-		payload := []byte("hello ramcloud")
-		ver, err := c.Write(1, "obj/a", Bytes(payload), &State{Kind: KindIntermediate}, 1)
+		payload := Synthetic(14)
+		ver, err := c.Write(1, "obj/a", payload, &State{Kind: KindIntermediate}, 1)
 		if err != nil {
 			t.Fatalf("write: %v", err)
 		}
@@ -52,10 +51,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		if !bytes.Equal(blob.Data, payload) {
-			t.Errorf("payload mismatch")
+		if blob != payload {
+			t.Errorf("blob = %+v, want %+v", blob, payload)
 		}
-		if meta.Version != ver || meta.Size != int64(len(payload)) {
+		if meta.Version != ver || meta.Size != payload.Size {
 			t.Errorf("meta=%+v", meta)
 		}
 		if meta.State != (State{Kind: KindIntermediate}) {

@@ -26,7 +26,6 @@ type entryBlock [blockLen]logEntry
 
 // segment is one append-only arena.
 type segment struct {
-	id     int
 	blocks []*entryBlock
 	n      int // entries appended
 	// appended is the byte volume ever written into the segment;
@@ -57,9 +56,8 @@ type entryRef struct {
 // objLog is the per-master log-structured store.
 type objLog struct {
 	segCap  int64
-	nextID  int
 	head    *segment
-	segs    []*segment // in id order, the head last
+	segs    []*segment // in the order opened, the head last
 	spare   []*segment // cleaned segments, emptied, for roll to reuse
 	free    []*entryBlock
 	index   table[entryRef]
@@ -77,8 +75,7 @@ func newObjLog(segCap int64, keys *keyTable) *objLog {
 	return l
 }
 
-// roll opens a head segment under the next id, a spare when the cleaner
-// left one.
+// roll opens a head segment, a spare when the cleaner left one.
 func (l *objLog) roll() {
 	var s *segment
 	if n := len(l.spare); n > 0 {
@@ -87,8 +84,6 @@ func (l *objLog) roll() {
 	} else {
 		s = &segment{}
 	}
-	s.id = l.nextID
-	l.nextID++
 	l.segs = append(l.segs, s)
 	l.head = s
 }

@@ -175,7 +175,7 @@ func TestWritePathCleansUnderPressure(t *testing.T) {
 // TestLogCleanTieGoesToOldestSegment: closed segments of equal
 // utilization hold different amounts of live data, so which one the
 // cleaner takes decides the bytes it relocates — and the copy time the
-// master sleeps for. The tie goes to the lowest segment id every time.
+// master sleeps for. The tie goes to the oldest segment every time.
 func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
 	for run := 0; run < 100; run++ {
 		l := newObjLog(100, newKeyTable())
@@ -188,16 +188,17 @@ func TestLogCleanTieGoesToOldestSegment(t *testing.T) {
 		for _, k := range []string{"k0", "k2", "k4"} {
 			l.deleteKey(k)
 		}
-		if len(l.segs) != 4 || l.head.id != 3 {
-			t.Fatalf("layout: %d segments, head %d; want 4 and 3", len(l.segs), l.head.id)
+		if len(l.segs) != 4 || l.head != l.segs[3] {
+			t.Fatalf("layout: %d segments, want 4 with the head last", len(l.segs))
 		}
 		for id := 0; id < 3; id++ {
 			if u := segUtil(l.segs[id]); u != 0.5 {
 				t.Fatalf("segment %d utilization %v, want 0.5", id, u)
 			}
 		}
+		oldest := l.segs[0]
 		moved := l.clean(l.alloc - 1) // one victim is enough
-		if left := l.segs[0].id == 0; left || moved != 50 {
+		if left := l.segs[0] == oldest; left || moved != 50 {
 			t.Fatalf("run %d: moved %d bytes, segment 0 cleaned=%v; want the oldest segment's 50 bytes", run, moved, !left)
 		}
 	}
@@ -279,10 +280,10 @@ func checkObjLog(t *testing.T, l *objLog, model map[string]*object) {
 	inLog := make(map[*segment]bool, len(l.segs))
 	held := make(map[*entryBlock]bool)
 	var alloc int64
-	for _, s := range l.segs {
+	for si, s := range l.segs {
 		inLog[s] = true
 		if len(s.blocks) != (s.n+blockLen-1)/blockLen {
-			t.Fatalf("segment %d: %d entries in %d blocks", s.id, s.n, len(s.blocks))
+			t.Fatalf("segment %d: %d entries in %d blocks", si, s.n, len(s.blocks))
 		}
 		for _, b := range s.blocks {
 			held[b] = true
@@ -294,11 +295,11 @@ func checkObjLog(t *testing.T, l *objLog, model map[string]*object) {
 			if !e.dead {
 				live += e.size
 			} else if e.obj != nil {
-				t.Fatalf("segment %d: dead entry %d holds an object", s.id, i)
+				t.Fatalf("segment %d: dead entry %d holds an object", si, i)
 			}
 		}
 		if s.appended != appended || s.live != live {
-			t.Fatalf("segment %d: books %d/%d, entries %d/%d", s.id, s.live, s.appended, live, appended)
+			t.Fatalf("segment %d: books %d/%d, entries %d/%d", si, s.live, s.appended, live, appended)
 		}
 		alloc += appended
 	}

@@ -183,7 +183,6 @@ func (g *group) lookUp() {
 		b.rout[i].Blob, b.rout[i].Meta = o.blob, o.meta
 		payload += o.blob.Size
 		found++
-		g.s.reads++
 	}
 	if found == 0 {
 		g.ended()
@@ -248,7 +247,6 @@ func (g *group) log() {
 			meta.Created, meta.NAccess = old.meta.Created, old.meta.NAccess
 		}
 		s.log.put(id, &object{blob: it.Blob, meta: meta})
-		s.writes++
 		r.acc = append(r.acc, acceptedItem{idx: i, id: id, blob: it.Blob, meta: meta,
 			backups: b.ps[i].backups, resized: existed && !b.spec[i]})
 	}

@@ -378,9 +378,7 @@ func (c *Cluster) Evict(key string) error {
 	}
 	c.places.del(id)
 	if s := c.Server(p.master); s != nil {
-		if _, freed := s.log.delete(id); freed {
-			s.evictions++
-		}
+		s.log.delete(id)
 	}
 	for _, b := range p.backups.list() {
 		if bs := c.Server(b); bs != nil {

@@ -34,7 +34,6 @@ type directive struct {
 	line     int
 	col      int
 	analyzer string
-	reason   string
 	// used is set when the directive suppresses at least one finding.
 	used bool
 }
@@ -85,10 +84,7 @@ func (s *suppressor) scan(pkg *Package) {
 					})
 					continue
 				}
-				d := &directive{
-					file: pos.Filename, line: pos.Line, col: pos.Column,
-					analyzer: name, reason: strings.TrimSpace(reason),
-				}
+				d := &directive{file: pos.Filename, line: pos.Line, col: pos.Column, analyzer: name}
 				s.directives = append(s.directives, d)
 				key := allowKey{pos.Filename, pos.Line, name}
 				if s.allowed[key] == nil {

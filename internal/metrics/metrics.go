@@ -1,11 +1,9 @@
-// Package metrics provides the small statistics containers the
-// experiment harness reports with: duration histograms with exact
-// percentiles, the advice memo's counters, and the overload
-// controller's state timeline and per-tenant counters.
+// Package metrics provides the duration statistics the experiment
+// harness reports with: a histogram with exact percentiles and the
+// nearest-rank quantile it answers them by.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -59,14 +57,9 @@ func Quantile(sorted []time.Duration, q float64) time.Duration {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
+	// 0 < q·n < n, and rounding the product cannot leave [0, n], so the
+	// rank is in [1, n].
+	return sorted[int(math.Ceil(q*float64(n)))-1]
 }
 
 // Median is Quantile(0.5).
@@ -77,8 +70,3 @@ func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
 // Max returns the largest sample.
 func (h *Histogram) Max() time.Duration { return h.Quantile(1) }
-
-// String summarizes the distribution.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d median=%v p99=%v max=%v", h.Count(), h.Median(), h.P99(), h.Max())
-}

@@ -32,7 +32,7 @@ type fitCase struct {
 func fitCases() []fitCase {
 	return []fitCase{
 		{"Nominal600x3x3", nominalDataset(600, 1), 41},
-		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2), 60},
+		{"Mem300x5x128", tieDataset(1, 300, 128, 24, "numeric", 2), 54},
 		{"Benefit2000x5x2", tieDataset(2, 2000, 2, 24, "numeric", 2), 54},
 	}
 }

@@ -385,6 +385,14 @@ func (b *treeBuilder) addNode(counts []float64, majority int) {
 		total += c
 	}
 	at := len(b.dist)
+	if n := at + len(counts); n > cap(b.dist) {
+		// Doubling: the table of a many-class tree is large, and
+		// append's growth for large slices would copy it several times
+		// as often.
+		grown := make([]float64, at, max(n, 2*cap(b.dist)))
+		copy(grown, b.dist)
+		b.dist = grown
+	}
 	b.dist = append(b.dist, counts...)
 	dist := b.dist[at:]
 	if total > 0 {

@@ -7,13 +7,12 @@ import (
 
 // Confusion is a confusion matrix: Counts[actual][predicted].
 type Confusion struct {
-	Classes []string
-	Counts  [][]float64
+	Counts [][]float64
 }
 
 // NewConfusion returns an empty matrix over the given classes.
 func NewConfusion(classes []string) *Confusion {
-	m := &Confusion{Classes: classes, Counts: make([][]float64, len(classes))}
+	m := &Confusion{Counts: make([][]float64, len(classes))}
 	for i := range m.Counts {
 		m.Counts[i] = make([]float64, len(classes))
 	}

@@ -22,7 +22,6 @@ type HoeffdingTree struct {
 	TieThreshold float64
 
 	root *hNode
-	seen int
 }
 
 // NewHoeffdingTree returns an empty incremental tree with MOA-like
@@ -117,7 +116,6 @@ func (n *hNode) isLeaf() bool { return n.attr < 0 }
 
 // Observe incorporates one labeled example.
 func (h *HoeffdingTree) Observe(vals []float64, class int) {
-	h.seen++
 	leaf := h.root
 	for !leaf.isLeaf() {
 		v := vals[leaf.attr]

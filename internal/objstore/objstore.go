@@ -32,7 +32,6 @@ type Blob = kvstore.Blob
 
 // Profile is a latency/bandwidth model for the store.
 type Profile struct {
-	Name      string
 	ReadBase  time.Duration // per-GET overhead
 	WriteBase time.Duration // per-PUT overhead (replication, container update, fsync)
 	ShadowPut time.Duration // empty-payload placeholder PUT (OFC's Swift patch)
@@ -67,7 +66,6 @@ func payloadTime(bytes int64, bw float64) time.Duration {
 // Load, and the shadow PUT costs the measured ≈11 ms (§7.2.1).
 func SwiftProfile() Profile {
 	return Profile{
-		Name:      "swift",
 		ReadBase:  40 * time.Millisecond,
 		WriteBase: 115 * time.Millisecond,
 		ShadowPut: 11 * time.Millisecond,
@@ -80,7 +78,6 @@ func SwiftProfile() Profile {
 // runs): higher first-byte latency than LAN Swift on reads.
 func S3Profile() Profile {
 	return Profile{
-		Name:      "s3",
 		ReadBase:  45 * time.Millisecond,
 		WriteBase: 60 * time.Millisecond,
 		ShadowPut: 12 * time.Millisecond,
@@ -98,12 +95,8 @@ type Meta struct {
 	// pending in the cache).
 	LatestVersion    uint64
 	PersistedVersion uint64
-	Modified         simnetTime
 	UserMeta         map[string]string
-	Features         map[string]float64 // extracted sidecar (§5.1.2)
 }
-
-type simnetTime = time.Duration
 
 // IsShadow reports whether the store currently lacks the latest
 // payload.
@@ -197,7 +190,6 @@ func (s *Store) Put(caller simnet.NodeID, key string, blob Blob, userMeta map[st
 	e.meta.Size = blob.Size
 	e.meta.LatestVersion++
 	e.meta.PersistedVersion = e.meta.LatestVersion
-	e.meta.Modified = s.net.Env().Now()
 	if userMeta != nil {
 		e.meta.UserMeta = userMeta
 	}
@@ -253,7 +245,6 @@ func (s *Store) PutShadow(caller simnet.NodeID, key string, size int64) uint64 {
 	}
 	e.meta.LatestVersion++
 	e.meta.Size = size
-	e.meta.Modified = s.net.Env().Now()
 	ver := e.meta.LatestVersion
 	s.net.Transfer(s.node, caller, 256)
 	s.shadows++
@@ -277,22 +268,9 @@ func (s *Store) PersistPayload(caller simnet.NodeID, key string, blob Blob, vers
 	e.blob = blob
 	e.meta.PersistedVersion = version
 	e.meta.Size = blob.Size
-	e.meta.Modified = s.net.Env().Now()
 	s.net.Transfer(s.node, caller, 256)
 	s.puts++
 	s.bytesWritten += blob.Size
-	return nil
-}
-
-// SetFeatures attaches the extracted feature sidecar to an object
-// (background task at object creation, §5.1.2). No latency is charged:
-// it runs off the critical path inside the store.
-func (s *Store) SetFeatures(key string, features map[string]float64) error {
-	e := s.objects[key]
-	if e == nil {
-		return ErrNotFound
-	}
-	e.meta.Features = features
 	return nil
 }
 

@@ -21,7 +21,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	s, _ := setup(env, SwiftProfile())
 	env.Go(func() {
-		ver := s.Put(0, "bucket/img", kvstore.Bytes([]byte("jpegdata")), map[string]string{"ct": "image/jpeg"}, false)
+		ver := s.Put(0, "bucket/img", kvstore.Synthetic(8), map[string]string{"ct": "image/jpeg"}, false)
 		if ver != 1 {
 			t.Errorf("ver=%d", ver)
 		}
@@ -29,8 +29,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(blob.Data) != "jpegdata" {
-			t.Error("payload mismatch")
+		if blob.Size != 8 || meta.Size != 8 || meta.PersistedVersion != ver {
+			t.Errorf("blob %+v meta %+v, want 8 bytes at version %d", blob, meta, ver)
 		}
 		if meta.IsShadow() {
 			t.Error("fresh put is shadow")
@@ -214,24 +214,6 @@ func TestHeadAndList(t *testing.T) {
 		keys := s.List("b/")
 		if len(keys) != 2 || keys[0] != "b/x" || keys[1] != "b/y" {
 			t.Errorf("list=%v", keys)
-		}
-	})
-	env.Run()
-}
-
-func TestFeatureSidecar(t *testing.T) {
-	env := sim.NewEnv(1)
-	s, _ := setup(env, SwiftProfile())
-	env.Go(func() {
-		s.Put(0, "img", kvstore.Synthetic(1<<20), nil, false)
-		if err := s.SetFeatures("img", map[string]float64{"width": 1920, "height": 1080}); err != nil {
-			t.Fatal(err)
-		}
-		if m, _ := s.MetaOf("img"); m.Features["width"] != 1920 {
-			t.Errorf("features=%v", m.Features)
-		}
-		if err := s.SetFeatures("missing", map[string]float64{"width": 1}); !errors.Is(err, ErrNotFound) {
-			t.Errorf("features set on a missing key: %v", err)
 		}
 	})
 	env.Run()

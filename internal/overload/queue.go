@@ -50,7 +50,6 @@ const (
 
 // AdmissionStats counts gate outcomes.
 type AdmissionStats struct {
-	Admitted      int64 // passed the gate (fast path or dequeued)
 	ShedQueueFull int64 // rejected at enqueue: tenant queue at bound
 	ShedStale     int64 // dropped at dequeue: CoDel staleness
 	MaxDepth      int   // high-water mark of total queued requests
@@ -121,7 +120,6 @@ func (a *Admission) queueOf(tenant string) *tenantQueue {
 func (a *Admission) Admit(tenant string) (release func(), err error) {
 	if a.inflight < maxConcurrent && a.queued == 0 {
 		a.inflight++
-		a.stats.Admitted++
 		return a.releaseOnce(), nil
 	}
 	limit := maxQueuePerTenant
@@ -187,7 +185,6 @@ func (a *Admission) dispatch() {
 		a.virt = tq.pass
 		tq.pass++
 		a.inflight++
-		a.stats.Admitted++
 		w.f.Set(nil)
 	}
 	if a.queued == 0 {

@@ -43,10 +43,9 @@ const (
 
 // Transition is one recorded state change.
 type Transition struct {
-	At    sim.Time
-	From  State
-	To    State
-	Score float64
+	At   sim.Time
+	From State
+	To   State
 }
 
 // Controller samples the health signals on the virtual clock and
@@ -118,7 +117,7 @@ func (c *Controller) Tick() {
 	}
 	c.state = to
 	c.since = now
-	c.transitions = append(c.transitions, Transition{At: now, From: from, To: to, Score: score})
+	c.transitions = append(c.transitions, Transition{At: now, From: from, To: to})
 	for _, fn := range c.onChange {
 		fn(from, to)
 	}

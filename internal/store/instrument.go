@@ -17,8 +17,6 @@ type OpStats struct {
 	Reads, Writes int64
 	ReadErrs      int64
 	WriteErrs     int64
-	BytesRead     int64
-	BytesWritten  int64
 	// The batch counters count nothing: the proxy never batches
 	// through the top of its stack (the chunking layer batches on the
 	// layer below it), so Instrumented has no ReadMulti. They stay
@@ -80,8 +78,6 @@ func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error
 	n.s.Reads++
 	if err != nil {
 		n.s.ReadErrs++
-	} else {
-		n.s.BytesRead += blob.Size
 	}
 	n.observe(n.env.Now() - start)
 	return blob, meta, err
@@ -93,8 +89,6 @@ func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, st *St
 	n.s.Writes++
 	if err != nil {
 		n.s.WriteErrs++
-	} else {
-		n.s.BytesWritten += blob.Size
 	}
 	n.observe(n.env.Now() - start)
 	return ver, err

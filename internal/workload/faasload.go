@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ofc/internal/faas"
-	"ofc/internal/metrics"
 	"ofc/internal/sim"
 )
 
@@ -34,31 +33,21 @@ type TenantReport struct {
 	Invocations int
 	Failures    int
 	ColdStarts  int
-	Retried     int
-	Rescued     int
 	// TotalExec is the sum of invocation (or pipeline) durations —
 	// the quantity Figure 9 plots.
 	TotalExec              time.Duration
 	TotalE, TotalT, TotalL time.Duration
-	BytesIn, BytesOut      int64
-	// P50 and P99 are per-invocation latency percentiles.
-	P50, P99 time.Duration
 }
 
 type tenantState struct {
 	report TenantReport
-	lat    metrics.Histogram
-	run    func(id string) (time.Duration, *statsDelta)
-	mean   time.Duration
+	// run performs one invocation (or pipeline run), adds its failure,
+	// cold starts and phases into rep, and returns its duration.
+	run  func(id string, rep *TenantReport) time.Duration
+	mean time.Duration
 	// schedule, when non-empty, replays explicit offsets instead of a
 	// stochastic arrival process.
 	schedule []time.Duration
-}
-
-type statsDelta struct {
-	fail, cold, retried, rescued int
-	e, t, l                      time.Duration
-	bytesIn, bytesOut            int64
 }
 
 // NewFaaSLoad builds an injector over a platform.
@@ -77,55 +66,44 @@ func (fl *FaaSLoad) AddFunctionTenant(name string, spec *Spec, fn *faas.Function
 // functionRun is the run closure of a single-function tenant: one
 // invocation of fn on an input from pool. It derives the tenant's
 // private argument-generator stream from the root generator now.
-func (fl *FaaSLoad) functionRun(spec *Spec, fn *faas.Function, pool *InputPool) func(id string) (time.Duration, *statsDelta) {
+func (fl *FaaSLoad) functionRun(spec *Spec, fn *faas.Function, pool *InputPool) func(id string, rep *TenantReport) time.Duration {
 	rng := rand.New(rand.NewSource(fl.rng.Int63()))
-	return func(id string) (time.Duration, *statsDelta) {
+	return func(id string, rep *TenantReport) time.Duration {
 		in := pool.Pick()
 		args := spec.GenArgs(rng)
 		res := fl.platform.Invoke(NewRequest(fn, spec, in, args))
-		d := &statsDelta{e: res.Extract, t: res.Transform, l: res.Load,
-			bytesIn: res.BytesIn, bytesOut: res.BytesOut}
+		rep.TotalE += res.Extract
+		rep.TotalT += res.Transform
+		rep.TotalL += res.Load
 		if res.Err != nil {
-			d.fail = 1
+			rep.Failures++
 		}
 		if res.ColdStart {
-			d.cold = 1
+			rep.ColdStarts++
 		}
-		if res.Retried {
-			d.retried = 1
-		}
-		if res.Rescued {
-			d.rescued = 1
-		}
-		return res.Duration(), d
+		return res.Duration()
 	}
 }
 
 // AddPipelineTenant registers a tenant running a pipeline.
 func (fl *FaaSLoad) AddPipelineTenant(name string, pl *Pipeline, pool *InputPool, mean time.Duration) {
 	st := &tenantState{report: TenantReport{Name: name}, mean: mean}
-	st.run = func(id string) (time.Duration, *statsDelta) {
+	st.run = func(id string, rep *TenantReport) time.Duration {
 		in := pool.Pick()
 		res := pl.Run(fl.platform, in, id)
 		e, t, l := res.Phases()
-		d := &statsDelta{e: e, t: t, l: l}
+		rep.TotalE += e
+		rep.TotalT += t
+		rep.TotalL += l
 		for _, sr := range res.Results {
-			d.bytesIn += sr.BytesIn
-			d.bytesOut += sr.BytesOut
 			if sr.ColdStart {
-				d.cold++
-			}
-			if sr.Retried {
-				d.retried++
-			}
-			if sr.Rescued {
-				d.rescued++
+				rep.ColdStarts++
 			}
 		}
 		if res.Err != nil {
-			d.fail = 1
+			rep.Failures++
 		}
-		return res.Duration(), d
+		return res.Duration()
 	}
 	fl.tenants = append(fl.tenants, st)
 }
@@ -162,19 +140,8 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 				fl.env.Sleep(wait)
 				seq++
 				id := fmt.Sprintf("%s-%d", prefix, seq)
-				dur, delta := st.run(id)
-				st.lat.Add(dur)
+				st.report.TotalExec += st.run(id, &st.report)
 				st.report.Invocations++
-				st.report.TotalExec += dur
-				st.report.Failures += delta.fail
-				st.report.ColdStarts += delta.cold
-				st.report.Retried += delta.retried
-				st.report.Rescued += delta.rescued
-				st.report.TotalE += delta.e
-				st.report.TotalT += delta.t
-				st.report.TotalL += delta.l
-				st.report.BytesIn += delta.bytesIn
-				st.report.BytesOut += delta.bytesOut
 			}
 		})
 	}
@@ -182,12 +149,9 @@ func (fl *FaaSLoad) Start(window time.Duration) {
 
 // Reports returns the per-tenant aggregates.
 func (fl *FaaSLoad) Reports() []TenantReport {
-	out := make([]TenantReport, 0, len(fl.tenants))
-	for _, st := range fl.tenants {
-		rep := st.report
-		rep.P50 = st.lat.Median()
-		rep.P99 = st.lat.P99()
-		out = append(out, rep)
+	out := make([]TenantReport, len(fl.tenants))
+	for i, st := range fl.tenants {
+		out[i] = st.report
 	}
 	return out
 }

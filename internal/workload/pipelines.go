@@ -52,7 +52,6 @@ type stageModel struct {
 
 // Pipeline is a runnable multi-stage application.
 type Pipeline struct {
-	Name      string
 	InputType string
 	Funcs     []*faas.Function
 	// Run executes the pipeline for one prepared input; id must be
@@ -222,7 +221,7 @@ func NewMapReduce(su *Suite, tenant string, profile TenantProfile, platformMax i
 		return su.loadObj(ctx, "pl/"+ctx.PipelineID()+"/result", 128<<10, faas.KindFinal, map[string]float64{})
 	}
 
-	pl := &Pipeline{Name: "map_reduce", InputType: "text", Funcs: []*faas.Function{mapFn, reduce}}
+	pl := &Pipeline{InputType: "text", Funcs: []*faas.Function{mapFn, reduce}}
 	var kb []byte // key buffer
 	pl.Parts = func(in InputMeta) []InputMeta {
 		chunks := ceilDiv(in.Size, mrChunk)
@@ -392,7 +391,7 @@ func NewTHIS(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 		return su.loadObj(ctx, "pl/"+ctx.PipelineID()+"/video", int64(float64(total)*0.95), faas.KindFinal, nil)
 	}
 
-	pl := &Pipeline{Name: "THIS", InputType: "video", Funcs: []*faas.Function{decode, process, merge}}
+	pl := &Pipeline{InputType: "video", Funcs: []*faas.Function{decode, process, merge}}
 	pl.Parts = func(in InputMeta) []InputMeta {
 		chunks := int(math.Ceil(in.Features["duration"] / thisChunkSecs))
 		if chunks < 1 {

@@ -87,7 +87,7 @@ func NewIMAD(su *Suite, tenant string, profile TenantProfile, platformMax int64)
 		return su.loadObj(ctx, "pl/"+ctx.PipelineID()+"/verdict", 20<<10, faas.KindFinal, nil)
 	}
 
-	pl := &Pipeline{Name: "IMAD", InputType: "none", Funcs: []*faas.Function{unpack, icons, strs, verdict}}
+	pl := &Pipeline{InputType: "none", Funcs: []*faas.Function{unpack, icons, strs, verdict}}
 	pl.Run = func(p *faas.Platform, in InputMeta, id string) *PipelineResult {
 		out := &PipelineResult{}
 		r1 := p.Invoke(stageReq(unpack, id, []string{in.Key}, in.Features, false))
@@ -206,7 +206,7 @@ func NewImageProcessing(su *Suite, tenant string, profile TenantProfile, platfor
 		return su.loadObj(ctx, "pl/"+ctx.PipelineID()+"/thumbnail", blob.Size, faas.KindFinal, nil)
 	}
 
-	pl := &Pipeline{Name: "ImageProcessing", InputType: "image", Funcs: []*faas.Function{meta, transform, thumb, upload}}
+	pl := &Pipeline{InputType: "image", Funcs: []*faas.Function{meta, transform, thumb, upload}}
 	pl.Run = func(p *faas.Platform, in InputMeta, id string) *PipelineResult {
 		out := &PipelineResult{}
 		imgF := in.Features

@@ -191,7 +191,8 @@ func missing() float64 {
 	return nan
 }
 
-// RSDSWriter stages inputs into the RSDS with feature sidecars.
+// RSDSWriter stages inputs into the RSDS and registers their features
+// with the suite.
 type RSDSWriter struct {
 	Suite *Suite
 	Store *objstore.Store
@@ -201,7 +202,6 @@ type RSDSWriter struct {
 // WriteObject implements ObjectWriter.
 func (w RSDSWriter) WriteObject(key string, blob kvstore.Blob, features map[string]float64) {
 	w.Store.Put(w.Node, key, blob, nil, false)
-	w.Store.SetFeatures(key, features)
 	w.Suite.RegisterObject(key, features)
 }
 

@@ -206,11 +206,12 @@ func TestPipelinesRunOnOFC(t *testing.T) {
 		NewIMAD(su, "t3", ProfileNormal, 2<<30),
 		NewImageProcessing(su, "t4", ProfileNormal, 2<<30),
 	}
-	pools := map[string]*InputPool{
-		"map_reduce":      NewInputPool(rng, "text", "mr", []int64{5 << 20}, 2),
-		"THIS":            NewInputPool(rng, "video", "vid", []int64{20 << 20}, 2),
-		"IMAD":            NewInputPool(rng, "none", "app", []int64{4 << 20}, 2),
-		"ImageProcessing": NewInputPool(rng, "image", "img", []int64{64 << 10}, 2),
+	names := []string{"map_reduce", "THIS", "IMAD", "ImageProcessing"}
+	pools := []*InputPool{
+		NewInputPool(rng, "text", "mr", []int64{5 << 20}, 2),
+		NewInputPool(rng, "video", "vid", []int64{20 << 20}, 2),
+		NewInputPool(rng, "none", "app", []int64{4 << 20}, 2),
+		NewInputPool(rng, "image", "img", []int64{64 << 10}, 2),
 	}
 	for _, pl := range pls {
 		for _, fn := range pl.Funcs {
@@ -221,14 +222,14 @@ func TestPipelinesRunOnOFC(t *testing.T) {
 	results := map[string]*PipelineResult{}
 	sys.Run(func() {
 		w := RSDSWriter{Suite: su, Store: sys.RSDS, Node: sys.CtrlNode}
-		for _, pl := range pls {
-			for _, in := range pools[pl.Name].Inputs {
+		for i, pl := range pls {
+			for _, in := range pools[i].Inputs {
 				pl.StageInput(w, in)
 			}
 		}
-		for _, pl := range pls {
-			in := pools[pl.Name].Pick()
-			results[pl.Name] = pl.Run(sys.Platform, in, "test-"+pl.Name)
+		for i, pl := range pls {
+			in := pools[i].Pick()
+			results[names[i]] = pl.Run(sys.Platform, in, "test-"+names[i])
 		}
 	})
 	for name, res := range results {
@@ -328,8 +329,8 @@ func TestFaaSLoadPipelineTenant(t *testing.T) {
 	if r.Invocations == 0 || r.Failures != 0 {
 		t.Fatalf("report=%+v, want invocations and no failure", r)
 	}
-	if r.TotalE <= 0 || r.TotalT <= 0 || r.TotalL <= 0 || r.BytesIn <= 0 || r.BytesOut <= 0 {
-		t.Errorf("report=%+v, want every phase and both byte counts summed", r)
+	if r.TotalE <= 0 || r.TotalT <= 0 || r.TotalL <= 0 {
+		t.Errorf("report=%+v, want every phase summed", r)
 	}
 	if r.ColdStarts == 0 {
 		t.Errorf("report=%+v, want the first run's cold starts", r)
@@ -381,8 +382,7 @@ func TestMaxMemCoversPool(t *testing.T) {
 }
 
 func TestKVBlobAlias(t *testing.T) {
-	b := kvstore.Bytes([]byte("x"))
-	if b.Size != 1 {
+	if b := blobOf(1); b != kvstore.Synthetic(1) {
 		t.Error("alias broken")
 	}
 }
@@ -446,8 +446,9 @@ type lowballAdvisor struct{}
 
 func (lowballAdvisor) Advise(*faas.Request) faas.Advice { return faas.Advice{Mem: 1, Use: true} }
 
-// TestTraceTenantCountsRetries: a trace tenant's report counts its
-// OOM retries, as a function tenant's does.
+// TestTraceTenantCountsRetries: a trace tenant's invocation that is
+// OOM-killed once and retried counts as one invocation that did not
+// fail, as a function tenant's does.
 func TestTraceTenantCountsRetries(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Workers = 2
@@ -472,8 +473,8 @@ func TestTraceTenantCountsRetries(t *testing.T) {
 	if rep.Invocations != 1 || rep.Failures != 0 {
 		t.Fatalf("invocations=%d failures=%d, want 1 and 0", rep.Invocations, rep.Failures)
 	}
-	if rep.Retried != 1 {
-		t.Errorf("retried=%d, want 1", rep.Retried)
+	if st := sys.Platform.Stats(); st.Retries != 1 {
+		t.Errorf("platform retries=%d, want 1", st.Retries)
 	}
 }
 
@@ -554,36 +555,5 @@ func TestEverySpecMaturesOnline(t *testing.T) {
 			}
 			t.Errorf("%s did not mature in 700 invocations", spec.Name)
 		})
-	}
-}
-
-func TestReportPercentiles(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Workers = 2
-	sys := core.NewSystem(opts)
-	su := NewSuite()
-	rng := rand.New(rand.NewSource(50))
-	spec := SpecByName("wand_grayscale")
-	fn := su.Build(spec, "p", 0)
-	sys.Register(fn)
-	pool := NewInputPool(rng, "image", "pct", []int64{16 << 10}, 2)
-	fl := NewFaaSLoad(sys.Env, sys.Platform, 51)
-	fl.AddFunctionTenant("p", spec, fn, pool, 10*time.Second)
-	sys.Env.SetHorizon(3 * time.Minute)
-	sys.Start()
-	sys.Env.Go(func() {
-		pool.Stage(RSDSWriter{Suite: su, Store: sys.RSDS, Node: sys.CtrlNode})
-		fl.Start(2 * time.Minute)
-	})
-	sys.Env.Run()
-	rep := fl.Reports()[0]
-	if rep.Invocations < 5 {
-		t.Fatalf("invocations=%d", rep.Invocations)
-	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 {
-		t.Errorf("p50=%v p99=%v", rep.P50, rep.P99)
-	}
-	if rep.P99 > rep.TotalExec {
-		t.Errorf("p99=%v above total=%v", rep.P99, rep.TotalExec)
 	}
 }
