@@ -42,7 +42,7 @@ test-cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./scripts/covercheck -profile cover.out \
 		-floor ofc/internal/trace=70 \
-		-floor ofc/internal/core=75 \
+		-floor ofc/internal/core=80 \
 		-floor ofc/internal/faas=85 \
 		-floor ofc/internal/kvstore=90 \
 		-floor ofc/internal/store=91 \

@@ -120,7 +120,6 @@ type CacheAgent struct {
 type agentScratch struct {
 	census []store.ObjectInfo
 	plan   memctl.Plan
-	freed  []string
 }
 
 // takeScratch hands the caller a set of the agent's buffers, which it
@@ -265,61 +264,76 @@ func (a *CacheAgent) view(sc *agentScratch) memctl.View {
 // memctl.PlanReclaim's recipe: evict along the first phase until the
 // need is met, then (if short) trigger the asynchronous write-backs and
 // walk the second phase, migrating each object with eviction as the
-// fallback.
+// fallback. Every step names the version the census listed.
 func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 	sc := a.takeScratch()
+	defer a.putScratch(sc)
 	sc.census = a.kv.Objects(sc.census[:0], a.node)
 	plan := &sc.plan
 	memctl.PlanReclaim(plan, sc.census)
 
-	freed := sc.freed[:0]
-	wrotebacks := 0
-	defer func() {
-		for _, k := range freed {
-			a.pol.Eviction.Forget(k)
-		}
-		a.metrics.Evictions += int64(evicted)
-		a.metrics.Migrations += int64(migrated)
-		a.metrics.WriteBacks += int64(wrotebacks)
-		sc.freed = freed
-		a.putScratch(sc)
-	}()
-
-	for _, s := range plan.First {
+	for _, o := range plan.First {
 		if toFree <= 0 {
 			break
 		}
-		if a.kv.Evict(s.Key) == nil {
-			toFree -= s.Size
+		if a.evict(o.Key, o.Meta.Version) {
+			toFree -= o.Meta.Size
 			evicted++
-			freed = append(freed, s.Key)
 		}
 	}
 	if toFree <= 0 {
 		return
 	}
-	for _, key := range plan.WriteBacks {
-		key := key
-		a.env.Go(func() { a.rc.WriteBackNow(a.node, key) })
-		wrotebacks++
+	for _, o := range plan.WriteBacks {
+		a.writeBack(o, func(key string, version uint64) { a.rc.be.MarkClean(a.node, key, version) })
 	}
-	for _, s := range plan.Second {
+	for _, o := range plan.Second {
 		if toFree <= 0 {
 			break
 		}
-		if a.kv.MigrateToBackup(s.Key) == nil {
-			toFree -= s.Size
+		switch {
+		case a.kv.MigrateToBackup(o.Key) == nil:
 			migrated++
-			freed = append(freed, s.Key)
+			a.metrics.Migrations++
+			a.pol.Eviction.Forget(o.Key)
+		case a.evict(o.Key, o.Meta.Version):
+			evicted++
+		default:
 			continue
 		}
-		if a.kv.Evict(s.Key) == nil {
-			toFree -= s.Size
-			evicted++
-			freed = append(freed, s.Key)
-		}
+		toFree -= o.Meta.Size
 	}
 	return
+}
+
+// evict drops a census entry at the version listed and counts it.
+func (a *CacheAgent) evict(key string, version uint64) bool {
+	if a.kv.Evict(key, version) != nil {
+		return false
+	}
+	a.metrics.Evictions++
+	a.pol.Eviction.Forget(key)
+	return true
+}
+
+// writeBack persists a dirty census entry, as the shadow version listed,
+// off the critical path (§6.4); once the RSDS holds that copy or a newer
+// one, settle acts on the copy at the version persist read.
+func (a *CacheAgent) writeBack(o store.ObjectInfo, settle func(key string, version uint64)) {
+	a.metrics.WriteBacks++
+	a.env.Go(func() {
+		sp := a.tracer.Begin(0, 0, "cache.writeback", a.node)
+		defer a.tracer.End(&sp)
+		out, version := a.rc.persist(a.node, o.Key, o.Meta.State.PersistVersion)
+		ok := int64(0)
+		if out == pushed {
+			ok = 1
+		}
+		sp.SetNum("ok", ok)
+		if out == pushed || out == stale {
+			settle(o.Key, version)
+		}
+	})
 }
 
 // sampleChurn records the sandbox-memory movement since the last
@@ -431,26 +445,23 @@ func (a *CacheAgent) periodicEviction() {
 	defer a.putScratch(sc)
 	victims := a.pol.Eviction.Victims(a.view(sc))
 	for _, o := range victims {
-		key := o.Key
 		if o.Meta.State.Dirty {
-			a.env.Go(func() {
-				if a.rc.WriteBackNow(a.node, key) {
-					a.kv.Evict(key)
-				}
-			})
-			a.metrics.WriteBacks++
-			continue
-		}
-		if a.kv.Evict(key) == nil {
-			a.metrics.PeriodicEvictions++
-			a.metrics.Evictions++
-			a.pol.Eviction.Forget(key)
+			a.writeBack(o, a.evictVictim)
+		} else {
+			a.evictVictim(o.Key, o.Meta.Version)
 		}
 	}
 	if len(victims) > 0 {
 		sp.SetNum("victims", int64(len(victims)))
 	}
 	a.tracer.End(&sp)
+}
+
+// evictVictim evicts a sweep victim at the version the agent read.
+func (a *CacheAgent) evictVictim(key string, version uint64) {
+	if a.evict(key, version) {
+		a.metrics.PeriodicEvictions++
+	}
 }
 
 // Governor adapts a set of agents to the faas.MemoryGovernor interface

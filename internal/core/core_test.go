@@ -668,8 +668,8 @@ func TestRelaxedConsistencySkipsShadow(t *testing.T) {
 		sys2.Platform.Invokers()[0].SetCacheGrant(1 << 30)
 		sys2.KV.Write(node, "lazy/obj", kvstore.Synthetic(1<<20),
 			&kvstore.State{Kind: kvstore.KindFinal, Dirty: true}, node)
-		if !sys2.RC.WriteBackNow(node, "lazy/obj") {
-			t.Error("lazy write-back failed")
+		if out, _ := sys2.RC.persist(node, "lazy/obj", 0); out != pushed {
+			t.Errorf("lazy write-back: outcome %d, want pushed", out)
 		}
 		if m, ok := sys2.RSDS.MetaOf("lazy/obj"); !ok || m.Size != 1<<20 {
 			t.Errorf("lazy object not persisted: ok=%v meta=%+v", ok, m)
@@ -816,18 +816,36 @@ func (neverCacheAdvisor) Advise(req *faas.Request) faas.Advice {
 	return faas.Advice{Mem: 128 << 20, ShouldCache: false, Use: true}
 }
 
-func TestWriteBackNowMissingOrClean(t *testing.T) {
+// TestPersistMissingOrOtherVersion: persist pushes nothing for a key
+// the cache does not hold, nor for a copy of another version than the
+// one it was asked for; both have vanished. The agent writes back only
+// dirty objects: its sweep evicts a clean one. The RSDS sees no put.
+func TestPersistMissingOrOtherVersion(t *testing.T) {
 	sys := newSystem(7)
+	inv := sys.Platform.Invokers()[0]
+	agent := NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, DefaultCacheAgentConfig())
+	agent.pressure = memctl.PressureBrownout // no age floor
 	sys.Env.Go(func() {
-		node := sys.WorkerNodes[0]
-		if sys.RC.WriteBackNow(node, "absent") {
-			t.Error("write-back of absent key succeeded")
-		}
+		node := inv.Node()
 		sys.KV.SetMemoryLimit(node, 1<<30)
 		sys.KV.Write(node, "clean", kvstore.Synthetic(1<<10),
-			&kvstore.State{Kind: kvstore.KindInput}, node)
-		if sys.RC.WriteBackNow(node, "clean") {
-			t.Error("write-back of clean object succeeded")
+			&kvstore.State{Kind: kvstore.KindFinal}, node)
+		agent.periodicEviction()
+		if _, cached := sys.KV.MasterOf("clean"); cached {
+			t.Error("the sweep left a clean victim cached")
+		}
+		sys.KV.Write(node, "v3", kvstore.Synthetic(1<<10),
+			&kvstore.State{Kind: kvstore.KindFinal, Dirty: true, PersistVersion: 3}, node)
+		for _, c := range []struct {
+			key     string
+			version uint64
+		}{{"absent", 0}, {"v3", 2}, {"v3", 0}} {
+			if out, _ := sys.RC.persist(node, c.key, c.version); out != vanished {
+				t.Errorf("persist(%s, %d): outcome %d, want vanished", c.key, c.version, out)
+			}
+		}
+		if _, puts, _, _, _ := sys.RSDS.Stats(); puts != 0 {
+			t.Errorf("%d RSDS puts, want none", puts)
 		}
 		sys.Env.Stop()
 	})
@@ -1105,6 +1123,109 @@ func TestPropertyWriteBackCompleteness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
 	}
+
+	// A rewrite is one more input: every delay after the first ack at
+	// which some persist could act on a version it did not read.
+	const size1, size2 = 4 << 20, 1 << 20
+	t.Run("Rewrite", func(t *testing.T) {
+		var lost, staleReads []time.Duration
+		for delay := time.Duration(0); delay < 1500*time.Millisecond; delay += 5 * time.Millisecond {
+			sys := shadowSystem()
+			w := sys.WorkerNodes[0]
+			const key = "wbp/rewrite"
+			var v2 uint64
+			var read struct {
+				blob faas.Blob
+				meta objstore.Meta
+				err  error
+			}
+			sys.Run(func() {
+				for _, size := range []int64{size1, size2} {
+					if err := sys.RC.Put(w, key, faas.Blob{Size: size}, faas.PutOpts{Kind: faas.KindFinal, ShouldCache: true}); err != nil {
+						t.Fatalf("put: %v", err)
+					}
+					if size == size1 {
+						sys.Env.Sleep(delay)
+					}
+				}
+				m, _ := sys.RSDS.MetaOf(key)
+				v2 = m.LatestVersion
+				sys.Env.Go(func() { read.blob, read.meta, read.err = sys.RSDS.Get(sys.StorageNode, key, true) })
+				sys.Env.Sleep(10 * time.Second)
+			})
+			m, _ := sys.RSDS.MetaOf(key)
+			if _, cached := sys.KV.MasterOf(key); m.IsShadow() || m.PersistedVersion != v2 || m.Size != size2 || cached {
+				lost = append(lost, delay)
+			}
+			if read.err != nil || read.meta.PersistedVersion != v2 || read.blob.Size != size2 {
+				staleReads = append(staleReads, delay)
+			}
+		}
+		if len(lost) > 0 {
+			t.Errorf("v2 not persisted (or still cached) after a rewrite %v after v1's ack, %d delays in all", lost[0], len(lost))
+		}
+		if len(staleReads) > 0 {
+			t.Errorf("external read after v2's ack did not return v2 at delay %v, %d delays in all", staleReads[0], len(staleReads))
+		}
+	})
+
+	relaxed := func() (*System, *CacheAgent) {
+		opts := testOptions(1)
+		opts.DisableCacheAgents = true
+		opts.RelaxedPrefixes = []string{"lazy/"}
+		sys := NewSystem(opts)
+		inv := sys.Platform.Invokers()[0]
+		inv.SetCacheGrant(64 << 20)
+		return sys, NewCacheAgent(sys.Env, inv, sys.KV, sys.RC, DefaultCacheAgentConfig())
+	}
+	put := func(t *testing.T, sys *System, key string, size int64) {
+		w := sys.Platform.Invokers()[0].Node()
+		if err := sys.RC.Put(w, key, faas.Blob{Size: size}, faas.PutOpts{Kind: faas.KindFinal, ShouldCache: true}); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	// A relaxed key rewritten while the sweep writes it back keeps its
+	// newer copy dirty in the cache, for the next sweep to persist.
+	t.Run("RelaxedRewrite", func(t *testing.T) {
+		var lost []time.Duration
+		for delay := time.Duration(0); delay < time.Second; delay += 5 * time.Millisecond {
+			sys, agent := relaxed()
+			const key = "lazy/rewrite"
+			agent.pressure = memctl.PressureBrownout // no age floor
+			sys.Run(func() {
+				put(t, sys, key, size1)
+				agent.periodicEviction()
+				sys.Env.Sleep(delay)
+				put(t, sys, key, size2)
+				sys.Env.Sleep(10 * time.Second)
+				agent.periodicEviction()
+			})
+			if m, _ := sys.RSDS.MetaOf(key); m.Size != size2 {
+				lost = append(lost, delay)
+			}
+		}
+		if len(lost) > 0 {
+			t.Errorf("relaxed rewrite %v into the sweep's write-back lost, %d delays in all", lost[0], len(lost))
+		}
+	})
+	// Two reclaims that fall short write a dirty object back once, and
+	// the write-back leaves it clean.
+	t.Run("TwoWriteBacks", func(t *testing.T) {
+		sys, agent := relaxed()
+		const key = "lazy/twice"
+		sys.Run(func() {
+			put(t, sys, key, 8<<20)
+			agent.Reclaim(60 << 20)
+			sys.Env.Sleep(2 * time.Second)
+			if _, m, err := sys.RC.Backend().Read(agent.Node(), key); err != nil || m.State.Dirty {
+				t.Errorf("after the write-back: err %v, state %+v; want a clean copy", err, m.State)
+			}
+			agent.Reclaim(60 << 20)
+		})
+		if _, puts, _, _, _ := sys.RSDS.Stats(); puts != 1 {
+			t.Errorf("%d RSDS puts, want 1", puts)
+		}
+	})
 }
 
 func TestReclaimFailureSurfaces(t *testing.T) {

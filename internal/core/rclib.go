@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"time"
@@ -69,9 +68,9 @@ type RCLib struct {
 	pipelines map[string][]string
 	spareKeys [][]string
 
-	// pending maps keys to futures resolved when their latest payload
-	// has been persisted (external-read webhook barrier).
-	pending map[string]*sim.Future[struct{}]
+	// pending is the external-read webhook barrier of each key with a
+	// persist scheduled.
+	pending map[string]pendingPersist
 
 	// brownout is the overload controller's degradation switch: miss
 	// admissions stop and non-intermediate writes take the synchronous
@@ -110,7 +109,7 @@ func NewRCLib(env *sim.Env, kv *kvstore.Cluster, rsds *objstore.Store, platform 
 		gov:       gov,
 		relaxed:   slices.Clone(opts.RelaxedPrefixes),
 		pipelines: make(map[string][]string),
-		pending:   make(map[string]*sim.Future[struct{}]),
+		pending:   make(map[string]pendingPersist),
 	}
 
 	// Assemble the middleware stack bottom-up. Chunked stripes around
@@ -145,14 +144,14 @@ func NewRCLib(env *sim.Env, kv *kvstore.Cluster, rsds *objstore.Store, platform 
 		if !m.IsShadow() {
 			return
 		}
-		if f := rc.pending[key]; f != nil {
-			f.Wait() // the persistor is already scheduled; block until done
+		if p, ok := rc.pending[key]; ok {
+			p.done.Wait() // the persistor is already scheduled; block until done
 		}
 	})
 	rsds.OnWrite(func(key string) {
-		// Synchronously invalidate the cached copy before an external
-		// write lands.
-		rc.be.Evict(key)
+		// Synchronously invalidate the cached copy, whatever its
+		// version, before an external write lands.
+		rc.be.Evict(key, 0)
 	})
 	return rc
 }
@@ -185,69 +184,78 @@ func (rc *RCLib) isRelaxed(key string) bool {
 	return false
 }
 
-// persistBody is the Persistor function (§6.2): read the payload from
-// the cache, push it to the RSDS for the recorded version, then apply
-// the §6.3 discard policy for final outputs. Striped objects
-// reassemble transparently inside the chunking middleware.
+// persistOutcome is what one persist did with a key's cached copy: it
+// pushed it to the RSDS; found the RSDS holding a newer version (stale);
+// found no copy of the version asked for, dropped by an external write
+// or replaced by a newer one (vanished); or could not read the cache.
+type persistOutcome uint8
+
+const (
+	pushed persistOutcome = iota
+	stale
+	vanished
+	unavailable
+)
+
+// persist is the one write-back path (§6.2): it pushes key's cached
+// copy of version to the RSDS, with PersistPayload, or with a plain Put
+// for a relaxed copy (version 0: no shadow). It returns what it did and
+// the cache version (Meta.Version) of the copy it read, for any later
+// act on that copy to name. It releases key's readers unless the cache
+// was unavailable or a newer version is scheduled.
+func (rc *RCLib) persist(node simnet.NodeID, key string, version uint64) (persistOutcome, uint64) {
+	blob, meta, err := rc.be.Read(node, key)
+	out := pushed
+	switch {
+	case store.IsUnavailable(err):
+		return unavailable, 0
+	case err != nil || meta.State.PersistVersion != version:
+		out = vanished
+	case version == 0:
+		rc.rsds.Put(node, key, blob, nil, false)
+	case rc.rsds.PersistPayload(node, key, blob, version) != nil:
+		out = stale // the shadow exists (the RSDS deletes nothing): ErrStale
+	}
+	if out == pushed {
+		rc.stats.WriteBacks++
+	}
+	if p, ok := rc.pending[key]; ok && p.newest <= version {
+		delete(rc.pending, key)
+		p.done.Set(struct{}{})
+	}
+	return out, meta.Version
+}
+
+// persistBody is the Persistor function (§6.2): persist the recorded
+// version, try again later while the cache is unavailable, and discard
+// a pushed final from the cache (§6.3).
 func (rc *RCLib) persistBody(ctx *faas.Ctx) error {
 	ref := ctx.Trace()
 	sp := rc.tracer.Begin(ref.Trace, ref.Span, "persist", ctx.Node())
 	defer rc.tracer.End(&sp)
-	key := ctx.InputKeys()[0]
-	version := uint64(ctx.Arg("version"))
-	node := ctx.Node()
-	blob, meta, err := rc.be.Read(node, key)
-	if err != nil {
-		if store.IsUnavailable(err) {
-			sp.SetNum("rescheduled", 1)
-			// The cache is temporarily unreachable. The acknowledged
-			// payload survives in backup replicas, so the pending
-			// write-back must NOT be resolved — reschedule the persist
-			// for after the store has had time to recover.
-			rc.env.After(persistRetryDelay, func() {
-				rc.schedulePersist(node, key, version)
-			})
-			return nil
-		}
-		// The object vanished (external invalidation); nothing to push.
+	key, version, node := ctx.InputKeys()[0], uint64(ctx.Arg("version")), ctx.Node()
+	switch out, read := rc.persist(node, key, version); out {
+	case pushed:
+		rc.be.Evict(key, read)
+	case stale:
+		sp.SetNum("stale", 1)
+	case vanished:
 		sp.SetNum("vanished", 1)
-		rc.resolvePending(key)
-		return nil
-	}
-	perr := rc.rsds.PersistPayload(node, key, blob, version)
-	if perr == nil {
-		if meta.State.Kind == faas.KindFinal {
-			// Final outputs are discarded from the cache as soon as
-			// they have been written back (§6.3).
-			rc.be.Evict(key)
-		} else {
-			rc.be.MarkClean(node, key)
-		}
-		rc.stats.WriteBacks++
-	}
-	// A stale persist means a newer version's persistor owns the key.
-	if perr == nil || errors.Is(perr, objstore.ErrStale) {
-		if perr != nil {
-			sp.SetNum("stale", 1)
-		}
-		rc.resolvePending(key)
+	case unavailable:
+		sp.SetNum("rescheduled", 1)
+		// Still pending: try again once the store has had time to recover.
+		rc.env.After(persistRetryDelay, func() {
+			rc.schedulePersist(node, key, version)
+		})
 	}
 	return nil
 }
 
-// ensurePending installs a pending future for key if none exists.
-func (rc *RCLib) ensurePending(key string) {
-	if _, ok := rc.pending[key]; !ok {
-		rc.pending[key] = sim.NewFuture[struct{}](rc.env)
-	}
-}
-
-func (rc *RCLib) resolvePending(key string) {
-	f := rc.pending[key]
-	delete(rc.pending, key)
-	if f != nil && !f.Done() {
-		f.Set(struct{}{})
-	}
+// pendingPersist is one key's external-read barrier: the future its
+// readers wait on and the newest version scheduled for persist.
+type pendingPersist struct {
+	done   *sim.Future[struct{}]
+	newest uint64
 }
 
 // noteGetHit is the Get-hit bookkeeping: counter increments and
@@ -323,9 +331,9 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		// (we got here because the cache is unreachable). Wait for the
 		// pending write-back — the Persistor retries until the cache
 		// recovers — then re-read the now-persisted payload.
-		if f := rc.pending[key]; f != nil {
+		if p, ok := rc.pending[key]; ok {
 			fsp.SetNum("shadowWait", 1)
-			f.Wait()
+			p.done.Wait()
 			blob, _, rerr = rc.rsds.Get(caller, key, false)
 		}
 	}
@@ -442,7 +450,7 @@ func (rc *RCLib) Put(caller simnet.NodeID, key string, blob faas.Blob, opts faas
 	}
 	if rc.isRelaxed(key) {
 		// §6.2 relaxed mode: cache-resident, lazily written back. No
-		// shadow version makes WriteBackNow use a plain Put.
+		// shadow version makes persist use a plain Put.
 		sp.SetStr("path", "relaxed")
 		_, err = rc.be.Write(caller, key, blob, &relaxedState, caller)
 		if err != nil {
@@ -485,9 +493,15 @@ func (rc *RCLib) countWriteFallback(err error) {
 	}
 }
 
-// schedulePersist injects a Persistor invocation for (key, version).
+// schedulePersist injects a Persistor invocation for (key, version),
+// which key's barrier waits for.
 func (rc *RCLib) schedulePersist(node simnet.NodeID, key string, version uint64) {
-	rc.ensurePending(key)
+	p, ok := rc.pending[key]
+	if !ok {
+		p.done = sim.NewFuture[struct{}](rc.env)
+	}
+	p.newest = max(p.newest, version)
+	rc.pending[key] = p
 	rc.env.Go(func() {
 		r := rc.platform.Invoke(&faas.Request{
 			Function:  rc.persistFn,
@@ -532,46 +546,10 @@ func (rc *RCLib) PipelineDone(pipeline string) {
 	}
 	delete(rc.pipelines, pipeline)
 	for _, key := range keys {
-		rc.be.Evict(key)
+		rc.be.Evict(key, 0)
 	}
 	clear(keys)
 	rc.spareKeys = append(rc.spareKeys, keys[:0])
-}
-
-// WriteBackNow synchronously persists one dirty cached object (used by
-// the CacheAgent when reclaiming space). Returns false when the object
-// is not dirty or vanished.
-func (rc *RCLib) WriteBackNow(node simnet.NodeID, key string) (ok bool) {
-	sp := rc.tracer.Begin(0, 0, "cache.writeback", node)
-	defer func() {
-		if ok {
-			sp.SetNum("ok", 1)
-		} else {
-			sp.SetNum("ok", 0)
-		}
-		rc.tracer.End(&sp)
-	}()
-	blob, meta, err := rc.be.Read(node, key)
-	if err != nil || !meta.State.Dirty {
-		return false
-	}
-	version := meta.State.PersistVersion
-	if version == 0 {
-		// Relaxed-mode object: no shadow was created; plain put.
-		rc.rsds.Put(node, key, blob, nil, false)
-	} else if perr := rc.rsds.PersistPayload(node, key, blob, version); perr != nil {
-		if errors.Is(perr, objstore.ErrStale) {
-			// An equal or newer version is already persisted; the
-			// cached copy is effectively clean and must not overwrite
-			// the store.
-			rc.be.MarkClean(node, key)
-			rc.resolvePending(key)
-		}
-		return false
-	}
-	rc.stats.WriteBacks++
-	rc.resolvePending(key)
-	return true
 }
 
 // CacheStats reports proxy counters.

@@ -201,7 +201,7 @@ func TestPipelineKeysAllocCeiling(t *testing.T) {
 				}
 			}
 		}
-		untracked := run("", func() { sys.RC.be.Evict("pl/p/mid") })
+		untracked := run("", func() { sys.RC.be.Evict("pl/p/mid", 0) })
 		pipeline := run("p", func() { sys.RC.PipelineDone("p") })
 		untracked()
 		pipeline()

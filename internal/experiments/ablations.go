@@ -100,7 +100,7 @@ func AblationMigration(seed int64) *Table {
 			}
 			p.promo = time.Duration(sys.Env.Now() - start)
 			for _, k := range keys {
-				sys.KV.Evict(k)
+				sys.KV.Evict(k, 0)
 			}
 			// Full transfer.
 			for i := range keys {
@@ -115,7 +115,7 @@ func AblationMigration(seed int64) *Table {
 			}
 			p.full = time.Duration(sys.Env.Now() - start)
 			for _, k := range keys {
-				sys.KV.Evict(k)
+				sys.KV.Evict(k, 0)
 			}
 			results[total] = p
 		}

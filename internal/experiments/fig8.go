@@ -139,7 +139,7 @@ func MigrationSeries(seed int64) (*Table, map[int64]time.Duration) {
 			}
 			out[total] = time.Duration(sys.Env.Now() - start)
 			for _, k := range keys {
-				sys.KV.Evict(k)
+				sys.KV.Evict(k, 0)
 			}
 		}
 		sys.Env.Stop()

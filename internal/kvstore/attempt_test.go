@@ -562,7 +562,7 @@ func runAttempts(ops []attOp, faults []repFault, lossy bool, seed int64, stop ti
 				if ref {
 					out.errs[i][0] = refMarkClean(c, o.caller, o.keys[0])
 				} else {
-					out.errs[i][0] = c.MarkClean(o.caller, o.keys[0])
+					out.errs[i][0] = c.MarkClean(o.caller, o.keys[0], 0)
 				}
 				return
 			}

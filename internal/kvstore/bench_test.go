@@ -104,7 +104,7 @@ func clusterMarkCleans(tb testing.TB, n int) *sim.Env {
 	env.Go(func() {
 		c.Write(1, "k", Synthetic(64<<10), &State{Dirty: true}, 1)
 		for i := 0; i < n; i++ {
-			if err := c.MarkClean(2, "k"); err != nil {
+			if err := c.MarkClean(2, "k", 0); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -192,7 +192,7 @@ func clusterKeyChurn(tb testing.TB, n int) *sim.Env {
 		}
 		slot := &ring[i%churnLive]
 		if *slot != "" {
-			if err := c.Evict(*slot); err != nil {
+			if err := c.Evict(*slot, 0); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -223,7 +223,7 @@ func TestSetTagPropagatesToReplicas(t *testing.T) {
 		if _, err := c.Write(0, "k", Synthetic(1<<20), &State{Kind: KindFinal, Dirty: true}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.MarkClean(0, "k"); err != nil {
+		if err := c.MarkClean(0, "k", 0); err != nil {
 			t.Fatal(err)
 		}
 		c.Crash(1)

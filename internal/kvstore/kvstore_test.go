@@ -111,7 +111,7 @@ func TestNotFound(t *testing.T) {
 		if _, _, err := c.Read(1, "missing"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("err=%v", err)
 		}
-		if err := c.Evict("missing"); !errors.Is(err, ErrNotFound) {
+		if err := c.Evict("missing", 0); !errors.Is(err, ErrNotFound) {
 			t.Errorf("evict err=%v", err)
 		}
 	})
@@ -147,7 +147,7 @@ func TestNoSpace(t *testing.T) {
 func TestEvict(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
 		c.Write(1, "k", Synthetic(1<<20), nil, 1)
-		if err := c.Evict("k"); err != nil {
+		if err := c.Evict("k", 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := c.Read(1, "k"); !errors.Is(err, ErrNotFound) {
@@ -353,14 +353,14 @@ func TestObjectsSnapshot(t *testing.T) {
 func TestMarkClean(t *testing.T) {
 	run(t, func(env *sim.Env, c *Cluster) {
 		c.Write(1, "k", Synthetic(10), &State{Kind: KindFinal, Dirty: true, PersistVersion: 7}, 1)
-		if err := c.MarkClean(1, "k"); err != nil {
+		if err := c.MarkClean(1, "k", 0); err != nil {
 			t.Fatal(err)
 		}
 		_, m, err := c.Read(1, "k")
 		if err != nil || m.State != (State{Kind: KindFinal, PersistVersion: 7}) {
 			t.Errorf("meta=%+v err=%v", m, err)
 		}
-		if err := c.MarkClean(1, "missing"); !errors.Is(err, ErrNotFound) {
+		if err := c.MarkClean(1, "missing", 0); !errors.Is(err, ErrNotFound) {
 			t.Errorf("missing key: err=%v, want ErrNotFound", err)
 		}
 	})
@@ -389,7 +389,7 @@ func TestMetaIsSnapshotAcrossSetTag(t *testing.T) {
 				census = o.Meta
 			}
 		}
-		if err := c.MarkClean(1, "a"); err != nil {
+		if err := c.MarkClean(1, "a", 0); err != nil {
 			t.Fatal(err)
 		}
 		for name, m := range map[string]Meta{"Read": read, "Objects": census} {

@@ -43,16 +43,18 @@ type WriteResult struct {
 // batch is what the groups of one op read and write, indexed by their
 // idxs: the keys' ids, which the op holds, and their placements; a
 // read's or a clean's keys and results, or a write's items, speculative
-// marks (placements this op made) and results.
+// marks (placements this op made) and results; and a clean's version
+// (0: whatever copy the master holds).
 type batch struct {
-	kind  opKind
-	keys  []string
-	ids   []objID
-	rout  []ReadResult
-	items []WriteItem
-	ps    []placement
-	spec  []bool
-	wout  []WriteResult
+	kind    opKind
+	version uint64
+	keys    []string
+	ids     []objID
+	rout    []ReadResult
+	items   []WriteItem
+	ps      []placement
+	spec    []bool
+	wout    []WriteResult
 }
 
 // err is key i's error.
@@ -320,7 +322,8 @@ func (g *group) endWrite() {
 }
 
 // markArrived clears the Dirty bit of each key's master copy, unless
-// the master crashed meanwhile or no longer holds the key, and of its
+// the master crashed meanwhile, no longer holds the key or holds
+// another version than the clean names, and of its
 // replicas of the same version, so that a post-recovery master does not
 // come back dirty after its payload was persisted. The master
 // piggybacks these tiny updates on its replication stream; their cost
@@ -334,7 +337,7 @@ func (g *group) markArrived(err error) {
 	cleaned := 0
 	for _, i := range g.idxs {
 		o, ok := s.log.get(b.ids[i])
-		if !ok || s.node.Down() {
+		if !ok || s.node.Down() || b.version != 0 && o.meta.Version != b.version {
 			b.rout[i].Err = ErrNotFound
 			continue
 		}

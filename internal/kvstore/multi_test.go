@@ -212,7 +212,7 @@ func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 					c.ReadMulti(node, batch)
 				case 4:
 					if i%12 == 4 {
-						c.Evict(key)
+						c.Evict(key, 0)
 					} else {
 						c.MigrateToBackup(key)
 					}

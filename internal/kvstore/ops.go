@@ -97,11 +97,11 @@ func (c *Cluster) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred 
 	return out
 }
 
-// MarkClean clears the Dirty bit of key's master copy and of its
-// same-version replicas.
-func (c *Cluster) MarkClean(caller simnet.NodeID, key string) error {
+// MarkClean clears the Dirty bit of key's master copy of version (at
+// 0, any copy) and of its same-version replicas, else ErrNotFound.
+func (c *Cluster) MarkClean(caller simnet.NodeID, key string, version uint64) error {
 	o := c.newOp(caller, opClean, 1)
-	o.sp, o.key[0] = trace.Span{}, key // no span
+	o.sp, o.key[0], o.b.version = trace.Span{}, key, version // no span
 	return c.wait(o)
 }
 
@@ -370,16 +370,19 @@ func (c *Cluster) recycleWaiter(w *waiter) {
 // copy lives in the RSDS). It is a local decision of the cacheAgent;
 // only coordinator bookkeeping is charged: the master fans out tiny
 // control messages to the backups, whose cost folds into the caller's
-// ack path.
-func (c *Cluster) Evict(key string) error {
+// ack path. A master copy of another version than a nonzero version
+// stays, and Evict reports ErrNotFound.
+func (c *Cluster) Evict(key string, version uint64) error {
 	p, id, ok := c.placeOf(key)
 	if !ok {
 		return ErrNotFound
 	}
-	c.places.del(id)
-	if s := c.Server(p.master); s != nil {
-		s.log.delete(id)
+	s := c.Server(p.master) // a placement names only servers' nodes
+	if o, ok := s.log.get(id); version != 0 && (!ok || o.meta.Version != version) {
+		return ErrNotFound
 	}
+	c.places.del(id)
+	s.log.delete(id)
 	for _, b := range p.backups.list() {
 		if bs := c.Server(b); bs != nil {
 			bs.backups.del(id)

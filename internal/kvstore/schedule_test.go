@@ -237,10 +237,10 @@ func seededSchedule(l *schedLog, rng *rand.Rand, n int) {
 				return fmt.Sprintf("WriteMulti(%d)%s", caller, b.String())
 			})
 		case r < 13:
-			l.run(at, func() string { return fmt.Sprintf("Evict(%s) %s", k, fmtErr(c.Evict(k))) })
+			l.run(at, func() string { return fmt.Sprintf("Evict(%s) %s", k, fmtErr(c.Evict(k, 0))) })
 		case r < 15:
 			l.run(at, func() string {
-				return fmt.Sprintf("MarkClean(%d,%s) %s", caller, k, fmtErr(c.MarkClean(caller, k)))
+				return fmt.Sprintf("MarkClean(%d,%s) %s", caller, k, fmtErr(c.MarkClean(caller, k, 0)))
 			})
 		case r < 16:
 			l.run(at, func() string { return fmt.Sprintf("MigrateToBackup(%s) %s", k, fmtErr(c.MigrateToBackup(k))) })
@@ -293,7 +293,7 @@ func reuseCase(l *schedLog, size int64, gap time.Duration, rewriter simnet.NodeI
 	})
 	l.run(lead, inflight)
 	l.run(lead+gap, func() string {
-		err := c.Evict("r")
+		err := c.Evict("r", 0)
 		v1, err1 := c.Write(2, "x", Synthetic(2<<10), nil, 2)
 		v2, err2 := c.Write(rewriter, "r", Synthetic(1<<10), nil, rewriter)
 		return fmt.Sprintf("Evict(r) %s; Write(2,x) v%d %s; Write(%d,r) v%d %s", fmtErr(err), v1, fmtErr(err1), rewriter, v2, fmtErr(err2))
@@ -349,7 +349,7 @@ var scriptedCases = []struct {
 	}},
 	{"markclean", reuseGaps, func(l *schedLog, gap time.Duration) {
 		reuseCase(l, 64<<10, gap, 1, func() string {
-			return fmt.Sprintf("MarkClean(3,r) %s", fmtErr(l.c.MarkClean(3, "r")))
+			return fmt.Sprintf("MarkClean(3,r) %s", fmtErr(l.c.MarkClean(3, "r", 0)))
 		})
 	}},
 	// A new key and an overwrite, each too large for any grant: the new

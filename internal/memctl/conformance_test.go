@@ -295,13 +295,13 @@ func TestMigrateFirstPlannerShape(t *testing.T) {
 		obj("mid", kvstore.KindIntermediate, false, 30*time.Minute),
 		obj("big#0", kvstore.KindChunk, false, time.Minute),
 	})
-	if got, want := stepKeys(plan.First), []string{"fin-clean"}; !reflect.DeepEqual(got, want) {
+	if got, want := keys(plan.First), []string{"fin-clean"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("First: got %v want %v", got, want)
 	}
-	if got, want := plan.WriteBacks, []string{"fin-dirty"}; !reflect.DeepEqual(got, want) {
+	if got, want := keys(plan.WriteBacks), []string{"fin-dirty"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("WriteBacks: got %v want %v", got, want)
 	}
-	if got, want := stepKeys(plan.Second), []string{"in-old", "mid", "in-new"}; !reflect.DeepEqual(got, want) {
+	if got, want := keys(plan.Second), []string{"in-old", "mid", "in-new"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Second: got %v want %v", got, want)
 	}
 }
@@ -341,14 +341,6 @@ func keys(objs []Object) []string {
 	out := make([]string, 0, len(objs))
 	for _, o := range objs {
 		out = append(out, o.Key)
-	}
-	return out
-}
-
-func stepKeys(steps []Step) []string {
-	out := make([]string, 0, len(steps))
-	for _, s := range steps {
-		out = append(out, s.Key)
 	}
 	return out
 }

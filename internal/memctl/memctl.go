@@ -98,16 +98,11 @@ type SlackEstimator interface {
 	Target() (target int64, ok bool)
 }
 
-// Step is one reclamation action over a single object.
-type Step struct {
-	Key  string
-	Size int64
-}
-
-// Plan is an ordered reclamation recipe. The executor walks First,
-// evicting, until its need is met; if First falls short it triggers
-// the asynchronous write-backs and then walks Second, again stopping
-// as soon as the need is met. Each Second step is a
+// Plan is an ordered reclamation recipe over census entries, each
+// acted on at the version (Meta.Version) the census listed. The
+// executor walks First, evicting, until its need is met; if First falls
+// short it triggers the asynchronous write-backs and then walks Second,
+// again stopping as soon as the need is met. Each Second step is a
 // migration-by-promotion (the backup copy is promoted to master on
 // another node, no payload transfer), with eviction when migration
 // fails. The two-phase shape preserves the paper's order — clean
@@ -115,14 +110,12 @@ type Step struct {
 // write-back, then LRU inputs by migration with eviction as last
 // resort.
 type Plan struct {
-	First []Step
+	First []Object
 	// WriteBacks lists dirty objects whose write-back the executor
 	// triggers asynchronously (they are freed later, off the critical
 	// path, and never count toward the synchronous need).
-	WriteBacks []string
-	Second     []Step
-
-	inputs []Object // PlanReclaim's scratch: the second phase's census
+	WriteBacks []Object
+	Second     []Object
 }
 
 // The policies' fixed constants, from the paper (§6.3, §6.4); no run

@@ -27,28 +27,26 @@ import (
 // an executor that keeps one Plan across reclaims allocates nothing
 // once it has planned its largest census.
 func PlanReclaim(p *Plan, census []Object) {
-	p.First, p.WriteBacks, p.Second, p.inputs = p.First[:0], p.WriteBacks[:0], p.Second[:0], p.inputs[:0]
+	p.First, p.WriteBacks, p.Second = p.First[:0], p.WriteBacks[:0], p.Second[:0]
 	for _, o := range census {
 		switch st := o.Meta.State; {
 		case st.Dirty:
-			p.WriteBacks = append(p.WriteBacks, o.Key)
+			p.WriteBacks = append(p.WriteBacks, o)
 		case st.Kind == kvstore.KindFinal:
-			p.First = append(p.First, Step{Key: o.Key, Size: o.Meta.Size})
+			p.First = append(p.First, o)
 		case st.Kind == kvstore.KindInput || st.Kind == kvstore.KindIntermediate:
-			p.inputs = append(p.inputs, o)
+			p.Second = append(p.Second, o)
 		case st.Kind == kvstore.KindChunk:
 			// A stripe is freed only whole, with its object (store.Chunked).
 		}
 	}
-	slices.SortFunc(p.First, func(a, b Step) int { return strings.Compare(a.Key, b.Key) })
-	slices.Sort(p.WriteBacks)
-	slices.SortFunc(p.inputs, func(a, b Object) int {
+	byKey := func(a, b Object) int { return strings.Compare(a.Key, b.Key) }
+	slices.SortFunc(p.First, byKey)
+	slices.SortFunc(p.WriteBacks, byKey)
+	slices.SortFunc(p.Second, func(a, b Object) int {
 		if c := cmp.Compare(a.Meta.LastAccess, b.Meta.LastAccess); c != 0 {
 			return c
 		}
-		return strings.Compare(a.Key, b.Key)
+		return byKey(a, b)
 	})
-	for _, o := range p.inputs {
-		p.Second = append(p.Second, Step{Key: o.Key, Size: o.Meta.Size})
-	}
 }

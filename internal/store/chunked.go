@@ -95,10 +95,10 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, st *State, 
 			// Abort: drop the stripes that did land, then the old object.
 			for j := range res {
 				if res[j].Err == nil {
-					c.inner.Evict(items[j].Key)
+					c.inner.Evict(items[j].Key, 0)
 				}
 			}
-			c.Evict(key)
+			c.Evict(key, 0)
 			return 0, res[i].Err
 		}
 		if r.Version > version {
@@ -112,15 +112,16 @@ func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, st *State, 
 	}
 	c.manifests[key] = m
 	for i := n; i < old.n; i++ {
-		c.inner.Evict(chunkKey(key, i))
+		c.inner.Evict(chunkKey(key, i), 0)
 	}
-	c.inner.Evict(key)
+	c.inner.Evict(key, 0)
 	return version, nil
 }
 
 // Read implements Backend: striped objects are reassembled through the
 // batch path; a missing stripe fails the whole read (the caller falls
-// back to the RSDS, as for any miss).
+// back to the RSDS, as for any miss). Its Meta is the manifest the read
+// began with, so a fence at that version misses a rewrite meanwhile.
 func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	m, ok := c.manifests[key]
 	if !ok {
@@ -137,42 +138,41 @@ func (c *Chunked) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 		}
 		total += r.Blob.Size
 	}
-	return Blob{Size: total}, c.synthMeta(key), nil
-}
-
-// synthMeta builds the logical metadata of a striped object from its
-// manifest.
-func (c *Chunked) synthMeta(key string) Meta {
-	m := c.manifests[key]
-	return Meta{Size: m.size, Version: m.version, State: m.state}
+	return Blob{Size: total}, Meta{Size: m.size, Version: m.version, State: m.state}, nil
 }
 
 // MarkClean implements Backend: a striped object's State lives in its
-// manifest, where the proxy's dirty-bit clears land.
-func (c *Chunked) MarkClean(caller simnet.NodeID, key string) error {
+// manifest, whose version the fence checks.
+func (c *Chunked) MarkClean(caller simnet.NodeID, key string, version uint64) error {
 	if m, ok := c.manifests[key]; ok {
+		if version != 0 && m.version != version {
+			return ErrNotFound
+		}
 		m.state.Dirty = false
 		c.manifests[key] = m
 		return nil
 	}
-	return c.inner.MarkClean(caller, key)
+	return c.inner.MarkClean(caller, key, version)
 }
 
 // dropStripes evicts every stripe of key and forgets the manifest.
 func (c *Chunked) dropStripes(key string, n int) {
 	for i := 0; i < n; i++ {
-		c.inner.Evict(chunkKey(key, i))
+		c.inner.Evict(chunkKey(key, i), 0)
 	}
 	delete(c.manifests, key)
 }
 
 // Evict implements Backend: evicting a striped object drops every
 // stripe (pipeline cleanup, final-output discard, external
-// invalidation).
-func (c *Chunked) Evict(key string) error {
+// invalidation), fenced at the manifest's version.
+func (c *Chunked) Evict(key string, version uint64) error {
 	if m, ok := c.manifests[key]; ok {
+		if version != 0 && m.version != version {
+			return ErrNotFound
+		}
 		c.dropStripes(key, m.n)
 		return nil
 	}
-	return c.inner.Evict(key)
+	return c.inner.Evict(key, version)
 }

@@ -101,39 +101,59 @@ func testOverwriteVersions(t *testing.T, env *sim.Env, b store.Backend, caller s
 }
 
 // testState: a cache tier reads back the State an object was written
-// with, and MarkClean clears only its Dirty bit; a durable tier keeps
-// no State, so it reads the zero one, and MarkClean succeeds.
+// with, and MarkClean clears only its Dirty bit, of the version it
+// names or, at 0, of whatever copy is there; at a stale version it
+// reports ErrNotFound and clears nothing. A durable tier keeps no
+// State, so it reads the zero one, and MarkClean succeeds.
 func testState(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID, traits Traits) {
 	st := store.State{Kind: kvstore.KindFinal, Dirty: true, PersistVersion: 7}
-	mustWrite(t, b, caller, "c/t", 1<<10, &st)
-	check := func(step string, want store.State) {
+	old := mustWrite(t, b, caller, "c/t", 1<<10, &st)
+	check := func(step string, err, wantErr error, want store.State) {
+		t.Helper()
 		if !traits.CacheTier {
-			want = store.State{}
+			wantErr, want = nil, store.State{}
 		}
-		if _, meta, err := b.Read(caller, "c/t"); err != nil || meta.State != want {
-			t.Fatalf("after %s: err %v, state %+v, want %+v", step, err, meta.State, want)
+		if _, meta, rerr := b.Read(caller, "c/t"); !errors.Is(err, wantErr) || rerr != nil || meta.State != want {
+			t.Fatalf("after %s: err %v (want %v), read err %v, state %+v (want %+v)", step, err, wantErr, rerr, meta.State, want)
 		}
 	}
-	check("write", st)
-	if err := b.MarkClean(caller, "c/t"); err != nil {
-		t.Fatalf("mark clean: %v", err)
+	for _, at := range []string{"its version", "version 0"} {
+		st.Dirty = true
+		v := mustWrite(t, b, caller, "c/t", 1<<10, &st)
+		check("write", nil, nil, st)
+		check("MarkClean at a stale version", b.MarkClean(caller, "c/t", old), store.ErrNotFound, st)
+		if at == "version 0" {
+			v = 0
+		}
+		st.Dirty = false
+		check("MarkClean at "+at, b.MarkClean(caller, "c/t", v), nil, st)
 	}
-	st.Dirty = false
-	check("MarkClean", st)
 }
 
+// testEvict: a cache tier forgets an object evicted at its version or
+// at 0, and an Evict at a stale version reports ErrNotFound and drops
+// nothing. A durable tier drops nothing.
 func testEvict(t *testing.T, env *sim.Env, b store.Backend, caller simnet.NodeID, traits Traits) {
-	mustWrite(t, b, caller, "c/e", 1<<10, nil)
-	if err := b.Evict("c/e"); err != nil {
-		t.Fatalf("evict: %v", err)
-	}
-	_, _, err := b.Read(caller, "c/e")
+	var gone error // a read after an eviction
 	if traits.CacheTier {
-		if !errors.Is(err, store.ErrNotFound) {
-			t.Fatalf("cache tier: read after evict err %v, want ErrNotFound", err)
+		gone = store.ErrNotFound
+	}
+	old := mustWrite(t, b, caller, "c/e", 1<<10, nil)
+	cur := mustWrite(t, b, caller, "c/e", 1<<10, nil)
+	if err := b.Evict("c/e", old); !errors.Is(err, gone) {
+		t.Fatalf("evict at a stale version: err %v, want %v", err, gone)
+	}
+	for _, v := range []uint64{cur, 0} {
+		if _, _, err := b.Read(caller, "c/e"); err != nil {
+			t.Fatalf("read before evict at %d: %v", v, err)
 		}
-	} else if err != nil {
-		t.Fatalf("durable tier: evict must not lose data, read err %v", err)
+		if err := b.Evict("c/e", v); err != nil {
+			t.Fatalf("evict at %d: %v", v, err)
+		}
+		if _, _, err := b.Read(caller, "c/e"); !errors.Is(err, gone) {
+			t.Fatalf("read after evict at %d: err %v, want %v", v, err, gone)
+		}
+		mustWrite(t, b, caller, "c/e", 1<<10, nil)
 	}
 }
 

@@ -26,13 +26,14 @@ type OpStats struct {
 	BatchReadKeys int64
 }
 
-// Instrumented counts every operation crossing the backend boundary.
+// Instrumented counts every Read and Write crossing the backend
+// boundary; the other verbs pass through to the embedded inner backend.
 // It sits at the top of the middleware stack, so its numbers include
 // whatever the layers below expand (e.g. one logical read of a striped
 // object shows up as one Read here and N batch keys below).
 type Instrumented struct {
-	inner Backend
-	env   *sim.Env
+	Backend
+	env *sim.Env
 
 	s   OpStats
 	lat []time.Duration
@@ -47,7 +48,7 @@ const latencyWindow = 512
 // NewInstrumented wraps inner with operation counters and per-op
 // latency tracking against env's virtual clock.
 func NewInstrumented(env *sim.Env, inner Backend) *Instrumented {
-	return &Instrumented{inner: inner, env: env}
+	return &Instrumented{Backend: inner, env: env}
 }
 
 // Stats snapshots the counters.
@@ -74,7 +75,7 @@ func (n *Instrumented) observe(d time.Duration) {
 
 func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	start := n.env.Now()
-	blob, meta, err := n.inner.Read(caller, key)
+	blob, meta, err := n.Backend.Read(caller, key)
 	n.s.Reads++
 	if err != nil {
 		n.s.ReadErrs++
@@ -85,7 +86,7 @@ func (n *Instrumented) Read(caller simnet.NodeID, key string) (Blob, Meta, error
 
 func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error) {
 	start := n.env.Now()
-	ver, err := n.inner.Write(caller, key, blob, st, preferred)
+	ver, err := n.Backend.Write(caller, key, blob, st, preferred)
 	n.s.Writes++
 	if err != nil {
 		n.s.WriteErrs++
@@ -93,11 +94,3 @@ func (n *Instrumented) Write(caller simnet.NodeID, key string, blob Blob, st *St
 	n.observe(n.env.Now() - start)
 	return ver, err
 }
-
-func (n *Instrumented) MarkClean(caller simnet.NodeID, key string) error {
-	return n.inner.MarkClean(caller, key)
-}
-
-func (n *Instrumented) Evict(key string) error { return n.inner.Evict(key) }
-
-func (n *Instrumented) MaxObjectSize() int64 { return n.inner.MaxObjectSize() }

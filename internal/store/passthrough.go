@@ -48,12 +48,12 @@ func (p *Passthrough) Write(caller simnet.NodeID, key string, blob Blob, _ *Stat
 }
 
 // MarkClean implements Backend: nothing is dirty, so there is nothing
-// to clear. Always succeeds.
-func (p *Passthrough) MarkClean(simnet.NodeID, string) error { return nil }
+// to clear, at any version. Always succeeds.
+func (p *Passthrough) MarkClean(simnet.NodeID, string, uint64) error { return nil }
 
 // Evict implements Backend: nothing is cached, so there is nothing to
-// drop. Always succeeds.
-func (p *Passthrough) Evict(key string) error { return nil }
+// drop, at any version. Always succeeds.
+func (p *Passthrough) Evict(string, uint64) error { return nil }
 
 // MaxObjectSize implements Backend: the RSDS takes any size.
 func (p *Passthrough) MaxObjectSize() int64 { return math.MaxInt64 }

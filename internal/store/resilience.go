@@ -334,11 +334,11 @@ func (r *Resilient) Write(caller simnet.NodeID, key string, blob Blob, st *State
 // (Evict), a tiny control message whose failure the callers already
 // tolerate (MarkClean), or batch paths with their own failure semantics.
 
-func (r *Resilient) MarkClean(caller simnet.NodeID, key string) error {
-	return r.inner.MarkClean(caller, key)
+func (r *Resilient) MarkClean(caller simnet.NodeID, key string, version uint64) error {
+	return r.inner.MarkClean(caller, key, version)
 }
 
-func (r *Resilient) Evict(key string) error { return r.inner.Evict(key) }
+func (r *Resilient) Evict(key string, version uint64) error { return r.inner.Evict(key, version) }
 
 func (r *Resilient) MaxObjectSize() int64 { return r.inner.MaxObjectSize() }
 

@@ -35,13 +35,14 @@ var ErrNotFound = kvstore.ErrNotFound
 // Backend is the data-plane contract: per-object reads and writes with
 // caller locality and each object's State (nil writes the zero State),
 // which a cache tier keeps and MarkClean clears the Dirty bit of, and an
-// explicit cache-tier Evict. Durable backends keep no State, and their
-// MarkClean and Evict are no-ops.
+// explicit cache-tier Evict, both at the version (Meta.Version) they
+// name, else ErrNotFound, or at 0 on any copy. Durable backends keep no
+// State, and their MarkClean and Evict are no-ops.
 type Backend interface {
 	Read(caller simnet.NodeID, key string) (Blob, Meta, error)
 	Write(caller simnet.NodeID, key string, blob Blob, st *State, preferred simnet.NodeID) (uint64, error)
-	MarkClean(caller simnet.NodeID, key string) error
-	Evict(key string) error
+	MarkClean(caller simnet.NodeID, key string, version uint64) error
+	Evict(key string, version uint64) error
 	// MaxObjectSize is the per-object ceiling; larger payloads must be
 	// handled above the backend (bypass or chunking middleware).
 	MaxObjectSize() int64
@@ -88,6 +89,6 @@ type MemoryView interface {
 	// Objects appends node's census to dst and returns the extended
 	// slice.
 	Objects(dst []ObjectInfo, node simnet.NodeID) []ObjectInfo
-	Evict(key string) error
+	Evict(key string, version uint64) error
 	MigrateToBackup(key string) error
 }

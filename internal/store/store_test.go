@@ -61,8 +61,9 @@ func TestMiddlewareStackConformance(t *testing.T) {
 
 // TestChunkedStriping checks the striping middleware end to end:
 // oversized writes land as "key#i" stripes of KindChunk, reads
-// reassemble, the object's State rides the manifest, and Evict drops
-// every stripe. A striped
+// reassemble, the object's State rides the manifest, MarkClean and
+// Evict act only at the manifest's version, and Evict drops every
+// stripe. A striped
 // overwrite leaves nothing of the old object in the cache: not the
 // surplus stripes of a longer one, not a plain copy, and not the old
 // object when the overwrite fails.
@@ -91,14 +92,22 @@ func TestChunkedStriping(t *testing.T) {
 		if _, stripe, err := kv.Read(caller, "big/obj#0"); err != nil || stripe.State != (store.State{Kind: kvstore.KindChunk}) {
 			t.Fatalf("stripe state %+v, err %v: want a clean KindChunk", stripe.State, err)
 		}
-		if err := ch.MarkClean(caller, "big/obj"); err != nil {
+		// A fence at another version than the manifest's changes nothing.
+		stale := meta.Version - 1
+		if err := errors.Join(ch.MarkClean(caller, "big/obj", stale), ch.Evict("big/obj", stale)); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("MarkClean and Evict at a stale version: %v, want ErrNotFound", err)
+		}
+		if _, m, err := ch.Read(caller, "big/obj"); err != nil || m.State != st {
+			t.Fatalf("after the stale fences: err %v, state %+v, want %+v", err, m.State, st)
+		}
+		if err := ch.MarkClean(caller, "big/obj", meta.Version); err != nil {
 			t.Fatalf("mark clean: %v", err)
 		}
 		st.Dirty = false
 		if _, meta, _ = ch.Read(caller, "big/obj"); meta.State != st {
 			t.Fatalf("manifest state after MarkClean %+v, want %+v", meta.State, st)
 		}
-		if err := ch.Evict("big/obj"); err != nil {
+		if err := ch.Evict("big/obj", meta.Version); err != nil {
 			t.Fatalf("evict: %v", err)
 		}
 		for i := 0; i < 4; i++ {
@@ -125,7 +134,7 @@ func TestChunkedStriping(t *testing.T) {
 		}
 		// A plain object, then a striped one: once the manifest is
 		// evicted, the plain copy must not be served.
-		if err := errors.Join(write("b", 1<<20), write("b", 25<<20), ch.Evict("b")); err != nil {
+		if err := errors.Join(write("b", 1<<20), write("b", 25<<20), ch.Evict("b", 0)); err != nil {
 			t.Fatalf("plain then striped: %v", err)
 		}
 		if blob, meta, err := ch.Read(caller, "b"); err == nil {
@@ -145,7 +154,7 @@ func TestChunkedStriping(t *testing.T) {
 			t.Errorf("failed overwrite left the old %d-byte object readable", blob.Size)
 		}
 		for _, k := range []string{"a", "b", "c"} {
-			ch.Evict(k)
+			ch.Evict(k, 0)
 		}
 		if used := kv.TotalUsed(); used != 0 {
 			t.Errorf("%d bytes stay mastered after every key is evicted", used)
