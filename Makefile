@@ -44,8 +44,8 @@ test-cover:
 		-floor ofc/internal/trace=70 \
 		-floor ofc/internal/core=80 \
 		-floor ofc/internal/faas=85 \
-		-floor ofc/internal/kvstore=90 \
-		-floor ofc/internal/store=91 \
+		-floor ofc/internal/kvstore=95 \
+		-floor ofc/internal/store=93 \
 		-floor ofc/internal/memctl=83 \
 		-floor ofc/internal/sim=92 \
 		-floor ofc/internal/simnet=93 \

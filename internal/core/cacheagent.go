@@ -291,8 +291,10 @@ func (a *CacheAgent) freeBytes(toFree int64) (migrated, evicted int) {
 		if toFree <= 0 {
 			break
 		}
-		switch {
-		case a.kv.MigrateToBackup(o.Key) == nil:
+		// A promotion refused because the key moved, went or changed
+		// meanwhile (ErrMoved) counts as done: the listed copy is gone.
+		switch err := a.kv.MigrateToBackup(o.Key, o.Meta.Version); {
+		case err == nil || errors.Is(err, kvstore.ErrMoved):
 			migrated++
 			a.metrics.Migrations++
 			a.pol.Eviction.Forget(o.Key)

@@ -94,7 +94,7 @@ func AblationMigration(seed int64) *Table {
 			}
 			start := sys.Env.Now()
 			for _, k := range keys {
-				if err := sys.KV.MigrateToBackup(k); err != nil {
+				if err := sys.KV.MigrateToBackup(k, 0); err != nil {
 					panic(err)
 				}
 			}

@@ -183,7 +183,7 @@ func Constants(seed int64) *Table {
 		}
 		d3.Sys.KV.Write(d3.Sys.CtrlNode, "c/promo", kvstore.Synthetic(8<<20), nil, d3.Workers[0])
 		start := d3.Env.Now()
-		if err := d3.Sys.KV.MigrateToBackup("c/promo"); err != nil {
+		if err := d3.Sys.KV.MigrateToBackup("c/promo", 0); err != nil {
 			panic(err)
 		}
 		promo = time.Duration(d3.Env.Now() - start)

@@ -133,7 +133,7 @@ func MigrationSeries(seed int64) (*Table, map[int64]time.Duration) {
 			}
 			start := sys.Env.Now()
 			for _, k := range keys {
-				if err := sys.KV.MigrateToBackup(k); err != nil {
+				if err := sys.KV.MigrateToBackup(k, 0); err != nil {
 					panic(err)
 				}
 			}

@@ -291,6 +291,10 @@ func refWriteGroup(c *Cluster, caller, master simnet.NodeID, items []WriteItem, 
 	var acc []refItem
 	for _, i := range idxs {
 		it := items[i]
+		if p, ok := c.places.lookupKey(it.Key); !ok || p.master != master {
+			out[i].Err = ErrMoved
+			continue
+		}
 		old, existed := s.log.getKey(it.Key)
 		delta := it.Blob.Size
 		if existed {

@@ -353,7 +353,7 @@ func BenchmarkMigrateToBackup(b *testing.B) {
 	env.Go(func() {
 		c.Write(1, "k", Synthetic(8<<20), nil, 1)
 		for i := 0; i < b.N; i++ {
-			if err := c.MigrateToBackup("k"); err != nil {
+			if err := c.MigrateToBackup("k", 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -183,7 +183,7 @@ func TestDemotedMasterCopySurvivesRestart(t *testing.T) {
 		}
 		p, _ := c.places.lookupKey("k")
 		old := p.master
-		if err := c.MigrateToBackup("k"); err != nil {
+		if err := c.MigrateToBackup("k", 0); err != nil {
 			t.Fatal(err)
 		}
 		env.Sleep(time.Second) // every disk flush has landed

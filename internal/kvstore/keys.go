@@ -17,7 +17,8 @@ package kvstore
 // new key takes it, so the tables stay as large as the live key set,
 // not the run. While anything holds an id the key keeps it: a key
 // evicted and rewritten under a step in flight is the same id, and the
-// step sees the key's new copy, as a lookup by string would.
+// step sees the key's new copy, as a lookup by string would, and
+// refuses to act on it (ErrMoved: install's fence, group.log's check).
 
 // objID is a key's id in its cluster's keyTable.
 type objID int32

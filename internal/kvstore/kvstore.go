@@ -87,6 +87,9 @@ var (
 	ErrCrashed       = errors.New("kvstore: server crashed")
 	ErrNoSuchServer  = errors.New("kvstore: node hosts no storage server")
 	ErrNotEnoughSrvs = errors.New("kvstore: not enough live servers for replication")
+	// ErrMoved refuses a move or a write whose key was moved, rewritten
+	// or dropped since the step read its placement.
+	ErrMoved = errors.New("kvstore: key moved since the step read its placement")
 )
 
 // The store's timing and sizing constants, calibrated to the paper's

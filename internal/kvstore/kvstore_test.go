@@ -186,7 +186,7 @@ func TestMigrateToBackupNoTransfer(t *testing.T) {
 		c.Write(1, "k", Synthetic(8<<20), nil, 1)
 		sentBefore, _, _, _ := net.Node(1).Stats()
 		start := env.Now()
-		if err := c.MigrateToBackup("k"); err != nil {
+		if err := c.MigrateToBackup("k", 0); err != nil {
 			t.Fatalf("migrate: %v", err)
 		}
 		took := env.Now() - start
@@ -561,7 +561,7 @@ func TestMigrateToBackupNeedsRoomAtDest(t *testing.T) {
 				c.SetMemoryLimit(i, 0)
 			}
 		}
-		if err := c.MigrateToBackup("k"); !errors.Is(err, ErrNotEnoughSrvs) {
+		if err := c.MigrateToBackup("k", 0); !errors.Is(err, ErrNotEnoughSrvs) {
 			t.Errorf("err=%v, want ErrNotEnoughSrvs", err)
 		}
 	})
@@ -584,7 +584,7 @@ func TestPromotionFromDiskAfterFlush(t *testing.T) {
 			c.Restart(i)
 		}
 		start := env.Now()
-		if err := c.MigrateToBackup("k"); err != nil {
+		if err := c.MigrateToBackup("k", 0); err != nil {
 			t.Fatalf("migrate from disk: %v", err)
 		}
 		took := env.Now() - start

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"time"
@@ -19,23 +20,26 @@ func (c *Cluster) promotionTime(size int64) time.Duration {
 // MigrateToBackup is OFC's optimized migration (§6.4): elect a new
 // master among the nodes already holding a backup replica of key, load
 // the object there from the local replica, and demote the old master
-// to backup. No inter-node transfer of the payload occurs.
-func (c *Cluster) MigrateToBackup(key string) error {
+// to backup. No inter-node transfer of the payload occurs. A master
+// copy of another version than a nonzero version stays, and
+// MigrateToBackup reports ErrNotFound; one that changes while the
+// promotion sleeps stays too, and it reports ErrMoved (see install).
+func (c *Cluster) MigrateToBackup(key string, version uint64) error {
 	p, id, ok := c.placeOf(key)
 	if !ok {
+		return ErrNotFound
+	}
+	var size int64
+	o, found := c.Server(p.master).log.get(id) // a placement names only servers' nodes
+	if found {
+		size = o.meta.Size
+	}
+	if version != 0 && (!found || o.meta.Version != version) {
 		return ErrNotFound
 	}
 	// Elect the backup with the most free master memory.
 	var dest simnet.NodeID = -1
 	var bestFree int64 = -1
-	oldMaster := p.master
-	ms := c.Server(oldMaster)
-	var size int64
-	if ms != nil {
-		if o, found := ms.log.get(id); found {
-			size = o.meta.Size
-		}
-	}
 	for _, b := range p.backups.list() {
 		s := c.Server(b)
 		if s == nil || s.node.Down() {
@@ -51,35 +55,21 @@ func (c *Cluster) MigrateToBackup(key string) error {
 	return c.promote(id, dest, true)
 }
 
-// promote makes dest the master of id's key, sourcing the payload from
-// dest's buffered backup replica. When demoteOld is set, the previous
-// master keeps a backup copy (so the replication factor is preserved
-// without any transfer); otherwise the old master is gone (crash
-// recovery). It holds id across its sleeps.
-func (c *Cluster) promote(id objID, dest simnet.NodeID, demoteOld bool) error {
+// promote makes dest the master of id's key from dest's replica, with
+// the master's metadata, or the replica's own where the master lost its
+// copy: a replica carries version and State, the dirty flag included,
+// so no acknowledged write loses its identity. demote keeps the old
+// master as a backup; recovery does not. It holds id across its sleeps.
+func (c *Cluster) promote(id objID, dest simnet.NodeID, demote bool) error {
 	c.keys.hold(id)
 	defer c.keys.release(id)
 	p, ok := c.places.get(id)
 	if !ok {
 		return ErrNotFound
 	}
-	oldMaster := p.master
-	ms := c.Server(oldMaster)
 	ds := c.Server(dest)
 	if ds == nil {
 		return ErrNoSuchServer
-	}
-
-	// Grab the object state from the old master (meta) and the payload
-	// from dest's local replica.
-	var obj *object
-	var alive bool
-	if ms != nil {
-		alive = !ms.node.Down()
-		if o, found := ms.log.get(id); found {
-			cp := *o
-			obj = &cp
-		}
 	}
 	rep, buffered := ds.backups.get(id)
 	var onDisk bool
@@ -89,17 +79,10 @@ func (c *Cluster) promote(id objID, dest simnet.NodeID, demoteOld bool) error {
 	if !buffered && !onDisk {
 		return ErrNotFound
 	}
-	blob := rep.blob
-	if obj == nil {
-		// Old master lost the in-memory copy (crash): rebuild from the
-		// replica's own metadata, which carries version and State —
-		// including the write-back dirty flag — so no acknowledged
-		// write loses its identity.
-		m := rep.meta
-		if m.Size == 0 {
-			m.Size = blob.Size
-		}
-		obj = &object{blob: blob, meta: m}
+	ms := c.Server(p.master)
+	f := fence{master: p.master, version: ms.liveVersion(id)}
+	if o, found := ms.log.get(id); found {
+		rep.meta = o.meta
 	}
 
 	// Control RPC old->coordinator->dest, then local rebuild at dest.
@@ -107,44 +90,10 @@ func (c *Cluster) promote(id objID, dest simnet.NodeID, demoteOld bool) error {
 	if !buffered {
 		// The replica was already flushed: reload it from disk first
 		// (the slow path RAMCloud's buffered segments usually avoid).
-		ds.node.DiskRead(obj.meta.Size)
+		ds.node.DiskRead(rep.meta.Size)
 	}
-	c.env().Sleep(c.promotionTime(obj.meta.Size))
-
-	if ds.node.Down() {
-		return ErrCrashed
-	}
-	ds.log.put(id, &object{blob: blob, meta: obj.meta})
-	ds.backups.del(id)
-	ds.disk.del(id)
-
-	if ms != nil && alive {
-		ms.log.delete(id)
-		if demoteOld {
-			ms.backups.set(id, object{blob: blob, meta: obj.meta})
-			// The old master's copy goes to its disk, off the critical
-			// path; once written it survives a restart, as a backup's
-			// flushed replica does.
-			c.flush(ms, id, obj.meta)
-		}
-	}
-
-	// Update placement: dest becomes master; old master replaces dest
-	// in the backup list (if demoted).
-	if p := c.places.at(id); p != nil {
-		old := p.backups
-		p.master, p.backups = dest, backupSet{}
-		for _, b := range old.list() {
-			if b != dest {
-				p.backups.add(b)
-			} else if demoteOld && alive {
-				p.backups.add(oldMaster)
-			}
-		}
-	}
-
-	c.stats.Promotions++
-	return nil
+	c.env().Sleep(c.promotionTime(rep.meta.Size))
+	return c.install(id, dest, rep, f, demote, &c.stats.Promotions)
 }
 
 // MigrateFull is the baseline migration RAMCloud performs natively:
@@ -156,34 +105,78 @@ func (c *Cluster) MigrateFull(key string, dest simnet.NodeID) error {
 	if !ok {
 		return ErrNotFound
 	}
-	ms := c.Server(p.master)
-	ds := c.Server(dest)
-	if ms == nil || ds == nil {
+	ms, ds := c.Server(p.master), c.Server(dest)
+	if ds == nil {
 		return ErrNoSuchServer
 	}
 	o, found := ms.log.get(id)
 	if !found || ms.node.Down() {
 		return ErrNotFound
 	}
-	cp := *o
-
+	obj := *o
 	c.keys.hold(id) // across the copy's sleeps
 	defer c.keys.release(id)
-	c.net.Transfer(p.master, dest, cp.meta.Size+controlMsgSize)
-	c.env().Sleep(c.memCopyTime(cp.meta.Size))
+	c.net.Transfer(p.master, dest, obj.meta.Size+controlMsgSize)
+	c.env().Sleep(c.memCopyTime(obj.meta.Size))
+	return c.install(id, dest, obj, fence{master: p.master, version: obj.meta.Version}, false, &c.stats.FullMoves)
+}
 
+// fence is what a move read of its key before sleeping: the master the
+// placement named and the version of that master's live copy.
+type fence struct {
+	master  simnet.NodeID
+	version uint64
+}
+
+// liveVersion is the version of id's master copy on s, or 0 when s
+// holds none or is down (recovery rebuilds that copy; a restart drops it).
+func (s *Server) liveVersion(id objID) uint64 {
+	if o, found := s.log.get(id); found && !s.node.Down() {
+		return o.meta.Version
+	}
+	return 0
+}
+
+// install ends a move of id's key once its sleep is over: obj becomes
+// the master copy on dest, and moves counts it. It acts only if the key
+// is still as the move read it, its placement naming f.master and that
+// master's copy at f.version; otherwise a write, an eviction or another
+// move landed during the sleep, and it changes nothing and reports
+// ErrMoved. The old master, if up, drops its copy, and keeps it as a
+// backup replica when demote is set (flushed to its disk off the
+// critical path, so it survives a restart as a backup's replica does).
+// dest leaves the backup list and drops its replicas; the demoted
+// master takes its slot.
+func (c *Cluster) install(id objID, dest simnet.NodeID, obj object, f fence, demote bool, moves *int64) error {
+	ds, ms := c.Server(dest), c.Server(f.master)
 	if ds.node.Down() {
 		return ErrCrashed
 	}
-	ds.log.put(id, &object{blob: cp.blob, meta: cp.meta})
-
-	ms.log.delete(id)
-
-	if p := c.places.at(id); p != nil {
-		p.master = dest
+	p := c.places.at(id)
+	if p == nil || p.master != f.master || ms.liveVersion(id) != f.version {
+		return ErrMoved
 	}
-
-	c.stats.FullMoves++
+	alive := !ms.node.Down()
+	if alive {
+		ms.log.delete(id)
+		if demote {
+			ms.backups.set(id, obj)
+			c.flush(ms, id, obj.meta)
+		}
+	}
+	ds.log.put(id, &obj)
+	ds.backups.del(id)
+	ds.disk.del(id)
+	old := p.backups
+	p.master, p.backups = dest, backupSet{}
+	for _, b := range old.list() {
+		if b != dest {
+			p.backups.add(b)
+		} else if demote && alive {
+			p.backups.add(f.master)
+		}
+	}
+	*moves++
 	return nil
 }
 
@@ -263,22 +256,15 @@ func (c *Cluster) recoverCrashed(crashed simnet.NodeID, withDetect bool) (int, t
 }
 
 // recoverOne re-masters id's key, if it is still placed, on the first
-// of its backups that is up and holds a replica; it reports whether the
-// promotion succeeded.
+// of its backups that is up and holds a replica (promote finds none
+// elsewhere); it reports whether the promotion succeeded.
 func (c *Cluster) recoverOne(id objID) bool {
-	p, ok := c.places.get(id)
-	if !ok {
-		return false
-	}
+	p, _ := c.places.get(id)
 	for _, b := range p.backups.list() {
-		s := c.Server(b)
-		if s == nil || s.node.Down() {
-			continue
-		}
-		_, buffered := s.backups.get(id)
-		_, onDisk := s.disk.get(id)
-		if buffered || onDisk {
-			return c.promote(id, b, false) == nil
+		if s := c.Server(b); s != nil && !s.node.Down() {
+			if err := c.promote(id, b, false); !errors.Is(err, ErrNotFound) {
+				return err == nil
+			}
 		}
 	}
 	return false

@@ -215,7 +215,8 @@ func (g *group) payloadArrived(err error) {
 
 // log is the master-side processing: unless the master crashed
 // meanwhile, every item that fits its grant is logged, and the cleaner
-// runs if the log outgrew the grant.
+// runs if the log outgrew the grant. An item whose placement is gone or
+// names another master is refused (ErrMoved), and drops no placement.
 func (g *group) log() {
 	c, b, s := g.c, g.b, g.s
 	if s.node.Down() {
@@ -228,6 +229,10 @@ func (g *group) log() {
 	now := c.env().Now()
 	for _, i := range g.idxs {
 		it, id := b.items[i], b.ids[i]
+		if p := c.places.at(id); p == nil || p.master != g.master {
+			b.wout[i].Err = ErrMoved
+			continue
+		}
 		old, existed := s.log.get(id)
 		delta := it.Blob.Size
 		if existed {

@@ -214,7 +214,7 @@ func TestCoordinatorCoherentUnderInterleaving(t *testing.T) {
 					if i%12 == 4 {
 						c.Evict(key, 0)
 					} else {
-						c.MigrateToBackup(key)
+						c.MigrateToBackup(key, 0)
 					}
 				case 5:
 					items := []WriteItem{

@@ -243,7 +243,7 @@ func seededSchedule(l *schedLog, rng *rand.Rand, n int) {
 				return fmt.Sprintf("MarkClean(%d,%s) %s", caller, k, fmtErr(c.MarkClean(caller, k, 0)))
 			})
 		case r < 16:
-			l.run(at, func() string { return fmt.Sprintf("MigrateToBackup(%s) %s", k, fmtErr(c.MigrateToBackup(k))) })
+			l.run(at, func() string { return fmt.Sprintf("MigrateToBackup(%s) %s", k, fmtErr(c.MigrateToBackup(k, 0))) })
 		case r < 17:
 			dest := simnet.NodeID(rng.Intn(4))
 			l.run(at, func() string {
@@ -339,7 +339,7 @@ var scriptedCases = []struct {
 	}},
 	{"promotion", reuseGaps, func(l *schedLog, gap time.Duration) {
 		reuseCase(l, 2<<20, gap, 1, func() string {
-			return fmt.Sprintf("MigrateToBackup(r) %s", fmtErr(l.c.MigrateToBackup("r")))
+			return fmt.Sprintf("MigrateToBackup(r) %s", fmtErr(l.c.MigrateToBackup("r", 0)))
 		})
 	}},
 	{"fullmove", reuseGaps, func(l *schedLog, gap time.Duration) {
@@ -386,31 +386,35 @@ var scriptedCases = []struct {
 
 // TestScheduleGolden runs two seeded schedules of 120 operations and
 // every scripted case at each of its gaps, and compares the text with
-// testdata/schedule.golden (regenerate with OFC_REGEN_GOLDEN=1). After
-// every step the interned keys must agree with the tables, and once a
-// run has drained, every reference must belong to a table entry.
+// testdata/schedule.golden (regenerate with OFC_REGEN_GOLDEN=1). Each
+// case is a subtest named as its header there. After every step the
+// interned keys must agree with the tables and the placements with the
+// master copies (checkKeyTable), and once a run has drained, every
+// reference must belong to a table entry.
 func TestScheduleGolden(t *testing.T) {
 	var out strings.Builder
-	newLog := func() *schedLog {
-		env := sim.NewEnv(1)
-		c, _ := newSchedCluster(env)
-		return &schedLog{t: t, env: env, c: c}
+	// runCase runs one case as a subtest, named as its golden header.
+	runCase := func(name string, schedule func(l *schedLog)) {
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			c, _ := newSchedCluster(env)
+			l := &schedLog{t: t, env: env, c: c}
+			schedule(l)
+			l.env.Run()
+			checkKeyTable(t, l.c, true)
+			fmt.Fprintf(&out, "== %s: %d events\n%s", name, l.env.Events(), l.b.String())
+		})
 	}
 	for _, seed := range []int64{1, 2} {
-		l := newLog()
-		seededSchedule(l, rand.New(rand.NewSource(seed)), 120)
-		l.env.Run()
-		checkKeyTable(t, l.c, true)
-		fmt.Fprintf(&out, "== seed %d: %d events\n%s", seed, l.env.Events(), l.b.String())
+		runCase(fmt.Sprintf("seed %d", seed), func(l *schedLog) { seededSchedule(l, rand.New(rand.NewSource(seed)), 120) })
 	}
 	for _, sc := range scriptedCases {
 		for _, gap := range sc.gaps {
-			l := newLog()
-			sc.run(l, gap)
-			l.env.Run()
-			checkKeyTable(t, l.c, true)
-			fmt.Fprintf(&out, "== %s, gap %v: %d events\n%s", sc.name, gap, l.env.Events(), l.b.String())
+			runCase(fmt.Sprintf("%s, gap %v", sc.name, gap), func(l *schedLog) { sc.run(l, gap) })
 		}
+	}
+	if t.Failed() {
+		return
 	}
 	const golden = "testdata/schedule.golden"
 	if os.Getenv("OFC_REGEN_GOLDEN") != "" {

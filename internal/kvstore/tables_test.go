@@ -83,9 +83,26 @@ func (c *Cluster) placeKey(key string, size int64, preferred simnet.NodeID) (pla
 // checkKeyTable fails t unless every id c has interned names its key
 // and is held by at least the table entries that carry it, exactly
 // those when exact (nothing is in flight), and every free id is
-// unnamed and unheld.
+// unnamed and unheld; and unless the placements agree with the copies:
+// every master copy on a live server is its key's placed master, and
+// no placement lists its master among its backups.
 func checkKeyTable(t *testing.T, c *Cluster, exact bool) {
 	t.Helper()
+	for node, s := range c.servers {
+		if s == nil || s.node.Down() {
+			continue
+		}
+		s.log.each(func(id objID, o *object) {
+			if p := c.places.at(id); p == nil || p.master != simnet.NodeID(node) {
+				t.Fatalf("%q: master copy v%d on s%d, placement %+v", c.keys.name(id), o.meta.Version, node, p)
+			}
+		})
+	}
+	c.places.each(func(id objID, p *placement) {
+		if slices.Contains(p.backups.list(), p.master) {
+			t.Fatalf("%q: master %d among its backups %v", c.keys.name(id), p.master, p.backups.list())
+		}
+	})
 	refs := make([]int32, len(c.keys.names))
 	c.places.each(func(id objID, _ *placement) { refs[id]++ })
 	for _, s := range c.servers {

@@ -82,13 +82,13 @@ type PlacementView interface {
 
 // MemoryView is the elasticity-control view the cache agents (§6.4)
 // need: per-node usage against the grant, object census and the two
-// reclamation verbs. The grant itself is the node's (simnet.Node), so
-// the view has no verb to set it.
+// reclamation verbs, at the census version (0: any copy). The grant is
+// the node's (simnet.Node), so the view has no verb to set it.
 type MemoryView interface {
 	Usage(node simnet.NodeID) (used, limit int64)
 	// Objects appends node's census to dst and returns the extended
 	// slice.
 	Objects(dst []ObjectInfo, node simnet.NodeID) []ObjectInfo
 	Evict(key string, version uint64) error
-	MigrateToBackup(key string) error
+	MigrateToBackup(key string, version uint64) error
 }
